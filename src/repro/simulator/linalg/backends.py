@@ -17,7 +17,9 @@ instead of racing on the module-level global.
 
 Three implementations ship behind the seam:
 
-* :class:`DirectLUSolver` — the historical SuperLU path, extracted verbatim.
+* :class:`DirectLUSolver` — the historical SuperLU path, extracted verbatim;
+  SPD blocks (``factorize(..., spd=True)``) get a symmetric minimum-degree
+  ordering instead of COLAMD.
 * :class:`ReusePatternLUSolver` — reuses the fill-reducing column ordering
   (``perm_c`` of the first factorization) across every later matrix with the
   same sparsity pattern: Newton iterations, transient steps, V_tune points
@@ -103,13 +105,19 @@ class LinearSolver:
 
     # -- the seam ------------------------------------------------------------
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None):
+    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+                  spd: bool = False):
         """Prepare ``matrix`` for repeated solves; returns a handle with
         ``solve(rhs)`` accepting a vector or a dense ``(n, k)`` block.
 
         ``grid`` optionally describes the structured mesh geometry behind the
         matrix (a :class:`~repro.simulator.linalg.GridGeometry`); the
         multigrid backend coarsens along it, every other backend ignores it.
+        ``spd=True`` is the caller's promise that the matrix is symmetric
+        positive definite (the Kron reduction's internal mesh block): the LU
+        backends then use a symmetric fill-reducing ordering
+        (:func:`~repro.simulator.solver.splu_spd`); the iterative backends,
+        which screen for SPD systems themselves, ignore it.
         """
         raise NotImplementedError
 
@@ -146,9 +154,10 @@ class DirectLUSolver(LinearSolver):
 
     name = BACKEND_DIRECT
 
-    def factorize(self, matrix: sp.spmatrix, structure=None,
-                  grid=None) -> Factorization:
-        return Factorization(matrix, structure=structure, sinks=self._sinks)
+    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+                  spd: bool = False) -> Factorization:
+        return Factorization(matrix, structure=structure, sinks=self._sinks,
+                             spd=spd)
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
               structure=None, grid=None) -> np.ndarray:
@@ -295,12 +304,16 @@ class ReusePatternLUSolver(LinearSolver):
         while len(self._patterns) > self.options.max_cached_patterns:
             self._patterns.popitem(last=False)
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None):
+    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+                  spd: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
-        if matrix.shape[0] == 0:
+        if spd or matrix.shape[0] == 0:
+            # A column-order replay cannot reproduce a symmetric ordering (it
+            # permutes rows too), and the one-shot Kron block has no pattern
+            # to reuse anyway: factorize it as the direct backend does.
             return Factorization(matrix, structure=structure,
-                                 sinks=self._sinks)
+                                 sinks=self._sinks, spd=spd)
         csc = _canonical_csc(matrix)
         key = self._pattern_key(csc)
         record = self._patterns.get(key)
@@ -488,7 +501,8 @@ class IterativeSolver(LinearSolver):
             return False, None          # ILU broke down: not safely solvable
         return True, spla.LinearOperator(csc.shape, matvec=ilu.solve)
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None):
+    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+                  spd: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
         if matrix.shape[0] == 0:

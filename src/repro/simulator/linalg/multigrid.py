@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from ...errors import SimulationError
 from ...obs import get_logger, trace_span
-from ..solver import _check_finite
+from ..solver import _check_finite, splu_spd
 from .backends import (
     _CG_RTOL_KEYWORD,
     IterativeSolver,
@@ -281,7 +281,8 @@ def build_hierarchy(matrix: sp.spmatrix, grid: GridGeometry,
         n = current.shape[0]
         if n <= coarsest_size or min(nxl, nyl) < 4:
             try:
-                level.lu = spla.splu(sp.csc_matrix(current))
+                # Galerkin coarse operators of an SPD matrix stay SPD.
+                level.lu = splu_spd(sp.csc_matrix(current))
             except RuntimeError as exc:
                 raise SimulationError(
                     f"multigrid coarsest-level factorization failed: {exc}")
@@ -499,7 +500,8 @@ class MultigridSolver(IterativeSolver):
         #: relative-residual trajectory of the most recent standalone solve
         self.last_residual_history: list[float] = []
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None):
+    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+                  spd: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
         if matrix.shape[0] == 0:

@@ -102,7 +102,8 @@ DEFAULT_LEASE_STALE_SECONDS = 30.0
 #: extraction output.  Their contents are hashed into every entry envelope, so
 #: entries computed by *older extraction code* are evicted and re-extracted
 #: instead of being served stale — the content key alone only covers the
-#: extraction *inputs* (layout cell, mesh spec, technology).
+#: extraction *inputs* (layout cell, mesh spec, technology).  The linear
+#: solvers are listed too: the Kron solve computes every cached admittance.
 _EXTRACTION_SOURCES = (
     "core/flow.py",
     "devices",
@@ -111,6 +112,8 @@ _EXTRACTION_SOURCES = (
     "layout",
     "netlist",
     "package",
+    "simulator/linalg",
+    "simulator/solver.py",
     "substrate",
     "technology",
 )

@@ -196,8 +196,7 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
     ``solver`` (a :class:`~repro.simulator.linalg.SolverOptions` or
     :class:`~repro.simulator.linalg.LinearSolver`) selects the backend for
     the mesh solve of the Kron reduction — the dominant cost of the
-    extraction, and an SPD system the iterative backend can handle on meshes
-    too large for a direct LU.
+    extraction (see :func:`~repro.substrate.reduction.kron_reduce`).
     """
     options = options or SubstrateExtractionOptions()
     ports = identify_ports(cell, technology)

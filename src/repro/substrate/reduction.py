@@ -165,9 +165,10 @@ def kron_reduce(conductance: sp.spmatrix,
         Linear-solver backend for the internal-block solve
         (:class:`~repro.simulator.linalg.SolverOptions` or a ready
         :class:`~repro.simulator.linalg.LinearSolver`).  The regularised
-        internal matrix is symmetric positive definite, which makes this the
-        prime target of the ``iterative`` (CG + incomplete-factorization)
-        backend on meshes where a direct LU stops fitting.
+        internal matrix is symmetric positive definite and is factorized
+        with ``spd=True``: the LU backends use a symmetric minimum-degree
+        ordering (half the fill of the default COLAMD ordering), the
+        ``multigrid`` backend solves it with geometric multigrid.
     grid:
         Structured-grid shape behind ``conductance`` (a
         :class:`~repro.simulator.linalg.GridGeometry`, from
@@ -229,7 +230,7 @@ def kron_reduce(conductance: sp.spmatrix,
     try:
         with trace_span("extract.kron", nodes=n_mesh, ports=n_ports):
             solved = resolve_solver(solver).factorize(
-                y_ii, grid=grid).solve(y_ip)
+                y_ii, grid=grid, spd=True).solve(y_ip)
     except SimulationError as exc:
         raise ExtractionError(f"substrate reduction failed: {exc}") from exc
     reduced = y_pp - y_ip.T @ solved

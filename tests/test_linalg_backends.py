@@ -6,7 +6,9 @@ backends and asserts the reuse-pattern and iterative backends match the
 direct-LU reference to <= 1e-10.  The fallback tests hand CG a non-SPD MNA
 system and assert it silently falls back to LU; the cache-key tests prove
 that campaigns differing only in solver settings never share extraction
-cache entries.
+cache entries.  The SPD tests pin the Kron block's symmetric factorization
+against a COLAMD reference on the real VCO testchip, and MNA systems to the
+unchanged COLAMD path.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.flow import FlowOptions, run_extraction_flow
-from repro.errors import SimulationError
+from repro.errors import ExtractionError, SimulationError
 from repro.layout.geometry import Rect
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import ac_analysis, dc_operating_point, transient_analysis
@@ -28,6 +30,7 @@ from repro.simulator.linalg import (
     make_solver,
     resolve_solver,
 )
+from repro.simulator.solver import Factorization
 from repro.simulator.transfer import transfer_functions
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
 from repro.substrate.extraction import SubstrateExtractionOptions
@@ -190,6 +193,122 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
         for got, want in zip(results, reference):
             assert got.total_spur_power_dbm() == pytest.approx(
                 want.total_spur_power_dbm(), abs=1e-6)
+
+
+# -- symmetric factorization of the SPD Kron block ----------------------------------------
+
+
+class _ColamdKronSolver(DirectLUSolver):
+    """Direct LU that records each Kron block and factorizes it with the
+    default COLAMD ordering (the pre-SPD reference)."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def factorize(self, matrix, structure=None, grid=None, spd=False):
+        if spd:
+            self.blocks.append(sp.csc_matrix(matrix))
+        return super().factorize(matrix, structure=structure)
+
+
+@pytest.fixture(scope="module")
+def vco_kron_variants(technology):
+    """The real 56x56 VCO-testchip Kron reduction of the nominal and the
+    2x-wide ground variant: (block, COLAMD admittance, default admittance)."""
+    from repro.core.vco_experiment import VcoExperimentOptions
+    from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
+    from repro.substrate.extraction import extract_substrate
+
+    options = VcoExperimentOptions().flow.substrate
+    variants = []
+    for scale in (1.0, 2.0):
+        cell = make_vco_testchip(VcoLayoutSpec(ground_width_scale=scale))
+        colamd = _ColamdKronSolver()
+        reference = extract_substrate(cell, technology, options, solver=colamd)
+        default = extract_substrate(cell, technology, options)
+        [block] = colamd.blocks
+        variants.append((block, reference.macromodel.admittance,
+                         default.macromodel.admittance))
+    return variants
+
+
+def test_spd_kron_matches_colamd_reference_on_vco_testchip(vco_kron_variants):
+    for _, reference, admittance in vco_kron_variants:
+        assert np.max(np.abs(admittance - reference)) \
+            <= 1e-12 * np.abs(reference).max()
+
+
+def test_spd_factorization_halves_kron_fill(vco_kron_variants):
+    """Deterministic fill guard: the symmetric ordering's L+U is at most
+    0.6x the COLAMD fill on the real block (0.50x when measured), through
+    the default backend's SPD path."""
+    for block, _, _ in vco_kron_variants:
+        colamd = spla.splu(block)
+        spd = resolve_solver(None).factorize(block, spd=True)._lu
+        assert spd.L.nnz + spd.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_spd_kron_with_floating_internal_node_raises_named_error(technology):
+    """A mesh node with no conductance at all (its 1e-12 regularisation
+    cancelled) makes the SPD block exactly singular: the symmetric
+    factorization must still fail down the named error chain."""
+    spec = MeshSpec(region=Rect(0, 0, 100e-6, 100e-6), nx=5, ny=5,
+                    max_depth=80e-6, n_z_per_layer=2)
+    mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
+    conductance = mesh.conductance_matrix().tolil()
+    floating = mesh.node_index(2, 2, 1)
+    conductance[floating, :] = 0.0
+    conductance[:, floating] = 0.0
+    conductance[floating, floating] = -1e-12
+    left = [mesh.node_index(0, iy, 0) for iy in range(mesh.ny)]
+    right = [mesh.node_index(mesh.nx - 1, iy, 0) for iy in range(mesh.ny)]
+    with pytest.raises(ExtractionError,
+                       match=f"row {floating} .*floating node"):
+        kron_reduce(conductance.tocsr(), [left, right], ["left", "right"],
+                    [1e4, 1e4])
+    with pytest.raises(SimulationError, match="singular"):
+        Factorization(sp.csc_matrix((3, 3)), spd=True)
+
+
+def test_mna_analyses_keep_the_colamd_path(monkeypatch):
+    """DC, AC and transient systems never take the SPD path: counts match
+    and results are bit-identical to a plain COLAMD ``splu``."""
+    import repro.simulator.solver as solver_module
+    from repro.simulator.mna import MnaStructure, stamp_linear_elements
+    from repro.simulator.solver import add_gmin_diagonal
+
+    def refuse(matrix):
+        raise AssertionError("an MNA system took the SPD factorization")
+
+    monkeypatch.setattr(solver_module, "splu_spd", refuse)
+    circuit = _rc_circuit()
+    structure = MnaStructure.from_circuit(circuit)
+    stamper = stamp_linear_elements(circuit, structure)
+    g = add_gmin_diagonal(stamper.conductance_matrix(), structure.n_nodes,
+                          1e-12)
+    c = stamper.capacitance_matrix()
+    rhs = np.zeros(structure.size)
+    rhs[structure.branch_row("V1")] = 1.0
+
+    solver = DirectLUSolver()
+    dc = dc_operating_point(circuit, solver=solver)
+    assert (solver.stats.factorizations, solver.stats.solves) == (0, 2)
+    np.testing.assert_array_equal(dc.vector, spla.splu(g.tocsc()).solve(rhs))
+
+    frequencies = np.logspace(3, 9, 7)
+    solver = DirectLUSolver()
+    ac = ac_analysis(circuit, frequencies, solver=solver)
+    assert (solver.stats.factorizations, solver.stats.solves) == (0, 7)
+    for vector, frequency in zip(ac.vectors, frequencies):
+        matrix = (g + 2j * np.pi * frequency * c).tocsc()
+        np.testing.assert_array_equal(
+            vector, spla.splu(matrix).solve(rhs.astype(complex)))
+
+    solver = DirectLUSolver()
+    transient_analysis(circuit, t_stop=1e-7, timestep=1e-8,
+                       operating_point=dc, solver=solver)
+    assert (solver.stats.factorizations, solver.stats.solves) == (1, 10)
 
 
 # -- reuse-pattern bookkeeping ------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,51 @@ def test_disk_cache_evicts_entries_of_older_extraction_code(tmp_path):
     assert fresh.stats.evictions == 1
     assert not path.exists()
     assert len(extraction_code_fingerprint()) == 64
+
+
+def test_disk_cache_evicts_entries_of_older_solver_code(
+        technology, store_campaign, tmp_path, monkeypatch):
+    """The Kron solve computes every cached admittance, so an edit to the
+    linear-solver code changes the fingerprint, and an entry stamped with
+    the other fingerprint is evicted and re-extracted."""
+    import repro
+    from repro.studies.store import build_envelope
+
+    copy = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    try:
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        for relative in ("simulator/solver.py",
+                         "simulator/linalg/backends.py"):
+            extraction_code_fingerprint.cache_clear()
+            before = extraction_code_fingerprint()
+            with (copy / relative).open("a") as handle:
+                handle.write("# edited\n")
+            extraction_code_fingerprint.cache_clear()
+            edited = extraction_code_fingerprint()
+            assert edited != before, relative
+    finally:
+        monkeypatch.undo()
+        extraction_code_fingerprint.cache_clear()
+    assert extraction_code_fingerprint() != edited
+
+    cache_dir = tmp_path / "cache"
+    first = SweepRunner(technology,
+                        cache=DiskExtractionCache(cache_dir)).run(store_campaign)
+    [key] = list(DiskExtractionCache(cache_dir).iter_keys())
+    path = DiskExtractionCache(cache_dir).entry_path(key)
+    flow = DiskExtractionCache(cache_dir).lookup(key)
+    with path.open("wb") as handle:
+        pickle.dump(build_envelope(key, flow, code=edited), handle)
+
+    fresh = DiskExtractionCache(cache_dir)
+    again = SweepRunner(technology, cache=fresh).run(store_campaign)
+    assert fresh.stats.evictions == 1
+    assert again.cache_misses == 1          # re-extracted, not served stale
+    np.testing.assert_array_equal(first.column("spur_power_dbm"),
+                                  again.column("spur_power_dbm"))
+    assert DiskExtractionCache(cache_dir).lookup(key) is not None
 
 
 def test_disk_cache_store_skips_rewriting_existing_entries(tmp_path):
