@@ -314,34 +314,20 @@ def _bench_solver() -> dict:
     and times
 
     * ``direct_cold``   — one COLAMD LU factorization + an 8-column solve,
-    * ``direct_repeat`` — a second factorization of the same pattern with
-      perturbed values (what direct LU pays per Newton iteration / V_tune
-      point / frequency point),
-    * ``reuse_repeat``  — the same repeat through
-      :class:`~repro.simulator.linalg.ReusePatternLUSolver` (symbolic
-      ordering reused, numeric work only; results are bit-identical),
-    * ``iterative``     — preconditioned-CG setup + solve through
-      :class:`~repro.simulator.linalg.IterativeSolver`, with the achieved
-      error against the direct solution,
     * ``multigrid``     — geometric-multigrid V-cycles through
       :class:`~repro.simulator.linalg.MultigridSolver` (semicoarsened
       hierarchy from the mesh's :class:`GridGeometry`), setup and solve
-      timed separately.
+      timed separately, with the achieved error against the direct
+      solution.
 
-    The ladder documents the iterative-vs-direct crossover: CG already wins
-    ~1.8x at 56 x 56 and the factor grows with mesh size (~4x at 160 x 160);
-    multigrid stays O(n) and takes the 160 x 160 extraction rung from ~5 s
-    (CG/ILU) to ~1 s.
+    This is a synthetic block (uniform surface contacts, row-stripe RHS),
+    not the real Kron system of the VCO testchip; its direct-vs-multigrid
+    ratios do not carry over to extraction (see the README backend table).
     """
     import scipy.sparse as sp_mod
 
     from repro.layout.geometry import Rect
-    from repro.simulator.linalg import (
-        DirectLUSolver,
-        IterativeSolver,
-        MultigridSolver,
-        ReusePatternLUSolver,
-    )
+    from repro.simulator.linalg import DirectLUSolver, MultigridSolver
     from repro.substrate import MeshSpec, SubstrateMesh
 
     technology = make_technology()
@@ -361,41 +347,16 @@ def _bench_solver() -> dict:
         rhs = np.zeros((n, n_rhs))
         for k in range(n_rhs):
             rhs[k * nx:(k + 1) * nx, k] = -1.0
-        perturbed = matrix.copy()
-        perturbed.data = matrix.data * 1.0001
 
-        def best_of(fn, repeats: int) -> float:
-            """Best-of-N wall clock: the 5% symbolic-reuse margin would
-            drown in single-shot scheduler noise."""
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        repeats = 3 if nx < 128 else 2
         direct = DirectLUSolver()
         start = time.perf_counter()
         reference = direct.factorize(matrix).solve(rhs)
         direct_cold = time.perf_counter() - start
 
-        reuse = ReusePatternLUSolver()
-        reuse.factorize(matrix)              # prime the symbolic cache
-        direct_repeat = best_of(
-            lambda: direct.factorize(perturbed).solve(rhs), repeats)
-        reuse_repeat = best_of(
-            lambda: reuse.factorize(perturbed).solve(rhs), repeats)
-
-        iterative = IterativeSolver()
-        start = time.perf_counter()
-        solution = iterative.factorize(matrix).solve(rhs)
-        iterative_seconds = time.perf_counter() - start
-
         multigrid = MultigridSolver()
         start = time.perf_counter()
-        mg_factorization = multigrid.factorize(matrix,
-                                               grid=mesh.grid_geometry())
+        mg_factorization = multigrid.factorize(
+            matrix, grid=mesh.grid_geometry(), spd=True)
         mg_setup_seconds = time.perf_counter() - start
         start = time.perf_counter()
         mg_solution = mg_factorization.solve(rhs)
@@ -405,21 +366,10 @@ def _bench_solver() -> dict:
         record["mesh"][f"nx{nx}"] = {
             "nodes": n,
             "direct_cold_seconds": direct_cold,
-            "direct_repeat_seconds": direct_repeat,
-            "reuse_repeat_seconds": reuse_repeat,
-            "reuse_vs_direct_repeat_speedup": direct_repeat / reuse_repeat,
-            "iterative_seconds": iterative_seconds,
-            "iterative_vs_direct_cold_speedup": direct_cold / iterative_seconds,
-            "cg_iterations": iterative.stats.cg_iterations,
-            "iterative_fallbacks": iterative.stats.fallbacks,
-            "iterative_max_abs_error": float(
-                np.max(np.abs(solution - reference))),
             "multigrid_setup_seconds": mg_setup_seconds,
             "multigrid_solve_seconds": mg_solve_seconds,
             "multigrid_seconds": multigrid_seconds,
             "multigrid_vs_direct_cold_speedup": direct_cold / multigrid_seconds,
-            "multigrid_vs_iterative_speedup":
-                iterative_seconds / multigrid_seconds,
             "mg_cycles": multigrid.stats.mg_cycles,
             "mg_fallbacks": multigrid.stats.fallbacks,
             "multigrid_max_abs_error": float(

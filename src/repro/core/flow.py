@@ -98,7 +98,7 @@ class FlowResult:
     devices: ExtractedCircuit
     impact: ImpactNetlist
     timings: FlowTimings
-    #: solver counters of the extraction's mesh solve (backend, CG traffic)
+    #: solver counters of the extraction's mesh solve (backend, MG cycles)
     solver_stats: SolverStats | None = None
 
     def summary(self) -> dict[str, int | float | str]:

@@ -136,9 +136,8 @@ class VcoImpactAnalysis:
                                               options=self.options.flow)
         self.flow = flow_result
         self._operating_points: dict[float, DcSolution] = {}
-        # One solver instance for every analysis of this object: the
-        # reuse-pattern backend then shares its symbolic analysis across
-        # V_tune points and noise frequencies (same testbench structure).
+        # One solver instance for every analysis of this object, so its
+        # counters cover every V_tune point and noise frequency.
         self.solver = resolve_solver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
             power_dbm=self.options.injected_power_dbm, frequency=1e6,

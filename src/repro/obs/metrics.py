@@ -4,13 +4,13 @@ Counters, gauges and histograms, each addressed by a name plus optional
 labels::
 
     registry = MetricsRegistry()
-    registry.counter("solver.factorizations", backend="reuse-lu").add(3)
+    registry.counter("solver.factorizations", backend="multigrid").add(3)
     registry.histogram("campaign.corner_seconds").observe(0.42)
     registry.snapshot()
 
 ``snapshot()`` returns one plain-dict schema::
 
-    {"counters":   {"solver.factorizations{backend=reuse-lu}": 3},
+    {"counters":   {"solver.factorizations{backend=multigrid}": 3},
      "gauges":     {...},
      "histograms": {"campaign.corner_seconds":
                         {"count": 1, "sum": 0.42, "min": 0.42, "max": 0.42}}}

@@ -12,9 +12,8 @@ from .solver import (
 )
 from .linalg import (
     DirectLUSolver,
-    IterativeSolver,
     LinearSolver,
-    ReusePatternLUSolver,
+    MultigridSolver,
     SolverOptions,
     make_solver,
     resolve_solver,
@@ -35,11 +34,10 @@ __all__ = [
     "DcSolution",
     "DirectLUSolver",
     "Factorization",
-    "IterativeSolver",
     "LinearSolver",
     "MatrixStamper",
     "MnaStructure",
-    "ReusePatternLUSolver",
+    "MultigridSolver",
     "SharedPatternPair",
     "SolutionView",
     "SolverOptions",

@@ -167,8 +167,7 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     on the returned :class:`DcSolution` and the ladder rungs are counted
     into the solver's :class:`~repro.simulator.solver.SolverStats`.
     ``solver`` selects the linear-solver backend (options or a shared
-    instance); the reuse-pattern backend refactorizes values only across the
-    Newton iterations, which all share one sparsity pattern.
+    instance); every backend factorizes the Newton systems by direct LU.
     """
     options = options or DcOptions()
     solver = resolve_solver(solver)

@@ -13,27 +13,27 @@ multigrid wants.  :class:`MultigridSolver` exploits it:
   sparse form, so port contact stamps, guard-ring conductance patterns and
   the non-uniform vertical profile survive coarsening instead of being
   re-discretised away.
-* **Smoothers** — red-black (laterally coloured) z-line Gauss-Seidel by
-  default: the mesh is strongly anisotropic in z (thin surface boxes give
-  vertical couplings ~50x the lateral ones), and solving each vertical line
-  exactly (batched Thomas algorithm, vectorized over lines *and* right-hand
-  sides) is what point smoothers cannot do there.  Weighted point Jacobi is
-  available as the cheaper alternative (``mg_smoother = "jacobi"``).
+* **Smoother** — red-black (laterally coloured) z-line Gauss-Seidel: the
+  mesh is strongly anisotropic in z (thin surface boxes give vertical
+  couplings ~50x the lateral ones), and solving each vertical line exactly
+  (batched Thomas algorithm, vectorized over lines *and* right-hand sides)
+  is what point smoothers cannot do there.
 * **Coarsening** is lateral-only (semicoarsening): z stays at mesh
   resolution — it is shallow (a handful of layers) and fully handled by the
   line smoother — while x and y halve per level until the system fits a
   direct coarsest-level LU.
 
-Cycles are applied either **standalone** — iterated on the whole multi-RHS
-block at once, so the Kron reduction's port columns ride one set of sparse
-products — or as a symmetric **CG preconditioner** per column; ``mg_mode``
-picks ("auto": blocks standalone, single vectors through CG).
+V(2,1) cycles are applied **standalone** to a multi-RHS block — iterated on
+the whole block at once, so the Kron reduction's port columns ride one set
+of sparse products — and as a symmetric **CG preconditioner** to a single
+vector.
 
-Robustness is a ladder, not a hope: systems without grid geometry degrade to
-the CG/ILU backend, non-SPD systems continue down its existing
-reuse-LU/direct ladder, and a standalone iteration that stagnates falls back
-to MG-preconditioned CG and then to LU — every rung counted in
-:class:`~repro.simulator.solver.SolverStats` and logged.
+Only the Kron reduction's mesh block takes this path: the caller must pass
+``spd=True`` and the block's :class:`GridGeometry`.  Every other system is
+factorized by direct LU, exactly as the direct backend does.  If the
+hierarchy cannot be built, or the cycle/PCG iteration misses its residual
+target within :data:`MAX_CYCLES`, the block falls back to a direct SPD
+factorization — counted in ``stats.fallbacks`` and logged.
 """
 
 from __future__ import annotations
@@ -42,23 +42,24 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ...errors import SimulationError
 from ...obs import get_logger, trace_span
-from ..solver import _check_finite, splu_spd
-from .backends import (
-    _CG_RTOL_KEYWORD,
-    IterativeSolver,
-    _canonical_csc,
-    register_backend,
-)
+from ..solver import Factorization, _check_finite, splu_spd
+from .backends import LinearSolver
 from .options import BACKEND_MULTIGRID
 
 logger = get_logger(__name__)
 
-#: damping of the weighted-Jacobi smoother (a robust choice for 3-D stencils)
-_JACOBI_WEIGHT = 0.7
+#: smoothing sweeps before / after the coarse-grid correction: V(2,1)
+PRE_SMOOTH = 2
+POST_SMOOTH = 1
+#: stop coarsening once a level has at most this many nodes (direct LU)
+COARSEST_SIZE = 800
+#: cycle budget of one solve: standalone cycles, or PCG iterations
+MAX_CYCLES = 60
+#: relative residual target of every solve
+RTOL = 1e-12
 #: a cycle must shrink the residual by at least this factor to count as
 #: converging; _STAGNATION_CYCLES consecutive misses abandon the iteration
 _STAGNATION_FACTOR = 0.9
@@ -116,7 +117,7 @@ class _Level:
     """One level of the hierarchy: operator, transfers, smoother data."""
 
     __slots__ = ("matrix", "nxl", "nyl", "nz", "prolongation", "restriction",
-                 "diag", "colours", "lu")
+                 "colours", "lu")
 
     def __init__(self, matrix: sp.csr_matrix, nxl: int, nyl: int, nz: int):
         self.matrix = matrix
@@ -125,6 +126,7 @@ class _Level:
         self.nz = nz
         self.prolongation = None
         self.restriction = None
+        self.colours = ()
         self.lu = None
 
     @property
@@ -133,15 +135,11 @@ class _Level:
 
     # -- smoother preparation ------------------------------------------------
 
-    def prepare_smoother(self, smoother: str) -> None:
+    def prepare_smoother(self) -> None:
         diag = self.matrix.diagonal()
         if np.any(diag <= 0.0):
             raise SimulationError(
                 "multigrid level has a non-positive diagonal entry")
-        self.diag = diag
-        self.colours = ()
-        if smoother != "rbgs":
-            return
         nxy, nz = self.n_lateral, self.nz
         diag3 = diag.reshape(nz, nxy)
         if nz > 1:
@@ -176,22 +174,15 @@ class _Level:
         self.matrix = self.matrix.astype(np.float32)
         self.prolongation = self.prolongation.astype(np.float32)
         self.restriction = self.restriction.astype(np.float32)
-        self.diag = self.diag.astype(np.float32)
         for colour in self.colours:
             colour.to_single()
 
     # -- smoother sweeps -----------------------------------------------------
 
-    def smooth(self, x: np.ndarray, b: np.ndarray, smoother: str,
+    def smooth(self, x: np.ndarray, b: np.ndarray,
                reverse: bool = False) -> None:
         """One in-place smoothing sweep (``reverse`` flips the colour order
         on post-smoothing so the cycle stays a symmetric operator)."""
-        if smoother == "jacobi":
-            residual = b - self.matrix @ x
-            residual /= self.diag[:, None]
-            residual *= _JACOBI_WEIGHT
-            x += residual
-            return
         x3 = x.reshape(self.nz, self.n_lateral, -1)
         colours = reversed(self.colours) if reverse else self.colours
         for colour in colours:
@@ -265,7 +256,7 @@ class _Colour:
 
 
 def build_hierarchy(matrix: sp.spmatrix, grid: GridGeometry,
-                    coarsest_size: int, smoother: str) -> list[_Level]:
+                    coarsest_size: int = COARSEST_SIZE) -> list[_Level]:
     """Galerkin hierarchy of ``matrix`` along the lateral grid directions.
 
     Coarsening halves x and y per level (z is handled by the line smoother)
@@ -288,7 +279,7 @@ def build_hierarchy(matrix: sp.spmatrix, grid: GridGeometry,
                     f"multigrid coarsest-level factorization failed: {exc}")
             levels.append(level)
             return levels
-        level.prepare_smoother(smoother)
+        level.prepare_smoother()
         p_x = prolongation_1d(nxl)
         p_y = prolongation_1d(nyl)
         prolongation = sp.kron(
@@ -323,33 +314,23 @@ class _MgFactorization:
         self._fallback = None
         self.residual_history: list[float] = []
 
-    def level_sizes(self) -> list[int]:
-        return [level.matrix.shape[0] for level in self._levels]
-
     # -- one cycle -----------------------------------------------------------
 
     def _cycle(self, level_index: int, b: np.ndarray) -> np.ndarray:
-        """One V/W-cycle with zero initial guess; ``b`` is float32 ``(n, k)``
+        """One V-cycle with zero initial guess; ``b`` is float32 ``(n, k)``
         (the coarsest float64 LU is cast around)."""
         level = self._levels[level_index]
         if level.lu is not None:
             return level.lu.solve(
                 np.ascontiguousarray(b, dtype=np.float64)).astype(np.float32)
-        options = self._solver.options
         x = np.zeros_like(b)
-        for _ in range(options.mg_pre_smooth):
-            level.smooth(x, b, options.mg_smoother)
+        for _ in range(PRE_SMOOTH):
+            level.smooth(x, b)
         residual = b - level.matrix @ x
-        coarse_rhs = level.restriction @ residual
-        coarse = self._cycle(level_index + 1, coarse_rhs)
-        if (options.mg_cycle == "w"
-                and self._levels[level_index + 1].lu is None):
-            coarse_residual = coarse_rhs \
-                - self._levels[level_index + 1].matrix @ coarse
-            coarse = coarse + self._cycle(level_index + 1, coarse_residual)
-        x += level.prolongation @ coarse
-        for _ in range(options.mg_post_smooth):
-            level.smooth(x, b, options.mg_smoother, reverse=True)
+        x += level.prolongation @ self._cycle(level_index + 1,
+                                              level.restriction @ residual)
+        for _ in range(POST_SMOOTH):
+            level.smooth(x, b, reverse=True)
         return x
 
     def _top_cycle(self, b: np.ndarray) -> np.ndarray:
@@ -358,22 +339,22 @@ class _MgFactorization:
 
     # -- solve strategies ----------------------------------------------------
 
-    def _standalone(self, rhs: np.ndarray):
-        """Iterate cycles on the whole block; returns (x, converged, history).
+    def _standalone(self, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Iterate cycles on the whole block; returns (x, converged).
 
         Convergence is per-column relative residual, reported as the worst
         column; stagnation (three consecutive cycles shrinking the residual
-        by less than 10%) abandons the iteration for the CG fallback.
+        by less than 10%) abandons the iteration early.
         """
-        options = self._solver.options
         matrix = self._fine
         norms = np.linalg.norm(rhs, axis=0)
         norms[norms == 0.0] = 1.0
         x = np.zeros_like(rhs)
         residual = rhs.copy()
         history: list[float] = []
+        self.residual_history = history
         stagnant = 0
-        for _ in range(options.mg_max_cycles):
+        for _ in range(MAX_CYCLES):
             x += self._top_cycle(residual)
             residual = rhs - matrix @ x
             relative = float(np.max(np.linalg.norm(residual, axis=0) / norms))
@@ -382,45 +363,41 @@ class _MgFactorization:
             else:
                 stagnant = 0
             history.append(relative)
-            if relative <= options.mg_rtol:
-                return x, True, history
+            if relative <= RTOL:
+                return x, True
             if stagnant >= _STAGNATION_CYCLES or not np.isfinite(relative):
                 break
-        return x, False, history
+        return x, False
 
-    def _pcg_column(self, rhs: np.ndarray, x0: np.ndarray | None):
-        """CG on one column with one V-cycle as the preconditioner."""
-        options = self._solver.options
+    def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+        """CG on one column with one V-cycle as the preconditioner, at most
+        :data:`MAX_CYCLES` iterations; returns (x, converged)."""
+        x = np.zeros_like(rhs)
+        if not rhs.any():
+            return x, True
+        target = RTOL * np.linalg.norm(rhs)
 
-        def apply_cycle(vector: np.ndarray) -> np.ndarray:
-            column = np.asarray(vector, dtype=float).reshape(-1, 1)
-            return self._top_cycle(column).ravel().astype(np.float64)
+        def precondition(vector: np.ndarray) -> np.ndarray:
+            return self._top_cycle(vector[:, None]).ravel().astype(np.float64)
 
-        preconditioner = spla.LinearOperator(self.shape, matvec=apply_cycle,
-                                             dtype=float)
-        iterations = 0
-
-        def count(_x):
-            nonlocal iterations
-            iterations += 1
-
-        tolerances = {_CG_RTOL_KEYWORD: options.mg_rtol,
-                      "atol": options.cg_atol}
-        solution, info = spla.cg(self._fine, rhs, x0=x0,
-                                 maxiter=options.cg_max_iterations
-                                 or self.shape[0],
-                                 M=preconditioner, callback=count,
-                                 **tolerances)
-        self._solver._bump("cg_iterations", iterations)
-        return solution, info
-
-    def _fallback_lu(self):
-        """The ladder below multigrid: reuse-LU, then plain direct."""
-        if self._fallback is None:
-            self._fallback = self._solver._degraded_factorize(
-                self._csc, self._structure,
-                reason="multigrid did not converge")
-        return self._fallback
+        residual = rhs.copy()
+        z = precondition(residual)
+        direction = z.copy()
+        rz = residual @ z
+        for iteration in range(1, MAX_CYCLES + 1):
+            product = self._fine @ direction
+            step = rz / (direction @ product)
+            x += step * direction
+            residual -= step * product
+            norm = np.linalg.norm(residual)
+            if norm <= target or not np.isfinite(norm) \
+                    or iteration == MAX_CYCLES:
+                break
+            z = precondition(residual)
+            rz, previous = residual @ z, rz
+            direction = z + (rz / previous) * direction
+        self._solver._bump("cg_iterations", iteration)
+        return x, bool(norm <= target)
 
     def _solve_real_block(self, rhs: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(rhs):
@@ -430,40 +407,27 @@ class _MgFactorization:
         if self._fallback is not None:
             # An earlier solve already proved multigrid stagnant here.
             return self._fallback.solve(rhs)
-        options = self._solver.options
         block = np.ascontiguousarray(
             rhs if rhs.ndim == 2 else rhs.reshape(-1, 1), dtype=float)
-        mode = options.mg_mode
-        if mode == "auto":
-            mode = "standalone" if block.shape[1] > 1 else "pcg"
-        if mode == "standalone":
+        columns = block.shape[1]
+        if columns > 1:
             with trace_span("solver.mg_solve", mode="standalone",
-                            columns=block.shape[1]):
-                x, converged, history = self._standalone(block)
-            self.residual_history = history
-            self._solver.last_residual_history = history
+                            columns=columns):
+                x, converged = self._standalone(block)
+            reason = "standalone cycles stagnated at " \
+                f"{self.residual_history[-1]:.2e}"
+        else:
+            with trace_span("solver.mg_solve", mode="pcg", columns=columns):
+                x, converged = self._pcg(block[:, 0])
+            x = x[:, None]
+            reason = f"PCG missed rtol {RTOL:.0e} in {MAX_CYCLES} iterations"
             if converged:
-                self._solver._bump("mg_solves", block.shape[1])
-                return x if rhs.ndim == 2 else x.ravel()
-            logger.info(
-                "solver degradation: backend=%s rung=%s reason=%s n=%d",
-                self._solver.name, "mg-pcg",
-                f"standalone cycles stagnated at {history[-1]:.2e}",
-                self.shape[0])
-            self._solver._bump("fallbacks")
-        # CG per column, one V-cycle as preconditioner.
-        columns = []
-        with trace_span("solver.mg_solve", mode="pcg",
-                        columns=block.shape[1]):
-            for k in range(block.shape[1]):
-                column = np.ascontiguousarray(block[:, k])
-                solution, info = self._pcg_column(column, None)
-                if info != 0:
-                    return self._fallback_lu().solve(rhs)
-                self._solver._bump("mg_solves")
                 self._solver._bump("cg_solves")
-                columns.append(solution)
-        x = np.column_stack(columns)
+        if not converged:
+            self._fallback = self._solver._fall_back(
+                self._csc, self._structure, reason)
+            return self._fallback.solve(rhs)
+        self._solver._bump("mg_solves", columns)
         return x if rhs.ndim == 2 else x.ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -477,74 +441,48 @@ class _MgFactorization:
         return _check_finite(solution, self._csc, self._structure)
 
 
-class MultigridSolver(IterativeSolver):
-    """Geometric multigrid for grid-structured SPD systems.
+class MultigridSolver(LinearSolver):
+    """Geometric multigrid for the Kron reduction's SPD mesh block.
 
-    The fast path needs two things: the matrix must pass the SPD screen and
-    the caller must supply the :class:`GridGeometry` it was assembled on
-    (the mesh/reduction layer threads it through automatically).  Everything
-    else steps down an explicit, stats-recorded ladder::
-
-        multigrid  ->  CG/ILU  ->  reuse-LU  ->  direct LU
-
-    SPD systems without grid geometry take the CG/ILU rung (counted in
-    ``stats.fallbacks``); non-SPD systems continue down the iterative
-    backend's existing ladder.  A standalone cycle iteration that stagnates
-    retries as MG-preconditioned CG before degrading to LU.
+    The multigrid path needs the caller's ``spd=True`` promise and the
+    :class:`GridGeometry` the matrix was assembled on (``kron_reduce``
+    passes both; a one-shot :meth:`solve` never makes that promise).  Every
+    other system — MNA matrices of the DC, AC, transient and transfer
+    analyses — gets the :class:`~repro.simulator.solver.Factorization`
+    :class:`~repro.simulator.linalg.DirectLUSolver` builds, and is not a
+    degradation.  The one fallback is multigrid -> direct SPD factorization,
+    when the hierarchy set-up or the cycle/PCG iteration fails.
     """
 
     name = BACKEND_MULTIGRID
 
-    def __init__(self, options=None, *, mirror_global: bool = True):
-        super().__init__(options, mirror_global=mirror_global)
-        #: relative-residual trajectory of the most recent standalone solve
-        self.last_residual_history: list[float] = []
-
     def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
                   spd: bool = False):
-        if matrix.shape[0] != matrix.shape[1]:
-            raise SimulationError("MNA matrix must be square")
-        if matrix.shape[0] == 0:
-            return super().factorize(matrix, structure=structure)
-        csc = _canonical_csc(matrix)
-        grid_ok = (isinstance(grid, GridGeometry)
-                   and grid.n_nodes == csc.shape[0])
-        if not grid_ok or not self._spd_candidate(csc):
-            if not grid_ok and self._spd_candidate(csc):
-                # SPD but gridless: the CG/ILU rung will solve it — record
-                # the degradation (non-SPD systems are counted by the
-                # iterative backend's own ladder instead).
-                if not self.options.iterative_fallback:
-                    raise SimulationError(
-                        "no grid geometry supplied for the multigrid backend "
-                        "and iterative_fallback is disabled")
-                self._bump("fallbacks")
-                logger.info(
-                    "solver degradation: backend=%s rung=%s reason=%s n=%d",
-                    self.name, "iterative", "no grid geometry supplied",
-                    csc.shape[0])
-            return super().factorize(csc, structure=structure)
-        options = self.options
+        if not (spd and isinstance(grid, GridGeometry)
+                and grid.n_nodes == matrix.shape[0]):
+            return Factorization(matrix, structure=structure,
+                                 sinks=self._sinks, spd=spd)
+        csc = sp.csc_matrix(matrix)
         try:
             with trace_span("solver.mg_setup", nodes=csc.shape[0],
                             nx=grid.nx, ny=grid.ny, nz=grid.nz):
-                levels = build_hierarchy(csc, grid, options.mg_coarsest_size,
-                                         options.mg_smoother)
+                levels = build_hierarchy(csc, grid)
                 # Built in float64 (Galerkin products, Thomas positivity
                 # checks), applied in float32 (see _Level.to_single).
                 for level in levels:
                     level.to_single()
         except SimulationError as exc:
-            # Hierarchy construction itself failed (e.g. a pathological
-            # operator): one rung down to CG/ILU.
-            self._bump("fallbacks")
-            logger.warning(
-                "solver degradation: backend=%s rung=%s reason=%s n=%d",
-                self.name, "iterative", f"hierarchy setup failed: {exc}",
-                csc.shape[0])
-            return super().factorize(csc, structure=structure)
+            return self._fall_back(csc, structure,
+                                   f"hierarchy setup failed: {exc}")
         self._bump("factorizations")
         return _MgFactorization(self, levels, csc, structure)
 
-
-register_backend(BACKEND_MULTIGRID, MultigridSolver)
+    def _fall_back(self, csc: sp.csc_matrix, structure,
+                   reason: str) -> Factorization:
+        """The one degradation: a direct SPD factorization of the block."""
+        self._bump("fallbacks")
+        logger.warning(
+            "solver degradation: backend=%s rung=%s reason=%s n=%d",
+            self.name, "direct", reason, csc.shape[0])
+        return Factorization(csc, structure=structure, sinks=self._sinks,
+                             spd=True)

@@ -47,35 +47,32 @@ class SolverStats:
     these, so parallel workers (e.g. the per-frequency AC fan-out) each count
     into their own instance and are aggregated afterwards with :meth:`merge`
     instead of racing on a shared global.  ``backend`` names the solver
-    backend that produced the counts; the iterative backend additionally
-    records its CG traffic and direct-LU fallbacks.
+    backend that produced the counts; the multigrid backend additionally
+    records its cycles, its V-cycle-preconditioned CG traffic and its
+    fallbacks to a direct factorization.
     """
 
-    factorizations: int = 0     #: numeric factorizations (LU or precond setup)
-    solves: int = 0             #: triangular / CG solve calls
-    pattern_reuses: int = 0     #: value-only refactorizations (reuse-lu)
-    cg_solves: int = 0          #: right-hand sides solved by CG
+    factorizations: int = 0     #: numeric factorizations (LU or MG hierarchy)
+    solves: int = 0             #: triangular / multigrid solve calls
+    cg_solves: int = 0          #: right-hand sides solved by MG-precond. CG
     cg_iterations: int = 0      #: total CG iterations over all solves
     mg_solves: int = 0          #: right-hand sides solved by multigrid
     mg_cycles: int = 0          #: multigrid cycles (standalone + precond apply)
-    fallbacks: int = 0          #: iterative/multigrid requests degraded a rung
-    fallback_direct: int = 0    #: degradations that had to reach plain direct LU
+    fallbacks: int = 0          #: multigrid solves that fell back to direct LU
     dc_gmin_steps: int = 0      #: gmin-continuation rungs taken by DC Newton
     dc_source_steps: int = 0    #: source-stepping rungs taken by DC Newton
     backend: str = ""           #: backend name ("" for the module-level global)
 
-    _COUNTERS = ("factorizations", "solves", "pattern_reuses",
-                 "cg_solves", "cg_iterations", "mg_solves", "mg_cycles",
-                 "fallbacks", "fallback_direct",
+    _COUNTERS = ("factorizations", "solves", "cg_solves", "cg_iterations",
+                 "mg_solves", "mg_cycles", "fallbacks",
                  "dc_gmin_steps", "dc_source_steps")
 
     #: The subset of counters that record *graceful degradation* — a solve or
-    #: analysis that only succeeded by stepping down the robustness ladder
-    #: (iterative -> reuse-LU -> direct, plain Newton -> gmin stepping ->
-    #: source stepping).  Campaign runners snapshot these around each task and
-    #: surface non-zero deltas in result sidecars.
-    DEGRADATION_COUNTERS = ("fallbacks", "fallback_direct",
-                            "dc_gmin_steps", "dc_source_steps")
+    #: analysis that only succeeded by falling back (multigrid -> direct LU,
+    #: plain Newton -> gmin stepping -> source stepping).  Campaign runners
+    #: snapshot these around each task and surface non-zero deltas in result
+    #: sidecars.
+    DEGRADATION_COUNTERS = ("fallbacks", "dc_gmin_steps", "dc_source_steps")
 
     def reset(self) -> None:
         for name in self._COUNTERS:
@@ -242,8 +239,7 @@ def gmin_diagonal(size: int, n_nodes: int,
 
     Newton loops build this once and add it per iteration, so the
     regularisation costs one CSR addition per solve instead of a format
-    conversion plus diagonal construction (which matters once the
-    reuse-pattern LU backend has made refactorizations cheap).
+    conversion plus diagonal construction.
     """
     if gmin <= 0.0 or n_nodes <= 0:
         return None

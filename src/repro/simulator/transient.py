@@ -123,9 +123,8 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
     """Integrate the circuit from 0 to ``t_stop`` with a fixed ``timestep``.
 
     The initial condition is the DC operating point (sources at their DC/
-    time-zero values).  ``solver`` selects the linear-solver backend; the
-    reuse-pattern backend refactorizes values only across the Newton solves
-    of a nonlinear integration (every step shares one sparsity pattern).
+    time-zero values).  ``solver`` selects the linear-solver backend; every
+    backend factorizes the transient systems by direct LU.
     """
     options = options or TransientOptions()
     solver = resolve_solver(solver)

@@ -61,11 +61,11 @@ def _canonical(obj, out: list[bytes]) -> None:
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # A dataclass may exclude result-neutral fields (pure parallelism /
         # memory / transport knobs) from its content identity via
-        # __fingerprint_exclude__: changing SolverOptions.ac_workers,
-        # ac_mode or max_cached_patterns — or how a SweepTask's flow is
-        # shipped (flow_ref) — must never invalidate cached extractions or
-        # refuse campaign resumes.  Every new scheduler knob joins the
-        # excluding class's tuple, not this function.
+        # __fingerprint_exclude__: changing SolverOptions.ac_workers or
+        # ac_mode — or how a SweepTask's flow is shipped (flow_ref) — must
+        # never invalidate cached extractions or refuse campaign resumes.
+        # Every new scheduler knob joins the excluding class's tuple, not
+        # this function.
         excluded = getattr(type(obj), "__fingerprint_exclude__", ())
         out.append(f"dc:{type(obj).__qualname__}(".encode())
         for field in dataclasses.fields(obj):

@@ -42,13 +42,12 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     ny = 40
 
     [solver]                    # linear-solver backend (SolverOptions)
-    backend = "reuse-lu"        # "direct" | "reuse-lu" | "iterative"
-                                # | "multigrid"
+    backend = "direct"          # "direct" | "multigrid" (mesh solve only;
+                                # falls back to direct LU if it fails)
+    gmin = 1e-12                # optional override of the analysis gmin
     ac_workers = 1              # per-frequency fan-out inside one AC sweep
     ac_mode = "thread"          # "thread" | "process": process ships the
                                 # frequency blocks to the shared worker pool
-    mg_cycle = "v"              # multigrid knobs: "v" | "w" cycles,
-    mg_smoother = "rbgs"        # "rbgs" | "jacobi" smoothing
 
     [execution]                 # defaults for the CLI flags
     backend = "serial"          # or "process-pool"
@@ -70,8 +69,9 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     progress = true             # live progress line (default: only on a TTY)
 
 The ``[solver]`` table participates in the extraction-cache key (two
-campaigns differing only in solver backend or tolerances never share cached
-extractions) and is recorded in the result's ``.meta.json`` sidecar.
+campaigns differing only in solver backend or gmin never share cached
+extractions; ``ac_workers``/``ac_mode`` are excluded) and is recorded in the
+result's ``.meta.json`` sidecar.
 
 Failure handling: with ``on_error = "skip"`` / ``"retry_then_skip"`` a
 campaign completes with partial results — failed corners are recorded in the

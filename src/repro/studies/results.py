@@ -103,7 +103,7 @@ class SweepResult:
     #: re-runs exactly these corners.
     failures: list[CornerFailure] = field(default_factory=list)
     #: Non-zero solver degradation counters summed over all tasks (gmin /
-    #: source stepping rungs, iterative->LU fallbacks); empty when every
+    #: source stepping rungs, multigrid->LU fallbacks); empty when every
     #: corner converged on the first-choice numerical path.
     solver_degradations: dict[str, int] = field(default_factory=dict)
     #: Per-run telemetry: a ``repro.obs`` ``MetricsRegistry.snapshot()``

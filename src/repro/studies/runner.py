@@ -109,7 +109,7 @@ class TaskOutcome:
     """Per-point records produced by one task, tagged with the task index.
 
     ``degradations`` holds the non-zero solver degradation counters this task
-    tripped (gmin/source-stepping rungs, iterative->LU fallbacks), measured
+    tripped (gmin/source-stepping rungs of the DC ladder), measured
     as the worker-local delta of the global solver stats around the task.
     ``seconds`` is the task's wall clock; ``spans`` carries the spans the
     task recorded under its :class:`~repro.obs.TraceContext` home to the
@@ -698,6 +698,18 @@ class SweepRunner:
 
         degradations: dict[str, int] = dict(
             resume_from.solver_degradations) if resume_from else {}
+        # Extractions run this time count too: a multigrid Kron solve that
+        # fell back to direct LU is recorded in its flow's solver stats.
+        fresh = {record.cache_key: record.flow.solver_stats
+                 for record in variant_records
+                 if record.index in extracted and not record.from_cache
+                 and record.flow is not None
+                 and record.flow.solver_stats is not None}
+        for stats in fresh.values():
+            for name in SolverStats.DEGRADATION_COUNTERS:
+                if getattr(stats, name):
+                    degradations[name] = (degradations.get(name, 0)
+                                          + getattr(stats, name))
         successes: list[TaskOutcome] = []
         # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
         # failed extraction inherits the extraction's TaskFailure verbatim,

@@ -166,15 +166,16 @@ def kron_reduce(conductance: sp.spmatrix,
         (:class:`~repro.simulator.linalg.SolverOptions` or a ready
         :class:`~repro.simulator.linalg.LinearSolver`).  The regularised
         internal matrix is symmetric positive definite and is factorized
-        with ``spd=True``: the LU backends use a symmetric minimum-degree
-        ordering (half the fill of the default COLAMD ordering), the
-        ``multigrid`` backend solves it with geometric multigrid.
+        with ``spd=True``: the ``direct`` backend uses a symmetric
+        minimum-degree ordering (half the fill of the default COLAMD
+        ordering), the ``multigrid`` backend solves it with geometric
+        multigrid.
     grid:
         Structured-grid shape behind ``conductance`` (a
         :class:`~repro.simulator.linalg.GridGeometry`, from
         :meth:`~repro.substrate.mesh.SubstrateMesh.grid_geometry`).  Enables
-        geometric coarsening in the ``multigrid`` backend; other backends
-        ignore it.
+        geometric coarsening in the ``multigrid`` backend; the ``direct``
+        backend ignores it.
 
     Returns
     -------
@@ -225,7 +226,7 @@ def kron_reduce(conductance: sp.spmatrix,
     y_ii = (sp.csc_matrix(conductance)
             + sp.diags(internal_diagonal + 1e-12, format="csc"))
 
-    # One factorization (or preconditioner setup) of Y_ii, one multi-RHS
+    # One factorization (or multigrid hierarchy) of Y_ii, one multi-RHS
     # solve against every port column at once.
     try:
         with trace_span("extract.kron", nodes=n_mesh, ports=n_ports):

@@ -38,6 +38,7 @@ from repro.errors import (
     CampaignError,
     ConvergenceError,
     CornerFailure,
+    SimulationError,
 )
 from repro.netlist.circuit import Circuit
 from repro.simulator import solver as solver_module
@@ -466,19 +467,34 @@ def test_ladder_failure_reports_every_strategy():
 
 
 def test_campaign_records_solver_degradations(technology, ft_campaign,
-                                              tmp_path):
-    # The iterative solver backend degrades on every non-SPD MNA system
-    # (fallbacks -> reuse-LU), which the runner must surface per campaign.
+                                              tmp_path, monkeypatch):
+    # A healthy multigrid campaign reports no degradation: its MNA systems
+    # are solved by direct LU by design.  A multigrid Kron solve that falls
+    # back to direct LU is a degradation the runner must surface.
     from dataclasses import replace
+
+    from repro.simulator.linalg import multigrid
 
     options = replace(ft_campaign.options,
                       flow=replace(TINY_MESH,
-                                   solver=SolverOptions(backend="iterative")))
+                                   solver=SolverOptions(backend="multigrid")))
     campaign = Campaign(name="degraded", space=ft_campaign.space,
                         options=options)
+    healthy = SweepRunner(technology).run(campaign)
+    assert healthy.complete
+    assert healthy.solver_degradations == {}
+    assert healthy.variants[0].flow.solver_stats.mg_solves > 0
+
+    def broken(*args, **kwargs):
+        raise SimulationError("injected hierarchy failure")
+
+    monkeypatch.setattr(multigrid, "build_hierarchy", broken)
     result = SweepRunner(technology).run(campaign)
     assert result.complete
-    assert result.solver_degradations.get("fallbacks", 0) > 0
+    assert result.solver_degradations == {"fallbacks": 1}
+    for got, want in zip(result.records, healthy.records):
+        assert got.spur.total_spur_power_dbm() == pytest.approx(
+            want.spur.total_spur_power_dbm(), abs=1e-6)
 
     saved, _ = result.save(tmp_path / "degraded.npz")
     loaded = SweepResult.load(saved)

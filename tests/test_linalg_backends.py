@@ -1,15 +1,17 @@
 """The pluggable linear-solver layer: backend equivalence, fallback, fan-out.
 
 The equivalence suite runs the same analyses (DC, AC, transient, Kron
-reduction, full extraction flow, VCO spur analysis) through all three
-backends and asserts the reuse-pattern and iterative backends match the
-direct-LU reference to <= 1e-10.  The fallback tests hand CG a non-SPD MNA
-system and assert it silently falls back to LU; the cache-key tests prove
-that campaigns differing only in solver settings never share extraction
-cache entries.  The SPD tests pin the Kron block's symmetric factorization
-against a COLAMD reference on the real VCO testchip, and MNA systems to the
-unchanged COLAMD path.
+reduction, full extraction flow, VCO spur analysis) through both backends
+and asserts the multigrid backend matches the direct-LU reference to
+<= 1e-10.  The routing test hands the multigrid backend MNA systems and
+asserts they are solved by direct LU without counting a fallback; the
+cache-key tests prove that campaigns differing only in solver settings
+never share extraction cache entries.  The SPD tests pin the Kron block's
+symmetric factorization against a COLAMD reference on the real VCO
+testchip, and MNA systems to the unchanged COLAMD path.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,8 +26,7 @@ from repro.simulator import ac_analysis, dc_operating_point, transient_analysis
 from repro.simulator.linalg import (
     BACKENDS,
     DirectLUSolver,
-    IterativeSolver,
-    ReusePatternLUSolver,
+    MultigridSolver,
     SolverOptions,
     make_solver,
     resolve_solver,
@@ -120,16 +121,18 @@ def test_kron_reduction_backends_match_direct(technology, backend):
                             [1e4, 1e4]).admittance
     solver = make_solver(SolverOptions(backend=backend))
     reduced = kron_reduce(conductance, [left, right], ["left", "right"],
-                          [1e4, 1e4], solver=solver).admittance
+                          [1e4, 1e4], solver=solver,
+                          grid=mesh.grid_geometry()).admittance
     assert np.allclose(reduced, reference,
                        atol=EQUIV_ATOL * np.abs(reference).max())
-    if backend == "iterative":
-        # The regularised internal block is SPD: CG must actually run.
-        assert solver.stats.cg_solves > 0
+    if backend == "multigrid":
+        # The regularised internal block is SPD with a grid: multigrid
+        # must actually run.
+        assert solver.stats.mg_solves > 0
         assert solver.stats.fallbacks == 0
 
 
-@pytest.mark.parametrize("backend", ("reuse-lu", "iterative"))
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_extraction_flow_backends_match_direct(technology, nmos_cell, backend):
     small_mesh = SubstrateExtractionOptions(nx=10, ny=10, n_z_per_layer=2)
     reference = run_extraction_flow(
@@ -169,30 +172,33 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
     direct_tf = transfer_functions(circuit, ["VSUB_SRC"], nodes, frequencies,
                                    operating_point=operating_point)["VSUB_SRC"]
 
-    for backend in ("reuse-lu", "iterative"):
-        tf = transfer_functions(
-            circuit, ["VSUB_SRC"], nodes, frequencies,
-            operating_point=operating_point,
-            solver=SolverOptions(backend=backend))["VSUB_SRC"]
-        for node in nodes:
-            # 1e-9 instead of 1e-10: the full impact testbench spans twelve
-            # orders of magnitude in conductance (gmin 1e-12 S to contact
-            # ties 1e6 S), and ~3e-10 is the direct backend's own roundoff
-            # reproducibility floor on that conditioning; the better-
-            # conditioned DC/AC/transient/Kron flows above assert 1e-10.
-            assert np.allclose(tf.transfers[node], direct_tf.transfers[node],
-                               atol=1e-9, rtol=EQUIV_ATOL)
+    backend = "multigrid"
+    tf = transfer_functions(
+        circuit, ["VSUB_SRC"], nodes, frequencies,
+        operating_point=operating_point,
+        solver=SolverOptions(backend=backend))["VSUB_SRC"]
+    for node in nodes:
+        # 1e-9 instead of 1e-10: the full impact testbench spans twelve
+        # orders of magnitude in conductance (gmin 1e-12 S to contact
+        # ties 1e6 S), and ~3e-10 is the direct backend's own roundoff
+        # reproducibility floor on that conditioning; the better-
+        # conditioned DC/AC/transient/Kron flows above assert 1e-10.
+        assert np.allclose(tf.transfers[node], direct_tf.transfers[node],
+                           atol=1e-9, rtol=EQUIV_ATOL)
 
-        options = replace(
-            vco_analysis.options,
-            flow=replace(vco_analysis.options.flow,
-                         solver=SolverOptions(backend=backend)))
-        analysis = VcoImpactAnalysis(technology, options=options,
-                                     flow_result=vco_analysis.flow)
-        results, _, _, _ = analysis.analyze(0.0)
-        for got, want in zip(results, reference):
-            assert got.total_spur_power_dbm() == pytest.approx(
-                want.total_spur_power_dbm(), abs=1e-6)
+    options = replace(
+        vco_analysis.options,
+        flow=replace(vco_analysis.options.flow,
+                     solver=SolverOptions(backend=backend)))
+    analysis = VcoImpactAnalysis(technology, options=options,
+                                 flow_result=vco_analysis.flow)
+    results, _, _, _ = analysis.analyze(0.0)
+    for got, want in zip(results, reference):
+        assert got.total_spur_power_dbm() == pytest.approx(
+            want.total_spur_power_dbm(), abs=1e-6)
+    # Every system of the spur analysis is MNA, solved by direct LU: no
+    # solver degradation is reported.
+    assert analysis.solver.stats.fallbacks == 0
 
 
 # -- symmetric factorization of the SPD Kron block ----------------------------------------
@@ -237,6 +243,27 @@ def test_spd_kron_matches_colamd_reference_on_vco_testchip(vco_kron_variants):
     for _, reference, admittance in vco_kron_variants:
         assert np.max(np.abs(admittance - reference)) \
             <= 1e-12 * np.abs(reference).max()
+
+
+def test_multigrid_matches_direct_on_vco_testchip(technology,
+                                                 vco_kron_variants):
+    """The real 56x56 VCO-testchip Kron block through multigrid: 13 port
+    columns in standalone cycles, no fallback, admittance within 1e-9
+    relative of the direct backend (~2e-11 measured)."""
+    from repro.core.vco_experiment import VcoExperimentOptions
+    from repro.layout.testchips import make_vco_testchip
+    from repro.substrate.extraction import extract_substrate
+
+    [(_, _, reference), _] = vco_kron_variants
+    solver = make_solver(SolverOptions(backend="multigrid"))
+    admittance = extract_substrate(
+        make_vco_testchip(), technology,
+        VcoExperimentOptions().flow.substrate,
+        solver=solver).macromodel.admittance
+    assert np.max(np.abs(admittance - reference)) \
+        <= 1e-9 * np.abs(reference).max()
+    assert solver.stats.mg_solves == reference.shape[0]
+    assert solver.stats.fallbacks == 0
 
 
 def test_spd_factorization_halves_kron_fill(vco_kron_variants):
@@ -311,84 +338,31 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
     assert (solver.stats.factorizations, solver.stats.solves) == (1, 10)
 
 
-# -- reuse-pattern bookkeeping ------------------------------------------------------------
+# -- multigrid routes MNA systems to direct LU ---------------------------------------------
 
 
-def test_reuse_solver_refactorizes_same_pattern(technology):
-    matrix, rhs = _mesh_system(technology)
-    scaled = matrix.copy()
-    scaled.data = scaled.data * 1.8
-
-    solver = ReusePatternLUSolver()
-    first = solver.factorize(matrix).solve(rhs)
-    second = solver.factorize(scaled).solve(rhs)
-    assert solver.stats.factorizations == 2
-    assert solver.stats.pattern_reuses == 1
-    assert np.allclose(first, spla.spsolve(matrix, rhs), atol=EQUIV_ATOL)
-    assert np.allclose(second, spla.spsolve(scaled, rhs), atol=EQUIV_ATOL)
-
-
-def test_reuse_solver_shares_patterns_across_newton_iterations(technology):
-    solver = ReusePatternLUSolver()
-    solution = dc_operating_point(_mosfet_circuit(technology), solver=solver)
-    assert solution.iterations > 1
-    assert solver.stats.factorizations == solution.iterations
-    # Iterations that repeat an already-seen companion-stamp pattern reuse
-    # the symbolic analysis (the first iterate, at x = 0, may stamp a
-    # different pattern than the converged region — that one is analysed).
-    assert solver.stats.pattern_reuses >= 1
-    assert (solver.stats.pattern_reuses
-            + len(solver._patterns) == solver.stats.factorizations)
-
-
-def test_reuse_solver_pattern_cache_is_bounded():
-    solver = ReusePatternLUSolver(SolverOptions(backend="reuse-lu",
-                                                max_cached_patterns=2))
-    for size in (5, 6, 7, 8):
-        dense = np.eye(size) * 3.0
-        solver.solve(sp.csc_matrix(dense), np.ones(size))
-    assert len(solver._patterns) == 2
-
-
-# -- iterative fallback -------------------------------------------------------------------
-
-
-def test_iterative_falls_back_on_non_spd_mna_system():
-    """A matrix with voltage-source branch rows is not SPD: silent LU."""
+def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
+    """DC, AC and transfer systems carry no SPD promise: under the multigrid
+    backend they are solved by direct LU, bit-identically, and routing them
+    there is not a degradation."""
     circuit = _rc_circuit()
-    solver = IterativeSolver()
-    reference = dc_operating_point(circuit).vector
-    solution = dc_operating_point(circuit, solver=solver)
-    assert np.allclose(solution.vector, reference, atol=EQUIV_ATOL)
-    assert solver.stats.fallbacks > 0
-    assert solver.stats.cg_solves == 0
-
-
-def test_iterative_falls_back_on_cg_stagnation(technology):
-    matrix, rhs = _mesh_system(technology)
-    solver = IterativeSolver(SolverOptions(
-        backend="iterative", cg_max_iterations=1, preconditioner="none"))
-    solution = solver.solve(matrix, rhs)
-    assert np.allclose(solution, spla.spsolve(matrix, rhs), atol=EQUIV_ATOL)
-    assert solver.stats.fallbacks == 1
-
-
-def test_iterative_fallback_can_be_disabled():
-    matrix = sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    solver = IterativeSolver(SolverOptions(backend="iterative",
-                                           iterative_fallback=False))
-    with pytest.raises(SimulationError, match="SPD"):
-        solver.solve(matrix, np.ones(2))
-
-
-def test_iterative_solves_complex_rhs_by_two_real_solves(technology):
-    matrix, rhs = _mesh_system(technology)
-    complex_rhs = rhs + 0.5j * np.roll(rhs, 3)
-    solver = IterativeSolver()
-    solution = solver.factorize(matrix).solve(complex_rhs)
-    assert np.allclose(solution, spla.spsolve(matrix, complex_rhs),
-                       atol=EQUIV_ATOL)
+    frequencies = np.logspace(3, 8, 6)
+    solver = MultigridSolver(SolverOptions(backend="multigrid"))
+    np.testing.assert_array_equal(
+        dc_operating_point(circuit, solver=solver).vector,
+        dc_operating_point(circuit).vector)
+    np.testing.assert_array_equal(
+        ac_analysis(circuit, frequencies, solver=solver).vectors,
+        ac_analysis(circuit, frequencies).vectors)
+    transfer = transfer_functions(circuit, ["V1"], ["out"], frequencies,
+                                  solver=solver)
+    np.testing.assert_array_equal(
+        transfer["V1"].transfers["out"],
+        transfer_functions(circuit, ["V1"], ["out"],
+                           frequencies)["V1"].transfers["out"])
     assert solver.stats.fallbacks == 0
+    assert solver.stats.mg_solves == solver.stats.mg_cycles == 0
+    assert solver.stats.solves > 0
 
 
 # -- per-frequency AC fan-out ---------------------------------------------------------------
@@ -411,7 +385,7 @@ def test_transfer_ac_workers_match_serial():
     serial = transfer_functions(circuit, ["V1"], ["out", "mid"], frequencies)
     sharded = transfer_functions(
         circuit, ["V1"], ["out", "mid"], frequencies,
-        solver=SolverOptions(backend="reuse-lu", ac_workers=4))
+        solver=SolverOptions(backend="multigrid", ac_workers=4))
     for node in ("out", "mid"):
         assert np.allclose(sharded["V1"].transfers[node],
                            serial["V1"].transfers[node], atol=1e-12)
@@ -447,10 +421,14 @@ def test_spawned_workers_do_not_touch_global_stats():
 def test_solver_options_validation():
     with pytest.raises(SimulationError, match="backend"):
         SolverOptions(backend="cholesky")
-    with pytest.raises(SimulationError, match="preconditioner"):
-        SolverOptions(preconditioner="ssor")
     with pytest.raises(SimulationError, match="ac_workers"):
         SolverOptions(ac_workers=0)
+    with pytest.raises(SimulationError, match="ac_mode"):
+        SolverOptions(ac_mode="fork")
+    with pytest.raises(SimulationError, match="gmin"):
+        SolverOptions(gmin=-1.0)
+    assert [f.name for f in fields(SolverOptions)] == [
+        "backend", "gmin", "ac_workers", "ac_mode"]
 
 
 def test_mna_solve_sparse_routes_through_solver_seam():
@@ -459,20 +437,20 @@ def test_mna_solve_sparse_routes_through_solver_seam():
     matrix = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
     rhs = np.array([1.0, 2.0])
     reference = mna_solve(matrix, rhs)
-    solver = ReusePatternLUSolver()
+    solver = DirectLUSolver()
     routed = mna_solve(matrix, rhs, solver=solver)
     assert np.allclose(routed, reference, atol=EQUIV_ATOL)
-    assert solver.stats.factorizations == 1
+    assert solver.stats.solves == 1
     assert np.allclose(
-        mna_solve(matrix, rhs, solver=SolverOptions(backend="iterative")),
+        mna_solve(matrix, rhs, solver=SolverOptions(backend="multigrid")),
         reference, atol=EQUIV_ATOL)
 
 
 def test_resolve_solver_passthrough_and_defaults():
     assert isinstance(resolve_solver(None), DirectLUSolver)
-    assert isinstance(resolve_solver(SolverOptions(backend="iterative")),
-                      IterativeSolver)
-    shared = ReusePatternLUSolver()
+    assert isinstance(resolve_solver(SolverOptions(backend="multigrid")),
+                      MultigridSolver)
+    shared = MultigridSolver()
     assert resolve_solver(shared) is shared
 
 
@@ -492,24 +470,24 @@ def test_solver_options_are_part_of_extraction_cache_key(technology,
     base = FlowOptions(substrate=SubstrateExtractionOptions(nx=10, ny=10))
     loose = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(backend="iterative", cg_rtol=1e-8))
+        solver=SolverOptions(backend="multigrid"))
     tight = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(backend="iterative", cg_rtol=1e-13))
+        solver=SolverOptions(backend="multigrid", gmin=1e-9))
 
     key_base = extraction_key(nmos_cell, technology, base)
     key_loose = extraction_key(nmos_cell, technology, loose)
     key_tight = extraction_key(nmos_cell, technology, tight)
     assert len({key_base, key_loose, key_tight}) == 3
 
-    # Pure parallelism / memory knobs never influence results, so they must
-    # not invalidate cached extractions.
+    # Pure parallelism knobs never influence results, so they must not
+    # invalidate cached extractions.
     sharded = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(ac_workers=4, max_cached_patterns=2))
+        solver=SolverOptions(ac_workers=4, ac_mode="process"))
     assert extraction_key(nmos_cell, technology, sharded) == key_base
 
-    # Two campaigns differing only in the [solver] tolerance must not share
+    # Two campaigns differing only in the [solver] gmin must not share
     # DiskExtractionCache entries: an entry stored under one key is a miss
     # under the other.
     cache = DiskExtractionCache(tmp_path / "cache")
@@ -532,9 +510,9 @@ def test_campaign_fingerprint_and_sidecar_record_solver(technology):
         options=replace(
             VcoExperimentOptions(),
             flow=replace(VcoExperimentOptions().flow,
-                         solver=SolverOptions(backend="reuse-lu"))))
+                         solver=SolverOptions(backend="multigrid"))))
     assert default.fingerprint() != tuned.fingerprint()
-    assert tuned.describe()["options"]["solver"]["backend"] == "reuse-lu"
+    assert tuned.describe()["options"]["solver"]["backend"] == "multigrid"
 
     # ac_workers is results-neutral: same fingerprint, so stored results of
     # a serial run still resume a sharded re-run.

@@ -170,12 +170,12 @@ def test_span_aggregates_groups_by_name():
 
 def test_registry_snapshot_schema_and_labels():
     reg = MetricsRegistry()
-    reg.counter("solver.factorizations", backend="reuse-lu").add(3)
+    reg.counter("solver.factorizations", backend="multigrid").add(3)
     reg.gauge("mesh.nodes").set(18816)
     reg.histogram("campaign.corner_seconds").observe(0.5)
     reg.histogram("campaign.corner_seconds").observe(1.5)
     snap = reg.snapshot()
-    assert snap["counters"] == {"solver.factorizations{backend=reuse-lu}": 3}
+    assert snap["counters"] == {"solver.factorizations{backend=multigrid}": 3}
     assert snap["gauges"] == {"mesh.nodes": 18816}
     hist = snap["histograms"]["campaign.corner_seconds"]
     assert hist["count"] == 2 and hist["sum"] == pytest.approx(2.0)

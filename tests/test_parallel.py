@@ -302,10 +302,9 @@ def test_execution_settings_worker_alias_validation():
 
 def test_parallelism_knobs_excluded_from_solver_fingerprint():
     base = SolverOptions()
-    for knob in ("ac_workers", "ac_mode", "max_cached_patterns"):
+    for knob in ("ac_workers", "ac_mode"):
         assert knob in SolverOptions.__fingerprint_exclude__
-    varied = replace(base, ac_workers=8, ac_mode="process",
-                     max_cached_patterns=2)
+    varied = replace(base, ac_workers=8, ac_mode="process")
     assert fingerprint(base) == fingerprint(varied)
     # A genuinely numerical knob still changes the identity.
     assert fingerprint(base) != fingerprint(replace(base, gmin=1e-9))

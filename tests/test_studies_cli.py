@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SimulationError
 from repro.studies import SweepResult
 from repro.studies.cli import load_campaign_config, main
 
@@ -136,17 +136,17 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_solver_table_selects_backend(tmp_path):
     config = dict(TINY_CONFIG,
-                  solver={"backend": "reuse-lu", "ac_workers": 2,
-                          "cg_rtol": 1e-11})
+                  solver={"backend": "multigrid", "ac_workers": 2,
+                          "gmin": 1e-11})
     path = tmp_path / "solver.json"
     path.write_text(json.dumps(config))
     campaign = load_campaign_config(path).campaign
     solver = campaign.options.flow.solver
-    assert solver.backend == "reuse-lu"
+    assert solver.backend == "multigrid"
     assert solver.ac_workers == 2
-    assert solver.cg_rtol == 1e-11
+    assert solver.gmin == 1e-11
     # The sidecar-bound description records the solver table verbatim.
-    assert campaign.describe()["options"]["solver"]["backend"] == "reuse-lu"
+    assert campaign.describe()["options"]["solver"]["backend"] == "multigrid"
 
 
 def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
@@ -158,6 +158,16 @@ def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
     path.write_text(json.dumps(dict(TINY_CONFIG,
                                     solver={"backend": "cholesky"})))
     with pytest.raises(Exception, match="cholesky"):
+        load_campaign_config(path)
+    # Configs written for the retired backends and their knobs fail with a
+    # named error, not a TypeError traceback.
+    path.write_text(json.dumps(dict(TINY_CONFIG,
+                                    solver={"cg_rtol": 1e-11})))
+    with pytest.raises(AnalysisError, match="cg_rtol"):
+        load_campaign_config(path)
+    path.write_text(json.dumps(dict(TINY_CONFIG,
+                                    solver={"backend": "reuse-lu"})))
+    with pytest.raises(SimulationError, match="unknown solver backend"):
         load_campaign_config(path)
     # A wrong-typed value (a quoted number) is a clean config error, not a
     # TypeError traceback.
@@ -172,7 +182,7 @@ def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path.write_text(json.dumps(TINY_CONFIG))
     tuned_path = tmp_path / "tuned.json"
     tuned_path.write_text(json.dumps(dict(
-        TINY_CONFIG, solver={"backend": "iterative", "cg_rtol": 1e-9})))
+        TINY_CONFIG, solver={"backend": "multigrid", "ac_workers": 2})))
     base = load_campaign_config(base_path).campaign
     tuned = load_campaign_config(tuned_path).campaign
     assert base.fingerprint() != tuned.fingerprint()
