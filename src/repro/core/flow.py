@@ -120,20 +120,32 @@ class FlowResult:
 
 def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
                         package: PackageModel | None = None,
-                        options: FlowOptions | None = None) -> FlowResult:
-    """Run the paper's extraction flow on a layout cell."""
+                        options: FlowOptions | None = None,
+                        substrate: SubstrateExtraction | None = None,
+                        ) -> FlowResult:
+    """Run the paper's extraction flow on a layout cell.
+
+    ``substrate`` is an existing substrate extraction to reuse instead of
+    running stage 1.  It must come from a cell, technology and ``options``
+    whose :func:`~repro.substrate.extraction.substrate_inputs` fingerprint
+    equal to this call's (the campaign runner checks this).  A flow given
+    one reports zero substrate, mesh and Kron time and zero solver
+    factorizations, because it ran none.
+    """
     options = options or FlowOptions()
     timings = FlowTimings()
     solver = resolve_solver(options.solver)
 
     with trace_span("flow.run", cell=cell.name):
-        start = time.perf_counter()
-        with trace_span("flow.substrate_extraction"):
-            substrate = extract_substrate(cell, technology, options.substrate,
-                                          solver=solver)
-        timings.substrate_extraction = time.perf_counter() - start
-        timings.mesh_assembly = substrate.timings.get("mesh_assembly", 0.0)
-        timings.kron_reduction = substrate.timings.get("kron_reduction", 0.0)
+        if substrate is None:
+            start = time.perf_counter()
+            with trace_span("flow.substrate_extraction"):
+                substrate = extract_substrate(cell, technology,
+                                              options.substrate,
+                                              solver=solver)
+            timings.substrate_extraction = time.perf_counter() - start
+            timings.mesh_assembly = substrate.timings.get("mesh_assembly", 0.0)
+            timings.kron_reduction = substrate.timings.get("kron_reduction", 0.0)
 
         start = time.perf_counter()
         with trace_span("flow.interconnect_extraction"):

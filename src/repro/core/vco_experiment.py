@@ -465,7 +465,9 @@ def ground_resistance_study(technology: ProcessTechnology,
     are extracted through the shared cache — a repeated study against a warm
     ``cache`` (or a ``cache_dir`` populated by any earlier process) performs
     zero extractions — and the per-variant analyses can be sharded with a
-    parallel ``backend``.
+    parallel ``backend``.  Widening the ground wires leaves the devices
+    untouched, so both variants share one substrate macromodel: a cold
+    study runs one Kron reduction, not two.
     """
     from ..studies import Campaign, ParamSpace, SweepRunner
 

@@ -7,7 +7,11 @@ point that shares a layout cell, mesh spec and technology can share one
 content hash of exactly that triple (plus the optional package model), so
 
 * layout-invariant sweeps (noise frequency x V_tune x amplitude) extract once,
-* layout sweeps re-extract only the variants whose geometry actually changed,
+* layout sweeps extract every changed variant once, but run the Kron
+  reduction only once per distinct (device geometry, mesh, technology,
+  solver): the runner hands a variant that changes only interconnect the
+  substrate extraction of an earlier variant
+  (:func:`~repro.substrate.extraction.substrate_inputs`),
 * re-running a campaign against a warm cache performs zero extractions.
 
 Keys are *content* addressed: two structurally identical cells built by two

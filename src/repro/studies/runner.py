@@ -7,7 +7,9 @@ into a :class:`~repro.studies.results.SweepResult`:
    extracted :class:`~repro.core.flow.FlowResult` per variant through the
    :class:`~repro.studies.cache.ExtractionCache` (layout-invariant sweeps hit
    the cache after the first run; layout sweeps re-extract only the changed
-   variants),
+   variants, and run one Kron reduction per distinct device geometry, mesh,
+   technology and solver: variants that change only interconnect reuse the
+   substrate macromodel of the first one),
 2. build one :class:`SweepTask` per (variant, injected power, V_tune) —
    each task analyses all noise frequencies of the campaign in one AC sweep,
    which is the natural unit of work (one DC solve + one transfer function),
@@ -27,7 +29,7 @@ variant's flow ships through shared memory once instead of per corner.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,6 +37,7 @@ import numpy as np
 from ..core.flow import FlowOptions, FlowResult, run_extraction_flow
 from ..errors import AnalysisError, CornerFailure
 from ..layout.cell import Cell
+from ..substrate.extraction import SubstrateExtraction, substrate_inputs
 from ..obs import (
     MetricsRegistry,
     TraceContext,
@@ -52,7 +55,7 @@ from .backends import (
     TaskFailure,
     _check_policy,
 )
-from .cache import CacheStats, ExtractionCache
+from .cache import CacheStats, ExtractionCache, fingerprint
 from .params import Campaign, LayoutVariant
 from .persist import CampaignJournal, CheckpointPolicy
 from .results import PointRecord, SweepResult, VariantRecord
@@ -132,6 +135,11 @@ class ExtractionTask:
     the store's lease protocol — N concurrent runners sharing one cache
     directory then extract each distinct variant exactly once, with the
     others blocking on the claimer's lease and reusing its published entry.
+
+    ``substrate`` is set on a *follower*: a variant whose substrate inputs
+    equal those of another variant of the run (its *leader*).  The flow then
+    reuses the leader's substrate extraction instead of running its own
+    Kron reduction.
     """
 
     variant_index: int
@@ -141,6 +149,7 @@ class ExtractionTask:
     cache_dir: str | None = None
     key: str = ""
     lease_stale_seconds: float = 30.0
+    substrate: SubstrateExtraction | None = None
 
     def corner_label(self) -> str:
         """Human-readable identity of the extraction (failure messages)."""
@@ -152,7 +161,8 @@ def _execute_extraction(task: ExtractionTask) -> FlowResult:
     """Extract one variant (worker-side entry point; must stay picklable)."""
     def extract() -> FlowResult:
         return run_extraction_flow(task.cell, task.technology,
-                                   options=task.flow_options)
+                                   options=task.flow_options,
+                                   substrate=task.substrate)
 
     if not task.cache_dir or not task.key:
         return extract()
@@ -163,6 +173,41 @@ def _execute_extraction(task: ExtractionTask) -> FlowResult:
     store = DiskExtractionCache(task.cache_dir,
                                 lease_stale_seconds=task.lease_stale_seconds)
     return store.extract_with_claim(task.key, extract)
+
+
+@dataclass
+class _ExtractionPlan:
+    """How one run obtains a flow per pending variant (built parent-side).
+
+    ``keys`` are the per-variant cache keys in variant order.  ``resolved``
+    holds the flows in hand: cache hits, then fresh extractions as they
+    land.  ``hits`` are the keys that were cache hits, and ``pending`` has
+    one :class:`ExtractionTask` per distinct missing key.  ``leaders`` maps
+    each follower key to its leader key, a hit or an earlier miss with the
+    same substrate inputs.
+    """
+
+    keys: list[str] = field(default_factory=list)
+    resolved: dict[str, FlowResult] = field(default_factory=dict)
+    hits: set[str] = field(default_factory=set)
+    pending: dict[str, ExtractionTask] = field(default_factory=dict)
+    leaders: dict[str, str] = field(default_factory=dict)
+
+    def task_for(self, key: str) -> ExtractionTask:
+        """The pending task of ``key``, given its resolved leader's substrate."""
+        task = self.pending[key]
+        leader = self.leaders.get(key)
+        if leader is None:
+            return task
+        return replace(task, substrate=self.resolved[leader].substrate)
+
+    def records(self, variants: list[LayoutVariant]) -> list[VariantRecord]:
+        """One record per variant, with the flow if it is resolved yet."""
+        return [VariantRecord(index=variant.index, knobs=dict(variant.knobs),
+                              spec=variant.spec, cache_key=key,
+                              flow=self.resolved.get(key),
+                              from_cache=key in self.hits)
+                for variant, key in zip(variants, self.keys)]
 
 
 def _execute_task(task: SweepTask) -> TaskOutcome:
@@ -286,37 +331,35 @@ class SweepRunner:
     # -- extraction ----------------------------------------------------------
 
     def _plan_extractions(self, campaign: Campaign,
-                          variants: list[LayoutVariant],
-                          ) -> tuple[list[str], dict[str, FlowResult],
-                                     set[str], dict[str, ExtractionTask]]:
+                          variants: list[LayoutVariant]) -> _ExtractionPlan:
         """Cache-resolve every variant; plan the (deduplicated) misses.
 
-        Returns ``(keys, resolved, hits, pending)``: the per-variant cache
-        keys in variant order, the flows already resolved (cache hits), the
-        subset of keys that were hits, and one :class:`ExtractionTask` per
-        distinct missing key.  Cache lookups stay parent-side, so workers
-        never race the extraction store.
+        Cache lookups stay parent-side, so workers never race the extraction
+        store.  A miss whose :func:`~repro.substrate.extraction.substrate_inputs`
+        fingerprint equals that of a hit or of an earlier miss becomes a
+        follower of it and reuses its substrate extraction.  So the Kron
+        reduction runs once per distinct (device geometry, mesh, technology,
+        solver), while every variant keeps its own cache entry.
         """
-        keys: list[str] = []
-        resolved: dict[str, FlowResult] = {}
-        hits: set[str] = set()
-        pending: dict[str, ExtractionTask] = {}   # key -> task, deduplicated
+        plan = _ExtractionPlan()
+        cells: dict[str, tuple[LayoutVariant, Cell]] = {}
         for variant in variants:
             cell = campaign.build_cell(variant)
             key = self.cache.key(cell, self.technology, variant.flow_options)
-            keys.append(key)
-            if key in resolved or key in pending:
+            plan.keys.append(key)
+            if key in cells:
                 continue                          # duplicate content, no traffic
+            cells[key] = (variant, cell)
             flow = self.cache.lookup(key)
             if flow is not None:
-                resolved[key] = flow
-                hits.add(key)
+                plan.resolved[key] = flow
+                plan.hits.add(key)
             else:
                 # A disk-backed cache stamps its directory into the task so
                 # the extracting process claims the key first (exactly-once
                 # across concurrent runners sharing the directory).
                 cache_dir = getattr(self.cache, "cache_dir", None)
-                pending[key] = ExtractionTask(
+                plan.pending[key] = ExtractionTask(
                     variant_index=variant.index, cell=cell,
                     technology=self.technology,
                     flow_options=variant.flow_options,
@@ -324,49 +367,65 @@ class SweepRunner:
                     key=key,
                     lease_stale_seconds=getattr(
                         self.cache, "lease_stale_seconds", 30.0))
-        return keys, resolved, hits, pending
+        if not plan.pending:
+            return plan
+        # Hits first, so a miss follows a flow already in hand when it can.
+        leader_by_inputs: dict[str, str] = {}
+        for key in sorted(cells, key=lambda k: k not in plan.hits):
+            variant, cell = cells[key]
+            inputs = fingerprint(*substrate_inputs(cell, self.technology,
+                                                   variant.flow_options))
+            leader = leader_by_inputs.setdefault(inputs, key)
+            if leader != key and key in plan.pending:
+                plan.leaders[key] = leader
+                logger.info(
+                    "substrate reuse: variant=%d leader_variant=%d "
+                    "leader_source=%s", variant.index,
+                    cells[leader][0].index,
+                    "cache" if leader in plan.hits else "extraction")
+        return plan
 
-    def _extract_variants(self, campaign: Campaign,
-                          variants: list[LayoutVariant],
-                          ) -> tuple[list[VariantRecord],
-                                     dict[int, TaskFailure]]:
-        """Resolve every variant to a flow, extracting cache misses in bulk.
+    def _extract_variants(self, plan: _ExtractionPlan,
+                          ) -> dict[str, TaskFailure]:
+        """Extract the plan's misses through the backend: leaders, then
+        followers.
 
         The misses are fanned out through the campaign backend: on a cold
         layout sweep with a process-pool backend, the per-variant extractions
         (the expensive half of a study) run in parallel, not just the
         simulations.  (Backends with a graph entry point skip this phase
-        barrier entirely — see :meth:`_run_graph`.)
+        barrier entirely — see :meth:`_run_graph`.)  Fresh flows land in
+        ``plan.resolved``.
 
         Under a skip policy an extraction that exhausts its attempts does not
-        abort: its variants come back with ``flow=None`` and the second
-        return value maps each affected variant index to the
-        :class:`~repro.studies.backends.TaskFailure` (the runner turns those
-        into per-corner failure records).
+        abort: the returned map holds its :class:`TaskFailure` by cache key,
+        and each follower of a failed leader inherits the leader's failure
+        without running (the runner turns those into per-corner failure
+        records).
         """
-        keys, resolved, hits, pending = self._plan_extractions(campaign,
-                                                               variants)
-        failed_keys: dict[str, TaskFailure] = {}
-        tasks = list(pending.values())
-        for key, flow in zip(pending, self.backend.run(_execute_extraction,
-                                                       tasks,
-                                                       on_error=self.on_error)):
-            if isinstance(flow, TaskFailure):
-                failed_keys[key] = flow
+        failed: dict[str, TaskFailure] = {}
+        for followers in (False, True):
+            batch: dict[str, ExtractionTask] = {}
+            for key in plan.pending:
+                leader = plan.leaders.get(key)
+                if (leader is not None) != followers:
+                    continue
+                if leader in failed:
+                    failed[key] = failed[leader]  # root cause, never ran
+                else:
+                    batch[key] = plan.task_for(key)
+            if not batch:
                 continue
-            self.cache.store(key, flow)
-            resolved[key] = flow
-        failures = {variant.index: failed_keys[key]
-                    for variant, key in zip(variants, keys)
-                    if key in failed_keys}
-        return ([VariantRecord(index=variant.index,
-                               knobs=dict(variant.knobs),
-                               spec=variant.spec,
-                               cache_key=key,
-                               flow=resolved.get(key),
-                               from_cache=key in hits)
-                 for variant, key in zip(variants, keys)],
-                failures)
+            outcomes = self.backend.run(_execute_extraction,
+                                        list(batch.values()),
+                                        on_error=self.on_error)
+            for key, flow in zip(batch, outcomes):
+                if isinstance(flow, TaskFailure):
+                    failed[key] = flow
+                    continue
+                self.cache.store(key, flow)
+                plan.resolved[key] = flow
+        return failed
 
     # -- task fan-out --------------------------------------------------------
 
@@ -584,34 +643,29 @@ class SweepRunner:
         # of cached variants overlap with extractions still running instead
         # of waiting behind the two-phase barrier below.
         use_graph = callable(getattr(self.backend, "run_graph", None))
-        failed_extractions: dict[int, TaskFailure] = {}
-        graph_keys: list[str] = []
-        graph_resolved: dict[str, FlowResult] = {}
-        graph_pending: dict[str, ExtractionTask] = {}
+        plan = self._plan_extractions(campaign, pending_variants)
+        failed_keys: dict[str, TaskFailure] = {}
         deferred: frozenset[int] = frozenset()
         if use_graph:
-            (graph_keys, graph_resolved, graph_hits,
-             graph_pending) = self._plan_extractions(campaign,
-                                                     pending_variants)
             deferred = frozenset(
                 variant.index
-                for variant, key in zip(pending_variants, graph_keys)
-                if key in graph_pending)
-            extracted_records = [
-                VariantRecord(index=variant.index,
-                              knobs=dict(variant.knobs),
-                              spec=variant.spec, cache_key=key,
-                              flow=graph_resolved.get(key),
-                              from_cache=key in graph_hits)
-                for variant, key in zip(pending_variants, graph_keys)]
+                for variant, key in zip(pending_variants, plan.keys)
+                if key in plan.pending)
         else:
-            extracted_records, failed_extractions = self._extract_variants(
-                campaign, pending_variants)
-        extracted = {record.index: record for record in extracted_records}
-        variant_records = [
-            extracted.get(variant.index)
-            or self._carried_variant(variant, resume_from)
-            for variant in variants]
+            failed_keys = self._extract_variants(plan)
+        failed_extractions = {
+            variant.index: failed_keys[key]
+            for variant, key in zip(pending_variants, plan.keys)
+            if key in failed_keys}
+
+        def current_variant_records() -> list[VariantRecord]:
+            extracted = {record.index: record
+                         for record in plan.records(pending_variants)}
+            return [extracted.get(variant.index)
+                    or self._carried_variant(variant, resume_from)
+                    for variant in variants]
+
+        variant_records = current_variant_records()
         tasks = self._build_tasks(campaign, variants, variant_records,
                                   skip=done,
                                   unavailable=frozenset(failed_extractions),
@@ -667,10 +721,8 @@ class SweepRunner:
 
         try:
             if use_graph:
-                outcomes = self._run_graph(tasks, pending_variants,
-                                           graph_keys, graph_resolved,
-                                           graph_pending, handle_result,
-                                           handle_start)
+                outcomes = self._run_graph(tasks, pending_variants, plan,
+                                           handle_result, handle_start)
             else:
                 outcomes = self.backend.run(self._task_fn(), tasks,
                                             on_error=self.on_error,
@@ -682,19 +734,12 @@ class SweepRunner:
             if checkpointer is not None:
                 checkpointer.flush()
 
-        if use_graph and graph_pending:
+        if use_graph and plan.pending:
             # Backfill the variant records of freshly extracted variants:
             # their flows arrived through the plan, after the records were
             # built (flows of variants that failed to extract stay None,
             # exactly like the two-phase path).
-            refreshed = {record.index: record for record in variant_records}
-            for variant, key in zip(pending_variants, graph_keys):
-                record = refreshed[variant.index]
-                if record.flow is None and key in graph_resolved:
-                    refreshed[variant.index] = replace(
-                        record, flow=graph_resolved[key])
-            variant_records = [refreshed[variant.index]
-                               for variant in variants]
+            variant_records = current_variant_records()
 
         degradations: dict[str, int] = dict(
             resume_from.solver_degradations) if resume_from else {}
@@ -702,7 +747,7 @@ class SweepRunner:
         # fell back to direct LU is recorded in its flow's solver stats.
         fresh = {record.cache_key: record.flow.solver_stats
                  for record in variant_records
-                 if record.index in extracted and not record.from_cache
+                 if record.cache_key in plan.pending
                  and record.flow is not None
                  and record.flow.solver_stats is not None}
         for stats in fresh.values():
@@ -739,6 +784,8 @@ class SweepRunner:
             cache_misses=self.cache.misses - misses_before,
             degradations=degradations,
             successes=successes,
+            substrate_reuses=sum(1 for key in plan.leaders
+                                 if key in plan.resolved),
             trace_mark=trace_mark)
         return SweepResult(
             campaign_name=campaign.name,
@@ -756,9 +803,7 @@ class SweepRunner:
 
     def _run_graph(self, tasks: list[SweepTask],
                    pending_variants: list[LayoutVariant],
-                   keys: list[str],
-                   resolved: "dict[str, FlowResult]",
-                   pending: dict[str, ExtractionTask],
+                   plan: _ExtractionPlan,
                    handle_result, handle_start):
         """Execute extractions and corners as one dependency-aware plan.
 
@@ -766,7 +811,10 @@ class SweepRunner:
         and corner items (``c<i>``, priority 1) go down the scheduler
         together; corners of a cache-missing variant depend on its extraction
         item and receive the flow through the item's ``bind`` hook just
-        before dispatch.  With real worker processes involved, each variant's
+        before dispatch.  A follower's extraction item depends on its
+        leader's item the same way and receives the leader's substrate
+        extraction (a follower of a cache hit gets it at plan time).  With
+        real worker processes involved, each variant's
         flow ships through shared memory **once**
         (:class:`~repro.parallel.shm.ObjectShipper`) and every corner carries
         only a tiny reference; the inline single-worker plan passes flows by
@@ -777,18 +825,30 @@ class SweepRunner:
         from ..parallel.shm import ObjectShipper
 
         key_by_variant = {variant.index: key
-                          for variant, key in zip(pending_variants, keys)}
+                          for variant, key in zip(pending_variants, plan.keys)}
         xid_by_key = {key: f"x{position}"
-                      for position, key in enumerate(pending)}
+                      for position, key in enumerate(plan.pending)}
         key_by_xid = {xid: key for key, xid in xid_by_key.items()}
-        n_items = len(pending) + len(tasks)
+        n_items = len(plan.pending) + len(tasks)
         ship = min(getattr(self.backend, "max_workers", 1), n_items) > 1
         shipper = ObjectShipper()
         task_fn = self._task_fn()
 
-        items = [WorkItem(id=xid_by_key[key], fn=_execute_extraction,
-                          payload=extraction, priority=0)
-                 for key, extraction in pending.items()]
+        items: list[WorkItem] = []
+        for key, xid in xid_by_key.items():
+            leader_xid = xid_by_key.get(plan.leaders.get(key))
+            if leader_xid is None:
+                items.append(WorkItem(id=xid, fn=_execute_extraction,
+                                      payload=plan.task_for(key), priority=0))
+                continue
+
+            def bind_substrate(payload, dep_results, leader_xid=leader_xid):
+                return replace(payload,
+                               substrate=dep_results[leader_xid].substrate)
+            items.append(WorkItem(id=xid, fn=_execute_extraction,
+                                  payload=plan.pending[key],
+                                  deps=(leader_xid,), priority=0,
+                                  bind=bind_substrate))
         for position, task in enumerate(tasks):
             key = key_by_variant[task.variant_index]
             deps: tuple[str, ...] = ()
@@ -815,7 +875,7 @@ class SweepRunner:
             if item_id.startswith("x"):
                 key = key_by_xid[item_id]
                 self.cache.store(key, value)
-                resolved[key] = value
+                plan.resolved[key] = value
             elif handle_result is not None:
                 handle_result(int(item_id[1:]), value)
 
@@ -841,6 +901,7 @@ class SweepRunner:
                          cache_hits: int, cache_misses: int,
                          degradations: dict[str, int],
                          successes: list[TaskOutcome],
+                         substrate_reuses: int,
                          trace_mark: int) -> dict:
         """Per-run metrics in the one ``MetricsRegistry.snapshot()`` schema.
 
@@ -849,6 +910,8 @@ class SweepRunner:
         in-process solver traffic (all of it under the serial backend;
         extraction-only under a process pool, where the workers' degradation
         deltas come home through the task outcomes instead).
+        ``extraction.substrate_reuses`` counts the follower extractions that
+        reused a leader's substrate instead of running a Kron reduction.
         """
         from ..simulator.solver import SolverStats
         from ..simulator.solver import stats as solver_stats
@@ -863,6 +926,8 @@ class SweepRunner:
                                           misses=cache_misses))
         reg.absorb_degradations(degradations)
         reg.absorb_backend(self.backend)
+        if substrate_reuses:
+            reg.counter("extraction.substrate_reuses").add(substrate_reuses)
         for outcome in successes:
             if outcome.seconds:
                 reg.histogram("campaign.corner_seconds").observe(

@@ -9,6 +9,7 @@ from .extraction import (
     SubstratePort,
     extract_substrate,
     identify_ports,
+    substrate_inputs,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "extract_substrate",
     "identify_ports",
     "kron_reduce",
+    "substrate_inputs",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-
+from typing import TYPE_CHECKING
 
 from ..errors import ExtractionError
 from ..obs import trace_span
@@ -33,6 +33,9 @@ from ..layout.geometry import Rect, bounding_box
 from ..technology.process import ProcessTechnology
 from .mesh import MeshSpec, SubstrateMesh
 from .reduction import SubstrateMacromodel, kron_reduce
+
+if TYPE_CHECKING:
+    from ..core.flow import FlowOptions
 
 
 class PortKind(enum.Enum):
@@ -186,6 +189,21 @@ def identify_ports(cell: Cell, technology: ProcessTechnology) -> list[SubstrateP
         raise ExtractionError(
             f"cell {cell.name!r} has no substrate ports (no annotated devices)")
     return ports
+
+
+def substrate_inputs(cell: Cell, technology: ProcessTechnology,
+                     options: "FlowOptions") -> tuple:
+    """Everything :func:`extract_substrate` reads when run by the flow.
+
+    The device annotations (port regions, ring widths, contact areas, well
+    and coil parameters), the technology, the mesh options and the solver
+    options of the flow ``options``; the cell name only labels the result.
+    Wires, pads and a package model are not inputs, so layout variants that
+    differ only in interconnect have equal inputs and an equal substrate
+    extraction.  Keep this tuple in step with the reads below.
+    """
+    return (cell.name, cell.devices, technology, options.substrate,
+            options.solver)
 
 
 def extract_substrate(cell: Cell, technology: ProcessTechnology,

@@ -444,7 +444,7 @@ from repro.technology import make_technology
 cache_dir, marker_dir, out_npz, gate = sys.argv[1:5]
 real_extract = runner_module.run_extraction_flow
 
-def counted_extract(cell, technology, options=None):
+def counted_extract(cell, technology, options=None, **kwargs):
     # One O_EXCL marker per physical extraction: the parent counts them to
     # prove the four racing runners extracted the shared variant once.
     os.makedirs(marker_dir, exist_ok=True)
@@ -452,7 +452,7 @@ def counted_extract(cell, technology, options=None):
         marker_dir, "extract-%d-%s" % (os.getpid(), uuid.uuid4().hex))
     descriptor = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     os.close(descriptor)
-    return real_extract(cell, technology, options=options)
+    return real_extract(cell, technology, options=options, **kwargs)
 
 runner_module.run_extraction_flow = counted_extract
 technology = make_technology()

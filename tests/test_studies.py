@@ -7,6 +7,9 @@ Covers the acceptance properties of the subsystem:
   changes,
 * a layout-invariant sweep extracts exactly once, warm re-runs extract zero
   times, and layout sweeps re-extract only the changed variants,
+* layout variants that change only interconnect share one substrate
+  extraction (one Kron reduction) on every execution path, and a failed
+  leader extraction fails its followers' corners,
 * the process-pool backend produces numerically identical results to the
   serial backend (<= 1e-12),
 * the tidy result store answers the summary queries the figures need.
@@ -18,27 +21,34 @@ behaviour does not depend on mesh resolution.
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.flow import FlowOptions
+import repro.core.flow as flow_module
+import repro.substrate.extraction as substrate_module
+from repro.core.flow import FlowOptions, run_extraction_flow
 from repro.core.vco_experiment import (
     VcoExperimentOptions,
     VcoImpactAnalysis,
     ground_resistance_study,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CampaignError
 from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
 from repro.studies import (
     Campaign,
+    DiskExtractionCache,
     ExtractionCache,
+    FaultPlan,
+    FaultSpec,
     ParamSpace,
     ProcessPoolBackend,
     SerialBackend,
     SweepRunner,
     fingerprint,
 )
+from repro.studies.runner import ExtractionTask
 from repro.substrate.extraction import SubstrateExtractionOptions
 
 
@@ -264,3 +274,205 @@ def test_ground_resistance_study_shares_cache(technology, sweep_options):
                                     width_scale=2.0, vtune=0.0, cache=cache)
     assert cache.misses == 2                   # warm cache: zero re-extractions
     np.testing.assert_array_equal(study.nominal_dbm, again.nominal_dbm)
+
+
+# -- substrate reuse across interconnect-only variants --------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    """Wrap ``module.name`` so each call bumps the returned counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _widths_campaign(sweep_options, scales=(1.0, 2.0)) -> Campaign:
+    return Campaign(
+        name="widths",
+        space=ParamSpace({"ground_width_scale": scales,
+                          "vtune": (0.0,), "noise_frequency": (1e6, 4e6)}),
+        options=sweep_options)
+
+
+def _independent_flows(technology, sweep_options):
+    return [run_extraction_flow(
+        make_vco_testchip(VcoLayoutSpec(ground_width_scale=scale)),
+        technology, options=sweep_options.flow) for scale in (1.0, 2.0)]
+
+
+def test_fig10_study_runs_one_kron_reduction(technology, sweep_options,
+                                             monkeypatch, caplog):
+    independent = _independent_flows(technology, sweep_options)
+    seeded = ExtractionCache()
+    for flow in independent:
+        seeded.seed(flow, options=sweep_options.flow)
+    reference = ground_resistance_study(technology, options=sweep_options,
+                                        cache=seeded)
+    assert seeded.misses == 0
+
+    extractions = _count_calls(monkeypatch, flow_module, "extract_substrate")
+    cache = ExtractionCache()
+    with caplog.at_level("INFO", logger="repro.studies.runner"):
+        study = ground_resistance_study(technology, options=sweep_options,
+                                        cache=cache)
+    assert extractions[0] == 1
+    assert cache.misses == 2
+    for scale, flow in zip((1.0, 2.0), independent):
+        cell = make_vco_testchip(VcoLayoutSpec(ground_width_scale=scale))
+        cached = cache.lookup(cache.key(cell, technology, sweep_options.flow))
+        np.testing.assert_array_equal(cached.substrate.macromodel.admittance,
+                                      flow.substrate.macromodel.admittance)
+    np.testing.assert_array_equal(study.nominal_dbm, reference.nominal_dbm)
+    np.testing.assert_array_equal(study.improved_dbm, reference.improved_dbm)
+    reuse_lines = [record.getMessage() for record in caplog.records
+                   if "substrate reuse" in record.getMessage()]
+    assert reuse_lines == ["substrate reuse: variant=1 leader_variant=0 "
+                           "leader_source=extraction"]
+
+
+def test_follower_flow_reports_no_substrate_work(technology, sweep_options):
+    sweep = SweepRunner(technology).run(_widths_campaign(sweep_options))
+    leader, follower = (record.flow for record in sweep.variants)
+    assert follower.substrate is leader.substrate
+    assert leader.timings.kron_reduction > 0.0
+    assert leader.solver_stats.factorizations >= 1
+    assert follower.timings.substrate_extraction == 0.0
+    assert follower.timings.mesh_assembly == 0.0
+    assert follower.timings.kron_reduction == 0.0
+    assert follower.solver_stats.factorizations == 0
+    counters = sweep.telemetry["metrics"]["counters"]
+    assert counters["extraction.substrate_reuses"] == 1
+    assert counters["cache.misses"] == 2
+
+
+def test_fresh_caches_stay_cold(technology, sweep_options, monkeypatch):
+    reductions = _count_calls(monkeypatch, substrate_module, "kron_reduce")
+    for _ in range(2):
+        ground_resistance_study(technology, options=sweep_options,
+                                cache=ExtractionCache())
+    assert reductions[0] == 2                  # no memo outlives a run
+
+
+def test_follower_of_cache_hit_runs_no_kron_reduction(technology,
+                                                      sweep_options,
+                                                      monkeypatch):
+    runner = SweepRunner(technology, cache=ExtractionCache())
+    runner.run(_widths_campaign(sweep_options, scales=(1.0,)))
+    reductions = _count_calls(monkeypatch, substrate_module, "kron_reduce")
+    sweep = runner.run(_widths_campaign(sweep_options, scales=(1.0, 1.5)))
+    assert reductions[0] == 0
+    assert sweep.cache_hits == 1 and sweep.cache_misses == 1
+    assert sweep.variants[1].flow.substrate \
+        is sweep.variants[0].flow.substrate
+    counters = sweep.telemetry["metrics"]["counters"]
+    assert counters["extraction.substrate_reuses"] == 1
+
+
+def test_substrate_reuse_graph_paths_match_serial(technology, sweep_options,
+                                                  tmp_path):
+    campaign = _widths_campaign(sweep_options)
+    serial = SweepRunner(technology, cache=ExtractionCache()).run(campaign)
+    for backend in (ProcessPoolBackend(max_workers=1),
+                    ProcessPoolBackend(max_workers=2)):
+        cache_dir = tmp_path / f"w{backend.max_workers}"
+        graph = SweepRunner(technology, backend=backend,
+                            cache=DiskExtractionCache(cache_dir)).run(campaign)
+        assert not graph.failures and graph.cache_misses == 2
+        np.testing.assert_array_equal(graph.column("spur_power_dbm"),
+                                      serial.column("spur_power_dbm"))
+        follower = graph.variants[1].flow
+        assert follower.timings.kron_reduction == 0.0
+        assert follower.solver_stats.factorizations == 0
+        np.testing.assert_array_equal(
+            follower.substrate.macromodel.admittance,
+            serial.variants[1].flow.substrate.macromodel.admittance)
+        assert graph.telemetry["metrics"]["counters"][
+            "extraction.substrate_reuses"] == 1
+        # Both variants were stored under their own keys.
+        again = SweepRunner(technology, backend=backend,
+                            cache=DiskExtractionCache(cache_dir)).run(campaign)
+        assert again.cache_misses == 0 and again.cache_hits == 2
+        np.testing.assert_array_equal(again.column("spur_power_dbm"),
+                                      serial.column("spur_power_dbm"))
+
+
+class _SabotagedExtraction:
+    """Fires the plan's faults at extractions, matched by variant index."""
+
+    def __init__(self, plan: FaultPlan, fn):
+        self.plan = plan
+        self.fn = fn
+
+    def __call__(self, task):
+        self.plan.inject(SimpleNamespace(index=task.variant_index))
+        return self.fn(task)
+
+
+class _FailLeaderSerial(SerialBackend):
+    """Two-phase path with the plan injected into extraction tasks."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__()
+        self.plan = plan
+
+    def run(self, fn, tasks, **kwargs):
+        if tasks and isinstance(tasks[0], ExtractionTask):
+            fn = _SabotagedExtraction(self.plan, fn)
+        return super().run(fn, tasks, **kwargs)
+
+
+class _FailLeaderGraph(ProcessPoolBackend):
+    """Inline graph path with the plan injected into extraction items."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__(max_workers=1)
+        self.plan = plan
+
+    def run_graph(self, items, **kwargs):
+        items = [replace(item, fn=_SabotagedExtraction(self.plan, item.fn))
+                 if isinstance(item.payload, ExtractionTask) else item
+                 for item in items]
+        return super().run_graph(items, **kwargs)
+
+
+@pytest.mark.parametrize("backend_cls", [_FailLeaderSerial, _FailLeaderGraph])
+@pytest.mark.parametrize("policy", ["skip", "retry_then_skip"])
+def test_failed_leader_fails_its_followers_corners(technology, sweep_options,
+                                                   tmp_path, backend_cls,
+                                                   policy):
+    campaign = _widths_campaign(sweep_options)
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=0, attempts=99),))
+    runner = SweepRunner(technology, backend=backend_cls(plan),
+                         cache=ExtractionCache(), on_error=policy)
+    partial = runner.run(campaign)
+    assert not partial.records
+    assert len(partial.failures) == 2          # one corner per variant
+    assert {f.variant_index for f in partial.failures} == {0, 1}
+    for failure in partial.failures:
+        assert failure.error_type == "InjectedFault"
+        assert failure.corner_label.startswith("extraction of variant 0")
+
+    resumed = SweepRunner(technology, cache=runner.cache).run(
+        campaign, resume_from=partial)
+    assert resumed.complete and len(resumed.records) == 4
+    healthy = SweepRunner(technology).run(campaign)
+    np.testing.assert_array_equal(resumed.column("spur_power_dbm"),
+                                  healthy.column("spur_power_dbm"))
+
+
+@pytest.mark.parametrize("backend_cls", [_FailLeaderSerial, _FailLeaderGraph])
+def test_failed_leader_aborts_naming_the_leader(technology, sweep_options,
+                                                tmp_path, backend_cls):
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=0, attempts=99),))
+    runner = SweepRunner(technology, backend=backend_cls(plan),
+                         cache=ExtractionCache())
+    with pytest.raises(CampaignError, match="extraction of variant 0"):
+        runner.run(_widths_campaign(sweep_options))

@@ -1,11 +1,23 @@
 """Substrate mesh, Kron reduction and layout-driven extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.flow import FlowOptions, run_extraction_flow
 from repro.errors import ExtractionError
 from repro.layout.geometry import Rect
+from repro.layout.testchips import (
+    NET_GROUND_PAD,
+    NET_GROUND_RING,
+    VcoLayoutSpec,
+    make_vco_testchip,
+)
+from repro.package.model import PackageModel
+from repro.simulator.linalg import SolverOptions
+from repro.studies import extraction_key, fingerprint
 from repro.substrate import (
     MeshSpec,
     PortKind,
@@ -14,6 +26,7 @@ from repro.substrate import (
     extract_substrate,
     identify_ports,
     kron_reduce,
+    substrate_inputs,
 )
 
 
@@ -224,3 +237,83 @@ def test_ground_wire_resistance_matters(nmos_flow):
     with_wire = macromodel.voltage_division(injection, backgate,
                                             {ring: 15.0, outer: 0.05})
     assert with_wire > ideal * 1.5
+
+
+# -- substrate reuse across interconnect-only layout variants ------------------------------
+
+
+def _inputs_key(cell, technology, options=None):
+    return fingerprint(*substrate_inputs(cell, technology,
+                                         options or FlowOptions()))
+
+
+def test_substrate_inputs_ignore_interconnect_and_package(technology):
+    nominal = make_vco_testchip()
+    base = _inputs_key(nominal, technology)
+    for spec in (VcoLayoutSpec(ground_width_scale=2.0),
+                 VcoLayoutSpec(ground_wire_width=7e-6),
+                 VcoLayoutSpec(ground_wire_length=500e-6)):
+        variant = make_vco_testchip(spec)
+        # A different layout (full cache key) with the same substrate inputs.
+        assert extraction_key(variant, technology) \
+            != extraction_key(nominal, technology)
+        assert _inputs_key(variant, technology) == base
+    # A package model keys the full extraction, never the substrate.
+    probed = PackageModel.rf_probed({NET_GROUND_PAD: "0"})
+    bonded = PackageModel.bondwired({NET_GROUND_PAD: "0"})
+    assert extraction_key(nominal, technology, package=probed) \
+        != extraction_key(nominal, technology, package=bonded)
+    assert _inputs_key(nominal, technology) == base
+
+
+def test_substrate_inputs_track_devices_mesh_technology_and_solver(
+        technology):
+    nominal = make_vco_testchip()
+    base = _inputs_key(nominal, technology)
+
+    wider_devices = make_vco_testchip(VcoLayoutSpec(nmos_width=80e-6))
+    assert _inputs_key(wider_devices, technology) != base
+
+    thicker_ring = make_vco_testchip()
+    index = next(i for i, device in enumerate(thicker_ring.devices)
+                 if device.name == "vco_ground_ring")
+    ring = thicker_ring.devices[index]
+    thicker_ring.devices[index] = replace(
+        ring, parameters={**ring.parameters, "ring_width": 6e-6})
+    assert _inputs_key(thicker_ring, technology) != base
+
+    for substrate in (replace(FlowOptions().substrate, nx=40),
+                      replace(FlowOptions().substrate, ny=40)):
+        assert _inputs_key(nominal, technology,
+                           FlowOptions(substrate=substrate)) != base
+
+    bulk = technology.substrate.layers[-1]
+    doped = replace(technology, substrate=replace(
+        technology.substrate,
+        layers=(*technology.substrate.layers[:-1],
+                replace(bulk, resistivity=2 * bulk.resistivity))))
+    assert _inputs_key(nominal, doped) != base
+
+    multigrid = FlowOptions(solver=SolverOptions(backend="multigrid"))
+    assert _inputs_key(nominal, technology, multigrid) != base
+
+
+def test_flow_reuses_a_given_substrate_extraction(technology,
+                                                  coarse_flow_options):
+    leader = run_extraction_flow(make_vco_testchip(), technology,
+                                 options=coarse_flow_options)
+    widened = make_vco_testchip(VcoLayoutSpec(ground_width_scale=2.0))
+    own = run_extraction_flow(widened, technology,
+                              options=coarse_flow_options)
+    follower = run_extraction_flow(widened, technology,
+                                   options=coarse_flow_options,
+                                   substrate=leader.substrate)
+    assert follower.substrate is leader.substrate
+    np.testing.assert_array_equal(follower.substrate.macromodel.admittance,
+                                  own.substrate.macromodel.admittance)
+    assert follower.solver_stats.factorizations == 0
+    # Interconnect still comes from the widened layout itself.
+    assert len(follower.impact.circuit) == len(own.impact.circuit)
+    nets = (NET_GROUND_RING, NET_GROUND_PAD)
+    assert follower.interconnect.resistance_between(*nets) \
+        == own.interconnect.resistance_between(*nets)
