@@ -339,9 +339,10 @@ class VcoImpactAnalysis:
                    cache_dir=None) -> VcoSpurSweepResult:
         """Total spur power versus noise frequency for several tuning voltages.
 
-        Runs through the :mod:`repro.studies` sweep engine: ``backend``
-        selects serial or sharded execution (default
-        :class:`~repro.studies.backends.SerialBackend`) and ``cache`` an
+        Runs through the :mod:`repro.studies` sweep engine: ``backend`` is
+        the :class:`~repro.parallel.scheduler.WorkScheduler` that executes
+        the campaign (default :class:`~repro.studies.SerialBackend`, one
+        worker, inline) and ``cache`` an
         extraction cache to share across studies (default: a fresh one,
         seeded with this analysis's flow so nothing is re-extracted).
         ``cache_dir`` instead builds a persistent

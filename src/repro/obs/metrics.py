@@ -16,10 +16,10 @@ labels::
                         {"count": 1, "sum": 0.42, "min": 0.42, "max": 0.42}}}
 
 The legacy record types (``SolverStats``, ``CacheStats``,
-``DiskCacheStats``, the backend retry counters and the degradation
-ladder counts) stay as-is for backward compatibility; the ``absorb_*``
-adapters translate them into registry counters so every layer reports
-through the same schema.
+``DiskCacheStats`` and the degradation ladder counts) stay as-is for
+backward compatibility; the ``absorb_*`` adapters translate them into
+registry counters so every layer reports through the same schema.  (The
+campaign's retry counters are written into the registry directly.)
 """
 
 from __future__ import annotations
@@ -173,23 +173,6 @@ class MetricsRegistry:
         for kind, count in (degradations or {}).items():
             if count:
                 self.counter("solver.degradations", kind=kind).add(count)
-
-    def absorb_backend(self, backend) -> None:
-        """Fold the backends' retry bookkeeping in as counters."""
-        attempts = getattr(backend, "task_attempts", None)
-        if attempts:
-            values = (list(attempts.values()) if isinstance(attempts, dict)
-                      else list(attempts))
-            self.counter("campaign.task_attempts").add(sum(values))
-            retries = sum(n - 1 for n in values if n > 1)
-            if retries:
-                self.counter("campaign.retries").add(retries)
-        rebuilds = getattr(backend, "pool_rebuilds", 0)
-        if rebuilds:
-            self.counter("campaign.pool_rebuilds").add(rebuilds)
-        trips = getattr(backend, "heartbeat_trips", 0)
-        if trips:
-            self.counter("campaign.heartbeat_trips").add(trips)
 
 
 registry = MetricsRegistry()

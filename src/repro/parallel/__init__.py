@@ -4,11 +4,11 @@ One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
 (:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
 (:mod:`~repro.parallel.scheduler`), one zero-copy data plane
 (:mod:`~repro.parallel.shm`), and the process-level frequency fan-out built
-on all four (:mod:`~repro.parallel.freq`).  The studies layer's
-``ProcessPoolBackend`` is a thin adapter over :class:`WorkScheduler`, and
-``ac_mode = "process"`` routes AC/transfer sweeps through
-:func:`run_frequency_blocks` — three formerly mutually-blind schedulers now
-share these workers.
+on all four (:mod:`~repro.parallel.freq`).  Every campaign of the studies
+layer runs as one :class:`WorkScheduler` plan (``SerialBackend`` and
+``ProcessPoolBackend`` are its configuration names), and ``ac_mode =
+"process"`` routes AC/transfer sweeps through :func:`run_frequency_blocks`,
+so campaign corners, extractions and frequency shards share these workers.
 """
 
 from .plan import (

@@ -2,11 +2,9 @@
 
 A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks,
 per-corner simulation tasks, and (inside a corner or an analysis) per-
-frequency solve shards.  The vocabulary here used to live in
-:mod:`repro.studies.backends`; it moved down so the scheduler, the backends
-and the frequency fan-out share *one* definition of what a retry, a failure
-policy and an exhausted task mean.  :mod:`repro.studies.backends` re-exports
-every public name, so existing imports keep working.
+frequency solve shards.  The scheduler and the frequency fan-out share
+*one* definition here of what a retry, a failure policy and an exhausted
+task mean; :mod:`repro.studies` re-exports the public names.
 """
 
 from __future__ import annotations
@@ -17,15 +15,9 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 from ..errors import AnalysisError, CampaignError, CornerFailure, TaskTimeoutError
-from ..obs import get_logger
-
-logger = get_logger(__name__)
-
-TaskT = TypeVar("TaskT")
-ResultT = TypeVar("ResultT")
 
 #: Campaign failure policies accepted by ``run(..., on_error=...)``.
 ON_ERROR_ABORT = "abort"
@@ -124,40 +116,6 @@ def _give_up(task, attempts: int, exc: BaseException) -> None:
     raise CampaignError(
         f"sweep task failed after {attempts} attempt(s): "
         f"{_task_label(task)}", failures=(failure,)) from exc
-
-
-def _run_with_retries(fn: Callable[[TaskT], ResultT], task: TaskT,
-                      index: int, attempts: list[int], retries: int,
-                      policy: str,
-                      on_start: Callable[[int, int], None] | None = None,
-                      ) -> "ResultT | TaskFailure":
-    """In-process attempt loop shared by the serial and single-worker paths.
-
-    Retries on ``Exception`` only — ``KeyboardInterrupt`` / ``SystemExit``
-    (and any other ``BaseException``) always propagate, whatever the policy:
-    a Ctrl-C must stop the campaign, not be recorded as a corner failure.
-    ``on_start(index, attempt)`` fires before every attempt (attempt >= 1).
-    """
-    budget = _effective_retries(retries, policy)
-    while True:
-        attempts[index] += 1
-        if on_start is not None:
-            on_start(index, attempts[index])
-        try:
-            return fn(task)
-        except Exception as exc:
-            if attempts[index] <= budget:
-                logger.info(
-                    "task retry: corner=%s attempt=%d/%d error=%s",
-                    _task_label(task), attempts[index], budget + 1,
-                    type(exc).__name__)
-                continue
-            if policy == ON_ERROR_ABORT:
-                _give_up(task, attempts[index], exc)
-            logger.warning(
-                "task exhausted: corner=%s attempts=%d error=%s policy=%s",
-                _task_label(task), attempts[index], type(exc).__name__, policy)
-            return _failure_record(index, task, attempts[index], exc)
 
 
 @dataclass(frozen=True)

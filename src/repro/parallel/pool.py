@@ -1,14 +1,11 @@
 """The one persistent process pool every parallel consumer shares.
 
-Before this module, the reproduction ran three mutually-blind schedulers:
-``ProcessPoolBackend`` built a fresh ``ProcessPoolExecutor`` per campaign,
-``ac_workers`` sharded frequency points over *threads* inside each worker,
-and extraction fan-out rode the campaign pool by accident of the backend
-protocol.  :class:`SharedProcessPool` replaces the process half of that with
-a single lazily-created, recyclable executor:
+:class:`SharedProcessPool` is a single lazily-created, recyclable
+executor, and the only process pool of the reproduction:
 
 * the :class:`~repro.parallel.scheduler.WorkScheduler` runs campaign DAGs on
-  it (extraction -> corner dependencies),
+  it (extraction -> corner dependencies) whenever it has more than one
+  worker; at one worker it never starts the pool,
 * the process-level frequency fan-out
   (:mod:`repro.parallel.freq`) submits per-frequency solve shards to the
   *same* workers, so one pool's processes stay warm across campaigns,

@@ -1,10 +1,11 @@
-"""The unified work scheduler: one DAG, one pool, one failure policy.
+"""The work scheduler: one DAG, one pool, one failure policy.
 
-:class:`WorkScheduler` executes a plan of :class:`~repro.parallel.plan.WorkItem`\\ s
-on the :class:`~repro.parallel.pool.SharedProcessPool`.  It generalizes the
-retry / timeout / broken-pool machinery that previously lived inside
-``ProcessPoolBackend`` (which is now a thin adapter over this class) from a
-flat task list to a dependency graph:
+:class:`WorkScheduler` is the one execution path of every campaign: the
+sweep runner hands it the extraction->corner plan of
+:class:`~repro.parallel.plan.WorkItem`\\ s and it runs them on the
+:class:`~repro.parallel.pool.SharedProcessPool` (or inline, at one worker).
+``ProcessPoolBackend`` in :mod:`repro.studies` is this class under its
+configuration name, and ``SerialBackend`` is this class pinned to one worker:
 
 * **priority/dependency-aware dispatch** — items become *ready* when their
   dependencies succeed and are dispatched lowest ``priority`` first
@@ -18,12 +19,11 @@ flat task list to a dependency graph:
 * **failure propagation** — an item whose dependency exhausts its attempts
   never runs; it inherits the dependency's :class:`TaskFailure` verbatim
   (the root cause), spending zero attempts.
-* **identical fault tolerance** — per-item retries, wall-clock
-  ``task_timeout`` with worker SIGKILL + pool recycle, broken-pool salvage
-  (completed results survive a crash), jittered exponential rebuild backoff,
-  and the ``abort`` / ``skip`` / ``retry_then_skip`` policies behave exactly
-  as the flat backend always did; ``KeyboardInterrupt`` / ``SystemExit``
-  always propagate.
+* **fault tolerance** — per-item retries, wall-clock ``task_timeout`` with
+  worker SIGKILL + pool recycle, broken-pool salvage (completed results
+  survive a crash), jittered exponential rebuild backoff, and the
+  ``abort`` / ``skip`` / ``retry_then_skip`` policies;
+  ``KeyboardInterrupt`` / ``SystemExit`` always propagate.
 
 With a single effective worker the plan executes in-process (topological,
 priority-ordered) with the same retry semantics — no pool, no pickling.
@@ -37,7 +37,6 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..errors import AnalysisError, CampaignError, TaskTimeoutError
@@ -68,9 +67,11 @@ class WorkScheduler:
     """Dependency/priority-aware task execution on one persistent pool.
 
     ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
-    per-item attempt counts of the most recent run live in ``attempts`` and
-    the pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds`` —
-    the same churn bookkeeping the flat backend exposed, keyed by item id.
+    per-item attempt counts of the most recent run live in ``attempts``, the
+    pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds`` and the
+    heartbeat trips in ``heartbeat_trips``; the sweep runner records them in
+    its campaign metrics.  The default worker count honours
+    ``REPRO_MAX_WORKERS`` via :func:`~repro.parallel.pool.default_max_workers`.
     """
 
     def __init__(self, max_workers: int | None = None, retries: int = 0,
@@ -187,8 +188,7 @@ class WorkScheduler:
             failed.add(item_id)
             outcomes[item_id] = failure
             # Transitively doom the dependents with the *root* failure: a
-            # corner whose extraction failed reports the extraction's error,
-            # exactly as the two-phase runner always did.
+            # corner whose extraction failed reports the extraction's error.
             for child in dependents[item_id]:
                 settle_failure(child, failure)
 
@@ -230,10 +230,10 @@ class WorkScheduler:
                     on_start) -> None:
         """Single-worker path: run the plan in this process, no pool.
 
-        Mirrors the flat backends' in-process retry loop exactly:
         ``Exception`` consumes attempts, ``KeyboardInterrupt`` /
-        ``SystemExit`` propagate immediately, the abort policy raises via
-        ``_give_up`` with the original exception chained.
+        ``SystemExit`` propagate immediately (a Ctrl-C must stop the
+        campaign, not be recorded as a corner failure), the abort policy
+        raises via ``_give_up`` with the original exception chained.
         """
         while ready:
             _, _, item_id = heapq.heappop(ready)
@@ -512,6 +512,7 @@ class WorkScheduler:
         return unfinished, causes
 
     def describe(self) -> str:
+        """Report label: ``serial`` at one worker, else ``process-pool[N,...]``."""
         knobs = []
         if self.retries:
             knobs.append(f"retries={self.retries}")
@@ -519,5 +520,6 @@ class WorkScheduler:
             knobs.append(f"timeout={self.task_timeout:g}s")
         if self.heartbeat_timeout is not None:
             knobs.append(f"heartbeat={self.heartbeat_timeout:g}s")
-        suffix = ("," + ",".join(knobs)) if knobs else ""
-        return f"scheduler[{self.max_workers}{suffix}]"
+        if self.max_workers == 1:
+            return f"serial[{','.join(knobs)}]" if knobs else "serial"
+        return f"process-pool[{','.join([str(self.max_workers), *knobs])}]"

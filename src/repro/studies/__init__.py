@@ -12,14 +12,17 @@ package turns such studies into declarative campaigns executed by one engine:
 * :mod:`repro.studies.store` — the persistent :class:`DiskExtractionCache`
   (same protocol, entries survive the process; atomic, versioned,
   corruption-tolerant),
-* :mod:`repro.studies.backends` — :class:`SerialBackend` and the sharded
-  :class:`ProcessPoolBackend` behind one protocol, sharing task-level
-  retries, wall-clock timeouts, pool-rebuild backoff and the
-  abort/skip/retry_then_skip failure policies,
 * :mod:`repro.studies.runner` — the :class:`SweepRunner` orchestrating
   extraction reuse, task fan-out, corner-level resume, crash-safe
   checkpointing (:class:`CheckpointPolicy`) and structured
-  :class:`~repro.errors.CornerFailure` reporting,
+  :class:`~repro.errors.CornerFailure` reporting.  Every campaign runs as
+  one extraction->corner plan on a
+  :class:`~repro.parallel.scheduler.WorkScheduler`, which owns task-level
+  retries, wall-clock timeouts, pool-rebuild backoff and the
+  abort/skip/retry_then_skip failure policies.  :class:`SerialBackend`
+  (the scheduler pinned to one worker, running the plan inline) and
+  :class:`ProcessPoolBackend` (the scheduler itself) are its
+  configuration names,
 * :mod:`repro.studies.faults` — the deterministic :class:`FaultPlan`
   injection harness the fault-tolerance tests drive all of the above with,
 * :mod:`repro.studies.results` — the tidy :class:`SweepResult` store with
@@ -44,14 +47,11 @@ Quickstart (see ``examples/spur_campaign.py`` for the narrated version)::
 """
 
 from ..errors import CampaignError, CornerFailure, TaskTimeoutError
-from .backends import (
+from ..parallel.plan import (
     ON_ERROR_ABORT,
     ON_ERROR_POLICIES,
     ON_ERROR_RETRY_THEN_SKIP,
     ON_ERROR_SKIP,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
     TaskFailure,
 )
 from .cache import CacheStats, ExtractionCache, extraction_key, fingerprint
@@ -80,7 +80,7 @@ from .persist import (
     save_result,
 )
 from .results import PointRecord, SweepResult, VariantRecord
-from .runner import SweepRunner, SweepTask
+from .runner import ProcessPoolBackend, SerialBackend, SweepRunner, SweepTask
 from .store import (
     CacheCorruptionWarning,
     DiskCacheStats,
@@ -119,7 +119,6 @@ __all__ = [
     "PointRecord",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SweepBackend",
     "SweepResult",
     "SweepRunner",
     "SweepTask",

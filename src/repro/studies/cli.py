@@ -107,18 +107,13 @@ from ..obs import (
     validate_trace_events,
 )
 from ..technology import make_technology
-from .backends import (
-    ON_ERROR_ABORT,
-    ON_ERROR_POLICIES,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-)
+from ..parallel.plan import ON_ERROR_ABORT, ON_ERROR_POLICIES
+from ..parallel.scheduler import WorkScheduler
 from .cache import ExtractionCache
 from .params import Campaign, ParamSpace
 from .persist import CampaignJournal, CheckpointPolicy, journal_path_for
 from .results import SweepResult
-from .runner import SweepRunner
+from .runner import ProcessPoolBackend, SerialBackend, SweepRunner
 from .store import DiskExtractionCache
 
 #: VcoExperimentOptions fields settable from the ``[options]`` table.
@@ -180,7 +175,7 @@ class ExecutionSettings:
         """The configured pool width, or None for the environment default."""
         return self.workers if self.workers is not None else self.max_workers
 
-    def make_backend(self) -> SweepBackend:
+    def make_backend(self) -> WorkScheduler:
         if self.backend == "serial":
             return SerialBackend(retries=self.retries)
         if self.backend == "process-pool":

@@ -2,22 +2,22 @@
 
 A :class:`FaultPlan` wraps the runner's per-task callable and makes chosen
 tasks misbehave in controlled, reproducible ways: raise an exception, hang
-past the backend's ``task_timeout``, kill their worker process outright
+past the scheduler's ``task_timeout``, kill their worker process outright
 (``os._exit``, simulating an OOM-kill or segfault), or corrupt a cached
 object on disk before running.  The fault-tolerance test suite drives every
 recovery path of the sweep engine with these instead of relying on flaky
 real-world failures.
 
-Determinism across *processes* is the hard part: a pool backend retries a
-faulted task in a fresh worker, so an in-memory attempt counter would reset
-and the fault would fire forever.  The plan therefore counts attempts with
+Determinism across *processes* is the hard part: a multi-worker scheduler
+retries a faulted task in a fresh worker, so an in-memory attempt counter
+would reset and the fault would fire forever.  The plan therefore counts attempts with
 ``O_CREAT | O_EXCL`` marker files in a shared ``state_dir`` — each execution
 atomically claims the next attempt number, whichever process it runs in, so
 "fail the first two attempts of task 3" means exactly that, every run.
 
 Everything here is picklable (plain dataclasses plus a module-level wrapper
-class), which is what lets a plan ride into
-:class:`~repro.studies.backends.ProcessPoolBackend` workers.
+class), which is what lets a plan ride into the worker processes of a
+:class:`~repro.parallel.scheduler.WorkScheduler` with more than one worker.
 
 Below the task-level faults sits a second, filesystem-level harness:
 **crash points**.  The store and the journal bracket their critical

@@ -3,27 +3,26 @@
 ``SweepRunner`` turns a declarative :class:`~repro.studies.params.Campaign`
 into a :class:`~repro.studies.results.SweepResult`:
 
-1. resolve the campaign's layout/mesh axes into variants and obtain one
-   extracted :class:`~repro.core.flow.FlowResult` per variant through the
-   :class:`~repro.studies.cache.ExtractionCache` (layout-invariant sweeps hit
-   the cache after the first run; layout sweeps re-extract only the changed
-   variants, and run one Kron reduction per distinct device geometry, mesh,
-   technology and solver: variants that change only interconnect reuse the
-   substrate macromodel of the first one),
+1. resolve the campaign's layout/mesh axes into variants and look each one
+   up in the :class:`~repro.studies.cache.ExtractionCache` (layout-invariant
+   sweeps hit the cache after the first run; layout sweeps re-extract only
+   the changed variants, and run one Kron reduction per distinct device
+   geometry, mesh, technology and solver: variants that change only
+   interconnect reuse the substrate macromodel of the first one),
 2. build one :class:`SweepTask` per (variant, injected power, V_tune) —
    each task analyses all noise frequencies of the campaign in one AC sweep,
    which is the natural unit of work (one DC solve + one transfer function),
-3. execute the tasks on the configured backend (serial or sharded across
-   processes) and reassemble the per-point records *in task order*, so the
-   result is numerically identical whichever backend ran it.
+3. execute the extractions and the tasks as *one* dependency-aware plan on
+   the :class:`~repro.parallel.scheduler.WorkScheduler` — inline at one
+   worker, on the shared process pool otherwise — and reassemble the
+   per-point records *in task order*, so the result is numerically identical
+   whatever the worker count.
 
-``_execute_task`` is a module-level function with picklable payloads, which
-is what lets :class:`~repro.studies.backends.ProcessPoolBackend` ship tasks
-to worker processes; the extracted flow rides along in the task (a few tens
-of kilobytes), so workers never re-extract.  Against a backend with a graph
-entry point (``run_graph``) the two phases fuse into one dependency-aware
-plan — extractions and corners share the scheduler's worker pool, and each
-variant's flow ships through shared memory once instead of per corner.
+``_execute_task`` and ``_execute_extraction`` are module-level functions
+with picklable payloads, which is what lets the scheduler ship them to
+worker processes.  With real workers involved each variant's extracted flow
+ships through shared memory once instead of per corner, so workers never
+re-extract.
 """
 
 from __future__ import annotations
@@ -47,14 +46,12 @@ from ..obs import (
     trace_span,
     tracer,
 )
+from ..parallel.plan import ON_ERROR_ABORT, TaskFailure, WorkItem, _check_policy
+from ..parallel.scheduler import WorkScheduler
+from ..parallel.shm import ObjectShipper, load_object
+from ..simulator.solver import SolverStats
+from ..simulator.solver import stats as solver_stats
 from ..technology.process import ProcessTechnology
-from .backends import (
-    ON_ERROR_ABORT,
-    SerialBackend,
-    SweepBackend,
-    TaskFailure,
-    _check_policy,
-)
 from .cache import CacheStats, ExtractionCache, fingerprint
 from .params import Campaign, LayoutVariant
 from .persist import CampaignJournal, CheckpointPolicy
@@ -88,8 +85,8 @@ class SweepTask:
     #: per-run trace handle re-parenting worker spans under the campaign
     #: root; ``None`` whenever tracing is disabled.
     trace: "TraceContext | None" = None
-    #: shared-memory reference resolving to ``flow`` (graph scheduling ships
-    #: each variant's extracted flow *once* instead of per corner); exactly
+    #: shared-memory reference resolving to ``flow`` (a multi-worker plan
+    #: ships each variant's extracted flow *once* instead of per corner); exactly
     #: one of ``flow`` / ``flow_ref`` is set on a dispatched task.
     flow_ref: object | None = None
 
@@ -111,9 +108,9 @@ class SweepTask:
 class TaskOutcome:
     """Per-point records produced by one task, tagged with the task index.
 
-    ``degradations`` holds the non-zero solver degradation counters this task
-    tripped (gmin/source-stepping rungs of the DC ladder), measured
-    as the worker-local delta of the global solver stats around the task.
+    ``solver_counts`` holds the non-zero solver counters this task spent,
+    measured as the delta of the executing process's global solver stats
+    around the task, so the parent sums them whichever process ran it.
     ``seconds`` is the task's wall clock; ``spans`` carries the spans the
     task recorded under its :class:`~repro.obs.TraceContext` home to the
     parent process (empty whenever tracing is disabled).
@@ -121,9 +118,15 @@ class TaskOutcome:
 
     index: int
     records: tuple[PointRecord, ...]
-    degradations: tuple[tuple[str, int], ...] = ()
+    solver_counts: tuple[tuple[str, int], ...] = ()
     seconds: float = 0.0
     spans: tuple = ()
+
+    @property
+    def degradations(self) -> tuple[tuple[str, int], ...]:
+        """The degradation-ladder subset of ``solver_counts``."""
+        return tuple((name, count) for name, count in self.solver_counts
+                     if name in SolverStats.DEGRADATION_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -193,14 +196,6 @@ class _ExtractionPlan:
     pending: dict[str, ExtractionTask] = field(default_factory=dict)
     leaders: dict[str, str] = field(default_factory=dict)
 
-    def task_for(self, key: str) -> ExtractionTask:
-        """The pending task of ``key``, given its resolved leader's substrate."""
-        task = self.pending[key]
-        leader = self.leaders.get(key)
-        if leader is None:
-            return task
-        return replace(task, substrate=self.resolved[leader].substrate)
-
     def records(self, variants: list[LayoutVariant]) -> list[VariantRecord]:
         """One record per variant, with the flow if it is resolved yet."""
         return [VariantRecord(index=variant.index, knobs=dict(variant.knobs),
@@ -215,21 +210,18 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     # Local import: repro.core.vco_experiment uses the studies package for its
     # own sweeps, so the dependency must not be circular at import time.
     from ..core.vco_experiment import VcoImpactAnalysis
-    from ..parallel.shm import load_object
-    from ..simulator.solver import SolverStats
-    from ..simulator.solver import stats as solver_stats
 
     if task.flow is None and task.flow_ref is not None:
-        # Graph scheduling ships the variant's flow through shared memory;
-        # the worker-side cache makes this one unpickle per variant.
+        # A worker receives the variant's flow through shared memory; the
+        # worker-side cache makes this one unpickle per variant.
         task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
 
     before = {name: getattr(solver_stats, name)
-              for name in SolverStats.DEGRADATION_COUNTERS}
+              for name in SolverStats._COUNTERS}
     t0 = time.perf_counter()
     # collect_spans parents this task's spans under the campaign root span
     # (shipped in ``task.trace``) and hands them back through the outcome —
-    # in a worker process *and*, identically, in the serial backend.
+    # in a worker process *and*, identically, inline in the parent.
     with collect_spans(task.trace) as span_sink:
         with trace_span("campaign.corner", index=task.index,
                         variant=task.variant_index,
@@ -240,11 +232,11 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
             spur_results, _vco, _catalog, _tf = analysis.analyze(
                 task.vtune, np.asarray(task.noise_frequencies, dtype=float))
     seconds = time.perf_counter() - t0
-    # Worker-local delta of the global counters: which robustness ladders
-    # this corner needed (zero deltas for a first-try-converged corner).
-    degradations = tuple(
+    # Process-local delta of the global counters: the solves this corner
+    # spent, including any robustness ladder it needed.
+    solver_counts = tuple(
         (name, getattr(solver_stats, name) - before[name])
-        for name in SolverStats.DEGRADATION_COUNTERS
+        for name in SolverStats._COUNTERS
         if getattr(solver_stats, name) > before[name])
     records = tuple(
         PointRecord(point_index=task.first_point_index + offset,
@@ -257,7 +249,7 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
         for offset, (frequency, spur)
         in enumerate(zip(task.noise_frequencies, spur_results)))
     return TaskOutcome(index=task.index, records=records,
-                       degradations=degradations, seconds=seconds,
+                       solver_counts=solver_counts, seconds=seconds,
                        spans=tuple(span_sink))
 
 
@@ -294,8 +286,25 @@ class _Checkpointer:
         self._last_flush = time.monotonic()
 
 
+#: The ``process-pool`` spelling of the campaign backend: the scheduler itself.
+ProcessPoolBackend = WorkScheduler
+
+
+class SerialBackend(WorkScheduler):
+    """The ``serial`` spelling: a :class:`WorkScheduler` pinned to one worker.
+
+    The campaign plan runs inline in the calling process, in priority order,
+    with no pool, no pickling and the scheduler's retry semantics
+    (wall-clock task timeouts need a worker process to abandon, so there
+    are none here).
+    """
+
+    def __init__(self, retries: int = 0):
+        super().__init__(max_workers=1, retries=retries)
+
+
 class SweepRunner:
-    """Runs campaigns against a backend and an extraction cache.
+    """Runs campaigns on a :class:`WorkScheduler` against an extraction cache.
 
     One runner can execute many campaigns; sharing its cache across campaigns
     is how a design session avoids re-extracting layouts it has already seen
@@ -311,7 +320,7 @@ class SweepRunner:
     """
 
     def __init__(self, technology: ProcessTechnology,
-                 backend: SweepBackend | None = None,
+                 backend: WorkScheduler | None = None,
                  cache: ExtractionCache | None = None, *,
                  on_error: str = ON_ERROR_ABORT,
                  fault_plan: "FaultPlan | None" = None):
@@ -385,88 +394,32 @@ class SweepRunner:
                     "cache" if leader in plan.hits else "extraction")
         return plan
 
-    def _extract_variants(self, plan: _ExtractionPlan,
-                          ) -> dict[str, TaskFailure]:
-        """Extract the plan's misses through the backend: leaders, then
-        followers.
-
-        The misses are fanned out through the campaign backend: on a cold
-        layout sweep with a process-pool backend, the per-variant extractions
-        (the expensive half of a study) run in parallel, not just the
-        simulations.  (Backends with a graph entry point skip this phase
-        barrier entirely — see :meth:`_run_graph`.)  Fresh flows land in
-        ``plan.resolved``.
-
-        Under a skip policy an extraction that exhausts its attempts does not
-        abort: the returned map holds its :class:`TaskFailure` by cache key,
-        and each follower of a failed leader inherits the leader's failure
-        without running (the runner turns those into per-corner failure
-        records).
-        """
-        failed: dict[str, TaskFailure] = {}
-        for followers in (False, True):
-            batch: dict[str, ExtractionTask] = {}
-            for key in plan.pending:
-                leader = plan.leaders.get(key)
-                if (leader is not None) != followers:
-                    continue
-                if leader in failed:
-                    failed[key] = failed[leader]  # root cause, never ran
-                else:
-                    batch[key] = plan.task_for(key)
-            if not batch:
-                continue
-            outcomes = self.backend.run(_execute_extraction,
-                                        list(batch.values()),
-                                        on_error=self.on_error)
-            for key, flow in zip(batch, outcomes):
-                if isinstance(flow, TaskFailure):
-                    failed[key] = flow
-                    continue
-                self.cache.store(key, flow)
-                plan.resolved[key] = flow
-        return failed
-
     # -- task fan-out --------------------------------------------------------
 
     def _build_tasks(self, campaign: Campaign,
                      variants: list[LayoutVariant],
                      extracted: list[VariantRecord],
                      skip: frozenset[tuple[int, float, float]] = frozenset(),
-                     unavailable: frozenset[int] = frozenset(),
-                     deferred: frozenset[int] = frozenset(),
                      ) -> list[SweepTask]:
         """One task per pending (variant, power, vtune) corner.
 
         ``skip`` holds corners an earlier (persisted) run already completed;
         their tasks are omitted but the deterministic global point indexing
         still advances past them, so merged records line up exactly with a
-        never-interrupted run.  ``unavailable`` holds variant indices whose
-        extraction failed under a skip policy — their corners are omitted too
-        (the runner records them as failures instead).  ``deferred`` holds
-        variant indices whose extraction runs *inside* the same work plan as
-        the corners (graph scheduling): their tasks are legitimately built
-        with ``flow=None`` and receive the flow through the scheduler's
-        dependency binding just before dispatch.
+        never-interrupted run.  A task of a variant still to be extracted
+        is built with ``flow=None``; the scheduler binds the flow in just
+        before dispatch.
         """
         powers, vtunes, frequencies = campaign.sim_grid()
         tasks: list[SweepTask] = []
         point_index = 0
         for variant, record in zip(variants, extracted):
-            if variant.index in unavailable:
-                point_index += len(powers) * len(vtunes) * len(frequencies)
-                continue
             for power in powers:
                 options = replace(campaign.options,
                                   injected_power_dbm=power,
                                   flow=variant.flow_options)
                 for vtune in vtunes:
                     if (variant.index, power, vtune) not in skip:
-                        if (record.flow is None
-                                and variant.index not in deferred):
-                            raise AnalysisError(
-                                f"variant {variant.index} has pending corners "
-                                "but no extracted flow (corrupt resume state)")
                         tasks.append(SweepTask(
                             index=len(tasks),
                             variant_index=variant.index,
@@ -588,14 +541,9 @@ class SweepRunner:
              checkpoint: CheckpointPolicy | None,
              observer: "CampaignObserver | None",
              trace_mark: int) -> SweepResult:
-        from ..simulator.solver import SolverStats
-        from ..simulator.solver import stats as solver_stats
-
         start = time.perf_counter()
         hits_before = self.cache.hits
         misses_before = self.cache.misses
-        solver_before = {name: getattr(solver_stats, name)
-                         for name in SolverStats._COUNTERS}
 
         variants = campaign.variants()
         powers, vtunes, frequencies = campaign.sim_grid()
@@ -638,25 +586,7 @@ class SweepRunner:
             variant for variant in variants
             if any((variant.index, power, vtune) not in done
                    for power in powers for vtune in vtunes)]
-        # Backends exposing a graph entry point (the scheduler-backed pool)
-        # run extractions and corners as ONE dependency-aware plan: corners
-        # of cached variants overlap with extractions still running instead
-        # of waiting behind the two-phase barrier below.
-        use_graph = callable(getattr(self.backend, "run_graph", None))
         plan = self._plan_extractions(campaign, pending_variants)
-        failed_keys: dict[str, TaskFailure] = {}
-        deferred: frozenset[int] = frozenset()
-        if use_graph:
-            deferred = frozenset(
-                variant.index
-                for variant, key in zip(pending_variants, plan.keys)
-                if key in plan.pending)
-        else:
-            failed_keys = self._extract_variants(plan)
-        failed_extractions = {
-            variant.index: failed_keys[key]
-            for variant, key in zip(pending_variants, plan.keys)
-            if key in failed_keys}
 
         def current_variant_records() -> list[VariantRecord]:
             extracted = {record.index: record
@@ -665,11 +595,8 @@ class SweepRunner:
                     or self._carried_variant(variant, resume_from)
                     for variant in variants]
 
-        variant_records = current_variant_records()
-        tasks = self._build_tasks(campaign, variants, variant_records,
-                                  skip=done,
-                                  unavailable=frozenset(failed_extractions),
-                                  deferred=deferred)
+        tasks = self._build_tasks(campaign, variants,
+                                  current_variant_records(), skip=done)
         if tracer.enabled:
             # Same context for every task: all corners of this run hang
             # directly off the campaign root span.
@@ -688,80 +615,62 @@ class SweepRunner:
             "backend=%s", campaign.name, len(tasks), len(done),
             self.backend.describe())
 
-        # One failure record per pending corner of a failed extraction: the
-        # corner never ran, and a later ``resume`` re-attempts exactly it.
-        failures: list[CornerFailure] = []
-        for variant in variants:
-            extraction_failure = failed_extractions.get(variant.index)
-            if extraction_failure is None:
-                continue
-            for power in powers:
-                for vtune in vtunes:
-                    if (variant.index, power, vtune) in done:
-                        continue
-                    failure = extraction_failure.as_corner_failure(
-                        variant_index=variant.index,
-                        injected_power_dbm=power, vtune=vtune)
-                    failures.append(failure)
-                    if observer is not None:
-                        observer.corner_failed(failure)
+        # Item ``x<j>`` extracts the j-th pending key (see _work_items).
+        extraction_keys = list(plan.pending)
 
-        def handle_result(index: int, outcome: TaskOutcome) -> None:
+        def on_result(item_id: str, value) -> None:
+            if item_id.startswith("x"):
+                key = extraction_keys[int(item_id[1:])]
+                self.cache.store(key, value)
+                plan.resolved[key] = value
+                return
             if checkpointer is not None:
-                checkpointer(index, outcome)
-            if outcome.spans:
-                tracer.adopt(outcome.spans)
+                checkpointer(int(item_id[1:]), value)
+            if value.spans:
+                tracer.adopt(value.spans)
             if observer is not None:
-                observer.corner_finished(tasks[index], outcome)
+                observer.corner_finished(tasks[int(item_id[1:])], value)
 
-        handle_start = None
+        on_start = None
         if observer is not None:
-            def handle_start(index: int, attempt: int) -> None:
-                observer.corner_started(tasks[index], attempt)
+            def on_start(item_id: str, attempt: int) -> None:
+                if item_id.startswith("c"):
+                    observer.corner_started(tasks[int(item_id[1:])], attempt)
 
+        shipper = ObjectShipper()
         try:
-            if use_graph:
-                outcomes = self._run_graph(tasks, pending_variants, plan,
-                                           handle_result, handle_start)
-            else:
-                outcomes = self.backend.run(self._task_fn(), tasks,
-                                            on_error=self.on_error,
-                                            on_result=handle_result,
-                                            on_start=handle_start)
+            outcome_map = self.backend.run(
+                self._work_items(tasks, pending_variants, plan, shipper),
+                on_error=self.on_error, on_result=on_result,
+                on_start=on_start)
         finally:
+            # Workers that still hold a mapped segment keep it alive; the
+            # parent-side dispose only unlinks the names.
+            shipper.close()
             # Journal every corner that completed, even when aborting: the
             # next run recovers them instead of recomputing.
             if checkpointer is not None:
                 checkpointer.flush()
+        corner_ids = [f"c{position}" for position in range(len(tasks))]
+        # Fresh flows arrived through the plan, after the tasks were built
+        # (flows of variants that failed to extract stay None).
+        variant_records = current_variant_records()
 
-        if use_graph and plan.pending:
-            # Backfill the variant records of freshly extracted variants:
-            # their flows arrived through the plan, after the records were
-            # built (flows of variants that failed to extract stay None,
-            # exactly like the two-phase path).
-            variant_records = current_variant_records()
-
-        degradations: dict[str, int] = dict(
-            resume_from.solver_degradations) if resume_from else {}
-        # Extractions run this time count too: a multigrid Kron solve that
-        # fell back to direct LU is recorded in its flow's solver stats.
-        fresh = {record.cache_key: record.flow.solver_stats
-                 for record in variant_records
-                 if record.cache_key in plan.pending
-                 and record.flow is not None
-                 and record.flow.solver_stats is not None}
-        for stats in fresh.values():
-            for name in SolverStats.DEGRADATION_COUNTERS:
-                if getattr(stats, name):
-                    degradations[name] = (degradations.get(name, 0)
-                                          + getattr(stats, name))
+        # Solver work of this run: every fresh extraction's own counters plus
+        # every successful corner's, wherever each of them ran.
+        spent = SolverStats()
+        for key in plan.pending:
+            flow = plan.resolved.get(key)
+            if flow is not None and flow.solver_stats is not None:
+                spent.merge(flow.solver_stats)
+        failures: list[CornerFailure] = []
         successes: list[TaskOutcome] = []
         # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
         # failed extraction inherits the extraction's TaskFailure verbatim,
         # whose index is the *extraction's* plan position.
-        for position, outcome in enumerate(outcomes):
+        for task, item_id in zip(tasks, corner_ids):
+            outcome = outcome_map[item_id]
             if isinstance(outcome, TaskFailure):
-                task = tasks[position]
                 failure = outcome.as_corner_failure(
                     variant_index=task.variant_index,
                     injected_power_dbm=task.injected_power_dbm,
@@ -769,21 +678,29 @@ class SweepRunner:
                 failures.append(failure)
                 if observer is not None:
                     observer.corner_failed(failure)
-            else:
-                successes.append(outcome)
-                for name, count in outcome.degradations:
-                    degradations[name] = degradations.get(name, 0) + count
+                continue
+            successes.append(outcome)
+            for name, count in outcome.solver_counts:
+                setattr(spent, name, getattr(spent, name) + count)
+        degradations: dict[str, int] = dict(
+            resume_from.solver_degradations) if resume_from else {}
+        for name in SolverStats.DEGRADATION_COUNTERS:
+            if getattr(spent, name):
+                degradations[name] = (degradations.get(name, 0)
+                                      + getattr(spent, name))
 
         records = list(prior_records)
         for outcome in sorted(successes, key=lambda o: o.index):
             records.extend(outcome.records)
         records.sort(key=lambda record: record.point_index)
         telemetry = self._build_telemetry(
-            solver_before=solver_before,
+            spent=spent,
             cache_hits=self.cache.hits - hits_before,
             cache_misses=self.cache.misses - misses_before,
             degradations=degradations,
             successes=successes,
+            attempts=[self.backend.attempts.get(item_id, 0)
+                      for item_id in corner_ids],
             substrate_reuses=sum(1 for key in plan.leaders
                                  if key in plan.resolved),
             trace_mark=trace_mark)
@@ -801,11 +718,11 @@ class SweepRunner:
             solver_degradations=degradations,
             telemetry=telemetry)
 
-    def _run_graph(self, tasks: list[SweepTask],
-                   pending_variants: list[LayoutVariant],
-                   plan: _ExtractionPlan,
-                   handle_result, handle_start):
-        """Execute extractions and corners as one dependency-aware plan.
+    def _work_items(self, tasks: list[SweepTask],
+                    pending_variants: list[LayoutVariant],
+                    plan: _ExtractionPlan,
+                    shipper: ObjectShipper) -> list[WorkItem]:
+        """The campaign as one dependency-aware plan of work items.
 
         Extraction items (``x<j>``, one per distinct cache key, priority 0)
         and corner items (``c<i>``, priority 1) go down the scheduler
@@ -814,41 +731,39 @@ class SweepRunner:
         before dispatch.  A follower's extraction item depends on its
         leader's item the same way and receives the leader's substrate
         extraction (a follower of a cache hit gets it at plan time).  With
-        real worker processes involved, each variant's
-        flow ships through shared memory **once**
-        (:class:`~repro.parallel.shm.ObjectShipper`) and every corner carries
-        only a tiny reference; the inline single-worker plan passes flows by
-        reference instead.  Returns the corner outcomes in task order —
-        numerically identical to the two-phase path.
+        real worker processes involved, each variant's flow ships through
+        shared memory **once** (``shipper``) and every corner carries only a
+        tiny reference; the inline single-worker plan passes flows by
+        reference instead.  Priorities make the inline order extractions
+        first, then corners in task order.
         """
-        from ..parallel.plan import WorkItem
-        from ..parallel.shm import ObjectShipper
-
         key_by_variant = {variant.index: key
                           for variant, key in zip(pending_variants, plan.keys)}
         xid_by_key = {key: f"x{position}"
                       for position, key in enumerate(plan.pending)}
-        key_by_xid = {xid: key for key, xid in xid_by_key.items()}
         n_items = len(plan.pending) + len(tasks)
-        ship = min(getattr(self.backend, "max_workers", 1), n_items) > 1
-        shipper = ObjectShipper()
+        ship = min(self.backend.max_workers, n_items) > 1
         task_fn = self._task_fn()
 
         items: list[WorkItem] = []
         for key, xid in xid_by_key.items():
-            leader_xid = xid_by_key.get(plan.leaders.get(key))
+            task = plan.pending[key]
+            leader = plan.leaders.get(key)
+            leader_xid = xid_by_key.get(leader)
             if leader_xid is None:
+                if leader is not None:
+                    task = replace(task,
+                                   substrate=plan.resolved[leader].substrate)
                 items.append(WorkItem(id=xid, fn=_execute_extraction,
-                                      payload=plan.task_for(key), priority=0))
+                                      payload=task, priority=0))
                 continue
 
             def bind_substrate(payload, dep_results, leader_xid=leader_xid):
                 return replace(payload,
                                substrate=dep_results[leader_xid].substrate)
             items.append(WorkItem(id=xid, fn=_execute_extraction,
-                                  payload=plan.pending[key],
-                                  deps=(leader_xid,), priority=0,
-                                  bind=bind_substrate))
+                                  payload=task, deps=(leader_xid,),
+                                  priority=0, bind=bind_substrate))
         for position, task in enumerate(tasks):
             key = key_by_variant[task.variant_index]
             deps: tuple[str, ...] = ()
@@ -864,70 +779,46 @@ class SweepRunner:
                 else:
                     def bind(payload, dep_results, xid=xid):
                         return replace(payload, flow=dep_results[xid])
-            elif ship and task.flow is not None:
+            elif ship:
                 payload = replace(task, flow=None,
                                   flow_ref=shipper.ref_for(key, task.flow))
             items.append(WorkItem(id=f"c{position}", fn=task_fn,
                                   payload=payload, deps=deps, priority=1,
                                   bind=bind))
+        return items
 
-        def on_result(item_id: str, value) -> None:
-            if item_id.startswith("x"):
-                key = key_by_xid[item_id]
-                self.cache.store(key, value)
-                plan.resolved[key] = value
-            elif handle_result is not None:
-                handle_result(int(item_id[1:]), value)
-
-        on_start = None
-        if handle_start is not None:
-            def on_start(item_id: str, attempt: int) -> None:
-                if item_id.startswith("c"):
-                    handle_start(int(item_id[1:]), attempt)
-
-        try:
-            outcome_map = self.backend.run_graph(
-                items, on_error=self.on_error, on_result=on_result,
-                on_start=on_start,
-                flat_ids=[f"c{position}" for position in range(len(tasks))])
-        finally:
-            # Workers that still hold a mapped segment keep it alive; the
-            # parent-side dispose only unlinks the names.
-            shipper.close()
-        return [outcome_map[f"c{position}"]
-                for position in range(len(tasks))]
-
-    def _build_telemetry(self, *, solver_before: dict[str, int],
+    def _build_telemetry(self, *, spent: SolverStats,
                          cache_hits: int, cache_misses: int,
                          degradations: dict[str, int],
                          successes: list[TaskOutcome],
+                         attempts: list[int],
                          substrate_reuses: int,
                          trace_mark: int) -> dict:
         """Per-run metrics in the one ``MetricsRegistry.snapshot()`` schema.
 
         Built on a fresh registry so every number is a delta of *this* run,
-        not a process-lifetime accumulation.  The solver counters cover the
-        in-process solver traffic (all of it under the serial backend;
-        extraction-only under a process pool, where the workers' degradation
-        deltas come home through the task outcomes instead).
+        not a process-lifetime accumulation.  ``spent`` is the run's solver
+        work summed from the fresh extractions and the successful corners,
+        so the solver counters read the same at any worker count.
+        ``attempts`` are the per-corner attempt counts; the scheduler's
+        pool rebuilds and heartbeat trips are read straight off it.
         ``extraction.substrate_reuses`` counts the follower extractions that
         reused a leader's substrate instead of running a Kron reduction.
         """
-        from ..simulator.solver import SolverStats
-        from ..simulator.solver import stats as solver_stats
-
         reg = MetricsRegistry()
-        delta = SolverStats(backend=solver_stats.backend)
-        for name in SolverStats._COUNTERS:
-            setattr(delta, name,
-                    getattr(solver_stats, name) - solver_before[name])
-        reg.absorb_solver_stats(delta)
+        reg.absorb_solver_stats(spent)
         reg.absorb_cache_stats(CacheStats(hits=cache_hits,
                                           misses=cache_misses))
         reg.absorb_degradations(degradations)
-        reg.absorb_backend(self.backend)
-        if substrate_reuses:
-            reg.counter("extraction.substrate_reuses").add(substrate_reuses)
+        if attempts:
+            reg.counter("campaign.task_attempts").add(sum(attempts))
+        for name, count in (
+                ("campaign.retries", sum(n - 1 for n in attempts if n > 1)),
+                ("campaign.pool_rebuilds", self.backend.pool_rebuilds),
+                ("campaign.heartbeat_trips", self.backend.heartbeat_trips),
+                ("extraction.substrate_reuses", substrate_reuses)):
+            if count:
+                reg.counter(name).add(count)
         for outcome in successes:
             if outcome.seconds:
                 reg.histogram("campaign.corner_seconds").observe(

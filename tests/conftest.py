@@ -18,8 +18,27 @@ from repro.layout.testchips import (
     make_nmos_measurement_structure,
     make_vco_testchip,
 )
+from repro.parallel import WorkItem
 from repro.substrate.extraction import SubstrateExtractionOptions
 from repro.technology import make_technology
+
+
+def _run_in_task_order(scheduler, fn, tasks, **kwargs):
+    """``scheduler.run`` over a flat task list, outcomes in task order.
+
+    Task ``i`` becomes the dependency-free work item ``str(i)``, so its
+    attempt count reads ``scheduler.attempts[str(i)]``.
+    """
+    items = [WorkItem(id=str(index), fn=fn, payload=task)
+             for index, task in enumerate(tasks)]
+    outcomes = scheduler.run(items, **kwargs)
+    return [outcomes[str(index)] for index in range(len(tasks))]
+
+
+@pytest.fixture(scope="session")
+def run_tasks():
+    """Run ``fn`` over a flat task list on a scheduler (see above)."""
+    return _run_in_task_order
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +57,11 @@ from repro.studies import (
     SerialBackend,
     SweepResult,
     SweepRunner,
+    SweepTask,
     TaskFailure,
 )
 from repro.studies.cli import main
+from repro.studies.runner import ExtractionTask
 from repro.substrate.extraction import SubstrateExtractionOptions
 from repro.technology import make_technology
 
@@ -125,23 +127,23 @@ def test_fault_plan_counts_attempts_across_processes(tmp_path):
     assert plan.attempts_seen(0) == 3
 
 
-def test_serial_backend_retries_through_injected_faults(tmp_path):
+def test_serial_backend_retries_through_injected_faults(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("raise", task_index=1, attempts=2),))
     backend = SerialBackend(retries=2)
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    results = run_tasks(backend, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts == [1, 3]
+    assert [backend.attempts["0"], backend.attempts["1"]] == [1, 3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_keyboard_interrupt_is_never_swallowed(tmp_path, workers):
+def test_keyboard_interrupt_is_never_swallowed(tmp_path, workers, run_tasks):
     # Whatever the policy and retry budget, a Ctrl-C must stop the campaign
     # — on the serial path, the single-worker in-process path and the pool.
     backend = ProcessPoolBackend(max_workers=workers, retries=3) \
         if workers > 1 else SerialBackend(retries=3)
     with pytest.raises(KeyboardInterrupt):
-        backend.run(_interrupt, [_EchoTask(0)], on_error="skip")
+        run_tasks(backend, _interrupt, [_EchoTask(0)], on_error="skip")
 
 
 # -- timeouts and backoff ------------------------------------------------------
@@ -153,50 +155,51 @@ def _hang_plan(tmp_path, attempts: int) -> FaultPlan:
                                       hang_seconds=60.0),))
 
 
-def test_hung_task_trips_timeout_and_retry_completes(tmp_path):
+def test_hung_task_trips_timeout_and_retry_completes(tmp_path, run_tasks):
     plan = _hang_plan(tmp_path, attempts=1)
     backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=1.0,
                                  backoff_base=0.01, backoff_seed=7)
     start = time.monotonic()
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    results = run_tasks(backend, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts[0] == 2       # first attempt hung
+    assert backend.attempts["0"] == 2          # first attempt hung
     assert backend.pool_rebuilds >= 1          # the hung pool was recycled
     assert time.monotonic() - start < 30.0     # detected, not waited out
 
 
-def test_permanently_hung_task_aborts_with_timeout_failure(tmp_path):
+def test_permanently_hung_task_aborts_with_timeout_failure(tmp_path,
+                                                           run_tasks):
     plan = _hang_plan(tmp_path, attempts=5)
     backend = ProcessPoolBackend(max_workers=2, retries=0, task_timeout=1.0,
                                  backoff_base=0.01)
     with pytest.raises(CampaignError) as excinfo:
-        backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+        run_tasks(backend, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     [failure] = [f for f in excinfo.value.failures if f.timed_out]
     assert "echo task 0" in failure.label
     assert isinstance(excinfo.value, AnalysisError)   # hierarchy holds
     assert isinstance(excinfo.value.__cause__, TimeoutError)
 
 
-def test_skip_policy_records_timeout_and_keeps_going(tmp_path):
+def test_skip_policy_records_timeout_and_keeps_going(tmp_path, run_tasks):
     plan = _hang_plan(tmp_path, attempts=5)
     backend = ProcessPoolBackend(max_workers=2, retries=2, task_timeout=1.0,
                                  backoff_base=0.01)
-    results = backend.run(plan.wrap(_echo),
-                          [_EchoTask(0), _EchoTask(1), _EchoTask(2)],
-                          on_error="skip")
+    results = run_tasks(backend, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1), _EchoTask(2)],
+                        on_error="skip")
     assert results[1:] == [10, 20]
     failure = results[0]
     assert isinstance(failure, TaskFailure) and failure.timed_out
     assert failure.attempts == 1               # skip = single attempt
 
 
-def test_worker_killing_fault_breaks_pool_and_is_retried(tmp_path):
+def test_worker_killing_fault_breaks_pool_and_is_retried(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("exit", task_index=0, attempts=1),))
     backend = ProcessPoolBackend(max_workers=2, retries=1, backoff_base=0.01)
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
+    results = run_tasks(backend, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     assert results == [0, 10]
-    assert backend.task_attempts[0] == 2
+    assert backend.attempts["0"] == 2
     assert backend.pool_rebuilds >= 1
 
 
@@ -215,7 +218,10 @@ def test_campaign_survives_hung_corner(technology, ft_campaign, reference):
                          fault_plan=plan)
     result = runner.run(ft_campaign)
     assert not result.failures
-    assert backend.task_attempts[0] == 2
+    assert backend.attempts["c0"] == 2
+    counters = result.telemetry["metrics"]["counters"]
+    assert counters["campaign.retries"] >= 1
+    assert counters["campaign.pool_rebuilds"] >= 1
     np.testing.assert_array_equal(result.column("spur_power_dbm"),
                                   healthy.column("spur_power_dbm"))
 
@@ -272,11 +278,16 @@ def test_skip_policy_records_failed_extraction(technology, ft_campaign,
         """Injects the plan into extraction tasks too (they carry no
         ``index`` attribute, so the campaign-level plan skips them)."""
 
-        def run(self, fn, tasks, **kwargs):
-            def sabotaged(task):
-                plan.inject(_EchoTask(0))
-                return fn(task)
-            return super().run(sabotaged, tasks, **kwargs)
+        def run(self, items, **kwargs):
+            def sabotage(fn):
+                def sabotaged(task):
+                    plan.inject(_EchoTask(0))
+                    return fn(task)
+                return sabotaged
+            items = [replace(item, fn=sabotage(item.fn))
+                     if isinstance(item.payload, ExtractionTask) else item
+                     for item in items]
+            return super().run(items, **kwargs)
 
     runner = SweepRunner(technology, backend=_FaultyExtractionBackend(),
                          on_error="skip")
@@ -341,13 +352,17 @@ raise SystemExit("unreachable: the injected fault must kill the process")
 
 
 class _CountingSerialBackend(SerialBackend):
+    """Counts the corner tasks handed to the scheduler."""
+
     def __init__(self):
         super().__init__()
         self.executed = 0
 
-    def run(self, fn, tasks, **kwargs):
-        self.executed += len(tasks)
-        return super().run(fn, tasks, **kwargs)
+    def run(self, items, **kwargs):
+        items = list(items)
+        self.executed += sum(isinstance(item.payload, SweepTask)
+                             for item in items)
+        return super().run(items, **kwargs)
 
 
 def test_killed_campaign_resumes_from_journal_bit_identically(

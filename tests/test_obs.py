@@ -6,7 +6,8 @@ Covers the acceptance properties of the subsystem:
   re-parenting across :class:`ProcessPoolBackend` worker processes
   (including the timeout/retry path's ``on_start`` notifications),
 * the metrics registry's snapshot agrees with the legacy stat records it
-  absorbs (``SolverStats``, ``CacheStats``, retry and degradation counts),
+  absorbs (``SolverStats``, ``CacheStats``, degradation counts), and a
+  campaign's retry counters read the same at one and two workers,
 * the structured JSONL run log round-trips and schema-validates, with one
   ``corner_finish`` per corner and a fingerprint-stamped header,
 * the Chrome trace-event (Perfetto) export passes its own schema check,
@@ -197,35 +198,34 @@ def test_absorb_adapters_match_legacy_records():
     class _Cache:
         hits, misses, evictions, corrupted = 3, 1, 0, 0
 
-    class _Backend:
-        task_attempts = [1, 3, 1]        # list form (serial/pool backends)
-        pool_rebuilds = 2
-
     reg = MetricsRegistry()
     reg.absorb_solver_stats(stats)
     reg.absorb_cache_stats(_Cache())
     reg.absorb_degradations({"gmin_step": 4})
-    reg.absorb_backend(_Backend())
     counters = reg.snapshot()["counters"]
     assert counters["solver.factorizations"] == stats.factorizations
     assert counters["solver.solves"] == stats.solves
     assert counters["solver.cg_iterations"] == stats.cg_iterations
     assert counters["cache.hits"] == 3 and counters["cache.misses"] == 1
     assert counters["solver.degradations{kind=gmin_step}"] == 4
-    assert counters["campaign.task_attempts"] == 5
-    assert counters["campaign.retries"] == 2
-    assert counters["campaign.pool_rebuilds"] == 2
 
 
-def test_absorb_backend_accepts_attempt_maps():
-    class _Backend:
-        task_attempts = {0: 1, 1: 2}
-
-    reg = MetricsRegistry()
-    reg.absorb_backend(_Backend())
-    counters = reg.snapshot()["counters"]
+@pytest.mark.parametrize("workers", [1, 2])
+def test_retried_corner_counts_one_retry(technology, obs_campaign, tmp_path,
+                                         workers):
+    # Corner 0 fails its first attempt; the scheduler's attempt counts land
+    # in the campaign metrics once, whatever the worker count.
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=0, attempts=1),))
+    backend = SerialBackend(retries=1) if workers == 1 \
+        else ProcessPoolBackend(max_workers=workers, retries=1)
+    result = SweepRunner(technology, backend=backend, cache=ExtractionCache(),
+                         fault_plan=plan).run(obs_campaign)
+    assert not result.failures
+    counters = result.telemetry["metrics"]["counters"]
     assert counters["campaign.task_attempts"] == 3
     assert counters["campaign.retries"] == 1
+    assert "campaign.pool_rebuilds" not in counters
 
 
 # -- run log --------------------------------------------------------------------------
@@ -444,16 +444,17 @@ def _echo(task: _EchoTask) -> int:
     return task.index * 10
 
 
-def test_pool_on_start_reports_every_attempt(tmp_path):
+def test_pool_on_start_reports_every_attempt(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("hang", task_index=0, attempts=1,
                                       hang_seconds=60.0),))
     backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=1.0,
                                  backoff_base=0.01, backoff_seed=7)
     starts: list[tuple[int, int]] = []
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)],
-                          on_start=lambda index, attempt:
-                          starts.append((index, attempt)))
+    results = run_tasks(backend, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)],
+                        on_start=lambda item_id, attempt:
+                        starts.append((int(item_id), attempt)))
     assert results == [0, 10]
     # The hung corner was started twice (attempt 1 timed out, attempt 2
     # succeeded); the healthy corner exactly once.
@@ -461,13 +462,14 @@ def test_pool_on_start_reports_every_attempt(tmp_path):
     assert starts.count((1, 1)) == 1
 
 
-def test_serial_on_start_counts_attempts(tmp_path):
+def test_serial_on_start_counts_attempts(tmp_path, run_tasks):
     plan = FaultPlan(state_dir=str(tmp_path / "state"),
                      specs=(FaultSpec("raise", task_index=1, attempts=2),))
     backend = SerialBackend(retries=2)
     starts: list[tuple[int, int]] = []
-    results = backend.run(plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)],
-                          on_start=lambda index, attempt:
-                          starts.append((index, attempt)))
+    results = run_tasks(backend, plan.wrap(_echo),
+                        [_EchoTask(0), _EchoTask(1)],
+                        on_start=lambda item_id, attempt:
+                        starts.append((int(item_id), attempt)))
     assert results == [0, 10]
     assert starts == [(0, 1), (1, 1), (1, 2), (1, 3)]

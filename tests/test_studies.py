@@ -36,6 +36,9 @@ from repro.core.vco_experiment import (
 )
 from repro.errors import AnalysisError, CampaignError
 from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
+from repro.parallel import shared_pool
+from repro.simulator import solver as solver_module
+from repro.simulator.solver import SolverStats
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
@@ -205,6 +208,50 @@ def test_process_pool_matches_serial(technology, campaign):
                              - sharded.column(column))) <= 1e-12
     # The sharded run reused the serial run's extraction.
     assert sharded.cache_misses == 0
+
+
+def _solver_counters(result) -> dict[str, int]:
+    counters = result.telemetry["metrics"]["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith("solver.") and "{" not in name}
+
+
+def test_solver_counters_match_across_worker_counts(technology,
+                                                    sweep_options):
+    # Cold layout study: the extractions and the corners both solve.
+    campaign = Campaign(
+        name="counted",
+        space=ParamSpace({"ground_width_scale": (1.0, 2.0),
+                          "vtune": (0.0, 0.75), "noise_frequency": (1e6,)}),
+        options=sweep_options)
+    before = solver_module.stats.as_dict()
+    serial = SweepRunner(technology, backend=SerialBackend(),
+                         cache=ExtractionCache()).run(campaign)
+    after = solver_module.stats.as_dict()
+    # What the serial run really spent in this process.
+    spent = {f"solver.{name}": after[name] - before[name]
+             for name in SolverStats._COUNTERS if after[name] != before[name]}
+    pooled = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=2),
+                         cache=ExtractionCache()).run(campaign)
+    assert spent["solver.factorizations"] > 0 and spent["solver.solves"] > 0
+    assert _solver_counters(serial) == spent
+    assert _solver_counters(pooled) == spent
+    np.testing.assert_array_equal(pooled.column("spur_power_dbm"),
+                                  serial.column("spur_power_dbm"))
+
+
+def test_serial_campaign_never_starts_the_process_pool(technology,
+                                                       sweep_options):
+    cache = ExtractionCache()
+    SweepRunner(technology, cache=cache).run(
+        _widths_campaign(sweep_options, scales=(1.0,)))
+    shared_pool().shutdown()
+    # One cached variant, one cache miss: extraction and corners run inline.
+    result = SweepRunner(technology, backend=SerialBackend(),
+                         cache=cache).run(_widths_campaign(sweep_options))
+    assert result.cache_hits == 1 and result.cache_misses == 1
+    assert result.backend_name == "serial"
+    assert shared_pool().width == 0
 
 
 def test_spur_sweep_backend_equivalence(technology, sweep_options):
@@ -414,31 +461,28 @@ class _SabotagedExtraction:
         return self.fn(task)
 
 
-class _FailLeaderSerial(SerialBackend):
-    """Two-phase path with the plan injected into extraction tasks."""
+class _FailLeader(ProcessPoolBackend):
+    """A scheduler with the plan injected into extraction items."""
 
-    def __init__(self, plan: FaultPlan):
-        super().__init__()
+    def __init__(self, plan: FaultPlan, max_workers: int):
+        super().__init__(max_workers=max_workers)
         self.plan = plan
 
-    def run(self, fn, tasks, **kwargs):
-        if tasks and isinstance(tasks[0], ExtractionTask):
-            fn = _SabotagedExtraction(self.plan, fn)
-        return super().run(fn, tasks, **kwargs)
-
-
-class _FailLeaderGraph(ProcessPoolBackend):
-    """Inline graph path with the plan injected into extraction items."""
-
-    def __init__(self, plan: FaultPlan):
-        super().__init__(max_workers=1)
-        self.plan = plan
-
-    def run_graph(self, items, **kwargs):
+    def run(self, items, **kwargs):
         items = [replace(item, fn=_SabotagedExtraction(self.plan, item.fn))
                  if isinstance(item.payload, ExtractionTask) else item
                  for item in items]
-        return super().run_graph(items, **kwargs)
+        return super().run(items, **kwargs)
+
+
+def _FailLeaderSerial(plan: FaultPlan) -> _FailLeader:
+    """The sabotaged scheduler at one worker: the plan runs inline."""
+    return _FailLeader(plan, max_workers=1)
+
+
+def _FailLeaderGraph(plan: FaultPlan) -> _FailLeader:
+    """The sabotaged scheduler at two workers: the plan runs on the pool."""
+    return _FailLeader(plan, max_workers=2)
 
 
 @pytest.mark.parametrize("backend_cls", [_FailLeaderSerial, _FailLeaderGraph])

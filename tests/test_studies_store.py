@@ -11,7 +11,7 @@ Covers the acceptance invariants of the persistent campaign store:
   tidy column), not merely close,
 * resume-after-kill completes only the missing corners and reproduces the
   uninterrupted result exactly,
-* the process-pool backend records per-task attempts and names the failing
+* the scheduler records per-task attempts and names the failing
   corner when it gives up.
 """
 
@@ -38,6 +38,7 @@ from repro.studies import (
     SerialBackend,
     SweepResult,
     SweepRunner,
+    SweepTask,
 )
 from repro.studies.store import DISK_FORMAT_VERSION, extraction_code_fingerprint
 from repro.substrate.extraction import SubstrateExtractionOptions
@@ -365,15 +366,17 @@ def test_merge_rejects_different_campaigns(technology, store_options,
 
 
 class _CountingBackend(SerialBackend):
-    """Serial backend that records how many tasks it actually executed."""
+    """Serial backend that records how many corner tasks it was handed."""
 
     def __init__(self):
         super().__init__()
         self.executed = 0
 
-    def run(self, fn, tasks, **kwargs):
-        self.executed += len(tasks)
-        return super().run(fn, tasks, **kwargs)
+    def run(self, items, **kwargs):
+        items = list(items)
+        self.executed += sum(isinstance(item.payload, SweepTask)
+                             for item in items)
+        return super().run(items, **kwargs)
 
 
 def test_resume_after_kill_completes_only_missing_corners(
@@ -463,14 +466,14 @@ def _run_flaky(task: _FlakyTask) -> int:
     return task.value * 10
 
 
-def test_single_worker_retries_and_counts_attempts(tmp_path):
+def test_single_worker_retries_and_counts_attempts(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=1, retries=2)
     task = _FlakyTask(sentinel=str(tmp_path / "sentinel"), value=3)
-    assert backend.run(_run_flaky, [task]) == [30]
-    assert backend.task_attempts == [2]
+    assert run_tasks(backend, _run_flaky, [task]) == [30]
+    assert backend.attempts == {"0": 2}
 
 
-def test_pool_retries_transient_failure(tmp_path):
+def test_pool_retries_transient_failure(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=2, retries=1)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "a"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "b"), value=2)]
@@ -478,9 +481,9 @@ def test_pool_retries_transient_failure(tmp_path):
     # fails once and succeeds on the retry.
     with open(tasks[1].sentinel, "w") as handle:
         handle.write("ok")
-    assert backend.run(_run_flaky, tasks) == [10, 20]
-    assert backend.task_attempts[1] == 1
-    assert backend.task_attempts[0] == 2
+    assert run_tasks(backend, _run_flaky, tasks) == [10, 20]
+    assert backend.attempts["1"] == 1
+    assert backend.attempts["0"] == 2
 
 
 def _crash_worker(task: _FlakyTask) -> int:
@@ -492,7 +495,7 @@ def _crash_worker(task: _FlakyTask) -> int:
     return task.value * 10
 
 
-def test_pool_survives_crashed_worker(tmp_path):
+def test_pool_survives_crashed_worker(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=2, retries=1)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "crash"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "fine"), value=2)]
@@ -500,34 +503,34 @@ def test_pool_survives_crashed_worker(tmp_path):
         handle.write("ok")
     # Task 0 kills its worker (breaking the executor mid-round); a fresh
     # pool must finish both tasks on the second attempt.
-    assert backend.run(_crash_worker, tasks) == [10, 20]
-    assert backend.task_attempts[0] == 2
+    assert run_tasks(backend, _crash_worker, tasks) == [10, 20]
+    assert backend.attempts["0"] == 2
 
 
-def test_pool_crash_with_no_retries_names_a_corner(tmp_path):
+def test_pool_crash_with_no_retries_names_a_corner(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=2, retries=0)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "boom"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "boom2"), value=2)]
     with pytest.raises(AnalysisError, match="flaky corner"):
-        backend.run(_crash_worker, tasks)
+        run_tasks(backend, _crash_worker, tasks)
 
 
 def _always_fails(task: _FlakyTask) -> int:
     raise ValueError("permanent failure")
 
 
-def test_exhausted_retries_name_the_corner(tmp_path):
+def test_exhausted_retries_name_the_corner(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=1, retries=1)
     task = _FlakyTask(sentinel=str(tmp_path / "never"), value=7)
     with pytest.raises(AnalysisError,
                        match=r"after 2 attempt.*flaky corner value=7"):
-        backend.run(_always_fails, [task])
-    assert backend.task_attempts == [2]
+        run_tasks(backend, _always_fails, [task])
+    assert backend.attempts == {"0": 2}
 
 
-def test_pool_exhausted_retries_raise(tmp_path):
+def test_pool_exhausted_retries_raise(tmp_path, run_tasks):
     backend = ProcessPoolBackend(max_workers=2, retries=0)
     tasks = [_FlakyTask(sentinel=str(tmp_path / "x"), value=1),
              _FlakyTask(sentinel=str(tmp_path / "y"), value=2)]
     with pytest.raises(AnalysisError, match="flaky corner"):
-        backend.run(_always_fails, tasks)
+        run_tasks(backend, _always_fails, tasks)
