@@ -196,17 +196,12 @@ def _bench_sweep() -> dict:
 
 
 def _bench_parallel() -> dict:
-    """Corner x frequency saturation ladder on the unified work scheduler.
+    """Corner saturation ladder on the unified work scheduler.
 
-    Two axes of the one shared process pool:
-
-    * **corners** — the Figure-8-style campaign of ``--section sweep``
-      (60 points over 2 layout variants), run against a warm extraction
-      cache serially and through the graph scheduler at 1/2/4 workers,
-    * **frequency points** — one 64-point AC sweep of an RC-grid circuit,
-      sharded at 1/2/4 ``ac_workers`` through both fan-out executors
-      (``ac_mode = "thread"`` vs ``"process"``), with bit-identity against
-      the serial sweep asserted and recorded.
+    The Figure-8-style campaign of ``--section sweep`` (60 points over 2
+    layout variants), run against a warm extraction cache serially and
+    through the graph scheduler at 1/2/4 workers, with the spur deviation
+    from the serial run recorded.
 
     The section records the measuring container's ``cpu_count`` because the
     ladder's meaning depends on it: on a 1-CPU container (the committed
@@ -216,9 +211,6 @@ def _bench_parallel() -> dict:
     import os
 
     from repro.core.flow import FlowOptions
-    from repro.netlist.circuit import Circuit
-    from repro.simulator.ac import ac_analysis
-    from repro.simulator.linalg import SolverOptions
     from repro.studies import (
         Campaign,
         ExtractionCache,
@@ -266,43 +258,12 @@ def _bench_parallel() -> dict:
             - serial.column("spur_power_dbm")))))
     corners["graph_vs_serial_max_abs_dbm"] = max_abs_dbm
 
-    # RC-grid circuit: big enough that a frequency point does real solver
-    # work, small enough that the 6-rung ladder stays in benchmark budget.
-    n = 14
-    circuit = Circuit("rc_grid")
-    circuit.add_voltage_source("V1", "n0_0", "0", 1.0)
-    for i in range(n):
-        for j in range(n):
-            node = f"n{i}_{j}"
-            if j + 1 < n:
-                circuit.add_resistor(f"Rh{i}_{j}", node, f"n{i}_{j + 1}", 1e3)
-            if i + 1 < n:
-                circuit.add_resistor(f"Rv{i}_{j}", node, f"n{i + 1}_{j}", 1e3)
-            circuit.add_capacitor(f"C{i}_{j}", node, "0", 1e-12)
-    frequencies = np.logspace(3, 9, 64)
-    reference = ac_analysis(circuit, frequencies)
-
-    fanout: dict = {"points": len(frequencies),
-                    "circuit_nodes": len(circuit.nodes())}
-    max_abs = 0.0
-    for mode in ("thread", "process"):
-        for n_workers in (1, 2, 4):
-            options = SolverOptions(ac_workers=n_workers, ac_mode=mode)
-            start = time.perf_counter()
-            swept = ac_analysis(circuit, frequencies, solver=options)
-            fanout[f"{mode}_{n_workers}workers_seconds"] = (
-                time.perf_counter() - start)
-            max_abs = max(max_abs, float(np.max(np.abs(
-                swept.vectors - reference.vectors))))
-    fanout["fanout_vs_serial_max_abs"] = max_abs
-
     return {
         "cpu_count": os.cpu_count(),
         "note": ("ladder semantics depend on cpu_count: on the 1-CPU "
                  "baseline/CI container every rung measures scheduler "
                  "overhead vs serial; multi-core hosts measure saturation"),
         "corners": corners,
-        "frequency_fanout": fanout,
     }
 
 
@@ -354,6 +315,7 @@ def _bench_solver() -> dict:
         direct_cold = time.perf_counter() - start
 
         multigrid = MultigridSolver()
+        before = stats.snapshot()
         start = time.perf_counter()
         mg_factorization = multigrid.factorize(
             matrix, grid=mesh.grid_geometry(), spd=True)
@@ -362,6 +324,7 @@ def _bench_solver() -> dict:
         mg_solution = mg_factorization.solve(rhs)
         mg_solve_seconds = time.perf_counter() - start
         multigrid_seconds = mg_setup_seconds + mg_solve_seconds
+        mg_spent = stats.since(before)
 
         record["mesh"][f"nx{nx}"] = {
             "nodes": n,
@@ -370,8 +333,8 @@ def _bench_solver() -> dict:
             "multigrid_solve_seconds": mg_solve_seconds,
             "multigrid_seconds": multigrid_seconds,
             "multigrid_vs_direct_cold_speedup": direct_cold / multigrid_seconds,
-            "mg_cycles": multigrid.stats.mg_cycles,
-            "mg_fallbacks": multigrid.stats.fallbacks,
+            "mg_cycles": mg_spent.mg_cycles,
+            "mg_fallbacks": mg_spent.fallbacks,
             "multigrid_max_abs_error": float(
                 np.max(np.abs(mg_solution - reference))),
         }

@@ -17,7 +17,6 @@ bookkeeping).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from ..obs import trace_span
 from ..package.model import PackageModel
 from ..simulator.linalg import SolverOptions, resolve_solver
 from ..simulator.solver import SolverStats
+from ..simulator.solver import stats as solver_stats
 from ..substrate.extraction import (
     SubstrateExtraction,
     SubstrateExtractionOptions,
@@ -98,7 +98,7 @@ class FlowResult:
     devices: ExtractedCircuit
     impact: ImpactNetlist
     timings: FlowTimings
-    #: solver counters of the extraction's mesh solve (backend, MG cycles)
+    #: solver work of the extraction flow (a delta of the global counters)
     solver_stats: SolverStats | None = None
 
     def summary(self) -> dict[str, int | float | str]:
@@ -135,6 +135,7 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
     options = options or FlowOptions()
     timings = FlowTimings()
     solver = resolve_solver(options.solver)
+    before = solver_stats.snapshot()
 
     with trace_span("flow.run", cell=cell.name):
         if substrate is None:
@@ -167,4 +168,5 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
     return FlowResult(cell=cell, technology=technology, substrate=substrate,
                       interconnect=interconnect, devices=devices,
                       impact=impact, timings=timings,
-                      solver_stats=copy.copy(solver.stats))
+                      solver_stats=solver_stats.since(before,
+                                                      backend=solver.name))

@@ -136,8 +136,7 @@ class VcoImpactAnalysis:
                                               options=self.options.flow)
         self.flow = flow_result
         self._operating_points: dict[float, DcSolution] = {}
-        # One solver instance for every analysis of this object, so its
-        # counters cover every V_tune point and noise frequency.
+        # One solver instance for every analysis of this object.
         self.solver = resolve_solver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
             power_dbm=self.options.injected_power_dbm, frequency=1e6,

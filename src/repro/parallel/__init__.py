@@ -2,13 +2,11 @@
 
 One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
 (:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
-(:mod:`~repro.parallel.scheduler`), one zero-copy data plane
-(:mod:`~repro.parallel.shm`), and the process-level frequency fan-out built
-on all four (:mod:`~repro.parallel.freq`).  Every campaign of the studies
-layer runs as one :class:`WorkScheduler` plan (``SerialBackend`` and
-``ProcessPoolBackend`` are its configuration names), and ``ac_mode =
-"process"`` routes AC/transfer sweeps through :func:`run_frequency_blocks`,
-so campaign corners, extractions and frequency shards share these workers.
+(:mod:`~repro.parallel.scheduler`) and one zero-copy data plane
+(:mod:`~repro.parallel.shm`).  Every campaign of the studies layer runs as
+one :class:`WorkScheduler` plan (``SerialBackend`` and ``ProcessPoolBackend``
+are its configuration names); extracted flows reach the workers through
+:class:`ObjectShipper`.
 """
 
 from .plan import (
@@ -24,7 +22,6 @@ from .pool import (
     MAX_WORKERS_ENV,
     SharedProcessPool,
     default_max_workers,
-    in_worker_process,
     shared_pool,
 )
 from .scheduler import WorkScheduler
@@ -54,7 +51,6 @@ __all__ = [
     "WorkScheduler",
     "attach_arena",
     "default_max_workers",
-    "in_worker_process",
     "load_object",
     "shared_pool",
     "ship_object",

@@ -1,10 +1,9 @@
 """Work items, failure policies and retry bookkeeping of the scheduler.
 
-A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks,
-per-corner simulation tasks, and (inside a corner or an analysis) per-
-frequency solve shards.  The scheduler and the frequency fan-out share
-*one* definition here of what a retry, a failure policy and an exhausted
-task mean; :mod:`repro.studies` re-exports the public names.
+A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks
+and per-corner simulation tasks.  This is the *one* definition of what a
+retry, a failure policy and an exhausted task mean; :mod:`repro.studies`
+re-exports the public names.
 """
 
 from __future__ import annotations

@@ -1,21 +1,12 @@
 """The one persistent process pool every parallel consumer shares.
 
 :class:`SharedProcessPool` is a single lazily-created, recyclable
-executor, and the only process pool of the reproduction:
-
-* the :class:`~repro.parallel.scheduler.WorkScheduler` runs campaign DAGs on
-  it (extraction -> corner dependencies) whenever it has more than one
-  worker; at one worker it never starts the pool,
-* the process-level frequency fan-out
-  (:mod:`repro.parallel.freq`) submits per-frequency solve shards to the
-  *same* workers, so one pool's processes stay warm across campaigns,
-  analyses and benchmark repetitions instead of paying fork+import per
-  ``run()``.
-
-Workers are marked via the pool initializer (:func:`in_worker_process`), so
-code that could recurse — a corner task whose AC sweep asks for process
-fan-out — detects it is already inside the pool and falls back to the thread
-path instead of nesting executors.
+executor, and the only process pool of the reproduction: the
+:class:`~repro.parallel.scheduler.WorkScheduler` runs campaign DAGs on it
+(extraction -> corner dependencies) whenever it has more than one worker; at
+one worker it never starts the pool.  One pool's processes stay warm across
+campaigns and benchmark repetitions instead of paying fork+import per
+``run()``.
 
 ``REPRO_MAX_WORKERS`` (environment) overrides the historical
 ``min(4, os.cpu_count())`` default everywhere a worker count is defaulted:
@@ -32,19 +23,6 @@ from ..errors import AnalysisError
 
 #: Environment variable overriding the default worker count.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-_IN_WORKER = False
-
-
-def _mark_worker_process() -> None:
-    """Pool initializer: brand this process as a scheduler worker."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker_process() -> bool:
-    """True inside a :class:`SharedProcessPool` worker (never nest pools)."""
-    return _IN_WORKER
 
 
 def default_max_workers() -> int:
@@ -79,9 +57,9 @@ class SharedProcessPool:
     crash/timeout recovery path, where a graceful shutdown would block on a
     hung task exactly like the ``wait()`` the caller just rescued.
 
-    The pool is *not* thread-safe; the scheduler and the frequency fan-out
-    both drive it from the parent process's main thread, one round at a
-    time, which is the only access pattern the sweep engine has.
+    The pool is *not* thread-safe; the scheduler drives it from the parent
+    process's main thread, one round at a time, which is the only access
+    pattern the sweep engine has.
     """
 
     def __init__(self) -> None:
@@ -113,8 +91,7 @@ class SharedProcessPool:
                 resource_tracker.ensure_running()
             except ImportError:                        # pragma: no cover
                 pass
-            self._executor = ProcessPoolExecutor(
-                max_workers=n_workers, initializer=_mark_worker_process)
+            self._executor = ProcessPoolExecutor(max_workers=n_workers)
             self._width = n_workers
         return self._executor
 

@@ -1,16 +1,14 @@
 """Zero-copy data plane: numpy arrays and pickled objects in shared memory.
 
 Worker processes used to receive every byte of their payload through the
-``ProcessPoolExecutor`` pipe: the ~19k-node mesh matrices of a frequency
-fan-out re-pickled per task, the extracted flow of a variant re-pickled per
+``ProcessPoolExecutor`` pipe: the extracted flow of a variant re-pickled per
 corner.  This module replaces that with ``multiprocessing.shared_memory``:
 
 * :class:`SharedArena` packs named numpy arrays into **one** segment; its
   picklable :class:`ArenaHandle` (name + per-field dtype/shape/offset) is
   all that travels through the pipe.  Workers :func:`attach_arena` once per
-  segment (an LRU keeps the mapping across tasks of the same sweep) and get
-  zero-copy views — including *output* views, so per-frequency solve shards
-  write their result rows straight into memory the parent reads back.
+  segment (an LRU keeps the mapping across tasks) and get zero-copy views —
+  writable ones, so a worker's writes are visible to the parent.
 * :func:`ship_object` / :func:`load_object` pickle an arbitrary object
   (e.g. a :class:`~repro.core.flow.FlowResult`) into an arena **once**; every
   task referencing it ships a tiny :class:`ObjectRef`, and the worker-side
@@ -181,7 +179,7 @@ def attach_arena(handle: "ArenaHandle | InlineArena") -> dict[str, np.ndarray]:
     """Worker-side zero-copy views of every field of ``handle``.
 
     Mappings are cached per segment name (LRU of ``_ATTACH_CAP``), so the
-    many solve shards of one sweep attach once.  Pool workers are children
+    many corners of one variant attach once.  Pool workers are children
     of the creating parent and share its ``resource_tracker`` process, so
     the attach-side re-registration (a Python < 3.13 quirk) is a no-op on
     the tracker's set and needs no unregister workaround — one must *not*

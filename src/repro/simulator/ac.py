@@ -89,64 +89,6 @@ def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
     return rhs
 
 
-def run_frequency_points(pattern: SharedPatternPair, frequencies: np.ndarray,
-                         solver: LinearSolver, per_point, *,
-                         rhs: np.ndarray | None = None,
-                         out: np.ndarray | None = None,
-                         multi_rhs: bool = False) -> None:
-    """Evaluate ``per_point(solver_like, matrix, index)`` at every frequency.
-
-    With ``solver.options.ac_workers > 1`` the frequency points are sharded
-    across that many workers: each worker gets a private assembly buffer
-    (:meth:`SharedPatternPair.with_private_buffer`) and a
-    :meth:`~repro.simulator.linalg.LinearSolver.spawn`-ed solver clone whose
-    stats are merged back afterwards, so results and counters are identical
-    to the serial sweep whichever width runs it.  ``per_point`` writes its
-    result into caller-owned storage indexed by ``index``; the points are
-    independent, so write order does not matter.
-
-    ``rhs``/``out``/``multi_rhs`` describe the sweep declaratively for the
-    process-level fan-out (``solver.options.ac_mode == "process"``): closures
-    cannot cross a process boundary, so when the caller supplies the
-    right-hand side and the output block directly, the frequency blocks are
-    shipped to the shared worker pool through shared memory
-    (:func:`repro.parallel.freq.run_frequency_blocks`) instead of threads.
-    Inside a pool worker — or when the sweep shape was not declared — the
-    thread path runs as the fallback, so nesting never happens and results
-    are bit-identical either way.
-    """
-    n_workers = min(solver.options.ac_workers, len(frequencies))
-    if (n_workers > 1 and solver.options.ac_mode == "process"
-            and rhs is not None and out is not None):
-        from ..parallel.freq import run_frequency_blocks
-        from ..parallel.pool import in_worker_process
-
-        if not in_worker_process():
-            run_frequency_blocks(pattern, frequencies, solver,
-                                 rhs=rhs, out=out, multi_rhs=multi_rhs)
-            return
-    if n_workers <= 1:
-        for index, frequency in enumerate(frequencies):
-            per_point(solver, pattern.assemble(2j * np.pi * frequency), index)
-        return
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(frequencies)), n_workers)
-
-    def run_chunk(indices: np.ndarray) -> LinearSolver:
-        worker = solver.spawn()
-        private = pattern.with_private_buffer()
-        for index in indices:
-            matrix = private.assemble(2j * np.pi * frequencies[index])
-            per_point(worker, matrix, int(index))
-        return worker
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for worker in pool.map(run_chunk, chunks):
-            solver.absorb(worker)
-
-
 def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
                 operating_point: DcSolution | None = None,
                 dc_options: DcOptions | None = None,
@@ -157,9 +99,7 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
 
     If the circuit contains nonlinear devices and no ``operating_point`` is
     supplied, a DC operating point is solved first.  ``solver`` selects the
-    linear-solver backend; ``solver.options.ac_workers`` shards the frequency
-    points of this one sweep across worker threads (results are identical to
-    the serial sweep).
+    linear-solver backend.
     """
     circuit.validate()
     solver = resolve_solver(solver)
@@ -184,11 +124,8 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
     pattern = SharedPatternPair(g_matrix, c_matrix)
     rhs = _ac_rhs(circuit, structure)
     vectors = np.zeros((frequencies.size, structure.size), dtype=complex)
-
-    def per_point(point_solver: LinearSolver, matrix, index: int) -> None:
-        vectors[index] = point_solver.solve(matrix, rhs, structure=structure)
-
-    run_frequency_points(pattern, frequencies, solver, per_point,
-                         rhs=rhs, out=vectors)
+    for index, frequency in enumerate(frequencies):
+        vectors[index] = solver.solve(pattern.assemble(2j * np.pi * frequency),
+                                      rhs, structure=structure)
     return AcSolution(circuit=circuit, structure=structure,
                       frequencies=frequencies, vectors=vectors)

@@ -20,7 +20,7 @@ The solver uses plain Newton-Raphson backed by a two-rung continuation
 
 The strategy that finally converged is recorded on the
 :class:`DcSolution` (``strategy``) and counted into
-:class:`~repro.simulator.solver.SolverStats` (``dc_gmin_steps`` /
+:data:`repro.simulator.solver.stats` (``dc_gmin_steps`` /
 ``dc_source_steps``), so campaign results can surface which corners only
 converged via the ladder.
 """
@@ -165,7 +165,7 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     down to the analysis gmin) and then source stepping
     (``options.source_steps`` ramp steps).  The winning strategy is recorded
     on the returned :class:`DcSolution` and the ladder rungs are counted
-    into the solver's :class:`~repro.simulator.solver.SolverStats`.
+    into :data:`repro.simulator.solver.stats`.
     ``solver`` selects the linear-solver backend (options or a shared
     instance); every backend factorizes the Newton systems by direct LU.
     """

@@ -4,8 +4,9 @@ The strategy seam between "here is an assembled sparse system" and "here is
 the solution": every analysis (DC, AC, transient, transfer functions, the
 substrate Kron reduction) takes a ``solver=`` argument accepting a
 :class:`SolverOptions` (declarative, travels through campaign configs and
-cache keys) or a ready :class:`LinearSolver` instance (stateful, shares its
-counters across analyses).
+cache keys) or a ready :class:`LinearSolver` instance (reused across
+analyses).  Every backend counts its work into the one module-level
+:data:`repro.simulator.solver.stats` record.
 
 Backends: :class:`DirectLUSolver` (SuperLU, the reference and default) and
 :class:`MultigridSolver` (geometric multigrid on the Kron reduction's
@@ -17,7 +18,6 @@ from ..solver import SolverStats
 from .backends import DirectLUSolver, LinearSolver
 from .multigrid import GridGeometry, MultigridSolver
 from .options import (
-    AC_MODES,
     BACKEND_DIRECT,
     BACKEND_MULTIGRID,
     BACKENDS,
@@ -30,17 +30,10 @@ _BACKEND_CLASSES: dict[str, type[LinearSolver]] = {
 }
 
 
-def make_solver(options: SolverOptions | None = None, *,
-                mirror_global: bool = True) -> LinearSolver:
-    """Instantiate the backend selected by ``options.backend``.
-
-    ``mirror_global=False`` builds the worker flavour — per-instance stats
-    only, exactly what :meth:`LinearSolver.spawn` produces — used by worker
-    *processes* that reconstruct their solver from pickled options.
-    """
+def make_solver(options: SolverOptions | None = None) -> LinearSolver:
+    """Instantiate the backend selected by ``options.backend``."""
     options = options or SolverOptions()
-    return _BACKEND_CLASSES[options.backend](options,
-                                             mirror_global=mirror_global)
+    return _BACKEND_CLASSES[options.backend](options)
 
 
 def resolve_solver(solver: "SolverOptions | LinearSolver | None"
@@ -51,7 +44,7 @@ def resolve_solver(solver: "SolverOptions | LinearSolver | None"
     :class:`SolverOptions` builds a fresh backend; an existing
     :class:`LinearSolver` instance is passed through so callers (e.g.
     :class:`~repro.core.vco_experiment.VcoImpactAnalysis`) can share one
-    solver — and its counters — across many analyses.
+    solver across many analyses.
     """
     if solver is None:
         return DirectLUSolver()
@@ -61,7 +54,6 @@ def resolve_solver(solver: "SolverOptions | LinearSolver | None"
 
 
 __all__ = [
-    "AC_MODES",
     "BACKENDS",
     "BACKEND_DIRECT",
     "BACKEND_MULTIGRID",

@@ -10,10 +10,8 @@ needed —
   blocks,
 * :meth:`LinearSolver.solve` — a one-shot solve,
 
-— plus per-instance :class:`~repro.simulator.solver.SolverStats` so parallel
-workers (the per-frequency AC fan-out, process-pool campaigns) count into
-their own instance and are aggregated afterwards with :meth:`LinearSolver.absorb`
-instead of racing on the module-level global.
+— and counts that work into the one process-wide record,
+:data:`repro.simulator.solver.stats`.
 
 :class:`DirectLUSolver` is the SuperLU path and the default; SPD blocks
 (``factorize(..., spd=True)``) get a symmetric minimum-degree ordering
@@ -27,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..solver import (
-    Factorization,
-    SolverStats,
-    solve_sparse,
-    stats as global_stats,
-)
+from ..solver import Factorization, solve_sparse, stats
 from .options import BACKEND_DIRECT, SolverOptions
 
 
@@ -40,32 +33,17 @@ class LinearSolver:
     """Base class / protocol of the solver backends.
 
     Subclasses implement :meth:`factorize`; :meth:`solve` defaults to
-    factorize-then-solve.  ``stats`` is per-instance; single-threaded solvers
-    additionally mirror their counts into the module-level
-    :data:`repro.simulator.solver.stats` so existing counter-based tests and
-    benchmarks keep working, while :meth:`spawn`/:meth:`absorb` give fan-out
-    workers isolated counters that are merged exactly once at the end.
+    factorize-then-solve.  Every count goes to the module-level
+    :data:`repro.simulator.solver.stats`.
     """
 
     name = "?"
 
-    def __init__(self, options: SolverOptions | None = None, *,
-                 mirror_global: bool = True):
+    def __init__(self, options: SolverOptions | None = None):
         self.options = options or SolverOptions()
-        self.stats = SolverStats(backend=self.name)
-        self._mirror_global = mirror_global
-
-    # -- counting ------------------------------------------------------------
-
-    @property
-    def _sinks(self) -> tuple[SolverStats, ...]:
-        if self._mirror_global:
-            return (self.stats, global_stats)
-        return (self.stats,)
 
     def _bump(self, counter: str, amount: int = 1) -> None:
-        for sink in self._sinks:
-            setattr(sink, counter, getattr(sink, counter) + amount)
+        setattr(stats, counter, getattr(stats, counter) + amount)
 
     # -- the seam ------------------------------------------------------------
 
@@ -89,28 +67,6 @@ class LinearSolver:
         """One-shot solve of ``matrix @ x = rhs``."""
         return self.factorize(matrix, structure=structure, grid=grid).solve(rhs)
 
-    # -- fan-out -------------------------------------------------------------
-
-    def spawn(self) -> "LinearSolver":
-        """A worker clone: same options, isolated stats, no global mirror."""
-        return type(self)(self.options, mirror_global=False)
-
-    def absorb(self, worker: "LinearSolver") -> None:
-        """Fold a :meth:`spawn`-ed worker's counters back into this solver."""
-        self.absorb_stats(worker.stats)
-
-    def absorb_stats(self, stats: SolverStats) -> None:
-        """Fold a bare :class:`SolverStats` into this solver's counters.
-
-        The process-level frequency fan-out sends counters home *by value*
-        (a worker process's solver instance cannot travel back), so the
-        absorption seam accepts the stats object itself; :meth:`absorb`
-        is the thread-path convenience over it.
-        """
-        self.stats.merge(stats)
-        if self._mirror_global:
-            global_stats.merge(stats)
-
 
 class DirectLUSolver(LinearSolver):
     """The reference backend: one SuperLU factorization per matrix."""
@@ -119,10 +75,8 @@ class DirectLUSolver(LinearSolver):
 
     def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
                   spd: bool = False) -> Factorization:
-        return Factorization(matrix, structure=structure, sinks=self._sinks,
-                             spd=spd)
+        return Factorization(matrix, structure=structure, spd=spd)
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
               structure=None, grid=None) -> np.ndarray:
-        return solve_sparse(matrix, rhs, structure=structure,
-                            sinks=self._sinks)
+        return solve_sparse(matrix, rhs, structure=structure)

@@ -460,8 +460,7 @@ class MultigridSolver(LinearSolver):
                   spd: bool = False):
         if not (spd and isinstance(grid, GridGeometry)
                 and grid.n_nodes == matrix.shape[0]):
-            return Factorization(matrix, structure=structure,
-                                 sinks=self._sinks, spd=spd)
+            return Factorization(matrix, structure=structure, spd=spd)
         csc = sp.csc_matrix(matrix)
         try:
             with trace_span("solver.mg_setup", nodes=csc.shape[0],
@@ -484,5 +483,4 @@ class MultigridSolver(LinearSolver):
         logger.warning(
             "solver degradation: backend=%s rung=%s reason=%s n=%d",
             self.name, "direct", reason, csc.shape[0])
-        return Factorization(csc, structure=structure, sinks=self._sinks,
-                             spd=True)
+        return Factorization(csc, structure=structure, spd=True)

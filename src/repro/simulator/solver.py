@@ -17,19 +17,20 @@ and "here is the solution vector":
   :class:`~repro.errors.SimulationError` (naming the offending node when the
   MNA structure is available) and a finite-check backstop catches anything
   that slips through.  No warnings-filter mutation anywhere in the layer —
-  the interpreter-global filter list is not thread-safe, and the AC
-  per-frequency fan-out solves from worker threads.
+  the filter list is interpreter-global state.
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
   ground" regularisation shared by the DC, AC and transient analyses.
 
-A module-level :data:`stats` counter records factorizations and solves so
-tests (and benchmarks) can assert the caching behaviour — e.g. that a linear
+The module-level :data:`stats` record is the one place solver work is
+counted: every factorization, solve and DC homotopy rung of every backend
+lands there.  Tests, benchmarks and the campaign runner measure a stretch
+of work as a :meth:`SolverStats.since` delta of it — e.g. that a linear
 transient performs exactly one factorization regardless of step count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,13 +44,12 @@ from ..obs import trace_span
 class SolverStats:
     """Counters of the expensive solver operations (for tests / benchmarks).
 
-    Every :class:`~repro.simulator.linalg.LinearSolver` instance owns one of
-    these, so parallel workers (e.g. the per-frequency AC fan-out) each count
-    into their own instance and are aggregated afterwards with :meth:`merge`
-    instead of racing on a shared global.  ``backend`` names the solver
-    backend that produced the counts; the multigrid backend additionally
-    records its cycles, its V-cycle-preconditioned CG traffic and its
-    fallbacks to a direct factorization.
+    The module-level :data:`stats` instance is the live record; other
+    instances are deltas of it (:meth:`since`) or sums of such deltas
+    (:meth:`merge`).  ``backend`` names the solver backend a delta was
+    taken for; the multigrid backend additionally records its cycles, its
+    V-cycle-preconditioned CG traffic and its fallbacks to a direct
+    factorization.
     """
 
     factorizations: int = 0     #: numeric factorizations (LU or MG hierarchy)
@@ -78,8 +78,19 @@ class SolverStats:
         for name in self._COUNTERS:
             setattr(self, name, 0)
 
+    def since(self, before: "SolverStats",
+              backend: str = "") -> "SolverStats":
+        """The counts accrued since ``before``, a :meth:`snapshot` of self."""
+        return SolverStats(backend=backend, **{
+            name: getattr(self, name) - getattr(before, name)
+            for name in self._COUNTERS})
+
+    def snapshot(self) -> "SolverStats":
+        """A copy to take a :meth:`since` delta against later."""
+        return replace(self)
+
     def merge(self, other: "SolverStats") -> None:
-        """Fold a worker's counters into this instance (``backend`` is kept)."""
+        """Fold another record's counters in (``backend`` is kept)."""
         for name in self._COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
@@ -90,9 +101,8 @@ class SolverStats:
         return record
 
 
-#: Global solver counters; ``stats.reset()`` before a run to measure it.
-#: Solver instances mirror their counts here (single-threaded paths only);
-#: fan-out workers use per-instance stats merged at the end instead.
+#: The solver counters of this process; measure a stretch of work as
+#: ``stats.since(snapshot)``.
 stats = SolverStats()
 
 
@@ -152,17 +162,18 @@ class Factorization:
     factorization is solved as two real solves).  ``spd=True`` is the
     caller's promise that the matrix is symmetric positive definite and
     selects :func:`splu_spd`; every other matrix (all MNA systems) keeps
-    ``splu``'s default COLAMD ordering with partial pivoting.
+    ``splu``'s default COLAMD ordering with partial pivoting.  Counts one
+    factorization in :data:`stats`, and one solve per :meth:`solve` call.
     """
 
+    _counted = True
+
     def __init__(self, matrix: sp.spmatrix, structure=None,
-                 sinks: tuple[SolverStats, ...] | None = None,
                  spd: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
         self.shape = matrix.shape
         self._structure = structure
-        self._sinks = (stats,) if sinks is None else tuple(sinks)
         self._matrix = sp.csc_matrix(matrix)
         self._complex = np.iscomplexobj(self._matrix.data)
         if self.shape[0] == 0:
@@ -170,8 +181,7 @@ class Factorization:
         else:
             # splu signals an exactly singular matrix with a RuntimeError
             # (no warning machinery involved — the solver layer must stay
-            # free of warnings-filter mutation, which is interpreter-global
-            # and not thread-safe under the per-frequency AC fan-out).
+            # free of warnings-filter mutation, which is interpreter-global).
             try:
                 with trace_span("solver.factorize"):
                     self._lu = (splu_spd(self._matrix) if spd
@@ -180,8 +190,8 @@ class Factorization:
                 raise SimulationError(
                     f"sparse factorization failed: {exc}"
                     + _singular_hint(self._matrix, structure)) from exc
-        for sink in self._sinks:
-            sink.factorizations += 1
+        if self._counted:
+            stats.factorizations += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` using the cached factorization."""
@@ -201,9 +211,15 @@ class Factorization:
                 if self._complex and not np.iscomplexobj(rhs):
                     rhs = rhs.astype(complex)
                 solution = self._lu.solve(np.ascontiguousarray(rhs))
-        for sink in self._sinks:
-            sink.solves += 1
+        if self._counted:
+            stats.solves += 1
         return _check_finite(solution, self._matrix, self._structure)
+
+
+class _OneShotFactorization(Factorization):
+    """The throwaway factorization behind :func:`solve_sparse` (uncounted)."""
+
+    _counted = False
 
 
 def factorize(matrix: sp.spmatrix, structure=None) -> Factorization:
@@ -212,8 +228,7 @@ def factorize(matrix: sp.spmatrix, structure=None) -> Factorization:
 
 
 def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
-                 structure=None,
-                 sinks: tuple[SolverStats, ...] | None = None) -> np.ndarray:
+                 structure=None) -> np.ndarray:
     """One-shot sparse solve raising :class:`SimulationError` on failure.
 
     An exactly singular matrix fails the factorization with a
@@ -227,9 +242,8 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
         raise SimulationError("MNA matrix must be square")
     if matrix.shape[0] == 0:
         return np.zeros(0, dtype=rhs.dtype)
-    solution = Factorization(matrix, structure=structure, sinks=()).solve(rhs)
-    for sink in (stats,) if sinks is None else sinks:
-        sink.solves += 1
+    solution = _OneShotFactorization(matrix, structure=structure).solve(rhs)
+    stats.solves += 1
     return np.atleast_1d(solution)
 
 
@@ -316,61 +330,8 @@ class SharedPatternPair:
         data[np.searchsorted(union_keys, keys)] = matrix.data
         return data
 
-    @classmethod
-    def from_arrays(cls, g_data: np.ndarray, c_data: np.ndarray,
-                    indices: np.ndarray, indptr: np.ndarray,
-                    shape: tuple[int, int]) -> "SharedPatternPair":
-        """Rehydrate a pair from its raw CSC arrays (already canonical).
-
-        This is the zero-copy entry point of the process-level frequency
-        fan-out: a worker attaches the parent's shared-memory views of
-        ``g_data``/``c_data``/``indices``/``indptr`` and rebuilds the pair
-        without re-deriving the union pattern — only the per-worker complex
-        assembly buffer is allocated.  The arrays are used as-is (views are
-        fine); callers must not mutate them afterwards.
-        """
-        pair = object.__new__(cls)
-        pair.g_data = g_data
-        pair.c_data = c_data
-        pair._matrix = sp.csc_matrix(
-            (np.zeros(len(g_data), dtype=complex), indices, indptr),
-            shape=shape)
-        return pair
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._matrix.shape
-
-    @property
-    def csc_indices(self) -> np.ndarray:
-        """Row indices of the shared CSC pattern (what workers need to ship)."""
-        return self._matrix.indices
-
-    @property
-    def csc_indptr(self) -> np.ndarray:
-        """Column pointers of the shared CSC pattern."""
-        return self._matrix.indptr
-
     def assemble(self, s: complex) -> sp.csc_matrix:
         """Return ``G + s*C`` on the shared pattern (in-place data update)."""
         np.multiply(self.c_data, s, out=self._matrix.data)
         self._matrix.data += self.g_data
         return self._matrix
-
-    def with_private_buffer(self) -> "SharedPatternPair":
-        """A clone whose :meth:`assemble` writes into its own data buffer.
-
-        The (immutable) ``g_data`` / ``c_data`` arrays and the sparsity
-        structure are shared with the parent; only the assembly target is
-        fresh.  This is what lets the per-frequency AC fan-out hand each
-        worker thread its own assembly scratch without re-deriving the union
-        pattern.
-        """
-        clone = object.__new__(SharedPatternPair)
-        clone.g_data = self.g_data
-        clone.c_data = self.c_data
-        clone._matrix = sp.csc_matrix(
-            (np.zeros(self._matrix.nnz, dtype=complex),
-             self._matrix.indices, self._matrix.indptr),
-            shape=self._matrix.shape)
-        return clone

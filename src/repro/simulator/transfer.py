@@ -111,9 +111,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     ``(G + j*omega*C)`` is assembled on a shared sparsity pattern and
     factorized once, then every source's unit-drive right-hand side is solved
     through that single factorization as one multi-RHS block.  ``solver``
-    selects the linear-solver backend; ``solver.options.ac_workers`` shards
-    the frequency points across worker threads, exactly like
-    :func:`~repro.simulator.ac.ac_analysis`.  Returns a mapping
+    selects the linear-solver backend.  Returns a mapping
     ``source name -> TransferFunction`` (V/V for voltage sources,
     V/A for current sources).
     """
@@ -143,7 +141,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
 
     # The small-signal matrices depend on the operating point only, never on
     # the sources' AC values, so they are built once for all sources.
-    from .ac import _ac_rhs, _small_signal_matrices, run_frequency_points
+    from .ac import _ac_rhs, _small_signal_matrices
 
     g_matrix, c_matrix = _small_signal_matrices(circuit, structure,
                                                 operating_point)
@@ -162,13 +160,10 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             drive(name)
             rhs_block[:, column] = _ac_rhs(circuit, structure)
 
-        def per_point(point_solver: LinearSolver, matrix, index: int) -> None:
-            factorization = point_solver.factorize(matrix,
-                                                   structure=structure)
+        for index, frequency in enumerate(frequencies):
+            factorization = solver.factorize(
+                pattern.assemble(2j * np.pi * frequency), structure=structure)
             vectors[index] = factorization.solve(rhs_block)
-
-        run_frequency_points(pattern, frequencies, solver, per_point,
-                             rhs=rhs_block, out=vectors, multi_rhs=True)
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):

@@ -45,9 +45,7 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     backend = "direct"          # "direct" | "multigrid" (mesh solve only;
                                 # falls back to direct LU if it fails)
     gmin = 1e-12                # optional override of the analysis gmin
-    ac_workers = 1              # per-frequency fan-out inside one AC sweep
-    ac_mode = "thread"          # "thread" | "process": process ships the
-                                # frequency blocks to the shared worker pool
+                                # (finite, >= 0)
 
     [execution]                 # defaults for the CLI flags
     backend = "serial"          # or "process-pool"
@@ -70,8 +68,7 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
 
 The ``[solver]`` table participates in the extraction-cache key (two
 campaigns differing only in solver backend or gmin never share cached
-extractions; ``ac_workers``/``ac_mode`` are excluded) and is recorded in the
-result's ``.meta.json`` sidecar.
+extractions) and is recorded in the result's ``.meta.json`` sidecar.
 
 Failure handling: with ``on_error = "skip"`` / ``"retry_then_skip"`` a
 campaign completes with partial results — failed corners are recorded in the
@@ -93,7 +90,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, ReproError, SimulationError
 from ..layout.testchips import VcoLayoutSpec
 from ..obs import (
     CompositeObserver,
@@ -346,13 +343,19 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
 
     solver_table = dict(data.get("solver") or {})
     if solver_table:
-        from ..simulator.linalg import SolverOptions
+        from ..simulator.linalg import BACKEND_DIRECT, BACKENDS, SolverOptions
 
         _check_table(solver_table,
                      tuple(f.name for f in fields(SolverOptions)), "solver")
         try:
             solver_options = SolverOptions(**solver_table)
         except TypeError as exc:             # e.g. a quoted number in TOML
+            raise AnalysisError(f"invalid [solver] value: {exc}") from exc
+        except SimulationError as exc:
+            # An unknown backend keeps its named error; any other rejected
+            # value (e.g. gmin = nan) is a config error.
+            if solver_table.get("backend", BACKEND_DIRECT) not in BACKENDS:
+                raise
             raise AnalysisError(f"invalid [solver] value: {exc}") from exc
         options = replace(options, flow=replace(
             options.flow, solver=solver_options))

@@ -216,8 +216,7 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
         # worker-side cache makes this one unpickle per variant.
         task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
 
-    before = {name: getattr(solver_stats, name)
-              for name in SolverStats._COUNTERS}
+    before = solver_stats.snapshot()
     t0 = time.perf_counter()
     # collect_spans parents this task's spans under the campaign root span
     # (shipped in ``task.trace``) and hands them back through the outcome —
@@ -234,10 +233,10 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     seconds = time.perf_counter() - t0
     # Process-local delta of the global counters: the solves this corner
     # spent, including any robustness ladder it needed.
-    solver_counts = tuple(
-        (name, getattr(solver_stats, name) - before[name])
-        for name in SolverStats._COUNTERS
-        if getattr(solver_stats, name) > before[name])
+    spent = solver_stats.since(before)
+    solver_counts = tuple((name, getattr(spent, name))
+                          for name in SolverStats._COUNTERS
+                          if getattr(spent, name) > 0)
     records = tuple(
         PointRecord(point_index=task.first_point_index + offset,
                     variant_index=task.variant_index,

@@ -1,4 +1,4 @@
-"""The pluggable linear-solver layer: backend equivalence, fallback, fan-out.
+"""The pluggable linear-solver layer: backend equivalence and fallback.
 
 The equivalence suite runs the same analyses (DC, AC, transient, Kron
 reduction, full extraction flow, VCO spur analysis) through both backends
@@ -8,7 +8,8 @@ asserts they are solved by direct LU without counting a fallback; the
 cache-key tests prove that campaigns differing only in solver settings
 never share extraction cache entries.  The SPD tests pin the Kron block's
 symmetric factorization against a COLAMD reference on the real VCO
-testchip, and MNA systems to the unchanged COLAMD path.
+testchip, and MNA systems to the unchanged COLAMD path.  Solver work is
+asserted as deltas of the one global counter record.
 """
 
 from dataclasses import fields
@@ -32,6 +33,7 @@ from repro.simulator.linalg import (
     resolve_solver,
 )
 from repro.simulator.solver import Factorization
+from repro.simulator.solver import stats as solver_stats
 from repro.simulator.transfer import transfer_functions
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
 from repro.substrate.extraction import SubstrateExtractionOptions
@@ -120,16 +122,18 @@ def test_kron_reduction_backends_match_direct(technology, backend):
     reference = kron_reduce(conductance, [left, right], ["left", "right"],
                             [1e4, 1e4]).admittance
     solver = make_solver(SolverOptions(backend=backend))
+    before = solver_stats.snapshot()
     reduced = kron_reduce(conductance, [left, right], ["left", "right"],
                           [1e4, 1e4], solver=solver,
                           grid=mesh.grid_geometry()).admittance
+    spent = solver_stats.since(before)
     assert np.allclose(reduced, reference,
                        atol=EQUIV_ATOL * np.abs(reference).max())
     if backend == "multigrid":
         # The regularised internal block is SPD with a grid: multigrid
         # must actually run.
-        assert solver.stats.mg_solves > 0
-        assert solver.stats.fallbacks == 0
+        assert spent.mg_solves > 0
+        assert spent.fallbacks == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -192,13 +196,14 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
                      solver=SolverOptions(backend=backend)))
     analysis = VcoImpactAnalysis(technology, options=options,
                                  flow_result=vco_analysis.flow)
+    before = solver_stats.snapshot()
     results, _, _, _ = analysis.analyze(0.0)
     for got, want in zip(results, reference):
         assert got.total_spur_power_dbm() == pytest.approx(
             want.total_spur_power_dbm(), abs=1e-6)
     # Every system of the spur analysis is MNA, solved by direct LU: no
     # solver degradation is reported.
-    assert analysis.solver.stats.fallbacks == 0
+    assert solver_stats.since(before).fallbacks == 0
 
 
 # -- symmetric factorization of the SPD Kron block ----------------------------------------
@@ -256,14 +261,16 @@ def test_multigrid_matches_direct_on_vco_testchip(technology,
 
     [(_, _, reference), _] = vco_kron_variants
     solver = make_solver(SolverOptions(backend="multigrid"))
+    before = solver_stats.snapshot()
     admittance = extract_substrate(
         make_vco_testchip(), technology,
         VcoExperimentOptions().flow.substrate,
         solver=solver).macromodel.admittance
+    spent = solver_stats.since(before)
     assert np.max(np.abs(admittance - reference)) \
         <= 1e-9 * np.abs(reference).max()
-    assert solver.stats.mg_solves == reference.shape[0]
-    assert solver.stats.fallbacks == 0
+    assert spent.mg_solves == reference.shape[0]
+    assert spent.fallbacks == 0
 
 
 def test_spd_factorization_halves_kron_fill(vco_kron_variants):
@@ -318,24 +325,27 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
     rhs = np.zeros(structure.size)
     rhs[structure.branch_row("V1")] = 1.0
 
-    solver = DirectLUSolver()
-    dc = dc_operating_point(circuit, solver=solver)
-    assert (solver.stats.factorizations, solver.stats.solves) == (0, 2)
+    before = solver_stats.snapshot()
+    dc = dc_operating_point(circuit, solver=DirectLUSolver())
+    spent = solver_stats.since(before)
+    assert (spent.factorizations, spent.solves) == (0, 2)
     np.testing.assert_array_equal(dc.vector, spla.splu(g.tocsc()).solve(rhs))
 
     frequencies = np.logspace(3, 9, 7)
-    solver = DirectLUSolver()
-    ac = ac_analysis(circuit, frequencies, solver=solver)
-    assert (solver.stats.factorizations, solver.stats.solves) == (0, 7)
+    before = solver_stats.snapshot()
+    ac = ac_analysis(circuit, frequencies, solver=DirectLUSolver())
+    spent = solver_stats.since(before)
+    assert (spent.factorizations, spent.solves) == (0, 7)
     for vector, frequency in zip(ac.vectors, frequencies):
         matrix = (g + 2j * np.pi * frequency * c).tocsc()
         np.testing.assert_array_equal(
             vector, spla.splu(matrix).solve(rhs.astype(complex)))
 
-    solver = DirectLUSolver()
+    before = solver_stats.snapshot()
     transient_analysis(circuit, t_stop=1e-7, timestep=1e-8,
-                       operating_point=dc, solver=solver)
-    assert (solver.stats.factorizations, solver.stats.solves) == (1, 10)
+                       operating_point=dc, solver=DirectLUSolver())
+    spent = solver_stats.since(before)
+    assert (spent.factorizations, spent.solves) == (1, 10)
 
 
 # -- multigrid routes MNA systems to direct LU ---------------------------------------------
@@ -348,6 +358,7 @@ def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
     circuit = _rc_circuit()
     frequencies = np.logspace(3, 8, 6)
     solver = MultigridSolver(SolverOptions(backend="multigrid"))
+    before = solver_stats.snapshot()
     np.testing.assert_array_equal(
         dc_operating_point(circuit, solver=solver).vector,
         dc_operating_point(circuit).vector)
@@ -360,59 +371,10 @@ def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
         transfer["V1"].transfers["out"],
         transfer_functions(circuit, ["V1"], ["out"],
                            frequencies)["V1"].transfers["out"])
-    assert solver.stats.fallbacks == 0
-    assert solver.stats.mg_solves == solver.stats.mg_cycles == 0
-    assert solver.stats.solves > 0
-
-
-# -- per-frequency AC fan-out ---------------------------------------------------------------
-
-
-def test_ac_workers_match_serial(technology):
-    circuit = _mosfet_circuit(technology)
-    frequencies = np.logspace(4, 9, 11)
-    serial = ac_analysis(circuit, frequencies)
-    for backend in BACKENDS:
-        sharded = ac_analysis(
-            circuit, frequencies,
-            solver=SolverOptions(backend=backend, ac_workers=3))
-        assert np.allclose(sharded.vectors, serial.vectors, atol=1e-12)
-
-
-def test_transfer_ac_workers_match_serial():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 10)
-    serial = transfer_functions(circuit, ["V1"], ["out", "mid"], frequencies)
-    sharded = transfer_functions(
-        circuit, ["V1"], ["out", "mid"], frequencies,
-        solver=SolverOptions(backend="multigrid", ac_workers=4))
-    for node in ("out", "mid"):
-        assert np.allclose(sharded["V1"].transfers[node],
-                           serial["V1"].transfers[node], atol=1e-12)
-
-
-def test_ac_fanout_aggregates_worker_stats():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 8)
-    solver = DirectLUSolver(SolverOptions(ac_workers=4))
-    ac_analysis(circuit, frequencies, solver=solver)
-    # All 8 per-frequency solves are visible on the parent solver's stats,
-    # aggregated from the spawned workers rather than raced on a global.
-    assert solver.stats.solves == len(frequencies)
-
-
-def test_spawned_workers_do_not_touch_global_stats():
-    from repro.simulator.solver import stats as global_stats
-
-    matrix = sp.csc_matrix(3.0 * np.eye(4))
-    parent = DirectLUSolver()
-    worker = parent.spawn()
-    before = global_stats.factorizations
-    worker.factorize(matrix)
-    assert global_stats.factorizations == before
-    parent.absorb(worker)
-    assert parent.stats.factorizations == 1
-    assert global_stats.factorizations == before + 1
+    spent = solver_stats.since(before)
+    assert spent.fallbacks == 0
+    assert spent.mg_solves == spent.mg_cycles == 0
+    assert spent.solves > 0
 
 
 # -- solver options validation / resolution -------------------------------------------------
@@ -421,14 +383,11 @@ def test_spawned_workers_do_not_touch_global_stats():
 def test_solver_options_validation():
     with pytest.raises(SimulationError, match="backend"):
         SolverOptions(backend="cholesky")
-    with pytest.raises(SimulationError, match="ac_workers"):
-        SolverOptions(ac_workers=0)
-    with pytest.raises(SimulationError, match="ac_mode"):
-        SolverOptions(ac_mode="fork")
-    with pytest.raises(SimulationError, match="gmin"):
-        SolverOptions(gmin=-1.0)
-    assert [f.name for f in fields(SolverOptions)] == [
-        "backend", "gmin", "ac_workers", "ac_mode"]
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError, match="gmin"):
+            SolverOptions(gmin=bad)
+    assert SolverOptions(gmin=0.0).effective_gmin(1e-12) == 0.0
+    assert [f.name for f in fields(SolverOptions)] == ["backend", "gmin"]
 
 
 def test_mna_solve_sparse_routes_through_solver_seam():
@@ -437,10 +396,10 @@ def test_mna_solve_sparse_routes_through_solver_seam():
     matrix = sp.csc_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
     rhs = np.array([1.0, 2.0])
     reference = mna_solve(matrix, rhs)
-    solver = DirectLUSolver()
-    routed = mna_solve(matrix, rhs, solver=solver)
+    before = solver_stats.snapshot()
+    routed = mna_solve(matrix, rhs, solver=DirectLUSolver())
     assert np.allclose(routed, reference, atol=EQUIV_ATOL)
-    assert solver.stats.solves == 1
+    assert solver_stats.since(before).solves == 1
     assert np.allclose(
         mna_solve(matrix, rhs, solver=SolverOptions(backend="multigrid")),
         reference, atol=EQUIV_ATOL)
@@ -480,13 +439,6 @@ def test_solver_options_are_part_of_extraction_cache_key(technology,
     key_tight = extraction_key(nmos_cell, technology, tight)
     assert len({key_base, key_loose, key_tight}) == 3
 
-    # Pure parallelism knobs never influence results, so they must not
-    # invalidate cached extractions.
-    sharded = FlowOptions(
-        substrate=base.substrate,
-        solver=SolverOptions(ac_workers=4, ac_mode="process"))
-    assert extraction_key(nmos_cell, technology, sharded) == key_base
-
     # Two campaigns differing only in the [solver] gmin must not share
     # DiskExtractionCache entries: an entry stored under one key is a miss
     # under the other.
@@ -513,13 +465,3 @@ def test_campaign_fingerprint_and_sidecar_record_solver(technology):
                          solver=SolverOptions(backend="multigrid"))))
     assert default.fingerprint() != tuned.fingerprint()
     assert tuned.describe()["options"]["solver"]["backend"] == "multigrid"
-
-    # ac_workers is results-neutral: same fingerprint, so stored results of
-    # a serial run still resume a sharded re-run.
-    sharded = Campaign(
-        name="c", space=space,
-        options=replace(
-            VcoExperimentOptions(),
-            flow=replace(VcoExperimentOptions().flow,
-                         solver=SolverOptions(ac_workers=3))))
-    assert sharded.fingerprint() == default.fingerprint()

@@ -5,8 +5,9 @@ and asserts it matches the direct-LU reference to <= 1e-8 (the observed
 error is orders of magnitude better — the float64 outer iteration drives
 the residual to ``RTOL`` regardless of the float32 cycles inside).  The
 structural tests pin down the transfer operators, the Galerkin hierarchy,
-the solver stats, which systems take the multigrid path (``spd=True`` plus
-a matching grid) and the one fallback: multigrid -> direct LU.
+the solver counters (deltas of the global record), which systems take the
+multigrid path (``spd=True`` plus a matching grid) and the one fallback:
+multigrid -> direct LU.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.simulator.linalg import (
 )
 from repro.simulator.linalg import multigrid
 from repro.simulator.linalg.multigrid import build_hierarchy, prolongation_1d
+from repro.simulator.solver import stats as solver_stats
 from repro.studies.cache import fingerprint
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
 from repro.technology import make_technology
@@ -56,8 +58,15 @@ def _mesh_system(technology, nx=24, ny=24):
     return mesh, matrix, rhs
 
 
-def _mg_solver(**kwargs):
-    return MultigridSolver(SolverOptions(backend=BACKEND_MULTIGRID), **kwargs)
+@pytest.fixture
+def spent():
+    """Solver work since the test started (a delta of the global record)."""
+    before = solver_stats.snapshot()
+    return lambda: solver_stats.since(before)
+
+
+def _mg_solver():
+    return MultigridSolver(SolverOptions(backend=BACKEND_MULTIGRID))
 
 
 def _mg_factorize(solver, mesh, matrix):
@@ -120,7 +129,7 @@ def test_hierarchy_respects_coarsest_size(technology):
 # -- accuracy against direct LU -----------------------------------------------------
 
 
-def test_multigrid_matches_direct_on_mesh_block(technology):
+def test_multigrid_matches_direct_on_mesh_block(technology, spent):
     """Standalone block cycles match the direct reference to <= 1e-8."""
     mesh, matrix, rhs = _mesh_system(technology)
     reference = spla.splu(matrix).solve(rhs)
@@ -129,15 +138,15 @@ def test_multigrid_matches_direct_on_mesh_block(technology):
     solution = factorization.solve(rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.mg_solves == rhs.shape[1]
-    assert solver.stats.mg_cycles > 0
-    assert solver.stats.fallbacks == 0
+    assert spent().mg_solves == rhs.shape[1]
+    assert spent().mg_cycles > 0
+    assert spent().fallbacks == 0
     history = factorization.residual_history
     assert history and history[-1] <= multigrid.RTOL
     assert history == sorted(history, reverse=True)
 
 
-def test_multigrid_matches_direct_single_vector(technology):
+def test_multigrid_matches_direct_single_vector(technology, spent):
     """Single vectors go through MG-preconditioned CG."""
     mesh, matrix, rhs = _mesh_system(technology)
     reference = spla.splu(matrix).solve(rhs[:, 0])
@@ -145,14 +154,14 @@ def test_multigrid_matches_direct_single_vector(technology):
     solution = _mg_factorize(solver, mesh, matrix).solve(rhs[:, 0])
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.cg_solves == 1
-    assert solver.stats.mg_solves == 1
-    assert 0 < solver.stats.cg_iterations <= multigrid.MAX_CYCLES
-    assert solver.stats.fallbacks == 0
+    assert spent().cg_solves == 1
+    assert spent().mg_solves == 1
+    assert 0 < spent().cg_iterations <= multigrid.MAX_CYCLES
+    assert spent().fallbacks == 0
 
 
 @pytest.mark.parametrize("mode", ["standalone", "pcg"])
-def test_multigrid_modes_match_direct(technology, mode):
+def test_multigrid_modes_match_direct(technology, mode, spent):
     """The RHS width picks the mode: blocks standalone, vectors PCG."""
     mesh, matrix, rhs = _mesh_system(technology)
     if mode == "pcg":
@@ -162,11 +171,11 @@ def test_multigrid_modes_match_direct(technology, mode):
     solution = _mg_factorize(solver, mesh, matrix).solve(rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.cg_solves == (1 if mode == "pcg" else 0)
-    assert solver.stats.mg_solves == rhs.shape[1]
+    assert spent().cg_solves == (1 if mode == "pcg" else 0)
+    assert spent().mg_solves == rhs.shape[1]
 
 
-def test_multigrid_complex_rhs(technology):
+def test_multigrid_complex_rhs(technology, spent):
     mesh, matrix, rhs = _mesh_system(technology)
     complex_rhs = rhs[:, 0] + 1j * rhs[:, 1]
     lu = spla.splu(matrix)
@@ -175,10 +184,10 @@ def test_multigrid_complex_rhs(technology):
     solution = _mg_factorize(solver, mesh, matrix).solve(complex_rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.mg_solves == 2
+    assert spent().mg_solves == 2
 
 
-def test_multigrid_kron_reduction_matches_direct(technology):
+def test_multigrid_kron_reduction_matches_direct(technology, spent):
     mesh, matrix, _ = _mesh_system(technology)
     conductance = mesh.conductance_matrix()
     nx = mesh.nx
@@ -199,14 +208,14 @@ def test_multigrid_kron_reduction_matches_direct(technology):
     scale = np.max(np.abs(direct.admittance))
     assert np.max(np.abs(reduced.admittance
                          - direct.admittance)) <= MG_ATOL * scale
-    assert solver.stats.mg_solves == len(names)
-    assert solver.stats.fallbacks == 0
+    assert spent().mg_solves == len(names)
+    assert spent().fallbacks == 0
 
 
 # -- routing: only SPD blocks with a matching grid take multigrid -------------------
 
 
-def test_spd_without_grid_goes_to_direct(technology):
+def test_spd_without_grid_goes_to_direct(technology, spent):
     """SPD block without geometry: plain direct LU, not a degradation."""
     _, matrix, rhs = _mesh_system(technology)
     reference = spla.splu(matrix).solve(rhs[:, 0])
@@ -214,21 +223,21 @@ def test_spd_without_grid_goes_to_direct(technology):
     solution = solver.factorize(matrix, spd=True).solve(rhs[:, 0])
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.fallbacks == 0
-    assert solver.stats.mg_solves == 0
-    assert solver.stats.factorizations == 1
+    assert spent().fallbacks == 0
+    assert spent().mg_solves == 0
+    assert spent().factorizations == 1
 
 
-def test_grid_size_mismatch_is_treated_as_no_grid(technology):
+def test_grid_size_mismatch_is_treated_as_no_grid(technology, spent):
     _, matrix, rhs = _mesh_system(technology)
     solver = _mg_solver()
     wrong = GridGeometry(3, 3, 3)        # 27 != mesh size
     solver.factorize(matrix, grid=wrong, spd=True).solve(rhs[:, 0])
-    assert solver.stats.fallbacks == 0
-    assert solver.stats.mg_solves == 0
+    assert spent().fallbacks == 0
+    assert spent().mg_solves == 0
 
 
-def test_non_spd_with_grid_goes_to_direct():
+def test_non_spd_with_grid_goes_to_direct(spent):
     """Without the caller's SPD promise a gridded system is factorized by
     direct LU (COLAMD, as the direct backend does), with no fallback."""
     n = 27
@@ -239,8 +248,8 @@ def test_non_spd_with_grid_goes_to_direct():
     solver = _mg_solver()
     solution = solver.factorize(matrix, grid=GridGeometry(3, 3, 3)).solve(rhs)
     np.testing.assert_array_equal(solution, reference)
-    assert solver.stats.fallbacks == 0
-    assert solver.stats.mg_solves == 0
+    assert spent().fallbacks == 0
+    assert spent().mg_solves == 0
     np.testing.assert_array_equal(
         solver.solve(matrix, rhs, grid=GridGeometry(3, 3, 3)), reference)
 
@@ -248,7 +257,8 @@ def test_non_spd_with_grid_goes_to_direct():
 # -- the one fallback: multigrid -> direct LU ---------------------------------------
 
 
-def test_hierarchy_failure_falls_back_to_direct(technology, monkeypatch):
+def test_hierarchy_failure_falls_back_to_direct(technology, monkeypatch,
+                                                spent):
     """A failed hierarchy set-up degrades to a direct SPD factorization,
     counted once; the Kron admittance still matches the direct backend."""
     mesh, _, _ = _mesh_system(technology)
@@ -266,11 +276,12 @@ def test_hierarchy_failure_falls_back_to_direct(technology, monkeypatch):
                           solver=solver, grid=mesh.grid_geometry())
     np.testing.assert_allclose(reduced.admittance, direct.admittance,
                                rtol=1e-12, atol=0.0)
-    assert solver.stats.fallbacks == 1
-    assert solver.stats.mg_solves == 0
+    assert spent().fallbacks == 1
+    assert spent().mg_solves == 0
 
 
-def test_stagnation_falls_back_without_wrong_answers(technology, monkeypatch):
+def test_stagnation_falls_back_without_wrong_answers(technology, monkeypatch,
+                                                     spent):
     """A cycle budget too small to converge still returns the right answer:
     the standalone iteration falls back to direct LU, once per block."""
     monkeypatch.setattr(multigrid, "MAX_CYCLES", 1)
@@ -281,14 +292,15 @@ def test_stagnation_falls_back_without_wrong_answers(technology, monkeypatch):
     solution = factorization.solve(rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.fallbacks == 1
-    assert solver.stats.mg_cycles == 1
+    assert spent().fallbacks == 1
+    assert spent().mg_cycles == 1
     # later solves reuse the fallback factorization instead of cycling again
     factorization.solve(rhs)
-    assert (solver.stats.fallbacks, solver.stats.mg_cycles) == (1, 1)
+    assert (spent().fallbacks, spent().mg_cycles) == (1, 1)
 
 
-def test_pcg_stall_is_capped_by_the_cycle_budget(technology, monkeypatch):
+def test_pcg_stall_is_capped_by_the_cycle_budget(technology, monkeypatch,
+                                                 spent):
     """A PCG solve that cannot reach its target (rtol patched to 0) stops
     after MAX_CYCLES iterations and falls back to the direct answer."""
     monkeypatch.setattr(multigrid, "RTOL", 0.0)
@@ -298,10 +310,10 @@ def test_pcg_stall_is_capped_by_the_cycle_budget(technology, monkeypatch):
     solution = _mg_factorize(solver, mesh, matrix).solve(rhs[:, 0])
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert solver.stats.fallbacks == 1
-    assert 0 < solver.stats.mg_cycles <= multigrid.MAX_CYCLES
-    assert solver.stats.cg_iterations <= multigrid.MAX_CYCLES
-    assert solver.stats.cg_solves == 0
+    assert spent().fallbacks == 1
+    assert 0 < spent().mg_cycles <= multigrid.MAX_CYCLES
+    assert spent().cg_iterations <= multigrid.MAX_CYCLES
+    assert spent().cg_solves == 0
 
 
 def test_empty_and_shape_errors(technology):
@@ -315,25 +327,14 @@ def test_empty_and_shape_errors(technology):
             factorization.solve(np.zeros(3))
 
 
-# -- stats, spawn/absorb, registry --------------------------------------------------
+# -- registry --------------------------------------------------
 
 
 def test_multigrid_registered_in_backends():
     assert BACKENDS == ("direct", "multigrid")
     solver = make_solver(SolverOptions(backend=BACKEND_MULTIGRID))
     assert isinstance(solver, MultigridSolver)
-    assert solver.stats.backend == BACKEND_MULTIGRID
-
-
-def test_spawned_worker_counts_are_absorbed(technology):
-    mesh, matrix, rhs = _mesh_system(technology)
-    solver = _mg_solver(mirror_global=False)
-    worker = solver.spawn()
-    _mg_factorize(worker, mesh, matrix).solve(rhs)
-    assert solver.stats.mg_solves == 0
-    solver.absorb(worker)
-    assert solver.stats.mg_solves == rhs.shape[1]
-    assert solver.stats.mg_cycles == worker.stats.mg_cycles > 0
+    assert solver.name == BACKEND_MULTIGRID
 
 
 # -- options and cache-key participation --------------------------------------------
@@ -372,6 +373,3 @@ def test_mg_options_participate_in_cache_key():
     assert fingerprint(base) != fingerprint(SolverOptions())
     assert fingerprint(base) != fingerprint(
         SolverOptions(backend=BACKEND_MULTIGRID, gmin=1e-9))
-    assert fingerprint(base) == fingerprint(
-        SolverOptions(backend=BACKEND_MULTIGRID, ac_workers=3,
-                      ac_mode="process"))

@@ -8,29 +8,30 @@ Covers the `repro.parallel` package end to end:
 * the zero-copy arena / shipped-object plane, including the inline fallback;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key;
-* the fingerprint seam: parallelism knobs (``ac_workers``, ``ac_mode``,
-  worker counts, flow transport) must never invalidate the extraction cache;
-* numerical equivalence: process-sharded frequency fan-out == serial to the
-  last bit, for AC and multi-RHS transfer sweeps, with and without injected
-  worker faults, and a whole campaign on the graph scheduler == serial.
+* the fingerprint seam: parallelism knobs (worker counts, flow transport)
+  must never invalidate the extraction cache, and the default solver
+  options keep their pinned identity;
+* pool hygiene: a timeout recycle kills workers holding shipped flows and
+  leaks no shared-memory segment;
+* numerical equivalence: a whole campaign on the graph scheduler == serial.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions
-from repro.errors import AnalysisError, SimulationError
-from repro.netlist.circuit import Circuit
-from repro.netlist.elements import SourceValue
+from repro.errors import AnalysisError
 from repro.parallel import (
     MAX_WORKERS_ENV,
     SharedArena,
@@ -43,11 +44,8 @@ from repro.parallel import (
     validate_plan,
 )
 from repro.parallel.plan import TaskFailure
-from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectShipper
-from repro.simulator.ac import ac_analysis
-from repro.simulator.linalg import AC_MODES, SolverOptions, make_solver
-from repro.simulator.solver import SharedPatternPair, add_gmin_diagonal
-from repro.simulator.transfer import transfer_functions
+from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectRef, ObjectShipper
+from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
@@ -57,7 +55,7 @@ from repro.studies import (
     ProcessPoolBackend,
     SweepRunner,
 )
-from repro.studies.cache import extraction_key, fingerprint
+from repro.studies.cache import fingerprint
 from repro.substrate.extraction import SubstrateExtractionOptions
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
@@ -300,16 +298,6 @@ def test_execution_settings_worker_alias_validation():
 # -- fingerprint seam: parallelism never invalidates the cache ----------------
 
 
-def test_parallelism_knobs_excluded_from_solver_fingerprint():
-    base = SolverOptions()
-    for knob in ("ac_workers", "ac_mode"):
-        assert knob in SolverOptions.__fingerprint_exclude__
-    varied = replace(base, ac_workers=8, ac_mode="process")
-    assert fingerprint(base) == fingerprint(varied)
-    # A genuinely numerical knob still changes the identity.
-    assert fingerprint(base) != fingerprint(replace(base, gmin=1e-9))
-
-
 def test_sweep_task_fingerprint_ignores_flow_transport(technology):
     from repro.studies.runner import SweepTask
 
@@ -325,115 +313,27 @@ def test_sweep_task_fingerprint_ignores_flow_transport(technology):
     assert fingerprint(task) == fingerprint(shipped)
 
 
-def test_ac_mode_validation():
-    assert AC_MODES == ("thread", "process")
-    with pytest.raises(SimulationError, match="ac_mode"):
-        SolverOptions(ac_mode="fibers")
+def test_ac_mode_validation(tmp_path):
+    # The per-frequency fan-out knobs are retired: old configs that set
+    # them fail as unknown [solver] keys with a named config error.
+    from repro.studies.cli import load_campaign_config
+
+    for key, value in (("ac_workers", 2), ("ac_mode", "process")):
+        with pytest.raises(TypeError, match=key):
+            SolverOptions(**{key: value})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"name": "old", "axes": {"vtune": [0.0]},
+                                    "solver": {key: value}}))
+        with pytest.raises(AnalysisError, match=f"unknown .*{key}"):
+            load_campaign_config(path)
 
 
-def test_extraction_key_stable_across_worker_counts(technology, vco_cell):
-    thread_options = replace(TINY_MESH, solver=SolverOptions(ac_workers=1))
-    process_options = replace(TINY_MESH, solver=SolverOptions(
-        ac_workers=4, ac_mode="process"))
-    assert (extraction_key(vco_cell, technology, thread_options)
-            == extraction_key(vco_cell, technology, process_options))
-
-
-# -- frequency fan-out equivalence --------------------------------------------
-
-
-def _rc_circuit() -> Circuit:
-    circuit = Circuit("rc")
-    circuit.add_voltage_source("V1", "in", "0",
-                               SourceValue(dc=1.0, ac_magnitude=1.0,
-                                           waveform=lambda t: 1.0))
-    circuit.add_resistor("R1", "in", "mid", 1e3)
-    circuit.add_resistor("R2", "mid", "0", 2e3)
-    circuit.add_capacitor("C1", "mid", "0", 1e-9)
-    circuit.add_inductor("L1", "mid", "out", 1e-6)
-    circuit.add_resistor("R3", "out", "0", 50.0)
-    return circuit
-
-
-def _mosfet_circuit(technology) -> Circuit:
-    circuit = Circuit("cs")
-    circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
-    circuit.add_voltage_source("VG", "g", "0",
-                               SourceValue(dc=0.9, ac_magnitude=1.0,
-                                           waveform=lambda t: 0.9))
-    circuit.add_resistor("RL", "vdd", "d", 1e3)
-    circuit.add_mosfet("M1", "d", "g", "0", "0",
-                       technology.mos_parameters("nmos_rf"),
-                       width=10e-6, length=0.18e-6)
-    return circuit
-
-
-def test_process_ac_fanout_bit_identical_to_serial(technology):
-    circuit = _mosfet_circuit(technology)
-    frequencies = np.logspace(4, 9, 9)
-    serial = ac_analysis(circuit, frequencies)
-    process = ac_analysis(circuit, frequencies,
-                          solver=SolverOptions(ac_workers=3,
-                                               ac_mode="process"))
-    np.testing.assert_array_equal(process.vectors, serial.vectors)
-
-
-def test_process_transfer_fanout_bit_identical_to_serial():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 8)
-    serial = transfer_functions(circuit, ["V1"], ["out", "mid"], frequencies)
-    process = transfer_functions(
-        circuit, ["V1"], ["out", "mid"], frequencies,
-        solver=SolverOptions(ac_workers=4, ac_mode="process"))
-    for node in ("out", "mid"):
-        np.testing.assert_array_equal(process["V1"].transfers[node],
-                                      serial["V1"].transfers[node])
-
-
-def test_process_fanout_aggregates_worker_stats():
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 8)
-    solver = make_solver(SolverOptions(ac_workers=4, ac_mode="process"))
-    ac_analysis(circuit, frequencies, solver=solver)
-    # Every per-frequency solve came home from the worker processes.
-    assert solver.stats.solves == len(frequencies)
-
-
-def _frequency_block_system():
-    """A small (pattern, frequencies, rhs) directly off the RC circuit."""
-    from repro.simulator.ac import _ac_rhs, _small_signal_matrices
-    from repro.simulator.mna import MnaStructure
-
-    circuit = _rc_circuit()
-    circuit.validate()
-    structure = MnaStructure.from_circuit(circuit)
-    g_matrix, c_matrix = _small_signal_matrices(circuit, structure, None)
-    g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes, 1e-12)
-    pattern = SharedPatternPair(g_matrix, c_matrix)
-    frequencies = np.logspace(3, 8, 8)
-    return pattern, frequencies, _ac_rhs(circuit, structure), structure.size
-
-
-@pytest.mark.parametrize("kind", ["raise", "exit"])
-def test_process_fanout_survives_worker_faults(tmp_path, kind):
-    from repro.parallel.freq import run_frequency_blocks
-
-    pattern, frequencies, rhs, size = _frequency_block_system()
-    serial_solver = make_solver(SolverOptions())
-    serial_out = np.zeros((len(frequencies), size), dtype=complex)
-    for index, frequency in enumerate(frequencies):
-        serial_out[index] = serial_solver.solve(
-            pattern.assemble(2j * np.pi * frequency), rhs)
-
-    plan = FaultPlan(state_dir=str(tmp_path / f"{kind}-state"),
-                     specs=(FaultSpec(kind, task_index=1, attempts=1),))
-    solver = make_solver(SolverOptions(ac_workers=2, ac_mode="process"))
-    out = np.zeros_like(serial_out)
-    run_frequency_blocks(pattern, frequencies, solver, rhs=rhs, out=out,
-                         fault_plan=plan)
-    # The sabotaged block was recomputed in the parent: same bits, full stats.
-    np.testing.assert_array_equal(out, serial_out)
-    assert solver.stats.solves == len(frequencies)
+def test_default_solver_fingerprint_pinned():
+    # The digest SolverOptions() had while it still carried two
+    # fingerprint-excluded fan-out fields: removing them keeps every
+    # extraction-cache key and campaign resume identity.
+    assert fingerprint(SolverOptions()) == (
+        "f3f348ad2778784770af766ffa551353674beeda3290f562c657fede65a6760c")
 
 
 # -- worker heartbeats and pool-recycle hygiene -------------------------------
@@ -475,62 +375,80 @@ def test_scheduler_heartbeat_detects_silently_wedged_worker(tmp_path):
     assert elapsed < 120.0                       # long before task_timeout
 
 
-def test_timeout_recycle_with_frequency_blocks_in_flight_leaks_no_shm(
-        tmp_path):
-    # Satellite regression: a scheduler timeout trip SIGKILLs the shared
-    # pool's workers while ac_mode="process" frequency blocks are in
-    # flight; the blocks must salvage (recompute in-parent, bit-identical)
-    # and every shared-memory arena must be unlinked afterwards.
-    from repro.parallel.freq import run_frequency_blocks
+@dataclass(frozen=True)
+class _FlowJob:
+    """Scheduler payload carrying a shipped flow (the plan matches ``index``)."""
 
+    index: int
+    flow_ref: Any
+    plan: FaultPlan
+
+    def corner_label(self) -> str:
+        return f"flow job {self.index}"
+
+
+def _hold_flow(job: _FlowJob) -> int:
+    """Map the shipped flow, then run the plan's faults while holding it."""
+    flow = load_object(job.flow_ref)
+    job.plan.inject(job)
+    return job.index + len(flow.substrate.ports)
+
+
+def test_timeout_recycle_with_shipped_flows_in_flight_leaks_no_shm(
+        vco_flow, tmp_path):
+    # A scheduler timeout trip SIGKILLs a worker that has mapped an
+    # ObjectShipper-shipped flow; the retry completes, and once the
+    # shipper closes no shared-memory segment is left behind.
     shm_root = Path("/dev/shm")
     if not shm_root.is_dir():
         pytest.skip("no /dev/shm on this platform")
-
-    pattern, frequencies, rhs, size = _frequency_block_system()
-    serial_solver = make_solver(SolverOptions())
-    serial_out = np.zeros((len(frequencies), size), dtype=complex)
-    for index, frequency in enumerate(frequencies):
-        serial_out[index] = serial_solver.solve(
-            pattern.assemble(2j * np.pi * frequency), rhs)
-
     before = set(os.listdir(shm_root))
 
-    # Block 0 hangs in its worker until the scheduler's recycle kills it.
-    block_plan = FaultPlan(
-        state_dir=str(tmp_path / "block-state"),
-        specs=(FaultSpec("hang", task_index=0, attempts=1,
-                         hang_seconds=120.0),))
-    results: dict[str, np.ndarray] = {}
+    # Job 0 hangs in its worker, after mapping the flow, until the
+    # scheduler's timeout recycle kills it; its retry runs clean.
+    plan = FaultPlan(state_dir=str(tmp_path / "hang-state"),
+                     specs=(FaultSpec("hang", task_index=0, attempts=1,
+                                      hang_seconds=120.0),))
+    shipper = ObjectShipper()
+    try:
+        ref = shipper.ref_for("flow", vco_flow)
+        if not isinstance(ref, ObjectRef):
+            pytest.skip("shared memory unavailable")
+        scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=3.0,
+                                  backoff_base=0.01)
+        # Two items so the scheduler takes the pool path (one runs inline).
+        items = [WorkItem(id=item_id, fn=_hold_flow,
+                          payload=_FlowJob(index, ref, plan))
+                 for index, item_id in enumerate(("h", "q"))]
+        run: dict = {}
 
-    def blocks() -> None:
-        solver = make_solver(SolverOptions(ac_workers=2, ac_mode="process"))
-        out = np.zeros_like(serial_out)
-        run_frequency_blocks(pattern, frequencies, solver, rhs=rhs, out=out,
-                             fault_plan=block_plan)
-        results["out"] = out
+        def drive() -> None:
+            try:
+                run["outcomes"] = scheduler.run(items)
+            except Exception as exc:              # re-raised below
+                run["error"] = exc
 
-    thread = threading.Thread(target=blocks)
-    thread.start()
-    time.sleep(0.3)                              # let the blocks occupy the pool
+        thread = threading.Thread(target=drive)
+        thread.start()
+        # The hang's attempt marker is written after the worker mapped the
+        # flow: from here on a worker holds the live segment.
+        marker = Path(plan.state_dir) / "spec00.attempt0001"
+        deadline = time.monotonic() + 60.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists()
+        assert ref.handle.name in os.listdir(shm_root)
+        thread.join(timeout=300.0)
+        assert not thread.is_alive()
+    finally:
+        shipper.close()
+    if "error" in run:
+        raise run["error"]
 
-    hang_plan = FaultPlan(
-        state_dir=str(tmp_path / "hang-state"),
-        specs=(FaultSpec("hang", task_index=0, attempts=1,
-                         hang_seconds=120.0),))
-    scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=0.5,
-                              backoff_base=0.01)
-    # Two items so the scheduler takes the pool path (one would run inline).
-    outcomes = scheduler.run(
-        [WorkItem(id="h", fn=hang_plan.wrap(_wedge_value),
-                  payload=_WedgeJob(0)),
-         WorkItem(id="q", fn=hang_plan.wrap(_wedge_value),
-                  payload=_WedgeJob(1))])
-    thread.join(timeout=300.0)
-    assert not thread.is_alive()
-
-    assert outcomes == {"h": 100, "q": 101}
-    np.testing.assert_array_equal(results["out"], serial_out)
+    ports = len(vco_flow.substrate.ports)
+    assert run["outcomes"] == {"h": ports, "q": 1 + ports}
+    assert scheduler.pool_rebuilds == 1
+    assert scheduler.attempts == {"h": 2, "q": 1}
     leaked = {name for name in set(os.listdir(shm_root)) - before
               if name.startswith("psm_")}
     assert not leaked

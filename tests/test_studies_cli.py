@@ -136,14 +136,12 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_solver_table_selects_backend(tmp_path):
     config = dict(TINY_CONFIG,
-                  solver={"backend": "multigrid", "ac_workers": 2,
-                          "gmin": 1e-11})
+                  solver={"backend": "multigrid", "gmin": 1e-11})
     path = tmp_path / "solver.json"
     path.write_text(json.dumps(config))
     campaign = load_campaign_config(path).campaign
     solver = campaign.options.flow.solver
     assert solver.backend == "multigrid"
-    assert solver.ac_workers == 2
     assert solver.gmin == 1e-11
     # The sidecar-bound description records the solver table verbatim.
     assert campaign.describe()["options"]["solver"]["backend"] == "multigrid"
@@ -172,8 +170,27 @@ def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
     # A wrong-typed value (a quoted number) is a clean config error, not a
     # TypeError traceback.
     path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"ac_workers": "2"})))
+                                    solver={"gmin": "1e-12"})))
     with pytest.raises(AnalysisError, match="invalid \\[solver\\]"):
+        load_campaign_config(path)
+
+
+@pytest.mark.parametrize("gmin", [float("nan"), float("inf"), -1e-12])
+def test_solver_table_rejects_non_finite_or_negative_gmin(tmp_path, gmin):
+    # TOML admits `gmin = nan` / `inf`: the config must fail at load time,
+    # not late inside the MNA solves.
+    path = tmp_path / "gmin.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, solver={"gmin": gmin})))
+    with pytest.raises(AnalysisError, match="invalid \\[solver\\] value.*gmin"):
+        load_campaign_config(path)
+
+
+@pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib needs Python 3.11+")
+def test_toml_solver_gmin_nan_is_rejected(tmp_path):
+    path = tmp_path / "gmin.toml"
+    path.write_text('name = "nan"\n[axes]\nvtune = [0.0]\n'
+                    '[solver]\ngmin = nan\n')
+    with pytest.raises(AnalysisError, match="invalid \\[solver\\] value.*gmin"):
         load_campaign_config(path)
 
 
@@ -182,7 +199,7 @@ def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path.write_text(json.dumps(TINY_CONFIG))
     tuned_path = tmp_path / "tuned.json"
     tuned_path.write_text(json.dumps(dict(
-        TINY_CONFIG, solver={"backend": "multigrid", "ac_workers": 2})))
+        TINY_CONFIG, solver={"backend": "multigrid"})))
     base = load_campaign_config(base_path).campaign
     tuned = load_campaign_config(tuned_path).campaign
     assert base.fingerprint() != tuned.fingerprint()
