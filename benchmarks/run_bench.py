@@ -268,27 +268,19 @@ def _bench_parallel() -> dict:
 
 
 def _bench_solver() -> dict:
-    """Backend comparison on the substrate-mesh Laplacian versus mesh size.
+    """Direct sparse LU on the substrate-mesh Laplacian versus mesh size.
 
     For each lateral mesh resolution the benchmark builds the regularised
     mesh system of a Kron reduction (Laplacian + distributed port contacts)
-    and times
-
-    * ``direct_cold``   — one COLAMD LU factorization + an 8-column solve,
-    * ``multigrid``     — geometric-multigrid V-cycles through
-      :class:`~repro.simulator.linalg.MultigridSolver` (semicoarsened
-      hierarchy from the mesh's :class:`GridGeometry`), setup and solve
-      timed separately, with the achieved error against the direct
-      solution.
-
-    This is a synthetic block (uniform surface contacts, row-stripe RHS),
-    not the real Kron system of the VCO testchip; its direct-vs-multigrid
-    ratios do not carry over to extraction (see the README backend table).
+    and times ``direct_cold``: one COLAMD LU factorization plus an 8-column
+    solve.  This is a synthetic block (uniform surface contacts, row-stripe
+    RHS), not the real Kron system of the VCO testchip, which extraction
+    reduces spectrally (see the README Kron table).
     """
     import scipy.sparse as sp_mod
 
     from repro.layout.geometry import Rect
-    from repro.simulator.linalg import DirectLUSolver, MultigridSolver
+    from repro.simulator.linalg import DirectLUSolver
     from repro.substrate import MeshSpec, SubstrateMesh
 
     technology = make_technology()
@@ -309,34 +301,11 @@ def _bench_solver() -> dict:
         for k in range(n_rhs):
             rhs[k * nx:(k + 1) * nx, k] = -1.0
 
-        direct = DirectLUSolver()
         start = time.perf_counter()
-        reference = direct.factorize(matrix).solve(rhs)
-        direct_cold = time.perf_counter() - start
-
-        multigrid = MultigridSolver()
-        before = stats.snapshot()
-        start = time.perf_counter()
-        mg_factorization = multigrid.factorize(
-            matrix, grid=mesh.grid_geometry(), spd=True)
-        mg_setup_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        mg_solution = mg_factorization.solve(rhs)
-        mg_solve_seconds = time.perf_counter() - start
-        multigrid_seconds = mg_setup_seconds + mg_solve_seconds
-        mg_spent = stats.since(before)
-
+        DirectLUSolver().factorize(matrix).solve(rhs)
         record["mesh"][f"nx{nx}"] = {
             "nodes": n,
-            "direct_cold_seconds": direct_cold,
-            "multigrid_setup_seconds": mg_setup_seconds,
-            "multigrid_solve_seconds": mg_solve_seconds,
-            "multigrid_seconds": multigrid_seconds,
-            "multigrid_vs_direct_cold_speedup": direct_cold / multigrid_seconds,
-            "mg_cycles": mg_spent.mg_cycles,
-            "mg_fallbacks": mg_spent.fallbacks,
-            "multigrid_max_abs_error": float(
-                np.max(np.abs(mg_solution - reference))),
+            "direct_cold_seconds": time.perf_counter() - start,
         }
     return record
 

@@ -13,7 +13,6 @@ from .solver import (
 from .linalg import (
     DirectLUSolver,
     LinearSolver,
-    MultigridSolver,
     SolverOptions,
     make_solver,
     resolve_solver,
@@ -37,7 +36,6 @@ __all__ = [
     "LinearSolver",
     "MatrixStamper",
     "MnaStructure",
-    "MultigridSolver",
     "SharedPatternPair",
     "SolutionView",
     "SolverOptions",

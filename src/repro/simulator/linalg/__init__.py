@@ -8,25 +8,19 @@ cache keys) or a ready :class:`LinearSolver` instance (reused across
 analyses).  Every backend counts its work into the one module-level
 :data:`repro.simulator.solver.stats` record.
 
-Backends: :class:`DirectLUSolver` (SuperLU, the reference and default) and
-:class:`MultigridSolver` (geometric multigrid on the Kron reduction's
-structured mesh block, falling back to a direct SPD factorization if it
-fails; every other system is solved by direct LU).
+The one backend is :class:`DirectLUSolver` (SuperLU).  The substrate Kron
+reduction of a structured mesh does not come through this seam: it is
+reduced exactly by :mod:`repro.substrate.spectral`, and only raw matrices
+and the meshes that path does not cover reach :meth:`LinearSolver.factorize`
+with ``spd=True``.
 """
 
 from ..solver import SolverStats
 from .backends import DirectLUSolver, LinearSolver
-from .multigrid import GridGeometry, MultigridSolver
-from .options import (
-    BACKEND_DIRECT,
-    BACKEND_MULTIGRID,
-    BACKENDS,
-    SolverOptions,
-)
+from .options import BACKEND_DIRECT, BACKENDS, SolverOptions
 
 _BACKEND_CLASSES: dict[str, type[LinearSolver]] = {
     BACKEND_DIRECT: DirectLUSolver,
-    BACKEND_MULTIGRID: MultigridSolver,
 }
 
 
@@ -56,11 +50,8 @@ def resolve_solver(solver: "SolverOptions | LinearSolver | None"
 __all__ = [
     "BACKENDS",
     "BACKEND_DIRECT",
-    "BACKEND_MULTIGRID",
     "DirectLUSolver",
-    "GridGeometry",
     "LinearSolver",
-    "MultigridSolver",
     "SolverOptions",
     "SolverStats",
     "make_solver",

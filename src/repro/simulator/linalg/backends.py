@@ -13,11 +13,9 @@ needed —
 — and counts that work into the one process-wide record,
 :data:`repro.simulator.solver.stats`.
 
-:class:`DirectLUSolver` is the SuperLU path and the default; SPD blocks
-(``factorize(..., spd=True)``) get a symmetric minimum-degree ordering
-instead of COLAMD.  The geometric-multigrid
-:class:`~repro.simulator.linalg.MultigridSolver` lives in
-:mod:`repro.simulator.linalg.multigrid`.
+:class:`DirectLUSolver` is the SuperLU path and the one backend; SPD
+blocks (``factorize(..., spd=True)``) get a symmetric minimum-degree
+ordering instead of COLAMD.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ class LinearSolver:
 
     # -- the seam ------------------------------------------------------------
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+    def factorize(self, matrix: sp.spmatrix, structure=None,
                   spd: bool = False):
         """Prepare ``matrix`` for repeated solves; returns a handle with
         ``solve(rhs)`` accepting a vector or a dense ``(n, k)`` block.
@@ -55,17 +53,14 @@ class LinearSolver:
         ``spd=True`` is the caller's promise that the matrix is symmetric
         positive definite (the Kron reduction's internal mesh block): the
         direct backend then uses a symmetric fill-reducing ordering
-        (:func:`~repro.simulator.solver.splu_spd`).  ``grid`` optionally
-        describes the structured mesh geometry behind such a block (a
-        :class:`~repro.simulator.linalg.GridGeometry`); the multigrid backend
-        coarsens along it, the direct backend ignores it.
+        (:func:`~repro.simulator.solver.splu_spd`).
         """
         raise NotImplementedError
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
-              structure=None, grid=None) -> np.ndarray:
+              structure=None) -> np.ndarray:
         """One-shot solve of ``matrix @ x = rhs``."""
-        return self.factorize(matrix, structure=structure, grid=grid).solve(rhs)
+        return self.factorize(matrix, structure=structure).solve(rhs)
 
 
 class DirectLUSolver(LinearSolver):
@@ -73,10 +68,10 @@ class DirectLUSolver(LinearSolver):
 
     name = BACKEND_DIRECT
 
-    def factorize(self, matrix: sp.spmatrix, structure=None, grid=None,
+    def factorize(self, matrix: sp.spmatrix, structure=None,
                   spd: bool = False) -> Factorization:
         return Factorization(matrix, structure=structure, spd=spd)
 
     def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
-              structure=None, grid=None) -> np.ndarray:
+              structure=None) -> np.ndarray:
         return solve_sparse(matrix, rhs, structure=structure)

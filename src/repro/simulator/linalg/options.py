@@ -17,12 +17,8 @@ from ...errors import SimulationError
 
 #: Direct sparse LU (SuperLU) — the reference backend, always correct.
 BACKEND_DIRECT = "direct"
-#: Geometric multigrid on the structured (nx, ny, nz) substrate grid for the
-#: Kron reduction's SPD mesh block, falling back to a direct SPD
-#: factorization if it fails; every other system is solved by direct LU.
-BACKEND_MULTIGRID = "multigrid"
 
-BACKENDS = (BACKEND_DIRECT, BACKEND_MULTIGRID)
+BACKENDS = (BACKEND_DIRECT,)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ and "here is the solution vector":
 * :class:`Factorization` — one LU factorization of a sparse matrix, reusable
   for any number of right-hand sides (single vectors or multi-RHS blocks).
   Linear transient analysis has a constant left-hand side and factorizes
-  exactly once for the whole time grid; the substrate Kron reduction solves
-  its internal block against all port columns in a single call, factorized
-  with the symmetric ordering of :func:`splu_spd`.
+  exactly once for the whole time grid; the direct path of the substrate
+  Kron reduction solves its internal block against all port columns in a
+  single call, factorized with the symmetric ordering of :func:`splu_spd`.
 * :class:`SharedPatternPair` — ``G`` and ``C`` expanded onto one shared CSC
   sparsity pattern so an AC sweep can assemble ``G + s*C`` per frequency by
   combining ``.data`` arrays in place, never reallocating matrix structure.
@@ -22,10 +22,11 @@ and "here is the solution vector":
   ground" regularisation shared by the DC, AC and transient analyses.
 
 The module-level :data:`stats` record is the one place solver work is
-counted: every factorization, solve and DC homotopy rung of every backend
-lands there.  Tests, benchmarks and the campaign runner measure a stretch
-of work as a :meth:`SolverStats.since` delta of it — e.g. that a linear
-transient performs exactly one factorization regardless of step count.
+counted: every factorization, solve and DC homotopy rung lands there,
+including the dense Cholesky of the spectral Kron reduction.  Tests,
+benchmarks and the campaign runner measure a stretch of work as a
+:meth:`SolverStats.since` delta of it — e.g. that a linear transient
+performs exactly one factorization regardless of step count.
 """
 
 from __future__ import annotations
@@ -47,31 +48,28 @@ class SolverStats:
     The module-level :data:`stats` instance is the live record; other
     instances are deltas of it (:meth:`since`) or sums of such deltas
     (:meth:`merge`).  ``backend`` names the solver backend a delta was
-    taken for; the multigrid backend additionally records its cycles, its
-    V-cycle-preconditioned CG traffic and its fallbacks to a direct
-    factorization.
+    taken for.
     """
 
-    factorizations: int = 0     #: numeric factorizations (LU or MG hierarchy)
-    solves: int = 0             #: triangular / multigrid solve calls
-    cg_solves: int = 0          #: right-hand sides solved by MG-precond. CG
-    cg_iterations: int = 0      #: total CG iterations over all solves
-    mg_solves: int = 0          #: right-hand sides solved by multigrid
-    mg_cycles: int = 0          #: multigrid cycles (standalone + precond apply)
-    fallbacks: int = 0          #: multigrid solves that fell back to direct LU
+    factorizations: int = 0     #: sparse LU, or the spectral Kron's Cholesky
+    solves: int = 0             #: solve calls against a factorization
+    fallbacks: int = 0          #: spectral Kron reductions redone by sparse LU
     dc_gmin_steps: int = 0      #: gmin-continuation rungs taken by DC Newton
     dc_source_steps: int = 0    #: source-stepping rungs taken by DC Newton
     backend: str = ""           #: backend name ("" for the module-level global)
 
-    _COUNTERS = ("factorizations", "solves", "cg_solves", "cg_iterations",
-                 "mg_solves", "mg_cycles", "fallbacks",
+    #: Always zero: no multigrid backend exists any more.  Kept as a plain
+    #: attribute only because the benchmark harness still reads it.
+    mg_cycles = 0
+
+    _COUNTERS = ("factorizations", "solves", "fallbacks",
                  "dc_gmin_steps", "dc_source_steps")
 
     #: The subset of counters that record *graceful degradation* — a solve or
-    #: analysis that only succeeded by falling back (multigrid -> direct LU,
-    #: plain Newton -> gmin stepping -> source stepping).  Campaign runners
-    #: snapshot these around each task and surface non-zero deltas in result
-    #: sidecars.
+    #: analysis that only succeeded by falling back (spectral Kron -> sparse
+    #: LU, plain Newton -> gmin stepping -> source stepping).  Campaign
+    #: runners snapshot these around each task and surface non-zero deltas in
+    #: result sidecars.
     DEGRADATION_COUNTERS = ("fallbacks", "dc_gmin_steps", "dc_source_steps")
 
     def reset(self) -> None:

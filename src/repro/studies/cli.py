@@ -42,8 +42,8 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     ny = 40
 
     [solver]                    # linear-solver backend (SolverOptions)
-    backend = "direct"          # "direct" | "multigrid" (mesh solve only;
-                                # falls back to direct LU if it fails)
+    backend = "direct"          # the one backend (sparse LU); the mesh
+                                # Kron reduction is spectral regardless
     gmin = 1e-12                # optional override of the analysis gmin
                                 # (finite, >= 0)
 

@@ -103,8 +103,8 @@ class SweepResult:
     #: re-runs exactly these corners.
     failures: list[CornerFailure] = field(default_factory=list)
     #: Non-zero solver degradation counters summed over all tasks (gmin /
-    #: source stepping rungs, multigrid->LU fallbacks); empty when every
-    #: corner converged on the first-choice numerical path.
+    #: source stepping rungs, spectral Kron -> sparse LU fallbacks); empty
+    #: when every corner converged on the first-choice numerical path.
     solver_degradations: dict[str, int] = field(default_factory=dict)
     #: Per-run telemetry: a ``repro.obs`` ``MetricsRegistry.snapshot()``
     #: under ``"metrics"`` plus (when tracing was enabled) per-span-name

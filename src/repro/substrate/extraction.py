@@ -206,19 +206,15 @@ def substrate_inputs(cell: Cell, technology: ProcessTechnology,
             options.solver)
 
 
-def extract_substrate(cell: Cell, technology: ProcessTechnology,
-                      options: SubstrateExtractionOptions | None = None,
-                      solver=None) -> SubstrateExtraction:
-    """Run the full substrate extraction for a layout cell.
+def mesh_contacts(cell: Cell, technology: ProcessTechnology,
+                  options: SubstrateExtractionOptions,
+                  ports: list[SubstratePort]
+                  ) -> tuple[SubstrateMesh, list[list[tuple[int, float]]]]:
+    """The substrate mesh under ``ports`` and each port's surface contacts.
 
-    ``solver`` (a :class:`~repro.simulator.linalg.SolverOptions` or
-    :class:`~repro.simulator.linalg.LinearSolver`) selects the backend for
-    the mesh solve of the Kron reduction — the dominant cost of the
-    extraction (see :func:`~repro.substrate.reduction.kron_reduce`).
+    Returns the mesh and, per port, the ``(node, conductance)`` pairs that
+    :func:`~repro.substrate.reduction.kron_reduce` takes.
     """
-    options = options or SubstrateExtractionOptions()
-    ports = identify_ports(cell, technology)
-
     # Mesh the region actually spanned by the substrate ports (plus a margin
     # for current spreading) rather than the full layout bounding box: bond
     # pads and long routing far from any port do not influence the substrate
@@ -228,11 +224,8 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
     spec = MeshSpec(region=region, nx=options.nx, ny=options.ny,
                     max_depth=options.max_depth,
                     n_z_per_layer=options.n_z_per_layer)
-    t_mesh = time.perf_counter()
     with trace_span("extract.mesh", nx=options.nx, ny=options.ny):
         mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
-        conductance = mesh.conductance_matrix()
-    mesh_seconds = time.perf_counter() - t_mesh
 
     port_nodes: list[list[tuple[int, float]]] = []
     for port in ports:
@@ -263,11 +256,30 @@ def extract_substrate(cell: Cell, technology: ProcessTechnology,
             total_conductance = 1e6
         port_nodes.append([(node, total_conductance * area / total_area)
                            for node, area in sorted(overlaps.items())])
+    return mesh, port_nodes
+
+
+def extract_substrate(cell: Cell, technology: ProcessTechnology,
+                      options: SubstrateExtractionOptions | None = None,
+                      solver=None) -> SubstrateExtraction:
+    """Run the full substrate extraction for a layout cell.
+
+    The Kron reduction, the dominant cost of the extraction, is handed the
+    mesh itself, so it takes the spectral path without assembling the mesh
+    matrix (see :func:`~repro.substrate.reduction.kron_reduce`).  ``solver``
+    (a :class:`~repro.simulator.linalg.SolverOptions` or
+    :class:`~repro.simulator.linalg.LinearSolver`) is the backend of its
+    direct sparse-LU path.
+    """
+    options = options or SubstrateExtractionOptions()
+    ports = identify_ports(cell, technology)
+    t_mesh = time.perf_counter()
+    mesh, port_nodes = mesh_contacts(cell, technology, options, ports)
+    mesh_seconds = time.perf_counter() - t_mesh
 
     t_kron = time.perf_counter()
-    macromodel = kron_reduce(conductance, port_nodes,
-                             [port.name for port in ports], solver=solver,
-                             grid=mesh.grid_geometry())
+    macromodel = kron_reduce(mesh, port_nodes, [port.name for port in ports],
+                             solver=solver)
     kron_seconds = time.perf_counter() - t_kron
     return SubstrateExtraction(cell_name=cell.name, ports=ports,
                                macromodel=macromodel,

@@ -128,17 +128,6 @@ class SubstrateMesh:
             raise ExtractionError(f"mesh index out of range: {(ix, iy, iz)}")
         return (iz * self.ny + iy) * self.nx + ix
 
-    def grid_geometry(self):
-        """The structured-grid shape behind :meth:`conductance_matrix`.
-
-        Passed (via ``kron_reduce``) to the linear-solver seam so the
-        multigrid backend can coarsen geometrically; every other backend
-        ignores it.
-        """
-        from ..simulator.linalg import GridGeometry
-
-        return GridGeometry(nx=self.nx, ny=self.ny, nz=self.nz)
-
     def cell_centers_x(self) -> np.ndarray:
         return 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
 
@@ -150,6 +139,11 @@ class SubstrateMesh:
 
     def conductivity_at_depth(self, depth: float) -> float:
         return 1.0 / self.profile.resistivity_at_depth(depth)
+
+    def layer_conductivity(self) -> np.ndarray:
+        """Conductivity of each mesh layer, taken at its centre depth."""
+        return np.array([self.conductivity_at_depth(z)
+                         for z in self.cell_centers_z()])
 
     # -- surface coverage --------------------------------------------------------
 
@@ -189,8 +183,7 @@ class SubstrateMesh:
         dx = np.diff(self.x_edges)
         dy = np.diff(self.y_edges)
         dz = np.diff(self.z_edges)
-        z_centers = self.cell_centers_z()
-        sigma = np.array([self.conductivity_at_depth(z) for z in z_centers])
+        sigma = self.layer_conductivity()
 
         # All neighbour couplings are assembled as whole index planes: the
         # node grid is reshaped to (nz, ny, nx) and each direction contributes

@@ -8,6 +8,12 @@ of the internal nodes:
 
 ``Y_red = Y_pp - Y_pi * Y_ii^{-1} * Y_ip``
 
+:func:`kron_reduce` computes it one of two ways.  A laterally uniform
+:class:`~repro.substrate.mesh.SubstrateMesh` contacted on its surface is
+reduced spectrally (:mod:`repro.substrate.spectral`) without assembling its
+matrix.  A raw conductance matrix, or a mesh that path does not cover, is
+reduced by one sparse SPD factorization of ``Y_ii``: the reference path.
+
 The reduced admittance matrix is then converted into an equivalent
 resistor network between the port nodes, which is what gets merged into the
 impact netlist.
@@ -15,15 +21,26 @@ impact netlist.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import spectral
 from ..errors import ExtractionError, SimulationError
 from ..netlist.circuit import Circuit
-from ..obs import trace_span
+from ..obs import get_logger, trace_span
 from ..simulator.linalg import LinearSolver, SolverOptions, resolve_solver
+from ..simulator.solver import stats
+from .mesh import SubstrateMesh
+
+logger = get_logger(__name__)
+
+#: Diagonal shift of the internal block.  The floating mesh Laplacian is
+#: singular only together with the port rows; once ports connect it is not,
+#: and this tiny shift guards against round-off.  Both paths reduce it.
+_SHIFT = 1e-12
 
 
 @dataclass
@@ -136,24 +153,93 @@ class SubstrateMacromodel:
         return circuit
 
 
-def kron_reduce(conductance: sp.spmatrix,
+def _contact_shares(port_nodes, port_names, port_contact_conductance,
+                    n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the port contacts; return the distinct contacted mesh nodes
+    (sorted) and the ``(k, P)`` contact conductance of each node to each
+    port."""
+    rows: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
+    for port_idx, (name, nodes, g_total) in enumerate(
+            zip(port_names, port_nodes, port_contact_conductance)):
+        if not nodes:
+            raise ExtractionError(
+                f"port {name!r} does not contact any mesh node "
+                "(is the shape outside the meshed region?)")
+        if g_total <= 0:
+            raise ExtractionError("port contact conductance must be positive")
+        if isinstance(nodes[0], tuple):
+            weighted = [(node, float(g)) for node, g in nodes]
+        else:
+            weighted = [(node, g_total / len(nodes)) for node in nodes]
+        for node, share in weighted:
+            try:
+                index = operator.index(node)
+            except TypeError:
+                raise ExtractionError(
+                    f"port {name!r}: mesh node {node!r} is not an integer "
+                    "index") from None
+            if not 0 <= index < n_mesh:
+                raise ExtractionError(
+                    f"port {name!r}: mesh node {index} is outside the mesh "
+                    f"(0..{n_mesh - 1})")
+            if share <= 0:
+                raise ExtractionError(
+                    "per-node contact conductance must be positive")
+            rows.append(index)
+            columns.append(port_idx)
+            values.append(share)
+    nodes, inverse = np.unique(np.asarray(rows), return_inverse=True)
+    shares = np.zeros((len(nodes), len(port_names)))
+    np.add.at(shares, (inverse, columns), values)
+    return nodes, shares
+
+
+def _direct_kron(conductance: sp.spmatrix, nodes: np.ndarray,
+                 shares: np.ndarray, solver) -> np.ndarray:
+    """``Y_pp - Y_pi Y_ii^-1 Y_ip`` by one sparse SPD factorization.
+
+    The Schur blocks of the augmented (mesh + port) system are assembled
+    directly: port couplings only add to the internal diagonal (Y_ii), the
+    internal-to-port block (Y_ip, nonzero on the contacted rows only) and the
+    port diagonal (Y_pp).
+    """
+    n_mesh = conductance.shape[0]
+    diagonal = np.full(n_mesh, _SHIFT)
+    diagonal[nodes] += shares.sum(axis=1)
+    y_ii = sp.csc_matrix(conductance) + sp.diags(diagonal, format="csc")
+    y_ip = np.zeros((n_mesh, shares.shape[1]))
+    y_ip[nodes] = -shares
+    solved = resolve_solver(solver).factorize(y_ii, spd=True).solve(y_ip)
+    return np.diag(shares.sum(axis=0)) + shares.T @ solved[nodes]
+
+
+def kron_reduce(conductance: "sp.spmatrix | SubstrateMesh",
                 port_nodes: list[list[int]] | list[list[tuple[int, float]]],
                 port_names: list[str],
                 port_contact_conductance: list[float] | None = None,
-                solver: "SolverOptions | LinearSolver | None" = None,
-                grid=None) -> SubstrateMacromodel:
-    """Reduce a mesh conductance matrix to its port-level macromodel.
+                solver: "SolverOptions | LinearSolver | None" = None
+                ) -> SubstrateMacromodel:
+    """Reduce a substrate mesh to its port-level macromodel.
 
     Parameters
     ----------
     conductance:
-        The (N x N) mesh Laplacian from
-        :meth:`repro.substrate.mesh.SubstrateMesh.conductance_matrix`.
+        The mesh itself (a :class:`~repro.substrate.mesh.SubstrateMesh`), or
+        an (N x N) conductance Laplacian such as its
+        :meth:`~repro.substrate.mesh.SubstrateMesh.conductance_matrix`.  A
+        mesh with uniform lateral edges whose ports all sit on surface cells
+        is reduced by the spectral method of :mod:`repro.substrate.spectral`
+        without assembling its matrix; anything else (a raw matrix, a
+        contact below the surface, non-uniform edges) by direct sparse LU,
+        the reference path.
     port_nodes:
         For each port, either a plain list of mesh node indices (the port's
         contact conductance is then split evenly over them) or a list of
         ``(node_index, conductance)`` pairs giving the connection conductance
-        per mesh node explicitly (used for partial-coverage contacts).
+        per mesh node explicitly (used for partial-coverage contacts).  Node
+        indices must be integers in ``0..N-1``.
     port_names:
         Name of each port (same order as ``port_nodes``).
     port_contact_conductance:
@@ -162,79 +248,61 @@ def kron_reduce(conductance: sp.spmatrix,
         as a very large conductance).  Ignored for ``(node, conductance)``
         pairs.
     solver:
-        Linear-solver backend for the internal-block solve
+        Linear-solver backend of the direct path
         (:class:`~repro.simulator.linalg.SolverOptions` or a ready
         :class:`~repro.simulator.linalg.LinearSolver`).  The regularised
         internal matrix is symmetric positive definite and is factorized
-        with ``spd=True``: the ``direct`` backend uses a symmetric
-        minimum-degree ordering (half the fill of the default COLAMD
-        ordering), the ``multigrid`` backend solves it with geometric
-        multigrid.
-    grid:
-        Structured-grid shape behind ``conductance`` (a
-        :class:`~repro.simulator.linalg.GridGeometry`, from
-        :meth:`~repro.substrate.mesh.SubstrateMesh.grid_geometry`).  Enables
-        geometric coarsening in the ``multigrid`` backend; the ``direct``
-        backend ignores it.
+        with ``spd=True`` (a symmetric minimum-degree ordering).
 
     Returns
     -------
     SubstrateMacromodel
-        Exact Schur complement of the internal mesh nodes.
+        Exact Schur complement of the internal mesh nodes.  If the spectral
+        path's dense Cholesky fails, the reduction falls back to direct LU,
+        counts one ``fallbacks`` in :data:`repro.simulator.solver.stats` and
+        logs the reason at warning level.
     """
     if len(port_nodes) != len(port_names):
         raise ExtractionError("port_nodes and port_names must have the same length")
     if not port_names:
         raise ExtractionError("at least one port is required")
-    n_mesh = conductance.shape[0]
+    mesh = conductance if isinstance(conductance, SubstrateMesh) else None
+    n_mesh = mesh.n_nodes if mesh is not None else conductance.shape[0]
     n_ports = len(port_names)
     if port_contact_conductance is None:
         port_contact_conductance = [1e6] * n_ports
     if len(port_contact_conductance) != n_ports:
         raise ExtractionError("contact conductance list length mismatch")
+    nodes, shares = _contact_shares(port_nodes, port_names,
+                                    port_contact_conductance, n_mesh)
 
-    # The Schur blocks of the augmented (mesh + port) system are assembled
-    # directly — no augmented matrix is ever formed.  Port couplings only add
-    # to the internal diagonal (Y_ii), the dense internal-to-port block
-    # (Y_ip) and the port diagonal (Y_pp).
-    internal_diagonal = np.zeros(n_mesh)
-    y_ip = np.zeros((n_mesh, n_ports))
-    y_pp = np.zeros((n_ports, n_ports))
-
-    for port_idx, (nodes, g_total) in enumerate(zip(port_nodes, port_contact_conductance)):
-        if not nodes:
-            raise ExtractionError(
-                f"port {port_names[port_idx]!r} does not contact any mesh node "
-                "(is the shape outside the meshed region?)")
-        if g_total <= 0:
-            raise ExtractionError("port contact conductance must be positive")
-        if isinstance(nodes[0], tuple):
-            weighted = [(int(node), float(g)) for node, g in nodes]
-        else:
-            share = g_total / len(nodes)
-            weighted = [(int(node), share) for node in nodes]
-        for node, share in weighted:
-            if share <= 0:
-                raise ExtractionError("per-node contact conductance must be positive")
-            internal_diagonal[node] += share
-            y_ip[node, port_idx] -= share
-            y_pp[port_idx, port_idx] += share
-
-    # Regularise the internal block minimally: the floating mesh Laplacian is
-    # singular only together with the port rows, and after connecting ports it
-    # is non-singular; a tiny diagonal shift guards against round-off.
-    y_ii = (sp.csc_matrix(conductance)
-            + sp.diags(internal_diagonal + 1e-12, format="csc"))
-
-    # One factorization (or multigrid hierarchy) of Y_ii, one multi-RHS
-    # solve against every port column at once.
-    try:
-        with trace_span("extract.kron", nodes=n_mesh, ports=n_ports):
-            solved = resolve_solver(solver).factorize(
-                y_ii, grid=grid, spd=True).solve(y_ip)
-    except SimulationError as exc:
-        raise ExtractionError(f"substrate reduction failed: {exc}") from exc
-    reduced = y_pp - y_ip.T @ solved
+    with trace_span("extract.kron", nodes=n_mesh, ports=n_ports,
+                    k=len(nodes)) as span:
+        reduced = None
+        if mesh is not None and spectral.supports(mesh, nodes):
+            try:
+                reduced, dense_seconds = spectral.spectral_kron(
+                    mesh, nodes, shares, _SHIFT)
+            except np.linalg.LinAlgError as exc:
+                stats.fallbacks += 1
+                logger.warning(
+                    "solver degradation: spectral Kron reduction fell back "
+                    "to sparse LU (k=%d): %s", len(nodes), exc)
+            else:
+                stats.factorizations += 1
+                stats.solves += 1
+                if span is not None:
+                    span.set(path="spectral", dense_solve_s=dense_seconds)
+        if reduced is None:
+            matrix = (mesh.conductance_matrix() if mesh is not None
+                      else conductance)
+            try:
+                reduced = _direct_kron(matrix, nodes, shares, solver)
+            except SimulationError as exc:
+                raise ExtractionError(
+                    f"substrate reduction failed: {exc}") from exc
+            if span is not None:
+                span.set(path="direct")
     # Enforce symmetry (numerical round-off).
     reduced = 0.5 * (reduced + reduced.T)
     return SubstrateMacromodel(ports=tuple(port_names), admittance=reduced)

@@ -38,12 +38,10 @@ from repro.errors import (
     CampaignError,
     ConvergenceError,
     CornerFailure,
-    SimulationError,
 )
 from repro.netlist.circuit import Circuit
 from repro.simulator import solver as solver_module
 from repro.simulator.dc import DcOptions, dc_operating_point
-from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     CampaignJournal,
@@ -482,29 +480,31 @@ def test_ladder_failure_reports_every_strategy():
 
 
 def test_campaign_records_solver_degradations(technology, ft_campaign,
-                                              tmp_path, monkeypatch):
-    # A healthy multigrid campaign reports no degradation: its MNA systems
-    # are solved by direct LU by design.  A multigrid Kron solve that falls
-    # back to direct LU is a degradation the runner must surface.
-    from dataclasses import replace
+                                              tmp_path, monkeypatch, caplog):
+    # A healthy campaign reduces its substrate spectrally and reports no
+    # degradation.  A spectral Kron reduction whose dense Cholesky fails
+    # falls back to sparse LU: a degradation the runner must surface.
+    import logging
 
-    from repro.simulator.linalg import multigrid
+    from repro.substrate import spectral
 
-    options = replace(ft_campaign.options,
-                      flow=replace(TINY_MESH,
-                                   solver=SolverOptions(backend="multigrid")))
+    options = replace(ft_campaign.options, flow=TINY_MESH)
     campaign = Campaign(name="degraded", space=ft_campaign.space,
                         options=options)
     healthy = SweepRunner(technology).run(campaign)
     assert healthy.complete
     assert healthy.solver_degradations == {}
-    assert healthy.variants[0].flow.solver_stats.mg_solves > 0
+    assert healthy.variants[0].flow.solver_stats.factorizations > 0
 
     def broken(*args, **kwargs):
-        raise SimulationError("injected hierarchy failure")
+        raise np.linalg.LinAlgError("injected Cholesky failure")
 
-    monkeypatch.setattr(multigrid, "build_hierarchy", broken)
-    result = SweepRunner(technology).run(campaign)
+    monkeypatch.setattr(spectral, "cho_factor", broken)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        result = SweepRunner(technology).run(campaign)
+    assert any("spectral Kron reduction fell back" in record.getMessage()
+               and "injected Cholesky failure" in record.getMessage()
+               for record in caplog.records)
     assert result.complete
     assert result.solver_degradations == {"fallbacks": 1}
     for got, want in zip(result.records, healthy.records):

@@ -1,15 +1,14 @@
-"""The pluggable linear-solver layer: backend equivalence and fallback.
+"""The linear-solver layer: the solver seam, its SPD path and its options.
 
 The equivalence suite runs the same analyses (DC, AC, transient, Kron
-reduction, full extraction flow, VCO spur analysis) through both backends
-and asserts the multigrid backend matches the direct-LU reference to
-<= 1e-10.  The routing test hands the multigrid backend MNA systems and
-asserts they are solved by direct LU without counting a fallback; the
-cache-key tests prove that campaigns differing only in solver settings
-never share extraction cache entries.  The SPD tests pin the Kron block's
-symmetric factorization against a COLAMD reference on the real VCO
-testchip, and MNA systems to the unchanged COLAMD path.  Solver work is
-asserted as deltas of the one global counter record.
+reduction, full extraction flow, VCO spur analysis) through every backend
+named in ``BACKENDS`` and asserts each matches the default direct-LU
+reference to <= 1e-10; the cache-key tests prove that campaigns differing
+only in solver settings never share extraction cache entries.  The SPD
+tests pin the Kron block's symmetric factorization against a COLAMD
+reference on the real VCO testchip, the spectral reduction of the same
+chip against both, and MNA systems to the unchanged COLAMD path.  Solver
+work is asserted as deltas of the one global counter record.
 """
 
 from dataclasses import fields
@@ -27,7 +26,6 @@ from repro.simulator import ac_analysis, dc_operating_point, transient_analysis
 from repro.simulator.linalg import (
     BACKENDS,
     DirectLUSolver,
-    MultigridSolver,
     SolverOptions,
     make_solver,
     resolve_solver,
@@ -65,21 +63,6 @@ def _mosfet_circuit(technology):
                        technology.mos_parameters("nmos_rf"),
                        width=10e-6, length=0.18e-6)
     return circuit
-
-
-def _mesh_system(technology):
-    """A small substrate-mesh Laplacian plus port contacts (SPD)."""
-    spec = MeshSpec(region=Rect(0, 0, 120e-6, 120e-6), nx=8, ny=8,
-                    max_depth=100e-6, n_z_per_layer=2)
-    mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
-    conductance = mesh.conductance_matrix()
-    n = conductance.shape[0]
-    diagonal = np.zeros(n)
-    diagonal[: mesh.nx] = 1e4 / mesh.nx
-    matrix = sp.csc_matrix(conductance + sp.diags(diagonal + 1e-12))
-    rhs = np.zeros(n)
-    rhs[: mesh.nx] = -1e4 / mesh.nx
-    return matrix, rhs
 
 
 # -- backend equivalence on the analyses -------------------------------------------------
@@ -124,16 +107,12 @@ def test_kron_reduction_backends_match_direct(technology, backend):
     solver = make_solver(SolverOptions(backend=backend))
     before = solver_stats.snapshot()
     reduced = kron_reduce(conductance, [left, right], ["left", "right"],
-                          [1e4, 1e4], solver=solver,
-                          grid=mesh.grid_geometry()).admittance
+                          [1e4, 1e4], solver=solver).admittance
     spent = solver_stats.since(before)
     assert np.allclose(reduced, reference,
                        atol=EQUIV_ATOL * np.abs(reference).max())
-    if backend == "multigrid":
-        # The regularised internal block is SPD with a grid: multigrid
-        # must actually run.
-        assert spent.mg_solves > 0
-        assert spent.fallbacks == 0
+    # A raw matrix takes the direct path: one sparse SPD factorization.
+    assert (spent.factorizations, spent.fallbacks) == (1, 0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -176,7 +155,7 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
     direct_tf = transfer_functions(circuit, ["VSUB_SRC"], nodes, frequencies,
                                    operating_point=operating_point)["VSUB_SRC"]
 
-    backend = "multigrid"
+    backend = "direct"
     tf = transfer_functions(
         circuit, ["VSUB_SRC"], nodes, frequencies,
         operating_point=operating_point,
@@ -217,7 +196,7 @@ class _ColamdKronSolver(DirectLUSolver):
         super().__init__()
         self.blocks = []
 
-    def factorize(self, matrix, structure=None, grid=None, spd=False):
+    def factorize(self, matrix, structure=None, spd=False):
         if spd:
             self.blocks.append(sp.csc_matrix(matrix))
         return super().factorize(matrix, structure=structure)
@@ -226,58 +205,53 @@ class _ColamdKronSolver(DirectLUSolver):
 @pytest.fixture(scope="module")
 def vco_kron_variants(technology):
     """The real 56x56 VCO-testchip Kron reduction of the nominal and the
-    2x-wide ground variant: (block, COLAMD admittance, default admittance)."""
+    2x-wide ground variant: (block, COLAMD admittance, SPD direct
+    admittance, spectral admittance from ``extract_substrate``)."""
     from repro.core.vco_experiment import VcoExperimentOptions
     from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
-    from repro.substrate.extraction import extract_substrate
+    from repro.substrate.extraction import (
+        extract_substrate,
+        identify_ports,
+        mesh_contacts,
+    )
 
     options = VcoExperimentOptions().flow.substrate
     variants = []
     for scale in (1.0, 2.0):
         cell = make_vco_testchip(VcoLayoutSpec(ground_width_scale=scale))
+        ports = identify_ports(cell, technology)
+        names = [port.name for port in ports]
+        mesh, port_nodes = mesh_contacts(cell, technology, options, ports)
+        conductance = mesh.conductance_matrix()
         colamd = _ColamdKronSolver()
-        reference = extract_substrate(cell, technology, options, solver=colamd)
-        default = extract_substrate(cell, technology, options)
+        reference = kron_reduce(conductance, port_nodes, names, solver=colamd)
+        direct = kron_reduce(conductance, port_nodes, names)
+        spectral = extract_substrate(cell, technology, options)
         [block] = colamd.blocks
-        variants.append((block, reference.macromodel.admittance,
-                         default.macromodel.admittance))
+        variants.append((block, reference.admittance, direct.admittance,
+                         spectral.macromodel.admittance))
     return variants
 
 
 def test_spd_kron_matches_colamd_reference_on_vco_testchip(vco_kron_variants):
-    for _, reference, admittance in vco_kron_variants:
+    for _, reference, admittance, _ in vco_kron_variants:
         assert np.max(np.abs(admittance - reference)) \
             <= 1e-12 * np.abs(reference).max()
 
 
-def test_multigrid_matches_direct_on_vco_testchip(technology,
-                                                 vco_kron_variants):
-    """The real 56x56 VCO-testchip Kron block through multigrid: 13 port
-    columns in standalone cycles, no fallback, admittance within 1e-9
-    relative of the direct backend (~2e-11 measured)."""
-    from repro.core.vco_experiment import VcoExperimentOptions
-    from repro.layout.testchips import make_vco_testchip
-    from repro.substrate.extraction import extract_substrate
-
-    [(_, _, reference), _] = vco_kron_variants
-    solver = make_solver(SolverOptions(backend="multigrid"))
-    before = solver_stats.snapshot()
-    admittance = extract_substrate(
-        make_vco_testchip(), technology,
-        VcoExperimentOptions().flow.substrate,
-        solver=solver).macromodel.admittance
-    spent = solver_stats.since(before)
-    assert np.max(np.abs(admittance - reference)) \
-        <= 1e-9 * np.abs(reference).max()
-    assert spent.mg_solves == reference.shape[0]
-    assert spent.fallbacks == 0
+def test_spectral_matches_direct_on_vco_testchip(vco_kron_variants):
+    """The real 56x56 VCO-testchip reduction through the spectral path is
+    within 1e-9 relative of the direct SPD LU (~1e-12 measured)."""
+    for _, _, reference, spectral in vco_kron_variants:
+        assert np.max(np.abs(spectral - reference)) \
+            <= 1e-9 * np.abs(reference).max()
 
 
 def test_spd_factorization_halves_kron_fill(vco_kron_variants):
     """Deterministic fill guard: the symmetric ordering's L+U is at most
     0.6x the COLAMD fill on the real block (0.50x when measured), through
     the default backend's SPD path."""
-    for block, _, _ in vco_kron_variants:
+    for block, _, _, _ in vco_kron_variants:
         colamd = spla.splu(block)
         spd = resolve_solver(None).factorize(block, spd=True)._lu
         assert spd.L.nnz + spd.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
@@ -348,41 +322,16 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
     assert (spent.factorizations, spent.solves) == (1, 10)
 
 
-# -- multigrid routes MNA systems to direct LU ---------------------------------------------
-
-
-def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
-    """DC, AC and transfer systems carry no SPD promise: under the multigrid
-    backend they are solved by direct LU, bit-identically, and routing them
-    there is not a degradation."""
-    circuit = _rc_circuit()
-    frequencies = np.logspace(3, 8, 6)
-    solver = MultigridSolver(SolverOptions(backend="multigrid"))
-    before = solver_stats.snapshot()
-    np.testing.assert_array_equal(
-        dc_operating_point(circuit, solver=solver).vector,
-        dc_operating_point(circuit).vector)
-    np.testing.assert_array_equal(
-        ac_analysis(circuit, frequencies, solver=solver).vectors,
-        ac_analysis(circuit, frequencies).vectors)
-    transfer = transfer_functions(circuit, ["V1"], ["out"], frequencies,
-                                  solver=solver)
-    np.testing.assert_array_equal(
-        transfer["V1"].transfers["out"],
-        transfer_functions(circuit, ["V1"], ["out"],
-                           frequencies)["V1"].transfers["out"])
-    spent = solver_stats.since(before)
-    assert spent.fallbacks == 0
-    assert spent.mg_solves == spent.mg_cycles == 0
-    assert spent.solves > 0
-
-
 # -- solver options validation / resolution -------------------------------------------------
 
 
 def test_solver_options_validation():
     with pytest.raises(SimulationError, match="backend"):
         SolverOptions(backend="cholesky")
+    # The retired multigrid backend fails with the same named error.
+    with pytest.raises(SimulationError,
+                       match="unknown solver backend 'multigrid'"):
+        SolverOptions(backend="multigrid")
     for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(SimulationError, match="gmin"):
             SolverOptions(gmin=bad)
@@ -401,15 +350,15 @@ def test_mna_solve_sparse_routes_through_solver_seam():
     assert np.allclose(routed, reference, atol=EQUIV_ATOL)
     assert solver_stats.since(before).solves == 1
     assert np.allclose(
-        mna_solve(matrix, rhs, solver=SolverOptions(backend="multigrid")),
+        mna_solve(matrix, rhs, solver=SolverOptions(gmin=1e-9)),
         reference, atol=EQUIV_ATOL)
 
 
 def test_resolve_solver_passthrough_and_defaults():
     assert isinstance(resolve_solver(None), DirectLUSolver)
-    assert isinstance(resolve_solver(SolverOptions(backend="multigrid")),
-                      MultigridSolver)
-    shared = MultigridSolver()
+    assert isinstance(resolve_solver(SolverOptions(gmin=1e-9)),
+                      DirectLUSolver)
+    shared = DirectLUSolver()
     assert resolve_solver(shared) is shared
 
 
@@ -429,10 +378,10 @@ def test_solver_options_are_part_of_extraction_cache_key(technology,
     base = FlowOptions(substrate=SubstrateExtractionOptions(nx=10, ny=10))
     loose = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(backend="multigrid"))
+        solver=SolverOptions(gmin=1e-11))
     tight = FlowOptions(
         substrate=base.substrate,
-        solver=SolverOptions(backend="multigrid", gmin=1e-9))
+        solver=SolverOptions(gmin=1e-9))
 
     key_base = extraction_key(nmos_cell, technology, base)
     key_loose = extraction_key(nmos_cell, technology, loose)
@@ -462,6 +411,6 @@ def test_campaign_fingerprint_and_sidecar_record_solver(technology):
         options=replace(
             VcoExperimentOptions(),
             flow=replace(VcoExperimentOptions().flow,
-                         solver=SolverOptions(backend="multigrid"))))
+                         solver=SolverOptions(gmin=1e-9))))
     assert default.fingerprint() != tuned.fingerprint()
-    assert tuned.describe()["options"]["solver"]["backend"] == "multigrid"
+    assert tuned.describe()["options"]["solver"]["gmin"] == 1e-9

@@ -171,12 +171,12 @@ def test_span_aggregates_groups_by_name():
 
 def test_registry_snapshot_schema_and_labels():
     reg = MetricsRegistry()
-    reg.counter("solver.factorizations", backend="multigrid").add(3)
+    reg.counter("solver.factorizations", backend="direct").add(3)
     reg.gauge("mesh.nodes").set(18816)
     reg.histogram("campaign.corner_seconds").observe(0.5)
     reg.histogram("campaign.corner_seconds").observe(1.5)
     snap = reg.snapshot()
-    assert snap["counters"] == {"solver.factorizations{backend=multigrid}": 3}
+    assert snap["counters"] == {"solver.factorizations{backend=direct}": 3}
     assert snap["gauges"] == {"mesh.nodes": 18816}
     hist = snap["histograms"]["campaign.corner_seconds"]
     assert hist["count"] == 2 and hist["sum"] == pytest.approx(2.0)
@@ -193,7 +193,7 @@ def test_absorb_adapters_match_legacy_records():
     stats = SolverStats()
     stats.factorizations = 7
     stats.solves = 22
-    stats.cg_iterations = 5
+    stats.fallbacks = 5
 
     class _Cache:
         hits, misses, evictions, corrupted = 3, 1, 0, 0
@@ -205,7 +205,7 @@ def test_absorb_adapters_match_legacy_records():
     counters = reg.snapshot()["counters"]
     assert counters["solver.factorizations"] == stats.factorizations
     assert counters["solver.solves"] == stats.solves
-    assert counters["solver.cg_iterations"] == stats.cg_iterations
+    assert counters["solver.fallbacks"] == stats.fallbacks
     assert counters["cache.hits"] == 3 and counters["cache.misses"] == 1
     assert counters["solver.degradations{kind=gmin_step}"] == 4
 

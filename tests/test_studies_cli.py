@@ -136,15 +136,16 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_solver_table_selects_backend(tmp_path):
     config = dict(TINY_CONFIG,
-                  solver={"backend": "multigrid", "gmin": 1e-11})
+                  solver={"backend": "direct", "gmin": 1e-11})
     path = tmp_path / "solver.json"
     path.write_text(json.dumps(config))
     campaign = load_campaign_config(path).campaign
     solver = campaign.options.flow.solver
-    assert solver.backend == "multigrid"
+    assert solver.backend == "direct"
     assert solver.gmin == 1e-11
     # The sidecar-bound description records the solver table verbatim.
-    assert campaign.describe()["options"]["solver"]["backend"] == "multigrid"
+    assert campaign.describe()["options"]["solver"] == {"backend": "direct",
+                                                        "gmin": 1e-11}
 
 
 def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
@@ -163,10 +164,12 @@ def test_solver_table_rejects_unknown_keys_and_backends(tmp_path):
                                     solver={"cg_rtol": 1e-11})))
     with pytest.raises(AnalysisError, match="cg_rtol"):
         load_campaign_config(path)
-    path.write_text(json.dumps(dict(TINY_CONFIG,
-                                    solver={"backend": "reuse-lu"})))
-    with pytest.raises(SimulationError, match="unknown solver backend"):
-        load_campaign_config(path)
+    for retired in ("reuse-lu", "multigrid"):
+        path.write_text(json.dumps(dict(TINY_CONFIG,
+                                        solver={"backend": retired})))
+        with pytest.raises(SimulationError,
+                           match=f"unknown solver backend '{retired}'"):
+            load_campaign_config(path)
     # A wrong-typed value (a quoted number) is a clean config error, not a
     # TypeError traceback.
     path.write_text(json.dumps(dict(TINY_CONFIG,
@@ -199,7 +202,7 @@ def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path.write_text(json.dumps(TINY_CONFIG))
     tuned_path = tmp_path / "tuned.json"
     tuned_path.write_text(json.dumps(dict(
-        TINY_CONFIG, solver={"backend": "multigrid"})))
+        TINY_CONFIG, solver={"gmin": 1e-9})))
     base = load_campaign_config(base_path).campaign
     tuned = load_campaign_config(tuned_path).campaign
     assert base.fingerprint() != tuned.fingerprint()

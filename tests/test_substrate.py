@@ -175,6 +175,199 @@ def test_voltage_division_bounded(small_mesh, g_tie):
     assert -1e-9 <= division <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("as_mesh", [False, True], ids=["matrix", "mesh"])
+@pytest.mark.parametrize("bad, message", [
+    (-1, "mesh node -1 is outside the mesh"),
+    (256, "mesh node 256 is outside the mesh"),             # == n_nodes
+    (1.7, "mesh node 1.7 is not an integer index"),
+    ("3", "mesh node '3' is not an integer index"),
+])
+def test_kron_reduce_rejects_bad_port_nodes(small_mesh, as_mesh, bad, message):
+    """A negative, past-the-end or non-integer node names its port, on both
+    paths (a negative index would otherwise alias the deepest node, or pass
+    the spectral path's surface check)."""
+    target = small_mesh if as_mesh else small_mesh.conductance_matrix()
+    assert small_mesh.n_nodes == 256
+    with pytest.raises(ExtractionError, match=f"port 'b': {message}"):
+        kron_reduce(target, [[0], [bad]], ["a", "b"])
+    with pytest.raises(ExtractionError, match=f"port 'b': {message}"):
+        kron_reduce(target, [[(0, 1.0)], [(1, 1.0), (bad, 1.0)]], ["a", "b"])
+
+
+# -- spectral Kron reduction ------------------------------------------------------------------
+
+
+def _kron_spans(run):
+    """Run ``run()`` traced; return its result and its ``extract.kron`` span
+    attributes."""
+    from repro.obs import tracer
+
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        mark = tracer.mark()
+        result = run()
+        spans = [dict(span.attrs) for span in tracer.spans_since(mark)
+                 if span.name == "extract.kron"]
+    finally:
+        if not was_enabled:
+            tracer.disable()
+    return result, spans
+
+
+def _relative_deviation(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@st.composite
+def _meshes_and_ports(draw):
+    nx = draw(st.integers(2, 12))
+    ny = draw(st.integers(2, 12))
+    width = draw(st.floats(20e-6, 400e-6))
+    height = draw(st.floats(20e-6, 400e-6))
+    spec = MeshSpec(region=Rect(0, 0, width, height), nx=nx, ny=ny,
+                    max_depth=draw(st.floats(20e-6, 200e-6)),
+                    n_z_per_layer=draw(st.integers(1, 3)))
+    # Ports draw their cells from a small shared pool, so cells shared by
+    # several ports (partial coverage on both sides) are common.
+    pool = draw(st.lists(st.integers(0, nx * ny - 1), min_size=1,
+                         max_size=min(nx * ny, 12), unique=True))
+    # Contact conductances relative to the mesh's own surface-box
+    # conductance (the test scales them): the direct reference cancels Y_pp
+    # against Y_pi Y_ii^-1 Y_ip and loses about one digit per decade the
+    # contacts exceed the substrate couplings.
+    weights = st.floats(-2.0, 3.0).map(lambda exponent: 10.0 ** exponent)
+    # Two ports at least: a lone port's admittance is only the 1e-12 S
+    # regularisation leakage, below the direct path's round-off.
+    port_nodes = []
+    for _ in range(draw(st.integers(2, 4))):
+        cells = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                              unique=True))
+        port_nodes.append([(cell, draw(weights)) for cell in cells])
+    return spec, port_nodes
+
+
+@given(case=_meshes_and_ports())
+@settings(max_examples=150, deadline=None)
+def test_spectral_kron_matches_direct_lu(technology, case):
+    """The spectral reduction of a mesh equals direct LU on its assembled
+    matrix, and is a passive floating-substrate admittance."""
+    spec, port_nodes = case
+    mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
+    box = mesh.layer_conductivity()[0] * (mesh.x_edges[1] - mesh.x_edges[0])
+    port_nodes = [[(cell, box * weight) for cell, weight in nodes]
+                  for nodes in port_nodes]
+    names = [f"p{index}" for index in range(len(port_nodes))]
+    spectral, spans = _kron_spans(
+        lambda: kron_reduce(mesh, port_nodes, names).admittance)
+    direct = kron_reduce(mesh.conductance_matrix(), port_nodes,
+                         names).admittance
+    assert [span["path"] for span in spans] == ["spectral"]
+    assert _relative_deviation(spectral, direct) <= 1e-9
+
+    scale = np.max(np.abs(spectral))
+    np.testing.assert_array_equal(spectral, spectral.T)
+    off_diagonal = spectral[~np.eye(len(names), dtype=bool)]
+    assert np.all(off_diagonal <= 1e-12 * scale)
+    assert np.min(np.linalg.eigvalsh(spectral)) >= -1e-9 * scale
+    # All ports at 1 V draw only the 1e-12 S-per-node regularisation.
+    row_sums = spectral.sum(axis=1)
+    assert np.all(row_sums >= -1e-9 * scale)
+    assert np.all(row_sums <= 1e-12 * mesh.n_nodes + 1e-9 * scale)
+
+
+def test_spectral_path_reports_k_and_dense_solve_time(small_mesh):
+    left = [small_mesh.node_index(0, iy, 0) for iy in range(small_mesh.ny)]
+    right = [small_mesh.node_index(small_mesh.nx - 1, iy, 0)
+             for iy in range(small_mesh.ny)]
+    _, [span] = _kron_spans(lambda: kron_reduce(
+        small_mesh, [left, right + left[:2]], ["left", "right"]))
+    assert span["path"] == "spectral"
+    assert span["k"] == 2 * small_mesh.ny
+    assert span["dense_solve_s"] >= 0.0
+
+
+def test_cholesky_failure_falls_back_to_direct_lu(small_mesh, monkeypatch,
+                                                  caplog):
+    """A dense Cholesky that raises is one counted, logged fallback to the
+    direct path, with the direct path's result."""
+    import logging
+
+    from repro.simulator.solver import stats as solver_stats
+    from repro.substrate import spectral
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected: not positive definite")
+
+    left = [small_mesh.node_index(0, iy, 0) for iy in range(small_mesh.ny)]
+    right = [small_mesh.node_index(small_mesh.nx - 1, iy, 0)
+             for iy in range(small_mesh.ny)]
+    ports = ([left, right], ["left", "right"])
+    monkeypatch.setattr(spectral, "cho_factor", broken)
+    before = solver_stats.snapshot()
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        reduced, [span] = _kron_spans(
+            lambda: kron_reduce(small_mesh, *ports).admittance)
+    spent = solver_stats.since(before)
+    assert (spent.fallbacks, spent.factorizations) == (1, 1)
+    assert span["path"] == "direct"
+    [record] = [r for r in caplog.records if "fell back" in r.getMessage()]
+    assert record.levelno == logging.WARNING
+    assert "injected: not positive definite" in record.getMessage()
+    np.testing.assert_array_equal(
+        reduced,
+        kron_reduce(small_mesh.conductance_matrix(), *ports).admittance)
+
+
+def test_subsurface_contact_routes_to_direct_lu(small_mesh):
+    surface = [small_mesh.node_index(ix, 0, 0) for ix in range(small_mesh.nx)]
+    buried = [small_mesh.node_index(3, 3, 1)]
+    ports = ([surface, buried], ["surface", "buried"])
+    reduced, [span] = _kron_spans(
+        lambda: kron_reduce(small_mesh, *ports).admittance)
+    assert span["path"] == "direct" and "dense_solve_s" not in span
+    np.testing.assert_array_equal(
+        reduced,
+        kron_reduce(small_mesh.conductance_matrix(), *ports).admittance)
+
+
+def test_raw_matrix_and_non_uniform_mesh_route_to_direct_lu(technology,
+                                                            small_mesh):
+    ports = ([[0, 1], [small_mesh.nx * small_mesh.ny - 1]], ["a", "b"])
+    _, [span] = _kron_spans(
+        lambda: kron_reduce(small_mesh.conductance_matrix(), *ports))
+    assert span["path"] == "direct"
+
+    skewed = SubstrateMesh(spec=small_mesh.spec, profile=technology.substrate)
+    skewed.x_edges = skewed.x_edges.copy()
+    skewed.x_edges[1] += 0.3 * (skewed.x_edges[2] - skewed.x_edges[1])
+    reduced, [span] = _kron_spans(
+        lambda: kron_reduce(skewed, *ports).admittance)
+    assert span["path"] == "direct"
+    np.testing.assert_array_equal(
+        reduced, kron_reduce(skewed.conductance_matrix(), *ports).admittance)
+
+
+def test_kron_admittance_converges_under_mesh_refinement(technology):
+    """On the VCO testchip the Kron admittance approaches the 160x160
+    result monotonically from 56x56 to 96x96 to 128x128 (8.1%, 2.3% and
+    1.6% of the largest entry when measured)."""
+    from repro.core.vco_experiment import VcoExperimentOptions
+
+    cell = make_vco_testchip()
+    options = VcoExperimentOptions().flow.substrate
+
+    def admittance(n):
+        return extract_substrate(cell, technology, replace(
+            options, nx=n, ny=n)).macromodel.admittance
+
+    finest = admittance(160)
+    deviations = [_relative_deviation(admittance(n), finest)
+                  for n in (56, 96, 128)]
+    assert deviations == sorted(deviations, reverse=True)
+    assert deviations[-1] < 0.05
+
+
 # -- layout-driven extraction -------------------------------------------------------------------
 
 
@@ -294,8 +487,8 @@ def test_substrate_inputs_track_devices_mesh_technology_and_solver(
                 replace(bulk, resistivity=2 * bulk.resistivity))))
     assert _inputs_key(nominal, doped) != base
 
-    multigrid = FlowOptions(solver=SolverOptions(backend="multigrid"))
-    assert _inputs_key(nominal, technology, multigrid) != base
+    gmin = FlowOptions(solver=SolverOptions(gmin=1e-9))
+    assert _inputs_key(nominal, technology, gmin) != base
 
 
 def test_flow_reuses_a_given_substrate_extraction(technology,
