@@ -247,6 +247,29 @@ def test_spectral_matches_direct_on_vco_testchip(vco_kron_variants):
             <= 1e-9 * np.abs(reference).max()
 
 
+def test_multigrid_matches_direct_on_vco_testchip(technology,
+                                                 vco_kron_variants):
+    """The real 56x56 VCO-testchip extraction handed an explicit solver
+    instance, as the retired multigrid backend once was: the solver only
+    backs the direct path, so the spectral path still runs (one dense
+    Cholesky, no fallback) and stays within 1e-9 relative of direct LU."""
+    from repro.core.vco_experiment import VcoExperimentOptions
+    from repro.layout.testchips import make_vco_testchip
+    from repro.substrate.extraction import extract_substrate
+
+    [(_, _, reference, _), _] = vco_kron_variants
+    solver = make_solver(SolverOptions())
+    before = solver_stats.snapshot()
+    admittance = extract_substrate(
+        make_vco_testchip(), technology,
+        VcoExperimentOptions().flow.substrate,
+        solver=solver).macromodel.admittance
+    spent = solver_stats.since(before)
+    assert np.max(np.abs(admittance - reference)) \
+        <= 1e-9 * np.abs(reference).max()
+    assert (spent.factorizations, spent.solves, spent.fallbacks) == (1, 1, 0)
+
+
 def test_spd_factorization_halves_kron_fill(vco_kron_variants):
     """Deterministic fill guard: the symmetric ordering's L+U is at most
     0.6x the COLAMD fill on the real block (0.50x when measured), through
@@ -320,6 +343,36 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
                        operating_point=dc, solver=DirectLUSolver())
     spent = solver_stats.since(before)
     assert (spent.factorizations, spent.solves) == (1, 10)
+
+
+# -- MNA systems stay on direct LU ----------------------------------------------------------
+
+
+def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
+    """DC, AC and transfer systems carry no SPD promise.  The multigrid
+    backend that once received them is gone: an explicitly passed solver
+    solves them by direct LU, bit-identically to the default, without a
+    fallback and with the kept ``mg_cycles`` attribute at zero."""
+    circuit = _rc_circuit()
+    frequencies = np.logspace(3, 8, 6)
+    solver = make_solver(SolverOptions())
+    before = solver_stats.snapshot()
+    np.testing.assert_array_equal(
+        dc_operating_point(circuit, solver=solver).vector,
+        dc_operating_point(circuit).vector)
+    np.testing.assert_array_equal(
+        ac_analysis(circuit, frequencies, solver=solver).vectors,
+        ac_analysis(circuit, frequencies).vectors)
+    transfer = transfer_functions(circuit, ["V1"], ["out"], frequencies,
+                                  solver=solver)
+    np.testing.assert_array_equal(
+        transfer["V1"].transfers["out"],
+        transfer_functions(circuit, ["V1"], ["out"],
+                           frequencies)["V1"].transfers["out"])
+    spent = solver_stats.since(before)
+    assert spent.fallbacks == 0
+    assert spent.mg_cycles == solver_stats.mg_cycles == 0
+    assert spent.solves > 0
 
 
 # -- solver options validation / resolution -------------------------------------------------

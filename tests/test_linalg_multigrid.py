@@ -1,16 +1,20 @@
-"""The geometric-multigrid backend: transfers, smoothing, routing, accuracy.
+"""What the retired geometric-multigrid backend covered, and what replaced it.
 
-The accuracy suite runs DC/Kron mesh solves through the multigrid backend
-and asserts it matches the direct-LU reference to <= 1e-8 (the observed
-error is orders of magnitude better — the float64 outer iteration drives
-the residual to ``RTOL`` regardless of the float32 cycles inside).  The
-structural tests pin down the transfer operators, the Galerkin hierarchy,
-the solver counters (deltas of the global record), which systems take the
-multigrid path (``spd=True`` plus a matching grid) and the one fallback:
-multigrid -> direct LU.
+The multigrid backend solved the Kron reduction's SPD mesh block by
+V-cycles and handed everything else to direct LU.  It is deleted: the
+laterally uniform mesh is now reduced exactly by the spectral path of
+:mod:`repro.substrate.spectral`, and every other system (a raw conductance
+matrix, a mesh the spectral path does not cover, all MNA systems) by the
+direct backend.  These tests hold that replacement to the old backend's
+accuracy bar (<= 1e-8 against direct LU on the same mesh blocks), keep its
+routing rules (only a structured mesh leaves direct LU) and its one counted
+fallback (now spectral -> direct LU), and pin the named errors that its
+backend name and retired ``[solver]`` knobs raise.  Solver work is asserted
+as deltas of the global counter record.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,31 +23,29 @@ import scipy.sparse.linalg as spla
 
 from repro.errors import SimulationError
 from repro.layout.geometry import Rect
+from repro.simulator import linalg
 from repro.simulator.linalg import (
-    BACKEND_MULTIGRID,
     BACKENDS,
-    GridGeometry,
-    MultigridSolver,
+    DirectLUSolver,
     SolverOptions,
     make_solver,
 )
-from repro.simulator.linalg import multigrid
-from repro.simulator.linalg.multigrid import build_hierarchy, prolongation_1d
 from repro.simulator.solver import stats as solver_stats
 from repro.studies.cache import fingerprint
-from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
-from repro.technology import make_technology
+from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce, spectral
 
 MG_ATOL = 1e-8
 
 
 @pytest.fixture(scope="module")
 def technology():
+    from repro.technology import make_technology
+
     return make_technology()
 
 
 def _mesh_system(technology, nx=24, ny=24):
-    """A substrate-mesh Laplacian plus port contacts (SPD) and its grid."""
+    """A substrate-mesh Laplacian plus port contacts (SPD) and its mesh."""
     spec = MeshSpec(region=Rect(0, 0, nx * 6e-6, ny * 6e-6), nx=nx, ny=ny,
                     max_depth=150e-6, n_z_per_layer=2)
     mesh = SubstrateMesh(spec=spec, profile=technology.substrate)
@@ -58,6 +60,34 @@ def _mesh_system(technology, nx=24, ny=24):
     return mesh, matrix, rhs
 
 
+def _row_ports(mesh, rows):
+    """One port per surface row ``iy`` in ``rows``, over all its cells."""
+    return [[mesh.node_index(ix, iy, 0) for ix in range(mesh.nx)]
+            for iy in rows]
+
+
+def _traced_kron(*args, **kwargs):
+    """``kron_reduce(*args, **kwargs)`` traced; returns the admittance and
+    the path its ``extract.kron`` span reports."""
+    from repro.obs import tracer
+
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        mark = tracer.mark()
+        admittance = kron_reduce(*args, **kwargs).admittance
+        [path] = [dict(span.attrs)["path"] for span in tracer.spans_since(mark)
+                  if span.name == "extract.kron"]
+    finally:
+        if not was_enabled:
+            tracer.disable()
+    return admittance, path
+
+
+def _deviation(reduced, reference):
+    return np.max(np.abs(reduced - reference)) / np.max(np.abs(reference))
+
+
 @pytest.fixture
 def spent():
     """Solver work since the test started (a delta of the global record)."""
@@ -65,130 +95,73 @@ def spent():
     return lambda: solver_stats.since(before)
 
 
-def _mg_solver():
-    return MultigridSolver(SolverOptions(backend=BACKEND_MULTIGRID))
+# -- the mesh geometry the structured path relies on --------------------------------
 
 
-def _mg_factorize(solver, mesh, matrix):
-    """The Kron reduction's call: an SPD block with its grid geometry."""
-    return solver.factorize(matrix, grid=mesh.grid_geometry(), spd=True)
-
-
-# -- transfer operators -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [4, 5, 8, 9, 13, 56])
-def test_prolongation_rows_sum_to_one(n):
-    p = prolongation_1d(n)
-    assert p.shape == (n, (n + 1) // 2)
-    np.testing.assert_allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0)
-
-
-def test_prolongation_interior_weights():
-    p = prolongation_1d(8).toarray()
-    # fine cell 2 sits a quarter cell left of parent 1: 0.75 / 0.25 split
-    assert p[2, 1] == pytest.approx(0.75)
-    assert p[2, 0] == pytest.approx(0.25)
-    # boundary cells clamp to their parent with full weight
-    assert p[0, 0] == pytest.approx(1.0)
-    assert p[7, 3] == pytest.approx(1.0)
-
-
-def test_grid_geometry_validation():
-    assert GridGeometry(8, 9, 3).n_nodes == 216
-    with pytest.raises(SimulationError):
-        GridGeometry(0, 9, 3)
-    with pytest.raises(SimulationError):
-        GridGeometry(8, 9, -1)
-
-
-# -- hierarchy ----------------------------------------------------------------------
-
-
-def test_galerkin_hierarchy_is_symmetric(technology):
-    mesh, matrix, _ = _mesh_system(technology)
-    levels = build_hierarchy(matrix, mesh.grid_geometry(), coarsest_size=100)
-    assert len(levels) >= 3
-    sizes = [level.matrix.shape[0] for level in levels]
-    assert sizes == sorted(sizes, reverse=True)
-    assert levels[-1].lu is not None
-    for level in levels:
-        operator = sp.csr_matrix(level.matrix.astype(np.float64))
-        asymmetry = abs(operator - operator.T)
-        scale = np.abs(operator.data).max()
-        assert asymmetry.data.max() if asymmetry.nnz else 0.0 <= 1e-10 * scale
-
-
-def test_hierarchy_respects_coarsest_size(technology):
-    mesh, matrix, _ = _mesh_system(technology)
-    shallow = build_hierarchy(matrix, mesh.grid_geometry(),
-                              coarsest_size=matrix.shape[0])
-    assert len(shallow) == 1 and shallow[0].lu is not None
+def test_grid_geometry_validation(technology):
+    """The spectral path takes a mesh only when its geometry is the
+    structured one: ``linspace`` lateral edges and surface contacts."""
+    mesh, _, _ = _mesh_system(technology, nx=8, ny=9)
+    assert mesh.n_nodes == 8 * 9 * mesh.nz
+    surface = np.arange(8 * 9)
+    assert spectral.supports(mesh, surface)
+    assert not spectral.supports(mesh, np.array([mesh.node_index(2, 2, 1)]))
+    skewed = SubstrateMesh(spec=mesh.spec, profile=technology.substrate)
+    skewed.y_edges = skewed.y_edges.copy()
+    skewed.y_edges[3] += 0.2 * (skewed.y_edges[4] - skewed.y_edges[3])
+    assert not spectral.supports(skewed, surface)
 
 
 # -- accuracy against direct LU -----------------------------------------------------
 
 
-def test_multigrid_matches_direct_on_mesh_block(technology, spent):
-    """Standalone block cycles match the direct reference to <= 1e-8."""
-    mesh, matrix, rhs = _mesh_system(technology)
-    reference = spla.splu(matrix).solve(rhs)
-    solver = _mg_solver()
-    factorization = _mg_factorize(solver, mesh, matrix)
-    solution = factorization.solve(rhs)
-    scale = np.max(np.abs(reference))
-    assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().mg_solves == rhs.shape[1]
-    assert spent().mg_cycles > 0
-    assert spent().fallbacks == 0
-    history = factorization.residual_history
-    assert history and history[-1] <= multigrid.RTOL
-    assert history == sorted(history, reverse=True)
+def test_multigrid_matches_direct_on_mesh_block(technology):
+    """The four contact rows of the old multigrid test block, as ports: the
+    spectral reduction matches direct LU to <= 1e-8 with one dense
+    Cholesky and no fallback."""
+    mesh, _, _ = _mesh_system(technology)
+    ports = _row_ports(mesh, range(4))
+    names = [f"row{iy}" for iy in range(4)]
+    contacts = [0.2] * 4
+    direct = kron_reduce(mesh.conductance_matrix(), ports, names, contacts)
+    before = solver_stats.snapshot()
+    reduced, path = _traced_kron(mesh, ports, names, contacts)
+    work = solver_stats.since(before)
+    assert path == "spectral"
+    assert _deviation(reduced, direct.admittance) <= MG_ATOL
+    assert (work.factorizations, work.fallbacks) == (1, 0)
 
 
-def test_multigrid_matches_direct_single_vector(technology, spent):
-    """Single vectors go through MG-preconditioned CG."""
-    mesh, matrix, rhs = _mesh_system(technology)
-    reference = spla.splu(matrix).solve(rhs[:, 0])
-    solver = _mg_solver()
-    solution = _mg_factorize(solver, mesh, matrix).solve(rhs[:, 0])
-    scale = np.max(np.abs(reference))
-    assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().cg_solves == 1
-    assert spent().mg_solves == 1
-    assert 0 < spent().cg_iterations <= multigrid.MAX_CYCLES
-    assert spent().fallbacks == 0
-
-
-@pytest.mark.parametrize("mode", ["standalone", "pcg"])
-def test_multigrid_modes_match_direct(technology, mode, spent):
-    """The RHS width picks the mode: blocks standalone, vectors PCG."""
-    mesh, matrix, rhs = _mesh_system(technology)
-    if mode == "pcg":
-        rhs = rhs[:, :1]
-    reference = spla.splu(matrix).solve(rhs)
-    solver = _mg_solver()
-    solution = _mg_factorize(solver, mesh, matrix).solve(rhs)
-    scale = np.max(np.abs(reference))
-    assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().cg_solves == (1 if mode == "pcg" else 0)
-    assert spent().mg_solves == rhs.shape[1]
+def test_multigrid_matches_direct_single_vector(technology):
+    """Ports of a single surface cell each (k = 2, the smallest dense
+    solve) match direct LU to <= 1e-8."""
+    mesh, _, _ = _mesh_system(technology)
+    ports = [[mesh.node_index(2, 3, 0)], [mesh.node_index(20, 17, 0)]]
+    direct = kron_reduce(mesh.conductance_matrix(), ports, ["a", "b"],
+                         [0.2, 0.2])
+    before = solver_stats.snapshot()
+    reduced, path = _traced_kron(mesh, ports, ["a", "b"], [0.2, 0.2])
+    work = solver_stats.since(before)
+    assert path == "spectral"
+    assert _deviation(reduced, direct.admittance) <= MG_ATOL
+    assert (work.factorizations, work.fallbacks) == (1, 0)
 
 
 def test_multigrid_complex_rhs(technology, spent):
-    mesh, matrix, rhs = _mesh_system(technology)
+    """The SPD factorization of the mesh block solves a complex RHS as two
+    real solves, within 1e-8 of COLAMD LU, counted as one solve."""
+    _, matrix, rhs = _mesh_system(technology)
     complex_rhs = rhs[:, 0] + 1j * rhs[:, 1]
     lu = spla.splu(matrix)
     reference = lu.solve(rhs[:, 0]) + 1j * lu.solve(rhs[:, 1])
-    solver = _mg_solver()
-    solution = _mg_factorize(solver, mesh, matrix).solve(complex_rhs)
+    solution = DirectLUSolver().factorize(matrix, spd=True).solve(complex_rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().mg_solves == 2
+    assert (spent().factorizations, spent().solves) == (1, 1)
 
 
-def test_multigrid_kron_reduction_matches_direct(technology, spent):
-    mesh, matrix, _ = _mesh_system(technology)
+def test_multigrid_kron_reduction_matches_direct(technology):
+    mesh, _, _ = _mesh_system(technology)
     conductance = mesh.conductance_matrix()
     nx = mesh.nx
     port_nodes = [[mesh.node_index(ix, 0, 0) for ix in range(4)],
@@ -196,133 +169,123 @@ def test_multigrid_kron_reduction_matches_direct(technology, spent):
                    for ix in range(nx - 4, nx)]]
     names = ["agg", "vic"]
     # realistic contact conductances (~5 ohm taps), as the extraction layer
-    # stamps them — ideal 1e6 S contacts make the Schur complement cancel
-    # ~11 digits and amplify *any* solver's residual into the result
+    # stamps them — ideal 1e6 S contacts make the direct Schur complement
+    # cancel ~11 digits and amplify its residual into the reference
     contacts = [0.2, 0.2]
     direct = kron_reduce(conductance, port_nodes, names,
                          port_contact_conductance=contacts)
-    solver = _mg_solver()
-    reduced = kron_reduce(conductance, port_nodes, names,
-                          port_contact_conductance=contacts,
-                          solver=solver, grid=mesh.grid_geometry())
-    scale = np.max(np.abs(direct.admittance))
-    assert np.max(np.abs(reduced.admittance
-                         - direct.admittance)) <= MG_ATOL * scale
-    assert spent().mg_solves == len(names)
-    assert spent().fallbacks == 0
+    before = solver_stats.snapshot()
+    reduced, path = _traced_kron(mesh, port_nodes, names,
+                                 port_contact_conductance=contacts,
+                                 solver=make_solver(SolverOptions()))
+    work = solver_stats.since(before)
+    assert path == "spectral"
+    assert _deviation(reduced, direct.admittance) <= MG_ATOL
+    assert (work.factorizations, work.fallbacks) == (1, 0)
 
 
-# -- routing: only SPD blocks with a matching grid take multigrid -------------------
+# -- routing: only a structured mesh leaves direct LU -------------------------------
 
 
 def test_spd_without_grid_goes_to_direct(technology, spent):
     """SPD block without geometry: plain direct LU, not a degradation."""
     _, matrix, rhs = _mesh_system(technology)
     reference = spla.splu(matrix).solve(rhs[:, 0])
-    solver = _mg_solver()
+    solver = DirectLUSolver()
     solution = solver.factorize(matrix, spd=True).solve(rhs[:, 0])
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
     assert spent().fallbacks == 0
-    assert spent().mg_solves == 0
     assert spent().factorizations == 1
 
 
 def test_grid_size_mismatch_is_treated_as_no_grid(technology, spent):
-    _, matrix, rhs = _mesh_system(technology)
-    solver = _mg_solver()
-    wrong = GridGeometry(3, 3, 3)        # 27 != mesh size
-    solver.factorize(matrix, grid=wrong, spd=True).solve(rhs[:, 0])
+    """A mesh whose lateral edges are not uniform is reduced as its raw
+    matrix would be: direct LU, bit-identical, no fallback counted."""
+    mesh, _, _ = _mesh_system(technology, nx=8, ny=8)
+    skewed = SubstrateMesh(spec=mesh.spec, profile=technology.substrate)
+    skewed.y_edges = skewed.y_edges.copy()
+    skewed.y_edges[3] += 0.2 * (skewed.y_edges[4] - skewed.y_edges[3])
+    ports = (_row_ports(skewed, (0, 7)), ["a", "b"], [0.2, 0.2])
+    reduced, path = _traced_kron(skewed, *ports)
+    assert path == "direct"
     assert spent().fallbacks == 0
-    assert spent().mg_solves == 0
+    assert spent().factorizations == 1
+    np.testing.assert_array_equal(
+        reduced,
+        kron_reduce(skewed.conductance_matrix(), *ports).admittance)
 
 
 def test_non_spd_with_grid_goes_to_direct(spent):
-    """Without the caller's SPD promise a gridded system is factorized by
-    direct LU (COLAMD, as the direct backend does), with no fallback."""
+    """Without the caller's SPD promise a system is factorized by direct LU
+    with COLAMD, as ``splu`` does by default, with no fallback."""
     n = 27
     rng = np.random.default_rng(7)
     matrix = sp.csc_matrix(rng.standard_normal((n, n)) + 10.0 * np.eye(n))
     rhs = rng.standard_normal(n)
     reference = spla.splu(matrix).solve(rhs)
-    solver = _mg_solver()
-    solution = solver.factorize(matrix, grid=GridGeometry(3, 3, 3)).solve(rhs)
+    solver = DirectLUSolver()
+    solution = solver.factorize(matrix).solve(rhs)
     np.testing.assert_array_equal(solution, reference)
     assert spent().fallbacks == 0
-    assert spent().mg_solves == 0
-    np.testing.assert_array_equal(
-        solver.solve(matrix, rhs, grid=GridGeometry(3, 3, 3)), reference)
+    np.testing.assert_array_equal(solver.solve(matrix, rhs), reference)
 
 
-# -- the one fallback: multigrid -> direct LU ---------------------------------------
+# -- the one fallback: spectral -> direct LU ----------------------------------------
 
 
-def test_hierarchy_failure_falls_back_to_direct(technology, monkeypatch,
-                                                spent):
-    """A failed hierarchy set-up degrades to a direct SPD factorization,
-    counted once; the Kron admittance still matches the direct backend."""
+def test_hierarchy_failure_falls_back_to_direct(technology, monkeypatch):
+    """A failed set-up of the surface Green's table degrades to the direct
+    SPD factorization, counted once; the admittance is the direct one."""
     mesh, _, _ = _mesh_system(technology)
-    conductance = mesh.conductance_matrix()
-    ports = [[mesh.node_index(ix, 0, 0) for ix in range(4)],
-             [mesh.node_index(ix, mesh.ny - 1, 0) for ix in range(4)]]
-    direct = kron_reduce(conductance, ports, ["a", "b"], [0.2, 0.2])
+    ports = ([[mesh.node_index(ix, 0, 0) for ix in range(4)],
+              [mesh.node_index(ix, mesh.ny - 1, 0) for ix in range(4)]],
+             ["a", "b"], [0.2, 0.2])
+    direct = kron_reduce(mesh.conductance_matrix(), *ports)
 
     def broken(*args, **kwargs):
-        raise SimulationError("injected hierarchy failure")
+        raise np.linalg.LinAlgError("injected table failure")
 
-    monkeypatch.setattr(multigrid, "build_hierarchy", broken)
-    solver = _mg_solver()
-    reduced = kron_reduce(conductance, ports, ["a", "b"], [0.2, 0.2],
-                          solver=solver, grid=mesh.grid_geometry())
-    np.testing.assert_allclose(reduced.admittance, direct.admittance,
+    monkeypatch.setattr(spectral, "_surface_green_table", broken)
+    before = solver_stats.snapshot()
+    reduced, path = _traced_kron(mesh, *ports)
+    work = solver_stats.since(before)
+    assert path == "direct"
+    np.testing.assert_allclose(reduced, direct.admittance,
                                rtol=1e-12, atol=0.0)
-    assert spent().fallbacks == 1
-    assert spent().mg_solves == 0
+    assert (work.fallbacks, work.factorizations) == (1, 1)
 
 
-def test_stagnation_falls_back_without_wrong_answers(technology, monkeypatch,
-                                                     spent):
-    """A cycle budget too small to converge still returns the right answer:
-    the standalone iteration falls back to direct LU, once per block."""
-    monkeypatch.setattr(multigrid, "MAX_CYCLES", 1)
-    mesh, matrix, rhs = _mesh_system(technology)
-    reference = spla.splu(matrix).solve(rhs)
-    solver = _mg_solver()
-    factorization = _mg_factorize(solver, mesh, matrix)
-    solution = factorization.solve(rhs)
-    scale = np.max(np.abs(reference))
-    assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().fallbacks == 1
-    assert spent().mg_cycles == 1
-    # later solves reuse the fallback factorization instead of cycling again
-    factorization.solve(rhs)
-    assert (spent().fallbacks, spent().mg_cycles) == (1, 1)
+def test_stagnation_falls_back_without_wrong_answers(technology,
+                                                     monkeypatch):
+    """A dense system that really is indefinite (the Green's matrix negated)
+    makes the Cholesky itself fail; the reduction still returns the direct
+    answer, one fallback per reduction."""
+    mesh, _, _ = _mesh_system(technology)
+    ports = (_row_ports(mesh, (0, mesh.ny - 1)), ["a", "b"], [0.2, 0.2])
+    direct = kron_reduce(mesh.conductance_matrix(), *ports)
+    green = spectral._surface_green_matrix
 
+    def negated(*args, **kwargs):
+        matrix, uniform = green(*args, **kwargs)
+        return -matrix, uniform
 
-def test_pcg_stall_is_capped_by_the_cycle_budget(technology, monkeypatch,
-                                                 spent):
-    """A PCG solve that cannot reach its target (rtol patched to 0) stops
-    after MAX_CYCLES iterations and falls back to the direct answer."""
-    monkeypatch.setattr(multigrid, "RTOL", 0.0)
-    mesh, matrix, rhs = _mesh_system(technology)
-    reference = spla.splu(matrix).solve(rhs[:, 0])
-    solver = _mg_solver()
-    solution = _mg_factorize(solver, mesh, matrix).solve(rhs[:, 0])
-    scale = np.max(np.abs(reference))
-    assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
-    assert spent().fallbacks == 1
-    assert 0 < spent().mg_cycles <= multigrid.MAX_CYCLES
-    assert spent().cg_iterations <= multigrid.MAX_CYCLES
-    assert spent().cg_solves == 0
+    monkeypatch.setattr(spectral, "_surface_green_matrix", negated)
+    before = solver_stats.snapshot()
+    for expected in (1, 2):
+        reduced, path = _traced_kron(mesh, *ports)
+        assert path == "direct"
+        np.testing.assert_array_equal(reduced, direct.admittance)
+        assert solver_stats.since(before).fallbacks == expected
 
 
 def test_empty_and_shape_errors(technology):
-    solver = _mg_solver()
+    solver = DirectLUSolver()
     empty = sp.csc_matrix((0, 0))
     assert solver.factorize(empty).solve(np.zeros((0,))).shape == (0,)
-    mesh, matrix, _ = _mesh_system(technology)
-    for factorization in (solver.factorize(matrix, grid=None),
-                          _mg_factorize(solver, mesh, matrix)):
+    _, matrix, _ = _mesh_system(technology)
+    for factorization in (solver.factorize(matrix),
+                          solver.factorize(matrix, spd=True)):
         with pytest.raises(SimulationError):
             factorization.solve(np.zeros(3))
 
@@ -331,10 +294,17 @@ def test_empty_and_shape_errors(technology):
 
 
 def test_multigrid_registered_in_backends():
-    assert BACKENDS == ("direct", "multigrid")
-    solver = make_solver(SolverOptions(backend=BACKEND_MULTIGRID))
-    assert isinstance(solver, MultigridSolver)
-    assert solver.name == BACKEND_MULTIGRID
+    """Direct LU is the one registered backend; the multigrid names are
+    gone and its backend name fails with the named error."""
+    assert BACKENDS == ("direct",)
+    solver = make_solver(SolverOptions())
+    assert isinstance(solver, DirectLUSolver)
+    assert solver.name == "direct"
+    for retired in ("BACKEND_MULTIGRID", "MultigridSolver", "GridGeometry"):
+        assert not hasattr(linalg, retired)
+    with pytest.raises(SimulationError,
+                       match="unknown solver backend 'multigrid'"):
+        make_solver(SolverOptions(backend="multigrid"))
 
 
 # -- options and cache-key participation --------------------------------------------
@@ -351,9 +321,9 @@ def test_multigrid_registered_in_backends():
     dict(mg_rtol=1e-12),
 ])
 def test_mg_option_validation(tmp_path, bad):
-    """The cycle shape is fixed: an old ``[solver]`` table setting any of
-    the retired knobs (``mg_*`` cycle shape, CG budget, LU pattern cache)
-    fails with a named config error."""
+    """An old ``[solver]`` table setting any of the retired knobs
+    (``mg_*`` cycle shape, CG budget, LU pattern cache) fails with a named
+    config error."""
     from repro.errors import AnalysisError
     from repro.studies.cli import load_campaign_config
 
@@ -361,15 +331,17 @@ def test_mg_option_validation(tmp_path, bad):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({
         "name": "old", "axes": {"vtune": [0.0]},
-        "solver": dict(backend=BACKEND_MULTIGRID, **bad)}))
+        "solver": dict(backend="multigrid", **bad)}))
     with pytest.raises(AnalysisError, match=knob):
         load_campaign_config(path)
 
 
 def test_mg_options_participate_in_cache_key():
-    base = SolverOptions(backend=BACKEND_MULTIGRID)
-    assert fingerprint(base) == fingerprint(
-        SolverOptions(backend=BACKEND_MULTIGRID))
-    assert fingerprint(base) != fingerprint(SolverOptions())
+    """No multigrid option is left to key the cache: the solver options are
+    the backend and gmin, an explicit direct backend keys like the default,
+    and gmin still separates keys."""
+    assert [f.name for f in fields(SolverOptions)] == ["backend", "gmin"]
+    base = SolverOptions(backend="direct")
+    assert fingerprint(base) == fingerprint(SolverOptions())
     assert fingerprint(base) != fingerprint(
-        SolverOptions(backend=BACKEND_MULTIGRID, gmin=1e-9))
+        SolverOptions(backend="direct", gmin=1e-9))
