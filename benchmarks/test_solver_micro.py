@@ -1,13 +1,19 @@
 """Solver-core micro-benchmarks: stamping, transient stepping, AC sweeping.
 
-These isolate the three hot paths the sparse-solver overhaul targets so their
-cost can be tracked independently of the full extraction flow:
+These time three solver hot paths on a 24x24 resistor grid (577 unknowns),
+independently of the full extraction flow:
 
-* MNA stamping of a large resistor mesh (COO triplet accumulation),
+* MNA stamping of the grid (COO triplet accumulation and the CSR build),
 * the linear transient step loop (one cached LU factorization + per-step
   triangular solves),
-* a dense AC frequency sweep (shared G/C sparsity pattern, per-point
+* a 64-point AC frequency sweep (shared G/C sparsity pattern, per-point
   ``.data`` assembly).
+
+577 unknowns is far above the dense cutoff
+(:data:`repro.simulator.solver.DENSE_MAX_SIZE`), so every system here is
+assembled sparse and factorized by SuperLU; the dense LAPACK kernel that
+solves the small impact netlists is timed end to end by the perfbench
+``sweep_warm_56`` workload instead.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_solver_micro.py -s``.
 """

@@ -300,8 +300,9 @@ class VcoImpactAnalysis:
         noise_amplitude = self._noise.amplitude
 
         results = []
-        for frequency in noise_frequencies:
-            entries = entries_at_frequency(catalog, transfer, float(frequency))
+        for index, frequency in enumerate(noise_frequencies):
+            entries = entries_at_frequency(catalog, transfer, float(frequency),
+                                           index=index)
             results.append(compute_spurs(entries, carrier_frequency,
                                          carrier_amplitude, noise_amplitude,
                                          float(frequency)))

@@ -1,4 +1,4 @@
-"""Sparse-MNA circuit simulator: DC, AC, transfer-function and transient analyses."""
+"""MNA circuit simulator: DC, AC, transfer-function and transient analyses."""
 
 from .mna import MatrixStamper, MnaStructure, SolutionView, solve_sparse, stamp_linear_elements
 from .solver import (
@@ -7,7 +7,6 @@ from .solver import (
     SolverStats,
     add_gmin_diagonal,
     factorize,
-    gmin_diagonal,
     stats as solver_stats,
 )
 from .linalg import (
@@ -47,7 +46,6 @@ __all__ = [
     "add_gmin_diagonal",
     "dc_operating_point",
     "factorize",
-    "gmin_diagonal",
     "make_solver",
     "resolve_solver",
     "solve_sparse",

@@ -7,6 +7,11 @@ the AC phasors of the independent sources on the right-hand side.
 This is the analysis used throughout the reproduction to compute the transfer
 from the substrate-noise injection source to the sensitive nodes of the
 circuit (back-gates, on-chip ground, tank nodes, output).
+
+``G`` and ``C`` are assembled in the format the system size routes its
+solves to (:func:`~repro.simulator.solver.frequency_pair`): dense arrays and
+LAPACK for small systems such as the merged impact netlist, a shared CSC
+pattern and SuperLU for large ones.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure, SolutionView, stamp_linear_elements
-from .solver import SharedPatternPair, add_gmin_diagonal
+from .solver import add_gmin_diagonal, frequency_pair
 
 
 @dataclass
@@ -59,7 +64,11 @@ class AcSolution:
 
 def _small_signal_matrices(circuit: Circuit, structure: MnaStructure,
                            operating_point: DcSolution | None):
-    """Build (G, C) with all nonlinear elements replaced by their linearisation."""
+    """Build (G, C) with all nonlinear elements replaced by their linearisation.
+
+    Both come in the format their solves route to: dense arrays at or below
+    the LAPACK cutoff, CSR above it.
+    """
     stamper = stamp_linear_elements(circuit, structure)
     nonlinear = circuit.nonlinear_elements()
     if nonlinear:
@@ -69,7 +78,7 @@ def _small_signal_matrices(circuit: Circuit, structure: MnaStructure,
         voltages = operating_point.voltages()
         for element in nonlinear:
             element.stamp_small_signal(stamper, voltages)
-    return stamper.conductance_matrix(), stamper.capacitance_matrix()
+    return stamper.conductance_system(), stamper.capacitance_system()
 
 
 def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
@@ -119,9 +128,9 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
     g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
                                  solver.options.effective_gmin(gmin))
 
-    # G and C share one CSC sparsity pattern; each frequency point only
-    # rewrites the .data array of the preallocated (G + j*omega*C) matrix.
-    pattern = SharedPatternPair(g_matrix, c_matrix)
+    # Each frequency point only rewrites a preallocated (G + j*omega*C):
+    # a dense buffer, or the .data array of a shared CSC pattern.
+    pattern = frequency_pair(g_matrix, c_matrix)
     rhs = _ac_rhs(circuit, structure)
     vectors = np.zeros((frequencies.size, structure.size), dtype=complex)
     for index, frequency in enumerate(frequencies):

@@ -23,21 +23,28 @@ The strategy that finally converged is recorded on the
 :data:`repro.simulator.solver.stats` (``dc_gmin_steps`` /
 ``dc_source_steps``), so campaign results can surface which corners only
 converged via the ladder.
+
+Each Newton solve assembles the Jacobian's linear part plus its gmin shunt
+once (dense for small systems, see :mod:`repro.simulator.solver`); an
+iteration adds only the nonlinear companion stamps.  The whole analysis
+runs under one ``sim.dc`` span carrying ``iterations`` and ``strategy``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
+from ..obs import trace_span
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MatrixStamper, MnaStructure, SolutionView, stamp_linear_elements
-from .solver import gmin_diagonal
+from .solver import add_gmin_diagonal
 
 
 @dataclass
@@ -83,49 +90,68 @@ class DcOptions:
     gmin_steps: int = 6             #: rungs of the gmin-stepping continuation ladder
     gmin_start: float = 1e-3        #: starting (heavily regularised) ladder gmin
 
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "source_steps"):
+            if getattr(self, name) < 1:
+                raise SimulationError(
+                    f"DcOptions.{name} must be >= 1, got "
+                    f"{getattr(self, name)!r}")
+        if self.gmin_steps < 0:
+            raise SimulationError(
+                f"DcOptions.gmin_steps must be >= 0, got {self.gmin_steps!r}")
+        if not (math.isfinite(self.damping) and 0.0 < self.damping <= 1.0):
+            raise SimulationError(
+                f"DcOptions.damping must be finite and in (0, 1], got "
+                f"{self.damping!r}")
+        for name in ("abs_tolerance", "rel_tolerance", "gmin", "gmin_start"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise SimulationError(
+                    f"DcOptions.{name} must be finite and >= 0, got "
+                    f"{value!r}")
 
-def _fill_source_rhs(stamper: MatrixStamper, circuit: Circuit,
-                     scale: float = 1.0) -> None:
-    """Overwrite the RHS with the (possibly scaled) DC source values."""
-    stamper.rhs[:] = 0.0
+
+def _source_rhs(circuit: Circuit, structure: MnaStructure,
+                scale: float = 1.0) -> np.ndarray:
+    """The RHS holding the (possibly scaled) DC source values."""
+    rhs = np.zeros(structure.size)
     for element in circuit.sources():
         if isinstance(element, VoltageSource):
-            row = stamper.structure.branch_row(element.name)
-            stamper.rhs[row] = scale * element.value.dc
+            rhs[structure.branch_row(element.name)] = scale * element.value.dc
         elif isinstance(element, CurrentSource):
             value = scale * element.value.dc
-            row_p = stamper.structure.node_row(element.node_p)
-            row_n = stamper.structure.node_row(element.node_n)
+            row_p = structure.node_row(element.node_p)
+            row_n = structure.node_row(element.node_n)
             if row_p is not None:
-                stamper.rhs[row_p] -= value
+                rhs[row_p] -= value
             if row_n is not None:
-                stamper.rhs[row_n] += value
+                rhs[row_n] += value
+    return rhs
 
 
 def _newton_solve(circuit: Circuit, structure: MnaStructure,
-                  linear: MatrixStamper, options: DcOptions,
+                  jacobian, options: DcOptions,
                   initial: np.ndarray, source_scale: float,
-                  solver: LinearSolver,
-                  gmin_diag) -> tuple[np.ndarray, int]:
-    """Newton iteration at a fixed source scaling; returns (solution, iterations)."""
+                  solver: LinearSolver) -> tuple[np.ndarray, int]:
+    """Newton iteration at a fixed source scaling; returns (solution, iterations).
+
+    ``jacobian`` is the linear part of the Jacobian with the gmin shunt
+    already added; each iteration adds only the companion stamps.
+    """
     x = initial.copy()
     nonlinear = circuit.nonlinear_elements()
     n_nodes = structure.n_nodes
+    source_rhs = _source_rhs(circuit, structure, scale=source_scale)
 
     for iteration in range(1, options.max_iterations + 1):
-        stamper = linear.copy()
-        _fill_source_rhs(stamper, circuit, scale=source_scale)
+        companion = MatrixStamper(structure)
         voltages = {name: float(x[row])
                     for name, row in structure.node_index.items()}
         for element in nonlinear:
-            element.stamp_companion(stamper, voltages)
-        # gmin from every node to ground keeps floating nodes solvable; the
-        # diagonal is built once per analysis, so every iteration pays one
-        # CSR addition instead of a format conversion.
-        matrix = stamper.conductance_matrix()
-        if gmin_diag is not None:
-            matrix = matrix + gmin_diag
-        x_new = solver.solve(matrix, stamper.rhs, structure=structure)
+            element.stamp_companion(companion, voltages)
+        matrix = jacobian + companion.conductance_system()
+        x_new = solver.solve(matrix, source_rhs + companion.rhs,
+                             structure=structure)
         delta = x_new - x
         x = x + options.damping * delta
         max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
@@ -167,27 +193,39 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     on the returned :class:`DcSolution` and the ladder rungs are counted
     into :data:`repro.simulator.solver.stats`.
     ``solver`` selects the linear-solver backend (options or a shared
-    instance); every backend factorizes the Newton systems by direct LU.
+    instance); the system size picks its LU kernel.
     """
     options = options or DcOptions()
     solver = resolve_solver(solver)
     circuit.validate()
     structure = MnaStructure.from_circuit(circuit)
-    linear = stamp_linear_elements(circuit, structure)
+    with trace_span("sim.dc", size=structure.size) as span:
+        solution = _operating_point(circuit, structure, options, solver)
+        if span is not None:
+            span.set(iterations=solution.iterations,
+                     strategy=solution.strategy)
+    return solution
+
+
+def _operating_point(circuit: Circuit, structure: MnaStructure,
+                     options: DcOptions, solver: LinearSolver) -> DcSolution:
+    """Plain Newton, then the gmin- and source-stepping rungs."""
+    linear_g = stamp_linear_elements(circuit, structure).conductance_system()
     initial = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
-    gmin_diag = gmin_diagonal(structure.size, structure.n_nodes, target_gmin)
 
-    def newton(guess, scale, diag):
-        return _newton_solve(circuit, structure, linear, options, guess,
-                             source_scale=scale, solver=solver,
-                             gmin_diag=diag)
+    def newton(guess, scale, gmin):
+        jacobian = add_gmin_diagonal(linear_g, structure.n_nodes, gmin)
+        return _newton_solve(circuit, structure, jacobian, options, guess,
+                             source_scale=scale, solver=solver)
 
-    try:
-        vector, iterations = newton(initial, 1.0, gmin_diag)
+    def solution(vector, iterations, strategy):
         return DcSolution(circuit=circuit, structure=structure,
                           vector=vector, iterations=iterations,
-                          strategy="newton")
+                          strategy=strategy)
+
+    try:
+        return solution(*newton(initial, 1.0, target_gmin), "newton")
     except ConvergenceError:
         pass
 
@@ -202,16 +240,12 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
             vector = initial
             total_iterations = 0
             for rung_gmin in ladder:
-                rung_diag = gmin_diagonal(structure.size, structure.n_nodes,
-                                          rung_gmin)
-                vector, iterations = newton(vector, 1.0, rung_diag)
+                vector, iterations = newton(vector, 1.0, rung_gmin)
                 total_iterations += iterations
                 solver._bump("dc_gmin_steps")
-            vector, iterations = newton(vector, 1.0, gmin_diag)
-            total_iterations += iterations
-            return DcSolution(circuit=circuit, structure=structure,
-                              vector=vector, iterations=total_iterations,
-                              strategy="gmin-stepping")
+            vector, iterations = newton(vector, 1.0, target_gmin)
+            return solution(vector, total_iterations + iterations,
+                            "gmin-stepping")
         except ConvergenceError:
             pass
 
@@ -222,12 +256,10 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
         total_iterations = 0
         for step in range(1, options.source_steps + 1):
             scale = step / options.source_steps
-            vector, iterations = newton(vector, scale, gmin_diag)
+            vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
             solver._bump("dc_source_steps")
-        return DcSolution(circuit=circuit, structure=structure,
-                          vector=vector, iterations=total_iterations,
-                          strategy="source-stepping")
+        return solution(vector, total_iterations, "source-stepping")
     except ConvergenceError as exc:
         raise ConvergenceError(
             "DC operating point did not converge: plain Newton, "

@@ -8,11 +8,19 @@ cache keys) or a ready :class:`LinearSolver` instance (reused across
 analyses).  Every backend counts its work into the one module-level
 :data:`repro.simulator.solver.stats` record.
 
-The one backend is :class:`DirectLUSolver` (SuperLU).  The substrate Kron
-reduction of a structured mesh does not come through this seam: it is
-reduced exactly by :mod:`repro.substrate.spectral`, and only raw matrices
-and the meshes that path does not cover reach :meth:`LinearSolver.factorize`
-with ``spd=True``.
+The one backend is :class:`DirectLUSolver`: direct LU whose kernel follows
+the system size.  MNA systems of at most
+:data:`~repro.simulator.solver.DENSE_MAX_SIZE` (90) unknowns are assembled
+dense and factorized by LAPACK ``getrf``/``getrs``; larger ones stay sparse
+for SuperLU with COLAMD ordering.  The cutoff is the measured crossover of
+one complex factor + solve on a resistor grid (the table is in
+:mod:`repro.simulator.solver`): LAPACK takes 21 us at 17 unknowns against
+SuperLU's 59 us, and 187 us against 146 us at 101.  It is a module
+constant, not an option.  The substrate Kron reduction of a structured mesh
+does not come through this seam: it is reduced exactly by
+:mod:`repro.substrate.spectral`, and only raw matrices and the meshes that
+path does not cover reach :meth:`LinearSolver.factorize` with ``spd=True``
+(SuperLU with a symmetric ordering at any size).
 """
 
 from ..solver import SolverStats

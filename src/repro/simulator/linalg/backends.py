@@ -13,9 +13,11 @@ needed —
 — and counts that work into the one process-wide record,
 :data:`repro.simulator.solver.stats`.
 
-:class:`DirectLUSolver` is the SuperLU path and the one backend; SPD
-blocks (``factorize(..., spd=True)``) get a symmetric minimum-degree
-ordering instead of COLAMD.
+:class:`DirectLUSolver` is the one backend.  A dense array (an MNA system
+of at most :data:`~repro.simulator.solver.DENSE_MAX_SIZE` unknowns, which
+the analyses assemble dense) is factorized by LAPACK; a sparse matrix by
+SuperLU, where SPD blocks (``factorize(..., spd=True)``) get a symmetric
+minimum-degree ordering instead of COLAMD.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ class LinearSolver:
 
     # -- the seam ------------------------------------------------------------
 
-    def factorize(self, matrix: sp.spmatrix, structure=None,
+    def factorize(self, matrix: sp.spmatrix | np.ndarray, structure=None,
                   spd: bool = False):
-        """Prepare ``matrix`` for repeated solves; returns a handle with
-        ``solve(rhs)`` accepting a vector or a dense ``(n, k)`` block.
+        """Prepare ``matrix`` (sparse, or a dense array) for repeated
+        solves; returns a handle with ``solve(rhs)`` accepting a vector or
+        a dense ``(n, k)`` block.
 
         ``spd=True`` is the caller's promise that the matrix is symmetric
         positive definite (the Kron reduction's internal mesh block): the
@@ -57,21 +60,22 @@ class LinearSolver:
         """
         raise NotImplementedError
 
-    def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
+    def solve(self, matrix: sp.spmatrix | np.ndarray, rhs: np.ndarray,
               structure=None) -> np.ndarray:
         """One-shot solve of ``matrix @ x = rhs``."""
         return self.factorize(matrix, structure=structure).solve(rhs)
 
 
 class DirectLUSolver(LinearSolver):
-    """The reference backend: one SuperLU factorization per matrix."""
+    """The reference backend: one LU factorization per matrix (LAPACK for
+    dense arrays, SuperLU for sparse matrices)."""
 
     name = BACKEND_DIRECT
 
-    def factorize(self, matrix: sp.spmatrix, structure=None,
+    def factorize(self, matrix: sp.spmatrix | np.ndarray, structure=None,
                   spd: bool = False) -> Factorization:
         return Factorization(matrix, structure=structure, spd=spd)
 
-    def solve(self, matrix: sp.spmatrix, rhs: np.ndarray,
+    def solve(self, matrix: sp.spmatrix | np.ndarray, rhs: np.ndarray,
               structure=None) -> np.ndarray:
         return solve_sparse(matrix, rhs, structure=structure)

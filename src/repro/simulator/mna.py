@@ -16,9 +16,16 @@ Two classes cooperate:
   :class:`~repro.netlist.stamping.Stamper` interface that accumulates stamps
   into ``G``, ``C`` and the right-hand side ``b`` using those index maps.
 
-Analyses create a fresh stamper (or copy a pre-stamped linear one), let the
-elements stamp themselves, overwrite the right-hand side with the source
-values they need (DC levels, AC phasors, transient samples) and solve.
+The analyses assemble ``G`` and ``C`` in the format their solves route to
+(:meth:`MatrixStamper.conductance_system`): a dense array for systems of at
+most :data:`~repro.simulator.solver.DENSE_MAX_SIZE` unknowns, which LAPACK
+factorizes without any sparse format conversion, and CSR for SuperLU above.
+
+Analyses create a fresh stamper, let the elements stamp themselves, build
+the right-hand side from the source values they need (DC levels, AC
+phasors, transient samples) and solve.  DC Newton keeps the linear stamps
+assembled and stamps only the nonlinear companion models into a fresh
+stamper per iteration.
 """
 
 from __future__ import annotations
@@ -106,12 +113,21 @@ class TripletAccumulator:
                                shape=self.shape, dtype=float)
         return matrix.tocsr()
 
-    def copy(self) -> "TripletAccumulator":
-        clone = TripletAccumulator(self.shape[0])
-        clone.rows = list(self.rows)
-        clone.cols = list(self.cols)
-        clone.vals = list(self.vals)
-        return clone
+    def toarray(self) -> np.ndarray:
+        """The dense matrix; duplicate entries are summed in stamp order."""
+        size = self.shape[0]
+        if not self.vals:
+            return np.zeros(self.shape)
+        flat = np.bincount(np.asarray(self.rows, dtype=np.intp) * size
+                           + np.asarray(self.cols, dtype=np.intp),
+                           weights=self.vals, minlength=size * size)
+        return flat.reshape(self.shape)
+
+    def assemble(self) -> np.ndarray | sp.csr_matrix:
+        """Dense at or below the LAPACK cutoff, CSR above it."""
+        if _solver.dense_kernel(self.shape[0]):
+            return self.toarray()
+        return self.tocsr()
 
 
 class MatrixStamper(Stamper):
@@ -133,13 +149,13 @@ class MatrixStamper(Stamper):
     def capacitance_matrix(self) -> sp.csr_matrix:
         return self._c.tocsr()
 
-    def copy(self) -> "MatrixStamper":
-        """Deep copy of the accumulated stamps (used by Newton iterations)."""
-        clone = MatrixStamper(self.structure)
-        clone._g = self._g.copy()
-        clone._c = self._c.copy()
-        clone.rhs = self.rhs.copy()
-        return clone
+    def conductance_system(self) -> np.ndarray | sp.csr_matrix:
+        """``G`` in the format its solves route to (dense or CSR by size)."""
+        return self._g.assemble()
+
+    def capacitance_system(self) -> np.ndarray | sp.csr_matrix:
+        """``C`` in the format its solves route to (dense or CSR by size)."""
+        return self._c.assemble()
 
     # -- low-level helpers -------------------------------------------------------
 
@@ -233,10 +249,10 @@ def stamp_linear_elements(circuit: Circuit,
     return stamper
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
+def solve_sparse(matrix, rhs: np.ndarray,
                  structure: MnaStructure | None = None,
                  solver=None) -> np.ndarray:
-    """Solve a sparse linear system, raising :class:`SimulationError` on failure.
+    """Solve a linear system, raising :class:`SimulationError` on failure.
 
     Thin wrapper around :func:`repro.simulator.solver.solve_sparse`, kept here
     because this module historically owned the one-shot solve.  Passing the

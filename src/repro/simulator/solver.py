@@ -1,25 +1,49 @@
-"""Sparse linear-solver core: cached factorizations and shared patterns.
+"""Linear-solver core: cached factorizations and shared patterns.
 
 The solver layer owns everything between "here is an assembled MNA system"
 and "here is the solution vector":
 
-* :class:`Factorization` — one LU factorization of a sparse matrix, reusable
+* :class:`Factorization` — one LU factorization of a square matrix, reusable
   for any number of right-hand sides (single vectors or multi-RHS blocks).
-  Linear transient analysis has a constant left-hand side and factorizes
-  exactly once for the whole time grid; the direct path of the substrate
-  Kron reduction solves its internal block against all port columns in a
-  single call, factorized with the symmetric ordering of :func:`splu_spd`.
-* :class:`SharedPatternPair` — ``G`` and ``C`` expanded onto one shared CSC
-  sparsity pattern so an AC sweep can assemble ``G + s*C`` per frequency by
-  combining ``.data`` arrays in place, never reallocating matrix structure.
+  A dense array goes to LAPACK ``getrf``/``getrs``, a sparse matrix to
+  SuperLU with COLAMD ordering; the analyses assemble a system dense
+  exactly when it has at most :data:`DENSE_MAX_SIZE` unknowns
+  (:func:`dense_kernel`), so the system size picks the kernel.  Linear
+  transient analysis has a constant left-hand side and factorizes exactly
+  once for the whole time grid; the direct path of the substrate Kron
+  reduction solves its internal block against all port columns in a single
+  call, factorized with the symmetric ordering of :func:`splu_spd`.
+* :class:`DensePair` / :class:`SharedPatternPair` — ``G`` and ``C`` held so
+  an AC sweep can assemble ``G + s*C`` per frequency without reallocating:
+  one preallocated dense buffer for small systems, a shared CSC sparsity
+  pattern whose ``.data`` arrays combine in place for large ones
+  (:func:`frequency_pair` picks by size).
 * :func:`solve_sparse` — one-shot solve with proper singular-matrix
-  diagnostics: an exactly singular factorization becomes a
-  :class:`~repro.errors.SimulationError` (naming the offending node when the
-  MNA structure is available) and a finite-check backstop catches anything
-  that slips through.  No warnings-filter mutation anywhere in the layer —
-  the filter list is interpreter-global state.
+  diagnostics: an exactly singular factorization (SuperLU's error, LAPACK's
+  ``info > 0``) becomes a :class:`~repro.errors.SimulationError` (naming the
+  offending node when the MNA structure is available) and a finite-check
+  backstop catches anything that slips through.  No warnings-filter
+  mutation anywhere in the layer — the filter list is interpreter-global
+  state.
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
   ground" regularisation shared by the DC, AC and transient analyses.
+
+The dense cutoff is the measured crossover of one complex ``G + s*C``
+assembly + factor + solve on the resistor-grid circuit of
+``benchmarks/test_solver_micro.py`` (the sparsest realistic MNA system, so
+the case least favourable to dense), best of 300 on a shared 2-vCPU Intel
+Xeon with scipy 1.17's OpenBLAS:
+
+========  ======  ======  ======  ======  ======  ======  =======
+unknowns      17      37      65      82      91     101      577
+SuperLU    59 us   73 us  100 us  119 us  136 us  146 us  1305 us
+LAPACK     21 us   30 us   70 us  108 us  131 us  187 us  9421 us
+========  ======  ======  ======  ======  ======  ======  =======
+
+The merged impact netlist of the VCO testchip has 43 unknowns whatever the
+substrate mesh (the Kron reduction keeps only its ports), so every DC,
+AC and transfer system of the Figure-8/10 sweeps takes the dense path; the
+577-unknown micro-benchmark grid stays on SuperLU.
 
 The module-level :data:`stats` record is the one place solver work is
 counted: every factorization, solve and DC homotopy rung lands there,
@@ -36,9 +60,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from ..errors import SimulationError
 from ..obs import trace_span
+
+#: MNA systems with at most this many unknowns are assembled dense and
+#: factorized by LAPACK; larger ones sparse for SuperLU (the crossover table
+#: is above).  A measured constant, deliberately not an option.
+DENSE_MAX_SIZE = 90
+
+#: LAPACK LU kernels by matrix dtype: (getrf, getrs).
+_LAPACK_LU = {
+    np.dtype(float): (lapack.dgetrf, lapack.dgetrs),
+    np.dtype(complex): (lapack.zgetrf, lapack.zgetrs),
+}
+
+
+def dense_kernel(size: int) -> bool:
+    """Whether a ``size``-unknown system is assembled dense and solved by
+    LAPACK (``True``) or kept sparse for SuperLU."""
+    return size <= DENSE_MAX_SIZE
 
 
 @dataclass
@@ -116,10 +158,12 @@ def _row_names(rows: np.ndarray, structure) -> list[str]:
     return [inverse.get(int(row), f"row {int(row)}") for row in rows]
 
 
-def _singular_hint(matrix: sp.spmatrix, structure=None, limit: int = 3) -> str:
-    """Describe structurally empty rows (floating nodes) of a singular matrix."""
-    csr = sp.csr_matrix(matrix)
-    row_abs_sum = np.asarray(abs(csr).sum(axis=1)).ravel()
+def _singular_hint(matrix, structure=None, limit: int = 3) -> str:
+    """Describe all-zero rows (floating nodes) of a singular matrix."""
+    if sp.issparse(matrix):
+        row_abs_sum = np.asarray(abs(sp.csr_matrix(matrix)).sum(axis=1)).ravel()
+    else:
+        row_abs_sum = np.abs(matrix).sum(axis=1)
     bad = np.flatnonzero(row_abs_sum == 0.0)
     if bad.size == 0:
         return ""
@@ -128,7 +172,7 @@ def _singular_hint(matrix: sp.spmatrix, structure=None, limit: int = 3) -> str:
     return f" (all-zero matrix row for {names}{suffix} — floating node?)"
 
 
-def _check_finite(solution: np.ndarray, matrix: sp.spmatrix,
+def _check_finite(solution: np.ndarray, matrix,
                   structure=None) -> np.ndarray:
     if not np.all(np.isfinite(solution)):
         raise SimulationError(
@@ -153,43 +197,79 @@ def splu_spd(matrix: sp.csc_matrix):
 
 
 class Factorization:
-    """One LU factorization of a square sparse matrix, reusable across solves.
+    """One LU factorization of a square matrix, reusable across solves.
 
-    ``solve`` accepts a single right-hand side vector or a dense ``(n, k)``
-    multi-RHS block, real or complex (a complex RHS against a real
-    factorization is solved as two real solves).  ``spd=True`` is the
-    caller's promise that the matrix is symmetric positive definite and
-    selects :func:`splu_spd`; every other matrix (all MNA systems) keeps
-    ``splu``'s default COLAMD ordering with partial pivoting.  Counts one
-    factorization in :data:`stats`, and one solve per :meth:`solve` call.
+    The matrix format picks the kernel: a dense array is factorized by
+    LAPACK ``getrf``/``getrs``, a sparse matrix by SuperLU.  The analyses
+    assemble a system dense exactly when :func:`dense_kernel` says so, so
+    MNA systems of at most :data:`DENSE_MAX_SIZE` unknowns take LAPACK and
+    larger ones SuperLU.  ``spd=True`` is the caller's promise that the
+    matrix is symmetric positive definite and selects SuperLU with
+    :func:`splu_spd`; every other sparse matrix keeps ``splu``'s default
+    COLAMD ordering with partial pivoting.  ``solve`` accepts a single
+    right-hand side vector or a dense ``(n, k)`` multi-RHS block, real or
+    complex (a complex RHS against a real factorization is solved as two
+    real solves).  Counts one factorization in :data:`stats`, and one solve
+    per :meth:`solve` call.
     """
 
     _counted = True
 
-    def __init__(self, matrix: sp.spmatrix, structure=None,
-                 spd: bool = False):
+    def __init__(self, matrix, structure=None, spd: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
+        size = matrix.shape[0]
         self.shape = matrix.shape
         self._structure = structure
-        self._matrix = sp.csc_matrix(matrix)
-        self._complex = np.iscomplexobj(self._matrix.data)
-        if self.shape[0] == 0:
-            self._lu = None
+        #: the kernel the matrix format routed to: "lapack" or "superlu"
+        self.kernel = ("lapack" if isinstance(matrix, np.ndarray) and not spd
+                       else "superlu")
+        if self.kernel == "lapack":
+            self._matrix = matrix
         else:
-            # splu signals an exactly singular matrix with a RuntimeError
-            # (no warning machinery involved — the solver layer must stay
-            # free of warnings-filter mutation, which is interpreter-global).
-            try:
-                with trace_span("solver.factorize"):
-                    self._lu = (splu_spd(self._matrix) if spd
-                                else spla.splu(self._matrix))
-            except RuntimeError as exc:
-                raise SimulationError(
-                    f"sparse factorization failed: {exc}"
-                    + _singular_hint(self._matrix, structure)) from exc
+            self._matrix = sp.csc_matrix(matrix)
+        self._complex = np.iscomplexobj(self._matrix)
+        self._lu = None
+        if size:
+            with trace_span("solver.factorize", kernel=self.kernel, n=size):
+                if self.kernel == "lapack":
+                    self._factorize_dense()
+                else:
+                    self._factorize_sparse(spd)
         if self._counted:
             stats.factorizations += 1
+
+    def _factorize_dense(self) -> None:
+        dtype = np.dtype(complex) if self._complex else np.dtype(float)
+        getrf, self._getrs = _LAPACK_LU[dtype]
+        lu, piv, info = getrf(self._matrix.astype(dtype, copy=False))
+        # LAPACK reports an exactly zero pivot U[info-1, info-1] as info > 0.
+        if info > 0:
+            raise SimulationError(
+                "dense LU factorization failed: matrix is exactly singular "
+                f"(zero pivot in column {info})"
+                + _singular_hint(self._matrix, self._structure))
+        self._lu = (lu, piv)
+
+    def _factorize_sparse(self, spd: bool) -> None:
+        # splu signals an exactly singular matrix with a RuntimeError (no
+        # warning machinery involved — the solver layer must stay free of
+        # warnings-filter mutation, which is interpreter-global).
+        try:
+            self._lu = (splu_spd(self._matrix) if spd
+                        else spla.splu(self._matrix))
+        except RuntimeError as exc:
+            raise SimulationError(
+                f"sparse factorization failed: {exc}"
+                + _singular_hint(self._matrix, self._structure)) from exc
+
+    def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
+        """``A x = rhs`` for a RHS of the factorization's own dtype."""
+        if self.kernel == "lapack":
+            lu, piv = self._lu
+            solution, _ = self._getrs(lu, piv, rhs)
+            return solution
+        return self._lu.solve(np.ascontiguousarray(rhs))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` using the cached factorization."""
@@ -202,13 +282,12 @@ class Factorization:
             return np.zeros_like(rhs)
         with trace_span("solver.solve"):
             if np.iscomplexobj(rhs) and not self._complex:
-                solution = (self._lu.solve(np.ascontiguousarray(rhs.real))
-                            + 1j * self._lu.solve(
-                                np.ascontiguousarray(rhs.imag)))
+                solution = (self._backsolve(rhs.real.astype(float))
+                            + 1j * self._backsolve(rhs.imag.astype(float)))
             else:
-                if self._complex and not np.iscomplexobj(rhs):
-                    rhs = rhs.astype(complex)
-                solution = self._lu.solve(np.ascontiguousarray(rhs))
+                solution = self._backsolve(
+                    rhs.astype(complex if self._complex else float,
+                               copy=False))
         if self._counted:
             stats.solves += 1
         return _check_finite(solution, self._matrix, self._structure)
@@ -220,21 +299,22 @@ class _OneShotFactorization(Factorization):
     _counted = False
 
 
-def factorize(matrix: sp.spmatrix, structure=None) -> Factorization:
+def factorize(matrix, structure=None) -> Factorization:
     """Factorize ``matrix`` once for reuse over many right-hand sides."""
     return Factorization(matrix, structure=structure)
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
-                 structure=None) -> np.ndarray:
-    """One-shot sparse solve raising :class:`SimulationError` on failure.
+def solve_sparse(matrix, rhs: np.ndarray, structure=None) -> np.ndarray:
+    """One-shot solve raising :class:`SimulationError` on failure.
 
-    An exactly singular matrix fails the factorization with a
-    :class:`SimulationError` naming the offending node when ``structure``
-    (an :class:`~repro.simulator.mna.MnaStructure`) is available; the
-    finite-check stays as a backstop for near-singular systems that solve
-    without error.  Counts one ``solve`` (and no ``factorization``) in the
-    stats, matching the historical one-shot-solve semantics.
+    ``matrix`` is sparse or a dense array; its format picks the kernel as in
+    :class:`Factorization`.  An exactly singular matrix fails the
+    factorization with a :class:`SimulationError` naming the offending node
+    when ``structure`` (an :class:`~repro.simulator.mna.MnaStructure`) is
+    available; the finite-check stays as a backstop for near-singular
+    systems that solve without error.  Counts one ``solve`` (and no
+    ``factorization``) in the stats, matching the historical one-shot-solve
+    semantics.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise SimulationError("MNA matrix must be square")
@@ -245,35 +325,56 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
     return np.atleast_1d(solution)
 
 
-def gmin_diagonal(size: int, n_nodes: int,
-                  gmin: float) -> sp.csr_matrix | None:
-    """The reusable ``gmin``-to-ground diagonal matrix, or ``None`` for a no-op.
-
-    Newton loops build this once and add it per iteration, so the
-    regularisation costs one CSR addition per solve instead of a format
-    conversion plus diagonal construction.
-    """
-    if gmin <= 0.0 or n_nodes <= 0:
-        return None
-    diagonal = np.zeros(size)
-    diagonal[:n_nodes] = gmin
-    return sp.diags(diagonal, format="csr")
-
-
-def add_gmin_diagonal(matrix: sp.spmatrix, n_nodes: int,
-                      gmin: float) -> sp.csr_matrix:
+def add_gmin_diagonal(matrix, n_nodes: int, gmin: float):
     """Add ``gmin`` from every node to ground in one vectorized operation.
 
     Only the first ``n_nodes`` rows (the node equations) receive the shunt;
-    branch-current rows are left untouched.  Returns CSR; a matrix that is
-    already CSR is not re-canonicalized (the no-op path returns it as-is).
+    branch-current rows are left untouched.  A dense array comes back as a
+    new dense array; anything else comes back as CSR, and a matrix that is
+    already CSR is not re-canonicalized.  The no-op path (``gmin <= 0`` or
+    no nodes) returns the input as-is.
     """
-    base = matrix if sp.issparse(matrix) and matrix.format == "csr" \
+    dense = isinstance(matrix, np.ndarray)
+    base = matrix if dense or (sp.issparse(matrix)
+                               and matrix.format == "csr") \
         else sp.csr_matrix(matrix)
-    diagonal = gmin_diagonal(matrix.shape[0], n_nodes, gmin)
-    if diagonal is None:
+    if gmin <= 0.0 or n_nodes <= 0:
         return base
-    return base + diagonal
+    diagonal = np.zeros(matrix.shape[0])
+    diagonal[:n_nodes] = gmin
+    return base + (np.diag(diagonal) if dense
+                   else sp.diags(diagonal, format="csr"))
+
+
+class DensePair:
+    """``G`` and ``C`` as dense arrays, for systems on the LAPACK kernel.
+
+    :meth:`assemble` writes ``G + s*C`` into one preallocated complex
+    buffer — the small-system counterpart of :class:`SharedPatternPair`.
+    The buffer is overwritten by the next call; factorizations copy it.
+    """
+
+    def __init__(self, g_matrix, c_matrix):
+        if g_matrix.shape != c_matrix.shape:
+            raise SimulationError("G and C must have the same shape")
+        self.g = (g_matrix.toarray() if sp.issparse(g_matrix)
+                  else np.asarray(g_matrix, dtype=float))
+        self.c = (c_matrix.toarray() if sp.issparse(c_matrix)
+                  else np.asarray(c_matrix, dtype=float))
+        self._matrix = np.empty(self.g.shape, dtype=complex)
+
+    def assemble(self, s: complex) -> np.ndarray:
+        """Return ``G + s*C`` (in-place update of the shared buffer)."""
+        np.multiply(self.c, s, out=self._matrix)
+        self._matrix += self.g
+        return self._matrix
+
+
+def frequency_pair(g_matrix, c_matrix) -> "DensePair | SharedPatternPair":
+    """The ``G + s*C`` assembler for the kernel the system size routes to."""
+    if dense_kernel(g_matrix.shape[0]):
+        return DensePair(g_matrix, c_matrix)
+    return SharedPatternPair(g_matrix, c_matrix)
 
 
 class SharedPatternPair:
@@ -282,7 +383,7 @@ class SharedPatternPair:
     :meth:`assemble` builds ``G + s*C`` for any complex frequency ``s`` by
     writing into the ``.data`` array of a single preallocated matrix — no
     sparse additions, conversions or structure allocations per frequency
-    point, which is what makes dense AC sweeps cheap.
+    point, which is what makes many-point AC sweeps of large systems cheap.
     """
 
     def __init__(self, g_matrix: sp.spmatrix, c_matrix: sp.spmatrix):

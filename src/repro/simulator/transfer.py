@@ -34,7 +34,7 @@ from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import MnaStructure
-from .solver import SharedPatternPair, add_gmin_diagonal
+from .solver import add_gmin_diagonal, frequency_pair
 
 
 @dataclass
@@ -54,10 +54,23 @@ class TransferFunction:
     def phase_deg(self, node: str) -> np.ndarray:
         return np.degrees(np.angle(self.transfers[node]))
 
+    def index_of(self, frequency: float) -> int:
+        """Index of the swept point equal to ``frequency`` (relative 1e-9).
+
+        Raises :class:`SimulationError` naming ``frequency`` when no swept
+        point matches.
+        """
+        offsets = np.abs(self.frequencies - frequency)
+        index = int(np.argmin(offsets))
+        if not offsets[index] <= 1e-9 * abs(frequency):
+            raise SimulationError(
+                f"frequency {frequency!r} Hz was not swept (nearest swept "
+                f"point {float(self.frequencies[index])!r} Hz)")
+        return index
+
     def at(self, node: str, frequency: float) -> complex:
-        """Transfer to ``node`` at the frequency point closest to ``frequency``."""
-        index = int(np.argmin(np.abs(self.frequencies - frequency)))
-        return complex(self.transfers[node][index])
+        """Transfer to ``node`` at the swept point ``frequency``."""
+        return complex(self.transfers[node][self.index_of(frequency)])
 
     def nodes(self) -> list[str]:
         return list(self.transfers)
@@ -108,9 +121,10 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     """Compute ``V(node)/source`` for every (source, node) combination.
 
     All sources are solved *batched*: per frequency point the complex system
-    ``(G + j*omega*C)`` is assembled on a shared sparsity pattern and
-    factorized once, then every source's unit-drive right-hand side is solved
-    through that single factorization as one multi-RHS block.  ``solver``
+    ``(G + j*omega*C)`` is assembled (dense for small systems, on a shared
+    sparsity pattern for large ones) and factorized once, then every
+    source's unit-drive right-hand side is solved through that single
+    factorization as one multi-RHS block.  ``solver``
     selects the linear-solver backend.  Returns a mapping
     ``source name -> TransferFunction`` (V/V for voltage sources,
     V/A for current sources).
@@ -147,7 +161,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                                                 operating_point)
     g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
                                  solver.options.effective_gmin(gmin))
-    pattern = SharedPatternPair(g_matrix, c_matrix)
+    pattern = frequency_pair(g_matrix, c_matrix)
 
     vectors = np.zeros((frequencies.size, structure.size, len(source_names)),
                        dtype=complex)

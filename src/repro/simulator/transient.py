@@ -13,8 +13,10 @@ Fixed-step time-domain integration of the MNA system
 
 Performance notes: the linear path has a constant left-hand side, so it is
 LU-factorized exactly once (:class:`~repro.simulator.solver.Factorization`)
-and every time step is a cheap triangular solve; the source right-hand side
-is sampled over the whole time grid up front
+and every time step is a cheap triangular solve; as in every analysis, the
+system size decides whether the matrices are assembled dense for LAPACK or
+sparse for SuperLU; the source right-hand side is sampled over the whole
+time grid up front
 (:func:`repro.netlist.elements.SourceValue.sample`) instead of per step.
 
 The analysis is used to propagate substrate-noise waveforms through the
@@ -123,8 +125,8 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
     """Integrate the circuit from 0 to ``t_stop`` with a fixed ``timestep``.
 
     The initial condition is the DC operating point (sources at their DC/
-    time-zero values).  ``solver`` selects the linear-solver backend; every
-    backend factorizes the transient systems by direct LU.
+    time-zero values).  ``solver`` selects the linear-solver backend; the
+    system size picks its LU kernel.
     """
     options = options or TransientOptions()
     solver = resolve_solver(solver)
@@ -141,10 +143,10 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
                                              solver=solver)
 
     linear = stamp_linear_elements(circuit, structure)
-    g_lin = add_gmin_diagonal(linear.conductance_matrix(),
+    g_lin = add_gmin_diagonal(linear.conductance_system(),
                               structure.n_nodes,
                               solver.options.effective_gmin(options.gmin))
-    c_lin = linear.capacitance_matrix()
+    c_lin = linear.capacitance_system()
 
     # Freeze the reactive part of the nonlinear devices at the operating point.
     nonlinear = circuit.nonlinear_elements()
@@ -155,7 +157,7 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
             element.stamp_small_signal(cap_stamper, op_voltages)
         # Only keep the capacitance part: the conductive small-signal stamps
         # are replaced by full Newton companion models during integration.
-        c_lin = (c_lin + cap_stamper.capacitance_matrix()).tocsr()
+        c_lin = c_lin + cap_stamper.capacitance_system()
 
     times = np.linspace(0.0, n_steps * timestep, n_steps + 1)
     vectors = np.zeros((n_steps + 1, structure.size))
@@ -167,12 +169,12 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
             "trapezoidal integration is only supported for linear circuits; "
             "use backward_euler for circuits with nonlinear devices")
 
-    c_over_h = (c_lin / timestep).tocsr()
+    c_over_h = c_lin / timestep
     if use_trap:
-        lhs_matrix = (g_lin + 2.0 * c_over_h).tocsr()
-        history_matrix = (2.0 * c_over_h - g_lin).tocsr()
+        lhs_matrix = g_lin + 2.0 * c_over_h
+        history_matrix = 2.0 * c_over_h - g_lin
     else:
-        lhs_matrix = (g_lin + c_over_h).tocsr()
+        lhs_matrix = g_lin + c_over_h
         history_matrix = c_over_h
 
     rhs_rows = _source_rhs_rows(circuit, structure, times)
@@ -199,7 +201,7 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
             converged = False
             for _ in range(options.newton_max_iterations):
                 companion = _nonlinear_contributions(circuit, structure, x)
-                matrix = (lhs_matrix + companion.conductance_matrix()).tocsr()
+                matrix = lhs_matrix + companion.conductance_system()
                 rhs_total = base_rhs + companion.rhs
                 x_new = solver.solve(matrix, rhs_total, structure=structure)
                 delta = np.max(np.abs(x_new[:structure.n_nodes] - x[:structure.n_nodes])) \

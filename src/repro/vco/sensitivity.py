@@ -158,25 +158,31 @@ def build_entry_catalog(vco: LcTankVco, vtune: float, *,
 
 
 def entries_at_frequency(catalog: VcoEntryCatalog, transfer: TransferFunction,
-                         noise_frequency: float) -> list[NoiseEntry]:
+                         noise_frequency: float,
+                         index: int | None = None) -> list[NoiseEntry]:
     """Evaluate every catalogue entry's ``h_sub`` at one noise frequency.
 
     Resistive entries read the node voltage (minus the reference node when
     given) straight from the AC transfer.  Capacitive entries take the voltage
     of the substrate-side port node and multiply by the coupling admittance
     times the victim impedance — the voltage actually induced on the victim.
+    ``noise_frequency`` must be a swept point of ``transfer``; a caller that
+    already knows its position in the sweep passes it as ``index``.
     """
     if noise_frequency <= 0:
         raise AnalysisError("noise frequency must be positive")
+    if index is None:
+        index = transfer.index_of(noise_frequency)
+    transfers = transfer.transfers
     entries: list[NoiseEntry] = []
     omega = 2.0 * math.pi * noise_frequency
     for model in catalog.entries:
         if model.observe_node is not None:
-            h = transfer.at(model.observe_node, noise_frequency)
+            h = complex(transfers[model.observe_node][index])
             if model.reference_node is not None:
-                h -= transfer.at(model.reference_node, noise_frequency)
+                h -= complex(transfers[model.reference_node][index])
         elif model.port_node is not None:
-            port_voltage = transfer.at(model.port_node, noise_frequency)
+            port_voltage = complex(transfers[model.port_node][index])
             h = port_voltage * (1j * omega * model.coupling_capacitance
                                 * model.victim_impedance)
         else:

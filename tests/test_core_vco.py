@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core.vco_experiment import mechanism_report
-from repro.vco.sensitivity import ENTRY_GROUND, ENTRY_INDUCTOR, ENTRY_NMOS
+from repro.errors import SimulationError
+from repro.vco.sensitivity import (
+    ENTRY_GROUND,
+    ENTRY_INDUCTOR,
+    ENTRY_NMOS,
+    entries_at_frequency,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +116,9 @@ def test_analyze_exposes_vco_model_and_catalog(vco_analysis):
     # Every catalogue observation node was actually solved.
     for node in catalog.observation_nodes():
         assert node in transfer.transfers
+    # Looking the swept frequency up gives the entries analyze() read by
+    # index; an unswept frequency is refused, not rounded to the nearest.
+    assert entries_at_frequency(catalog, transfer, 10e6) \
+        == entries_at_frequency(catalog, transfer, 10e6, index=1)
+    with pytest.raises(SimulationError, match="5000000.0 Hz"):
+        entries_at_frequency(catalog, transfer, 5e6)

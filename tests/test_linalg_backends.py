@@ -7,8 +7,9 @@ reference to <= 1e-10; the cache-key tests prove that campaigns differing
 only in solver settings never share extraction cache entries.  The SPD
 tests pin the Kron block's symmetric factorization against a COLAMD
 reference on the real VCO testchip, the spectral reduction of the same
-chip against both, and MNA systems to the unchanged COLAMD path.  Solver
-work is asserted as deltas of the one global counter record.
+chip against both, and MNA systems to the kernel their size routes them
+to: LAPACK at or below the dense cutoff, the unchanged COLAMD path above
+it.  Solver work is asserted as deltas of the one global counter record.
 """
 
 from dataclasses import fields
@@ -302,47 +303,87 @@ def test_spd_kron_with_floating_internal_node_raises_named_error(technology):
         Factorization(sp.csc_matrix((3, 3)), spd=True)
 
 
+def _grid_circuit(size):
+    """A size x size resistor grid with node capacitors, driven in a corner."""
+    circuit = Circuit("grid")
+    circuit.add_voltage_source("V1", "n_0_0", "0",
+                               SourceValue(dc=1.0, ac_magnitude=1.0))
+    for i in range(size):
+        for j in range(size):
+            node = f"n_{i}_{j}"
+            if i + 1 < size:
+                circuit.add_resistor(f"Rx_{i}_{j}", node, f"n_{i + 1}_{j}",
+                                     100.0)
+            if j + 1 < size:
+                circuit.add_resistor(f"Ry_{i}_{j}", node, f"n_{i}_{j + 1}",
+                                     100.0)
+            circuit.add_capacitor(f"C_{i}_{j}", node, "0", 1e-13)
+    circuit.add_resistor("Rgnd", f"n_{size - 1}_{size - 1}", "0", 100.0)
+    return circuit
+
+
+def _lapack_solve(matrix, rhs):
+    """Reference ``getrf``/``getrs`` solve of a dense matrix."""
+    from scipy.linalg import lapack
+
+    complex_ = np.iscomplexobj(matrix)
+    getrf = lapack.zgetrf if complex_ else lapack.dgetrf
+    getrs = lapack.zgetrs if complex_ else lapack.dgetrs
+    lu, piv, info = getrf(matrix)
+    assert info == 0
+    return getrs(lu, piv, rhs)[0]
+
+
 def test_mna_analyses_keep_the_colamd_path(monkeypatch):
-    """DC, AC and transient systems never take the SPD path: counts match
-    and results are bit-identical to a plain COLAMD ``splu``."""
+    """DC, AC and transient systems never take the SPD path.  The system
+    size picks the kernel: the RC circuit (at or below the dense cutoff) is
+    bit-identical to LAPACK ``getrf``/``getrs``, and a resistor grid above
+    the cutoff to a plain COLAMD ``splu``; the counts match either way."""
     import repro.simulator.solver as solver_module
     from repro.simulator.mna import MnaStructure, stamp_linear_elements
-    from repro.simulator.solver import add_gmin_diagonal
+    from repro.simulator.solver import DENSE_MAX_SIZE, add_gmin_diagonal
 
     def refuse(matrix):
         raise AssertionError("an MNA system took the SPD factorization")
 
     monkeypatch.setattr(solver_module, "splu_spd", refuse)
-    circuit = _rc_circuit()
-    structure = MnaStructure.from_circuit(circuit)
-    stamper = stamp_linear_elements(circuit, structure)
-    g = add_gmin_diagonal(stamper.conductance_matrix(), structure.n_nodes,
-                          1e-12)
-    c = stamper.capacitance_matrix()
-    rhs = np.zeros(structure.size)
-    rhs[structure.branch_row("V1")] = 1.0
-
-    before = solver_stats.snapshot()
-    dc = dc_operating_point(circuit, solver=DirectLUSolver())
-    spent = solver_stats.since(before)
-    assert (spent.factorizations, spent.solves) == (0, 2)
-    np.testing.assert_array_equal(dc.vector, spla.splu(g.tocsc()).solve(rhs))
-
     frequencies = np.logspace(3, 9, 7)
-    before = solver_stats.snapshot()
-    ac = ac_analysis(circuit, frequencies, solver=DirectLUSolver())
-    spent = solver_stats.since(before)
-    assert (spent.factorizations, spent.solves) == (0, 7)
-    for vector, frequency in zip(ac.vectors, frequencies):
-        matrix = (g + 2j * np.pi * frequency * c).tocsc()
-        np.testing.assert_array_equal(
-            vector, spla.splu(matrix).solve(rhs.astype(complex)))
+    for circuit, dense in ((_rc_circuit(), True),
+                           (_grid_circuit(10), False)):
+        structure = MnaStructure.from_circuit(circuit)
+        assert (structure.size <= DENSE_MAX_SIZE) == dense
+        stamper = stamp_linear_elements(circuit, structure)
+        g = add_gmin_diagonal(stamper.conductance_matrix(),
+                              structure.n_nodes, 1e-12)
+        c = stamper.capacitance_matrix()
+        rhs = np.zeros(structure.size)
+        rhs[structure.branch_row("V1")] = 1.0
 
-    before = solver_stats.snapshot()
-    transient_analysis(circuit, t_stop=1e-7, timestep=1e-8,
-                       operating_point=dc, solver=DirectLUSolver())
-    spent = solver_stats.since(before)
-    assert (spent.factorizations, spent.solves) == (1, 10)
+        def reference(matrix, rhs):
+            if dense:
+                return _lapack_solve(matrix.toarray(), rhs)
+            return spla.splu(matrix.tocsc()).solve(rhs)
+
+        before = solver_stats.snapshot()
+        dc = dc_operating_point(circuit, solver=DirectLUSolver())
+        spent = solver_stats.since(before)
+        assert (spent.factorizations, spent.solves) == (0, 2)
+        np.testing.assert_array_equal(dc.vector, reference(g, rhs))
+
+        before = solver_stats.snapshot()
+        ac = ac_analysis(circuit, frequencies, solver=DirectLUSolver())
+        spent = solver_stats.since(before)
+        assert (spent.factorizations, spent.solves) == (0, 7)
+        for vector, frequency in zip(ac.vectors, frequencies):
+            np.testing.assert_array_equal(
+                vector, reference(g + 2j * np.pi * frequency * c,
+                                  rhs.astype(complex)))
+
+        before = solver_stats.snapshot()
+        transient_analysis(circuit, t_stop=1e-7, timestep=1e-8,
+                           operating_point=dc, solver=DirectLUSolver())
+        spent = solver_stats.since(before)
+        assert (spent.factorizations, spent.solves) == (1, 10)
 
 
 # -- MNA systems stay on direct LU ----------------------------------------------------------

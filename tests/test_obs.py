@@ -117,6 +117,60 @@ def test_disabled_tracer_is_shared_noop():
     assert tracer.spans() == ()
 
 
+def _divider_grid(size):
+    """A size x size resistor grid fed by a 1 V source."""
+    from repro.netlist import Circuit
+
+    circuit = Circuit("grid")
+    circuit.add_voltage_source("V1", "n_0_0", "0", 1.0)
+    for i in range(size):
+        for j in range(size):
+            node = f"n_{i}_{j}"
+            circuit.add_resistor(f"Rg_{i}_{j}", node, "0", 1e3)
+            if i + 1 < size:
+                circuit.add_resistor(f"Rx_{i}_{j}", node, f"n_{i + 1}_{j}",
+                                     100.0)
+    return circuit
+
+
+def test_dc_and_factorize_spans_name_strategy_and_kernel(traced):
+    """``sim.dc`` carries the Newton iterations and winning strategy; every
+    ``solver.factorize`` under it names its kernel and system size."""
+    from repro.netlist import Circuit
+    from repro.simulator import DcOptions, dc_operating_point
+    from repro.simulator.solver import DENSE_MAX_SIZE
+    from repro.technology import make_technology
+
+    # Cross-coupled NMOS latch: too few iterations for cold plain Newton.
+    latch = Circuit("latch")
+    nmos = make_technology().mos_parameters("nmos_rf")
+    latch.add_voltage_source("VDD", "vdd", "0", 1.8)
+    latch.add_resistor("R1", "vdd", "a", 5e3)
+    latch.add_resistor("R2", "vdd", "b", 5e3)
+    latch.add_mosfet("M1", "a", "b", "0", "0", nmos, width=20e-6,
+                     length=0.18e-6)
+    latch.add_mosfet("M2", "b", "a", "0", "0", nmos, width=20e-6,
+                     length=0.18e-6)
+    cases = [(_divider_grid(2), DcOptions(), "newton", "lapack"),
+             (latch, DcOptions(max_iterations=5, gmin_steps=10),
+              "gmin-stepping", "lapack"),
+             (_divider_grid(10), DcOptions(), "newton", "superlu")]
+    for circuit, options, strategy, kernel in cases:
+        tracer.reset()
+        solution = dc_operating_point(circuit, options)
+        size = solution.structure.size
+        assert (size <= DENSE_MAX_SIZE) == (kernel == "lapack")
+        dc, = [span for span in tracer.spans() if span.name == "sim.dc"]
+        assert dict(dc.attrs) == {"size": size, "strategy": strategy,
+                                  "iterations": solution.iterations}
+        factorizations = [span for span in tracer.spans()
+                          if span.name == "solver.factorize"]
+        assert len(factorizations) >= solution.iterations
+        for span in factorizations:
+            assert dict(span.attrs) == {"kernel": kernel, "n": size}
+            assert span.parent_id == dc.span_id
+
+
 def test_collect_spans_carves_out_of_live_tracer(traced):
     context = TraceContext(trace_id=tracer.trace_id, parent_id="root-0")
     with trace_span("before"):

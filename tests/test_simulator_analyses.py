@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import ConvergenceError, SimulationError
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import (
+    DcOptions,
     ac_analysis,
     dc_operating_point,
     transfer_function,
@@ -95,6 +96,32 @@ def test_dc_diode_connected_mosfet(technology):
 def test_dc_empty_circuit_rejected():
     with pytest.raises(Exception):
         dc_operating_point(Circuit("empty"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iterations", 0),
+    ("max_iterations", -3),
+    ("source_steps", 0),
+    ("gmin_steps", -1),
+    ("damping", 0.0),
+    ("damping", -0.5),
+    ("damping", 1.5),
+    ("damping", float("nan")),
+    ("damping", float("inf")),
+    ("abs_tolerance", -1.0),
+    ("rel_tolerance", float("nan")),
+    ("gmin", -1e-12),
+    ("gmin", float("inf")),
+    ("gmin_start", float("nan")),
+])
+def test_dc_options_reject_invalid_controls(field, value):
+    """Controls that would crash the Newton loop, or let the ladder return
+    an all-zero "operating point", fail at construction naming the field."""
+    with pytest.raises(SimulationError, match=f"DcOptions.{field} "):
+        DcOptions(**{field: value})
+    # Boundary values stay legal: no gmin ladder, zero tolerances, full step.
+    DcOptions(gmin_steps=0, abs_tolerance=0.0, gmin=0.0, damping=1.0,
+              max_iterations=1, source_steps=1)
 
 
 # -- AC ---------------------------------------------------------------------------------

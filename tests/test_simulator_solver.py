@@ -3,29 +3,41 @@
 The equivalence tests assert that every cached-factorization / shared-pattern
 path produces results identical (atol <= 1e-12) to a direct ``spsolve`` of the
 same systems, for DC, AC, linear transient, Newton transient and the Kron
-reduction of a small substrate mesh.
+reduction of a small substrate mesh.  A property test holds the dense LAPACK
+kernel and SuperLU to 1e-12 relative agreement on random circuits on both
+sides of the dense cutoff.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+import repro.simulator.solver as solver_module
 from repro.errors import SimulationError
 from repro.layout.geometry import Rect
 from repro.netlist import Circuit, SourceValue
+from repro.obs import tracer
 from repro.simulator import (
+    DcOptions,
     ac_analysis,
     dc_operating_point,
+    transfer_functions,
     transient_analysis,
 )
 from repro.simulator.mna import MnaStructure, solve_sparse, stamp_linear_elements
 from repro.simulator.solver import (
+    DENSE_MAX_SIZE,
     Factorization,
     SharedPatternPair,
     add_gmin_diagonal,
     stats,
 )
+from repro.technology import make_technology
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce
 
 ATOL = 1e-12
@@ -299,3 +311,143 @@ def test_solve_sparse_empty_and_nonsquare():
     assert solve_sparse(sp.csr_matrix((0, 0)), np.zeros(0)).size == 0
     with pytest.raises(SimulationError):
         solve_sparse(sp.csr_matrix((2, 3)), np.zeros(2))
+
+
+def test_add_gmin_dense_returns_a_new_array():
+    matrix = np.zeros((3, 3))
+    result = add_gmin_diagonal(matrix, 2, 1e-9)
+    np.testing.assert_array_equal(np.diag(result), [1e-9, 1e-9, 0.0])
+    assert not matrix.any()
+    assert add_gmin_diagonal(matrix, 2, 0.0) is matrix
+
+
+# -- dense LAPACK kernel vs SuperLU -------------------------------------------------------
+
+
+@contextmanager
+def _kernel(kernel):
+    """Force every MNA system onto one kernel by moving the dense cutoff,
+    and check from the ``solver.factorize`` spans that it really ran."""
+    cutoff = 10**9 if kernel == "lapack" else 0
+    tracer.enable()
+    tracer.reset()
+    try:
+        with mock.patch.object(solver_module, "DENSE_MAX_SIZE", cutoff):
+            yield
+        kernels = {dict(span.attrs)["kernel"] for span in tracer.spans()
+                   if span.name == "solver.factorize"}
+        assert kernels == {kernel}
+    finally:
+        tracer.disable()
+        tracer.reset()
+
+
+_NMOS = make_technology().mos_parameters("nmos_rf")
+
+
+@st.composite
+def _random_circuits(draw):
+    """A random RLC network with VCCS/VCVS stages, MOSFETs and sources,
+    with 3-30 nodes or just above the dense cutoff.
+
+    Every network node has a resistor to ground, inductors lie only on
+    the spanning tree (no loop of voltage-defined branches), controlled
+    sources are weak or drive their own node, and MOSFET gates are biased
+    by sources, so each system is well conditioned and Newton converges.
+    """
+    above = draw(st.booleans())
+    n_nodes = draw(st.integers(DENSE_MAX_SIZE + 1, DENSE_MAX_SIZE + 15)
+                   if above else st.integers(3, 30))
+    resistance = st.floats(100.0, 1e4)
+    circuit = Circuit("random")
+    nodes = [f"n{k}" for k in range(n_nodes)]
+    for k, node in enumerate(nodes):
+        circuit.add_resistor(f"Rg{k}", node, "0",
+                             draw(st.floats(100.0, 1e3)))
+        if k:
+            parent = nodes[draw(st.integers(0, k - 1))]
+            if draw(st.integers(0, 4)) == 0:
+                circuit.add_inductor(f"L{k}", parent, node,
+                                     draw(st.floats(1e-9, 1e-6)))
+            else:
+                circuit.add_resistor(f"Rt{k}", parent, node,
+                                     draw(resistance))
+    pick = st.sampled_from(nodes)
+    for k in range(draw(st.integers(0, n_nodes))):
+        node_p, node_n = draw(pick), draw(pick)
+        if node_p == node_n:
+            continue
+        if draw(st.booleans()):
+            circuit.add_capacitor(f"C{k}", node_p, node_n,
+                                  draw(st.floats(1e-14, 1e-11)))
+        else:
+            circuit.add_resistor(f"Rx{k}", node_p, node_n, draw(resistance))
+    for k in range(draw(st.integers(0, 3))):
+        circuit.add_vccs(f"G{k}", draw(pick), "0", draw(pick), "0",
+                         draw(st.floats(-1e-4, 1e-4)))
+    for k in range(draw(st.integers(0, 2))):
+        circuit.add_vcvs(f"E{k}", f"e{k}", "0", draw(pick), "0",
+                         draw(st.floats(-2.0, 2.0)))
+        circuit.add_resistor(f"Re{k}", f"e{k}", draw(pick), draw(resistance))
+    for k in range(draw(st.integers(1, 3))):
+        circuit.add_voltage_source(
+            f"V{k}", f"s{k}", "0",
+            SourceValue(dc=draw(st.floats(0.0, 1.8)), ac_magnitude=1.0))
+        circuit.add_resistor(f"Rs{k}", f"s{k}", draw(pick), draw(resistance))
+    for k in range(draw(st.integers(0, 3))):
+        circuit.add_voltage_source(f"VG{k}", f"g{k}", "0",
+                                   draw(st.floats(0.3, 1.2)))
+        circuit.add_mosfet(f"M{k}", draw(pick), f"g{k}", "0", "0", _NMOS,
+                           width=draw(st.floats(1e-6, 10e-6)),
+                           length=0.18e-6)
+    return circuit
+
+
+def _assert_close(actual, reference):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(actual - reference)) <= 1e-12 * scale
+
+
+@given(circuit=_random_circuits())
+@settings(max_examples=30, deadline=None)
+def test_dense_and_superlu_kernels_agree_on_random_circuits(circuit):
+    frequencies = [1e3, 1e6, 1e9]
+    sources = [element.name for element in circuit.sources()]
+    nodes = circuit.nodes()
+    options = DcOptions(abs_tolerance=0.0, rel_tolerance=1e-13)
+    results = {}
+    for kernel in ("lapack", "superlu"):
+        with _kernel(kernel):
+            dc = dc_operating_point(circuit, options)
+            ac = ac_analysis(circuit, frequencies, operating_point=dc)
+            transfer = transfer_functions(circuit, sources, nodes,
+                                          frequencies, operating_point=dc)
+        results[kernel] = (dc.vector, ac.vectors,
+                           np.array([transfer[name].transfers[node]
+                                     for name in sources for node in nodes]))
+    for dense, sparse in zip(results["lapack"], results["superlu"]):
+        _assert_close(dense, sparse)
+
+
+@pytest.mark.parametrize("grid", [1, 10])
+def test_singular_system_names_floating_node_on_both_kernels(grid):
+    """A capacitor-only node with no gmin makes the DC system exactly
+    singular; below the dense cutoff (LAPACK ``info > 0``) and above it
+    (SuperLU) the error names the node."""
+    circuit = Circuit("floating")
+    circuit.add_voltage_source("V1", "n_0_0", "0", 1.0)
+    for i in range(grid):
+        for j in range(grid):
+            node = f"n_{i}_{j}"
+            circuit.add_resistor(f"Rg_{i}_{j}", node, "0", 1e3)
+            if i + 1 < grid:
+                circuit.add_resistor(f"Rx_{i}_{j}", node, f"n_{i + 1}_{j}",
+                                     100.0)
+            if j + 1 < grid:
+                circuit.add_resistor(f"Ry_{i}_{j}", node, f"n_{i}_{j + 1}",
+                                     100.0)
+    circuit.add_capacitor("Cfloat", "n_0_0", "a", 1e-12)
+    size = MnaStructure.from_circuit(circuit).size
+    assert (size <= DENSE_MAX_SIZE) == (grid == 1)
+    with pytest.raises(SimulationError, match="exactly singular.*node 'a'"):
+        dc_operating_point(circuit, DcOptions(gmin=0.0))

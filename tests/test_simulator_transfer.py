@@ -115,6 +115,18 @@ def test_transfer_input_validation():
         transfer_functions(circuit, ["V1", "V1"], ["out"], [1e3])
 
 
+def test_at_reads_swept_points_only():
+    """``at`` matches a swept frequency within a relative 1e-9 and refuses
+    any other frequency instead of returning the nearest point."""
+    tf = transfer_function(_summing_network(), "V1", ["out"], [1e3, 1e6])
+    assert tf.at("out", 1e6) == tf.transfers["out"][1]
+    assert tf.at("out", 1e6 * (1 + 1e-12)) == tf.transfers["out"][1]
+    assert tf.index_of(1e3) == 0
+    for frequency in (5e5, 1e6 * (1 + 1e-8), 0.0):
+        with pytest.raises(SimulationError, match=f"{frequency!r} Hz"):
+            tf.at("out", frequency)
+
+
 def test_ground_observation_reads_zero_and_unknown_node_raises():
     circuit = _summing_network()
     tf = transfer_function(circuit, "V1", ["0"], [1e3, 1e6])
