@@ -35,8 +35,10 @@ from ..layout.testchips import (
     backgate_node,
     make_nmos_measurement_structure,
 )
+from ..netlist.circuit import Circuit
 from ..package.model import PackageModel
 from ..simulator.dc import dc_operating_point
+from ..simulator.mna import LinearStamps
 from ..simulator.transfer import transfer_function
 from ..technology.process import ProcessTechnology
 from .flow import FlowOptions, FlowResult, run_extraction_flow
@@ -75,12 +77,16 @@ class NmosExperimentOptions:
     flow: FlowOptions = field(default_factory=_default_nmos_flow_options)
 
 
-def _build_testbench(flow: FlowResult, options: NmosExperimentOptions,
-                     bias: float):
-    """Clone the impact netlist and add the measurement testbench around it."""
-    import copy
+def _build_testbench(flow: FlowResult, options: NmosExperimentOptions
+                     ) -> tuple[Circuit, LinearStamps]:
+    """The impact netlist inside the measurement testbench, with its linear
+    stamps: compiled once for the whole bias sweep.
 
-    circuit = copy.deepcopy(flow.impact.circuit)
+    The circuit shares the flow's impact-netlist elements (it never modifies
+    them); each bias point solves a copy with fresh ``VGATE_SRC`` and
+    ``VDRAIN_SRC`` sources (:meth:`~repro.netlist.circuit.Circuit.with_sources`).
+    """
+    circuit = flow.impact.circuit.with_sources()
     # Probe / package connections.
     package = PackageModel.rf_probed({
         NET_GROUND_PAD: "0",
@@ -90,12 +96,12 @@ def _build_testbench(flow: FlowResult, options: NmosExperimentOptions,
     })
     package.add_to_circuit(circuit)
 
-    # Gate bias.
-    circuit.add_voltage_source("VGATE_SRC", NODE_GATE_EXT, "0", bias)
-    # Drain bias through a bias-tee choke: DC at ``bias``, open at RF.
+    # Gate bias (set per bias point).
+    circuit.add_voltage_source("VGATE_SRC", NODE_GATE_EXT, "0", 0.0)
+    # Drain bias through a bias-tee choke: DC at the bias point, open at RF.
     circuit.add_inductor("L_biastee", NODE_OUT_EXT, NODE_DRAIN_SUPPLY,
                          options.bias_tee_inductance)
-    circuit.add_voltage_source("VDRAIN_SRC", NODE_DRAIN_SUPPLY, "0", bias)
+    circuit.add_voltage_source("VDRAIN_SRC", NODE_DRAIN_SUPPLY, "0", 0.0)
     # Substrate-noise source behind its source impedance.
     noise = SinusoidalNoise(power_dbm=options.injected_power_dbm,
                             frequency=options.analysis_frequency,
@@ -104,7 +110,7 @@ def _build_testbench(flow: FlowResult, options: NmosExperimentOptions,
                                noise.source_value())
     circuit.add_resistor("RSUB_SRC", NODE_SUB_DRIVE, NODE_SUB_EXT,
                          options.source_impedance)
-    return circuit, noise
+    return circuit, LinearStamps.of(circuit)
 
 
 def _ground_wire_resistance(flow: FlowResult) -> float:
@@ -163,9 +169,11 @@ def run_nmos_experiment(technology: ProcessTechnology,
     crossover = np.zeros_like(bias)
 
     mos_names = sorted(flow_result.devices.mosfets)
+    testbench, linear = _build_testbench(flow_result, options)
     for index, bias_value in enumerate(bias):
-        circuit, _noise = _build_testbench(flow_result, options, float(bias_value))
-        op = dc_operating_point(circuit)
+        circuit = testbench.with_sources({"VGATE_SRC": float(bias_value),
+                                          "VDRAIN_SRC": float(bias_value)})
+        op = dc_operating_point(circuit, linear=linear)
         # Combined small-signal parameters of the parallel devices.
         total_gmb = 0.0
         total_gds = 0.0
@@ -181,7 +189,7 @@ def run_nmos_experiment(technology: ProcessTechnology,
 
         tf = transfer_function(circuit, "VSUB_SRC", [NET_OUT],
                                [options.analysis_frequency],
-                               operating_point=op)
+                               operating_point=op, linear=linear)
         transfer_db[index] = 20.0 * np.log10(
             max(abs(tf.at(NET_OUT, options.analysis_frequency)), 1e-30))
 

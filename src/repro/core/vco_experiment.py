@@ -26,12 +26,24 @@ The grid-style experiments (:meth:`VcoImpactAnalysis.spur_sweep`,
 engine: they accept an execution ``backend`` (serial or process-pool) and an
 extraction ``cache`` shared across studies, while returning the same result
 objects as before.
+
+Only the device operating points depend on V_tune; the substrate
+macromodel, the interconnect, the package and the rest of the testbench do
+not.  The testbench of an extracted flow is therefore compiled once — the
+circuit around the shared impact-netlist elements plus its
+:class:`~repro.simulator.mna.LinearStamps` — and every V_tune corner solves
+a shallow copy of it with fresh source elements
+(:meth:`VcoImpactAnalysis.build_testbench`).  The compiled testbenches are
+kept per flow object, which they hold weakly, so the independent corner
+tasks of a campaign share them (serially, every corner of a variant gets
+the same flow object; in a pool worker, the shared-memory object cache
+hands back the same one) and none outlives its flow.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +68,11 @@ from ..layout.testchips import (
     backgate_node,
     make_vco_testchip,
 )
+from ..netlist.circuit import Circuit
 from ..package.model import PackageModel
 from ..simulator.dc import DcSolution, dc_operating_point
 from ..simulator.linalg import resolve_solver
+from ..simulator.mna import LinearStamps
 from ..simulator.transfer import TransferFunction, transfer_function
 from ..technology.process import ProcessTechnology
 from ..vco.lctank import LcTankVco, VcoDesign
@@ -120,6 +134,66 @@ class VcoExperimentOptions:
     flow: FlowOptions = field(default_factory=_default_vco_flow_options)
 
 
+def _compile_testbench(flow: FlowResult, options: VcoExperimentOptions
+                       ) -> tuple[Circuit, LinearStamps]:
+    """Impact netlist plus probes, load, output buffer, bias sources and the
+    noise source, with its linear stamps.
+
+    The circuit shares the impact-netlist elements of ``flow`` (it never
+    modifies them); its sources hold placeholder values that
+    :meth:`VcoImpactAnalysis.build_testbench` replaces per corner.
+    """
+    circuit = flow.impact.circuit.with_sources()
+    package = PackageModel.rf_probed({
+        NET_GROUND_PAD: "0",
+        NET_SUB: NODE_SUB_EXT,
+        NET_SUPPLY: NODE_VDD_EXT,
+        NET_TUNE: NODE_TUNE_EXT,
+        NET_BIAS: NODE_BIAS_EXT,
+        NET_OUT: NODE_OUT_EXT,
+    })
+    package.add_to_circuit(circuit)
+
+    circuit.add_voltage_source("VDD_SRC", NODE_VDD_EXT, "0", 0.0)
+    circuit.add_voltage_source("VTUNE_SRC", NODE_TUNE_EXT, "0", 0.0)
+    circuit.add_voltage_source("VBIAS_SRC", NODE_BIAS_EXT, "0", 0.0)
+    circuit.add_resistor("RLOAD_OUT", NODE_OUT_EXT, "0", options.output_load)
+    # Output buffer: the measured single-ended output follows one tank node.
+    circuit.add_vcvs("EBUF_OUT", NET_OUT, "0", NET_TANK_P, "0", 1.0)
+    circuit.add_voltage_source("VSUB_SRC", NODE_SUB_DRIVE, "0", 0.0)
+    circuit.add_resistor("RSUB_SRC", NODE_SUB_DRIVE, NODE_SUB_EXT,
+                         options.source_impedance)
+    return circuit, LinearStamps.of(circuit)
+
+
+#: id(flow) -> (weak reference to the flow, {testbench shape: compiled
+#: testbench}).  An entry leaves when its flow is collected.
+_COMPILED_TESTBENCHES: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _compiled_testbench(flow: FlowResult, options: VcoExperimentOptions
+                        ) -> tuple[Circuit, LinearStamps]:
+    """The compiled testbench of ``flow``, built on the first request.
+
+    Keyed on the flow object and the options that shape the linear part
+    (source impedance, output load); the source values are set per corner.
+    """
+    key = id(flow)
+    entry = _COMPILED_TESTBENCHES.get(key)
+    if entry is None or entry[0]() is not flow:
+        def forget(ref, key=key):
+            if _COMPILED_TESTBENCHES.get(key, (None,))[0] is ref:
+                del _COMPILED_TESTBENCHES[key]
+
+        entry = (weakref.ref(flow, forget), {})
+        _COMPILED_TESTBENCHES[key] = entry
+    shape = (options.source_impedance, options.output_load)
+    compiled = entry[1].get(shape)
+    if compiled is None:
+        compiled = entry[1][shape] = _compile_testbench(flow, options)
+    return compiled
+
+
 class VcoImpactAnalysis:
     """Impact analysis of the VCO test chip (Figures 7, 8 and 9)."""
 
@@ -144,33 +218,20 @@ class VcoImpactAnalysis:
 
     # -- testbench ----------------------------------------------------------------
 
-    def build_testbench(self, vtune: float):
-        """Impact netlist plus probes, bias sources and the noise source."""
-        circuit = copy.deepcopy(self.flow.impact.circuit)
-        package = PackageModel.rf_probed({
-            NET_GROUND_PAD: "0",
-            NET_SUB: NODE_SUB_EXT,
-            NET_SUPPLY: NODE_VDD_EXT,
-            NET_TUNE: NODE_TUNE_EXT,
-            NET_BIAS: NODE_BIAS_EXT,
-            NET_OUT: NODE_OUT_EXT,
-        })
-        package.add_to_circuit(circuit)
+    def build_testbench(self, vtune: float) -> Circuit:
+        """Impact netlist plus probes, bias sources and the noise source.
 
-        circuit.add_voltage_source("VDD_SRC", NODE_VDD_EXT, "0",
-                                   self.options.supply_voltage)
-        circuit.add_voltage_source("VTUNE_SRC", NODE_TUNE_EXT, "0", vtune)
-        circuit.add_voltage_source("VBIAS_SRC", NODE_BIAS_EXT, "0",
-                                   self.options.tail_bias_voltage)
-        circuit.add_resistor("RLOAD_OUT", NODE_OUT_EXT, "0",
-                             self.options.output_load)
-        # Output buffer: the measured single-ended output follows one tank node.
-        circuit.add_vcvs("EBUF_OUT", NET_OUT, "0", NET_TANK_P, "0", 1.0)
-        circuit.add_voltage_source("VSUB_SRC", NODE_SUB_DRIVE, "0",
-                                   self._noise.source_value())
-        circuit.add_resistor("RSUB_SRC", NODE_SUB_DRIVE, NODE_SUB_EXT,
-                             self.options.source_impedance)
-        return circuit
+        A standalone circuit at ``vtune``: a shallow copy of the flow's
+        compiled testbench that shares its elements and owns fresh source
+        elements with this analysis's bias, V_tune and noise values.
+        """
+        circuit, _linear = _compiled_testbench(self.flow, self.options)
+        return circuit.with_sources({
+            "VDD_SRC": self.options.supply_voltage,
+            "VTUNE_SRC": vtune,
+            "VBIAS_SRC": self.options.tail_bias_voltage,
+            "VSUB_SRC": self._noise.source_value(),
+        })
 
     # -- VCO analytical model from the extracted devices -----------------------------
 
@@ -283,7 +344,9 @@ class VcoImpactAnalysis:
         # (the Newton solve) — the part of a corner that is not the AC sweep.
         with trace_span("sim.setup", vtune=vtune):
             circuit = self.build_testbench(vtune)
-            operating_point = dc_operating_point(circuit, solver=self.solver)
+            _template, linear = _compiled_testbench(self.flow, self.options)
+            operating_point = dc_operating_point(circuit, solver=self.solver,
+                                                 linear=linear)
             self._operating_points[vtune] = operating_point
 
             vco = self.vco_model(operating_point)
@@ -294,7 +357,7 @@ class VcoImpactAnalysis:
                                          catalog.observation_nodes(),
                                          noise_frequencies,
                                          operating_point=operating_point,
-                                         solver=self.solver)
+                                         solver=self.solver, linear=linear)
         carrier_frequency = vco.oscillation_frequency(vtune)
         carrier_amplitude = vco.amplitude(vtune)
         noise_amplitude = self._noise.amplitude

@@ -8,8 +8,8 @@ global ground reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping
 
 import networkx as nx
 
@@ -30,6 +30,13 @@ from .elements import (
     VoltageSource,
 )
 from .stamping import GROUND
+
+
+def _source_value(value: SourceValue | float) -> SourceValue:
+    """A plain number is a DC level."""
+    if isinstance(value, (int, float)):
+        return SourceValue(dc=float(value))
+    return value
 
 
 @dataclass
@@ -88,17 +95,13 @@ class Circuit:
 
     def add_voltage_source(self, name: str, node_p: str, node_n: str,
                            value: SourceValue | float) -> VoltageSource:
-        if isinstance(value, (int, float)):
-            value = SourceValue(dc=float(value))
         return self.add(VoltageSource(name=name, node_p=node_p, node_n=node_n,
-                                      value=value))
+                                      value=_source_value(value)))
 
     def add_current_source(self, name: str, node_p: str, node_n: str,
                            value: SourceValue | float) -> CurrentSource:
-        if isinstance(value, (int, float)):
-            value = SourceValue(dc=float(value))
         return self.add(CurrentSource(name=name, node_p=node_p, node_n=node_n,
-                                      value=value))
+                                      value=_source_value(value)))
 
     def add_vccs(self, name: str, node_p: str, node_n: str, ctrl_p: str,
                  ctrl_n: str, gm: float) -> VoltageControlledCurrentSource:
@@ -201,6 +204,32 @@ class Circuit:
         if GROUND not in nodes_with_ground:
             raise NetlistError(
                 f"circuit {self.name!r} has no connection to ground ('0')")
+
+    def with_sources(self, values: Mapping[str, SourceValue | float] | None = None
+                     ) -> "Circuit":
+        """A copy that shares every element but the independent sources.
+
+        Each source of the copy is a fresh element holding ``values[name]``
+        (a plain number is a DC level) or, when unnamed, this circuit's
+        value.  Analyses that re-drive sources in place
+        (:func:`~repro.simulator.transfer.substituted_sources`) therefore
+        never touch this circuit, and adding or removing elements of the
+        copy leaves it alone too; the shared elements themselves must not
+        be modified.  A name that is not an independent source of this
+        circuit raises :class:`NetlistError`.
+        """
+        pending = dict(values or {})
+        elements: dict[str, Element] = {}
+        for name, element in self.elements.items():
+            if isinstance(element, (VoltageSource, CurrentSource)):
+                element = replace(element, value=_source_value(
+                    pending.pop(name, element.value)))
+            elements[name] = element
+        if pending:
+            raise NetlistError(
+                f"circuit {self.name!r} has no independent source named "
+                f"{sorted(pending)[0]!r}")
+        return Circuit(name=self.name, elements=elements)
 
     def merge(self, other: "Circuit", prefix: str = "") -> None:
         """Merge another circuit's elements into this one.

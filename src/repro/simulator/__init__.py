@@ -1,6 +1,13 @@
 """MNA circuit simulator: DC, AC, transfer-function and transient analyses."""
 
-from .mna import MatrixStamper, MnaStructure, SolutionView, solve_sparse, stamp_linear_elements
+from .mna import (
+    LinearStamps,
+    MatrixStamper,
+    MnaStructure,
+    SolutionView,
+    solve_sparse,
+    stamp_linear_elements,
+)
 from .solver import (
     Factorization,
     SharedPatternPair,
@@ -33,6 +40,7 @@ __all__ = [
     "DirectLUSolver",
     "Factorization",
     "LinearSolver",
+    "LinearStamps",
     "MatrixStamper",
     "MnaStructure",
     "SharedPatternPair",

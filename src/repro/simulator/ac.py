@@ -8,7 +8,10 @@ This is the analysis used throughout the reproduction to compute the transfer
 from the substrate-noise injection source to the sensitive nodes of the
 circuit (back-gates, on-chip ground, tank nodes, output).
 
-``G`` and ``C`` are assembled in the format the system size routes its
+``G`` and ``C`` are the circuit's compiled
+:class:`~repro.simulator.mna.LinearStamps` (passed in as ``linear=`` or
+compiled here) plus the small-signal models of the nonlinear devices at the
+operating point.  They come in the format the system size routes its
 solves to (:func:`~repro.simulator.solver.frequency_pair`): dense arrays and
 LAPACK for small systems such as the merged impact netlist, a shared CSC
 pattern and SuperLU for large ones.
@@ -25,7 +28,7 @@ from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
-from .mna import MnaStructure, SolutionView, stamp_linear_elements
+from .mna import LinearStamps, MatrixStamper, MnaStructure, SolutionView
 from .solver import add_gmin_diagonal, frequency_pair
 
 
@@ -57,28 +60,50 @@ class AcSolution:
         return self.vectors[:, self.structure.branch_row(branch)]
 
     def at_frequency(self, frequency: float) -> SolutionView:
-        """Solution view at the frequency point closest to ``frequency``."""
-        index = int(np.argmin(np.abs(self.frequencies - frequency)))
+        """Solution view at the swept point ``frequency`` (relative 1e-9).
+
+        Raises :class:`SimulationError` naming ``frequency`` when no swept
+        point matches.
+        """
+        index = swept_index(self.frequencies, frequency)
         return SolutionView(self.structure, self.vectors[index])
 
 
-def _small_signal_matrices(circuit: Circuit, structure: MnaStructure,
+def swept_index(frequencies: np.ndarray, frequency: float) -> int:
+    """Index of the swept point equal to ``frequency`` within relative 1e-9.
+
+    Raises :class:`SimulationError` naming ``frequency`` (and the nearest
+    swept point) when none matches.
+    """
+    offsets = np.abs(frequencies - frequency)
+    index = int(np.argmin(offsets))
+    if not offsets[index] <= 1e-9 * abs(frequency):
+        raise SimulationError(
+            f"frequency {frequency!r} Hz was not swept (nearest swept "
+            f"point {float(frequencies[index])!r} Hz)")
+    return index
+
+
+def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
                            operating_point: DcSolution | None):
     """Build (G, C) with all nonlinear elements replaced by their linearisation.
 
-    Both come in the format their solves route to: dense arrays at or below
-    the LAPACK cutoff, CSR above it.
+    The small-signal stamps go on top of the compiled linear ones.  Both
+    come in the format their solves route to: dense arrays at or below the
+    LAPACK cutoff, CSR above it.
     """
-    stamper = stamp_linear_elements(circuit, structure)
     nonlinear = circuit.nonlinear_elements()
-    if nonlinear:
-        if operating_point is None:
-            raise SimulationError(
-                "circuit contains nonlinear elements: an operating point is required")
-        voltages = operating_point.voltages()
-        for element in nonlinear:
-            element.stamp_small_signal(stamper, voltages)
-    return stamper.conductance_system(), stamper.capacitance_system()
+    if not nonlinear:
+        return linear.conductance, linear.capacitance
+    if operating_point is None:
+        raise SimulationError(
+            "circuit contains nonlinear elements: an operating point is required")
+    stamper = MatrixStamper(linear.structure)
+    voltages = operating_point.voltages()
+    for element in nonlinear:
+        element.stamp_small_signal(stamper, voltages)
+    return (linear.conductance + stamper.conductance_system(),
+            linear.capacitance + stamper.capacitance_system())
 
 
 def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
@@ -102,15 +127,16 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
                 operating_point: DcSolution | None = None,
                 dc_options: DcOptions | None = None,
                 gmin: float = 1e-12,
-                solver: SolverOptions | LinearSolver | None = None
-                ) -> AcSolution:
+                solver: SolverOptions | LinearSolver | None = None,
+                linear: LinearStamps | None = None) -> AcSolution:
     """Run an AC sweep over ``frequencies`` (hertz).
 
     If the circuit contains nonlinear devices and no ``operating_point`` is
     supplied, a DC operating point is solved first.  ``solver`` selects the
-    linear-solver backend.
+    linear-solver backend.  ``linear`` is the circuit's compiled
+    :class:`~repro.simulator.mna.LinearStamps` (compiled here when absent;
+    stamps of a different circuit raise :class:`SimulationError`).
     """
-    circuit.validate()
     solver = resolve_solver(solver)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
@@ -118,12 +144,13 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
     if np.any(frequencies < 0):
         raise SimulationError("AC frequencies must be non-negative")
 
-    structure = MnaStructure.from_circuit(circuit)
+    linear = LinearStamps.resolve(circuit, linear)
+    structure = linear.structure
     if operating_point is None and circuit.nonlinear_elements():
         operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+                                             solver=solver, linear=linear)
 
-    g_matrix, c_matrix = _small_signal_matrices(circuit, structure, operating_point)
+    g_matrix, c_matrix = _small_signal_matrices(circuit, linear, operating_point)
     # gmin to ground on every node row keeps otherwise-floating nodes solvable.
     g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
                                  solver.options.effective_gmin(gmin))

@@ -24,16 +24,24 @@ The strategy that finally converged is recorded on the
 ``dc_source_steps``), so campaign results can surface which corners only
 converged via the ladder.
 
-Each Newton solve assembles the Jacobian's linear part plus its gmin shunt
-once (dense for small systems, see :mod:`repro.simulator.solver`); an
-iteration adds only the nonlinear companion stamps.  The whole analysis
-runs under one ``sim.dc`` span carrying ``iterations`` and ``strategy``.
+The linear part of the Jacobian comes from the circuit's
+:class:`~repro.simulator.mna.LinearStamps` — compiled here, or passed in as
+``linear=`` by a caller that solves one netlist at many bias corners.  Each
+Newton solve adds the gmin shunt to it once (dense for small systems, see
+:mod:`repro.simulator.solver`); an iteration adds only the nonlinear
+companion stamps.  The whole analysis runs under one ``sim.dc`` span
+carrying ``iterations`` and ``strategy``.
+
+A :class:`DcSolution` builds its node-voltage map once and evaluates each
+nonlinear device's operating point at most once, however often
+:meth:`DcSolution.operating_point_of` is asked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +51,7 @@ from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
 from ..obs import trace_span
 from .linalg import LinearSolver, SolverOptions, resolve_solver
-from .mna import MatrixStamper, MnaStructure, SolutionView, stamp_linear_elements
+from .mna import LinearStamps, MatrixStamper, MnaStructure, SolutionView
 from .solver import add_gmin_diagonal
 
 
@@ -58,23 +66,36 @@ class DcSolution:
     #: how the solve converged: "newton" (plain), "gmin-stepping" or
     #: "source-stepping" — anything but "newton" is a graceful degradation
     strategy: str = "newton"
+    #: element name -> operating point, filled on first request
+    _device_points: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
+
+    @cached_property
+    def _voltage_map(self) -> dict[str, float]:
+        return {name: float(self.vector[row])
+                for name, row in self.structure.node_index.items()}
 
     def voltage(self, node: str) -> float:
         return float(SolutionView(self.structure, self.vector).voltage(node))
 
     def voltages(self) -> dict[str, float]:
-        return {k: float(v)
-                for k, v in SolutionView(self.structure, self.vector).voltages().items()}
+        return dict(self._voltage_map)
 
     def branch_current(self, branch: str) -> float:
         return float(SolutionView(self.structure, self.vector).branch_current(branch))
 
     def operating_point_of(self, element_name: str):
-        """Operating point of a nonlinear element (e.g. a MOSFET) at the DC solution."""
-        element = self.circuit[element_name]
-        if not isinstance(element, NonlinearElement):
-            raise ConvergenceError(f"{element_name!r} is not a nonlinear element")
-        return element.operating_point(self.voltages())
+        """Operating point of a nonlinear element (e.g. a MOSFET) at the DC
+        solution, evaluated on the first request and reused after it."""
+        point = self._device_points.get(element_name)
+        if point is None:
+            element = self.circuit[element_name]
+            if not isinstance(element, NonlinearElement):
+                raise ConvergenceError(
+                    f"{element_name!r} is not a nonlinear element")
+            point = element.operating_point(self._voltage_map)
+            self._device_points[element_name] = point
+        return point
 
 
 @dataclass
@@ -181,8 +202,8 @@ def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
 
 
 def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
-                       solver: SolverOptions | LinearSolver | None = None
-                       ) -> DcSolution:
+                       solver: SolverOptions | LinearSolver | None = None,
+                       linear: LinearStamps | None = None) -> DcSolution:
     """Solve the DC operating point of ``circuit``.
 
     Linear circuits converge in a single iteration.  For nonlinear circuits,
@@ -193,24 +214,27 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     on the returned :class:`DcSolution` and the ladder rungs are counted
     into :data:`repro.simulator.solver.stats`.
     ``solver`` selects the linear-solver backend (options or a shared
-    instance); the system size picks its LU kernel.
+    instance); the system size picks its LU kernel.  ``linear`` is the
+    circuit's compiled :class:`~repro.simulator.mna.LinearStamps`; without
+    it the circuit is validated, indexed and stamped here.  Stamps compiled
+    from a different circuit raise :class:`SimulationError`.
     """
     options = options or DcOptions()
     solver = resolve_solver(solver)
-    circuit.validate()
-    structure = MnaStructure.from_circuit(circuit)
-    with trace_span("sim.dc", size=structure.size) as span:
-        solution = _operating_point(circuit, structure, options, solver)
+    linear = LinearStamps.resolve(circuit, linear)
+    with trace_span("sim.dc", size=linear.structure.size) as span:
+        solution = _operating_point(circuit, linear, options, solver)
         if span is not None:
             span.set(iterations=solution.iterations,
                      strategy=solution.strategy)
     return solution
 
 
-def _operating_point(circuit: Circuit, structure: MnaStructure,
+def _operating_point(circuit: Circuit, linear: LinearStamps,
                      options: DcOptions, solver: LinearSolver) -> DcSolution:
     """Plain Newton, then the gmin- and source-stepping rungs."""
-    linear_g = stamp_linear_elements(circuit, structure).conductance_system()
+    structure = linear.structure
+    linear_g = linear.conductance
     initial = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
 

@@ -21,11 +21,16 @@ The analyses assemble ``G`` and ``C`` in the format their solves route to
 most :data:`~repro.simulator.solver.DENSE_MAX_SIZE` unknowns, which LAPACK
 factorizes without any sparse format conversion, and CSR for SuperLU above.
 
-Analyses create a fresh stamper, let the elements stamp themselves, build
-the right-hand side from the source values they need (DC levels, AC
-phasors, transient samples) and solve.  DC Newton keeps the linear stamps
-assembled and stamps only the nonlinear companion models into a fresh
-stamper per iteration.
+The linear part of a circuit — every element but the nonlinear devices —
+does not depend on the analysis, the operating point or the source values
+(a source's value reaches only the right-hand side).
+:class:`LinearStamps` holds it compiled: the validated structure plus the
+assembled ``G`` and ``C`` of the linear elements.  Every analysis starts
+from one; DC Newton stamps only the nonlinear companion models on top of it
+per iteration, AC and transfer analyses only the small-signal models.  A
+caller that solves one netlist at many bias corners (the VCO V_tune sweep,
+the Fig-3 NMOS bias sweep) compiles it once and passes it as ``linear=``,
+so no corner re-validates, re-indexes or re-stamps the linear netlist.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import scipy.sparse as sp
 
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
+from ..netlist.elements import CurrentSource, Element, VoltageSource
 from ..netlist.stamping import GROUND, Stamper
 from . import solver as _solver
 
@@ -247,6 +253,71 @@ def stamp_linear_elements(circuit: Circuit,
     for element in circuit.linear_elements():
         element.stamp(stamper)
     return stamper
+
+
+def _stamps_alike(compiled: Element, element: Element) -> bool:
+    """Whether ``element`` stamps what ``compiled`` stamped into ``G``/``C``:
+    the same object, or an independent source of the same kind, name and
+    nodes (a source's value reaches only the right-hand side)."""
+    return compiled is element or (
+        isinstance(element, (VoltageSource, CurrentSource))
+        and type(element) is type(compiled)
+        and element.name == compiled.name
+        and element.nodes() == compiled.nodes())
+
+
+@dataclass(frozen=True, eq=False)
+class LinearStamps:
+    """The validated MNA structure and the linear ``G``/``C`` of a circuit.
+
+    ``conductance`` and ``capacitance`` come in the format their solves
+    route to (dense at or below the LAPACK cutoff, CSR above it); dense
+    ones are read-only, since every analysis adds its own stamps into new
+    arrays.  The stamps serve any circuit with the same elements in the
+    same order, where only independent sources may be different objects of
+    the same kind on the same nodes
+    (:meth:`~repro.netlist.circuit.Circuit.with_sources`).  The elements
+    must not be modified in place after compiling.
+    """
+
+    structure: MnaStructure
+    conductance: np.ndarray | sp.csr_matrix
+    capacitance: np.ndarray | sp.csr_matrix
+    #: the compiled circuit's elements, in circuit order
+    elements: tuple[Element, ...]
+
+    @classmethod
+    def of(cls, circuit: Circuit) -> "LinearStamps":
+        """Validate ``circuit``, index its unknowns and stamp its linear
+        elements."""
+        circuit.validate()
+        stamper = stamp_linear_elements(circuit)
+        conductance = stamper.conductance_system()
+        capacitance = stamper.capacitance_system()
+        for matrix in (conductance, capacitance):
+            if isinstance(matrix, np.ndarray):
+                matrix.flags.writeable = False
+        return cls(structure=stamper.structure, conductance=conductance,
+                   capacitance=capacitance, elements=tuple(circuit))
+
+    @classmethod
+    def resolve(cls, circuit: Circuit,
+                linear: "LinearStamps | None") -> "LinearStamps":
+        """``linear`` checked against ``circuit``, or compiled from it."""
+        if linear is None:
+            return cls.of(circuit)
+        if len(circuit) != len(linear.elements):
+            raise SimulationError(
+                f"linear stamps do not match circuit {circuit.name!r}: "
+                f"compiled from {len(linear.elements)} elements, the circuit "
+                f"has {len(circuit)}")
+        for compiled, element in zip(linear.elements, circuit):
+            if not _stamps_alike(compiled, element):
+                raise SimulationError(
+                    f"linear stamps do not match circuit {circuit.name!r}: "
+                    f"element {element.name!r} is not the compiled "
+                    f"{compiled.name!r}")
+        return linear
 
 
 def solve_sparse(matrix, rhs: np.ndarray,

@@ -6,7 +6,7 @@ workhorse of the impact methodology: the transfer from the substrate-injection
 source to every sensitive node (back-gate, on-chip ground, tank, output) is a
 transfer function of this kind — the paper's ``h_sub^i`` factors.
 
-Two performance properties of the implementation matter for sweeps:
+Three performance properties of the implementation matter for sweeps:
 
 * **Batched multi-RHS solves** — all requested sources are solved through
   *one* LU factorization per frequency point: the MNA matrices depend only on
@@ -18,6 +18,11 @@ Two performance properties of the implementation matter for sweeps:
   analysed source, zero on every other) while the right-hand sides are
   assembled, and swapped back in a ``finally`` block, so the caller's circuit
   is restored even when the solve itself fails.
+* **Compiled linear stamps** — a caller that analyses one netlist at many
+  bias corners passes its :class:`~repro.simulator.mna.LinearStamps` as
+  ``linear=``; the analysis then stamps only the small-signal models of the
+  nonlinear devices on top, without re-validating, re-indexing or
+  re-stamping the linear netlist.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import numpy as np
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
+from .ac import _ac_rhs, _small_signal_matrices, swept_index
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
-from .mna import MnaStructure
+from .mna import LinearStamps
 from .solver import add_gmin_diagonal, frequency_pair
 
 
@@ -60,13 +66,7 @@ class TransferFunction:
         Raises :class:`SimulationError` naming ``frequency`` when no swept
         point matches.
         """
-        offsets = np.abs(self.frequencies - frequency)
-        index = int(np.argmin(offsets))
-        if not offsets[index] <= 1e-9 * abs(frequency):
-            raise SimulationError(
-                f"frequency {frequency!r} Hz was not swept (nearest swept "
-                f"point {float(self.frequencies[index])!r} Hz)")
-        return index
+        return swept_index(self.frequencies, frequency)
 
     def at(self, node: str, frequency: float) -> complex:
         """Transfer to ``node`` at the swept point ``frequency``."""
@@ -116,7 +116,8 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                        operating_point: DcSolution | None = None,
                        dc_options: DcOptions | None = None,
                        gmin: float = 1e-12,
-                       solver: SolverOptions | LinearSolver | None = None
+                       solver: SolverOptions | LinearSolver | None = None,
+                       linear: LinearStamps | None = None
                        ) -> dict[str, TransferFunction]:
     """Compute ``V(node)/source`` for every (source, node) combination.
 
@@ -125,15 +126,18 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     sparsity pattern for large ones) and factorized once, then every
     source's unit-drive right-hand side is solved through that single
     factorization as one multi-RHS block.  ``solver``
-    selects the linear-solver backend.  Returns a mapping
-    ``source name -> TransferFunction`` (V/V for voltage sources,
+    selects the linear-solver backend.  ``linear`` is the circuit's compiled
+    :class:`~repro.simulator.mna.LinearStamps` (compiled here when absent;
+    stamps of a different circuit raise :class:`SimulationError`).  Returns
+    a mapping ``source name -> TransferFunction`` (V/V for voltage sources,
     V/A for current sources).
     """
     if not observe_nodes:
         raise SimulationError("at least one observation node is required")
     if not source_names:
         raise SimulationError("at least one source name is required")
-    circuit.validate()
+    linear = LinearStamps.resolve(circuit, linear)
+    structure = linear.structure
     solver = resolve_solver(solver)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
@@ -148,16 +152,13 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     if len(set(source_names)) != len(source_names):
         raise SimulationError("duplicate source names in transfer request")
 
-    structure = MnaStructure.from_circuit(circuit)
     if operating_point is None and circuit.nonlinear_elements():
         operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+                                             solver=solver, linear=linear)
 
     # The small-signal matrices depend on the operating point only, never on
     # the sources' AC values, so they are built once for all sources.
-    from .ac import _ac_rhs, _small_signal_matrices
-
-    g_matrix, c_matrix = _small_signal_matrices(circuit, structure,
+    g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
                                                 operating_point)
     g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
                                  solver.options.effective_gmin(gmin))
@@ -198,7 +199,8 @@ def transfer_function(circuit: Circuit, source_name: str,
                       operating_point: DcSolution | None = None,
                       dc_options: DcOptions | None = None,
                       gmin: float = 1e-12,
-                      solver: SolverOptions | LinearSolver | None = None
+                      solver: SolverOptions | LinearSolver | None = None,
+                      linear: LinearStamps | None = None
                       ) -> TransferFunction:
     """Compute ``V(node)/source`` for each node in ``observe_nodes``.
 
@@ -207,10 +209,11 @@ def transfer_function(circuit: Circuit, source_name: str,
     transfers are in V/V or V/A respectively.  A precomputed
     ``operating_point`` of the original circuit is reused directly (only AC
     magnitudes are substituted during the solve, which leaves the DC solution
-    untouched); ``gmin`` is forwarded to the underlying AC assembly.  This is
+    untouched); ``gmin`` is forwarded to the underlying AC assembly and
+    ``linear`` (compiled stamps of the circuit) to the analyses.  This is
     the single-source convenience wrapper around :func:`transfer_functions`.
     """
     return transfer_functions(circuit, [source_name], observe_nodes,
                               frequencies, operating_point=operating_point,
                               dc_options=dc_options, gmin=gmin,
-                              solver=solver)[source_name]
+                              solver=solver, linear=linear)[source_name]

@@ -36,7 +36,7 @@ from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
-from .mna import MatrixStamper, MnaStructure, stamp_linear_elements
+from .mna import LinearStamps, MatrixStamper, MnaStructure
 from .solver import add_gmin_diagonal
 
 
@@ -130,23 +130,21 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
     """
     options = options or TransientOptions()
     solver = resolve_solver(solver)
-    circuit.validate()
+    linear = LinearStamps.of(circuit)
+    structure = linear.structure
     if t_stop <= 0 or timestep <= 0:
         raise SimulationError("t_stop and timestep must be positive")
     n_steps = int(round(t_stop / timestep))
     if n_steps < 1:
         raise SimulationError("the requested time span contains no steps")
 
-    structure = MnaStructure.from_circuit(circuit)
     if operating_point is None:
         operating_point = dc_operating_point(circuit, dc_options,
-                                             solver=solver)
+                                             solver=solver, linear=linear)
 
-    linear = stamp_linear_elements(circuit, structure)
-    g_lin = add_gmin_diagonal(linear.conductance_system(),
-                              structure.n_nodes,
+    g_lin = add_gmin_diagonal(linear.conductance, structure.n_nodes,
                               solver.options.effective_gmin(options.gmin))
-    c_lin = linear.capacitance_system()
+    c_lin = linear.capacitance
 
     # Freeze the reactive part of the nonlinear devices at the operating point.
     nonlinear = circuit.nonlinear_elements()

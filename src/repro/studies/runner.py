@@ -213,7 +213,9 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
 
     if task.flow is None and task.flow_ref is not None:
         # A worker receives the variant's flow through shared memory; the
-        # worker-side cache makes this one unpickle per variant.
+        # worker-side cache makes this one unpickle per variant, and hands
+        # every corner the same flow object, so the variant's testbench is
+        # compiled once per worker too (repro.core.vco_experiment).
         task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
 
     before = solver_stats.snapshot()

@@ -1,0 +1,128 @@
+"""The compiled VCO testbench: one per flow, every V_tune corner solved
+against it.
+
+The compiled path (shared impact-netlist elements, fresh sources, the
+flow's :class:`~repro.simulator.mna.LinearStamps`) must give the operating
+points and transfers of a from-scratch solve, and must never modify the
+extracted flow it was compiled from.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.core import vco_experiment
+from repro.core.flow import run_extraction_flow
+from repro.core.vco_experiment import VcoImpactAnalysis
+from repro.errors import SimulationError
+from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
+from repro.netlist.elements import VoltageSource
+from repro.simulator import dc_operating_point, transfer_function
+from repro.simulator.mna import LinearStamps
+
+
+@pytest.fixture(scope="module")
+def variant_analyses(technology, vco_analysis, vco_flow):
+    """Analyses of the Fig-10 nominal and 2x-wide ground variants."""
+    spec = VcoLayoutSpec(ground_width_scale=2.0)
+    widened = run_extraction_flow(make_vco_testchip(spec), technology,
+                                  options=vco_analysis.options.flow)
+    return [VcoImpactAnalysis(technology, options=vco_analysis.options,
+                              flow_result=vco_flow),
+            VcoImpactAnalysis(technology, spec=spec,
+                              options=vco_analysis.options,
+                              flow_result=widened)]
+
+
+def _relative(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+@pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
+def test_compiled_corner_matches_a_from_scratch_solve(variant_analyses,
+                                                      variant, vtune):
+    analysis = variant_analyses[variant]
+    _spurs, _vco, _catalog, transfer = analysis.analyze(vtune)
+    compiled = analysis._operating_points[vtune]
+
+    scratch = copy.deepcopy(analysis.build_testbench(vtune))
+    reference = dc_operating_point(scratch, solver=analysis.solver)
+    assert compiled.iterations == reference.iterations
+    assert compiled.strategy == reference.strategy
+    assert _relative(compiled.vector, reference.vector) <= 1e-12
+
+    reference_tf = transfer_function(scratch, "VSUB_SRC", transfer.nodes(),
+                                     transfer.frequencies,
+                                     operating_point=reference,
+                                     solver=analysis.solver)
+    for node in transfer.nodes():
+        assert _relative(transfer.transfers[node],
+                         reference_tf.transfers[node]) <= 1e-12
+
+
+def test_corner_circuits_share_the_netlist_and_own_their_sources(
+        vco_analysis):
+    first = vco_analysis.build_testbench(0.0)
+    second = vco_analysis.build_testbench(1.5)
+    assert list(first.elements) == list(second.elements)
+    for name, element in first.elements.items():
+        if isinstance(element, VoltageSource):
+            assert second[name] is not element
+        else:
+            assert second[name] is element
+    assert first["VTUNE_SRC"].value.dc == 0.0
+    assert second["VTUNE_SRC"].value.dc == 1.5
+    impact = vco_analysis.flow.impact.circuit
+    assert all(first[name] is element
+               for name, element in impact.elements.items())
+
+
+def test_stamps_of_another_variant_raise_a_named_error(variant_analyses):
+    nominal, widened = variant_analyses
+    _circuit, linear = vco_experiment._compiled_testbench(nominal.flow,
+                                                          nominal.options)
+    with pytest.raises(SimulationError,
+                       match="linear stamps do not match circuit"):
+        dc_operating_point(widened.build_testbench(0.0), linear=linear)
+    with pytest.raises(SimulationError,
+                       match="linear stamps do not match circuit"):
+        dc_operating_point(nominal.build_testbench(0.0),
+                           linear=LinearStamps.of(widened.build_testbench(0.0)))
+
+
+def test_campaign_leaves_the_flow_netlist_untouched(vco_analysis):
+    impact = vco_analysis.flow.impact.circuit
+
+    def snapshot():
+        return {name: (element, dict(vars(element)))
+                for name, element in impact.elements.items()}
+
+    before = snapshot()
+    vco_analysis.spur_sweep(vtune_values=(0.0, 1.5),
+                            noise_frequencies=np.asarray([1e6, 5e6]))
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, (element, fields) in before.items():
+        assert after[name][0] is element
+        assert after[name][1] == fields
+
+
+def test_compiled_testbench_dies_with_its_flow(vco_flow, vco_analysis):
+    flow = replace(vco_flow)            # a distinct flow object
+    key = id(flow)
+    compiled = vco_experiment._compiled_testbench(flow, vco_analysis.options)
+    assert vco_experiment._compiled_testbench(
+        flow, vco_analysis.options) is compiled
+    other_shape = replace(vco_analysis.options, output_load=75.0)
+    assert vco_experiment._compiled_testbench(
+        flow, other_shape) is not compiled
+    assert key in vco_experiment._COMPILED_TESTBENCHES
+    del flow
+    gc.collect()
+    assert key not in vco_experiment._COMPILED_TESTBENCHES

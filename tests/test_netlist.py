@@ -162,6 +162,25 @@ def test_floating_nodes_detection():
     assert "mid" not in floating
 
 
+def test_with_sources_shares_elements_and_copies_sources():
+    circuit = Circuit("t")
+    circuit.add_voltage_source("V1", "a", "0", 1.0)
+    circuit.add_current_source("I1", "0", "b", SourceValue(ac_magnitude=2.0))
+    circuit.add_resistor("R1", "a", "b", 1e3)
+    circuit.add_resistor("R2", "b", "0", 1e3)
+    copy = circuit.with_sources({"V1": 2.5})
+    assert list(copy.elements) == list(circuit.elements)
+    assert copy["R1"] is circuit["R1"] and copy["R2"] is circuit["R2"]
+    assert copy["V1"] is not circuit["V1"]
+    assert copy["I1"] is not circuit["I1"]
+    assert copy["V1"].value.dc == 2.5 and circuit["V1"].value.dc == 1.0
+    assert copy["I1"].value == circuit["I1"].value
+    copy.add_resistor("R3", "a", "0", 1.0)
+    assert "R3" not in circuit
+    with pytest.raises(NetlistError, match="'R1'"):
+        circuit.with_sources({"R1": 1.0})
+
+
 def test_circuit_merge_with_prefix():
     a = Circuit("a")
     a.add_resistor("R1", "x", "0", 1.0)

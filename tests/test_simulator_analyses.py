@@ -169,6 +169,22 @@ def test_ac_magnitude_db_helper():
     assert ac.magnitude_db("out")[0] == pytest.approx(-6.02, abs=0.05)
 
 
+def test_ac_at_frequency_reads_swept_points_only():
+    """``at_frequency`` matches a swept frequency within a relative 1e-9 and
+    refuses any other frequency instead of returning the nearest point."""
+    circuit = Circuit("rc")
+    circuit.add_voltage_source("V1", "in", "0", SourceValue(ac_magnitude=1.0))
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_capacitor("C1", "out", "0", 1e-9)
+    ac = ac_analysis(circuit, [1e3, 1e6])
+    assert ac.at_frequency(1e6).voltage("out") == ac.voltage("out")[1]
+    assert ac.at_frequency(1e3 * (1 + 1e-12)).voltage("out") \
+        == ac.voltage("out")[0]
+    for frequency in (5e5, 1e6 * (1 + 1e-8), 0.0):
+        with pytest.raises(SimulationError, match=f"{frequency!r} Hz"):
+            ac.at_frequency(frequency)
+
+
 def test_ac_requires_frequencies():
     circuit = Circuit("x")
     circuit.add_resistor("R1", "a", "0", 1.0)

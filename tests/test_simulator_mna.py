@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.netlist import Circuit
+from repro.netlist import Circuit, SourceValue
+from repro.simulator import (
+    ac_analysis,
+    dc_operating_point,
+    transfer_function,
+    transfer_functions,
+)
 from repro.simulator.mna import (
+    LinearStamps,
     MnaStructure,
     SolutionView,
     solve_sparse,
@@ -137,3 +144,76 @@ def test_resistive_ladder_matrix_properties(values):
     off_diagonal = g - np.diag(np.diag(g))
     assert np.all(off_diagonal <= 1e-15)
     assert np.all(np.diag(g) >= np.sum(np.abs(off_diagonal), axis=1) - 1e-12)
+
+
+# -- compiled linear stamps ---------------------------------------------------------
+
+
+def _rc_divider() -> Circuit:
+    circuit = Circuit("rc")
+    circuit.add_voltage_source("V1", "in", "0",
+                               SourceValue(dc=1.0, ac_magnitude=1.0))
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_resistor("R2", "out", "0", 1e3)
+    circuit.add_capacitor("C1", "out", "0", 1e-9)
+    return circuit
+
+
+def test_linear_stamps_hold_the_linear_system_read_only():
+    circuit = _rc_divider()
+    linear = LinearStamps.of(circuit)
+    stamper = stamp_linear_elements(circuit)
+    assert linear.structure == stamper.structure
+    np.testing.assert_array_equal(linear.conductance,
+                                  stamper.conductance_system())
+    np.testing.assert_array_equal(linear.capacitance,
+                                  stamper.capacitance_system())
+    with pytest.raises(ValueError):
+        linear.conductance[0, 0] = 1.0
+
+
+def test_linear_stamps_serve_source_copies_bit_identically():
+    """A copy with other source values solves against the original's
+    stamps exactly as it does from scratch."""
+    circuit = _rc_divider()
+    linear = LinearStamps.of(circuit)
+    corner = circuit.with_sources({"V1": SourceValue(dc=2.0,
+                                                     ac_magnitude=3.0)})
+    np.testing.assert_array_equal(
+        dc_operating_point(corner, linear=linear).vector,
+        dc_operating_point(corner).vector)
+    np.testing.assert_array_equal(
+        ac_analysis(corner, [1e3, 1e6], linear=linear).vectors,
+        ac_analysis(corner, [1e3, 1e6]).vectors)
+    np.testing.assert_array_equal(
+        transfer_function(corner, "V1", ["out"], [1e5],
+                          linear=linear).transfers["out"],
+        transfer_function(corner, "V1", ["out"], [1e5]).transfers["out"])
+
+
+def test_mismatched_linear_stamps_raise_a_named_error():
+    circuit = _rc_divider()
+    linear = LinearStamps.of(circuit)
+    grown = circuit.with_sources()
+    grown.add_resistor("R3", "out", "0", 1e3)
+    swapped = circuit.with_sources()
+    swapped.remove("R2")
+    swapped.add_resistor("R2", "out", "0", 2e3)
+    moved = Circuit("rc")
+    moved.add_voltage_source("V1", "out", "0", 1.0)
+    for name in ("R1", "R2", "C1"):
+        moved.add(circuit[name])
+    analyses = (
+        lambda c: dc_operating_point(c, linear=linear),
+        lambda c: ac_analysis(c, [1e3], linear=linear),
+        lambda c: transfer_functions(c, ["V1"], ["out"], [1e3],
+                                     linear=linear),
+    )
+    for other, named in ((grown, "compiled from 4 elements"),
+                         (swapped, "'R2'"), (moved, "'V1'")):
+        for analysis in analyses:
+            with pytest.raises(SimulationError,
+                               match="linear stamps do not match circuit"):
+                analysis(other)
+        with pytest.raises(SimulationError, match=named):
+            dc_operating_point(other, linear=linear)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.core.flow import FlowOptions, run_extraction_flow
@@ -366,6 +367,90 @@ def test_kron_admittance_converges_under_mesh_refinement(technology):
                   for n in (56, 96, 128)]
     assert deviations == sorted(deviations, reverse=True)
     assert deviations[-1] < 0.05
+
+
+# -- Schur quotient rule ------------------------------------------------------------------------
+#
+# Reducing to ports P and Q and then to P equals reducing straight to P.
+# Every port contacts one mesh node, so a Q port left floating in the second
+# stage is a dangling node (eliminating it is exact), and a P port's two
+# contacts (g in the first stage, h in the second) compose in series.
+
+
+def _two_stage_matches_one_stage(target, nodes, weights, n_p, second):
+    """Reduce ``target`` to all ports, that result to the first ``n_p``
+    through contacts ``second``, and compare with one reduction to them."""
+    names = [f"p{index}" for index in range(len(nodes))]
+    both = kron_reduce(target, [[node] for node in nodes], names,
+                       weights).admittance
+    two_stage = kron_reduce(sp.csr_matrix(both),
+                            [[index] for index in range(n_p)],
+                            names[:n_p], second).admittance
+    series = [g * h / (g + h) for g, h in zip(weights, second)]
+    one_stage = kron_reduce(target, [[node] for node in nodes[:n_p]],
+                            names[:n_p], series).admittance
+    assert _relative_deviation(two_stage, one_stage) <= 1e-9
+
+
+@st.composite
+def _ports_and_contacts(draw, n_nodes, min_kept=1):
+    """Distinct single-node ports (the first ``n_p >= min_kept`` kept) with
+    contact conductances within a decade of 1 in both stages."""
+    count = draw(st.integers(min_kept + 1, min(n_nodes, 6)))
+    nodes = draw(st.lists(st.integers(0, n_nodes - 1), min_size=count,
+                          max_size=count, unique=True))
+    weights = st.floats(-1.0, 1.0).map(lambda exponent: 10.0 ** exponent)
+    n_p = draw(st.integers(min_kept, count - 1))
+    return (nodes, draw(st.lists(weights, min_size=count, max_size=count)),
+            n_p, draw(st.lists(weights, min_size=n_p, max_size=n_p)))
+
+
+@given(data=st.data(), n_nodes=st.integers(3, 16),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kron_direct_path_obeys_the_schur_quotient_rule(data, n_nodes, seed):
+    """Random SPD conductance matrices, both stages on the direct path."""
+    rng = np.random.default_rng(seed)
+    edges = rng.uniform(0.1, 10.0, (n_nodes, n_nodes)) \
+        * (rng.random((n_nodes, n_nodes)) < 0.5)
+    edges = np.triu(edges, 1) + np.triu(edges, 1).T
+    laplacian = np.diag(edges.sum(axis=1)) - edges
+    spd = laplacian + np.diag(rng.uniform(0.01, 1.0, n_nodes))
+    _two_stage_matches_one_stage(sp.csr_matrix(spd),
+                                 *data.draw(_ports_and_contacts(n_nodes)))
+
+
+@pytest.fixture(scope="module")
+def low_ohmic_mesh(small_mesh):
+    """``small_mesh`` geometry in 10 uOhm*m silicon: couplings of ~1 S.
+
+    The second stage adds ``kron_reduce``'s 1e-12 S regularisation to every
+    intermediate port node, which the one-stage reduction does not have;
+    at the technology's ~1e-4 S couplings that alone is a ~1e-8 relative
+    difference, at ~1 S it is far below the 1e-9 the rule is checked to.
+    """
+    from repro.technology.process import SubstrateLayer, SubstrateProfile
+
+    return SubstrateMesh(spec=small_mesh.spec, profile=SubstrateProfile(
+        layers=(SubstrateLayer("b", 300e-6, 1e-5),)))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_kron_spectral_then_direct_obeys_the_schur_quotient_rule(
+        low_ohmic_mesh, data):
+    """A mesh reduced spectrally, then through the direct path.  The
+    substrate floats, so at least two ports are kept: a lone port's
+    admittance is only the 1e-12 S regularisation leakage."""
+    mesh = low_ohmic_mesh
+    nodes, weights, n_p, second = data.draw(
+        _ports_and_contacts(mesh.nx * mesh.ny, min_kept=2))
+    box = mesh.layer_conductivity()[0] * (mesh.x_edges[1] - mesh.x_edges[0])
+    _, spans = _kron_spans(lambda: _two_stage_matches_one_stage(
+        mesh, nodes, [box * g for g in weights], n_p,
+        [box * h for h in second]))
+    assert [span["path"] for span in spans] == ["spectral", "direct",
+                                                "spectral"]
 
 
 # -- layout-driven extraction -------------------------------------------------------------------
