@@ -36,8 +36,9 @@ a shallow copy of it with fresh source elements
 (:meth:`VcoImpactAnalysis.build_testbench`).  The compiled testbenches are
 kept per flow object, which they hold weakly, so the independent corner
 tasks of a campaign share them (serially, every corner of a variant gets
-the same flow object; in a pool worker, the shared-memory object cache
-hands back the same one) and none outlives its flow.
+the same flow object; in a pool worker, the shipped-object cache hands
+back the same one, on the shared-memory and the inline path alike) and
+none outlives its flow.
 """
 
 from __future__ import annotations

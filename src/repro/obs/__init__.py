@@ -1,21 +1,20 @@
-"""Unified observability layer: tracing, metrics, run logs and progress.
+"""Unified observability layer: tracing, run logs and progress.
 
-Four pieces, one import point:
+Three pieces, one import point:
 
 * :mod:`repro.obs.trace` — hierarchical span tracer (:func:`trace_span`),
   ~ns no-op while disabled, spans cross process boundaries via a
   picklable :class:`TraceContext`.
-* :mod:`repro.obs.metrics` — one :class:`MetricsRegistry`
-  (counters/gauges/histograms with labels) absorbing the legacy
-  ``SolverStats``/``CacheStats``/retry/degradation records behind a
-  single ``snapshot()`` schema.
 * :mod:`repro.obs.runlog` — fingerprint-stamped JSONL run logs plus the
   Chrome trace-event (Perfetto) exporter in :mod:`repro.obs.export`.
 * :mod:`repro.obs.campaign` — runner observers: structured run-log
   recording and the live progress line.
 
 :func:`configure_logging` / :func:`get_logger` put the whole tree's
-diagnostics under the ``repro.`` logger namespace.
+diagnostics under the ``repro.`` logger namespace.  Counters are not kept
+here: solver work lives in ``repro.simulator.solver.stats`` and cache
+traffic on the cache's ``stats``; a campaign's per-run deltas of them land
+in ``SweepResult.telemetry["metrics"]`` (built by the sweep runner).
 """
 
 from .campaign import (
@@ -31,7 +30,6 @@ from .export import (
     validate_trace_events,
 )
 from .logs import ROOT_LOGGER_NAME, configure_logging, get_logger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, registry
 from .runlog import (
     EVENT_KINDS,
     RUNLOG_FORMAT_VERSION,
@@ -63,11 +61,6 @@ __all__ = [
     "ROOT_LOGGER_NAME",
     "configure_logging",
     "get_logger",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
     "EVENT_KINDS",
     "RUNLOG_FORMAT_VERSION",
     "RunLogWriter",

@@ -1,12 +1,13 @@
-"""Unified shared-memory work scheduling.
+"""Unified work scheduling.
 
 One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
 (:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
-(:mod:`~repro.parallel.scheduler`) and one zero-copy data plane
+(:mod:`~repro.parallel.scheduler`) and ship-once objects
 (:mod:`~repro.parallel.shm`).  Every campaign of the studies layer runs as
 one :class:`WorkScheduler` plan (``SerialBackend`` and ``ProcessPoolBackend``
-are its configuration names); extracted flows reach the workers through
-:class:`ObjectShipper`.
+are its configuration names); each variant's extracted flow is pickled
+into one shared-memory segment by :class:`ObjectShipper`, and its corner
+tasks carry only a reference to it.
 """
 
 from .plan import (
@@ -25,31 +26,19 @@ from .pool import (
     shared_pool,
 )
 from .scheduler import WorkScheduler
-from .shm import (
-    ArenaHandle,
-    InlineArena,
-    ObjectShipper,
-    SharedArena,
-    attach_arena,
-    load_object,
-    ship_object,
-)
+from .shm import ObjectShipper, load_object, ship_object
 
 __all__ = [
-    "ArenaHandle",
-    "InlineArena",
     "MAX_WORKERS_ENV",
     "ObjectShipper",
     "ON_ERROR_ABORT",
     "ON_ERROR_POLICIES",
     "ON_ERROR_RETRY_THEN_SKIP",
     "ON_ERROR_SKIP",
-    "SharedArena",
     "SharedProcessPool",
     "TaskFailure",
     "WorkItem",
     "WorkScheduler",
-    "attach_arena",
     "default_max_workers",
     "load_object",
     "shared_pool",

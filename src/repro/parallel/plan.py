@@ -138,11 +138,9 @@ class WorkItem:
     priority: int = 0
     bind: Callable[[Any, dict[str, Any]], Any] | None = field(
         default=None, compare=False)
-    label: str | None = None
 
     def describe(self) -> str:
-        return self.label if self.label is not None \
-            else _task_label(self.payload)
+        return _task_label(self.payload)
 
 
 def validate_plan(items: Sequence[WorkItem]) -> list[str]:

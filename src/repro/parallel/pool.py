@@ -84,7 +84,7 @@ class SharedProcessPool:
             # any worker forks.  A worker forked without a live tracker would
             # lazily spawn its own on its first segment attach; that tracker
             # dies with the worker (e.g. a recycle's SIGKILL) and unlinks
-            # every segment registered with it — yanking shared arenas out
+            # every segment registered with it — yanking shipped flows out
             # from under the parent and the surviving workers.
             try:
                 from multiprocessing import resource_tracker

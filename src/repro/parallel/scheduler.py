@@ -54,9 +54,12 @@ from .plan import (
     _task_label,
     validate_plan,
 )
-from .pool import SharedProcessPool, default_max_workers, shared_pool
+from .pool import default_max_workers, shared_pool
 
 logger = get_logger(__name__)
+
+#: upper bound (seconds) of the jittered pool-rebuild backoff delay
+BACKOFF_MAX = 8.0
 
 
 class _TimedOut(Exception):
@@ -76,9 +79,8 @@ class WorkScheduler:
 
     def __init__(self, max_workers: int | None = None, retries: int = 0,
                  task_timeout: float | None = None,
-                 backoff_base: float = 0.25, backoff_max: float = 8.0,
+                 backoff_base: float = 0.25,
                  backoff_seed: int | None = None,
-                 pool: SharedProcessPool | None = None,
                  heartbeat_timeout: float | None = None):
         if max_workers is not None and max_workers < 1:
             raise AnalysisError("WorkScheduler needs at least one worker")
@@ -88,16 +90,15 @@ class WorkScheduler:
             raise AnalysisError("task_timeout must be positive (seconds)")
         if heartbeat_timeout is not None and heartbeat_timeout <= 0:
             raise AnalysisError("heartbeat_timeout must be positive (seconds)")
-        if backoff_base < 0 or backoff_max < 0:
-            raise AnalysisError("backoff delays must be >= 0")
+        if backoff_base < 0:
+            raise AnalysisError("backoff_base must be >= 0")
         self.max_workers = max_workers or default_max_workers()
         self.retries = retries
         self.task_timeout = task_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         self._rng = random.Random(backoff_seed)
-        self._pool = pool if pool is not None else shared_pool()
+        self._pool = shared_pool()
         self._heartbeat: HeartbeatSpec | None = None
         if heartbeat_timeout is not None:
             # Workers stamp every timeout/4, so one lost stamp is noise and
@@ -119,7 +120,7 @@ class WorkScheduler:
         """Jittered exponential delay before the ``rebuilds``-th fresh pool."""
         if self.backoff_base <= 0:
             return
-        delay = min(self.backoff_max,
+        delay = min(BACKOFF_MAX,
                     self.backoff_base * (2.0 ** (rebuilds - 1)))
         # Full jitter in [delay/2, delay]: desynchronises concurrent
         # campaigns hammering one broken shared resource.

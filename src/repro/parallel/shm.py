@@ -1,40 +1,32 @@
-"""Zero-copy data plane: numpy arrays and pickled objects in shared memory.
+"""Ship-once objects: one pickled object per shared-memory segment.
 
-Worker processes used to receive every byte of their payload through the
-``ProcessPoolExecutor`` pipe: the extracted flow of a variant re-pickled per
-corner.  This module replaces that with ``multiprocessing.shared_memory``:
+Every corner task of a campaign variant needs the variant's extracted
+:class:`~repro.core.flow.FlowResult`.  Re-pickling it into each task through
+the ``ProcessPoolExecutor`` pipe costs more than shipping it once, so
+:func:`ship_object` pickles the object into one
+``multiprocessing.shared_memory`` segment and every task carries only a tiny
+:class:`ObjectRef` (segment name + payload length).  :func:`load_object`
+attaches, unpickles, closes the mapping at once and caches the object: the
+corners of one variant cost one unpickle per worker and all get the same
+object, which is what lets each worker compile the variant's testbench once.
 
-* :class:`SharedArena` packs named numpy arrays into **one** segment; its
-  picklable :class:`ArenaHandle` (name + per-field dtype/shape/offset) is
-  all that travels through the pipe.  Workers :func:`attach_arena` once per
-  segment (an LRU keeps the mapping across tasks) and get zero-copy views —
-  writable ones, so a worker's writes are visible to the parent.
-* :func:`ship_object` / :func:`load_object` pickle an arbitrary object
-  (e.g. a :class:`~repro.core.flow.FlowResult`) into an arena **once**; every
-  task referencing it ships a tiny :class:`ObjectRef`, and the worker-side
-  object cache unpickles once per segment, not once per task — the
-  cache-aware affinity half of the scheduler's data plane.
-
-Creation falls back to inline (by-value) payloads whenever shared memory is
-unavailable or the segment cannot be allocated (e.g. a full ``/dev/shm``):
-:class:`InlineArena` / :class:`InlineObjectRef` carry the data through the
-pipe instead, with identical semantics except that output arrays must then
-travel back in the task result.  Lifecycle: the parent that created a
-segment owns ``unlink``; pool workers share the parent's
-``resource_tracker`` process, so their attachments need no bookkeeping of
-their own (see :func:`attach_arena`).
+Creation falls back to a by-value :class:`InlineObjectRef` whenever shared
+memory is unavailable or the segment cannot be allocated (e.g. a full
+``/dev/shm``); those refs are cached too, keyed by a digest of the payload.
+Lifecycle: the parent that created a segment owns ``unlink``
+(:meth:`ObjectShipper.close`); pool workers share the parent's
+``resource_tracker`` process (see :mod:`~repro.parallel.pool`), so their
+attachments need no bookkeeping of their own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from ..errors import AnalysisError
 from ..obs import get_logger
 
 try:
@@ -44,177 +36,20 @@ except ImportError:                                    # pragma: no cover
 
 logger = get_logger(__name__)
 
-_ALIGN = 64          #: field alignment inside a segment (cache-line friendly)
-_ATTACH_CAP = 8      #: worker-side LRU: segments kept mapped
 _OBJECT_CAP = 8      #: worker-side LRU: unpickled shipped objects
 
 
 @dataclass(frozen=True)
-class ArenaField:
-    """Location of one array inside a segment."""
-
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class ArenaHandle:
-    """Picklable address of a :class:`SharedArena` (what tasks ship)."""
-
-    name: str                       #: shared-memory segment name
-    size: int
-    fields: tuple[ArenaField, ...]
-
-
-def _layout(arrays: dict[str, np.ndarray]) -> tuple[tuple, int]:
-    fields = []
-    offset = 0
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        offset = (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-        fields.append((name, array, ArenaField(
-            name=name, dtype=array.dtype.str, shape=array.shape,
-            offset=offset)))
-        offset += array.nbytes
-    return tuple(fields), max(offset, 1)
-
-
-class SharedArena:
-    """Named numpy arrays packed into one shared-memory segment.
-
-    Created by the parent (:meth:`create` copies every input array in);
-    :meth:`view` returns the parent's zero-copy view of a field — after the
-    workers are done, reading the ``out`` field's view *is* collecting the
-    result.  :meth:`dispose` closes and unlinks; call it exactly once, from
-    the creating process, after the last consumer finished.
-    """
-
-    def __init__(self, shm, handle: ArenaHandle):
-        self._shm = shm
-        self.handle = handle
-
-    @classmethod
-    def create(cls, arrays: dict[str, np.ndarray],
-               ) -> "SharedArena | InlineArena":
-        """Pack ``arrays`` into a fresh segment; inline fallback on failure."""
-        if _shared_memory is None:
-            return InlineArena.create(arrays)
-        fields, size = _layout(arrays)
-        try:
-            shm = _shared_memory.SharedMemory(create=True, size=size)
-        except (OSError, ValueError) as exc:
-            logger.warning(
-                "shared-memory arena unavailable (%s); falling back to "
-                "inline payloads", exc)
-            return InlineArena.create(arrays)
-        handle = ArenaHandle(name=shm.name, size=size,
-                             fields=tuple(field for _, _, field in fields))
-        arena = cls(shm, handle)
-        for name, array, field in fields:
-            arena.view(name)[...] = array
-        return arena
-
-    def view(self, name: str) -> np.ndarray:
-        for field in self.handle.fields:
-            if field.name == name:
-                return np.ndarray(field.shape, dtype=np.dtype(field.dtype),
-                                  buffer=self._shm.buf, offset=field.offset)
-        raise AnalysisError(f"arena has no field named {name!r}")
-
-    @property
-    def shared(self) -> bool:
-        return True
-
-    def dispose(self) -> None:
-        try:
-            self._shm.close()
-        except OSError:                                # pragma: no cover
-            pass
-        try:
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):           # pragma: no cover
-            pass
-
-
-class InlineArena:
-    """By-value stand-in when shared memory cannot be used.
-
-    The "handle" is the arena itself: it pickles with the task, every worker
-    gets a private copy, and writes to the ``out`` views are *not* visible
-    to the parent — callers must check :attr:`shared` and route outputs
-    through the task result instead.
-    """
-
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self._arrays = arrays
-        self.handle = self
-
-    @classmethod
-    def create(cls, arrays: dict[str, np.ndarray]) -> "InlineArena":
-        return cls({name: np.ascontiguousarray(array)
-                    for name, array in arrays.items()})
-
-    def view(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise AnalysisError(f"arena has no field named {name!r}") from None
-
-    @property
-    def shared(self) -> bool:
-        return False
-
-    def dispose(self) -> None:
-        self._arrays = {}
-
-
-#: worker-side cache: segment name -> (SharedMemory, {field -> view})
-_ATTACHED: "OrderedDict[str, tuple[Any, dict[str, np.ndarray]]]" \
-    = OrderedDict()
-
-
-def attach_arena(handle: "ArenaHandle | InlineArena") -> dict[str, np.ndarray]:
-    """Worker-side zero-copy views of every field of ``handle``.
-
-    Mappings are cached per segment name (LRU of ``_ATTACH_CAP``), so the
-    many corners of one variant attach once.  Pool workers are children
-    of the creating parent and share its ``resource_tracker`` process, so
-    the attach-side re-registration (a Python < 3.13 quirk) is a no-op on
-    the tracker's set and needs no unregister workaround — one must *not*
-    unregister here, or the parent's own registration vanishes and its
-    later ``unlink`` trips a KeyError inside the tracker.
-    """
-    if isinstance(handle, InlineArena):
-        return {field: handle.view(field) for field in handle._arrays}
-    cached = _ATTACHED.get(handle.name)
-    if cached is not None:
-        _ATTACHED.move_to_end(handle.name)
-        return cached[1]
-    shm = _shared_memory.SharedMemory(name=handle.name)
-    views = {field.name: np.ndarray(field.shape,
-                                    dtype=np.dtype(field.dtype),
-                                    buffer=shm.buf, offset=field.offset)
-             for field in handle.fields}
-    _ATTACHED[handle.name] = (shm, views)
-    while len(_ATTACHED) > _ATTACH_CAP:
-        _, (old_shm, _views) = _ATTACHED.popitem(last=False)
-        try:
-            old_shm.close()
-        except (OSError, BufferError):                 # pragma: no cover
-            pass
-    return views
-
-
-# -- shipped objects ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class ObjectRef:
-    """Tiny picklable reference to an object shipped through an arena."""
+    """Tiny picklable reference to an object shipped into shared memory."""
 
-    handle: ArenaHandle
+    name: str        #: shared-memory segment name
+    size: int        #: payload length (the segment may be rounded up)
+
+    @property
+    def handle(self) -> "ObjectRef":
+        """The segment address (``ref.handle.name``): the ref itself."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -224,39 +59,69 @@ class InlineObjectRef:
     payload: bytes
 
 
-def ship_object(obj: Any) -> "tuple[ObjectRef | InlineObjectRef, SharedArena | None]":
-    """Pickle ``obj`` once into shared memory; returns (ref, owning arena).
+def ship_object(obj: Any) -> "tuple[ObjectRef | InlineObjectRef, Any]":
+    """Pickle ``obj`` once into shared memory; returns (ref, owning segment).
 
-    The arena is ``None`` for the inline fallback (nothing to dispose).
+    The segment is ``None`` for the inline fallback (nothing to unlink);
+    otherwise the caller closes and unlinks it after the last consumer.
     """
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    arena = SharedArena.create(
-        {"payload": np.frombuffer(payload, dtype=np.uint8)})
-    if isinstance(arena, InlineArena):
+    if _shared_memory is None:
         return InlineObjectRef(payload=payload), None
-    return ObjectRef(handle=arena.handle), arena
+    try:
+        segment = _shared_memory.SharedMemory(create=True,
+                                              size=max(len(payload), 1))
+    except (OSError, ValueError) as exc:
+        logger.warning("shared memory unavailable (%s); falling back to "
+                       "inline payloads", exc)
+        return InlineObjectRef(payload=payload), None
+    segment.buf[:len(payload)] = payload
+    return ObjectRef(name=segment.name, size=len(payload)), segment
 
 
-#: worker-side cache: segment name -> unpickled object
+#: worker-side cache: segment name or payload digest -> unpickled object
 _OBJECTS: "OrderedDict[str, Any]" = OrderedDict()
 
 
+def _read_segment(ref: ObjectRef) -> bytes:
+    """Copy a shipped payload out of its segment and drop the mapping.
+
+    Pool workers are children of the creating parent and share its
+    ``resource_tracker`` process, so the attach-side re-registration (a
+    Python < 3.13 quirk) is a no-op on the tracker's set and needs no
+    unregister workaround — one must *not* unregister here, or the parent's
+    own registration vanishes and its later ``unlink`` trips a KeyError
+    inside the tracker.
+    """
+    segment = _shared_memory.SharedMemory(name=ref.name)
+    try:
+        with segment.buf[:ref.size] as view:
+            return bytes(view)
+    finally:
+        segment.close()
+
+
 def load_object(ref: "ObjectRef | InlineObjectRef") -> Any:
-    """Resolve a shipped-object reference (cached per segment in workers).
+    """Resolve a shipped-object reference (cached, LRU of ``_OBJECT_CAP``).
 
     The cache is what turns "N corners of one variant" into one unpickle:
-    every corner task carries the same :class:`ObjectRef`, and only the
-    first to arrive in a given worker pays the deserialization.
+    every corner task carries the same reference, and only the first to
+    arrive in a given process pays the deserialization.  Inline refs are
+    keyed by a digest of their payload, never by ``id()``, which a
+    persistent worker would see reused across tasks.
     """
     if isinstance(ref, InlineObjectRef):
-        return pickle.loads(ref.payload)
-    cached = _OBJECTS.get(ref.handle.name, _OBJECTS)
+        key = "inline:" + hashlib.blake2b(ref.payload,
+                                          digest_size=16).hexdigest()
+    else:
+        key = ref.name
+    cached = _OBJECTS.get(key, _OBJECTS)
     if cached is not _OBJECTS:
-        _OBJECTS.move_to_end(ref.handle.name)
+        _OBJECTS.move_to_end(key)
         return cached
-    views = attach_arena(ref.handle)
-    obj = pickle.loads(views["payload"].tobytes())
-    _OBJECTS[ref.handle.name] = obj
+    payload = ref.payload if isinstance(ref, InlineObjectRef) \
+        else _read_segment(ref)
+    obj = _OBJECTS[key] = pickle.loads(payload)
     while len(_OBJECTS) > _OBJECT_CAP:
         _OBJECTS.popitem(last=False)
     return obj
@@ -267,25 +132,28 @@ class ObjectShipper:
 
     The runner keys this by extraction-cache key, so all corners of one
     layout variant share a single shared-memory copy of the extracted flow.
-    ``close()`` disposes every arena this shipper created — call it after
-    the campaign's last task settled (worker mappings stay valid until the
-    workers drop them; the parent's ``unlink`` only removes the name).
+    ``close()`` unlinks every segment this shipper created — call it after
+    the campaign's last task settled.
     """
 
     def __init__(self) -> None:
         self._refs: dict[Any, ObjectRef | InlineObjectRef] = {}
-        self._arenas: list[SharedArena] = []
+        self._segments: list = []
 
     def ref_for(self, key: Any, obj: Any) -> "ObjectRef | InlineObjectRef":
         ref = self._refs.get(key)
         if ref is None:
-            ref, arena = ship_object(obj)
+            ref, segment = ship_object(obj)
             self._refs[key] = ref
-            if arena is not None:
-                self._arenas.append(arena)
+            if segment is not None:
+                self._segments.append(segment)
         return ref
 
     def close(self) -> None:
-        arenas, self._arenas, self._refs = self._arenas, [], {}
-        for arena in arenas:
-            arena.dispose()
+        segments, self._segments, self._refs = self._segments, [], {}
+        for segment in segments:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:                  # pragma: no cover
+                pass

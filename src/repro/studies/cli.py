@@ -49,7 +49,7 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
 
     [execution]                 # defaults for the CLI flags
     backend = "serial"          # or "process-pool"
-    max_workers = 2             # worker processes ("workers" is an alias);
+    max_workers = 2             # worker processes (CLI: --workers);
                                 # unset: REPRO_MAX_WORKERS or min(4, cpus)
     retries = 0
     cache_dir = ".repro-cache"
@@ -129,15 +129,13 @@ _OPTION_FIELDS = (
 class ExecutionSettings:
     """``[execution]`` table of a config, overridable by CLI flags.
 
-    ``max_workers`` and ``workers`` are aliases (the former matches the
-    scheduler's vocabulary, the latter the original CLI flag); setting both
-    to different values is an error.  When neither is set, the pool width
-    falls back to :func:`~repro.parallel.pool.default_max_workers` — the
+    ``max_workers`` is the pool width; the CLI ``--workers`` flag sets it.
+    When it is unset, the width falls back to
+    :func:`~repro.parallel.pool.default_max_workers` — the
     ``REPRO_MAX_WORKERS`` environment override, else ``min(4, cpus)``.
     """
 
     backend: str = "serial"
-    workers: int | None = None
     max_workers: int | None = None
     retries: int = 0
     cache_dir: str | None = None
@@ -150,33 +148,21 @@ class ExecutionSettings:
     heartbeat_seconds: float | None = None  #: worker liveness bound (pool)
 
     def __post_init__(self) -> None:
-        for name in ("workers", "max_workers"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise AnalysisError(
-                    f"[execution] {name} must be >= 1, got {value}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise AnalysisError(
+                f"[execution] max_workers must be >= 1, got {self.max_workers}")
         if self.lease_stale_seconds <= 0:
             raise AnalysisError(
                 "[execution] lease_stale_seconds must be positive")
         if self.heartbeat_seconds is not None and self.heartbeat_seconds <= 0:
             raise AnalysisError(
                 "[execution] heartbeat_seconds must be positive")
-        if (self.workers is not None and self.max_workers is not None
-                and self.workers != self.max_workers):
-            raise AnalysisError(
-                "[execution] sets both 'workers' and 'max_workers' to "
-                f"different values ({self.workers} vs {self.max_workers}); "
-                "they are aliases — set one")
-
-    def effective_workers(self) -> int | None:
-        """The configured pool width, or None for the environment default."""
-        return self.workers if self.workers is not None else self.max_workers
 
     def make_backend(self) -> WorkScheduler:
         if self.backend == "serial":
             return SerialBackend(retries=self.retries)
         if self.backend == "process-pool":
-            return ProcessPoolBackend(max_workers=self.effective_workers(),
+            return ProcessPoolBackend(max_workers=self.max_workers,
                                       retries=self.retries,
                                       task_timeout=self.task_timeout,
                                       heartbeat_timeout=self.heartbeat_seconds)
@@ -382,15 +368,13 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
 def _apply_overrides(execution: ExecutionSettings,
                      args: argparse.Namespace) -> ExecutionSettings:
     updates = {}
-    for field_name in ("backend", "workers", "retries", "cache_dir", "result",
+    for field_name in ("backend", "retries", "cache_dir", "result",
                        "on_error", "task_timeout"):
         value = getattr(args, field_name, None)
         if value is not None:
             updates[field_name] = value
-    if "workers" in updates:
-        # The CLI flag wins over a config-file max_workers alias; clearing
-        # it keeps the replace() below from tripping the conflict check.
-        updates["max_workers"] = None
+    if getattr(args, "workers", None) is not None:
+        updates["max_workers"] = args.workers
     return replace(execution, **updates) if updates else execution
 
 

@@ -106,7 +106,7 @@ class SweepResult:
     #: source stepping rungs, spectral Kron -> sparse LU fallbacks); empty
     #: when every corner converged on the first-choice numerical path.
     solver_degradations: dict[str, int] = field(default_factory=dict)
-    #: Per-run telemetry: a ``repro.obs`` ``MetricsRegistry.snapshot()``
+    #: Per-run telemetry: ``{"counters", "gauges", "histograms"}`` metrics
     #: under ``"metrics"`` plus (when tracing was enabled) per-span-name
     #: aggregates under ``"spans"``.  ``None`` for results produced before
     #: the telemetry layer existed.

@@ -38,7 +38,6 @@ from ..errors import AnalysisError, CornerFailure
 from ..layout.cell import Cell
 from ..substrate.extraction import SubstrateExtraction, substrate_inputs
 from ..obs import (
-    MetricsRegistry,
     TraceContext,
     collect_spans,
     get_logger,
@@ -52,7 +51,7 @@ from ..parallel.shm import ObjectShipper, load_object
 from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
 from ..technology.process import ProcessTechnology
-from .cache import CacheStats, ExtractionCache, fingerprint
+from .cache import ExtractionCache, fingerprint
 from .params import Campaign, LayoutVariant
 from .persist import CampaignJournal, CheckpointPolicy
 from .results import PointRecord, SweepResult, VariantRecord
@@ -212,10 +211,11 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     from ..core.vco_experiment import VcoImpactAnalysis
 
     if task.flow is None and task.flow_ref is not None:
-        # A worker receives the variant's flow through shared memory; the
-        # worker-side cache makes this one unpickle per variant, and hands
-        # every corner the same flow object, so the variant's testbench is
-        # compiled once per worker too (repro.core.vco_experiment).
+        # A worker receives the variant's flow through shared memory (or by
+        # value when that is unavailable); the worker-side cache makes this
+        # one unpickle per variant and hands every corner the same flow
+        # object, so the variant's testbench is compiled once per worker
+        # too (repro.core.vco_experiment).
         task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
 
     before = solver_stats.snapshot()
@@ -795,36 +795,46 @@ class SweepRunner:
                          attempts: list[int],
                          substrate_reuses: int,
                          trace_mark: int) -> dict:
-        """Per-run metrics in the one ``MetricsRegistry.snapshot()`` schema.
+        """Per-run metrics: ``{"counters", "gauges", "histograms"}``.
 
-        Built on a fresh registry so every number is a delta of *this* run,
-        not a process-lifetime accumulation.  ``spent`` is the run's solver
-        work summed from the fresh extractions and the successful corners,
-        so the solver counters read the same at any worker count.
-        ``attempts`` are the per-corner attempt counts; the scheduler's
-        pool rebuilds and heartbeat trips are read straight off it.
+        Every number is a delta of *this* run, not a process-lifetime
+        accumulation.  ``spent`` is the run's solver work summed from the
+        fresh extractions and the successful corners, so the solver
+        counters read the same at any worker count.  ``attempts`` are the
+        per-corner attempt counts; the scheduler's pool rebuilds and
+        heartbeat trips are read straight off it.
         ``extraction.substrate_reuses`` counts the follower extractions that
         reused a leader's substrate instead of running a Kron reduction.
+        Zero counters are left out (``campaign.task_attempts`` is present
+        whenever the run had corners), and there are no gauges; perfbench,
+        the CI parallel-smoke job, ``show --timings`` and saved sidecars
+        read this schema.
         """
-        reg = MetricsRegistry()
-        reg.absorb_solver_stats(spent)
-        reg.absorb_cache_stats(CacheStats(hits=cache_hits,
-                                          misses=cache_misses))
-        reg.absorb_degradations(degradations)
+        counters = {f"solver.{name}": getattr(spent, name)
+                    for name in SolverStats._COUNTERS}
+        counters.update({
+            "cache.hits": cache_hits,
+            "cache.misses": cache_misses,
+            "campaign.retries": sum(n - 1 for n in attempts if n > 1),
+            "campaign.pool_rebuilds": self.backend.pool_rebuilds,
+            "campaign.heartbeat_trips": self.backend.heartbeat_trips,
+            "extraction.substrate_reuses": substrate_reuses})
+        for kind, count in degradations.items():
+            counters[f"solver.degradations{{kind={kind}}}"] = count
+        counters = {name: count for name, count in counters.items() if count}
         if attempts:
-            reg.counter("campaign.task_attempts").add(sum(attempts))
-        for name, count in (
-                ("campaign.retries", sum(n - 1 for n in attempts if n > 1)),
-                ("campaign.pool_rebuilds", self.backend.pool_rebuilds),
-                ("campaign.heartbeat_trips", self.backend.heartbeat_trips),
-                ("extraction.substrate_reuses", substrate_reuses)):
-            if count:
-                reg.counter(name).add(count)
-        for outcome in successes:
-            if outcome.seconds:
-                reg.histogram("campaign.corner_seconds").observe(
-                    outcome.seconds)
-        telemetry: dict = {"metrics": reg.snapshot()}
+            counters["campaign.task_attempts"] = sum(attempts)
+        histograms = {}
+        seconds = [outcome.seconds for outcome in successes if outcome.seconds]
+        if seconds:
+            total = sum(seconds)
+            histograms["campaign.corner_seconds"] = {
+                "count": len(seconds), "sum": total, "min": min(seconds),
+                "max": max(seconds), "mean": total / len(seconds)}
+        telemetry: dict = {"metrics": {
+            "counters": dict(sorted(counters.items())),
+            "gauges": {},
+            "histograms": histograms}}
         if tracer.enabled:
             telemetry["spans"] = span_aggregates(
                 tracer.spans_since(trace_mark))

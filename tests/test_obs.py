@@ -5,9 +5,11 @@ Covers the acceptance properties of the subsystem:
 * hierarchical span nesting, the disabled-tracer no-op fast path, and span
   re-parenting across :class:`ProcessPoolBackend` worker processes
   (including the timeout/retry path's ``on_start`` notifications),
-* the metrics registry's snapshot agrees with the legacy stat records it
-  absorbs (``SolverStats``, ``CacheStats``, degradation counts), and a
-  campaign's retry counters read the same at one and two workers,
+* a campaign's ``telemetry["metrics"]`` keeps the schema perfbench, CI
+  and ``show --timings`` read (counter keys, no gauges, the corner-time
+  histogram), agrees with the stat records it is built from
+  (``SolverStats``, cache hits/misses, degradation counts), and its retry
+  counters read the same at one and two workers,
 * the structured JSONL run log round-trips and schema-validates, with one
   ``corner_finish`` per corner and a fingerprint-stamped header,
 * the Chrome trace-event (Perfetto) export passes its own schema check,
@@ -27,7 +29,6 @@ import pytest
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions
 from repro.obs import (
-    MetricsRegistry,
     RunLogRecorder,
     SpanRecord,
     TraceContext,
@@ -220,48 +221,54 @@ def test_span_aggregates_groups_by_name():
     assert table["flow.run"]["count"] == 1
 
 
-# -- metrics registry -----------------------------------------------------------------
+# -- campaign metrics -----------------------------------------------------------------
 
 
-def test_registry_snapshot_schema_and_labels():
-    reg = MetricsRegistry()
-    reg.counter("solver.factorizations", backend="direct").add(3)
-    reg.gauge("mesh.nodes").set(18816)
-    reg.histogram("campaign.corner_seconds").observe(0.5)
-    reg.histogram("campaign.corner_seconds").observe(1.5)
-    snap = reg.snapshot()
-    assert snap["counters"] == {"solver.factorizations{backend=direct}": 3}
-    assert snap["gauges"] == {"mesh.nodes": 18816}
-    hist = snap["histograms"]["campaign.corner_seconds"]
-    assert hist["count"] == 2 and hist["sum"] == pytest.approx(2.0)
-    assert hist["min"] == 0.5 and hist["max"] == 1.5
-    assert hist["mean"] == pytest.approx(1.0)
+def test_telemetry_counters_follow_the_stat_records(technology):
+    # The counters are the run's deltas of the records they come from, with
+    # zero values left out and degradations labelled by kind.
+    runner = SweepRunner(technology, backend=SerialBackend())
+    spent = SolverStats(factorizations=7, solves=22, fallbacks=5)
+    metrics = runner._build_telemetry(
+        spent=spent, cache_hits=3, cache_misses=0,
+        degradations={"fallbacks": 5, "dc_gmin_steps": 0}, successes=[],
+        attempts=[1, 2, 0], substrate_reuses=0, trace_mark=0)["metrics"]
+    assert metrics == {
+        "counters": {"cache.hits": 3,
+                     "campaign.retries": 1,
+                     "campaign.task_attempts": 3,
+                     "solver.degradations{kind=fallbacks}": 5,
+                     "solver.factorizations": 7,
+                     "solver.fallbacks": 5,
+                     "solver.solves": 22},
+        "gauges": {},
+        "histograms": {}}
+    assert list(metrics["counters"]) == sorted(metrics["counters"])
 
 
-def test_counters_reject_negative_increments():
-    with pytest.raises(ValueError):
-        MetricsRegistry().counter("x").add(-1)
-
-
-def test_absorb_adapters_match_legacy_records():
-    stats = SolverStats()
-    stats.factorizations = 7
-    stats.solves = 22
-    stats.fallbacks = 5
-
-    class _Cache:
-        hits, misses, evictions, corrupted = 3, 1, 0, 0
-
-    reg = MetricsRegistry()
-    reg.absorb_solver_stats(stats)
-    reg.absorb_cache_stats(_Cache())
-    reg.absorb_degradations({"gmin_step": 4})
-    counters = reg.snapshot()["counters"]
-    assert counters["solver.factorizations"] == stats.factorizations
-    assert counters["solver.solves"] == stats.solves
-    assert counters["solver.fallbacks"] == stats.fallbacks
-    assert counters["cache.hits"] == 3 and counters["cache.misses"] == 1
-    assert counters["solver.degradations{kind=gmin_step}"] == 4
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_metrics_schema(technology, obs_campaign, workers):
+    # The exact schema perfbench's tracing, the CI parallel-smoke step,
+    # ``show --timings`` and saved sidecars read, at one and two workers.
+    backend = SerialBackend() if workers == 1 \
+        else ProcessPoolBackend(max_workers=workers)
+    result = SweepRunner(technology, backend=backend,
+                         cache=ExtractionCache()).run(obs_campaign)
+    metrics = result.telemetry["metrics"]
+    corners = _expected_corner_count(obs_campaign)
+    assert set(metrics) == {"counters", "gauges", "histograms"}
+    assert set(metrics["counters"]) == {
+        "cache.misses", "campaign.task_attempts", "solver.factorizations",
+        "solver.solves"}
+    assert metrics["counters"]["cache.misses"] == 1
+    assert metrics["counters"]["campaign.task_attempts"] == corners
+    assert metrics["gauges"] == {}
+    assert set(metrics["histograms"]) == {"campaign.corner_seconds"}
+    hist = metrics["histograms"]["campaign.corner_seconds"]
+    assert set(hist) == {"count", "sum", "min", "max", "mean"}
+    assert hist["count"] == corners
+    assert 0.0 < hist["min"] <= hist["mean"] <= hist["max"] <= hist["sum"]
+    assert hist["mean"] == pytest.approx(hist["sum"] / corners)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,13 +1,15 @@
-"""The unified work scheduler and its shared-memory data plane.
+"""The unified work scheduler and its ship-once flow transport.
 
 Covers the `repro.parallel` package end to end:
 
 * plan validation (duplicate ids, unknown deps, cycles) and the scheduler's
   dependency/priority dispatch, dependency-failure propagation and retries —
   inline and on real worker processes;
-* the zero-copy arena / shipped-object plane, including the inline fallback;
+* ship-once objects in shared memory and their inline fallback: both
+  paths hand every load the same cached object;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
-  override and the ``[execution] max_workers`` config key;
+  override and the ``[execution] max_workers`` config key (the retired
+  ``workers`` alias is an unknown key);
 * the fingerprint seam: parallelism knobs (worker counts, flow transport)
   must never invalidate the extraction cache, and the default solver
   options keep their pinned identity;
@@ -34,17 +36,15 @@ from repro.core.vco_experiment import VcoExperimentOptions
 from repro.errors import AnalysisError
 from repro.parallel import (
     MAX_WORKERS_ENV,
-    SharedArena,
     WorkItem,
     WorkScheduler,
-    attach_arena,
     default_max_workers,
     load_object,
     ship_object,
     validate_plan,
 )
 from repro.parallel.plan import TaskFailure
-from repro.parallel.shm import InlineArena, InlineObjectRef, ObjectRef, ObjectShipper
+from repro.parallel.shm import InlineObjectRef, ObjectRef, ObjectShipper
 from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
@@ -187,48 +187,20 @@ def test_scheduler_propagates_failures_across_processes():
     assert scheduler.attempts["c"] == 0
 
 
-# -- shared-memory data plane -------------------------------------------------
-
-
-def test_arena_roundtrip_and_output_views():
-    g = np.arange(6, dtype=float)
-    out = np.zeros((2, 3), dtype=complex)
-    arena = SharedArena.create({"g": g, "out": out})
-    try:
-        views = attach_arena(arena.handle)
-        np.testing.assert_array_equal(views["g"], g)
-        if arena.shared:
-            # Writes through an attached view land in the parent's view.
-            views["out"][1] = 1.0 + 2.0j
-            np.testing.assert_array_equal(arena.view("out")[1],
-                                          np.full(3, 1.0 + 2.0j))
-        with pytest.raises(AnalysisError, match="no field named"):
-            arena.view("missing")
-    finally:
-        arena.dispose()
-
-
-def test_arena_inline_fallback(monkeypatch):
-    import repro.parallel.shm as shm
-
-    monkeypatch.setattr(shm, "_shared_memory", None)
-    arena = SharedArena.create({"g": np.ones(3)})
-    assert isinstance(arena, InlineArena) and not arena.shared
-    views = attach_arena(arena.handle)
-    np.testing.assert_array_equal(views["g"], np.ones(3))
-    arena.dispose()
+# -- ship-once objects ---------------------------------------------------------
 
 
 def test_ship_object_roundtrip_and_shipper_memoization():
     payload = {"flow": np.linspace(0.0, 1.0, 7), "label": "variant-0"}
-    ref, arena = ship_object(payload)
+    ref, segment = ship_object(payload)
     try:
         loaded = load_object(ref)
         assert loaded["label"] == "variant-0"
         np.testing.assert_array_equal(loaded["flow"], payload["flow"])
     finally:
-        if arena is not None:
-            arena.dispose()
+        if segment is not None:
+            segment.close()
+            segment.unlink()
     shipper = ObjectShipper()
     try:
         first = shipper.ref_for("key", payload)
@@ -241,9 +213,57 @@ def test_inline_object_ref_roundtrip(monkeypatch):
     import repro.parallel.shm as shm
 
     monkeypatch.setattr(shm, "_shared_memory", None)
-    ref, arena = ship_object([1, 2, 3])
-    assert isinstance(ref, InlineObjectRef) and arena is None
+    ref, segment = ship_object([1, 2, 3])
+    assert isinstance(ref, InlineObjectRef) and segment is None
     assert load_object(ref) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_load_object_returns_the_cached_object(monkeypatch, shared):
+    # Every corner of a variant must get the *same* flow object (the
+    # compiled-testbench cache is keyed on it), through shared memory and
+    # through the by-value fallback alike.  An equal payload shipped again
+    # resolves to the same cached object too: inline refs are keyed by a
+    # digest of their bytes, not by the identity of the ref.
+    import repro.parallel.shm as shm
+
+    if not shared:
+        monkeypatch.setattr(shm, "_shared_memory", None)
+    shipper = ObjectShipper()
+    try:
+        ref = shipper.ref_for("flow", {"nodes": list(range(50))})
+        if shared and not isinstance(ref, ObjectRef):
+            pytest.skip("shared memory unavailable")
+        assert isinstance(ref, ObjectRef if shared else InlineObjectRef)
+        first = load_object(ref)
+        assert load_object(ref) is first
+        assert first == {"nodes": list(range(50))}
+        if not shared:
+            again = InlineObjectRef(payload=bytes(ref.payload))
+            assert load_object(again) is first
+            other = InlineObjectRef(payload=ship_object([7])[0].payload)
+            assert load_object(other) == [7]
+    finally:
+        shipper.close()
+
+
+def test_load_object_drops_its_segment_mapping():
+    # The loader copies the payload out and closes its mapping at once: once
+    # the owner unlinks the segment, no mapping of it is left in this
+    # process, and the cached object lives on.
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps on this platform")
+    shipper = ObjectShipper()
+    ref = shipper.ref_for("flow", ("payload", 3))
+    if not isinstance(ref, ObjectRef):
+        shipper.close()
+        pytest.skip("shared memory unavailable")
+    loaded = load_object(ref)
+    shipper.close()
+    assert ref.name not in maps.read_text()
+    assert load_object(ref) is loaded
+    assert loaded == ("payload", 3)
 
 
 # -- worker-count configuration -----------------------------------------------
@@ -284,15 +304,23 @@ def test_execution_table_max_workers_key(tmp_path):
     assert backend.max_workers == 3
 
 
-def test_execution_settings_worker_alias_validation():
-    from repro.studies.cli import ExecutionSettings
+def test_execution_settings_worker_alias_validation(tmp_path):
+    # ``max_workers`` is the one pool-width key; the retired ``workers``
+    # alias fails as an unknown [execution] key with the named config error.
+    from repro.studies.cli import ExecutionSettings, load_campaign_config
 
-    assert ExecutionSettings(workers=2, max_workers=2).effective_workers() == 2
-    assert ExecutionSettings(max_workers=5).effective_workers() == 5
-    with pytest.raises(AnalysisError, match="aliases"):
-        ExecutionSettings(workers=2, max_workers=3)
+    assert ExecutionSettings(max_workers=5).make_backend().max_workers == 1
+    assert ExecutionSettings(backend="process-pool", max_workers=5
+                             ).make_backend().max_workers == 5
     with pytest.raises(AnalysisError, match="must be >= 1"):
         ExecutionSettings(max_workers=0)
+    with pytest.raises(TypeError, match="workers"):
+        ExecutionSettings(workers=2)
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"name": "w", "axes": {"vtune": [0.0]},
+                                  "execution": {"workers": 2}}))
+    with pytest.raises(AnalysisError, match=r"unknown key\(s\) \['workers'\]"):
+        load_campaign_config(config)
 
 
 # -- fingerprint seam: parallelism never invalidates the cache ----------------

@@ -74,12 +74,12 @@ def test_load_toml_config(tmp_path):
         "nx = 12\n"
         "[execution]\n"
         'backend = "process-pool"\n'
-        "workers = 2\n")
+        "max_workers = 2\n")
     config = load_campaign_config(path)
     assert config.campaign.base_spec.ground_width_scale == 2.0
     assert config.campaign.options.flow.substrate.nx == 12
     assert config.execution.backend == "process-pool"
-    assert config.execution.workers == 2
+    assert config.execution.max_workers == 2
 
 
 def test_shipped_fig8_config_parses():
