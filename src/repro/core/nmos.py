@@ -55,9 +55,11 @@ NODE_DRAIN_SUPPLY = "VDRAIN_EXT"
 def _default_nmos_flow_options() -> FlowOptions:
     """Mesh configuration used for the Section-3 structure.
 
-    A 36 x 36 lateral mesh over the port region puts the box size around the
-    guard-ring spacing of the measurement structure; EXPERIMENTS.md documents
-    the sensitivity of the extracted transfer to this choice.
+    A 36 x 36 lateral mesh over the port region (plus a 100 um margin) gives
+    13.7 x 9.5 um surface cells.  That does not resolve the devices: every
+    back-gate port shares 2-4 surface cells with ``sub:mos_ground_ring``,
+    and ``bulk:MN2`` shares 2 with ``bulk:MN3``.  ROADMAP item 1 covers
+    choosing a mesh that separates them.
     """
     from ..substrate.extraction import SubstrateExtractionOptions
 

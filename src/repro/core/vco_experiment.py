@@ -109,10 +109,12 @@ TAIL_NMOS = "MN_tail"
 def _default_vco_flow_options() -> FlowOptions:
     """Mesh configuration used for the VCO test chip.
 
-    A 56 x 56 lateral mesh keeps the box size around 13 um, fine enough to
-    separate the device back-gates from the guard ring and the tap rows of
-    the VCO core; EXPERIMENTS.md documents the sensitivity of the per-entry
-    decomposition to this choice.
+    A 56 x 56 lateral mesh over the port region (plus a 60 um margin) gives
+    14.1 x 15.5 um surface cells.  That does not resolve the devices: the
+    ports ``bulk:MN_left`` and ``bulk:MN_tail`` each share 2 surface cells
+    with ``sub:vco_ground_ring``, which ties those back-gates to the ring
+    (``well:MP_left`` shares 2 as well).  ROADMAP item 1 records the
+    measurements and the work of choosing a mesh that separates them.
     """
     from ..substrate.extraction import SubstrateExtractionOptions
 
@@ -359,17 +361,13 @@ class VcoImpactAnalysis:
                                          noise_frequencies,
                                          operating_point=operating_point,
                                          solver=self.solver, linear=linear)
-        carrier_frequency = vco.oscillation_frequency(vtune)
-        carrier_amplitude = vco.amplitude(vtune)
-        noise_amplitude = self._noise.amplitude
-
-        results = []
-        for index, frequency in enumerate(noise_frequencies):
-            entries = entries_at_frequency(catalog, transfer, float(frequency),
-                                           index=index)
-            results.append(compute_spurs(entries, carrier_frequency,
-                                         carrier_amplitude, noise_amplitude,
-                                         float(frequency)))
+        # Every entry's h_sub and eqs. (2)/(3) over the whole sweep at once,
+        # as (entries x frequencies) arrays; one SpurResult per point.
+        entries = entries_at_frequency(catalog, transfer, noise_frequencies,
+                                       index=np.arange(noise_frequencies.size))
+        results = compute_spurs(entries, vco.oscillation_frequency(vtune),
+                                vco.amplitude(vtune), self._noise.amplitude,
+                                noise_frequencies)
         return results, vco, catalog, transfer
 
     # -- Figure 8 -------------------------------------------------------------------------

@@ -177,8 +177,9 @@ class Circuit:
     def floating_nodes(self) -> list[str]:
         """Nodes with no resistive/inductive DC path to ground.
 
-        These nodes make the DC operating point singular; the impact-flow
-        assembly adds large bleed resistors for them and reports their names.
+        These nodes make the DC operating point singular.  Nothing in the
+        flow calls this; the DC analysis itself names a floating node whose
+        matrix row is empty when its solve fails.
         """
         graph = nx.Graph()
         graph.add_node(GROUND)

@@ -7,7 +7,12 @@ linear contribution; instead the simulator asks it for
 * a *companion model* at a trial voltage vector during DC Newton iterations
   (:meth:`NonlinearElement.stamp_companion`), and
 * its *small-signal* linearisation around the solved operating point for AC
-  analyses (:meth:`NonlinearElement.stamp_small_signal`).
+  analyses (:meth:`NonlinearElement.stamp_small_signal`), evaluated from its
+  :meth:`NonlinearElement.operating_point`.
+
+Each method issues the same stamp calls on the same nodes at every voltage;
+only the values change.  The simulator relies on this to compile the calls
+once (:class:`~repro.simulator.mna.StampPattern`).
 """
 
 from __future__ import annotations
@@ -43,9 +48,20 @@ class NonlinearElement(Element):
         """
         raise NotImplementedError
 
+    def operating_point(self, voltages: Mapping[str, float]):
+        """The device state at ``voltages`` that the small-signal model is
+        evaluated from."""
+        raise NotImplementedError
+
     def stamp_small_signal(self, stamper: Stamper,
-                           voltages: Mapping[str, float]) -> None:
-        """Stamp the small-signal (AC) linearisation at the operating point."""
+                           voltages: Mapping[str, float],
+                           point=None) -> None:
+        """Stamp the small-signal (AC) linearisation at the operating point.
+
+        ``point`` is :meth:`operating_point` at ``voltages`` when the caller
+        already has it (a DC solution caches it per device); it is evaluated
+        here otherwise.
+        """
         raise NotImplementedError
 
 
@@ -97,8 +113,9 @@ class MosfetElement(NonlinearElement):
         stamper.current(self.drain, self.source, i_eq)
 
     def stamp_small_signal(self, stamper: Stamper,
-                           voltages: Mapping[str, float]) -> None:
-        op = self.operating_point(voltages)
+                           voltages: Mapping[str, float],
+                           point: MosfetOperatingPoint | None = None) -> None:
+        op = point if point is not None else self.operating_point(voltages)
         stamper.vccs(self.drain, self.source, self.gate, self.source, op.gm)
         stamper.conductance(self.drain, self.source, op.gds)
         stamper.vccs(self.drain, self.source, self.bulk, self.source, op.gmb)
@@ -134,6 +151,10 @@ class VaractorElement(NonlinearElement):
     def bias_voltage(self, voltages: Mapping[str, float]) -> float:
         return _voltage(voltages, self.gate) - _voltage(voltages, self.well)
 
+    def operating_point(self, voltages: Mapping[str, float]) -> float:
+        """The gate-well bias voltage."""
+        return self.bias_voltage(voltages)
+
     def stamp_companion(self, stamper: Stamper,
                         voltages: Mapping[str, float]) -> None:
         # A capacitor carries no DC current: only a tiny conductance is added
@@ -143,8 +164,10 @@ class VaractorElement(NonlinearElement):
             stamper.conductance(self.well, self.substrate, 1e-12)
 
     def stamp_small_signal(self, stamper: Stamper,
-                           voltages: Mapping[str, float]) -> None:
-        capacitance = self.model.capacitance(self.bias_voltage(voltages))
+                           voltages: Mapping[str, float],
+                           point: float | None = None) -> None:
+        bias = point if point is not None else self.bias_voltage(voltages)
+        capacitance = self.model.capacitance(bias)
         stamper.capacitance(self.gate, self.well, capacitance)
         if self.substrate is not None:
             stamper.capacitance(self.well, self.substrate,

@@ -84,6 +84,31 @@ def swept_index(frequencies: np.ndarray, frequency: float) -> int:
     return index
 
 
+def _small_signal_stamps(circuit: Circuit, structure: MnaStructure,
+                         operating_point: DcSolution | None
+                         ) -> MatrixStamper | None:
+    """The small-signal stamps of the nonlinear elements, indexed by
+    ``structure`` (the full system, or the kept rows of a port reduction);
+    ``None`` for a linear circuit.
+
+    Each device stamps from its operating point as cached on the DC
+    solution, so no device model is evaluated twice.
+    """
+    nonlinear = circuit.nonlinear_elements()
+    if not nonlinear:
+        return None
+    if operating_point is None:
+        raise SimulationError(
+            "circuit contains nonlinear elements: an operating point is required")
+    stamper = MatrixStamper(structure)
+    voltages = operating_point.voltages()
+    for element in nonlinear:
+        element.stamp_small_signal(
+            stamper, voltages,
+            point=operating_point.operating_point_of(element.name))
+    return stamper
+
+
 def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
                            operating_point: DcSolution | None):
     """Build (G, C) with all nonlinear elements replaced by their linearisation.
@@ -92,16 +117,9 @@ def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
     come in the format their solves route to: dense arrays at or below the
     LAPACK cutoff, CSR above it.
     """
-    nonlinear = circuit.nonlinear_elements()
-    if not nonlinear:
+    stamper = _small_signal_stamps(circuit, linear.structure, operating_point)
+    if stamper is None:
         return linear.conductance, linear.capacitance
-    if operating_point is None:
-        raise SimulationError(
-            "circuit contains nonlinear elements: an operating point is required")
-    stamper = MatrixStamper(linear.structure)
-    voltages = operating_point.voltages()
-    for element in nonlinear:
-        element.stamp_small_signal(stamper, voltages)
     return (linear.conductance + stamper.conductance_system(),
             linear.capacitance + stamper.capacitance_system())
 

@@ -29,8 +29,11 @@ The linear part of the Jacobian comes from the circuit's
 ``linear=`` by a caller that solves one netlist at many bias corners.  Each
 Newton solve adds the gmin shunt to it once (dense for small systems, see
 :mod:`repro.simulator.solver`); an iteration adds only the nonlinear
-companion stamps.  The whole analysis runs under one ``sim.dc`` span
-carrying ``iterations`` and ``strategy``.
+companion stamps.  Those are scattered through an index pattern compiled
+once per ``LinearStamps`` from the elements' own ``stamp_companion``
+calls (:class:`~repro.simulator.mna.StampPattern`), so no iteration
+rebuilds a stamper or looks up a node.  The whole analysis runs under one
+``sim.dc`` span carrying ``iterations`` and ``strategy``.
 
 A :class:`DcSolution` builds its node-voltage map once and evaluates each
 nonlinear device's operating point at most once, however often
@@ -51,7 +54,7 @@ from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
 from ..obs import trace_span
 from .linalg import LinearSolver, SolverOptions, resolve_solver
-from .mna import LinearStamps, MatrixStamper, MnaStructure, SolutionView
+from .mna import LinearStamps, MnaStructure, SolutionView
 from .solver import add_gmin_diagonal
 
 
@@ -150,7 +153,26 @@ def _source_rhs(circuit: Circuit, structure: MnaStructure,
     return rhs
 
 
-def _newton_solve(circuit: Circuit, structure: MnaStructure,
+def _companion_system(linear: LinearStamps, nonlinear: list,
+                      voltages: dict[str, float]):
+    """The companion ``G`` and right-hand side of one Newton iteration.
+
+    The elements' companion stamps are scattered through the pattern
+    compiled from them once (:meth:`LinearStamps.companion_pattern`), which
+    gives what a fresh :class:`~repro.simulator.mna.MatrixStamper` would,
+    bit for bit.
+    """
+    pattern = linear.companion_pattern()
+
+    def stamp(stamper):
+        for element in nonlinear:
+            element.stamp_companion(stamper, voltages)
+
+    values = pattern.evaluate(stamp)
+    return pattern.conductance(values), pattern.rhs(values)
+
+
+def _newton_solve(circuit: Circuit, linear: LinearStamps,
                   jacobian, options: DcOptions,
                   initial: np.ndarray, source_scale: float,
                   solver: LinearSolver) -> tuple[np.ndarray, int]:
@@ -159,20 +181,19 @@ def _newton_solve(circuit: Circuit, structure: MnaStructure,
     ``jacobian`` is the linear part of the Jacobian with the gmin shunt
     already added; each iteration adds only the companion stamps.
     """
+    structure = linear.structure
     x = initial.copy()
     nonlinear = circuit.nonlinear_elements()
     n_nodes = structure.n_nodes
     source_rhs = _source_rhs(circuit, structure, scale=source_scale)
 
     for iteration in range(1, options.max_iterations + 1):
-        companion = MatrixStamper(structure)
         voltages = {name: float(x[row])
                     for name, row in structure.node_index.items()}
-        for element in nonlinear:
-            element.stamp_companion(companion, voltages)
-        matrix = jacobian + companion.conductance_system()
-        x_new = solver.solve(matrix, source_rhs + companion.rhs,
-                             structure=structure)
+        companion_g, companion_rhs = _companion_system(linear, nonlinear,
+                                                       voltages)
+        x_new = solver.solve(jacobian + companion_g,
+                             source_rhs + companion_rhs, structure=structure)
         delta = x_new - x
         x = x + options.damping * delta
         max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
@@ -240,7 +261,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
 
     def newton(guess, scale, gmin):
         jacobian = add_gmin_diagonal(linear_g, structure.n_nodes, gmin)
-        return _newton_solve(circuit, structure, jacobian, options, guess,
+        return _newton_solve(circuit, linear, jacobian, options, guess,
                              source_scale=scale, solver=solver)
 
     def solution(vector, iterations, strategy):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..solver import Factorization, solve_sparse, stats
+from ..solver import Factorization, StackedFactorization, solve_sparse, stats
 from .options import BACKEND_DIRECT, SolverOptions
 
 
@@ -51,7 +51,9 @@ class LinearSolver:
                   spd: bool = False):
         """Prepare ``matrix`` (sparse, or a dense array) for repeated
         solves; returns a handle with ``solve(rhs)`` accepting a vector or
-        a dense ``(n, k)`` block.
+        a dense ``(n, k)`` block.  A dense ``(F, n, n)`` stack is ``F``
+        independent systems, solved together against an ``(F, n, k)``
+        block (:class:`~repro.simulator.solver.StackedFactorization`).
 
         ``spd=True`` is the caller's promise that the matrix is symmetric
         positive definite (the Kron reduction's internal mesh block): the
@@ -72,8 +74,11 @@ class DirectLUSolver(LinearSolver):
 
     name = BACKEND_DIRECT
 
-    def factorize(self, matrix: sp.spmatrix | np.ndarray, structure=None,
-                  spd: bool = False) -> Factorization:
+    def factorize(
+        self, matrix: sp.spmatrix | np.ndarray, structure=None, spd: bool = False
+    ) -> Factorization | StackedFactorization:
+        if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+            return StackedFactorization(matrix, structure=structure)
         return Factorization(matrix, structure=structure, spd=spd)
 
     def solve(self, matrix: sp.spmatrix | np.ndarray, rhs: np.ndarray,

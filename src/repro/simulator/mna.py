@@ -31,11 +31,25 @@ per iteration, AC and transfer analyses only the small-signal models.  A
 caller that solves one netlist at many bias corners (the VCO V_tune sweep,
 the Fig-3 NMOS bias sweep) compiles it once and passes it as ``linear=``,
 so no corner re-validates, re-indexes or re-stamps the linear netlist.
+
+Two more pieces of compiled state hang off a :class:`LinearStamps`:
+
+* :class:`StampPattern` — the nonlinear elements' DC Newton companion
+  stamps, recorded once and then re-evaluated per iteration as a vector of
+  values scattered through fixed slots (bit-identical to a fresh
+  :class:`MatrixStamper`, without its node lookups and triplet lists);
+* :class:`PortReduction` — ``G + gmin + s*C`` Schur-reduced onto the
+  device terminals and observed nodes for a frequency sweep.  The
+  small-signal models touch only device terminals, so every bias corner
+  after the first solves a system of the kept rows only.  This is the
+  paper's own strategy — reduce what does not depend on the operating
+  point to a port macromodel, then simulate the devices on it — applied
+  inside the testbench.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +58,7 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, Element, VoltageSource
 from ..netlist.stamping import GROUND, Stamper
+from ..obs import trace_span
 from . import solver as _solver
 
 
@@ -90,13 +105,39 @@ class MnaStructure:
             raise SimulationError(f"unknown branch {branch!r}") from None
 
 
+def _dense_from_triplets(rows, cols, vals, size: int) -> np.ndarray:
+    """The dense ``size x size`` matrix of COO triplets; duplicate entries
+    are summed in triplet order."""
+    if not len(vals):
+        return np.zeros((size, size))
+    flat = np.bincount(np.asarray(rows, dtype=np.intp) * size
+                       + np.asarray(cols, dtype=np.intp),
+                       weights=vals, minlength=size * size)
+    return flat.reshape(size, size)
+
+
+def _csr_from_triplets(rows, cols, vals, size: int) -> sp.csr_matrix:
+    """The CSR matrix of COO triplets (duplicates summed in conversion)."""
+    if not len(vals):
+        return sp.csr_matrix((size, size), dtype=float)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size),
+                         dtype=float).tocsr()
+
+
+def _system_from_triplets(rows, cols, vals,
+                          size: int) -> np.ndarray | sp.csr_matrix:
+    """Dense at or below the LAPACK cutoff, CSR above it."""
+    if _solver.dense_kernel(size):
+        return _dense_from_triplets(rows, cols, vals, size)
+    return _csr_from_triplets(rows, cols, vals, size)
+
+
 class TripletAccumulator:
     """COO triplet lists for one sparse matrix being stamped.
 
-    Appending a triplet is O(1); the CSR matrix is built once at the end
-    (``coo_matrix`` sums duplicate entries during conversion), which makes
-    stamping O(nnz) instead of the repeated sparse indexing a ``lil_matrix``
-    needs.
+    Appending a triplet is O(1); the matrix is built once at the end
+    (duplicate entries are summed during conversion), which makes stamping
+    O(nnz) instead of the repeated sparse indexing a ``lil_matrix`` needs.
     """
 
     __slots__ = ("shape", "rows", "cols", "vals")
@@ -113,27 +154,18 @@ class TripletAccumulator:
         self.vals.append(value)
 
     def tocsr(self) -> sp.csr_matrix:
-        if not self.vals:
-            return sp.csr_matrix(self.shape, dtype=float)
-        matrix = sp.coo_matrix((self.vals, (self.rows, self.cols)),
-                               shape=self.shape, dtype=float)
-        return matrix.tocsr()
+        return _csr_from_triplets(self.rows, self.cols, self.vals,
+                                  self.shape[0])
 
     def toarray(self) -> np.ndarray:
         """The dense matrix; duplicate entries are summed in stamp order."""
-        size = self.shape[0]
-        if not self.vals:
-            return np.zeros(self.shape)
-        flat = np.bincount(np.asarray(self.rows, dtype=np.intp) * size
-                           + np.asarray(self.cols, dtype=np.intp),
-                           weights=self.vals, minlength=size * size)
-        return flat.reshape(self.shape)
+        return _dense_from_triplets(self.rows, self.cols, self.vals,
+                                    self.shape[0])
 
     def assemble(self) -> np.ndarray | sp.csr_matrix:
         """Dense at or below the LAPACK cutoff, CSR above it."""
-        if _solver.dense_kernel(self.shape[0]):
-            return self.toarray()
-        return self.tocsr()
+        return _system_from_triplets(self.rows, self.cols, self.vals,
+                                     self.shape[0])
 
 
 class MatrixStamper(Stamper):
@@ -171,6 +203,10 @@ class MatrixStamper(Stamper):
             return
         matrix.add(row, col, value)
 
+    def _add_rhs(self, row: int | None, value: float) -> None:
+        if row is not None:
+            self.rhs[row] += value
+
     def _stamp_two_node(self, matrix: TripletAccumulator, node_a: str, node_b: str,
                         value: float) -> None:
         a = self.structure.node_row(node_a)
@@ -189,12 +225,8 @@ class MatrixStamper(Stamper):
         self._stamp_two_node(self._c, node_a, node_b, value)
 
     def current(self, node_from: str, node_to: str, value: float) -> None:
-        row_from = self.structure.node_row(node_from)
-        row_to = self.structure.node_row(node_to)
-        if row_from is not None:
-            self.rhs[row_from] -= value
-        if row_to is not None:
-            self.rhs[row_to] += value
+        self._add_rhs(self.structure.node_row(node_from), -value)
+        self._add_rhs(self.structure.node_row(node_to), value)
 
     def vccs(self, node_p: str, node_n: str, ctrl_p: str, ctrl_n: str,
              gm: float) -> None:
@@ -216,7 +248,7 @@ class MatrixStamper(Stamper):
         self._add(self._g, n, k, -1.0)
         self._add(self._g, k, p, 1.0)
         self._add(self._g, k, n, -1.0)
-        self.rhs[k] += value
+        self._add_rhs(k, value)
 
     def branch_inductor(self, branch: str, node_p: str, node_n: str,
                         inductance: float) -> None:
@@ -255,6 +287,155 @@ def stamp_linear_elements(circuit: Circuit,
     return stamper
 
 
+class _SlotRecorder(MatrixStamper):
+    """Records where each node stamp call lands, for :class:`StampPattern`.
+
+    Every call runs through :class:`MatrixStamper` with a unit value, so the
+    triplets it leaves hold the sign each slot takes the real value with;
+    ``g_calls``, ``c_calls`` and ``rhs_calls`` list the call each ``G``
+    triplet, ``C`` triplet and RHS entry came from.
+    """
+
+    def __init__(self, structure: MnaStructure):
+        super().__init__(structure)
+        self.n_calls = 0
+        self.g_calls: list[int] = []
+        self.c_calls: list[int] = []
+        self.rhs_slots: list[int] = []
+        self.rhs_calls: list[int] = []
+        self.rhs_signs: list[float] = []
+
+    def _add(self, matrix: TripletAccumulator, row, col, value) -> None:
+        if row is not None and col is not None:
+            matrix.add(row, col, value)
+            calls = self.g_calls if matrix is self._g else self.c_calls
+            calls.append(self.n_calls)
+
+    def _add_rhs(self, row, value) -> None:
+        if row is not None:
+            self.rhs_slots.append(row)
+            self.rhs_calls.append(self.n_calls)
+            self.rhs_signs.append(value)
+
+    def _record(self, stamp, *nodes) -> None:
+        stamp(*nodes, 1.0)
+        self.n_calls += 1
+
+    def conductance(self, node_a, node_b, value) -> None:
+        self._record(super().conductance, node_a, node_b)
+
+    def capacitance(self, node_a, node_b, value) -> None:
+        self._record(super().capacitance, node_a, node_b)
+
+    def current(self, node_from, node_to, value) -> None:
+        self._record(super().current, node_from, node_to)
+
+    def vccs(self, node_p, node_n, ctrl_p, ctrl_n, gm) -> None:
+        self._record(super().vccs, node_p, node_n, ctrl_p, ctrl_n)
+
+    def branch_voltage_source(self, *args) -> None:
+        raise SimulationError("compiled stamps take node stamps only "
+                              "(conductance, capacitance, current, vccs)")
+
+    branch_inductor = branch_vcvs = branch_voltage_source
+
+
+class _ValueCollector(Stamper):
+    """Collects the value of every node stamp call, in call order."""
+
+    def __init__(self):
+        self.values: list[float] = []
+
+    def conductance(self, node_a, node_b, value) -> None:
+        self.values.append(value)
+
+    capacitance = current = conductance
+
+    def vccs(self, node_p, node_n, ctrl_p, ctrl_n, gm) -> None:
+        self.values.append(gm)
+
+    branch_voltage_source = branch_inductor = branch_vcvs = \
+        _SlotRecorder.branch_voltage_source
+
+
+class _Slots:
+    """The slots of one matrix (rows and columns) or of the RHS (rows only),
+    with the call each slot takes its value from and its sign."""
+
+    __slots__ = ("rows", "cols", "calls", "signs")
+
+    def __init__(self, rows, cols, calls, signs):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.calls = np.asarray(calls, dtype=np.intp)
+        self.signs = np.asarray(signs, dtype=float)
+
+    def values(self, call_values: np.ndarray) -> np.ndarray:
+        return call_values[self.calls] * self.signs
+
+
+class StampPattern:
+    """A fixed sequence of node stamp calls, compiled to matrix slots.
+
+    :meth:`record` runs ``stamp(stamper)`` once against a recording
+    stamper; afterwards :meth:`evaluate` runs it against a stamper that only
+    collects the values, and :meth:`conductance`/:meth:`capacitance`/
+    :meth:`rhs` scatter those values through the recorded slots.  This is
+    what :class:`MatrixStamper` would build from the same calls, summed in
+    the same order, so the results are bit-identical; no node lookup or
+    triplet list is rebuilt per evaluation.  ``stamp`` must issue the same
+    calls on the same nodes every time (the element models do: only the
+    values depend on the voltages), and only node stamps
+    (conductance, capacitance, current, vccs).
+    """
+
+    def __init__(self, structure: MnaStructure, recorder: _SlotRecorder):
+        self.size = structure.size
+        self.n_calls = recorder.n_calls
+        self._g = _Slots(recorder._g.rows, recorder._g.cols,
+                         recorder.g_calls, recorder._g.vals)
+        self._c = _Slots(recorder._c.rows, recorder._c.cols,
+                         recorder.c_calls, recorder._c.vals)
+        self._rhs = _Slots(recorder.rhs_slots, (), recorder.rhs_calls,
+                           recorder.rhs_signs)
+
+    @classmethod
+    def record(cls, structure: MnaStructure, stamp) -> "StampPattern":
+        recorder = _SlotRecorder(structure)
+        stamp(recorder)
+        return cls(structure, recorder)
+
+    def evaluate(self, stamp) -> np.ndarray:
+        """The values of one run of ``stamp``, checked against the pattern."""
+        collector = _ValueCollector()
+        stamp(collector)
+        if len(collector.values) != self.n_calls:
+            raise SimulationError(
+                f"stamp pattern changed: recorded {self.n_calls} stamp "
+                f"calls, got {len(collector.values)}")
+        return np.asarray(collector.values, dtype=float)
+
+    def conductance(self, values: np.ndarray) -> np.ndarray | sp.csr_matrix:
+        """``G`` of the stamps, dense or CSR by size."""
+        slots = self._g
+        return _system_from_triplets(slots.rows, slots.cols,
+                                     slots.values(values), self.size)
+
+    def capacitance(self, values: np.ndarray) -> np.ndarray | sp.csr_matrix:
+        """``C`` of the stamps, dense or CSR by size."""
+        slots = self._c
+        return _system_from_triplets(slots.rows, slots.cols,
+                                     slots.values(values), self.size)
+
+    def rhs(self, values: np.ndarray) -> np.ndarray:
+        """The right-hand side of the stamps' current sources."""
+        slots = self._rhs
+        if not slots.rows.size:
+            return np.zeros(self.size)
+        return np.bincount(slots.rows, weights=slots.values(values),
+                           minlength=self.size)
+
+
 def _stamps_alike(compiled: Element, element: Element) -> bool:
     """Whether ``element`` stamps what ``compiled`` stamped into ``G``/``C``:
     the same object, or an independent source of the same kind, name and
@@ -264,6 +445,86 @@ def _stamps_alike(compiled: Element, element: Element) -> bool:
         and type(element) is type(compiled)
         and element.name == compiled.name
         and element.nodes() == compiled.nodes())
+
+
+def _sub_structure(structure: MnaStructure, rows: np.ndarray) -> MnaStructure:
+    """The names of ``rows``, indexed by their position in ``rows``."""
+    position = {int(row): index for index, row in enumerate(rows)}
+    return MnaStructure(
+        node_index={name: position[row]
+                    for name, row in structure.node_index.items()
+                    if row in position},
+        branch_index={name: position[row]
+                      for name, row in structure.branch_index.items()
+                      if row in position})
+
+
+@dataclass(frozen=True, eq=False)
+class PortReduction:
+    """``G + gmin + s*C`` of linear stamps, reduced onto kept rows.
+
+    For every swept frequency the eliminated rows are solved out exactly
+    (a Schur complement): ``matrices[f] = A_kk - A_ke A_ee^-1 A_ek`` and
+    ``rhs[f] = b_k - A_ke A_ee^-1 b_e``, with ``A = G + gmin + s*C``.  Any
+    stamp that lands only in kept rows and columns (the small-signal models
+    of the nonlinear devices) adds straight onto ``matrices``, and the
+    reduced system then gives the kept unknowns of the full one.  The
+    arrays are read-only.
+    """
+
+    kept: np.ndarray            #: kept rows of the full system, ascending
+    structure: MnaStructure     #: names of the kept rows, by position
+    frequencies: np.ndarray     #: (F,) hertz
+    gmin: float
+    source_rhs: np.ndarray      #: (n, m) the full right-hand sides reduced
+    matrices: np.ndarray        #: (F, k, k) complex
+    rhs: np.ndarray             #: (F, k, m) complex
+
+    def matches(self, kept: np.ndarray, frequencies: np.ndarray,
+                gmin: float, rhs: np.ndarray) -> bool:
+        return (np.array_equal(kept, self.kept)
+                and np.array_equal(frequencies, self.frequencies)
+                and gmin == self.gmin
+                and np.array_equal(rhs, self.source_rhs))
+
+
+def _schur_reduce(linear: "LinearStamps", kept: np.ndarray,
+                  frequencies: np.ndarray, gmin: float,
+                  rhs: np.ndarray) -> PortReduction:
+    """Reduce ``linear`` onto ``kept`` at every frequency (one batched
+    LAPACK solve of the eliminated blocks)."""
+    structure = linear.structure
+    g = _solver.add_gmin_diagonal(linear.conductance, structure.n_nodes,
+                                  gmin)
+    c = linear.capacitance
+    s = 2j * np.pi * frequencies
+    eliminated = np.setdiff1d(np.arange(structure.size), kept)
+
+    def block(rows, cols):
+        index = np.ix_(rows, cols)
+        return g[index] + s[:, None, None] * c[index]
+
+    matrices = block(kept, kept)
+    reduced = np.repeat(rhs[kept][None], frequencies.size, axis=0)
+    if eliminated.size:
+        a_ee = block(eliminated, eliminated)
+        a_ke = block(kept, eliminated)
+        b_e = np.broadcast_to(rhs[eliminated], (frequencies.size,)
+                              + rhs[eliminated].shape)
+        try:
+            solved = _solver.solve_stacked(
+                a_ee, np.concatenate([block(eliminated, kept), b_e], axis=2),
+                _sub_structure(structure, eliminated))
+        except SimulationError as exc:
+            raise SimulationError(f"port reduction failed: {exc}") from exc
+        matrices -= a_ke @ solved[:, :, :kept.size]
+        reduced -= a_ke @ solved[:, :, kept.size:]
+    for array in (matrices, reduced):
+        array.flags.writeable = False
+    return PortReduction(kept=kept, structure=_sub_structure(structure, kept),
+                         frequencies=frequencies.copy(), gmin=gmin,
+                         source_rhs=rhs.copy(), matrices=matrices,
+                         rhs=reduced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +546,10 @@ class LinearStamps:
     capacitance: np.ndarray | sp.csr_matrix
     #: the compiled circuit's elements, in circuit order
     elements: tuple[Element, ...]
+    #: compiled state derived on first use: the companion stamp pattern,
+    #: the structural facts of the port reduction and its one cached entry
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def of(cls, circuit: Circuit) -> "LinearStamps":
@@ -318,6 +583,75 @@ class LinearStamps:
                     f"element {element.name!r} is not the compiled "
                     f"{compiled.name!r}")
         return linear
+
+    def _nonlinear(self) -> list[Element]:
+        return [element for element in self.elements if element.is_nonlinear]
+
+    def companion_pattern(self) -> StampPattern:
+        """The DC Newton companion stamps of the nonlinear elements,
+        compiled on first use (:class:`StampPattern`)."""
+        pattern = self._cache.get("companion")
+        if pattern is None:
+            nonlinear = self._nonlinear()
+            voltages = dict.fromkeys(self.structure.node_index, 0.0)
+
+            def stamp(stamper):
+                for element in nonlinear:
+                    element.stamp_companion(stamper, voltages)
+
+            pattern = self._cache["companion"] = StampPattern.record(
+                self.structure, stamp)
+        return pattern
+
+    def kept_rows(self, observe_nodes) -> np.ndarray:
+        """The rows a port reduction keeps, ascending.
+
+        They are the terminals of the nonlinear elements, the observed
+        nodes, and every branch row whose other columns are all kept: such a
+        row (a voltage source straight across two kept nodes, say) has no
+        entry in the eliminated block, which it would make singular.
+        """
+        facts = self._cache.get("ports")
+        if facts is None:
+            structure = self.structure
+            terminals = {structure.node_row(node)
+                         for element in self._nonlinear()
+                         for node in element.nodes()} - {None}
+            pattern = (np.abs(self.conductance) + np.abs(self.capacitance)
+                       ) != 0.0
+            branches = [(row, set(np.flatnonzero(pattern[row]).tolist())
+                         - {row})
+                        for row in structure.branch_index.values()]
+            facts = self._cache["ports"] = (terminals, branches)
+        terminals, branches = facts
+        kept = terminals | {self.structure.node_row(node)
+                            for node in observe_nodes} - {None}
+        kept |= {row for row, columns in branches if columns <= kept}
+        return np.array(sorted(kept), dtype=np.intp)
+
+    def port_reduction(self, observe_nodes, frequencies: np.ndarray,
+                       gmin: float, rhs: np.ndarray) -> PortReduction:
+        """``G + gmin + s*C`` reduced onto :meth:`kept_rows` for the swept
+        ``frequencies``, with the right-hand sides ``rhs`` (n x m).
+
+        Needs dense stamps.  One reduction is cached, and replaced when the
+        kept rows, frequencies, gmin or right-hand sides change; it is
+        compile-time state like the stamps themselves, so it counts no
+        solver work.  Recorded as a ``sim.reduce`` span.
+        """
+        kept = self.kept_rows(observe_nodes)
+        frequencies = np.asarray(frequencies, dtype=float)
+        rhs = np.asarray(rhs, dtype=complex)
+        cached = self._cache.get("reduction")
+        reused = cached is not None and cached.matches(kept, frequencies,
+                                                       gmin, rhs)
+        with trace_span("sim.reduce", kept=int(kept.size),
+                        eliminated=int(self.structure.size - kept.size),
+                        points=int(frequencies.size), reused=reused):
+            if not reused:
+                cached = self._cache["reduction"] = _schur_reduce(
+                    self, kept, frequencies, gmin, rhs)
+        return cached
 
 
 def solve_sparse(matrix, rhs: np.ndarray,

@@ -13,6 +13,10 @@ and "here is the solution vector":
   once for the whole time grid; the direct path of the substrate Kron
   reduction solves its internal block against all port columns in a single
   call, factorized with the symmetric ordering of :func:`splu_spd`.
+* :class:`StackedFactorization` — an ``(F, n, n)`` stack of small dense
+  systems (one per swept frequency of a reduced transfer analysis),
+  factorized and solved together by one batched LAPACK call and counted
+  as ``F`` factorizations and ``F`` solves.
 * :class:`DensePair` / :class:`SharedPatternPair` — ``G`` and ``C`` held so
   an AC sweep can assemble ``G + s*C`` per frequency without reallocating:
   one preallocated dense buffer for small systems, a shared CSC sparsity
@@ -291,6 +295,67 @@ class Factorization:
         if self._counted:
             stats.solves += 1
         return _check_finite(solution, self._matrix, self._structure)
+
+
+class StackedFactorization:
+    """LU factorizations of a stack of equally sized dense matrices.
+
+    The ``(F, n, n)`` stack is ``F`` independent systems — one per swept
+    frequency of a reduced transfer analysis.  :meth:`solve` factorizes and
+    solves all of them in one batched LAPACK ``gesv`` call; it is meant to
+    be called once, with every right-hand side as an ``(F, n, k)`` block.
+    Counts ``F`` factorizations in :data:`stats` and ``F`` solves per
+    :meth:`solve` call, as ``F`` separate :class:`Factorization` handles
+    would.  An exactly singular system raises the same
+    :class:`~repro.errors.SimulationError` as :class:`Factorization`.
+    """
+
+    kernel = "lapack"
+
+    def __init__(self, matrices: np.ndarray, structure=None):
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise SimulationError(
+                "a stacked factorization needs an (F, n, n) array, got shape "
+                f"{matrices.shape}")
+        self.shape = matrices.shape
+        self._matrices = matrices
+        self._structure = structure
+        stats.factorizations += matrices.shape[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve every system against its ``(n, k)`` block of ``rhs``."""
+        rhs = np.asarray(rhs)
+        if rhs.shape[:2] != self.shape[:2]:
+            raise SimulationError(
+                f"RHS stack of shape {rhs.shape} does not match the "
+                f"systems {self.shape}")
+        with trace_span("solver.solve", kernel=self.kernel,
+                        n=self.shape[1], batch=self.shape[0]):
+            solution = solve_stacked(self._matrices, rhs, self._structure)
+        stats.solves += self.shape[0]
+        return solution
+
+
+def solve_stacked(matrices: np.ndarray, rhs: np.ndarray,
+                  structure=None) -> np.ndarray:
+    """Solve an ``(F, n, n)`` stack of dense systems against ``(F, n, k)``
+    right-hand sides in one batched LAPACK ``gesv`` call (uncounted).
+
+    An exactly singular system, or a non-finite solution, raises
+    :class:`SimulationError` naming the first all-zero row found (by
+    ``structure`` when given).
+    """
+    try:
+        solution = np.linalg.solve(matrices, rhs)
+    except np.linalg.LinAlgError:
+        solution = None
+    if solution is None or not np.all(np.isfinite(solution)):
+        hint = next((hint for hint in (_singular_hint(matrix, structure)
+                                       for matrix in matrices) if hint), "")
+        raise SimulationError(
+            "dense LU factorization failed: matrix is exactly singular"
+            + hint)
+    return solution
 
 
 class _OneShotFactorization(Factorization):

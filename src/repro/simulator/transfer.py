@@ -23,6 +23,12 @@ Three performance properties of the implementation matter for sweeps:
   ``linear=``; the analysis then stamps only the small-signal models of the
   nonlinear devices on top, without re-validating, re-indexing or
   re-stamping the linear netlist.
+* **Port reduction** — on the dense path only the rows the small-signal
+  models touch or the caller reads stay: the linear stamps are reduced
+  onto them once per frequency sweep (a Schur complement cached on
+  ``linear``), so every further bias corner solves a system of its device
+  terminals and observed nodes only (13 unknowns instead of 43 for the
+  VCO testbench), all frequencies in one stacked LAPACK call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ import numpy as np
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
-from .ac import _ac_rhs, _small_signal_matrices, swept_index
+from .ac import (
+    _ac_rhs,
+    _small_signal_matrices,
+    _small_signal_stamps,
+    swept_index,
+)
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver, SolverOptions, resolve_solver
 from .mna import LinearStamps
@@ -122,10 +133,15 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     """Compute ``V(node)/source`` for every (source, node) combination.
 
     All sources are solved *batched*: per frequency point the complex system
-    ``(G + j*omega*C)`` is assembled (dense for small systems, on a shared
-    sparsity pattern for large ones) and factorized once, then every
-    source's unit-drive right-hand side is solved through that single
-    factorization as one multi-RHS block.  ``solver``
+    ``(G + j*omega*C)`` is factorized once, and every source's unit-drive
+    right-hand side is solved through that single factorization as one
+    multi-RHS block.  A small system (dense stamps) is first reduced onto
+    its device terminals and observed nodes
+    (:meth:`~repro.simulator.mna.LinearStamps.port_reduction`, cached on
+    ``linear``), and all its frequency points are solved in one stacked
+    LAPACK call; a large one is assembled per point on a shared sparsity
+    pattern.  Either way one point counts one factorization and one solve
+    in :data:`~repro.simulator.solver.stats`.  ``solver``
     selects the linear-solver backend.  ``linear`` is the circuit's compiled
     :class:`~repro.simulator.mna.LinearStamps` (compiled here when absent;
     stamps of a different circuit raise :class:`SimulationError`).  Returns
@@ -155,17 +171,8 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     if operating_point is None and circuit.nonlinear_elements():
         operating_point = dc_operating_point(circuit, dc_options,
                                              solver=solver, linear=linear)
+    gmin = solver.options.effective_gmin(gmin)
 
-    # The small-signal matrices depend on the operating point only, never on
-    # the sources' AC values, so they are built once for all sources.
-    g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
-                                                operating_point)
-    g_matrix = add_gmin_diagonal(g_matrix, structure.n_nodes,
-                                 solver.options.effective_gmin(gmin))
-    pattern = frequency_pair(g_matrix, c_matrix)
-
-    vectors = np.zeros((frequencies.size, structure.size, len(source_names)),
-                       dtype=complex)
     with substituted_sources(circuit) as drive:
         # One RHS column per source: swap a unit drive onto each source in
         # turn and read the stamped phasors back off the circuit.
@@ -175,22 +182,75 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             drive(name)
             rhs_block[:, column] = _ac_rhs(circuit, structure)
 
-        for index, frequency in enumerate(frequencies):
-            factorization = solver.factorize(
-                pattern.assemble(2j * np.pi * frequency), structure=structure)
-            vectors[index] = factorization.solve(rhs_block)
+        if isinstance(linear.conductance, np.ndarray):
+            rows, vectors = _reduced_solve(circuit, linear, operating_point,
+                                           observe_nodes, frequencies, gmin,
+                                           rhs_block, solver)
+        else:
+            rows = structure.node_index
+            vectors = _full_solve(circuit, linear, operating_point,
+                                  frequencies, gmin, rhs_block, solver)
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):
         transfers = {}
         for node in observe_nodes:
-            row = structure.node_row(node)
-            transfers[node] = (np.zeros(frequencies.size, dtype=complex)
-                               if row is None else vectors[:, row, column])
+            # node_row: None for ground, an error for an unknown node
+            transfers[node] = (
+                np.zeros(frequencies.size, dtype=complex)
+                if structure.node_row(node) is None
+                else vectors[:, rows[node], column])
         results[name] = TransferFunction(source_name=name,
                                          frequencies=frequencies.copy(),
                                          transfers=transfers)
     return results
+
+
+def _full_solve(circuit: Circuit, linear: LinearStamps,
+                operating_point: DcSolution | None, frequencies: np.ndarray,
+                gmin: float, rhs_block: np.ndarray,
+                solver: LinearSolver) -> np.ndarray:
+    """Every unknown at every frequency: ``G + j*omega*C`` of the whole
+    system factorized once per point (the sparse path)."""
+    structure = linear.structure
+    # The small-signal matrices depend on the operating point only, never on
+    # the sources' AC values, so they are built once for all sources.
+    g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
+                                                operating_point)
+    pattern = frequency_pair(
+        add_gmin_diagonal(g_matrix, structure.n_nodes, gmin), c_matrix)
+    vectors = np.zeros((frequencies.size,) + rhs_block.shape, dtype=complex)
+    for index, frequency in enumerate(frequencies):
+        factorization = solver.factorize(
+            pattern.assemble(2j * np.pi * frequency), structure=structure)
+        vectors[index] = factorization.solve(rhs_block)
+    return vectors
+
+
+def _reduced_solve(circuit: Circuit, linear: LinearStamps,
+                   operating_point: DcSolution | None,
+                   observe_nodes: list[str], frequencies: np.ndarray,
+                   gmin: float, rhs_block: np.ndarray, solver: LinearSolver
+                   ) -> tuple[dict[str, int], np.ndarray]:
+    """The kept unknowns at every frequency, on the port reduction of the
+    linear stamps (the dense path).
+
+    The small-signal stamps land on device terminals only, which the
+    reduction keeps, so they add straight onto its ``(F, k, k)`` systems;
+    one stacked factorization solves all frequencies.  Returns the kept
+    nodes' rows and the ``(F, k, sources)`` solutions.
+    """
+    reduction = linear.port_reduction(observe_nodes, frequencies, gmin,
+                                      rhs_block)
+    structure = reduction.structure
+    matrices = reduction.matrices.copy()
+    stamper = _small_signal_stamps(circuit, structure, operating_point)
+    if stamper is not None:
+        s = 2j * np.pi * frequencies
+        matrices += stamper.conductance_system()
+        matrices += s[:, None, None] * stamper.capacitance_system()
+    factorization = solver.factorize(matrices, structure=structure)
+    return structure.node_index, factorization.solve(reduction.rhs)
 
 
 def transfer_function(circuit: Circuit, source_name: str,

@@ -24,9 +24,9 @@ Entry inventory (paper Section 5):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from ..errors import AnalysisError
 from ..simulator.transfer import TransferFunction
@@ -158,37 +158,47 @@ def build_entry_catalog(vco: LcTankVco, vtune: float, *,
 
 
 def entries_at_frequency(catalog: VcoEntryCatalog, transfer: TransferFunction,
-                         noise_frequency: float,
-                         index: int | None = None) -> list[NoiseEntry]:
-    """Evaluate every catalogue entry's ``h_sub`` at one noise frequency.
+                         noise_frequency: float | np.ndarray,
+                         index: int | np.ndarray | None = None
+                         ) -> list[NoiseEntry]:
+    """Evaluate every catalogue entry's ``h_sub`` at one noise frequency, or
+    along a sweep.
 
     Resistive entries read the node voltage (minus the reference node when
     given) straight from the AC transfer.  Capacitive entries take the voltage
     of the substrate-side port node and multiply by the coupling admittance
     times the victim impedance — the voltage actually induced on the victim.
     ``noise_frequency`` must be a swept point of ``transfer``; a caller that
-    already knows its position in the sweep passes it as ``index``.
+    already knows its position in the sweep passes it as ``index``.  Given
+    a 1-D array of swept points (and optionally their positions), each
+    entry's ``h_sub`` is the array of its values there: the whole
+    (entries x frequencies) evaluation at once, as :func:`compute_spurs`
+    takes it for a sweep.
     """
-    if noise_frequency <= 0:
+    frequencies = np.asarray(noise_frequency, dtype=float)
+    if np.any(frequencies <= 0):
         raise AnalysisError("noise frequency must be positive")
     if index is None:
-        index = transfer.index_of(noise_frequency)
+        index = (transfer.index_of(float(frequencies)) if frequencies.ndim == 0
+                 else np.array([transfer.index_of(float(f))
+                                for f in frequencies], dtype=np.intp))
     transfers = transfer.transfers
     entries: list[NoiseEntry] = []
-    omega = 2.0 * math.pi * noise_frequency
+    omega = 2.0 * np.pi * frequencies
     for model in catalog.entries:
         if model.observe_node is not None:
-            h = complex(transfers[model.observe_node][index])
+            h = transfers[model.observe_node][index]
             if model.reference_node is not None:
-                h -= complex(transfers[model.reference_node][index])
+                h = h - transfers[model.reference_node][index]
         elif model.port_node is not None:
-            port_voltage = complex(transfers[model.port_node][index])
-            h = port_voltage * (1j * omega * model.coupling_capacitance
-                                * model.victim_impedance)
+            h = transfers[model.port_node][index] * (
+                1j * omega * model.coupling_capacitance
+                * model.victim_impedance)
         else:
             raise AnalysisError(f"entry {model.name!r} has no observable node")
         entries.append(NoiseEntry(
-            name=model.name, h_sub=complex(h),
+            name=model.name,
+            h_sub=complex(h) if frequencies.ndim == 0 else h,
             k_hz_per_volt=model.k_hz_per_volt,
             g_am_per_volt=model.g_am_per_volt,
             mechanism=model.mechanism))

@@ -12,10 +12,11 @@ amplitudes (paper eqs. (2) and (3))
 ``|V_FM(f_c +/- f_noise)| = (A_c / 2) * |sum_i h_sub,i(f_noise) * K_i| * A_noise / f_noise``
 ``|V_AM(f_c +/- f_noise)| = (A_c / 2) * |sum_i h_sub,i(f_noise) * G_AM,i| * A_noise``
 
-This module evaluates those expressions per entry and combined, converts spur
-voltages to power in dBm, and synthesises the time-domain output waveform of
-eq. (1) so a spectrum-analyzer view (the paper's Figure 7) can be produced by
-FFT.
+This module evaluates those expressions per entry and combined — for one
+analysis point or a whole sweep of them as (entries x frequencies) arrays —
+converts spur voltages to power in dBm, and synthesises the time-domain
+output waveform of eq. (1) so a spectrum-analyzer view (the paper's Figure
+7) can be produced by FFT.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class NoiseEntry:
         "inductor", ...).
     h_sub:
         Complex transfer from the substrate-noise source to this entry at the
-        analysed noise frequency (V/V).
+        analysed noise frequency (V/V); along a sweep, the array of its
+        values at the swept frequencies.
     k_hz_per_volt:
         Oscillator frequency sensitivity to a voltage on this entry (Hz/V).
     g_am_per_volt:
@@ -51,7 +53,7 @@ class NoiseEntry:
     """
 
     name: str
-    h_sub: complex
+    h_sub: complex | np.ndarray
     k_hz_per_volt: float
     g_am_per_volt: float = 0.0
     mechanism: str = "resistive"
@@ -122,48 +124,77 @@ class SpurResult:
 
 def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
                   carrier_amplitude: float, noise_amplitude: float,
-                  noise_frequency: float) -> SpurResult:
-    """Evaluate the paper's spur equations for one analysis point."""
-    if noise_frequency <= 0:
+                  noise_frequency: float | np.ndarray
+                  ) -> SpurResult | list[SpurResult]:
+    """Evaluate the paper's spur equations for one analysis point, or along
+    a sweep.
+
+    For a sweep, ``noise_frequency`` is a 1-D array and each entry's
+    ``h_sub`` the array of its values there (what
+    :func:`~repro.vco.sensitivity.entries_at_frequency` returns for the same
+    array).  Eqs. (2) and (3) are then
+    evaluated once on (entries x frequencies) arrays, and one
+    :class:`SpurResult` per point comes back, in sweep order.  A single
+    point is the same evaluation with one column.
+    """
+    frequencies = np.asarray(noise_frequency, dtype=float)
+    if np.any(frequencies <= 0):
         raise AnalysisError("noise frequency must be positive")
     if carrier_amplitude <= 0 or noise_amplitude <= 0:
         raise AnalysisError("carrier and noise amplitudes must be positive")
     if not entries:
         raise AnalysisError("at least one noise entry is required")
 
-    half_carrier = carrier_amplitude / 2.0
-    fm_sum = complex(0.0, 0.0)
-    am_sum = complex(0.0, 0.0)
-    per_entry_fm: dict[str, float] = {}
-    per_entry_am: dict[str, float] = {}
-    for entry in entries:
-        fm_term = entry.h_sub * entry.k_hz_per_volt / noise_frequency
-        am_term = entry.h_sub * entry.g_am_per_volt
-        fm_sum += fm_term
-        am_sum += am_term
-        per_entry_fm[entry.name] = half_carrier * noise_amplitude * abs(fm_term)
-        per_entry_am[entry.name] = half_carrier * noise_amplitude * abs(am_term)
+    points = frequencies.reshape(-1)
+    h_sub = np.empty((len(entries), points.size), dtype=complex)
+    for row, entry in enumerate(entries):
+        h_sub[row] = entry.h_sub
+    k = np.array([entry.k_hz_per_volt for entry in entries])[:, None]
+    g_am = np.array([entry.g_am_per_volt for entry in entries])[:, None]
 
-    fm_voltage = half_carrier * noise_amplitude * abs(fm_sum)
-    am_voltage = half_carrier * noise_amplitude * abs(am_sum)
+    scale = carrier_amplitude / 2.0 * noise_amplitude
+    fm_terms = h_sub * k / points
+    am_terms = h_sub * g_am
+    fm_sum = fm_terms.sum(axis=0)
+    am_sum = am_terms.sum(axis=0)
+    per_entry_fm = (scale * np.abs(fm_terms)).T.tolist()
+    per_entry_am = (scale * np.abs(am_terms)).T.tolist()
+    fm_voltage = (scale * np.abs(fm_sum)).tolist()
+    am_voltage = (scale * np.abs(am_sum)).tolist()
     # Narrow-band FM produces anti-phase sidebands while AM produces in-phase
     # sidebands, so the two mechanisms add on one side of the carrier and
     # subtract on the other — the paper's "small difference between left and
     # right spur ... caused by negligible AM".
-    upper = half_carrier * noise_amplitude * abs(fm_sum + am_sum)
-    lower = half_carrier * noise_amplitude * abs(fm_sum - am_sum)
-    return SpurResult(
-        noise_frequency=noise_frequency,
+    upper = (scale * np.abs(fm_sum + am_sum)).tolist()
+    lower = (scale * np.abs(fm_sum - am_sum)).tolist()
+
+    names = [entry.name for entry in entries]
+    if frequencies.ndim == 0:
+        point_entries = [list(entries)]
+    else:
+        values = h_sub.T.tolist()
+        point_entries = [
+            [NoiseEntry(name=entry.name, h_sub=h,
+                        k_hz_per_volt=entry.k_hz_per_volt,
+                        g_am_per_volt=entry.g_am_per_volt,
+                        mechanism=entry.mechanism)
+             for entry, h in zip(entries, values[point])]
+            for point in range(points.size)]
+    results = [SpurResult(
+        noise_frequency=(noise_frequency if frequencies.ndim == 0
+                         else float(points[point])),
         carrier_frequency=carrier_frequency,
         carrier_amplitude=carrier_amplitude,
         noise_amplitude=noise_amplitude,
-        entries=list(entries),
-        fm_voltage=fm_voltage,
-        am_voltage=am_voltage,
-        lower_sideband_voltage=lower,
-        upper_sideband_voltage=upper,
-        per_entry_fm_voltage=per_entry_fm,
-        per_entry_am_voltage=per_entry_am)
+        entries=point_entries[point],
+        fm_voltage=fm_voltage[point],
+        am_voltage=am_voltage[point],
+        lower_sideband_voltage=lower[point],
+        upper_sideband_voltage=upper[point],
+        per_entry_fm_voltage=dict(zip(names, per_entry_fm[point])),
+        per_entry_am_voltage=dict(zip(names, per_entry_am[point])))
+        for point in range(points.size)]
+    return results[0] if frequencies.ndim == 0 else results
 
 
 def synthesize_output_waveform(result: SpurResult, duration: float,

@@ -1,0 +1,278 @@
+"""Tests of the device-port reduction and the compiled stamps.
+
+A dense transfer analysis solves the Schur complement of the linear stamps
+onto the device terminals and observed nodes, with the small-signal models
+added on top; the oracle here is the unreduced ``G + sC`` of the whole
+testbench, solved per frequency.  DC Newton scatters the companion stamps
+through a pattern compiled once; the oracle is a fresh ``MatrixStamper``
+per iteration.  The VCO corner evaluates the spur equations on
+(entries x frequencies) arrays; the oracle is the per-point evaluation.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.flow import run_extraction_flow
+from repro.core.nmos import NmosExperimentOptions, _build_testbench
+from repro.core.vco_experiment import (
+    VcoImpactAnalysis,
+    _compiled_testbench,
+)
+from repro.errors import SimulationError
+from repro.layout.testchips import (
+    VcoLayoutSpec,
+    make_nmos_measurement_structure,
+)
+from repro.netlist import Circuit
+from repro.obs import tracer
+from repro.simulator import dc as dc_module
+from repro.simulator import dc_operating_point, transfer_function
+from repro.simulator.ac import _ac_rhs
+from repro.simulator.mna import LinearStamps, MatrixStamper, StampPattern
+from repro.simulator.solver import stats
+from repro.simulator.transfer import substituted_sources
+from repro.vco.sensitivity import entries_at_frequency
+from repro.vco.spurs import compute_spurs
+
+FREQUENCIES = np.logspace(np.log10(100e3), np.log10(15e6), 12)
+
+
+@pytest.fixture(scope="module")
+def fig10_analyses(technology):
+    """The nominal and widened-ground VCO analyses at the default mesh."""
+    return [VcoImpactAnalysis(technology,
+                              spec=VcoLayoutSpec(ground_width_scale=scale))
+            for scale in (1.0, 2.0)]
+
+
+def _unreduced_transfer(circuit, linear, operating_point, source, nodes,
+                        frequencies, gmin=1e-12):
+    """The transfer of the whole MNA system, solved per frequency."""
+    structure = linear.structure
+    stamper = MatrixStamper(structure)
+    voltages = operating_point.voltages()
+    for element in circuit.nonlinear_elements():
+        element.stamp_small_signal(stamper, voltages)
+    g = np.asarray(linear.conductance) + stamper.conductance_system()
+    g[np.arange(structure.n_nodes), np.arange(structure.n_nodes)] += gmin
+    c = np.asarray(linear.capacitance) + stamper.capacitance_system()
+    with substituted_sources(circuit) as drive:
+        drive(source)
+        rhs = _ac_rhs(circuit, structure)
+    rows = [structure.node_row(node) for node in nodes]
+    return np.array([np.linalg.solve(g + 2j * np.pi * f * c, rhs)[rows]
+                     for f in frequencies]).T
+
+
+@pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
+def test_reduced_transfer_matches_unreduced_testbench(fig10_analyses, vtune):
+    for analysis in fig10_analyses:
+        circuit = analysis.build_testbench(vtune)
+        _template, linear = _compiled_testbench(analysis.flow,
+                                                analysis.options)
+        assert linear.structure.size == 43
+        op = dc_operating_point(circuit, linear=linear)
+        analysis._operating_points[vtune] = op
+        nodes = analysis.entry_catalog(analysis.vco_model(op),
+                                       vtune).observation_nodes()
+        reduced = transfer_function(circuit, "VSUB_SRC", nodes, FREQUENCIES,
+                                    operating_point=op, linear=linear)
+        assert linear.kept_rows(nodes).size == 13
+        expected = _unreduced_transfer(circuit, linear, op, "VSUB_SRC",
+                                       nodes, FREQUENCIES)
+        got = np.array([reduced.transfers[node] for node in nodes])
+        assert np.max(np.abs(got - expected)) <= \
+            1e-10 * np.max(np.abs(expected))
+
+
+def _follower_with_source_across_terminals(technology) -> Circuit:
+    """A source follower whose gate is held 0.3 V above its drain by an
+    ideal source straight across the two device terminals."""
+    circuit = Circuit("source_across_terminals")
+    circuit.add_voltage_source("VDD", "vdd_ext", "0", 1.8)
+    circuit.add_resistor("RD", "vdd_ext", "d", 100.0)
+    circuit.add_voltage_source("VGD", "g", "d", 0.3)
+    circuit.add_mosfet("M1", "d", "g", "s", "0",
+                       technology.mos_parameters("nmos_rf"),
+                       width=10e-6, length=0.18e-6)
+    circuit.add_resistor("RS", "s", "0", 1e3)
+    circuit.add_resistor("RIN", "in", "vdd_ext", 50.0)
+    circuit.add_voltage_source("VIN", "drive", "0", 0.0)
+    circuit.add_resistor("RDRIVE", "drive", "in", 50.0)
+    return circuit
+
+
+def test_branch_row_across_device_terminals_is_kept(technology):
+    circuit = _follower_with_source_across_terminals(technology)
+    linear = LinearStamps.of(circuit)
+    structure = linear.structure
+    kept = linear.kept_rows(["s"])
+    # Every column of the VGD row is a device terminal, so the row stays:
+    # eliminated, it would be an all-zero row of the eliminated block.
+    assert structure.branch_row("VGD") in kept
+    assert structure.branch_row("VDD") not in kept
+    op = dc_operating_point(circuit, linear=linear)
+    reduced = transfer_function(circuit, "VIN", ["s", "d"], FREQUENCIES,
+                                operating_point=op, linear=linear)
+    expected = _unreduced_transfer(circuit, linear, op, "VIN", ["s", "d"],
+                                   FREQUENCIES)
+    got = np.array([reduced.transfers["s"], reduced.transfers["d"]])
+    np.testing.assert_allclose(got, expected, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_singular_eliminated_block_names_the_node():
+    circuit = Circuit("dangling_control")
+    circuit.add_voltage_source("VIN", "in", "0", 0.0)
+    circuit.add_resistor("R1", "in", "out", 1e3)
+    circuit.add_resistor("R2", "out", "0", 1e3)
+    # "ctl" is only the control input of a VCCS: its own row is empty.
+    circuit.add_vccs("G1", "out", "0", "ctl", "0", 1e-3)
+    with pytest.raises(SimulationError,
+                       match="port reduction failed.*node 'ctl'"):
+        transfer_function(circuit, "VIN", ["out"], [1e3], gmin=0.0)
+    # Observed, the node is kept: the stacked solve of the reduced systems
+    # names it instead.
+    before = stats.snapshot()
+    with pytest.raises(SimulationError,
+                       match="exactly singular.*node 'ctl'") as failure:
+        transfer_function(circuit, "VIN", ["out", "ctl"], [1e3, 1e4],
+                          gmin=0.0)
+    assert "port reduction" not in str(failure.value)
+    assert stats.since(before).factorizations == 2
+
+
+def test_reduction_is_cached_uncounted_and_traced(technology):
+    circuit = _follower_with_source_across_terminals(technology)
+    linear = LinearStamps.of(circuit)
+    op = dc_operating_point(circuit, linear=linear)
+    was_enabled = tracer.enabled
+    tracer.enable()
+    try:
+        mark = tracer.mark()
+        before = stats.snapshot()
+        for _ in range(2):
+            transfer_function(circuit, "VIN", ["s"], FREQUENCIES,
+                              operating_point=op, linear=linear)
+        spent = stats.since(before)
+        spans = [dict(span.attrs) for span in tracer.spans_since(mark)
+                 if span.name == "sim.reduce"]
+        transfer_function(circuit, "VIN", ["s"], FREQUENCIES[:3],
+                          operating_point=op, linear=linear)
+        rebuilt = [dict(span.attrs) for span in tracer.spans_since(mark)
+                   if span.name == "sim.reduce"][-1]
+    finally:
+        if not was_enabled:
+            tracer.disable()
+    # One point is one factorization and one solve; the reduction is not
+    # solver work.
+    assert spent.factorizations == spent.solves == 2 * FREQUENCIES.size
+    assert [span["reused"] for span in spans] == [False, True]
+    size = linear.structure.size
+    assert spans[0]["kept"] + spans[0]["eliminated"] == size
+    assert spans[0]["points"] == FREQUENCIES.size
+    assert rebuilt["reused"] is False and rebuilt["points"] == 3
+
+
+def _matrix_stamper_companion(linear, nonlinear, voltages):
+    """The reference companion assembly: a fresh stamper per iteration."""
+    companion = MatrixStamper(linear.structure)
+    for element in nonlinear:
+        element.stamp_companion(companion, voltages)
+    return companion.conductance_system(), companion.rhs
+
+
+def _compare_newton_paths(monkeypatch, circuit, linear):
+    compiled = dc_operating_point(circuit, linear=linear)
+    with monkeypatch.context() as patch:
+        patch.setattr(dc_module, "_companion_system",
+                      _matrix_stamper_companion)
+        reference = dc_operating_point(circuit, linear=linear)
+    assert compiled.iterations == reference.iterations
+    assert compiled.strategy == reference.strategy
+    assert np.array_equal(compiled.vector, reference.vector)
+
+
+@pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
+def test_compiled_newton_stamps_bit_identical_on_vco(monkeypatch,
+                                                    fig10_analyses, vtune):
+    analysis = fig10_analyses[0]
+    _template, linear = _compiled_testbench(analysis.flow, analysis.options)
+    _compare_newton_paths(monkeypatch, analysis.build_testbench(vtune),
+                          linear)
+
+
+def test_compiled_newton_stamps_bit_identical_on_fig3_nmos(monkeypatch,
+                                                           technology):
+    options = NmosExperimentOptions()
+    flow = run_extraction_flow(make_nmos_measurement_structure(), technology,
+                               options=options.flow)
+    testbench, linear = _build_testbench(flow, options)
+    for bias in options.bias_points:
+        circuit = testbench.with_sources({"VGATE_SRC": bias,
+                                          "VDRAIN_SRC": bias})
+        _compare_newton_paths(monkeypatch, circuit, linear)
+
+
+def test_stamp_pattern_rejects_a_changed_call_sequence():
+    circuit = Circuit("rc")
+    circuit.add_resistor("R1", "a", "0", 1e3)
+    structure = LinearStamps.of(circuit).structure
+    pattern = StampPattern.record(
+        structure, lambda stamper: stamper.conductance("a", "0", 1.0))
+    values = pattern.evaluate(
+        lambda stamper: stamper.conductance("a", "0", 2.5))
+    assert pattern.conductance(values)[0, 0] == 2.5
+    with pytest.raises(SimulationError, match="recorded 1 stamp calls, got 2"):
+        pattern.evaluate(lambda stamper: [stamper.conductance("a", "0", 1.0),
+                                          stamper.current("a", "0", 1.0)])
+    with pytest.raises(SimulationError, match="node stamps only"):
+        StampPattern.record(structure, lambda stamper:
+                            stamper.branch_voltage_source("V", "a", "0", 1.0))
+
+
+def _loop_spurs(entries, carrier_amplitude, noise_amplitude, frequency):
+    """Eqs. (2)/(3) entry by entry in Python scalars: the reference."""
+    scale = carrier_amplitude / 2.0 * noise_amplitude
+    fm_sum = sum(e.h_sub * e.k_hz_per_volt / frequency for e in entries)
+    am_sum = sum(e.h_sub * e.g_am_per_volt for e in entries)
+    return (scale * abs(fm_sum), scale * abs(am_sum),
+            scale * abs(fm_sum - am_sum), scale * abs(fm_sum + am_sum))
+
+
+@pytest.mark.parametrize("vtune", [0.0, 1.5])
+def test_array_spurs_equal_per_point_evaluation(fig10_analyses, vtune):
+    analysis = fig10_analyses[1]
+    results, vco, catalog, transfer = analysis.analyze(vtune, FREQUENCIES)
+    assert len(results) == FREQUENCIES.size
+    for frequency, result in zip(FREQUENCIES, results):
+        entries = entries_at_frequency(catalog, transfer, float(frequency))
+        single = compute_spurs(entries, vco.oscillation_frequency(vtune),
+                               vco.amplitude(vtune), analysis._noise.amplitude,
+                               float(frequency))
+        assert result.noise_frequency == single.noise_frequency
+        assert [e.name for e in result.entries] == \
+            [e.name for e in single.entries]
+        np.testing.assert_allclose([e.h_sub for e in result.entries],
+                                   [e.h_sub for e in single.entries],
+                                   rtol=1e-14, atol=0)
+        reference = _loop_spurs(single.entries, single.carrier_amplitude,
+                                single.noise_amplitude, float(frequency))
+        for name, expected in zip(("fm_voltage", "am_voltage",
+                                   "lower_sideband_voltage",
+                                   "upper_sideband_voltage"), reference):
+            assert getattr(result, name) == pytest.approx(
+                getattr(single, name), rel=1e-13, abs=0)
+            assert getattr(single, name) == pytest.approx(
+                expected, rel=1e-13, abs=0)
+        for name, value in single.per_entry_fm_voltage.items():
+            assert result.per_entry_fm_voltage[name] == pytest.approx(
+                value, rel=1e-13, abs=0)
+            assert result.per_entry_am_voltage[name] == pytest.approx(
+                single.per_entry_am_voltage[name], rel=1e-13, abs=0)
+        assert result.total_spur_power_dbm() == pytest.approx(
+            single.total_spur_power_dbm(), abs=1e-12)
+        # The array evaluation hands out plain complex values per point.
+        assert all(type(e.h_sub) is complex for e in result.entries)
