@@ -39,6 +39,19 @@ tasks of a campaign share them (serially, every corner of a variant gets
 the same flow object; in a pool worker, the shipped-object cache hands
 back the same one, on the shared-memory and the inline path alike) and
 none outlives its flow.
+
+V_tune only biases the varactors, which carry no DC current, so the bias
+point of the core hardly moves with it.  Beside each compiled testbench
+sits its reference operating point: the DC solution at V_tune = 0 V, keyed
+by every other DC input (supply and tail-bias voltages, the noise source's
+DC value, the effective gmin).  Every corner starts plain Newton from it —
+one or two iterations instead of seven to nine from zero.  Each process
+solves the reference itself on the first request for its key, so a
+corner's start depends only on (flow, bias), never on which corner ran
+before or on how many workers share the campaign; like the compiled
+testbench, it is compile-time state and counts no solver work
+(:meth:`~repro.simulator.solver.SolverStats.uncounted`).  A reference that
+does not converge is logged once per key and the corners start from zero.
 """
 
 from __future__ import annotations
@@ -53,8 +66,8 @@ from ..analysis.compare import classify_mechanism, slope_per_decade
 from ..analysis.spectrum import Spectrum, compute_spectrum
 from ..analysis.waveforms import SinusoidalNoise
 from ..data import measurements
-from ..errors import AnalysisError
-from ..obs import trace_span
+from ..errors import AnalysisError, ConvergenceError
+from ..obs import get_logger, trace_span
 from ..layout.testchips import (
     NET_BIAS,
     NET_GROUND_PAD,
@@ -71,9 +84,10 @@ from ..layout.testchips import (
 )
 from ..netlist.circuit import Circuit
 from ..package.model import PackageModel
-from ..simulator.dc import DcSolution, dc_operating_point
+from ..simulator.dc import DcOptions, DcSolution, dc_operating_point
 from ..simulator.linalg import resolve_solver
 from ..simulator.mna import LinearStamps
+from ..simulator.solver import stats as solver_stats
 from ..simulator.transfer import TransferFunction, transfer_function
 from ..technology.process import ProcessTechnology
 from ..vco.lctank import LcTankVco, VcoDesign
@@ -100,6 +114,8 @@ NODE_VDD_EXT = "VDD_EXT"
 NODE_TUNE_EXT = "VTUNE_EXT"
 NODE_BIAS_EXT = "VBIAS_EXT"
 NODE_OUT_EXT = "OUT_EXT"
+
+logger = get_logger(__name__)
 
 #: Names of the cross-coupled NMOS devices and the tail device in the layout.
 CROSS_COUPLED_NMOS = ("MN_left", "MN_right")
@@ -170,8 +186,28 @@ def _compile_testbench(flow: FlowResult, options: VcoExperimentOptions
 
 
 #: id(flow) -> (weak reference to the flow, {testbench shape: compiled
-#: testbench}).  An entry leaves when its flow is collected.
-_COMPILED_TESTBENCHES: dict[int, tuple[weakref.ref, dict]] = {}
+#: testbench}, {DC key: reference operating-point vector, or ``None`` when
+#: it did not converge}).  An entry leaves when its flow is collected.
+_COMPILED_TESTBENCHES: dict[int, tuple[weakref.ref, dict, dict]] = {}
+
+
+def _flow_state(flow: FlowResult) -> tuple[dict, dict]:
+    """The compiled testbenches and reference points kept for ``flow``."""
+    key = id(flow)
+    entry = _COMPILED_TESTBENCHES.get(key)
+    if entry is None or entry[0]() is not flow:
+        def forget(ref, key=key):
+            if _COMPILED_TESTBENCHES.get(key, (None,))[0] is ref:
+                del _COMPILED_TESTBENCHES[key]
+
+        entry = (weakref.ref(flow, forget), {}, {})
+        _COMPILED_TESTBENCHES[key] = entry
+    return entry[1], entry[2]
+
+
+def _testbench_shape(options: VcoExperimentOptions) -> tuple[float, float]:
+    """The options that shape the linear part of the testbench."""
+    return (options.source_impedance, options.output_load)
 
 
 def _compiled_testbench(flow: FlowResult, options: VcoExperimentOptions
@@ -181,19 +217,11 @@ def _compiled_testbench(flow: FlowResult, options: VcoExperimentOptions
     Keyed on the flow object and the options that shape the linear part
     (source impedance, output load); the source values are set per corner.
     """
-    key = id(flow)
-    entry = _COMPILED_TESTBENCHES.get(key)
-    if entry is None or entry[0]() is not flow:
-        def forget(ref, key=key):
-            if _COMPILED_TESTBENCHES.get(key, (None,))[0] is ref:
-                del _COMPILED_TESTBENCHES[key]
-
-        entry = (weakref.ref(flow, forget), {})
-        _COMPILED_TESTBENCHES[key] = entry
-    shape = (options.source_impedance, options.output_load)
-    compiled = entry[1].get(shape)
+    testbenches, _references = _flow_state(flow)
+    shape = _testbench_shape(options)
+    compiled = testbenches.get(shape)
     if compiled is None:
-        compiled = entry[1][shape] = _compile_testbench(flow, options)
+        compiled = testbenches[shape] = _compile_testbench(flow, options)
     return compiled
 
 
@@ -235,6 +263,38 @@ class VcoImpactAnalysis:
             "VBIAS_SRC": self.options.tail_bias_voltage,
             "VSUB_SRC": self._noise.source_value(),
         })
+
+    def reference_point(self) -> np.ndarray | None:
+        """The DC solution of this analysis's testbench at V_tune = 0 V.
+
+        Every corner's plain Newton starts from it.  It is solved on the
+        first request for its key — the testbench shape, the supply and
+        tail-bias voltages, the noise source's DC value and the effective
+        gmin — and kept beside the compiled testbench.  The solve counts no
+        solver work.  ``None`` when it did not converge (logged once per
+        key): the corners then start from zero.
+        """
+        _testbenches, references = _flow_state(self.flow)
+        key = (_testbench_shape(self.options), self.options.supply_voltage,
+               self.options.tail_bias_voltage, self._noise.source_value().dc,
+               self.solver.options.effective_gmin(DcOptions().gmin))
+        if key not in references:
+            _template, linear = _compiled_testbench(self.flow, self.options)
+            try:
+                with solver_stats.uncounted():
+                    solution = dc_operating_point(
+                        self.build_testbench(0.0), solver=self.solver,
+                        linear=linear)
+            except ConvergenceError as exc:
+                logger.warning(
+                    "DC reference operating point of %s did not converge; "
+                    "its V_tune corners start Newton from zero: %s",
+                    self.flow.cell.name, exc)
+                references[key] = None
+            else:
+                solution.vector.flags.writeable = False
+                references[key] = solution.vector
+        return references[key]
 
     # -- VCO analytical model from the extracted devices -----------------------------
 
@@ -348,8 +408,9 @@ class VcoImpactAnalysis:
         with trace_span("sim.setup", vtune=vtune):
             circuit = self.build_testbench(vtune)
             _template, linear = _compiled_testbench(self.flow, self.options)
-            operating_point = dc_operating_point(circuit, solver=self.solver,
-                                                 linear=linear)
+            operating_point = dc_operating_point(
+                circuit, solver=self.solver, linear=linear,
+                initial=self.reference_point())
             self._operating_points[vtune] = operating_point
 
             vco = self.vco_model(operating_point)

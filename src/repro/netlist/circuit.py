@@ -9,9 +9,9 @@ global ground reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
-import networkx as nx
+import numpy as np
 
 from ..devices.mosfet import MosfetGeometry, MosfetModel
 from ..devices.varactor import AccumulationModeVaractor
@@ -30,6 +30,9 @@ from .elements import (
     VoltageSource,
 )
 from .stamping import GROUND
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _source_value(value: SourceValue | float) -> SourceValue:
@@ -163,6 +166,8 @@ class Circuit:
 
     def connectivity_graph(self) -> "nx.Graph":
         """Undirected graph of nodes connected by elements (for sanity checks)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node(GROUND)
         for element in self.elements.values():
@@ -181,19 +186,26 @@ class Circuit:
         flow calls this; the DC analysis itself names a floating node whose
         matrix row is empty when its solve fails.
         """
-        graph = nx.Graph()
-        graph.add_node(GROUND)
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        index = {GROUND: 0}
+        edges = []
         for element in self.elements.values():
-            nodes = [n for n in element.nodes()]
-            graph.add_nodes_from(nodes)
+            nodes = element.nodes()
+            for node in nodes:
+                index.setdefault(node, len(index))
             if isinstance(element, (Resistor, Inductor, VoltageSource)):
-                graph.add_edge(element.node_p, element.node_n)
+                edges.append((element.node_p, element.node_n))
             elif element.is_nonlinear and len(nodes) >= 3:
                 # A MOSFET provides a DC path among its channel terminals.
-                for node in nodes:
-                    graph.add_edge(nodes[0], node)
-        reachable = nx.node_connected_component(graph, GROUND)
-        return [n for n in self.nodes() if n not in reachable]
+                edges.extend((nodes[0], node) for node in nodes)
+        rows = [index[a] for a, _b in edges]
+        cols = [index[b] for _a, b in edges]
+        graph = coo_matrix((np.ones(len(edges)), (rows, cols)),
+                           shape=(len(index), len(index)))
+        _count, labels = connected_components(graph, directed=False)
+        return [n for n in self.nodes() if labels[index[n]] != labels[0]]
 
     def validate(self) -> None:
         """Raise :class:`NetlistError` for empty circuits or missing ground."""

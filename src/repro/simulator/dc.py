@@ -9,14 +9,19 @@ The solver uses plain Newton-Raphson backed by a two-rung continuation
 (homotopy) ladder, so exotic corners degrade gracefully instead of raising
 :class:`~repro.errors.ConvergenceError` at the first stumble:
 
-1. **plain Newton** from a zero initial guess — converges in one iteration
-   for linear circuits and a handful for the paper's testbenches;
+1. **plain Newton** from the caller's ``initial`` guess, or from zero
+   without one — converges in one iteration for linear circuits and a
+   handful for the paper's testbenches from zero (one or two from a nearby
+   operating point);
 2. **gmin stepping** — the solve is repeated with a large conductance from
    every node to ground (``gmin_start``), which makes the Jacobian strongly
    diagonally dominant, then the conductance is relaxed geometrically down
    to the target gmin, warm-starting each rung with the previous solution;
 3. **source stepping** — the independent sources are ramped from zero in a
    few steps, using each converged solution as the next initial guess.
+
+Both ladder rungs start from zero whatever the ``initial`` guess was, so a
+guess only ever changes the plain-Newton attempt.
 
 The strategy that finally converged is recorded on the
 :class:`DcSolution` (``strategy``) and counted into
@@ -224,7 +229,8 @@ def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
 
 def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
                        solver: SolverOptions | LinearSolver | None = None,
-                       linear: LinearStamps | None = None) -> DcSolution:
+                       linear: LinearStamps | None = None,
+                       initial: np.ndarray | None = None) -> DcSolution:
     """Solve the DC operating point of ``circuit``.
 
     Linear circuits converge in a single iteration.  For nonlinear circuits,
@@ -238,13 +244,21 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     instance); the system size picks its LU kernel.  ``linear`` is the
     circuit's compiled :class:`~repro.simulator.mna.LinearStamps`; without
     it the circuit is validated, indexed and stamped here.  Stamps compiled
-    from a different circuit raise :class:`SimulationError`.
+    from a different circuit raise :class:`SimulationError`.  ``initial``
+    is the MNA vector plain Newton starts from (zero without it); the
+    ladder rungs always start from zero.
     """
     options = options or DcOptions()
     solver = resolve_solver(solver)
     linear = LinearStamps.resolve(circuit, linear)
-    with trace_span("sim.dc", size=linear.structure.size) as span:
-        solution = _operating_point(circuit, linear, options, solver)
+    size = linear.structure.size
+    if initial is not None and np.shape(initial) != (size,):
+        raise SimulationError(
+            f"initial guess has shape {np.shape(initial)}, the circuit "
+            f"{circuit.name!r} has {size} unknowns")
+    with trace_span("sim.dc", size=size) as span:
+        solution = _operating_point(circuit, linear, options, solver,
+                                    initial)
         if span is not None:
             span.set(iterations=solution.iterations,
                      strategy=solution.strategy)
@@ -252,11 +266,13 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
 
 
 def _operating_point(circuit: Circuit, linear: LinearStamps,
-                     options: DcOptions, solver: LinearSolver) -> DcSolution:
-    """Plain Newton, then the gmin- and source-stepping rungs."""
+                     options: DcOptions, solver: LinearSolver,
+                     guess: np.ndarray | None) -> DcSolution:
+    """Plain Newton from ``guess`` (or zero), then the gmin- and
+    source-stepping rungs from zero."""
     structure = linear.structure
     linear_g = linear.conductance
-    initial = np.zeros(structure.size)
+    zero = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
 
     def newton(guess, scale, gmin):
@@ -270,7 +286,8 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
                           strategy=strategy)
 
     try:
-        return solution(*newton(initial, 1.0, target_gmin), "newton")
+        start = zero if guess is None else np.asarray(guess, dtype=float)
+        return solution(*newton(start, 1.0, target_gmin), "newton")
     except ConvergenceError:
         pass
 
@@ -282,7 +299,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
     ladder = _gmin_ladder(options.gmin_start, target_gmin, options.gmin_steps)
     if ladder:
         try:
-            vector = initial
+            vector = zero
             total_iterations = 0
             for rung_gmin in ladder:
                 vector, iterations = newton(vector, 1.0, rung_gmin)
@@ -297,7 +314,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
     # Rung 2: source-stepping homotopy — ramp the independent sources from
     # zero, warm-starting each step with the previous solution.
     try:
-        vector = initial
+        vector = zero
         total_iterations = 0
         for step in range(1, options.source_steps + 1):
             scale = step / options.source_steps

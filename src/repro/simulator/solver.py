@@ -59,6 +59,7 @@ performs exactly one factorization regardless of step count.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,6 +133,18 @@ class SolverStats:
     def snapshot(self) -> "SolverStats":
         """A copy to take a :meth:`since` delta against later."""
         return replace(self)
+
+    @contextmanager
+    def uncounted(self):
+        """Leave the counters as they were before the block: the block's
+        solves are compile-time state (e.g. a reference operating point),
+        not the work of whatever task happened to trigger them."""
+        before = self.snapshot()
+        try:
+            yield
+        finally:
+            for name in self._COUNTERS:
+                setattr(self, name, getattr(before, name))
 
     def merge(self, other: "SolverStats") -> None:
         """Fold another record's counters in (``backend`` is kept)."""

@@ -181,8 +181,7 @@ def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
              for entry, h in zip(entries, values[point])]
             for point in range(points.size)]
     results = [SpurResult(
-        noise_frequency=(noise_frequency if frequencies.ndim == 0
-                         else float(points[point])),
+        noise_frequency=float(points[point]),
         carrier_frequency=carrier_frequency,
         carrier_amplitude=carrier_amplitude,
         noise_amplitude=noise_amplitude,

@@ -4,13 +4,17 @@ against it.
 The compiled path (shared impact-netlist elements, fresh sources, the
 flow's :class:`~repro.simulator.mna.LinearStamps`) must give the operating
 points and transfers of a from-scratch solve, and must never modify the
-extracted flow it was compiled from.
+extracted flow it was compiled from.  Its reference operating point, the
+start of every corner's DC Newton, must change the Newton path and not
+the answer, count no solver work, and fall back to the zero start when it
+does not converge.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +23,13 @@ import pytest
 from repro.core import vco_experiment
 from repro.core.flow import run_extraction_flow
 from repro.core.vco_experiment import VcoImpactAnalysis
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
 from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
 from repro.netlist.elements import VoltageSource
 from repro.simulator import dc_operating_point, transfer_function
 from repro.simulator.mna import LinearStamps
+from repro.simulator.solver import SolverStats
+from repro.simulator.solver import stats as solver_stats
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +58,8 @@ def test_compiled_corner_matches_a_from_scratch_solve(variant_analyses,
     compiled = analysis._operating_points[vtune]
 
     scratch = copy.deepcopy(analysis.build_testbench(vtune))
-    reference = dc_operating_point(scratch, solver=analysis.solver)
+    reference = dc_operating_point(scratch, solver=analysis.solver,
+                                   initial=analysis.reference_point())
     assert compiled.iterations == reference.iterations
     assert compiled.strategy == reference.strategy
     assert _relative(compiled.vector, reference.vector) <= 1e-12
@@ -64,6 +71,102 @@ def test_compiled_corner_matches_a_from_scratch_solve(variant_analyses,
     for node in transfer.nodes():
         assert _relative(transfer.transfers[node],
                          reference_tf.transfers[node]) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+def test_warm_started_corners_match_a_cold_start(variant_analyses, variant,
+                                                monkeypatch):
+    """The reference start changes the Newton path, not the answer."""
+    analysis = variant_analyses[variant]
+    vtunes = (0.0, 0.1875, 0.5625, 0.75, 1.5)
+    warm = {}
+    for vtune in vtunes:
+        spurs, _vco, _catalog, transfer = analysis.analyze(vtune)
+        warm[vtune] = spurs, transfer, analysis._operating_points[vtune]
+    monkeypatch.setattr(VcoImpactAnalysis, "reference_point",
+                        lambda self: None)
+    for vtune in vtunes:
+        cold_spurs, _vco, _catalog, cold_transfer = analysis.analyze(vtune)
+        cold = analysis._operating_points[vtune]
+        spurs, transfer, point = warm[vtune]
+        assert point.strategy == cold.strategy == "newton"
+        assert point.iterations <= 2 < cold.iterations
+        assert _relative(point.vector, cold.vector) <= 1e-10
+        for node in transfer.nodes():
+            assert _relative(transfer.transfers[node],
+                             cold_transfer.transfers[node]) <= 1e-10
+        for got, want in zip(spurs, cold_spurs):
+            got, want = got.record(), want.record()
+            assert got.keys() == want.keys()
+            for key in got:
+                if key.endswith("_dbm"):
+                    assert got[key] == pytest.approx(want[key], abs=1e-6)
+
+
+def test_a_reference_that_fails_leaves_the_zero_start(vco_flow, vco_analysis,
+                                                      monkeypatch, caplog):
+    flow = replace(vco_flow)            # no reference cached for it yet
+    analysis = VcoImpactAnalysis(vco_analysis.technology,
+                                 options=vco_analysis.options,
+                                 flow_result=flow)
+    solve = vco_experiment.dc_operating_point
+    calls = []
+
+    def reference_fails(circuit, **kwargs):
+        calls.append(kwargs.get("initial"))
+        if len(calls) == 1:             # the reference solve
+            raise ConvergenceError("injected non-convergence")
+        return solve(circuit, **kwargs)
+
+    monkeypatch.setattr(vco_experiment, "dc_operating_point",
+                        reference_fails)
+    vtunes = (0.0, 1.5)
+    with caplog.at_level(logging.WARNING, logger="repro.core.vco_experiment"):
+        results = {vtune: analysis.analyze(vtune)[0] for vtune in vtunes}
+        assert analysis.reference_point() is None
+    warnings = [record for record in caplog.records
+                if "DC reference operating point" in record.getMessage()]
+    assert len(warnings) == 1
+    assert "injected non-convergence" in warnings[0].getMessage()
+    assert len(calls) == 1 + len(vtunes)
+    assert all(initial is None for initial in calls[1:])
+
+    # Today's path: plain Newton from zero on the compiled testbench.
+    monkeypatch.setattr(vco_experiment, "dc_operating_point", solve)
+    _circuit, linear = vco_experiment._compiled_testbench(flow,
+                                                          analysis.options)
+    zero_start = VcoImpactAnalysis(vco_analysis.technology,
+                                   options=vco_analysis.options,
+                                   flow_result=flow)
+    monkeypatch.setattr(VcoImpactAnalysis, "reference_point",
+                        lambda self: None)
+    for vtune in vtunes:
+        got = analysis._operating_points[vtune]
+        want = dc_operating_point(analysis.build_testbench(vtune),
+                                  solver=analysis.solver, linear=linear)
+        assert np.array_equal(got.vector, want.vector)
+        assert (got.iterations, got.strategy) == (want.iterations,
+                                                  want.strategy)
+        assert ([spur.record() for spur in results[vtune]]
+                == [spur.record() for spur in zero_start.analyze(vtune)[0]])
+
+
+def test_the_reference_counts_no_solver_work(vco_flow, vco_analysis):
+    flow = replace(vco_flow)
+    analysis = VcoImpactAnalysis(vco_analysis.technology,
+                                 options=vco_analysis.options,
+                                 flow_result=flow)
+    before = solver_stats.snapshot()
+    reference = analysis.reference_point()
+    assert solver_stats.since(before).as_dict() == SolverStats().as_dict()
+    assert reference is not None and not reference.flags.writeable
+    assert analysis.reference_point() is reference
+    # Another supply voltage is another DC input, so another reference.
+    biased = VcoImpactAnalysis(
+        vco_analysis.technology, flow_result=flow,
+        options=replace(vco_analysis.options, supply_voltage=1.6))
+    assert biased.reference_point() is not reference
+    assert analysis.reference_point() is reference
 
 
 def test_corner_circuits_share_the_netlist_and_own_their_sources(

@@ -15,7 +15,8 @@ Covers the `repro.parallel` package end to end:
   options keep their pinned identity;
 * pool hygiene: a timeout recycle kills workers holding shipped flows and
   leaks no shared-memory segment;
-* numerical equivalence: a whole campaign on the graph scheduler == serial.
+* numerical equivalence: a whole campaign on the graph scheduler == serial,
+  with the same solver counters at any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core.flow import FlowOptions
-from repro.core.vco_experiment import VcoExperimentOptions
+from repro.core.vco_experiment import VcoExperimentOptions, VcoImpactAnalysis
 from repro.errors import AnalysisError
 from repro.parallel import (
     MAX_WORKERS_ENV,
@@ -49,10 +50,12 @@ from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
     DiskExtractionCache,
+    ExtractionCache,
     FaultPlan,
     FaultSpec,
     ParamSpace,
     ProcessPoolBackend,
+    SerialBackend,
     SweepRunner,
 )
 from repro.studies.cache import fingerprint
@@ -520,6 +523,39 @@ def test_graph_campaign_bit_identical_to_serial(technology, tmp_path):
     assert warm.cache_misses == 0 and warm.cache_hits == 2
     np.testing.assert_array_equal(warm.column("spur_power_dbm"),
                                   serial.column("spur_power_dbm"))
+
+
+def test_solver_counters_do_not_depend_on_the_worker_count(technology,
+                                                           vco_analysis):
+    """Each process solves its own reference operating point, uncounted:
+    the campaign counts exactly the transfer solves and the corners' own
+    Newton iterations, serially and on two workers alike."""
+    flow = replace(vco_analysis.flow)   # no reference solved for it yet
+    vtunes = (0.0, 0.4, 1.1, 1.5)
+    frequencies = (1e6, 3e6, 9e6)
+    campaign = vco_analysis.spur_campaign(vtunes, frequencies)
+    cache = ExtractionCache()
+    cache.seed(flow, options=vco_analysis.options.flow)
+    counters = []
+    for backend in (SerialBackend(), ProcessPoolBackend(max_workers=2)):
+        sweep = SweepRunner(technology, backend=backend,
+                            cache=cache).run(campaign)
+        assert not sweep.failures
+        counters.append(sweep.telemetry["metrics"]["counters"])
+    serial, pooled = counters
+    for name in ("solver.factorizations", "solver.solves"):
+        assert serial[name] == pooled[name] > 0, name
+
+    analysis = VcoImpactAnalysis(technology, options=vco_analysis.options,
+                                 flow_result=flow)
+    iterations = 0
+    for vtune in vtunes:
+        analysis.analyze(vtune, np.asarray(frequencies))
+        iterations += analysis._operating_points[vtune].iterations
+    assert iterations <= 2 * len(vtunes)
+    transfer_solves = len(vtunes) * len(frequencies)
+    assert serial["solver.factorizations"] == transfer_solves
+    assert serial["solver.solves"] == transfer_solves + iterations
 
 
 def test_graph_campaign_reports_extraction_failure_per_corner(

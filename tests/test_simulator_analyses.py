@@ -124,6 +124,42 @@ def test_dc_options_reject_invalid_controls(field, value):
               max_iterations=1, source_steps=1)
 
 
+def _latch(technology) -> Circuit:
+    """Cross-coupled NMOS pair: plain Newton from zero needs 7 iterations."""
+    circuit = Circuit("latch")
+    circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
+    circuit.add_resistor("R1", "vdd", "a", 5e3)
+    circuit.add_resistor("R2", "vdd", "b", 5e3)
+    parameters = technology.mos_parameters("nmos_rf")
+    circuit.add_mosfet("M1", "a", "b", "0", "0", parameters,
+                       width=20e-6, length=0.18e-6)
+    circuit.add_mosfet("M2", "b", "a", "0", "0", parameters,
+                       width=20e-6, length=0.18e-6)
+    return circuit
+
+
+def test_dc_initial_guess_starts_plain_newton_only(technology):
+    cold = dc_operating_point(_latch(technology))
+    warm = dc_operating_point(_latch(technology), initial=cold.vector)
+    assert (warm.strategy, warm.iterations) == ("newton", 1)
+    assert cold.iterations > 1
+    assert np.max(np.abs(warm.vector - cold.vector)) <= 1e-12
+
+    # A guess plain Newton cannot finish from leaves the ladder as it is:
+    # its rungs start from zero, so the result is the guess-free one.
+    options = DcOptions(max_iterations=5, gmin_steps=10)
+    ladder = dc_operating_point(_latch(technology), options)
+    far = np.full(cold.vector.size, 100.0)
+    rescued = dc_operating_point(_latch(technology), options, initial=far)
+    assert ladder.strategy == rescued.strategy == "gmin-stepping"
+    assert rescued.iterations == ladder.iterations
+    assert np.array_equal(rescued.vector, ladder.vector)
+    assert np.array_equal(far, np.full(cold.vector.size, 100.0))
+
+    with pytest.raises(SimulationError, match="initial guess has shape"):
+        dc_operating_point(_latch(technology), initial=cold.vector[:-1])
+
+
 # -- AC ---------------------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """LC-tank VCO model, sensitivities and spur equations."""
 
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +137,18 @@ def test_compute_spurs_validation():
         compute_spurs(_entries(), 3e9, 1.0, 0.1, -1e6)
     with pytest.raises(AnalysisError):
         compute_spurs(_entries(), 3e9, -1.0, 0.1, 1e6)
+
+
+@pytest.mark.parametrize("noise_frequency",
+                         [np.array(2e6), 2_000_000, np.float64(2e6)])
+def test_scalar_spur_stores_a_float_noise_frequency(noise_frequency):
+    """A 0-d array or an int comes back as a float, so the tidy row
+    serialises."""
+    result = compute_spurs(_entries(), 3e9, 1.0, 0.1, noise_frequency)
+    assert type(result.noise_frequency) is float
+    assert result.noise_frequency == 2e6
+    row = json.loads(json.dumps(result.record()))
+    assert row["noise_frequency"] == 2e6
 
 
 def test_fm_spur_follows_equation_2():
