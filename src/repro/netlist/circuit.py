@@ -9,7 +9,7 @@ global ground reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .elements import (
     VoltageSource,
 )
 from .stamping import GROUND
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def _source_value(value: SourceValue | float) -> SourceValue:
@@ -163,21 +160,6 @@ class Circuit:
 
     def elements_at_node(self, node: str) -> list[Element]:
         return [e for e in self.elements.values() if node in e.nodes()]
-
-    def connectivity_graph(self) -> "nx.Graph":
-        """Undirected graph of nodes connected by elements (for sanity checks)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_node(GROUND)
-        for element in self.elements.values():
-            nodes = element.nodes()
-            graph.add_nodes_from(nodes)
-            for a, b in zip(nodes, nodes[1:]):
-                graph.add_edge(a, b, element=element.name)
-            if len(nodes) >= 2:
-                graph.add_edge(nodes[0], nodes[-1], element=element.name)
-        return graph
 
     def floating_nodes(self) -> list[str]:
         """Nodes with no resistive/inductive DC path to ground.

@@ -85,7 +85,6 @@ from .store import (
     CacheCorruptionWarning,
     DiskCacheStats,
     DiskExtractionCache,
-    ExtractionLease,
 )
 
 __all__ = [
@@ -102,7 +101,6 @@ __all__ = [
     "DiskCacheStats",
     "DiskExtractionCache",
     "ExtractionCache",
-    "ExtractionLease",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",

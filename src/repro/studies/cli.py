@@ -144,16 +144,12 @@ class ExecutionSettings:
     task_timeout: float | None = None
     checkpoint_corners: int = 1       #: journal flush cadence; 0 disables
     checkpoint_seconds: float = 30.0
-    lease_stale_seconds: float = 30.0  #: steal extraction leases older than T
     heartbeat_seconds: float | None = None  #: worker liveness bound (pool)
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise AnalysisError(
                 f"[execution] max_workers must be >= 1, got {self.max_workers}")
-        if self.lease_stale_seconds <= 0:
-            raise AnalysisError(
-                "[execution] lease_stale_seconds must be positive")
         if self.heartbeat_seconds is not None and self.heartbeat_seconds <= 0:
             raise AnalysisError(
                 "[execution] heartbeat_seconds must be positive")
@@ -172,9 +168,7 @@ class ExecutionSettings:
 
     def make_cache(self) -> ExtractionCache:
         if self.cache_dir:
-            return DiskExtractionCache(
-                self.cache_dir,
-                lease_stale_seconds=self.lease_stale_seconds)
+            return DiskExtractionCache(self.cache_dir)
         return ExtractionCache()
 
     def make_checkpoint(self) -> CheckpointPolicy | None:

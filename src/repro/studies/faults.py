@@ -21,9 +21,14 @@ class), which is what lets a plan ride into the worker processes of a
 
 Below the task-level faults sits a second, filesystem-level harness:
 **crash points**.  The store and the journal bracket their critical
-filesystem sequences in :func:`fault_region` tags (``"claimer"``,
-``"publisher"``, ``"journal"``) and call :func:`crashpoint` before each
-primitive operation (``"write"``, ``"fsync"``, ``"rename"``).  Arming a spec
+filesystem sequences in :func:`fault_region` tags and call
+:func:`crashpoint` before each primitive operation (``"write"``,
+``"fsync"``, ``"rename"``).  The ``"claimer"`` region is the extraction
+claim: its holder writes its pid and host into the locked claim file (one
+``write``, no fsync or rename).  The ``"publisher"`` region (a cache entry)
+and the ``"journal"`` region (a journal segment) go through
+:func:`~repro.studies.store.atomic_write` and reach all three operations;
+:data:`CRASH_MATRIX` lists the reachable pairs.  Arming a spec
 — via :func:`arm_crash_points` or the ``REPRO_CRASH_POINTS`` environment
 variable, format ``tag:op:k[,tag:op:k...]`` — makes the process die with
 ``os._exit`` at the *k*-th matching operation, exactly the way ``kill -9``
@@ -210,9 +215,11 @@ CRASH_EXIT_CODE = 137
 #: Operations a crash point can interrupt.
 CRASH_OPS = ("write", "fsync", "rename")
 
-#: Regions the store and journal tag.  Other tags are accepted; these are
-#: the ones the chaos matrix sweeps.
-CRASH_REGIONS = ("claimer", "publisher", "journal")
+#: The (region, op) pairs the store and journal reach: the chaos matrix.
+#: Other tags are accepted when arming.
+CRASH_MATRIX = (("claimer", "write"),
+                *((region, op) for region in ("publisher", "journal")
+                  for op in CRASH_OPS))
 
 # Armed spec: {(tag, op): k} meaning "die at the k-th (tag, op) hit", or
 # None when nothing is armed (the common case — crashpoint() returns after

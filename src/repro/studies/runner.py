@@ -28,8 +28,9 @@ re-extract.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -133,10 +134,13 @@ class ExtractionTask:
     """One cache-missing variant to extract (worker-shippable payload).
 
     When the runner's cache is disk-backed, ``cache_dir``/``key`` ride along
-    so the executing process (worker or not) routes the extraction through
-    the store's lease protocol — N concurrent runners sharing one cache
-    directory then extract each distinct variant exactly once, with the
-    others blocking on the claimer's lease and reusing its published entry.
+    so the executing process (worker or not) extracts under the store's
+    per-key claim lock — N concurrent runners sharing one cache directory
+    then extract each distinct variant exactly once, with the others
+    waiting for the claimer's lock and reusing its published entry.  The
+    claim is taken where the task runs: in a pool worker, or inline on the
+    one-worker path, which starts no pool.  So no claim is ever held across
+    the fork of a pool worker.
 
     ``substrate`` is set on a *follower*: a variant whose substrate inputs
     equal those of another variant of the run (its *leader*).  The flow then
@@ -150,7 +154,6 @@ class ExtractionTask:
     flow_options: FlowOptions
     cache_dir: str | None = None
     key: str = ""
-    lease_stale_seconds: float = 30.0
     substrate: SubstrateExtraction | None = None
 
     def corner_label(self) -> str:
@@ -168,13 +171,25 @@ def _execute_extraction(task: ExtractionTask) -> FlowResult:
 
     if not task.cache_dir or not task.key:
         return extract()
-    # Lease-claimed path: exactly-once across every process sharing the
-    # cache directory (local import keeps the worker payload import-light).
+    # Claimed path: exactly-once across every process sharing the cache
+    # directory (local import keeps the worker payload import-light).
     from .store import DiskExtractionCache
 
-    store = DiskExtractionCache(task.cache_dir,
-                                lease_stale_seconds=task.lease_stale_seconds)
-    return store.extract_with_claim(task.key, extract)
+    return DiskExtractionCache(task.cache_dir).extract_with_claim(task.key,
+                                                                  extract)
+
+
+def _corner(record: PointRecord) -> tuple[int, float, float]:
+    """The (variant, injected power, V_tune) corner a point belongs to."""
+    return (record.variant_index, record.injected_power_dbm, record.vtune)
+
+
+def _full_corners(records: Iterable[PointRecord], n_frequencies: int,
+                  ) -> frozenset[tuple[int, float, float]]:
+    """Corners with a record for every one of the ``n_frequencies``."""
+    counts = Counter(_corner(record) for record in records)
+    return frozenset(corner for corner, count in counts.items()
+                     if count >= n_frequencies)
 
 
 @dataclass
@@ -374,9 +389,7 @@ class SweepRunner:
                     technology=self.technology,
                     flow_options=variant.flow_options,
                     cache_dir=str(cache_dir) if cache_dir else None,
-                    key=key,
-                    lease_stale_seconds=getattr(
-                        self.cache, "lease_stale_seconds", 30.0))
+                    key=key)
         if not plan.pending:
             return plan
         # Hits first, so a miss follows a flow already in hand when it can.
@@ -458,13 +471,7 @@ class SweepRunner:
                 f"cannot resume campaign {campaign.name!r} from a result of "
                 f"campaign {resume_from.campaign_name!r}: the stored "
                 "fingerprint does not match this campaign's axes/spec/options")
-        counts: dict[tuple[int, float, float], int] = {}
-        for record in resume_from.records:
-            corner = (record.variant_index, record.injected_power_dbm,
-                      record.vtune)
-            counts[corner] = counts.get(corner, 0) + 1
-        return frozenset(corner for corner, count in counts.items()
-                         if count >= n_frequencies)
+        return _full_corners(resume_from.records, n_frequencies)
 
     @staticmethod
     def _carried_variant(variant: LayoutVariant,
@@ -552,10 +559,8 @@ class SweepRunner:
 
         prior_records: list[PointRecord] = []
         if resume_from is not None:
-            prior_records.extend(
-                record for record in resume_from.records
-                if (record.variant_index, record.injected_power_dbm,
-                    record.vtune) in done)
+            prior_records.extend(record for record in resume_from.records
+                                 if _corner(record) in done)
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
@@ -565,18 +570,10 @@ class SweepRunner:
             seen_points = {record.point_index for record in prior_records}
             recovered = [record for record in recovered
                          if record.point_index not in seen_points]
-            counts: dict[tuple[int, float, float], int] = {}
-            for record in recovered:
-                corner = (record.variant_index, record.injected_power_dbm,
-                          record.vtune)
-                counts[corner] = counts.get(corner, 0) + 1
-            journaled = frozenset(corner for corner, count in counts.items()
-                                  if count >= len(frequencies))
+            journaled = _full_corners(recovered, len(frequencies))
             done |= journaled
-            prior_records.extend(
-                record for record in recovered
-                if (record.variant_index, record.injected_power_dbm,
-                    record.vtune) in journaled)
+            prior_records.extend(record for record in recovered
+                                 if _corner(record) in journaled)
             journal = CampaignJournal(checkpoint.path,
                                       campaign_name=campaign.name,
                                       fingerprint=fingerprint)

@@ -9,9 +9,9 @@ campaigns warm-start *across processes and CI runs*.  The layout is
 .. code-block:: text
 
     <cache_dir>/
+        .lock                                maintenance lock (prune, clear)
         objects/<key[:2]>/<key>.flow.pkl     one envelope per extraction
         leases/<key[:2]>/<key>.lease         in-progress extraction claims
-        leases/<key[:2]>/<key>.gen           monotonic fencing generation
         quarantine/                          corrupt entries moved aside
 
 where ``key`` is the stable SHA-256 content hash of (layout cell, mesh spec,
@@ -40,36 +40,38 @@ Robustness properties:
   ``stats.corrupted`` and ``stats.quarantined``); a corrupt cache can never
   fail a campaign.  ``verify()`` (CLI: ``repro-campaign cache verify``)
   audits every entry offline;
-* **lease-based claiming** — ``claim``/``publish``/``release`` (used
-  together via :meth:`DiskExtractionCache.extract_with_claim`) let N
-  crash-prone processes share one directory and still extract each variant
-  exactly once: ``O_CREAT | O_EXCL`` lease files carry the holder's
-  pid/host/nonce and a monotonic fencing generation, the holder refreshes
-  the lease mtime from a keepalive thread, waiters poll for the published
-  entry, stale leases (dead holders) are stolen with a generation bump, and
-  a revived zombie's late ``publish`` is rejected because its nonce no
-  longer matches the lease on disk;
+* **kernel-lock claiming** — :meth:`DiskExtractionCache.extract_with_claim`
+  lets N crash-prone processes share one directory and still extract each
+  variant exactly once.  The extracting process holds an exclusive
+  ``fcntl.flock`` on the key's ``.lease`` file; the others poll for the
+  lock, then find the published entry and reuse it.  The kernel drops a
+  dead holder's lock the instant it dies, so there is no staleness bound,
+  heartbeat or fencing token: a process that holds the lock is alive.  The
+  same lock on ``<cache_dir>/.lock`` serialises ``prune`` and ``clear``.
+  ``flock`` locks belong to the open file description, which ``fork``
+  shares, so the campaign parent never holds a claim while a worker pool
+  forks: pool workers claim in the worker, and the only inline extraction
+  is the one-worker path, which starts no pool;
 * **counters** — ``stats`` extends the in-memory cache's hit/miss counters
-  with eviction, corruption, quarantine and lease counts, so tests and CI
+  with eviction, corruption, quarantine and claim counts, so tests and CI
   can assert warm-start *and* exactly-once behaviour.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
 import hashlib
 import itertools
-import json
+import math
 import os
 import pickle
 import socket
 import tempfile
-import threading
 import time
-import uuid
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -90,13 +92,8 @@ DISK_FORMAT_VERSION = 2
 #: Suffix of entry files under ``objects/``.
 ENTRY_SUFFIX = ".flow.pkl"
 
-#: Suffix of lease files under ``leases/``.
+#: Suffix of the claim lock files under ``leases/``.
 LEASE_SUFFIX = ".lease"
-
-#: A lease whose mtime is older than this is presumed orphaned by a dead or
-#: wedged holder and may be stolen (the holder's keepalive thread refreshes
-#: the mtime far more often than this while it is alive).
-DEFAULT_LEASE_STALE_SECONDS = 30.0
 
 #: Source trees (relative to the ``repro`` package) whose code determines the
 #: extraction output.  Their contents are hashed into every entry envelope, so
@@ -118,7 +115,7 @@ _EXTRACTION_SOURCES = (
     "technology",
 )
 
-# Per-process uniquifier for tombstone / quarantine file names.
+# Per-process uniquifier for quarantine file names.
 _unique = itertools.count()
 
 
@@ -221,8 +218,7 @@ def _envelope_digest(format_version, key, code, payload: bytes) -> str:
 
 
 def build_envelope(key: str, flow, code: str | None = None,
-                   format_version: int | None = None,
-                   generation: int | None = None) -> dict:
+                   format_version: int | None = None) -> dict:
     """Assemble a checksummed on-disk entry envelope for ``flow``.
 
     ``code``/``format_version`` override the current fingerprints — that is
@@ -233,7 +229,7 @@ def build_envelope(key: str, flow, code: str | None = None,
     format_version = (format_version if format_version is not None
                       else DISK_FORMAT_VERSION)
     payload = pickle.dumps(flow, protocol=pickle.HIGHEST_PROTOCOL)
-    envelope = {
+    return {
         "format": format_version,
         "key": key,
         "code": code,
@@ -242,9 +238,6 @@ def build_envelope(key: str, flow, code: str | None = None,
         "host": socket.gethostname(),
         "pid": os.getpid(),
     }
-    if generation is not None:
-        envelope["generation"] = generation
-    return envelope
 
 
 @dataclass
@@ -254,15 +247,12 @@ class DiskCacheStats(CacheStats):
     evictions: int = 0  #: entries removed by pruning or version mismatch
     corrupted: int = 0  #: unreadable entries discarded (then re-extracted)
     quarantined: int = 0  #: corrupt entries moved to ``quarantine/``
-    leases_claimed: int = 0  #: extraction leases this process won
-    leases_stolen: int = 0  #: stale leases of dead holders this process stole
-    lease_waits: int = 0  #: extractions reused by waiting on another's lease
-    publishes: int = 0  #: lease-fenced publishes accepted
-    publishes_rejected: int = 0  #: zombie publishes fenced off (stolen lease)
+    leases_claimed: int = 0  #: extraction claims this process won
+    lease_waits: int = 0  #: claims that found another's entry published
+    publishes: int = 0  #: entries this process extracted and published
 
     _DISK_COUNTERS = ("evictions", "corrupted", "quarantined",
-                      "leases_claimed", "leases_stolen", "lease_waits",
-                      "publishes", "publishes_rejected")
+                      "leases_claimed", "lease_waits", "publishes")
 
     def reset(self) -> None:
         super().reset()
@@ -274,153 +264,68 @@ class CacheCorruptionWarning(UserWarning):
     """A cache entry could not be read and was quarantined."""
 
 
-def _read_sentinel(path: Path) -> dict | None:
-    """Best-effort read of a JSON sentinel (lease / lock) file.
-
-    Returns ``None`` for a missing, empty or torn file — callers treat that
-    as "holder state unknown" and fall back to mtime-based staleness.
-    """
+def _lock_holder(path: Path) -> str:
+    """Who holds the lock file at ``path``, as its holder recorded it."""
     try:
-        text = path.read_text()
+        holder = path.read_text().strip()
     except OSError:
-        return None
-    try:
-        info = json.loads(text)
-    except ValueError:
-        return None
-    return info if isinstance(info, dict) else None
+        holder = ""
+    return holder or "a process that has not recorded itself yet"
 
 
-def _sentinel_age(path: Path) -> float | None:
-    """Seconds since the sentinel's last heartbeat (mtime); None if gone."""
-    try:
-        return time.time() - path.stat().st_mtime
-    except OSError:
-        return None
+@contextlib.contextmanager
+def _exclusive_lock(path: Path, what: str, timeout: float | None = None,
+                    poll: float = 0.05):
+    """Hold an exclusive ``flock`` on ``path`` for the body, then remove it.
 
+    The one lock of the store: the per-key extraction claim and the
+    cache-wide maintenance lock.  Waiters poll ``LOCK_NB`` every ``poll``
+    seconds; past ``timeout`` (``None`` waits for ever) they raise an
+    :class:`AnalysisError` that names ``what`` and its holder.  The kernel
+    drops the lock of a holder that dies, so a lock file left behind by a
+    crash is simply locked again by the next process.
 
-def _steal_sentinel(path: Path, stale_seconds: float) -> bool:
-    """Atomically remove ``path`` iff it is genuinely stale.
+    On exit the holder unlinks the file and only then closes it.  A waiter
+    that opened the file before the unlink may win the lock on the
+    now-unlinked inode, so after every win the descriptor's inode is
+    compared with the one at ``path``; on a mismatch the waiter retries on
+    the current file.  The holder records ``pid <pid> on <host>`` in the
+    file (no fsync: the record is for error messages only).
 
-    The naive steal — ``unlink()`` after observing a stale mtime — has a
-    window: between the staleness check and the unlink another process can
-    steal the sentinel *and recreate a fresh one*, which the unlink then
-    destroys.  Stealing by ``os.replace`` to a uniquely-named tombstone is
-    atomic (exactly one stealer wins; losers get ``FileNotFoundError``), and
-    re-checking the tombstone's mtime *after* the rename closes the race:
-    a fresh sentinel grabbed by mistake is re-linked back into place
-    (without clobbering any newer claimant) instead of deleted.
-
-    Returns ``True`` iff a stale sentinel was removed and the caller may
-    race to create its own.
+    ``flock`` locks belong to the open file description, and a forked child
+    shares it: never hold this lock across a ``fork``.
     """
-    tombstone = path.parent / (
-        f"{path.name}.steal-{os.getpid()}-{next(_unique)}")
-    crashpoint("rename")
-    try:
-        os.replace(path, tombstone)
-    except FileNotFoundError:
-        return False  # another stealer (or the releasing holder) beat us
-    age = _sentinel_age(tombstone)
-    if age is not None and age > stale_seconds:
-        tombstone.unlink(missing_ok=True)
-        return True
-    # We renamed a *fresh* sentinel out from under a live holder (our
-    # staleness check raced another steal + recreate).  Put it back without
-    # clobbering anything created in the meantime.
-    try:
-        os.link(tombstone, path)
-    except OSError:
-        pass  # a newer claimant already recreated the path: leave theirs
-    tombstone.unlink(missing_ok=True)
-    return False
-
-
-def _release_sentinel(path: Path, nonce: str) -> bool:
-    """Remove ``path`` iff its content still carries ``nonce`` (atomic).
-
-    The same tombstone technique as :func:`_steal_sentinel`: rename first,
-    then inspect, so a releaser can never unlink a successor's fresh
-    sentinel after its own was stolen.
-    """
-    tombstone = path.parent / (
-        f"{path.name}.release-{os.getpid()}-{next(_unique)}")
-    try:
-        os.replace(path, tombstone)
-    except FileNotFoundError:
-        return False  # stolen and released already
-    info = _read_sentinel(tombstone)
-    if info is not None and info.get("nonce") == nonce:
-        tombstone.unlink(missing_ok=True)
-        return True
-    # Not ours (stolen while we raced): restore the rightful holder's file.
-    try:
-        os.link(tombstone, path)
-    except OSError:
-        pass
-    tombstone.unlink(missing_ok=True)
-    return False
-
-
-@dataclass
-class ExtractionLease:
-    """A claimed, fenced right to extract one cache key.
-
-    Obtained from :meth:`DiskExtractionCache.claim`; prove liveness with
-    :meth:`refresh` (or the :meth:`keepalive` context manager, which runs a
-    daemon thread), hand the result to :meth:`DiskExtractionCache.publish`,
-    and always :meth:`release`.  ``generation`` is the monotonic fencing
-    token: every successful claim of a key bumps it, so a publish guarded by
-    a stolen (older-generation) lease is rejected.
-    """
-
-    key: str
-    path: Path
-    nonce: str
-    generation: int
-    stale_seconds: float = DEFAULT_LEASE_STALE_SECONDS
-    _stop: threading.Event = field(default_factory=threading.Event,
-                                   repr=False, compare=False)
-
-    def is_current(self) -> bool:
-        """Whether the lease file on disk is still ours (nonce match)."""
-        info = _read_sentinel(self.path)
-        return info is not None and info.get("nonce") == self.nonce
-
-    def refresh(self) -> bool:
-        """Heartbeat: bump the lease mtime iff the lease is still ours."""
-        if not self.is_current():
-            return False
+    path.parent.mkdir(parents=True, exist_ok=True)
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        descriptor = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            os.utime(self.path)
-        except OSError:
-            return False
-        return True
-
-    @contextlib.contextmanager
-    def keepalive(self):
-        """Refresh the lease from a daemon thread while the body runs."""
-        interval = max(0.05, self.stale_seconds / 4.0)
-        self._stop.clear()
-
-        def beat() -> None:
-            while not self._stop.wait(interval):
-                if not self.refresh():
-                    return  # stolen: stop heartbeating a stranger's lease
-
-        thread = threading.Thread(target=beat, daemon=True,
-                                  name=f"lease-keepalive-{self.key[:8]}")
-        thread.start()
+            fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(descriptor)
+            if deadline is not None and time.monotonic() > deadline:
+                raise AnalysisError(
+                    f"{what} is locked by {_lock_holder(path)}; timed out "
+                    f"after {timeout:.1f}s waiting for another process to "
+                    "release it") from None
+            time.sleep(poll)
+            continue
         try:
-            yield self
-        finally:
-            self._stop.set()
-            thread.join(timeout=2.0)
-
-    def release(self) -> bool:
-        """Remove the lease iff still ours; idempotent and steal-safe."""
-        self._stop.set()
-        return _release_sentinel(self.path, self.nonce)
+            if os.path.samestat(os.fstat(descriptor), os.stat(path)):
+                break
+        except FileNotFoundError:
+            pass
+        os.close(descriptor)  # released and unlinked under us: retry
+    try:
+        with fault_region("claimer"):
+            os.ftruncate(descriptor, 0)
+            crashpoint("write")
+            os.write(descriptor,
+                     f"pid {os.getpid()} on {socket.gethostname()}".encode())
+        yield
+    finally:
+        path.unlink(missing_ok=True)
+        os.close(descriptor)
 
 
 class DiskExtractionCache(ExtractionCache):
@@ -438,7 +343,6 @@ class DiskExtractionCache(ExtractionCache):
         self,
         cache_dir: str | os.PathLike[str],
         extractor: Callable[..., FlowResult] = run_extraction_flow,
-        lease_stale_seconds: float = DEFAULT_LEASE_STALE_SECONDS,
     ):
         super().__init__(extractor)
         self.stats = DiskCacheStats()
@@ -446,7 +350,6 @@ class DiskExtractionCache(ExtractionCache):
         self.objects_dir = self.cache_dir / "objects"
         self.leases_dir = self.cache_dir / "leases"
         self.quarantine_dir = self.cache_dir / "quarantine"
-        self.lease_stale_seconds = float(lease_stale_seconds)
         self.objects_dir.mkdir(parents=True, exist_ok=True)
 
     # -- paths ---------------------------------------------------------------
@@ -456,11 +359,8 @@ class DiskExtractionCache(ExtractionCache):
         return self.objects_dir / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     def lease_path(self, key: str) -> Path:
-        """On-disk location of the extraction lease for ``key``."""
+        """On-disk location of the extraction claim lock for ``key``."""
         return self.leases_dir / key[:2] / f"{key}{LEASE_SUFFIX}"
-
-    def _generation_path(self, key: str) -> Path:
-        return self.leases_dir / key[:2] / f"{key}.gen"
 
     def _entry_files(self) -> list[Path]:
         # Orphaned ".tmp-*" files from a killed write are not entries.
@@ -596,232 +496,86 @@ class DiskExtractionCache(ExtractionCache):
 
     # -- writes --------------------------------------------------------------
 
-    def store(self, key: str, flow: FlowResult,
-              generation: int | None = None) -> None:
+    def store(self, key: str, flow: FlowResult) -> None:
         """Write-through install: memoise and atomically persist the entry.
 
         Keys are content-addressed, so an entry file that already exists
         holds the same payload — re-seeding a warm layout skips the pickle
         and rewrite entirely (a stale-code entry left behind by this
         shortcut is still caught and evicted by the next disk read).
-        ``generation`` records the publishing lease's fencing token in the
-        envelope (observability only; not part of validation).
         """
         self._entries[key] = flow
         path = self.entry_path(key)
         if path.exists():
             self._touch(key)
             return
-        envelope = build_envelope(key, flow, generation=generation)
+        envelope = build_envelope(key, flow)
         with trace_span("cache.disk_write"), fault_region("publisher"):
             atomic_write(path, lambda handle: pickle.dump(
                 envelope, handle, protocol=pickle.HIGHEST_PROTOCOL))
 
-    # -- lease-based claiming ------------------------------------------------
+    # -- claiming and maintenance -------------------------------------------
 
-    def claim(self, key: str) -> ExtractionLease | None:
-        """Try to win the exclusive right to extract ``key``.
-
-        Returns a fenced :class:`ExtractionLease` on success, or ``None``
-        while another *live* holder's lease exists (callers wait and reuse
-        the published entry — see :meth:`extract_with_claim`).  A stale
-        lease (dead or wedged holder) is stolen on the way: the steal bumps
-        the key's fencing generation, so the previous holder — even one that
-        revives later — can no longer publish.
-        """
-        path = self.lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with fault_region("claimer"):
-            while True:
-                try:
-                    descriptor = os.open(
-                        path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    age = _sentinel_age(path)
-                    if age is None:
-                        continue  # holder just released: race for it again
-                    if age <= self.lease_stale_seconds:
-                        return None  # live holder: wait, don't duplicate
-                    if _steal_sentinel(path, self.lease_stale_seconds):
-                        self.stats.leases_stolen += 1
-                        logger.warning(
-                            "stole stale extraction lease: key=%s age=%.1fs",
-                            key[:12], age)
-                    continue
-                # Lease file won.  Fence it: bump the persistent generation
-                # (only ever written by the current holder, so it is
-                # monotonic across lease lineages), then record our identity.
-                nonce = uuid.uuid4().hex
-                try:
-                    generation = self._bump_generation(key)
-                    token = json.dumps({
-                        "key": key,
-                        "pid": os.getpid(),
-                        "host": socket.gethostname(),
-                        "nonce": nonce,
-                        "generation": generation,
-                        "code": extraction_code_fingerprint(),
-                        "created": time.time(),
-                    }).encode()
-                    crashpoint("write")
-                    os.write(descriptor, token)
-                    if _fsync_enabled():
-                        crashpoint("fsync")
-                        os.fsync(descriptor)
-                finally:
-                    os.close(descriptor)
-                self.stats.leases_claimed += 1
-                return ExtractionLease(
-                    key=key, path=path, nonce=nonce, generation=generation,
-                    stale_seconds=self.lease_stale_seconds)
-
-    def _bump_generation(self, key: str) -> int:
-        """Advance the key's fencing generation (holder-only, durable)."""
-        path = self._generation_path(key)
-        try:
-            current = int(path.read_text())
-        except (OSError, ValueError):
-            current = 0
-        generation = current + 1
-        atomic_write(path, lambda handle: handle.write(str(generation)),
-                     binary=False)
-        return generation
-
-    def publish(self, lease: ExtractionLease, flow: FlowResult) -> bool:
-        """Install an extracted flow under the lease's fencing guard.
-
-        Returns ``False`` — without writing — when the lease was stolen
-        (this process stalled past the stale bound and a newer-generation
-        holder took over): the classic revived-zombie write is fenced off.
-        The flow is still memoised in-process (content addressing makes it
-        numerically identical to whatever the new holder publishes).
-        """
-        if not lease.is_current():
-            self.stats.publishes_rejected += 1
-            logger.warning(
-                "rejected zombie publish: key=%s generation=%d "
-                "(lease stolen by a newer holder)",
-                lease.key[:12], lease.generation)
-            self._entries[lease.key] = flow
-            return False
-        self.store(lease.key, flow, generation=lease.generation)
-        self.stats.publishes += 1
-        return True
-
-    def release(self, lease: ExtractionLease) -> bool:
-        """Release a lease (idempotent; safe after a steal)."""
-        return lease.release()
+    def _published(self, key: str) -> FlowResult | None:
+        """The published entry for ``key`` (counted lookup), if readable."""
+        if key in self._entries or self.entry_path(key).exists():
+            return self.lookup(key)
+        return None
 
     def extract_with_claim(
         self,
         key: str,
         extract: Callable[[], FlowResult],
         wait_timeout: float | None = None,
-        poll_seconds: float | None = None,
+        poll_seconds: float = 0.05,
     ) -> FlowResult:
         """Exactly-once extraction across processes sharing this directory.
 
-        The full claim protocol in one call: reuse a published entry if one
-        exists; otherwise claim the key and extract under a keepalive
-        heartbeat, publish, release; or — when another live process holds
-        the claim — block, polling until its entry appears (then reuse it)
-        or its lease goes stale or vanishes unpublished (then race to take
-        over).  ``wait_timeout`` bounds the *total* time spent waiting on
-        other holders (``AnalysisError`` past it); extraction time under our
-        own claim is never bounded here.
+        Reuse a published entry if one exists.  Otherwise take the key's
+        claim lock (:func:`_exclusive_lock`), waiting while another process
+        holds it, and look again: a holder that finished publishes before it
+        releases, so a waiter reuses its entry.  Only a claimant that still
+        finds nothing (or a corrupt entry, now quarantined) extracts,
+        publishes through :func:`atomic_write` and releases.  A holder that
+        dies releases the claim with its process, unpublished, and the next
+        claimant extracts.  ``wait_timeout`` bounds the time spent waiting
+        on other holders (``AnalysisError`` naming the holder past it);
+        extraction time under our own claim is never bounded here.
         """
-        poll = poll_seconds if poll_seconds is not None else max(
-            0.05, min(0.5, self.lease_stale_seconds / 4.0))
-        deadline = (time.monotonic() + wait_timeout
-                    if wait_timeout is not None else None)
-        while True:
-            if key in self._entries or self.entry_path(key).exists():
-                flow = self.lookup(key)
-                if flow is not None:
-                    return flow
-                # Entry was corrupt (now quarantined): fall through, claim,
-                # and re-extract.
-            lease = self.claim(key)
-            if lease is not None:
-                try:
-                    with trace_span("cache.extract_claimed", key=key[:12]), \
-                            lease.keepalive():
-                        flow = extract()
-                    self.publish(lease, flow)
-                finally:
-                    lease.release()
+        flow = self._published(key)
+        if flow is not None:
+            return flow
+        with _exclusive_lock(
+                self.lease_path(key),
+                f"extraction claim on cache key {key[:12]}…",
+                timeout=wait_timeout, poll=poll_seconds):
+            flow = self._published(key)
+            if flow is not None:
+                self.stats.lease_waits += 1
                 return flow
-            # Someone else is extracting this key right now: wait for their
-            # publish instead of duplicating the work.
-            self.stats.lease_waits += 1
-            lease_path = self.lease_path(key)
-            while True:
-                if self.entry_path(key).exists():
-                    break  # published: reuse it
-                age = _sentinel_age(lease_path)
-                if age is None or age > self.lease_stale_seconds:
-                    break  # released unpublished or gone stale: take over
-                if deadline is not None and time.monotonic() > deadline:
-                    raise AnalysisError(
-                        f"timed out after {wait_timeout:.0f}s waiting for "
-                        f"another process to extract cache key {key[:12]}… "
-                        f"(lease {lease_path} still fresh); raise "
-                        "wait_timeout or investigate the holder")
-                time.sleep(poll)
+            self.stats.leases_claimed += 1
+            with trace_span("cache.extract_claimed", key=key[:12]):
+                flow = extract()
+            self.store(key, flow)
+            self.stats.publishes += 1
+        return flow
 
-    # -- maintenance ---------------------------------------------------------
-
-    #: A maintenance lock older than this is presumed orphaned by a killed
-    #: process and is stolen rather than waited on forever.
-    _LOCK_STALE_SECONDS = 60.0
-
-    @contextlib.contextmanager
     def maintenance_lock(self, timeout: float = 10.0):
-        """Advisory ``.lock`` sentinel serialising destructive maintenance.
+        """Exclusive lock on ``<cache_dir>/.lock`` for destructive maintenance.
 
         ``prune`` and ``clear`` of *concurrent processes sharing one cache
-        directory* acquire this before deleting entries, so two overlapping
+        directory* take it before deleting entries, so two overlapping
         prunes cannot double-count evictions or race each other's directory
         scans.  It is advisory only: readers and writers (``lookup`` /
         ``store``) never take it — their atomic per-entry files already make
-        them safe against a concurrent prune.  A lock left behind by a
-        killed process goes stale after an age bound and is stolen via an
-        atomic rename-to-tombstone (:func:`_steal_sentinel`), so a stealer
-        can never delete the *fresh* lock a faster stealer just created;
-        release uses the same discipline (:func:`_release_sentinel`), so a
-        holder whose lock was stolen cannot delete its successor's.
+        them safe against a concurrent prune.  It is the same kernel lock as
+        the extraction claim (:func:`_exclusive_lock`), so a killed holder
+        releases it at once.
         """
-        lock = self.cache_dir / ".lock"
-        nonce = uuid.uuid4().hex
-        token = json.dumps({"pid": os.getpid(),
-                            "host": socket.gethostname(),
-                            "nonce": nonce}).encode()
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                descriptor = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(descriptor, token)
-                os.close(descriptor)
-                break
-            except FileExistsError:
-                age = _sentinel_age(lock)
-                if age is None:
-                    continue  # holder just released it: retry at once
-                if age > self._LOCK_STALE_SECONDS:
-                    _steal_sentinel(lock, self._LOCK_STALE_SECONDS)
-                    continue
-                if time.monotonic() > deadline:
-                    raise AnalysisError(
-                        f"extraction cache {self.cache_dir} is locked by "
-                        "another maintenance operation (.lock held "
-                        f"{age:.0f}s); retry later or remove the lock "
-                        "file if its owner is gone"
-                    ) from None
-                time.sleep(0.05)
-        try:
-            yield
-        finally:
-            _release_sentinel(lock, nonce)
+        return _exclusive_lock(
+            self.cache_dir / ".lock",
+            f"extraction cache {self.cache_dir} (maintenance)",
+            timeout=timeout)
 
     def clear(self) -> None:
         """Remove every entry (memory and disk) and reset the counters."""
@@ -840,9 +594,19 @@ class DiskExtractionCache(ExtractionCache):
 
         ``max_entries`` keeps only the most recently touched entries;
         ``max_age_seconds`` drops entries older than the given age.  Both
-        criteria may be combined; with neither, nothing is removed.  The
+        criteria may be combined; with neither, nothing is removed.  A
+        negative ``max_entries`` or a negative or non-finite
+        ``max_age_seconds`` raises :class:`AnalysisError`.  The
         scan-and-delete runs under :meth:`maintenance_lock`.
         """
+        if max_entries is not None and max_entries < 0:
+            raise AnalysisError(
+                f"cache prune needs max_entries >= 0, got {max_entries}")
+        if max_age_seconds is not None and not (
+                math.isfinite(max_age_seconds) and max_age_seconds >= 0):
+            raise AnalysisError(
+                "cache prune needs a finite max age >= 0, got "
+                f"{max_age_seconds} s")
         with self.maintenance_lock():
             return self._prune_locked(max_entries, max_age_seconds)
 
@@ -861,7 +625,7 @@ class DiskExtractionCache(ExtractionCache):
             cutoff = time.time() - max_age_seconds
             doomed = [entry for entry in stamped if entry[0] < cutoff]
             stamped = [entry for entry in stamped if entry[0] >= cutoff]
-        if max_entries is not None and max_entries >= 0:
+        if max_entries is not None:
             doomed.extend(stamped[max_entries:])
         freed = 0
         for _mtime, size, path in doomed:

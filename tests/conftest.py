@@ -8,6 +8,11 @@ calibrated default resolution to regenerate the paper's figures.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,48 @@ def _run_in_task_order(scheduler, fn, tasks, **kwargs):
 def run_tasks():
     """Run ``fn`` over a flat task list on a scheduler (see above)."""
     return _run_in_task_order
+
+
+_DEAD_HOLDER = """
+import os, sys
+from repro.studies import DiskExtractionCache
+
+cache_dir, which = sys.argv[1:3]
+cache = DiskExtractionCache(cache_dir)
+
+def die():
+    # Killed while holding the lock: no cleanup of any kind runs.
+    open(os.path.join(cache_dir, "died-holding-it"), "w").close()
+    os._exit(137)
+
+if which == "claim":
+    cache.extract_with_claim("ab" + "0" * 62, die)
+else:
+    with cache.maintenance_lock():
+        die()
+"""
+
+
+def _die_holding(cache_dir: Path, which: str) -> None:
+    """Run a child that takes a store lock and dies with ``os._exit``.
+
+    ``which`` is ``"claim"`` (the extraction claim of the key ``"ab" +
+    "0" * 62``) or ``"maintenance"`` (the cache-wide maintenance lock).
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_CRASH_POINTS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_HOLDER, str(cache_dir), which],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 137, proc.stderr
+    assert (Path(cache_dir) / "died-holding-it").exists()
+
+
+@pytest.fixture(scope="session")
+def die_holding():
+    """Kill a child process while it holds a store lock (see above)."""
+    return _die_holding
 
 
 @pytest.fixture(scope="session")

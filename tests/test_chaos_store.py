@@ -4,32 +4,32 @@ Exercises the concurrent-safety layer of :class:`DiskExtractionCache` the
 way hostile reality would:
 
 * crash points (``REPRO_CRASH_POINTS``) kill a campaign child with
-  ``os._exit`` between two filesystem syscalls — at every ``write`` /
-  ``fsync`` / ``rename`` of the ``claimer`` / ``publisher`` / ``journal``
-  regions — and the cache must come back readable-or-quarantined with a
-  byte-identical resume;
+  ``os._exit`` between two filesystem syscalls — at every reachable
+  (region, op) pair of :data:`~repro.studies.faults.CRASH_MATRIX` — and the
+  cache must come back readable-or-quarantined with a byte-identical
+  resume;
 * four independent ``SweepRunner`` processes share one cache directory and
-  must extract each variant exactly once (the fencing generation file is
-  the global claim counter that proves it);
-* the lease protocol fences zombies: a stolen lease's late publish is
-  rejected, a dead holder's lease is taken over, two threads racing
+  must extract each variant exactly once (one marker file per physical
+  extraction proves it);
+* the kernel claim lock: it excludes while held, a holder killed with
+  ``os._exit`` releases it at once, a waiter whose lock file was removed
+  under it retries on the current file, and two threads racing
   ``extract_with_claim`` run the extractor once;
 * corrupt entries are quarantined (never served, never fatal) and
   ``verify`` / ``repro-campaign cache verify`` audit and repair offline;
-* the tombstone steal/release discipline of sentinel files never deletes a
-  live holder's lock, including from two genuinely concurrent processes.
+* the maintenance lock excludes two genuinely concurrent processes.
 """
 
 from __future__ import annotations
 
-import json
+import fcntl
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import threading
 import time
-import uuid
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -53,20 +53,14 @@ from repro.studies import (
 from repro.studies.cli import main
 from repro.studies.faults import (
     CRASH_EXIT_CODE,
+    CRASH_MATRIX,
     CRASH_OPS,
     CRASH_POINTS_ENV,
-    CRASH_REGIONS,
     current_fault_region,
     parse_crash_points,
 )
-from repro.studies.store import (
-    _release_sentinel,
-    _steal_sentinel,
-    atomic_write,
-    build_envelope,
-)
+from repro.studies.store import _exclusive_lock, build_envelope
 from repro.substrate.extraction import SubstrateExtractionOptions
-from repro.technology import make_technology
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
     nx=12, ny=12, n_z_per_layer=2, lateral_margin=60e-6))
@@ -270,54 +264,52 @@ def test_cli_cache_verify_reports_and_repairs(tmp_path, capsys):
     assert "ok" in clean
 
 
-# -- lease protocol -----------------------------------------------------------
+# -- the kernel claim lock ----------------------------------------------------
 
 
 def test_claim_is_exclusive_until_released(tmp_path):
     cache = DiskExtractionCache(tmp_path / "cache")
-    lease = cache.claim(KEY)
-    assert lease is not None and lease.generation == 1
-    assert lease.is_current()
-    assert DiskExtractionCache(tmp_path / "cache").claim(KEY) is None
-    assert lease.release() is True
-    assert lease.release() is False             # idempotent
-    second = cache.claim(KEY)
-    assert second is not None and second.generation == 2
-    assert cache.stats.leases_claimed == 2
-    second.release()
+    lock = cache.lease_path(KEY)
+    with _exclusive_lock(lock, "claim", timeout=0.0):
+        assert lock.read_text() == (
+            f"pid {os.getpid()} on {socket.gethostname()}")
+        # A second open file description is a second claimant, even in the
+        # same process: it must time out, naming the holder.
+        with pytest.raises(AnalysisError,
+                           match=f"claim is locked by pid {os.getpid()}"):
+            with _exclusive_lock(lock, "claim", timeout=0.1, poll=0.02):
+                pass
+    assert not lock.exists()                     # released and removed
+    with _exclusive_lock(lock, "claim", timeout=0.0):
+        assert lock.exists()
 
 
-def test_stale_lease_is_stolen_and_zombie_publish_fenced(tmp_path):
-    zombie = DiskExtractionCache(tmp_path / "cache", lease_stale_seconds=0.5)
-    taker = DiskExtractionCache(tmp_path / "cache", lease_stale_seconds=0.5)
+def test_claim_retries_when_its_lock_file_is_removed_under_it(
+        tmp_path, monkeypatch):
+    lock = tmp_path / "x.lease"
+    real_flock = fcntl.flock
+    locked = []
 
-    dead = zombie.claim(KEY)
-    assert dead is not None
-    long_ago = time.time() - 60.0
-    os.utime(dead.path, (long_ago, long_ago))   # the holder "died"
+    def flock_after_release(descriptor, operation):
+        # The previous holder unlinks the file between this waiter's open
+        # and its flock: the lock it then wins is on a dead inode.
+        if not locked:
+            lock.unlink()
+        locked.append(os.fstat(descriptor).st_ino)
+        return real_flock(descriptor, operation)
 
-    stolen = taker.claim(KEY)
-    assert stolen is not None
-    assert taker.stats.leases_stolen == 1
-    assert stolen.generation == dead.generation + 1
-    assert not dead.is_current() and not dead.refresh()
-
-    # The revived zombie's publish is rejected without touching the disk...
-    assert zombie.publish(dead, "zombie-flow") is False
-    assert zombie.stats.publishes_rejected == 1
-    assert not zombie.entry_path(KEY).exists()
-    # ... and its release cannot unlink the new holder's lease either.
-    assert dead.release() is False
-    assert stolen.is_current()
-
-    assert taker.publish(stolen, "fenced-flow") is True
-    assert stolen.release() is True
-    assert DiskExtractionCache(tmp_path / "cache").lookup(KEY) == "fenced-flow"
+    lock.write_text("pid 1 on elsewhere")
+    monkeypatch.setattr(fcntl, "flock", flock_after_release)
+    with _exclusive_lock(lock, "claim", timeout=1.0):
+        assert len(locked) == 2                  # retried on a fresh file
+        assert os.stat(lock).st_ino == locked[-1]
+        assert lock.read_text().startswith(f"pid {os.getpid()} ")
+    assert not lock.exists()
 
 
 def test_extract_with_claim_runs_the_extractor_exactly_once(tmp_path):
-    holder = DiskExtractionCache(tmp_path / "cache", lease_stale_seconds=10.0)
-    waiter = DiskExtractionCache(tmp_path / "cache", lease_stale_seconds=10.0)
+    holder = DiskExtractionCache(tmp_path / "cache")
+    waiter = DiskExtractionCache(tmp_path / "cache")
     calls: list[str] = []
     results: dict[str, object] = {}
 
@@ -349,57 +341,42 @@ def test_extract_with_claim_runs_the_extractor_exactly_once(tmp_path):
     assert not holder.lease_path(KEY).exists()   # released
 
 
-def test_extract_with_claim_takes_over_a_dead_holders_key(tmp_path):
-    crashed = DiskExtractionCache(tmp_path / "cache")
-    abandoned = crashed.claim(KEY)
-    assert abandoned is not None
-    long_ago = time.time() - 60.0
-    os.utime(abandoned.path, (long_ago, long_ago))
+def test_extract_with_claim_takes_over_a_dead_holders_key(tmp_path,
+                                                         die_holding):
+    cache_dir = tmp_path / "cache"
+    die_holding(cache_dir, "claim")
+    survivor = DiskExtractionCache(cache_dir)
+    orphan = survivor.lease_path(KEY)
+    assert orphan.exists()                       # the dead holder's lock file
 
-    survivor = DiskExtractionCache(tmp_path / "cache",
-                                   lease_stale_seconds=0.5)
-    flow = survivor.extract_with_claim(KEY, lambda: "recomputed",
-                                       poll_seconds=0.05)
+    calls: list[str] = []
+
+    def extract():
+        calls.append("survivor")
+        return "recomputed"
+
+    started = time.monotonic()
+    flow = survivor.extract_with_claim(KEY, extract, wait_timeout=5.0)
+    assert time.monotonic() - started < 5.0
     assert flow == "recomputed"
-    assert survivor.stats.leases_stolen == 1
+    assert calls == ["survivor"]                 # exactly once
     assert survivor.stats.leases_claimed == 1
-    assert crashed.publish(abandoned, "zombie") is False
+    assert not orphan.exists()
+    assert DiskExtractionCache(cache_dir).lookup(KEY) == "recomputed"
 
 
 def test_extract_with_claim_times_out_on_a_live_holder(tmp_path):
     holder = DiskExtractionCache(tmp_path / "cache")
-    lease = holder.claim(KEY)
-    assert lease is not None
     waiter = DiskExtractionCache(tmp_path / "cache")
-    with pytest.raises(AnalysisError, match="waiting for another process"):
-        waiter.extract_with_claim(KEY, lambda: "never", wait_timeout=0.3,
-                                  poll_seconds=0.05)
-    lease.release()
+    with _exclusive_lock(holder.lease_path(KEY), "claim"):
+        with pytest.raises(AnalysisError,
+                           match=f"pid {os.getpid()}.*waiting for another "
+                                 "process"):
+            waiter.extract_with_claim(KEY, lambda: "never", wait_timeout=0.3,
+                                      poll_seconds=0.05)
 
 
-# -- sentinel steal/release discipline (maintenance lock included) ------------
-
-
-def test_steal_sentinel_refuses_a_fresh_sentinel(tmp_path):
-    sentinel = tmp_path / "x.lease"
-    sentinel.write_text("{}")
-    assert _steal_sentinel(sentinel, stale_seconds=60.0) is False
-    assert sentinel.exists()                     # put back, not destroyed
-    long_ago = time.time() - 120.0
-    os.utime(sentinel, (long_ago, long_ago))
-    assert _steal_sentinel(sentinel, stale_seconds=60.0) is True
-    assert not sentinel.exists()
-    assert _steal_sentinel(sentinel, stale_seconds=60.0) is False  # gone
-
-
-def test_release_sentinel_only_removes_its_own(tmp_path):
-    sentinel = tmp_path / "x.lock"
-    sentinel.write_text(json.dumps({"nonce": "theirs"}))
-    assert _release_sentinel(sentinel, "mine") is False
-    assert sentinel.exists()                     # a stranger's lock survives
-    assert _release_sentinel(sentinel, "theirs") is True
-    assert not sentinel.exists()
-    assert _release_sentinel(sentinel, "theirs") is False
+# -- maintenance lock across processes ----------------------------------------
 
 
 def _hammer_maintenance_lock(cache_dir: str) -> int:
@@ -488,12 +465,8 @@ def test_four_runner_processes_share_one_cache_exactly_once(
         _, stderr = child.communicate(timeout=600)
         assert child.returncode == 0, stderr
 
-    # Exactly one physical extraction across the four processes...
+    # Exactly one physical extraction across the four processes.
     assert len(list(marker_dir.iterdir())) == 1
-    # ... proven independently by the fencing generation: one claim lineage.
-    generations = list((cache_dir / "leases").glob("*/*.gen"))
-    assert len(generations) == 1
-    assert generations[0].read_text() == "1"
     # Every runner's merged result is bit-identical to the serial reference.
     for index in range(4):
         child_npz = tmp_path / f"out-{index}.npz"
@@ -518,8 +491,8 @@ raise SystemExit("unreachable: the armed crash point must kill the process")
 """
 
 
-@pytest.mark.parametrize("tag", CRASH_REGIONS)
-@pytest.mark.parametrize("op", CRASH_OPS)
+@pytest.mark.parametrize(("tag", "op"), CRASH_MATRIX,
+                         ids=[f"{op}-{tag}" for tag, op in CRASH_MATRIX])
 def test_crash_matrix_cache_never_torn_and_resume_bit_identical(
         technology, chaos_campaign, chaos_reference, tmp_path, tag, op):
     _, reference_npz = chaos_reference
@@ -540,12 +513,10 @@ def test_crash_matrix_cache_never_torn_and_resume_bit_identical(
     audit = DiskExtractionCache(cache_dir).verify()
     assert audit["corrupt"] == []
 
-    # Invariant 2: resume completes despite leftover leases of the dead
-    # holder (stolen after the stale bound) and reproduces the healthy
-    # result byte for byte.
-    resumer = SweepRunner(
-        technology,
-        cache=DiskExtractionCache(cache_dir, lease_stale_seconds=0.5))
+    # Invariant 2: resume completes despite a claim file left by the dead
+    # holder (whose lock died with it) and reproduces the healthy result
+    # byte for byte.
+    resumer = SweepRunner(technology, cache=DiskExtractionCache(cache_dir))
     resumed = resumer.run(
         chaos_campaign,
         checkpoint=CheckpointPolicy(path=journal_dir, every_corners=1))
@@ -553,11 +524,6 @@ def test_crash_matrix_cache_never_torn_and_resume_bit_identical(
     resumed_npz, _ = resumed.save(tmp_path / "resumed.npz")
     assert resumed_npz.read_bytes() == reference_npz.read_bytes()
 
-    # Invariant 3: no duplicate publish ever landed — at most one claim
-    # lineage existed before the resume, so the generation stays small and
-    # the entry is unique.
+    # Invariant 3: no duplicate publish ever landed — the entry is unique.
     entries = list((cache_dir / "objects").glob(f"*/*.flow.pkl"))
     assert len(entries) == 1
-    generations = list((cache_dir / "leases").glob("*/*.gen"))
-    if generations:
-        assert int(generations[0].read_text()) <= 2

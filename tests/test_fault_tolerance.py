@@ -19,7 +19,6 @@ failures:
 
 from __future__ import annotations
 
-import os
 import pickle
 import subprocess
 import sys
@@ -564,14 +563,17 @@ def test_maintenance_lock_blocks_concurrent_prune(tmp_path):
     assert removed == 1
 
 
-def test_stale_maintenance_lock_is_stolen(tmp_path):
+def test_stale_maintenance_lock_is_stolen(tmp_path, die_holding):
+    # A process killed holding the lock leaves its lock file behind; the
+    # kernel has already released the lock, so prune takes it at once.
     cache = DiskExtractionCache(tmp_path / "cache")
     cache.store("bb" * 32, {"payload": 1})
     lock = cache.cache_dir / ".lock"
-    lock.write_text("99999")                   # orphan from a killed process
-    old = time.time() - 2 * cache._LOCK_STALE_SECONDS
-    os.utime(lock, (old, old))
+    die_holding(cache.cache_dir, "maintenance")
+    assert lock.exists()
+    started = time.monotonic()
     removed, _freed = cache.prune(max_entries=0)
+    assert time.monotonic() - started < 5.0
     assert removed == 1
     assert not lock.exists()
 

@@ -210,15 +210,6 @@ def test_elements_at_node():
     assert {e.name for e in circuit.elements_at_node("a")} == {"R1"}
 
 
-def test_connectivity_graph_connected():
-    circuit = Circuit("t")
-    circuit.add_voltage_source("V1", "in", "0", 1.0)
-    circuit.add_resistor("R1", "in", "out", 1.0)
-    graph = circuit.connectivity_graph()
-    assert graph.has_node("out")
-    assert graph.has_edge("in", "out")
-
-
 # -- subcircuits ------------------------------------------------------------------------------
 
 

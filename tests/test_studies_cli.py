@@ -302,6 +302,24 @@ def test_cli_show_and_cache_commands(config_path, tmp_path, capsys):
     assert rc == 2                           # needs a criterion or --all
 
 
+@pytest.mark.parametrize("criterion", [
+    ["--max-age-days", "-1"],      # cutoff in the future: would drop all
+    ["--max-entries", "-1"],       # silently pruned nothing
+    ["--max-age-days", "nan"],
+    ["--max-age-days", "inf"],
+], ids=["negative-age", "negative-entries", "nan-age", "inf-age"])
+def test_cli_cache_prune_rejects_out_of_range_criteria(tmp_path, capsys,
+                                                       criterion):
+    from repro.studies import DiskExtractionCache
+
+    cache_dir = tmp_path / "cache"
+    DiskExtractionCache(cache_dir).store("aa" * 32, {"payload": 1})
+    rc = main(["cache", "prune", "--cache-dir", str(cache_dir), *criterion])
+    assert rc == 2
+    assert "cache prune needs" in capsys.readouterr().err
+    assert len(DiskExtractionCache(cache_dir)) == 1   # nothing deleted
+
+
 def test_cli_cache_stats_rejects_missing_directory(tmp_path, capsys):
     missing = tmp_path / "no-such-cache"
     rc = main(["cache", "stats", "--cache-dir", str(missing)])
