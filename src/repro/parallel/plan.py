@@ -8,12 +8,8 @@ re-exports the public names.
 
 from __future__ import annotations
 
-import os
-import threading
-import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..errors import AnalysisError, CampaignError, CornerFailure, TaskTimeoutError
@@ -179,78 +175,3 @@ def validate_plan(items: Sequence[WorkItem]) -> list[str]:
         raise AnalysisError(
             f"work plan has a dependency cycle involving: {', '.join(cyclic)}")
     return order
-
-
-# ---------------------------------------------------------------------------
-# Worker heartbeats
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HeartbeatSpec:
-    """Where and how often pool workers should stamp a liveness heartbeat.
-
-    Shipped (pickled) to the workers inside :class:`HeartbeatedCall`; the
-    scheduler watches the directory's ``hb-<pid>`` mtimes and treats a
-    worker whose stamps stop as wedged — catching silent hangs (SIGSTOP, a
-    GIL-holding C loop, a dead NFS mount) long before the wall-clock
-    ``task_timeout`` ceiling.
-    """
-
-    directory: str
-    interval: float
-
-    def path_for(self, pid: int) -> Path:
-        return Path(self.directory) / f"hb-{pid}"
-
-
-# One stamper thread per worker process, keyed by heartbeat directory so a
-# recycled scheduler (fresh temp dir) restarts stamping in reused workers.
-_stampers: set[str] = set()
-_stampers_lock = threading.Lock()
-
-
-def _ensure_stamper(spec: HeartbeatSpec) -> None:
-    """Start this process's heartbeat thread (idempotent, worker-side)."""
-    with _stampers_lock:
-        if spec.directory in _stampers:
-            return
-        _stampers.add(spec.directory)
-
-    path = spec.path_for(os.getpid())
-    try:
-        # First stamp lands synchronously, before the task runs: a task that
-        # wedges its worker instantly must still be visible to the monitor.
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.touch()
-    except OSError:
-        pass
-
-    def beat() -> None:
-        while True:
-            time.sleep(spec.interval)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.touch()
-            except OSError:
-                pass  # directory vanished mid-run: keep trying, not crash
-
-    thread = threading.Thread(target=beat, daemon=True,
-                              name="worker-heartbeat")
-    thread.start()
-
-
-class HeartbeatedCall:
-    """Picklable task wrapper: ensure the worker heartbeat, then run.
-
-    Wrapping happens at submission time in the scheduler, so any payload
-    callable (including :class:`~repro.studies.faults.FaultyCall` chains)
-    gains liveness stamping without knowing about it.
-    """
-
-    def __init__(self, spec: HeartbeatSpec, fn):
-        self.spec = spec
-        self.fn = fn
-
-    def __call__(self, payload):
-        _ensure_stamper(self.spec)
-        return self.fn(payload)

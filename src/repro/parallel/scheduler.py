@@ -19,11 +19,13 @@ configuration name, and ``SerialBackend`` is this class pinned to one worker:
 * **failure propagation** — an item whose dependency exhausts its attempts
   never runs; it inherits the dependency's :class:`TaskFailure` verbatim
   (the root cause), spending zero attempts.
-* **fault tolerance** — per-item retries, wall-clock ``task_timeout`` with
-  worker SIGKILL + pool recycle, broken-pool salvage (completed results
-  survive a crash), jittered exponential rebuild backoff, and the
+* **fault tolerance** — per-item retries, broken-pool salvage (completed
+  results survive a crash), jittered exponential rebuild backoff, and the
   ``abort`` / ``skip`` / ``retry_then_skip`` policies;
-  ``KeyboardInterrupt`` / ``SystemExit`` always propagate.
+  ``KeyboardInterrupt`` / ``SystemExit`` always propagate.  The wall-clock
+  ``task_timeout`` is the one hung-worker bound: a task past it has its
+  worker SIGKILLed (a stopped or wedged process included), the pool
+  recycled and the task retried.
 
 With a single effective worker the plan executes in-process (topological,
 priority-ordered) with the same retry semantics — no pool, no pickling.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -43,8 +44,6 @@ from ..errors import AnalysisError, CampaignError, TaskTimeoutError
 from ..obs import get_logger
 from .plan import (
     ON_ERROR_ABORT,
-    HeartbeatedCall,
-    HeartbeatSpec,
     TaskFailure,
     WorkItem,
     _check_policy,
@@ -70,49 +69,35 @@ class WorkScheduler:
     """Dependency/priority-aware task execution on one persistent pool.
 
     ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
-    per-item attempt counts of the most recent run live in ``attempts``, the
-    pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds`` and the
-    heartbeat trips in ``heartbeat_trips``; the sweep runner records them in
-    its campaign metrics.  The default worker count honours
-    ``REPRO_MAX_WORKERS`` via :func:`~repro.parallel.pool.default_max_workers`.
+    per-item attempt counts of the most recent run live in ``attempts`` and
+    the pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds``;
+    the sweep runner records them in its campaign metrics.  The default
+    worker count honours ``REPRO_MAX_WORKERS`` via
+    :func:`~repro.parallel.pool.default_max_workers`.
     """
 
     def __init__(self, max_workers: int | None = None, retries: int = 0,
                  task_timeout: float | None = None,
                  backoff_base: float = 0.25,
-                 backoff_seed: int | None = None,
-                 heartbeat_timeout: float | None = None):
+                 backoff_seed: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise AnalysisError("WorkScheduler needs at least one worker")
         if retries < 0:
             raise AnalysisError("retries must be >= 0")
         if task_timeout is not None and task_timeout <= 0:
             raise AnalysisError("task_timeout must be positive (seconds)")
-        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-            raise AnalysisError("heartbeat_timeout must be positive (seconds)")
         if backoff_base < 0:
             raise AnalysisError("backoff_base must be >= 0")
         self.max_workers = max_workers or default_max_workers()
         self.retries = retries
         self.task_timeout = task_timeout
-        self.heartbeat_timeout = heartbeat_timeout
         self.backoff_base = backoff_base
         self._rng = random.Random(backoff_seed)
         self._pool = shared_pool()
-        self._heartbeat: HeartbeatSpec | None = None
-        if heartbeat_timeout is not None:
-            # Workers stamp every timeout/4, so one lost stamp is noise and
-            # a stale mtime means several consecutive misses — a wedged
-            # process, not a slow filesystem.
-            self._heartbeat = HeartbeatSpec(
-                directory=tempfile.mkdtemp(prefix="repro-heartbeat-"),
-                interval=max(0.05, heartbeat_timeout / 4.0))
         #: per-item attempt counts of the most recent :meth:`run`
         self.attempts: dict[str, int] = {}
         #: pool rebuilds (crash or timeout) during the most recent :meth:`run`
         self.pool_rebuilds: int = 0
-        #: heartbeat-staleness trips during the most recent :meth:`run`
-        self.heartbeat_trips: int = 0
 
     # -- backoff -------------------------------------------------------------
 
@@ -147,7 +132,6 @@ class WorkScheduler:
         validate_plan(items)
         self.attempts = {item.id: 0 for item in items}
         self.pool_rebuilds = 0
-        self.heartbeat_trips = 0
         if not items:
             return {}
         budget = _effective_retries(self.retries, policy)
@@ -316,10 +300,8 @@ class WorkScheduler:
             self.attempts[item_id] += 1
             if on_start is not None:
                 on_start(item_id, self.attempts[item_id])
-            fn = item.fn if self._heartbeat is None \
-                else HeartbeatedCall(self._heartbeat, item.fn)
             try:
-                future = pool.submit(fn, bound_payload(item))
+                future = pool.submit(item.fn, bound_payload(item))
             except BrokenProcessPool:
                 # The attempt is spent but no future exists; remember the
                 # item so the salvage path reschedules it.
@@ -346,35 +328,15 @@ class WorkScheduler:
                 if deadlines:
                     timeout = max(0.0, min(deadlines.values())
                                   - time.monotonic())
-                if self._heartbeat is not None:
-                    # Wake at heartbeat granularity so a silently wedged
-                    # worker is noticed long before the wall-clock deadline.
-                    beat = max(0.05, self.heartbeat_timeout / 2.0)
-                    timeout = beat if timeout is None else min(timeout, beat)
                 done, _ = wait(pending, timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 if not done:
-                    hung = [future for future in list(pending)
+                    hung = {future for future in pending
                             if deadlines.get(future, float("inf"))
-                            <= time.monotonic() and not future.done()]
+                            <= time.monotonic() and not future.done()}
                     if hung:
                         return self._abandon_hung(hung, pending,
                                                   settle_success)
-                    silent = self._silent_workers(pool)
-                    if silent:
-                        self.heartbeat_trips += 1
-                        logger.warning(
-                            "worker heartbeat lost: pids=%s "
-                            "heartbeat_timeout=%gs action=%s",
-                            silent, self.heartbeat_timeout,
-                            "kill workers, recycle pool")
-                        return self._abandon_hung(
-                            list(pending), pending, settle_success,
-                            reason=(
-                                f"worker heartbeat silent for "
-                                f"{self.heartbeat_timeout:g} s (wedged "
-                                f"process pid(s) {silent}); the workers "
-                                "were killed and the pool recycled"))
                     continue
                 for future in done:
                     item_id = pending.pop(future)
@@ -414,50 +376,51 @@ class WorkScheduler:
                                       settle_success)
         return [], {}
 
-    def _silent_workers(self, pool) -> list[int]:
-        """Pids of current pool workers whose heartbeat stamps went stale.
-
-        A worker only counts once it has stamped at least one heartbeat
-        (its first task starts the stamper thread) — a missing file means
-        "idle or still importing", a stale mtime means several consecutive
-        missed stamps from a process that used to stamp: wedged.
-        """
-        if self._heartbeat is None:
-            return []
-        processes = getattr(pool, "_processes", None) or {}
-        cutoff = time.time() - self.heartbeat_timeout
-        silent = []
-        for pid in list(processes):
-            try:
-                mtime = self._heartbeat.path_for(pid).stat().st_mtime
-            except OSError:
-                continue
-            if mtime < cutoff:
-                silent.append(pid)
-        return silent
-
-    def _abandon_hung(self, hung: list, pending: dict, settle_success,
-                      reason: str | None = None,
+    def _abandon_hung(self, hung: set, pending: dict, settle_success,
                       ) -> tuple[list[str], dict[str, BaseException]]:
         """A worker exceeded ``task_timeout``: abandon it, recycle the pool.
 
         The hung futures' items get a :class:`~repro.errors.TaskTimeoutError`
-        cause; every other unfinished item is rescheduled with the timeout
-        breakage as its (non-blaming) cause, exactly like a pool crash.  The
-        worker processes are SIGKILLed so the executor's shutdown cannot
-        block on the hung task — :meth:`SharedProcessPool.recycle` does both.
-        A heartbeat trip reuses this path with its own ``reason``.
+        cause; every other unfinished item is rescheduled with a
+        non-blaming cause, exactly like a pool crash.
         """
         logger.warning(
             "task timeout: hung_tasks=%d task_timeout=%ss action=%s",
             len(hung), self.task_timeout, "kill workers, recycle pool")
         timeout_exc = TaskTimeoutError(
-            reason if reason is not None else
             f"task exceeded task_timeout={self.task_timeout:g} s; its worker "
             "was killed and the pool recycled")
+        queued = _TimedOut("pool recycled while this task was queued")
+        return self._salvage(
+            pending, settle_success,
+            lambda future: timeout_exc if future in hung else queued)
+
+    def _drain_broken(self, first_id: str | None, breakage: BaseException,
+                      pending: dict, settle_success,
+                      ) -> tuple[list[str], dict[str, BaseException]]:
+        """The pool broke: reschedule ``first_id`` and every unfinished item.
+
+        ``first_id`` is the item whose submission or future reported the
+        breakage; the others take ``breakage`` as their cause unless they
+        failed with their own exception.
+        """
+        unfinished, causes = self._salvage(pending, settle_success,
+                                           lambda future: breakage)
+        if first_id is None:
+            return unfinished, causes
+        return [first_id, *unfinished], {first_id: breakage, **causes}
+
+    def _salvage(self, pending: dict, settle_success, cause_for,
+                 ) -> tuple[list[str], dict[str, BaseException]]:
+        """Settle what completed, list the rest, recycle the pool.
+
+        An unfinished item that failed with its *own* exception keeps it as
+        its cause (so an exhausted retry chains the real traceback); the
+        rest take ``cause_for(future)``.  The recycle SIGKILLs the workers,
+        so the shutdown never blocks on a hung or stopped task.
+        """
         unfinished: list[str] = []
         causes: dict[str, BaseException] = {}
-        hung_set = set(hung)
         for future, item_id in pending.items():
             # Read the outcome before any cancel(): a cancelled future's
             # exception() raises CancelledError instead of returning.  A
@@ -472,43 +435,8 @@ class WorkScheduler:
                 future.cancel()
                 exc = None
             unfinished.append(item_id)
-            if exc is not None and not isinstance(exc, BrokenProcessPool):
-                causes[item_id] = exc
-            elif future in hung_set:
-                causes[item_id] = timeout_exc
-            else:
-                causes[item_id] = _TimedOut(
-                    "pool recycled while this task was queued")
-        self._pool.recycle()
-        return unfinished, causes
-
-    def _drain_broken(self, first_id: str | None, breakage: BaseException,
-                      pending: dict, settle_success,
-                      ) -> tuple[list[str], dict[str, BaseException]]:
-        """Salvage a broken pool's futures: keep results that did complete.
-
-        When the executor breaks, every remaining future settles at once;
-        items that finished successfully before the crash keep their results
-        and only the genuinely unfinished ones are rescheduled.  An item that
-        failed with its *own* exception keeps that exception as its blame
-        (so an exhausted retry chains the real traceback, not the breakage).
-        """
-        unfinished = [first_id] if first_id is not None else []
-        causes = {first_id: breakage} if first_id is not None else {}
-        for future, item_id in pending.items():
-            # Read the outcome before any cancel(): a cancelled future's
-            # exception() raises CancelledError instead of returning.
-            if future.done() and not future.cancelled():
-                exc = future.exception()
-                if exc is None:
-                    settle_success(item_id, future.result())
-                    continue
-            else:
-                future.cancel()
-                exc = None
-            unfinished.append(item_id)
-            causes[item_id] = breakage if exc is None \
-                or isinstance(exc, BrokenProcessPool) else exc
+            causes[item_id] = exc if exc is not None and not isinstance(
+                exc, BrokenProcessPool) else cause_for(future)
         self._pool.recycle()
         return unfinished, causes
 
@@ -519,8 +447,6 @@ class WorkScheduler:
             knobs.append(f"retries={self.retries}")
         if self.task_timeout is not None:
             knobs.append(f"timeout={self.task_timeout:g}s")
-        if self.heartbeat_timeout is not None:
-            knobs.append(f"heartbeat={self.heartbeat_timeout:g}s")
         if self.max_workers == 1:
             return f"serial[{','.join(knobs)}]" if knobs else "serial"
         return f"process-pool[{','.join([str(self.max_workers), *knobs])}]"

@@ -15,6 +15,7 @@ Subcommands::
     repro-campaign resume  CONFIG [--result R.npz] ...
     repro-campaign show    RESULT [--rows N] [--timings]
     repro-campaign cache   stats --cache-dir DIR
+    repro-campaign cache   verify --cache-dir DIR [--repair]
     repro-campaign cache   prune --cache-dir DIR [--max-entries N]
                                  [--max-age-days D] [--all]
     repro-campaign trace   export RUNLOG [--output OUT.trace.json]
@@ -42,8 +43,9 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     ny = 40
 
     [solver]                    # linear-solver backend (SolverOptions)
-    backend = "direct"          # the one backend (sparse LU); the mesh
-                                # Kron reduction is spectral regardless
+    backend = "direct"          # the one backend: LAPACK up to 90
+                                # unknowns, SuperLU above; the mesh Kron
+                                # reduction is spectral regardless
     gmin = 1e-12                # optional override of the analysis gmin
                                 # (finite, >= 0)
 
@@ -144,15 +146,11 @@ class ExecutionSettings:
     task_timeout: float | None = None
     checkpoint_corners: int = 1       #: journal flush cadence; 0 disables
     checkpoint_seconds: float = 30.0
-    heartbeat_seconds: float | None = None  #: worker liveness bound (pool)
 
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise AnalysisError(
                 f"[execution] max_workers must be >= 1, got {self.max_workers}")
-        if self.heartbeat_seconds is not None and self.heartbeat_seconds <= 0:
-            raise AnalysisError(
-                "[execution] heartbeat_seconds must be positive")
 
     def make_backend(self) -> WorkScheduler:
         if self.backend == "serial":
@@ -160,8 +158,7 @@ class ExecutionSettings:
         if self.backend == "process-pool":
             return ProcessPoolBackend(max_workers=self.max_workers,
                                       retries=self.retries,
-                                      task_timeout=self.task_timeout,
-                                      heartbeat_timeout=self.heartbeat_seconds)
+                                      task_timeout=self.task_timeout)
         raise AnalysisError(
             f"unknown backend {self.backend!r} (choose 'serial' or "
             "'process-pool')")
@@ -636,10 +633,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"stale          : {len(report['stale'])}")
         print(f"corrupt        : {len(report['corrupt'])}")
         print(f"quarantined    : {report['quarantine_entries']}")
+        print(f"orphans        : {len(report['orphans'])}"
+              + (f" ({report['orphans_removed']} removed)"
+                 if args.repair else ""))
         for problem in report["corrupt"]:
             print(f"  corrupt {problem['entry']}: {problem['error']}")
         for name in report["stale"]:
             print(f"  stale   {name}")
+        for name in report["orphans"]:
+            print(f"  orphan  {name}")
         if report["corrupt"] or report["stale"]:
             action = ("corrupt entries quarantined, stale entries evicted"
                       if args.repair else "run with --repair to quarantine "
@@ -750,8 +752,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="audit every entry's envelope and payload checksum")
     verify.add_argument("--cache-dir", dest="cache_dir", required=True)
     verify.add_argument("--repair", action="store_true",
-                        help="quarantine corrupt entries and evict entries "
-                             "from other format/code versions")
+                        help="quarantine corrupt entries, evict entries "
+                             "from other format/code versions and delete "
+                             "temporary files of killed writes older than "
+                             "an hour")
     verify.set_defaults(handler=_cmd_cache)
     prune = cache_sub.add_parser("prune", help="evict cache entries")
     prune.add_argument("--cache-dir", dest="cache_dir", required=True)

@@ -160,9 +160,8 @@ class FaultPlan:
             elif spec.kind == FAULT_STOP:
                 # Freeze the process the way a SIGSTOP / stuck NFS mount /
                 # debugger attach does: the pid stays alive, futures never
-                # resolve, and nothing raises.  Only heartbeat monitoring can
-                # notice before the wall-clock timeout; the recycle's SIGKILL
-                # still reaps a stopped process.
+                # resolve, and nothing raises.  The scheduler's task_timeout
+                # notices, and the recycle's SIGKILL reaps a stopped process.
                 os.kill(os.getpid(), signal.SIGSTOP)
 
 

@@ -25,6 +25,8 @@ Partially-completed campaigns are resumed by loading the partial result and
 passing it to :meth:`SweepRunner.run(campaign, resume_from=...)
 <repro.studies.runner.SweepRunner.run>` (or ``repro-campaign resume`` on the
 command line), which skips every corner the stored result already covers.
+The runner reads the corners of a :class:`CampaignJournal` into the same
+kind of prior result, so both sources resume through one path.
 """
 
 from __future__ import annotations

@@ -153,10 +153,11 @@ class SweepResult:
         and cache counters are summed (cumulative cost of both runs).
 
         This is the API for stitching separately-saved partial results (e.g.
-        corners computed on different machines).  Note that
-        :meth:`SweepRunner.run(resume_from=...)
-        <repro.studies.runner.SweepRunner.run>` merges records itself and
-        reports only the *fresh* run's wall clock and cache traffic.
+        corners computed on different machines), and the one record merger
+        of :meth:`SweepRunner.run <repro.studies.runner.SweepRunner.run>`:
+        a resumed run merges its fresh result with its prior work, whose
+        cost it zeroes first, so it reports only the *fresh* run's wall
+        clock and cache traffic.
         """
         mine = self.campaign_spec or {}
         theirs = other.campaign_spec or {}

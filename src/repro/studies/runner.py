@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -184,29 +184,22 @@ def _corner(record: PointRecord) -> tuple[int, float, float]:
     return (record.variant_index, record.injected_power_dbm, record.vtune)
 
 
-def _full_corners(records: Iterable[PointRecord], n_frequencies: int,
-                  ) -> frozenset[tuple[int, float, float]]:
-    """Corners with a record for every one of the ``n_frequencies``."""
-    counts = Counter(_corner(record) for record in records)
-    return frozenset(corner for corner, count in counts.items()
-                     if count >= n_frequencies)
-
-
 @dataclass
 class _ExtractionPlan:
     """How one run obtains a flow per pending variant (built parent-side).
 
-    ``keys`` are the per-variant cache keys in variant order.  ``resolved``
-    holds the flows in hand: cache hits, then fresh extractions as they
-    land.  ``hits`` are the keys that were cache hits, and ``pending`` has
-    one :class:`ExtractionTask` per distinct missing key.  ``leaders`` maps
+    ``keys`` are the cache keys of every variant of the campaign, indexed by
+    variant index, so a variant's record carries its content key whether or
+    not this run needs its flow.  ``resolved`` holds the flows in hand for the
+    pending variants: cache hits, then fresh extractions as they land.
+    ``pending`` has one :class:`ExtractionTask` per distinct missing key,
+    so at plan time every resolved key is a hit.  ``leaders`` maps
     each follower key to its leader key, a hit or an earlier miss with the
     same substrate inputs.
     """
 
     keys: list[str] = field(default_factory=list)
     resolved: dict[str, FlowResult] = field(default_factory=dict)
-    hits: set[str] = field(default_factory=set)
     pending: dict[str, ExtractionTask] = field(default_factory=dict)
     leaders: dict[str, str] = field(default_factory=dict)
 
@@ -215,7 +208,7 @@ class _ExtractionPlan:
         return [VariantRecord(index=variant.index, knobs=dict(variant.knobs),
                               spec=variant.spec, cache_key=key,
                               flow=self.resolved.get(key),
-                              from_cache=key in self.hits)
+                              from_cache=key not in self.pending)
                 for variant, key in zip(variants, self.keys)]
 
 
@@ -356,15 +349,18 @@ class SweepRunner:
     # -- extraction ----------------------------------------------------------
 
     def _plan_extractions(self, campaign: Campaign,
-                          variants: list[LayoutVariant]) -> _ExtractionPlan:
-        """Cache-resolve every variant; plan the (deduplicated) misses.
+                          variants: list[LayoutVariant],
+                          pending: set[int]) -> _ExtractionPlan:
+        """Key every variant; cache-resolve the ``pending`` ones and plan
+        their (deduplicated) misses.
 
         Cache lookups stay parent-side, so workers never race the extraction
-        store.  A miss whose :func:`~repro.substrate.extraction.substrate_inputs`
-        fingerprint equals that of a hit or of an earlier miss becomes a
-        follower of it and reuses its substrate extraction.  So the Kron
-        reduction runs once per distinct (device geometry, mesh, technology,
-        solver), while every variant keeps its own cache entry.
+        store, and only pending variants count cache traffic.  A miss whose
+        :func:`~repro.substrate.extraction.substrate_inputs` fingerprint
+        equals that of a hit or of an earlier miss becomes a follower of it
+        and reuses its substrate extraction.  So the Kron reduction runs once
+        per distinct (device geometry, mesh, technology, solver), while every
+        variant keeps its own cache entry.
         """
         plan = _ExtractionPlan()
         cells: dict[str, tuple[LayoutVariant, Cell]] = {}
@@ -372,13 +368,12 @@ class SweepRunner:
             cell = campaign.build_cell(variant)
             key = self.cache.key(cell, self.technology, variant.flow_options)
             plan.keys.append(key)
-            if key in cells:
-                continue                          # duplicate content, no traffic
+            if variant.index not in pending or key in cells:
+                continue                          # done, or duplicate content
             cells[key] = (variant, cell)
             flow = self.cache.lookup(key)
             if flow is not None:
                 plan.resolved[key] = flow
-                plan.hits.add(key)
             else:
                 # A disk-backed cache stamps its directory into the task so
                 # the extracting process claims the key first (exactly-once
@@ -394,7 +389,7 @@ class SweepRunner:
             return plan
         # Hits first, so a miss follows a flow already in hand when it can.
         leader_by_inputs: dict[str, str] = {}
-        for key in sorted(cells, key=lambda k: k not in plan.hits):
+        for key in sorted(cells, key=lambda k: k not in plan.resolved):
             variant, cell = cells[key]
             inputs = fingerprint(*substrate_inputs(cell, self.technology,
                                                    variant.flow_options))
@@ -405,7 +400,7 @@ class SweepRunner:
                     "substrate reuse: variant=%d leader_variant=%d "
                     "leader_source=%s", variant.index,
                     cells[leader][0].index,
-                    "cache" if leader in plan.hits else "extraction")
+                    "cache" if leader in plan.resolved else "extraction")
         return plan
 
     # -- task fan-out --------------------------------------------------------
@@ -449,41 +444,51 @@ class SweepRunner:
                     point_index += len(frequencies)
         return tasks
 
-    # -- resume bookkeeping --------------------------------------------------
+    # -- prior work ----------------------------------------------------------
 
     @staticmethod
-    def _completed_corners(campaign: Campaign,
-                           resume_from: SweepResult | None,
-                           n_frequencies: int,
-                           ) -> frozenset[tuple[int, float, float]]:
-        """Corners of ``campaign`` fully covered by a stored partial result.
+    def _prior(campaign: Campaign, resume_from: SweepResult | None,
+               checkpoint: CheckpointPolicy | None, n_frequencies: int,
+               ) -> SweepResult | None:
+        """The work done before this run as one partial result, or ``None``.
 
-        A corner counts as complete only when every noise frequency of the
-        campaign has a record (tasks are atomic, so a run killed mid-task
-        leaves no partial corners — but a result saved from a *different*
-        frequency grid would, and the fingerprint check catches that first).
+        ``resume_from`` and the records recovered from the ``checkpoint``
+        journal combine through :meth:`SweepResult.merge`, the stored result
+        winning where both cover a point; both are files from outside this
+        process, so both are checked against the campaign fingerprint.  Only
+        corners with a record for each of the ``n_frequencies`` are kept.
+        The prior carries work, not cost: its wall clock, cache traffic,
+        telemetry and failures are dropped, so a resumed result reports
+        this run's.
         """
-        if resume_from is None:
-            return frozenset()
-        stored = (resume_from.campaign_spec or {}).get("fingerprint")
-        if stored is not None and stored != campaign.fingerprint():
-            raise AnalysisError(
-                f"cannot resume campaign {campaign.name!r} from a result of "
-                f"campaign {resume_from.campaign_name!r}: the stored "
-                "fingerprint does not match this campaign's axes/spec/options")
-        return _full_corners(resume_from.records, n_frequencies)
-
-    @staticmethod
-    def _carried_variant(variant: LayoutVariant,
-                         resume_from: SweepResult | None) -> VariantRecord:
-        """Variant record for a fully-completed variant (no re-extraction)."""
-        if resume_from is not None:
-            for record in resume_from.variants:
-                if record.index == variant.index:
-                    return record
-        return VariantRecord(index=variant.index, knobs=dict(variant.knobs),
-                             spec=variant.spec, cache_key="", flow=None,
-                             from_cache=True)
+        fingerprint = campaign.fingerprint()
+        prior = resume_from
+        if prior is not None:
+            stored = (prior.campaign_spec or {}).get("fingerprint")
+            if stored is not None and stored != fingerprint:
+                raise AnalysisError(
+                    f"cannot resume campaign {campaign.name!r} from a result "
+                    f"of campaign {prior.campaign_name!r}: the stored "
+                    "fingerprint does not match this campaign's "
+                    "axes/spec/options")
+        if checkpoint is not None:
+            records = CampaignJournal.recover(checkpoint.path,
+                                              fingerprint=fingerprint)
+            if records:
+                journaled = SweepResult(
+                    campaign_name=campaign.name, backend_name="journal",
+                    axes=campaign.resolved_axes(), records=records,
+                    variants=[], wall_seconds=0.0, cache_hits=0,
+                    cache_misses=0, campaign_spec=campaign.describe())
+                prior = journaled if prior is None else prior.merge(journaled)
+        if prior is None:
+            return None
+        counts = Counter(_corner(record) for record in prior.records)
+        return replace(prior,
+                       records=[record for record in prior.records
+                                if counts[_corner(record)] >= n_frequencies],
+                       wall_seconds=0.0, cache_hits=0, cache_misses=0,
+                       failures=[], telemetry=None)
 
     # -- execution -----------------------------------------------------------
 
@@ -493,18 +498,17 @@ class SweepRunner:
             observer: "CampaignObserver | None" = None) -> SweepResult:
         """Execute the campaign and aggregate its tidy result.
 
-        With ``resume_from`` (a previously persisted, possibly partial result
-        of the *same* campaign), corners the stored result already covers are
-        skipped entirely — their variants are not even re-extracted — and the
-        stored records are merged with the freshly computed ones into one
-        complete result.
+        Prior work — ``resume_from`` (a persisted, possibly partial result
+        of the *same* campaign) and the corners a killed run left in the
+        ``checkpoint`` journal — becomes one prior result (:meth:`_prior`).
+        Its corners are skipped (variants with no pending corner are not
+        re-extracted), and the fresh result is merged with it through
+        :meth:`SweepResult.merge <repro.studies.results.SweepResult.merge>`.
 
-        With ``checkpoint``, completed corners stream into an atomic
-        crash-recovery journal at ``checkpoint.path`` while the campaign
-        runs; corners already journaled there (by a previous run killed
-        mid-campaign) are recovered first and not recomputed, so a ``kill
-        -9`` loses at most one checkpoint interval.  The journal survives
-        this call — discard it (:meth:`CampaignJournal.discard
+        With ``checkpoint``, completed corners also stream into an atomic
+        crash-recovery journal at ``checkpoint.path``, so a ``kill -9``
+        loses at most one checkpoint interval.  The journal survives this
+        call — discard it (:meth:`CampaignJournal.discard
         <repro.studies.persist.CampaignJournal.discard>`) once the returned
         result has been saved.
 
@@ -555,46 +559,25 @@ class SweepRunner:
 
         variants = campaign.variants()
         powers, vtunes, frequencies = campaign.sim_grid()
-        done = self._completed_corners(campaign, resume_from, len(frequencies))
-
-        prior_records: list[PointRecord] = []
-        if resume_from is not None:
-            prior_records.extend(record for record in resume_from.records
-                                 if _corner(record) in done)
+        prior = self._prior(campaign, resume_from, checkpoint,
+                            len(frequencies))
+        done = frozenset(_corner(record) for record in prior.records) \
+            if prior is not None else frozenset()
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
-            fingerprint = campaign.fingerprint()
-            recovered = CampaignJournal.recover(checkpoint.path,
-                                                fingerprint=fingerprint)
-            seen_points = {record.point_index for record in prior_records}
-            recovered = [record for record in recovered
-                         if record.point_index not in seen_points]
-            journaled = _full_corners(recovered, len(frequencies))
-            done |= journaled
-            prior_records.extend(record for record in recovered
-                                 if _corner(record) in journaled)
             journal = CampaignJournal(checkpoint.path,
                                       campaign_name=campaign.name,
-                                      fingerprint=fingerprint)
+                                      fingerprint=campaign.fingerprint())
             journal.open()
             checkpointer = _Checkpointer(journal, checkpoint)
 
-        pending_variants = [
-            variant for variant in variants
-            if any((variant.index, power, vtune) not in done
-                   for power in powers for vtune in vtunes)]
-        plan = self._plan_extractions(campaign, pending_variants)
-
-        def current_variant_records() -> list[VariantRecord]:
-            extracted = {record.index: record
-                         for record in plan.records(pending_variants)}
-            return [extracted.get(variant.index)
-                    or self._carried_variant(variant, resume_from)
-                    for variant in variants]
-
-        tasks = self._build_tasks(campaign, variants,
-                                  current_variant_records(), skip=done)
+        pending = {variant.index for variant in variants
+                   if any((variant.index, power, vtune) not in done
+                          for power in powers for vtune in vtunes)}
+        plan = self._plan_extractions(campaign, variants, pending)
+        tasks = self._build_tasks(campaign, variants, plan.records(variants),
+                                  skip=done)
         if tracer.enabled:
             # Same context for every task: all corners of this run hang
             # directly off the campaign root span.
@@ -638,7 +621,7 @@ class SweepRunner:
         shipper = ObjectShipper()
         try:
             outcome_map = self.backend.run(
-                self._work_items(tasks, pending_variants, plan, shipper),
+                self._work_items(tasks, plan, shipper),
                 on_error=self.on_error, on_result=on_result,
                 on_start=on_start)
         finally:
@@ -650,9 +633,6 @@ class SweepRunner:
             if checkpointer is not None:
                 checkpointer.flush()
         corner_ids = [f"c{position}" for position in range(len(tasks))]
-        # Fresh flows arrived through the plan, after the tasks were built
-        # (flows of variants that failed to extract stay None).
-        variant_records = current_variant_records()
 
         # Solver work of this run: every fresh extraction's own counters plus
         # every successful corner's, wherever each of them ran.
@@ -680,17 +660,9 @@ class SweepRunner:
             successes.append(outcome)
             for name, count in outcome.solver_counts:
                 setattr(spent, name, getattr(spent, name) + count)
-        degradations: dict[str, int] = dict(
-            resume_from.solver_degradations) if resume_from else {}
-        for name in SolverStats.DEGRADATION_COUNTERS:
-            if getattr(spent, name):
-                degradations[name] = (degradations.get(name, 0)
-                                      + getattr(spent, name))
-
-        records = list(prior_records)
-        for outcome in sorted(successes, key=lambda o: o.index):
-            records.extend(outcome.records)
-        records.sort(key=lambda record: record.point_index)
+        degradations = {name: getattr(spent, name)
+                        for name in SolverStats.DEGRADATION_COUNTERS
+                        if getattr(spent, name)}
         telemetry = self._build_telemetry(
             spent=spent,
             cache_hits=self.cache.hits - hits_before,
@@ -702,12 +674,16 @@ class SweepRunner:
             substrate_reuses=sum(1 for key in plan.leaders
                                  if key in plan.resolved),
             trace_mark=trace_mark)
-        return SweepResult(
+        # Tasks run in point order, so their records need no sort.  Fresh
+        # flows arrived through the plan after the tasks were built (flows
+        # of variants that failed to extract stay None).
+        result = SweepResult(
             campaign_name=campaign.name,
             backend_name=self.backend.describe(),
             axes=campaign.resolved_axes(),
-            records=records,
-            variants=variant_records,
+            records=[record for outcome in successes
+                     for record in outcome.records],
+            variants=plan.records(variants),
             wall_seconds=time.perf_counter() - start,
             cache_hits=self.cache.hits - hits_before,
             cache_misses=self.cache.misses - misses_before,
@@ -715,10 +691,9 @@ class SweepRunner:
             failures=failures,
             solver_degradations=degradations,
             telemetry=telemetry)
+        return result if prior is None else result.merge(prior)
 
-    def _work_items(self, tasks: list[SweepTask],
-                    pending_variants: list[LayoutVariant],
-                    plan: _ExtractionPlan,
+    def _work_items(self, tasks: list[SweepTask], plan: _ExtractionPlan,
                     shipper: ObjectShipper) -> list[WorkItem]:
         """The campaign as one dependency-aware plan of work items.
 
@@ -735,8 +710,6 @@ class SweepRunner:
         reference instead.  Priorities make the inline order extractions
         first, then corners in task order.
         """
-        key_by_variant = {variant.index: key
-                          for variant, key in zip(pending_variants, plan.keys)}
         xid_by_key = {key: f"x{position}"
                       for position, key in enumerate(plan.pending)}
         n_items = len(plan.pending) + len(tasks)
@@ -763,7 +736,7 @@ class SweepRunner:
                                   payload=task, deps=(leader_xid,),
                                   priority=0, bind=bind_substrate))
         for position, task in enumerate(tasks):
-            key = key_by_variant[task.variant_index]
+            key = plan.keys[task.variant_index]
             deps: tuple[str, ...] = ()
             bind = None
             payload = task
@@ -798,8 +771,8 @@ class SweepRunner:
         accumulation.  ``spent`` is the run's solver work summed from the
         fresh extractions and the successful corners, so the solver
         counters read the same at any worker count.  ``attempts`` are the
-        per-corner attempt counts; the scheduler's pool rebuilds and
-        heartbeat trips are read straight off it.
+        per-corner attempt counts; the scheduler's pool rebuilds are read
+        straight off it.
         ``extraction.substrate_reuses`` counts the follower extractions that
         reused a leader's substrate instead of running a Kron reduction.
         Zero counters are left out (``campaign.task_attempts`` is present
@@ -814,7 +787,6 @@ class SweepRunner:
             "cache.misses": cache_misses,
             "campaign.retries": sum(n - 1 for n in attempts if n > 1),
             "campaign.pool_rebuilds": self.backend.pool_rebuilds,
-            "campaign.heartbeat_trips": self.backend.heartbeat_trips,
             "extraction.substrate_reuses": substrate_reuses})
         for kind, count in degradations.items():
             counters[f"solver.degradations{{kind={kind}}}"] = count

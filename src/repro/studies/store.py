@@ -39,7 +39,8 @@ Robustness properties:
   post-mortem, and the extraction simply re-runs (counted in
   ``stats.corrupted`` and ``stats.quarantined``); a corrupt cache can never
   fail a campaign.  ``verify()`` (CLI: ``repro-campaign cache verify``)
-  audits every entry offline;
+  audits every entry offline and lists the ``.tmp-*`` orphans of killed
+  writes; ``verify(repair=True)`` deletes the hour-old ones;
 * **kernel-lock claiming** — :meth:`DiskExtractionCache.extract_with_claim`
   lets N crash-prone processes share one directory and still extract each
   variant exactly once.  The extracting process holds an exclusive
@@ -94,6 +95,12 @@ ENTRY_SUFFIX = ".flow.pkl"
 
 #: Suffix of the claim lock files under ``leases/``.
 LEASE_SUFFIX = ".lease"
+
+#: Age in seconds past which ``verify(repair=True)`` deletes a ``.tmp-*``
+#: file under ``objects/``.  A live publish renames its temporary file
+#: within seconds of creating it, so an hour-old one is the orphan of a
+#: killed write.
+ORPHAN_TMP_SECONDS = 3600.0
 
 #: Source trees (relative to the ``repro`` package) whose code determines the
 #: extraction output.  Their contents are hashed into every entry envelope, so
@@ -644,20 +651,38 @@ class DiskExtractionCache(ExtractionCache):
         Checks each envelope's structure, key-vs-filename consistency and
         payload checksum, and classifies entries as ``ok``, ``corrupt``
         (unreadable / torn / checksum mismatch) or ``stale`` (other format
-        version or extraction-code fingerprint).  With ``repair``, corrupt
+        version or extraction-code fingerprint).  ``.tmp-*`` files left
+        under ``objects/`` by killed writes are listed as ``orphans``; they
+        are not entries, so they are neither corrupt nor stale.  With
+        ``repair`` the audit runs under :meth:`maintenance_lock`: corrupt
         entries are quarantined and stale ones evicted, exactly as a live
-        read would; without it, nothing on disk changes.  Returns the report
-        the CLI's ``cache verify`` prints.
+        read would, and orphans older than :data:`ORPHAN_TMP_SECONDS` are
+        deleted (``orphans_removed``).  Without it, nothing on disk
+        changes.  Returns the report the CLI's ``cache verify`` prints.
         """
+        with self.maintenance_lock() if repair else contextlib.nullcontext():
+            return self._audit(repair)
+
+    def _audit(self, repair: bool) -> dict:
         report: dict = {
             "cache_dir": str(self.cache_dir),
             "checked": 0, "ok": 0,
-            "corrupt": [], "stale": [],
+            "corrupt": [], "stale": [], "orphans": [], "orphans_removed": 0,
             "repaired": bool(repair),
             "quarantine_entries": sum(
                 1 for path in self.quarantine_dir.glob("*")
                 if path.is_file()) if self.quarantine_dir.is_dir() else 0,
         }
+        cutoff = time.time() - ORPHAN_TMP_SECONDS
+        for path in sorted(self.objects_dir.glob("*/.tmp-*")):
+            try:
+                aged = path.stat().st_mtime < cutoff
+            except FileNotFoundError:
+                continue                      # a live publish renamed it
+            report["orphans"].append(path.name)
+            if repair and aged:
+                path.unlink(missing_ok=True)
+                report["orphans_removed"] += 1
         for path in self._entry_files():
             key = path.name[: -len(ENTRY_SUFFIX)]
             report["checked"] += 1

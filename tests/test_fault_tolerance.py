@@ -11,7 +11,8 @@ failures:
   re-runs;
 * a campaign killed outright (``os._exit`` mid-run, the moral equivalent of
   ``kill -9``) resumes from its crash journal with zero lost corners and a
-  byte-identical NPZ;
+  byte-identical NPZ — and so does one resumed from a saved partial result,
+  with the same sidecar content keys either way;
 * a DC corner that plain Newton cannot crack converges through the
   gmin/source-stepping continuation ladder with the degradation recorded;
 * concurrent writers and pruners cannot corrupt the disk extraction cache.
@@ -19,6 +20,7 @@ failures:
 
 from __future__ import annotations
 
+import json
 import pickle
 import subprocess
 import sys
@@ -71,6 +73,18 @@ def make_ft_campaign() -> Campaign:
     return Campaign(
         name="fault_tolerance",
         space=ParamSpace({"vtune": (0.0, 0.75),
+                          "noise_frequency": (1e6, 4e6)}),
+        options=VcoExperimentOptions(vtune_values=(0.0,),
+                                     noise_frequencies=(1e6, 4e6),
+                                     flow=TINY_MESH))
+
+
+def make_two_variant_campaign() -> Campaign:
+    """Two layout variants of one corner each (also built by the kill child)."""
+    return Campaign(
+        name="fault_tolerance_variants",
+        space=ParamSpace({"ground_width_scale": (1.0, 2.0),
+                          "vtune": (0.0,),
                           "noise_frequency": (1e6, 4e6)}),
         options=VcoExperimentOptions(vtune_values=(0.0,),
                                      noise_frequencies=(1e6, 4e6),
@@ -329,7 +343,7 @@ def test_cli_exits_3_on_partial_result(tmp_path, monkeypatch, capsys):
 _KILL_CHILD = """
 import sys
 sys.path[:0] = [sys.argv[4], sys.argv[5]]
-from test_fault_tolerance import make_ft_campaign
+import test_fault_tolerance
 from repro.studies import (CheckpointPolicy, DiskExtractionCache, FaultPlan,
                            FaultSpec, SweepRunner)
 from repro.technology import make_technology
@@ -342,10 +356,24 @@ plan = FaultPlan(state_dir=state_dir,
                                   exit_code=137),))
 runner = SweepRunner(make_technology(), cache=DiskExtractionCache(cache_dir),
                      fault_plan=plan)
-runner.run(make_ft_campaign(),
+campaign = getattr(test_fault_tolerance, sys.argv[6])()
+runner.run(campaign,
            checkpoint=CheckpointPolicy(path=journal_dir, every_corners=1))
 raise SystemExit("unreachable: the injected fault must kill the process")
 """
+
+
+def _kill_after_first_corner(factory: str, cache_dir, journal_dir,
+                             tmp_path) -> subprocess.CompletedProcess:
+    """Run the campaign ``factory()`` builds in a child killed at corner 1."""
+    script = tmp_path / "kill_child.py"
+    script.write_text(_KILL_CHILD)
+    repo_src = str(Path(__file__).resolve().parent.parent / "src")
+    tests_dir = str(Path(__file__).resolve().parent)
+    return subprocess.run(
+        [sys.executable, str(script), str(cache_dir), str(journal_dir),
+         str(tmp_path / "fault-state"), repo_src, tests_dir, factory],
+        capture_output=True, text=True, timeout=300)
 
 
 class _CountingSerialBackend(SerialBackend):
@@ -366,15 +394,8 @@ def test_killed_campaign_resumes_from_journal_bit_identically(
         technology, ft_campaign, reference, tmp_path):
     healthy, cache_dir = reference
     journal_dir = tmp_path / "run.journal"
-    script = tmp_path / "kill_child.py"
-    script.write_text(_KILL_CHILD)
-
-    repo_src = str(Path(__file__).resolve().parent.parent / "src")
-    tests_dir = str(Path(__file__).resolve().parent)
-    proc = subprocess.run(
-        [sys.executable, str(script), str(cache_dir), str(journal_dir),
-         str(tmp_path / "fault-state"), repo_src, tests_dir],
-        capture_output=True, text=True, timeout=300)
+    proc = _kill_after_first_corner("make_ft_campaign", cache_dir,
+                                    journal_dir, tmp_path)
     assert proc.returncode == 137, proc.stderr   # died mid-campaign, no trace
 
     # The journal holds exactly the corner that completed before the kill.
@@ -397,6 +418,51 @@ def test_killed_campaign_resumes_from_journal_bit_identically(
     resumed_npz, _ = resumed.save(tmp_path / "resumed.npz")
     healthy_npz, _ = healthy.save(tmp_path / "healthy.npz")
     assert resumed_npz.read_bytes() == healthy_npz.read_bytes()
+
+
+def _variant_keys(meta_path: Path) -> list[str]:
+    return [variant["cache_key"]
+            for variant in json.loads(meta_path.read_text())["variants"]]
+
+
+@pytest.mark.parametrize("source", ["journal", "npz"])
+def test_resume_from_either_source_saves_the_uninterrupted_result(
+        technology, tmp_path, source):
+    # Variant 0 has one corner, so the prior covers it completely and the
+    # resumed run never resolves its flow: its sidecar must still carry
+    # its content key, whichever source the prior came from.
+    campaign = make_two_variant_campaign()
+    cache_dir = tmp_path / "cache"
+    healthy = SweepRunner(technology,
+                          cache=DiskExtractionCache(cache_dir)).run(campaign)
+    healthy_npz, healthy_meta = healthy.save(tmp_path / "healthy.npz")
+
+    journal_dir = tmp_path / "run.journal"
+    resume_from = checkpoint = None
+    if source == "journal":
+        proc = _kill_after_first_corner("make_two_variant_campaign",
+                                        cache_dir, journal_dir, tmp_path)
+        assert proc.returncode == 137, proc.stderr
+        checkpoint = CheckpointPolicy(path=journal_dir, every_corners=1)
+    else:
+        plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                         specs=(FaultSpec("raise", task_index=1,
+                                          attempts=99),))
+        partial = SweepRunner(technology, cache=DiskExtractionCache(cache_dir),
+                              fault_plan=plan, on_error="skip").run(campaign)
+        assert len(partial.records) == 2 and len(partial.failures) == 1
+        resume_from = SweepResult.load(
+            partial.save(tmp_path / "partial.npz")[0])
+
+    backend = _CountingSerialBackend()
+    resumed = SweepRunner(technology, backend=backend,
+                          cache=DiskExtractionCache(cache_dir)).run(
+        campaign, resume_from=resume_from, checkpoint=checkpoint)
+    assert backend.executed == 1
+    resumed_npz, resumed_meta = resumed.save(tmp_path / "resumed.npz")
+    assert resumed_npz.read_bytes() == healthy_npz.read_bytes()
+    assert _variant_keys(resumed_meta) == _variant_keys(healthy_meta)
+    assert all(_variant_keys(healthy_meta))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import dataclasses
 import os
 import pickle
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,12 @@ from repro.studies import (
     SweepRunner,
     SweepTask,
 )
-from repro.studies.store import DISK_FORMAT_VERSION, extraction_code_fingerprint
+from repro.studies.cli import main
+from repro.studies.store import (
+    DISK_FORMAT_VERSION,
+    ORPHAN_TMP_SECONDS,
+    extraction_code_fingerprint,
+)
 from repro.substrate.extraction import SubstrateExtractionOptions
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
@@ -336,6 +342,33 @@ def test_orphaned_tmp_files_are_not_cache_entries(tmp_path):
     assert list(fresh.iter_keys()) == [key]
     removed, _freed = fresh.prune(max_entries=1)
     assert removed == 0                      # the orphan is not prunable prey
+
+
+def test_verify_lists_orphans_and_repair_deletes_only_old_ones(tmp_path,
+                                                               capsys):
+    cache = DiskExtractionCache(tmp_path / "cache")
+    key = "ab" * 32
+    cache.store(key, "payload")
+    bucket = cache.entry_path(key).parent
+    old = bucket / ".tmp-old.tmp"             # left by a killed publish
+    live = bucket / ".tmp-live.tmp"           # a publish still in progress
+    old.write_bytes(b"half-written")
+    live.write_bytes(b"being written")
+    aged = time.time() - ORPHAN_TMP_SECONDS - 60.0
+    os.utime(old, (aged, aged))
+
+    report = cache.verify()
+    assert report["orphans"] == [".tmp-live.tmp", ".tmp-old.tmp"]
+    assert (report["ok"], report["corrupt"], report["stale"]) == (1, [], [])
+    assert old.exists()                       # audit only
+    # Orphans are not corrupt entries: the exit code stays 0.
+    assert main(["cache", "verify", "--cache-dir", str(cache.cache_dir)]) == 0
+    assert "orphan  .tmp-old.tmp" in capsys.readouterr().out
+
+    assert cache.verify(repair=True)["orphans_removed"] == 1
+    assert not old.exists() and live.exists()
+    assert cache.verify()["orphans"] == [".tmp-live.tmp"]
+    assert list(cache.iter_keys()) == [key]
 
 
 def test_merge_combines_partial_results(reference_result):
