@@ -98,7 +98,12 @@ from ..vco.sensitivity import (
     entries_at_frequency,
     junction_capacitance_sensitivity,
 )
-from ..vco.spurs import SpurResult, compute_spurs, synthesize_output_waveform
+from ..vco.spurs import (
+    SpurResult,
+    SpurSweep,
+    compute_spurs,
+    synthesize_output_waveform,
+)
 from .flow import FlowOptions, FlowResult, run_extraction_flow
 from .results import (
     ContributionResult,
@@ -392,12 +397,13 @@ class VcoImpactAnalysis:
 
     def analyze(self, vtune: float,
                 noise_frequencies: np.ndarray | None = None
-                ) -> tuple[list[SpurResult], LcTankVco, VcoEntryCatalog,
+                ) -> tuple[SpurSweep, LcTankVco, VcoEntryCatalog,
                            TransferFunction]:
         """Full spur analysis at one tuning voltage.
 
-        Returns one :class:`SpurResult` per noise frequency plus the VCO model,
-        the entry catalogue and the raw transfer function used.
+        Returns the :class:`SpurSweep` over the noise frequencies (one
+        :class:`SpurResult` per point when indexed or iterated) plus the VCO
+        model, the entry catalogue and the raw transfer function used.
         """
         if noise_frequencies is None:
             noise_frequencies = np.asarray(self.options.noise_frequencies)
@@ -423,7 +429,7 @@ class VcoImpactAnalysis:
                                          operating_point=operating_point,
                                          solver=self.solver, linear=linear)
         # Every entry's h_sub and eqs. (2)/(3) over the whole sweep at once,
-        # as (entries x frequencies) arrays; one SpurResult per point.
+        # as (entries x frequencies) arrays, kept as one SpurSweep.
         entries = entries_at_frequency(catalog, transfer, noise_frequencies,
                                        index=np.arange(noise_frequencies.size))
         results = compute_spurs(entries, vco.oscillation_frequency(vtune),

@@ -140,7 +140,7 @@ class RunLogRecorder(CampaignObserver):
         writer = self._ensure()
         corner = _task_corner(task)
         writer.emit("corner_finish", corner=corner,
-                    records=len(outcome.records),
+                    records=outcome.points,
                     seconds=getattr(outcome, "seconds", None))
         degradations = dict(getattr(outcome, "degradations", ()) or ())
         if degradations:
@@ -166,9 +166,8 @@ class RunLogRecorder(CampaignObserver):
                 writer.emit("span", span=span.as_dict())
         writer.emit(
             "campaign_finish",
-            corners=len({(r.variant_index, r.injected_power_dbm, r.vtune)
-                         for r in result.records}),
-            points=len(result.records),
+            corners=len(result.corners()),
+            points=len(result),
             failures=len(result.failures),
             wall_seconds=result.wall_seconds,
             cache_hits=result.cache_hits,

@@ -156,16 +156,23 @@ class WorkScheduler:
             return item.bind(item.payload,
                              {dep: outcomes[dep] for dep in item.deps})
 
-        def settle_success(item_id: str, value: Any) -> None:
+        def release(item_id: str, value: Any) -> None:
+            """Record a success and ready its dependents (no callback)."""
             outcomes[item_id] = value
-            if on_result is not None:
-                on_result(item_id, value)
             for child in dependents[item_id]:
                 missing[child] -= 1
                 if missing[child] == 0 and child not in failed:
                     child_item = by_id[child]
                     heapq.heappush(ready,
                                    (child_item.priority, seq[child], child))
+
+        def notify(item_id: str) -> None:
+            if on_result is not None:
+                on_result(item_id, outcomes[item_id])
+
+        def settle_success(item_id: str, value: Any) -> None:
+            release(item_id, value)
+            notify(item_id)
 
         def settle_failure(item_id: str, failure: TaskFailure) -> None:
             if item_id in failed:
@@ -188,7 +195,7 @@ class WorkScheduler:
         while ready or resubmit:
             unfinished, causes = self._pool_round(
                 by_id, seq, ready, resubmit, failed, n_workers, budget,
-                policy, bound_payload, settle_success, settle_failure,
+                policy, bound_payload, release, notify, settle_failure,
                 on_start)
             exhausted = [item_id for item_id in unfinished
                          if self.attempts[item_id] > budget]
@@ -280,7 +287,7 @@ class WorkScheduler:
 
     def _pool_round(self, by_id, seq, ready, resubmit, failed,
                     n_workers, budget, policy, bound_payload,
-                    settle_success, settle_failure, on_start,
+                    release, notify, settle_failure, on_start,
                     ) -> tuple[list[str], dict[str, BaseException]]:
         """One pool lifetime; returns (unfinished item ids, their causes).
 
@@ -289,7 +296,17 @@ class WorkScheduler:
         listed as unfinished (their submitted attempts count as spent).  The
         pool itself persists across clean rounds and runs — only breakage
         recycles it.
+
+        Each batch of finished futures is released first (outcomes recorded,
+        dependents readied), the freed slots are refilled, and only then do
+        the batch's ``on_result`` callbacks run (``notify``): the workers
+        compute while the parent journals.  The callbacks run however the
+        batch ends — a broken pool, a retry that cannot submit, an abort.
         """
+        def settle_success(item_id: str, value: Any) -> None:
+            release(item_id, value)
+            notify(item_id)
+
         pool = self._pool.executor(n_workers)
         pending: dict = {}
         deadlines: dict = {}
@@ -338,36 +355,42 @@ class WorkScheduler:
                         return self._abandon_hung(hung, pending,
                                                   settle_success)
                     continue
-                for future in done:
-                    item_id = pending.pop(future)
-                    deadlines.pop(future, None)
-                    exc = future.exception()
-                    if exc is None:
-                        settle_success(item_id, future.result())
-                    elif isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        # Never swallow or retry an interrupt, whatever the
-                        # policy — mirror the in-process path exactly.
-                        for other in pending:
-                            other.cancel()
-                        raise exc
-                    elif isinstance(exc, BrokenProcessPool):
-                        return self._drain_broken(item_id, exc, pending,
-                                                  settle_success)
-                    elif self.attempts[item_id] <= budget:
-                        logger.info(
-                            "task retry: corner=%s attempt=%d/%d error=%s",
-                            by_id[item_id].describe(),
-                            self.attempts[item_id] + 1, budget + 1,
-                            type(exc).__name__)
-                        submit(item_id)  # BrokenProcessPool -> except below
-                    elif policy == ON_ERROR_ABORT:
-                        _give_up(by_id[item_id].payload,
-                                 self.attempts[item_id], exc)
-                    else:
-                        settle_failure(item_id, _failure_record(
-                            seq[item_id], by_id[item_id].payload,
-                            self.attempts[item_id], exc))
-                fill()
+                released: list[str] = []
+                try:
+                    for future in done:
+                        item_id = pending.pop(future)
+                        deadlines.pop(future, None)
+                        exc = future.exception()
+                        if exc is None:
+                            release(item_id, future.result())
+                            released.append(item_id)
+                        elif isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                            # Never swallow or retry an interrupt, whatever
+                            # the policy — mirror the in-process path exactly.
+                            for other in pending:
+                                other.cancel()
+                            raise exc
+                        elif isinstance(exc, BrokenProcessPool):
+                            return self._drain_broken(item_id, exc, pending,
+                                                      settle_success)
+                        elif self.attempts[item_id] <= budget:
+                            logger.info(
+                                "task retry: corner=%s attempt=%d/%d "
+                                "error=%s", by_id[item_id].describe(),
+                                self.attempts[item_id] + 1, budget + 1,
+                                type(exc).__name__)
+                            submit(item_id)  # BrokenProcessPool -> except
+                        elif policy == ON_ERROR_ABORT:
+                            _give_up(by_id[item_id].payload,
+                                     self.attempts[item_id], exc)
+                        else:
+                            settle_failure(item_id, _failure_record(
+                                seq[item_id], by_id[item_id].payload,
+                                self.attempts[item_id], exc))
+                    fill()
+                finally:
+                    for item_id in released:
+                        notify(item_id)
         except BrokenProcessPool as submit_exc:
             # pool.submit itself can raise when the executor broke between
             # futures; salvage exactly like a future-delivered breakage.

@@ -28,6 +28,9 @@ package turns such studies into declarative campaigns executed by one engine:
 * :mod:`repro.studies.results` — the tidy :class:`SweepResult` store with
   worst-corner and spur-vs-frequency queries plus ``save``/``load``/
   ``merge`` persistence (NPZ + JSON metadata sidecar),
+* :mod:`repro.studies.columns` — the NPZ column schema a result holds its
+  points in, and the per-corner blocks workers build from each
+  :class:`~repro.vco.spurs.SpurSweep`,
 * :mod:`repro.studies.cli` — the ``repro-campaign`` command line
   (``run`` / ``resume`` / ``show`` / ``cache stats|prune``) over
   declarative TOML/JSON campaign configs.

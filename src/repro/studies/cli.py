@@ -399,7 +399,7 @@ def _print_run_report(result: SweepResult, cache: ExtractionCache,
     print(f"  cache totals         : hits {stats.hits}, "
           f"misses {stats.misses}{extra}")
     print(f"  wall clock           : {result.wall_seconds:.2f} s")
-    if result.records:
+    if len(result):
         worst = result.worst_spur()
         print(f"  worst spur           : {worst.spur_power_dbm:.1f} dBm at "
               f"f_noise={worst.noise_frequency / 1e6:.3f} MHz, "
@@ -455,7 +455,7 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
         if npz_path.exists():
             resume_from = SweepResult.load(npz_path)
             print(f"resuming from {npz_path} "
-                  f"({len(resume_from.records)} stored points)")
+                  f"({len(resume_from)} stored points)")
         else:
             print(f"no stored result at {npz_path}; starting fresh")
     cache = execution.make_cache()
@@ -527,7 +527,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
     meta = json.loads(result_paths(args.result)[1].read_text())
     print(f"campaign   : {result.campaign_name}")
     print(f"backend    : {result.backend_name}")
-    print(f"points     : {len(result.records)} "
+    print(f"points     : {len(result)} "
           f"({len(result.variants)} layout variant(s))")
     print(f"wall clock : {result.wall_seconds:.2f} s; cache hits "
           f"{result.cache_hits}, extractions {result.cache_misses}")
@@ -538,7 +538,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         preview = ", ".join(f"{v:g}" for v in values[:6])
         ellipsis = ", ..." if len(values) > 6 else ""
         print(f"  {name:20s} [{preview}{ellipsis}] ({len(values)} values)")
-    if result.records:
+    if len(result):
         worst = result.worst_spur()
         print(f"worst spur : {worst.spur_power_dbm:.1f} dBm at "
               f"f_noise={worst.noise_frequency / 1e6:.3f} MHz, "

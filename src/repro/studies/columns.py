@@ -1,0 +1,226 @@
+"""The columnar form of campaign points: one schema from worker to NPZ.
+
+A campaign's points live in a dict of named arrays, the same columns the
+saved ``.npz`` holds (one row per grid point, ``entry_*`` arrays of shape
+(points, entries)):
+
+* ``point_index``, ``variant_index`` (int64), ``injected_power_dbm``,
+  ``vtune``, ``noise_frequency`` (float64) — the point's coordinates,
+* ``entry_names`` — the entry axis of the ``entry_*`` arrays,
+* the :data:`SPUR_FLOAT_FIELDS` of the point's
+  :class:`~repro.vco.spurs.SpurResult`,
+* ``knob__<name>`` — layout/mesh knob values (NaN where a point lacks one),
+* ``entry_h_sub`` (complex128), ``entry_k_hz_per_volt``,
+  ``entry_g_am_per_volt``, ``entry_fm_voltage``, ``entry_am_voltage``,
+  ``entry_present`` (bool) and ``entry_mechanism`` (str).
+
+A corner's :class:`~repro.vco.spurs.SpurSweep` becomes one
+:class:`CornerBlock` of these columns in the worker
+(:func:`corner_columns`); blocks travel home, into the crash journal and,
+concatenated (:func:`concat_columns`), into the saved NPZ without any
+per-point object in between.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..vco.spurs import SpurSweep, total_spur_power_dbm
+
+#: Prefix of layout/mesh knob columns.
+KNOB_PREFIX = "knob__"
+
+#: Scalar float columns per point (``SpurResult`` attribute == column name).
+SPUR_FLOAT_FIELDS = (
+    "carrier_frequency",
+    "carrier_amplitude",
+    "noise_amplitude",
+    "fm_voltage",
+    "am_voltage",
+    "lower_sideband_voltage",
+    "upper_sideband_voltage",
+)
+
+_COORDINATES = ("point_index", "variant_index", "injected_power_dbm",
+                "vtune", "noise_frequency")
+_ENTRY_FLOATS = ("entry_h_sub", "entry_k_hz_per_volt", "entry_g_am_per_volt",
+                 "entry_fm_voltage", "entry_am_voltage")
+
+
+@dataclass(frozen=True)
+class CornerBlock:
+    """One corner's points as columns, plus the solver work it spent.
+
+    ``solver_counts`` holds the corner's non-zero solver counters, so a
+    journal that replays the block also replays its degradations.
+    """
+
+    columns: dict[str, np.ndarray]
+    solver_counts: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def first_point(self) -> int:
+        return int(self.columns["point_index"][0])
+
+
+def ordered(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``columns`` in the archive order (knob columns sorted by name)."""
+    knobs = sorted(name for name in columns if name.startswith(KNOB_PREFIX))
+    names = [*_COORDINATES, "entry_names", *SPUR_FLOAT_FIELDS, *knobs,
+             *_ENTRY_FLOATS, "entry_present", "entry_mechanism"]
+    return {name: columns[name] for name in names}
+
+
+def empty_columns() -> dict[str, np.ndarray]:
+    """The columns of a result without points."""
+    columns = {name: np.zeros(0, dtype=np.int64 if name.endswith("_index")
+                              else np.float64) for name in _COORDINATES}
+    columns["entry_names"] = np.array([], dtype=str)
+    columns.update((name, np.zeros(0)) for name in SPUR_FLOAT_FIELDS)
+    columns["entry_h_sub"] = np.zeros((0, 0), dtype=np.complex128)
+    columns.update((name, np.zeros((0, 0))) for name in _ENTRY_FLOATS[1:])
+    columns["entry_present"] = np.zeros((0, 0), dtype=bool)
+    columns["entry_mechanism"] = np.full((0, 0), "", dtype="U1")
+    return ordered(columns)
+
+
+def corner_columns(sweep: SpurSweep, *, first_point_index: int,
+                   variant_index: int, knobs: dict[str, float],
+                   injected_power_dbm: float, vtune: float,
+                   ) -> dict[str, np.ndarray]:
+    """The columns of one corner, straight from its sweep's arrays."""
+    n = len(sweep)
+    shape = (n, len(sweep.entry_names))
+    columns = {
+        "point_index": np.arange(first_point_index, first_point_index + n,
+                                 dtype=np.int64),
+        "variant_index": np.full(n, variant_index, dtype=np.int64),
+        "injected_power_dbm": np.full(n, injected_power_dbm,
+                                      dtype=np.float64),
+        "vtune": np.full(n, vtune, dtype=np.float64),
+        "noise_frequency": np.asarray(sweep.noise_frequency,
+                                      dtype=np.float64),
+        "entry_names": np.array(sweep.entry_names, dtype=str),
+        "carrier_frequency": np.full(n, sweep.carrier_frequency,
+                                     dtype=np.float64),
+        "carrier_amplitude": np.full(n, sweep.carrier_amplitude,
+                                     dtype=np.float64),
+        "noise_amplitude": np.full(n, sweep.noise_amplitude,
+                                   dtype=np.float64),
+        "fm_voltage": sweep.fm_voltage,
+        "am_voltage": sweep.am_voltage,
+        "lower_sideband_voltage": sweep.lower_sideband_voltage,
+        "upper_sideband_voltage": sweep.upper_sideband_voltage,
+        "entry_h_sub": np.ascontiguousarray(sweep.h_sub,
+                                            dtype=np.complex128),
+        "entry_k_hz_per_volt": np.broadcast_to(
+            sweep.entry_k_hz_per_volt, shape).copy(),
+        "entry_g_am_per_volt": np.broadcast_to(
+            sweep.entry_g_am_per_volt, shape).copy(),
+        "entry_fm_voltage": np.ascontiguousarray(sweep.per_entry_fm_voltage),
+        "entry_am_voltage": np.ascontiguousarray(sweep.per_entry_am_voltage),
+        "entry_present": np.ones(shape, dtype=bool),
+        "entry_mechanism": np.broadcast_to(
+            np.array(sweep.entry_mechanism, dtype=str), shape).copy(),
+    }
+    for name, value in knobs.items():
+        columns[KNOB_PREFIX + name] = np.full(n, value, dtype=np.float64)
+    return ordered(columns)
+
+
+def n_points(columns: dict[str, np.ndarray]) -> int:
+    return len(columns["point_index"])
+
+
+def take_rows(columns: dict[str, np.ndarray], rows) -> dict[str, np.ndarray]:
+    """The points ``rows`` (a boolean mask or an index array) select."""
+    taken = {name: array if name == "entry_names" else array[rows]
+             for name, array in columns.items()}
+    return taken if n_points(taken) else empty_columns()
+
+
+def corner_keys(columns: dict[str, np.ndarray]
+                ) -> list[tuple[int, float, float]]:
+    """The (variant, injected power, V_tune) corner of every point."""
+    return list(zip(columns["variant_index"].tolist(),
+                    columns["injected_power_dbm"].tolist(),
+                    columns["vtune"].tolist()))
+
+
+def spur_power_column(columns: dict[str, np.ndarray]) -> np.ndarray:
+    """Total spur power (dBm) per point, equal bit for bit to
+    :meth:`SpurResult.total_spur_power_dbm
+    <repro.vco.spurs.SpurResult.total_spur_power_dbm>`."""
+    return np.array([total_spur_power_dbm(lower, upper) for lower, upper
+                     in zip(columns["lower_sideband_voltage"].tolist(),
+                            columns["upper_sideband_voltage"].tolist())],
+                    dtype=np.float64)
+
+
+def concat_columns(parts: list[dict[str, np.ndarray]]
+                   ) -> dict[str, np.ndarray]:
+    """One column set holding every point of ``parts``, in point order.
+
+    The entry axis is the union of the parts' entries, in the order in
+    which they first appear along the points; an entry a point lacks reads
+    ``entry_present == False`` with zero values and an empty mechanism.
+    Knob columns are the union of the parts' knobs (NaN where a point lacks
+    one).  Callers pass parts with disjoint point indices.
+    """
+    parts = [part for part in parts if n_points(part)]
+    if not parts:
+        return empty_columns()
+    if len(parts) == 1:
+        return ordered(parts[0])
+    names = [name for part in parts for name in part["entry_names"].tolist()]
+    entry_names = list(dict.fromkeys(names))
+    knobs = sorted({name for part in parts for name in part
+                    if name.startswith(KNOB_PREFIX)})
+    same_entries = all(part["entry_names"].tolist() == entry_names
+                       for part in parts)
+    columns: dict[str, np.ndarray] = {}
+    for name in (*_COORDINATES, *SPUR_FLOAT_FIELDS):
+        columns[name] = np.concatenate([part[name] for part in parts])
+    for name in knobs:
+        columns[name] = np.concatenate([
+            part[name] if name in part else np.full(n_points(part), np.nan)
+            for part in parts])
+    for name in (*_ENTRY_FLOATS, "entry_present", "entry_mechanism"):
+        arrays = [part[name] for part in parts]
+        if not same_entries:
+            arrays = [_widen(part, array, entry_names)
+                      for part, array in zip(parts, arrays)]
+        columns[name] = np.concatenate(arrays)
+    columns["entry_names"] = np.array(entry_names, dtype=str)
+    order = np.argsort(columns["point_index"], kind="stable")
+    if np.any(order != np.arange(order.size)):
+        columns = take_rows(columns, order)
+    if not same_entries:
+        columns = _first_seen_entries(columns)
+    return ordered(columns)
+
+
+def _widen(part: dict[str, np.ndarray], array: np.ndarray,
+           entry_names: list[str]) -> np.ndarray:
+    """``array`` of ``part`` on the ``entry_names`` axis (absent entries
+    zero, ``False`` or empty)."""
+    wide = np.zeros((array.shape[0], len(entry_names)), dtype=array.dtype)
+    position = {name: col for col, name in enumerate(entry_names)}
+    wide[:, [position[name] for name in part["entry_names"].tolist()]] = array
+    return wide
+
+
+def _first_seen_entries(columns: dict[str, np.ndarray]
+                        ) -> dict[str, np.ndarray]:
+    """Order the entry axis by each entry's first present point."""
+    present = columns["entry_present"]
+    seen = present.any(axis=0)
+    first = np.where(seen, present.argmax(axis=0), present.shape[0])
+    order = np.lexsort((np.arange(present.shape[1]), first))[:seen.sum()]
+    columns = dict(columns)
+    columns["entry_names"] = columns["entry_names"][order]
+    for name in (*_ENTRY_FLOATS, "entry_present", "entry_mechanism"):
+        columns[name] = columns[name][:, order]
+    return columns

@@ -2,11 +2,12 @@
 
 A persisted :class:`~repro.studies.results.SweepResult` is two files:
 
-* ``<stem>.npz`` — the tidy per-point arrays (axis coordinates, spur
-  outcomes, and the full per-entry decomposition) stored as raw float64 /
-  complex128 columns, so a save/load round trip is **bit-identical**: every
-  reconstructed :class:`~repro.vco.spurs.SpurResult` reproduces the original
-  spur powers exactly, not to within a tolerance;
+* ``<stem>.npz`` — the result's point columns (axis coordinates, spur
+  outcomes, and the full per-entry decomposition; schema in
+  :mod:`repro.studies.columns`) stored as raw float64 / complex128 arrays,
+  written and read as they are, so a save/load round trip is
+  **bit-identical**: every decoded :class:`~repro.vco.spurs.SpurResult`
+  reproduces the original spur powers exactly, not to within a tolerance;
 * ``<stem>.meta.json`` — a human-readable sidecar recording the campaign
   spec (axes, base layout spec, options, content fingerprint), the git SHA
   and timestamp of the run, the backend, wall-clock timings and the cache
@@ -19,7 +20,7 @@ keys the sidecar records.  A loaded result therefore carries
 ``variants[i].flow is None``; everything the summary queries
 (:meth:`~repro.studies.results.SweepResult.worst_spur`,
 :meth:`~repro.studies.results.SweepResult.spur_vs_frequency`, ...) need is in
-the records themselves.
+the point columns themselves.
 
 Partially-completed campaigns are resumed by loading the partial result and
 passing it to :meth:`SweepRunner.run(campaign, resume_from=...)
@@ -45,30 +46,19 @@ import numpy as np
 
 from ..errors import AnalysisError, CornerFailure
 from ..layout.testchips import VcoLayoutSpec
-from ..vco.spurs import NoiseEntry, SpurResult
+from .columns import ordered
 
 if TYPE_CHECKING:
-    from .results import PointRecord, SweepResult
+    from .columns import CornerBlock
+    from .results import SweepResult
 
 #: Version of the persisted result format (NPZ columns + sidecar schema).
 RESULT_FORMAT_VERSION = 1
 
 #: Version of the crash-recovery journal layout (manifest + segment pickles).
-JOURNAL_FORMAT_VERSION = 1
-
-#: Prefix of layout/mesh knob columns inside the NPZ archive.
-_KNOB_PREFIX = "knob__"
-
-#: Scalar float columns stored per record (attribute name == column name).
-_SPUR_FLOAT_FIELDS = (
-    "carrier_frequency",
-    "carrier_amplitude",
-    "noise_amplitude",
-    "fm_voltage",
-    "am_voltage",
-    "lower_sideband_voltage",
-    "upper_sideband_voltage",
-)
+#: Format 2 segments hold :class:`~repro.studies.columns.CornerBlock`\ s
+#: (columns plus solver counts); format 1 held point records.
+JOURNAL_FORMAT_VERSION = 2
 
 
 def result_paths(path: str | Path) -> tuple[Path, Path]:
@@ -111,7 +101,7 @@ def save_result(result: "SweepResult", path: str | Path) -> tuple[Path, Path]:
     from .store import atomic_write
 
     npz_path, meta_path = result_paths(path)
-    columns = _encode_records(result)
+    columns = ordered(result.columns)
     meta = _encode_meta(result)
     meta["arrays_sha256"] = _columns_checksum(columns)
 
@@ -141,64 +131,6 @@ def _columns_checksum(columns: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _encode_records(result: "SweepResult") -> dict[str, np.ndarray]:
-    records = result.records
-    n = len(records)
-
-    knob_names = sorted({name for record in records for name in record.knobs})
-    entry_names: list[str] = []
-    for record in records:
-        for entry in record.spur.entries:
-            if entry.name not in entry_names:
-                entry_names.append(entry.name)
-    e = len(entry_names)
-    entry_index = {name: i for i, name in enumerate(entry_names)}
-
-    columns: dict[str, np.ndarray] = {
-        "point_index": np.array([r.point_index for r in records], dtype=np.int64),
-        "variant_index": np.array([r.variant_index for r in records],
-                                  dtype=np.int64),
-        "injected_power_dbm": np.array([r.injected_power_dbm for r in records],
-                                       dtype=np.float64),
-        "vtune": np.array([r.vtune for r in records], dtype=np.float64),
-        "noise_frequency": np.array([r.noise_frequency for r in records],
-                                    dtype=np.float64),
-        "entry_names": np.array(entry_names, dtype=str),
-    }
-    for field_name in _SPUR_FLOAT_FIELDS:
-        columns[field_name] = np.array(
-            [getattr(r.spur, field_name) for r in records], dtype=np.float64)
-    for name in knob_names:
-        columns[_KNOB_PREFIX + name] = np.array(
-            [r.knobs.get(name, np.nan) for r in records], dtype=np.float64)
-
-    h_sub = np.zeros((n, e), dtype=np.complex128)
-    k_hz = np.zeros((n, e), dtype=np.float64)
-    g_am = np.zeros((n, e), dtype=np.float64)
-    fm_v = np.zeros((n, e), dtype=np.float64)
-    am_v = np.zeros((n, e), dtype=np.float64)
-    present = np.zeros((n, e), dtype=bool)
-    mechanism_rows = [[""] * e for _ in range(n)]
-    for row, record in enumerate(records):
-        for entry in record.spur.entries:
-            col = entry_index[entry.name]
-            present[row, col] = True
-            h_sub[row, col] = entry.h_sub
-            k_hz[row, col] = entry.k_hz_per_volt
-            g_am[row, col] = entry.g_am_per_volt
-            mechanism_rows[row][col] = entry.mechanism
-            fm_v[row, col] = record.spur.per_entry_fm_voltage.get(entry.name, 0.0)
-            am_v[row, col] = record.spur.per_entry_am_voltage.get(entry.name, 0.0)
-    # dtype sized from the data: mechanism strings round-trip untruncated.
-    mechanism = (np.array(mechanism_rows, dtype=str) if n and e
-                 else np.full((n, e), "", dtype="U1"))
-    columns.update(entry_h_sub=h_sub, entry_k_hz_per_volt=k_hz,
-                   entry_g_am_per_volt=g_am, entry_fm_voltage=fm_v,
-                   entry_am_voltage=am_v, entry_present=present,
-                   entry_mechanism=mechanism)
-    return columns
-
-
 def _encode_meta(result: "SweepResult") -> dict:
     return {
         "format": RESULT_FORMAT_VERSION,
@@ -209,7 +141,7 @@ def _encode_meta(result: "SweepResult") -> dict:
         "campaign": result.campaign_spec,
         "git_sha": git_sha(),
         "created_unix": time.time(),
-        "n_records": len(result.records),
+        "n_records": len(result),
         "timings": {
             "wall_seconds": result.wall_seconds,
         },
@@ -242,7 +174,7 @@ def _encode_meta(result: "SweepResult") -> dict:
 
 def load_result(path: str | Path) -> "SweepResult":
     """Load a persisted sweep result (``.npz`` plus its ``.meta.json``)."""
-    from .results import PointRecord, SweepResult, VariantRecord
+    from .results import SweepResult, VariantRecord
 
     npz_path, meta_path = result_paths(path)
     if not npz_path.exists():
@@ -271,7 +203,6 @@ def load_result(path: str | Path) -> "SweepResult":
             f"{meta_path.name} (array checksum mismatch): the pair was "
             "torn by an interrupted save — re-run or delete the result")
 
-    records = _decode_records(columns, PointRecord)
     variants = [
         VariantRecord(index=entry["index"],
                       knobs={k: float(v) for k, v in entry["knobs"].items()},
@@ -286,7 +217,7 @@ def load_result(path: str | Path) -> "SweepResult":
         campaign_name=meta["campaign_name"],
         backend_name=meta["backend_name"],
         axes={name: tuple(values) for name, values in meta["axes"].items()},
-        records=records,
+        columns=columns,
         variants=variants,
         wall_seconds=float(meta["timings"]["wall_seconds"]),
         cache_hits=int(meta["cache"]["hits"]),
@@ -333,15 +264,16 @@ class CampaignJournal:
 
     The journal is a directory holding a ``manifest.json`` (campaign name and
     fingerprint, validated on recovery) plus numbered segment pickles, each a
-    tuple of :class:`~repro.studies.results.PointRecord`.  Every file lands
+    tuple of :class:`~repro.studies.columns.CornerBlock` (one corner's point
+    columns and solver counts).  Every file lands
     atomically (temporary file + ``os.replace``), so a process killed at any
     point — including ``kill -9`` mid-write — leaves only whole segments: the
     next run recovers every corner that was flushed and recomputes at most
     the unflushed tail.
 
-    Records recovered from pickles are bit-identical to the originals, so a
+    Blocks recovered from pickles are bit-identical to the originals, so a
     killed-and-resumed campaign saves the same NPZ arrays, byte for byte, as
-    an uninterrupted one.
+    an uninterrupted one, and records the same solver degradations.
     """
 
     _MANIFEST = "manifest.json"
@@ -379,8 +311,8 @@ class CampaignJournal:
         self._next_segment = (max(existing) + 1) if existing else 0
         self._opened = True
 
-    def append(self, records: "Sequence[PointRecord]") -> None:
-        """Atomically persist one batch of completed-corner records.
+    def append(self, blocks: "Sequence[CornerBlock]") -> None:
+        """Atomically persist one batch of completed-corner blocks.
 
         The write is durable (fsync + rename + dir-fsync) and runs inside
         the ``"journal"`` chaos region, so the crash-point harness can kill
@@ -390,14 +322,14 @@ class CampaignJournal:
         from .faults import fault_region
         from .store import atomic_write
 
-        if not records:
+        if not blocks:
             return
         if not self._opened:
             self.open()
         name = f"{self._SEGMENT_PREFIX}{self._next_segment:06d}.pkl"
         with fault_region("journal"):
             atomic_write(self.directory / name,
-                         lambda handle: pickle.dump(tuple(records), handle,
+                         lambda handle: pickle.dump(tuple(blocks), handle,
                                                     protocol=4))
         self._next_segment += 1
 
@@ -418,10 +350,11 @@ class CampaignJournal:
 
     @classmethod
     def recover(cls, directory: str | Path, *,
-                fingerprint: str | None) -> "list[PointRecord]":
-        """Load every journaled record, validating the campaign fingerprint.
+                fingerprint: str | None) -> "list[CornerBlock]":
+        """Load every journaled corner block, validating the campaign
+        fingerprint.
 
-        Returns ``[]`` when no journal exists.  A journal written by a
+        Returns the blocks in point order, ``[]`` when no journal exists.  A journal written by a
         *different* campaign (fingerprint mismatch) raises instead of being
         silently mixed into the wrong result.
         """
@@ -450,68 +383,12 @@ class CampaignJournal:
                 f"campaign journal {directory} belongs to campaign "
                 f"{manifest.get('campaign_name')!r} (fingerprint mismatch); "
                 "delete it or point the checkpoint elsewhere")
-        records: list = []
-        seen: set[int] = set()
+        blocks: dict[int, "CornerBlock"] = {}
         for number in cls._segment_numbers(directory):
             path = directory / f"{cls._SEGMENT_PREFIX}{number:06d}.pkl"
             with path.open("rb") as handle:
                 batch = pickle.load(handle)
-            for record in batch:
-                if record.point_index not in seen:   # re-runs dedupe cleanly
-                    seen.add(record.point_index)
-                    records.append(record)
-        records.sort(key=lambda record: record.point_index)
-        return records
+            for block in batch:                      # re-runs dedupe cleanly
+                blocks.setdefault(block.first_point, block)
+        return [blocks[first] for first in sorted(blocks)]
 
-
-def _decode_records(columns: dict[str, np.ndarray], point_record_cls) -> list:
-    n = len(columns["point_index"])
-    entry_names = [str(name) for name in columns["entry_names"]]
-    knob_names = [name[len(_KNOB_PREFIX):] for name in columns
-                  if name.startswith(_KNOB_PREFIX)]
-
-    records = []
-    for row in range(n):
-        knobs = {}
-        for name in knob_names:
-            value = float(columns[_KNOB_PREFIX + name][row])
-            if not np.isnan(value):
-                knobs[name] = value
-        entries = []
-        per_entry_fm = {}
-        per_entry_am = {}
-        for col, name in enumerate(entry_names):
-            if not columns["entry_present"][row, col]:
-                continue
-            entries.append(NoiseEntry(
-                name=name,
-                h_sub=complex(columns["entry_h_sub"][row, col]),
-                k_hz_per_volt=float(columns["entry_k_hz_per_volt"][row, col]),
-                g_am_per_volt=float(columns["entry_g_am_per_volt"][row, col]),
-                mechanism=str(columns["entry_mechanism"][row, col])))
-            per_entry_fm[name] = float(columns["entry_fm_voltage"][row, col])
-            per_entry_am[name] = float(columns["entry_am_voltage"][row, col])
-        noise_frequency = float(columns["noise_frequency"][row])
-        spur = SpurResult(
-            noise_frequency=noise_frequency,
-            carrier_frequency=float(columns["carrier_frequency"][row]),
-            carrier_amplitude=float(columns["carrier_amplitude"][row]),
-            noise_amplitude=float(columns["noise_amplitude"][row]),
-            entries=entries,
-            fm_voltage=float(columns["fm_voltage"][row]),
-            am_voltage=float(columns["am_voltage"][row]),
-            lower_sideband_voltage=float(
-                columns["lower_sideband_voltage"][row]),
-            upper_sideband_voltage=float(
-                columns["upper_sideband_voltage"][row]),
-            per_entry_fm_voltage=per_entry_fm,
-            per_entry_am_voltage=per_entry_am)
-        records.append(point_record_cls(
-            point_index=int(columns["point_index"][row]),
-            variant_index=int(columns["variant_index"][row]),
-            knobs=knobs,
-            injected_power_dbm=float(columns["injected_power_dbm"][row]),
-            vtune=float(columns["vtune"][row]),
-            noise_frequency=noise_frequency,
-            spur=spur))
-    return records

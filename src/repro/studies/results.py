@@ -1,10 +1,12 @@
 """Tidy result store of a sweep campaign.
 
-Every grid point of a campaign produces one :class:`PointRecord` (the point's
-coordinates plus the spur analysis outcome, including the full
-:class:`~repro.vco.spurs.SpurResult`).  :class:`SweepResult` aggregates the
-records into tidy column arrays and answers the design-study questions the
-paper's figures ask:
+A campaign's grid points live in :class:`SweepResult` as the column arrays
+of :mod:`repro.studies.columns` (coordinates plus the spur analysis
+outcome with its full per-entry decomposition).  :class:`PointRecord` is
+one point decoded into objects (its
+:class:`~repro.vco.spurs.SpurResult` included), built on demand.  The
+result answers the design-study questions the paper's figures ask from the
+columns:
 
 * :meth:`SweepResult.spur_vs_frequency` — one spur-power-versus-noise-
   frequency curve per corner (Figure 8 / Figure 10 raw material),
@@ -18,7 +20,8 @@ paper's figures ask:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +31,15 @@ from ..core.flow import FlowResult
 from ..data import measurements
 from ..errors import AnalysisError, CornerFailure
 from ..layout.testchips import VcoLayoutSpec
-from ..vco.spurs import SpurResult
+from ..vco.spurs import NoiseEntry, SpurResult
+from .columns import (
+    KNOB_PREFIX,
+    concat_columns,
+    corner_keys,
+    n_points,
+    spur_power_column,
+    take_rows,
+)
 from .params import AXIS_INJECTED_POWER, AXIS_NOISE_FREQUENCY, AXIS_VTUNE
 
 
@@ -85,12 +96,17 @@ class VariantRecord:
 
 @dataclass
 class SweepResult:
-    """Aggregated outcome of one campaign run."""
+    """Aggregated outcome of one campaign run.
+
+    ``columns`` holds every point in the NPZ column schema of
+    :mod:`repro.studies.columns`; the queries read them directly.
+    ``records`` decodes them into :class:`PointRecord` objects on first use.
+    """
 
     campaign_name: str
     backend_name: str
     axes: dict[str, tuple[float, ...]]    #: resolved axes incl. defaults
-    records: list[PointRecord]
+    columns: dict[str, np.ndarray]        #: the points, in point order
     variants: list[VariantRecord]
     wall_seconds: float
     cache_hits: int                       #: cache hits during this run
@@ -113,7 +129,25 @@ class SweepResult:
     telemetry: dict | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return n_points(self.columns)
+
+    @cached_property
+    def records(self) -> list[PointRecord]:
+        """Every point as a :class:`PointRecord`, in point order."""
+        return decode_records(self.columns)
+
+    def point(self, row: int) -> PointRecord:
+        """The point in row ``row`` as a :class:`PointRecord`."""
+        return decode_records(self.columns, [row])[0]
+
+    def corners(self) -> frozenset[tuple[int, float, float]]:
+        """The (variant, power, vtune) corners that have points."""
+        return frozenset(corner_keys(self.columns))
+
+    def subset(self, rows) -> "SweepResult":
+        """This result restricted to the points ``rows`` selects (a boolean
+        mask or an index array over the rows)."""
+        return replace(self, columns=take_rows(self.columns, rows))
 
     @property
     def complete(self) -> bool:
@@ -130,7 +164,7 @@ class SweepResult:
     def save(self, path) -> tuple:
         """Persist to ``<stem>.npz`` + ``<stem>.meta.json``; returns the paths.
 
-        The float columns are stored raw (float64 / complex128), so
+        The columns are stored raw (float64 / complex128), so
         ``SweepResult.load(path)`` reconstructs records whose spur powers are
         bit-identical to the in-memory originals.
         """
@@ -148,12 +182,12 @@ class SweepResult:
     def merge(self, other: "SweepResult") -> "SweepResult":
         """Combine two partial runs of the *same* campaign into one result.
 
-        Records are keyed by their deterministic grid ``point_index``; where
-        both results cover a point, this result's record wins.  Wall-clock
+        Points are keyed by their deterministic grid ``point_index``; where
+        both results cover a point, this result's point wins.  Wall-clock
         and cache counters are summed (cumulative cost of both runs).
 
         This is the API for stitching separately-saved partial results (e.g.
-        corners computed on different machines), and the one record merger
+        corners computed on different machines), and the one point merger
         of :meth:`SweepRunner.run <repro.studies.runner.SweepRunner.run>`:
         a resumed run merges its fresh result with its prior work, whose
         cost it zeroes first, so it reports only the *fresh* run's wall
@@ -171,8 +205,10 @@ class SweepResult:
             raise AnalysisError(
                 "cannot merge sweep results with different axes "
                 f"({sorted(self.axes)} vs {sorted(other.axes)})")
-        by_point = {record.point_index: record for record in other.records}
-        by_point.update({record.point_index: record for record in self.records})
+        theirs_only = ~np.isin(other.columns["point_index"],
+                               self.columns["point_index"])
+        columns = concat_columns([self.columns,
+                                  take_rows(other.columns, theirs_only)])
         variants: dict[int, VariantRecord] = {
             variant.index: variant for variant in other.variants}
         for variant in self.variants:
@@ -180,17 +216,14 @@ class SweepResult:
                 variants[variant.index] = variant
         # A corner one run failed but the other completed is no longer a
         # failure; among surviving failures, keyed corners dedupe (self wins).
-        merged_records = [by_point[index] for index in sorted(by_point)]
-        covered = {(r.variant_index, r.injected_power_dbm, r.vtune)
-                   for r in merged_records}
+        covered = set(corner_keys(columns))
         failures: list[CornerFailure] = []
-        seen_corners: set[tuple[int, float, float]] = set()
         for failure in [*self.failures, *other.failures]:
             corner = (failure.variant_index, failure.injected_power_dbm,
                       failure.vtune)
-            if corner in covered or corner in seen_corners:
+            if corner in covered:
                 continue
-            seen_corners.add(corner)
+            covered.add(corner)
             failures.append(failure)
         degradations = dict(self.solver_degradations)
         for name, count in other.solver_degradations.items():
@@ -199,7 +232,7 @@ class SweepResult:
             campaign_name=self.campaign_name,
             backend_name=self.backend_name,
             axes=self.axes,
-            records=merged_records,
+            columns=columns,
             variants=[variants[index] for index in sorted(variants)],
             wall_seconds=self.wall_seconds + other.wall_seconds,
             cache_hits=self.cache_hits + other.cache_hits,
@@ -213,28 +246,24 @@ class SweepResult:
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:
+        stored = self.columns
         columns = {
-            "variant": np.array([r.variant_index for r in self.records]),
-            AXIS_INJECTED_POWER: np.array(
-                [r.injected_power_dbm for r in self.records]),
-            AXIS_VTUNE: np.array([r.vtune for r in self.records]),
-            AXIS_NOISE_FREQUENCY: np.array(
-                [r.noise_frequency for r in self.records]),
-            "spur_power_dbm": np.array(
-                [r.spur_power_dbm for r in self.records]),
-            "carrier_frequency": np.array(
-                [r.carrier_frequency for r in self.records]),
-            "carrier_amplitude": np.array(
-                [r.carrier_amplitude for r in self.records]),
+            "variant": stored["variant_index"],
+            AXIS_INJECTED_POWER: stored["injected_power_dbm"],
+            AXIS_VTUNE: stored["vtune"],
+            AXIS_NOISE_FREQUENCY: stored["noise_frequency"],
+            "spur_power_dbm": spur_power_column(stored),
+            "carrier_frequency": stored["carrier_frequency"],
+            "carrier_amplitude": stored["carrier_amplitude"],
         }
         for name in self.axes:
             if name not in columns:          # layout / mesh axes
-                columns[name] = np.array(
-                    [r.knobs.get(name, np.nan) for r in self.records])
+                columns[name] = stored.get(
+                    KNOB_PREFIX + name, np.full(len(self), np.nan))
         return columns
 
     def column(self, name: str) -> np.ndarray:
-        """Tidy column over all records (axis coordinate or outcome)."""
+        """Tidy column over all points (axis coordinate or outcome)."""
         try:
             return self._columns[name]
         except KeyError:
@@ -243,13 +272,13 @@ class SweepResult:
                 f"{sorted(self._columns)}") from None
 
     def rows(self) -> list[dict[str, float]]:
-        """All records as flat dict rows (for tables / DataFrame adapters)."""
+        """All points as flat dict rows (for tables / DataFrame adapters)."""
         return [record.row() for record in self.records]
 
     # -- selection -----------------------------------------------------------
 
     def _mask(self, **filters: float) -> np.ndarray:
-        mask = np.ones(len(self.records), dtype=bool)
+        mask = np.ones(len(self), dtype=bool)
         for name, value in filters.items():
             column = self.column(name)
             mask &= np.isclose(column, value, rtol=1e-12, atol=0.0)
@@ -257,8 +286,8 @@ class SweepResult:
 
     def select(self, **filters: float) -> list[PointRecord]:
         """Records matching the given axis values (e.g. ``vtune=0.0``)."""
-        mask = self._mask(**filters)
-        return [record for record, keep in zip(self.records, mask) if keep]
+        return decode_records(self.columns,
+                              np.flatnonzero(self._mask(**filters)))
 
     # -- summary queries -----------------------------------------------------
 
@@ -268,11 +297,11 @@ class SweepResult:
         Returns ``(frequencies, spur_power_dbm)`` sorted by frequency; the
         filters must pin every other axis down to a single curve.
         """
-        selected = self.select(**filters)
-        if not selected:
+        mask = self._mask(**filters)
+        if not mask.any():
             raise AnalysisError(f"no sweep points match {filters!r}")
-        frequencies = np.array([r.noise_frequency for r in selected])
-        power = np.array([r.spur_power_dbm for r in selected])
+        frequencies = self.column(AXIS_NOISE_FREQUENCY)[mask]
+        power = self.column("spur_power_dbm")[mask]
         if len(np.unique(frequencies)) != len(frequencies):
             raise AnalysisError(
                 f"filters {filters!r} leave more than one curve "
@@ -282,34 +311,23 @@ class SweepResult:
 
     def worst_spur(self, **filters: float) -> PointRecord:
         """The grid point with the highest total spur power (worst corner)."""
-        selected = self.select(**filters) if filters else self.records
-        if not selected:
+        rows = np.flatnonzero(self._mask(**filters))
+        if not rows.size:
             raise AnalysisError(f"no sweep points match {filters!r}")
-        return max(selected, key=lambda record: record.spur_power_dbm)
-
-    @staticmethod
-    def _axis_value(record: PointRecord, axis: str) -> float:
-        if axis == "variant":
-            return float(record.variant_index)
-        if axis == AXIS_VTUNE:
-            return record.vtune
-        if axis == AXIS_NOISE_FREQUENCY:
-            return record.noise_frequency
-        if axis == AXIS_INJECTED_POWER:
-            return record.injected_power_dbm
-        return record.knobs[axis]
+        power = self.column("spur_power_dbm")[rows]
+        return self.point(int(rows[np.argmax(power)]))
 
     def worst_per(self, axis: str) -> dict[float, PointRecord]:
         """Worst grid point for each value of ``axis`` (worst spur per corner)."""
         if axis not in self.axes and axis != "variant":
             raise AnalysisError(f"unknown sweep axis {axis!r}")
-        worst: dict[float, PointRecord] = {}
-        for record in self.records:
-            value = self._axis_value(record, axis)
-            if value not in worst \
-                    or record.spur_power_dbm > worst[value].spur_power_dbm:
-                worst[value] = record
-        return worst
+        power = self.column("spur_power_dbm").tolist()
+        worst: dict[float, int] = {}
+        for row, value in enumerate(self.column(axis).tolist()):
+            value = float(value)
+            if value not in worst or power[row] > power[worst[value]]:
+                worst[value] = row
+        return {value: self.point(row) for value, row in worst.items()}
 
     # -- bridge into the classic figure results ------------------------------
 
@@ -373,7 +391,7 @@ class SweepResult:
         summary: dict[str, float | int | str] = {
             "campaign": self.campaign_name,
             "backend": self.backend_name,
-            "points": len(self.records),
+            "points": len(self),
             "variants": len(self.variants),
             "extractions": self.cache_misses,
             "cache_hits": self.cache_hits,
@@ -381,7 +399,7 @@ class SweepResult:
         }
         if (self.campaign_spec or {}).get("fingerprint"):
             summary["fingerprint"] = self.campaign_spec["fingerprint"]
-        if self.records:   # a fully-failed skip-policy run has no points
+        if len(self):   # a fully-failed skip-policy run has no points
             summary["worst_spur_dbm"] = round(
                 self.worst_spur().spur_power_dbm, 2)
         if self.failures:
@@ -390,3 +408,62 @@ class SweepResult:
             summary["solver_degradations"] = sum(
                 self.solver_degradations.values())
         return summary
+
+
+def decode_records(columns: dict[str, np.ndarray],
+                   rows=None) -> list[PointRecord]:
+    """The points of ``columns`` (all, or the row indices ``rows``) as
+    :class:`PointRecord` objects, bit-identical to the stored values."""
+    if rows is not None:
+        columns = take_rows(columns, np.asarray(rows, dtype=np.intp))
+    entry_names = columns["entry_names"].tolist()
+    knob_names = [name[len(KNOB_PREFIX):] for name in columns
+                  if name.startswith(KNOB_PREFIX)]
+    # One tolist() per column: Python scalars without per-element indexing.
+    values = {name: array.tolist() for name, array in columns.items()
+              if name != "entry_names"}
+    knob_values = [values[KNOB_PREFIX + name] for name in knob_names]
+    records = []
+    for row, point_index in enumerate(values["point_index"]):
+        knobs = {name: column[row] for name, column
+                 in zip(knob_names, knob_values) if not math.isnan(column[row])}
+        entries = []
+        per_entry_fm = {}
+        per_entry_am = {}
+        for name, present, h_sub, k, g, mechanism, fm, am in zip(
+                entry_names, values["entry_present"][row],
+                values["entry_h_sub"][row],
+                values["entry_k_hz_per_volt"][row],
+                values["entry_g_am_per_volt"][row],
+                values["entry_mechanism"][row],
+                values["entry_fm_voltage"][row],
+                values["entry_am_voltage"][row]):
+            if not present:
+                continue
+            entries.append(NoiseEntry(name=name, h_sub=h_sub,
+                                      k_hz_per_volt=k, g_am_per_volt=g,
+                                      mechanism=mechanism))
+            per_entry_fm[name] = fm
+            per_entry_am[name] = am
+        noise_frequency = values["noise_frequency"][row]
+        spur = SpurResult(
+            noise_frequency=noise_frequency,
+            carrier_frequency=values["carrier_frequency"][row],
+            carrier_amplitude=values["carrier_amplitude"][row],
+            noise_amplitude=values["noise_amplitude"][row],
+            entries=entries,
+            fm_voltage=values["fm_voltage"][row],
+            am_voltage=values["am_voltage"][row],
+            lower_sideband_voltage=values["lower_sideband_voltage"][row],
+            upper_sideband_voltage=values["upper_sideband_voltage"][row],
+            per_entry_fm_voltage=per_entry_fm,
+            per_entry_am_voltage=per_entry_am)
+        records.append(PointRecord(
+            point_index=point_index,
+            variant_index=values["variant_index"][row],
+            knobs=knobs,
+            injected_power_dbm=values["injected_power_dbm"][row],
+            vtune=values["vtune"][row],
+            noise_frequency=noise_frequency,
+            spur=spur))
+    return records

@@ -15,8 +15,8 @@ into a :class:`~repro.studies.results.SweepResult`:
 3. execute the extractions and the tasks as *one* dependency-aware plan on
    the :class:`~repro.parallel.scheduler.WorkScheduler` — inline at one
    worker, on the shared process pool otherwise — and reassemble the
-   per-point records *in task order*, so the result is numerically identical
-   whatever the worker count.
+   per-corner column blocks *in task order*, so the result is numerically
+   identical whatever the worker count.
 
 ``_execute_task`` and ``_execute_extraction`` are module-level functions
 with picklable payloads, which is what lets the scheduler ship them to
@@ -53,9 +53,16 @@ from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
 from ..technology.process import ProcessTechnology
 from .cache import ExtractionCache, fingerprint
+from .columns import (
+    CornerBlock,
+    concat_columns,
+    corner_columns,
+    corner_keys,
+    n_points,
+)
 from .params import Campaign, LayoutVariant
 from .persist import CampaignJournal, CheckpointPolicy
-from .results import PointRecord, SweepResult, VariantRecord
+from .results import SweepResult, VariantRecord
 
 if TYPE_CHECKING:
     from ..core.vco_experiment import VcoExperimentOptions
@@ -106,27 +113,35 @@ class SweepTask:
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """Per-point records produced by one task, tagged with the task index.
+    """The corner block one task produced, tagged with the task index.
 
-    ``solver_counts`` holds the non-zero solver counters this task spent,
-    measured as the delta of the executing process's global solver stats
-    around the task, so the parent sums them whichever process ran it.
-    ``seconds`` is the task's wall clock; ``spans`` carries the spans the
-    task recorded under its :class:`~repro.obs.TraceContext` home to the
-    parent process (empty whenever tracing is disabled).
+    ``block`` holds the corner's points as result columns and the non-zero
+    solver counters the task spent, measured as the delta of the executing
+    process's global solver stats around the task, so the parent sums them
+    whichever process ran it.  ``seconds`` is the task's wall clock;
+    ``spans`` carries the spans the task recorded under its
+    :class:`~repro.obs.TraceContext` home to the parent process (empty
+    whenever tracing is disabled).
     """
 
     index: int
-    records: tuple[PointRecord, ...]
-    solver_counts: tuple[tuple[str, int], ...] = ()
+    block: CornerBlock
     seconds: float = 0.0
     spans: tuple = ()
 
     @property
+    def points(self) -> int:
+        return n_points(self.block.columns)
+
+    @property
     def degradations(self) -> tuple[tuple[str, int], ...]:
-        """The degradation-ladder subset of ``solver_counts``."""
-        return tuple((name, count) for name, count in self.solver_counts
-                     if name in SolverStats.DEGRADATION_COUNTERS)
+        """The degradation-ladder subset of the block's solver counts."""
+        return _degradations(self.block.solver_counts)
+
+
+def _degradations(solver_counts) -> tuple[tuple[str, int], ...]:
+    return tuple((name, count) for name, count in solver_counts
+                 if name in SolverStats.DEGRADATION_COUNTERS)
 
 
 @dataclass(frozen=True)
@@ -177,11 +192,6 @@ def _execute_extraction(task: ExtractionTask) -> FlowResult:
 
     return DiskExtractionCache(task.cache_dir).extract_with_claim(task.key,
                                                                   extract)
-
-
-def _corner(record: PointRecord) -> tuple[int, float, float]:
-    """The (variant, injected power, V_tune) corner a point belongs to."""
-    return (record.variant_index, record.injected_power_dbm, record.vtune)
 
 
 @dataclass
@@ -238,7 +248,7 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
             analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
                                          options=task.options,
                                          flow_result=task.flow)
-            spur_results, _vco, _catalog, _tf = analysis.analyze(
+            sweep, _vco, _catalog, _tf = analysis.analyze(
                 task.vtune, np.asarray(task.noise_frequencies, dtype=float))
     seconds = time.perf_counter() - t0
     # Process-local delta of the global counters: the solves this corner
@@ -247,25 +257,19 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     solver_counts = tuple((name, getattr(spent, name))
                           for name in SolverStats._COUNTERS
                           if getattr(spent, name) > 0)
-    records = tuple(
-        PointRecord(point_index=task.first_point_index + offset,
-                    variant_index=task.variant_index,
-                    knobs=dict(task.knobs),
-                    injected_power_dbm=task.injected_power_dbm,
-                    vtune=task.vtune,
-                    noise_frequency=float(frequency),
-                    spur=spur)
-        for offset, (frequency, spur)
-        in enumerate(zip(task.noise_frequencies, spur_results)))
-    return TaskOutcome(index=task.index, records=records,
-                       solver_counts=solver_counts, seconds=seconds,
-                       spans=tuple(span_sink))
+    columns = corner_columns(
+        sweep, first_point_index=task.first_point_index,
+        variant_index=task.variant_index, knobs=task.knobs,
+        injected_power_dbm=task.injected_power_dbm, vtune=task.vtune)
+    return TaskOutcome(index=task.index,
+                       block=CornerBlock(columns, solver_counts),
+                       seconds=seconds, spans=tuple(span_sink))
 
 
 class _Checkpointer:
     """Streams completed corners into the crash journal (``on_result`` hook).
 
-    Buffers each settled task's records and flushes them as one atomic
+    Buffers each settled task's corner block and flushes them as one atomic
     journal segment every ``policy.every_corners`` corners or
     ``policy.every_seconds`` seconds, whichever comes first.  The runner
     flushes once more in a ``finally`` when the campaign ends, so even an
@@ -275,12 +279,12 @@ class _Checkpointer:
     def __init__(self, journal: CampaignJournal, policy: CheckpointPolicy):
         self.journal = journal
         self.policy = policy
-        self._buffer: list[PointRecord] = []
+        self._buffer: list[CornerBlock] = []
         self._corners_since_flush = 0
         self._last_flush = time.monotonic()
 
     def __call__(self, index: int, outcome: TaskOutcome) -> None:
-        self._buffer.extend(outcome.records)
+        self._buffer.append(outcome.block)
         self._corners_since_flush += 1
         if (self._corners_since_flush >= self.policy.every_corners
                 or time.monotonic() - self._last_flush
@@ -414,7 +418,7 @@ class SweepRunner:
 
         ``skip`` holds corners an earlier (persisted) run already completed;
         their tasks are omitted but the deterministic global point indexing
-        still advances past them, so merged records line up exactly with a
+        still advances past them, so merged points line up exactly with a
         never-interrupted run.  A task of a variant still to be extracted
         is built with ``flow=None``; the scheduler binds the flow in just
         before dispatch.
@@ -452,14 +456,15 @@ class SweepRunner:
                ) -> SweepResult | None:
         """The work done before this run as one partial result, or ``None``.
 
-        ``resume_from`` and the records recovered from the ``checkpoint``
-        journal combine through :meth:`SweepResult.merge`, the stored result
-        winning where both cover a point; both are files from outside this
-        process, so both are checked against the campaign fingerprint.  Only
-        corners with a record for each of the ``n_frequencies`` are kept.
-        The prior carries work, not cost: its wall clock, cache traffic,
-        telemetry and failures are dropped, so a resumed result reports
-        this run's.
+        ``resume_from`` and the corner blocks recovered from the
+        ``checkpoint`` journal combine through :meth:`SweepResult.merge`, the
+        stored result winning where both cover a corner; both are files from
+        outside this process, so both are checked against the campaign
+        fingerprint.  The journaled corners' solver degradations ride along
+        in their blocks.  Only corners with a point for each of the
+        ``n_frequencies`` are kept.  The prior carries work, not cost: its
+        wall clock, cache traffic, telemetry and failures are dropped, so a
+        resumed result reports this run's.
         """
         fingerprint = campaign.fingerprint()
         prior = resume_from
@@ -472,21 +477,35 @@ class SweepRunner:
                     "fingerprint does not match this campaign's "
                     "axes/spec/options")
         if checkpoint is not None:
-            records = CampaignJournal.recover(checkpoint.path,
-                                              fingerprint=fingerprint)
-            if records:
+            blocks = CampaignJournal.recover(checkpoint.path,
+                                             fingerprint=fingerprint)
+            if prior is not None:
+                # The stored result wins: a block it already covers would
+                # count its corner's degradations twice.
+                stored = set(prior.columns["point_index"].tolist())
+                blocks = [block for block in blocks
+                          if block.first_point not in stored]
+            if blocks:
+                degradations: Counter = Counter()
+                for block in blocks:
+                    degradations.update(dict(
+                        _degradations(block.solver_counts)))
                 journaled = SweepResult(
                     campaign_name=campaign.name, backend_name="journal",
-                    axes=campaign.resolved_axes(), records=records,
+                    axes=campaign.resolved_axes(),
+                    columns=concat_columns([block.columns
+                                            for block in blocks]),
                     variants=[], wall_seconds=0.0, cache_hits=0,
-                    cache_misses=0, campaign_spec=campaign.describe())
+                    cache_misses=0, campaign_spec=campaign.describe(),
+                    solver_degradations=dict(degradations))
                 prior = journaled if prior is None else prior.merge(journaled)
         if prior is None:
             return None
-        counts = Counter(_corner(record) for record in prior.records)
-        return replace(prior,
-                       records=[record for record in prior.records
-                                if counts[_corner(record)] >= n_frequencies],
+        corners = corner_keys(prior.columns)
+        counts = Counter(corners)
+        complete = np.array([counts[corner] >= n_frequencies
+                             for corner in corners], dtype=bool)
+        return replace(prior.subset(complete),
                        wall_seconds=0.0, cache_hits=0, cache_misses=0,
                        failures=[], telemetry=None)
 
@@ -561,8 +580,7 @@ class SweepRunner:
         powers, vtunes, frequencies = campaign.sim_grid()
         prior = self._prior(campaign, resume_from, checkpoint,
                             len(frequencies))
-        done = frozenset(_corner(record) for record in prior.records) \
-            if prior is not None else frozenset()
+        done = prior.corners() if prior is not None else frozenset()
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
@@ -658,7 +676,7 @@ class SweepRunner:
                     observer.corner_failed(failure)
                 continue
             successes.append(outcome)
-            for name, count in outcome.solver_counts:
+            for name, count in outcome.block.solver_counts:
                 setattr(spent, name, getattr(spent, name) + count)
         degradations = {name: getattr(spent, name)
                         for name in SolverStats.DEGRADATION_COUNTERS
@@ -674,15 +692,15 @@ class SweepRunner:
             substrate_reuses=sum(1 for key in plan.leaders
                                  if key in plan.resolved),
             trace_mark=trace_mark)
-        # Tasks run in point order, so their records need no sort.  Fresh
-        # flows arrived through the plan after the tasks were built (flows
-        # of variants that failed to extract stay None).
+        # Tasks run in point order, so their blocks concatenate in order.
+        # Fresh flows arrived through the plan after the tasks were built
+        # (flows of variants that failed to extract stay None).
         result = SweepResult(
             campaign_name=campaign.name,
             backend_name=self.backend.describe(),
             axes=campaign.resolved_axes(),
-            records=[record for outcome in successes
-                     for record in outcome.records],
+            columns=concat_columns([outcome.block.columns
+                                    for outcome in successes]),
             variants=plan.records(variants),
             wall_seconds=time.perf_counter() - start,
             cache_hits=self.cache.hits - hits_before,

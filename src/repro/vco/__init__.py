@@ -13,7 +13,13 @@ from .sensitivity import (
     entries_at_frequency,
     junction_capacitance_sensitivity,
 )
-from .spurs import NoiseEntry, SpurResult, compute_spurs, synthesize_output_waveform
+from .spurs import (
+    NoiseEntry,
+    SpurResult,
+    SpurSweep,
+    compute_spurs,
+    synthesize_output_waveform,
+)
 
 __all__ = [
     "ENTRY_GROUND",
@@ -25,6 +31,7 @@ __all__ = [
     "LcTankVco",
     "NoiseEntry",
     "SpurResult",
+    "SpurSweep",
     "VcoDesign",
     "VcoEntryCatalog",
     "build_entry_catalog",

@@ -13,7 +13,8 @@ amplitudes (paper eqs. (2) and (3))
 ``|V_AM(f_c +/- f_noise)| = (A_c / 2) * |sum_i h_sub,i(f_noise) * G_AM,i| * A_noise``
 
 This module evaluates those expressions per entry and combined — for one
-analysis point or a whole sweep of them as (entries x frequencies) arrays —
+analysis point (:class:`SpurResult`) or a whole sweep of them as
+(points x entries) arrays (:class:`SpurSweep`) —
 converts spur voltages to power in dBm, and synthesises the time-domain
 output waveform of eq. (1) so a spectrum-analyzer view (the paper's Figure
 7) can be produced by FFT.
@@ -59,6 +60,21 @@ class NoiseEntry:
     mechanism: str = "resistive"
 
 
+def total_spur_power_dbm(lower_sideband_voltage: float,
+                         upper_sideband_voltage: float,
+                         impedance: float = 50.0) -> float:
+    """Total power of two sideband voltages (volts peak) in dBm.
+
+    Python-float arithmetic on purpose: a column of these built from arrays
+    matches :meth:`SpurResult.total_spur_power_dbm` bit for bit.
+    """
+    power = (lower_sideband_voltage ** 2
+             + upper_sideband_voltage ** 2) / (2.0 * impedance)
+    if power <= 0:
+        return -300.0
+    return 10.0 * math.log10(power / 1e-3)
+
+
 @dataclass
 class SpurResult:
     """Spur amplitudes of one analysis point (one noise frequency / V_tune)."""
@@ -83,11 +99,8 @@ class SpurResult:
 
     def total_spur_power_dbm(self, impedance: float = 50.0) -> float:
         """Total spur power (both sidebands) in dBm into ``impedance``."""
-        power = (self.lower_sideband_voltage ** 2
-                 + self.upper_sideband_voltage ** 2) / (2.0 * impedance)
-        if power <= 0:
-            return -300.0
-        return 10.0 * math.log10(power / 1e-3)
+        return total_spur_power_dbm(self.lower_sideband_voltage,
+                                    self.upper_sideband_voltage, impedance)
 
     def sideband_power_dbm(self, side: str = "upper",
                            impedance: float = 50.0) -> float:
@@ -122,20 +135,85 @@ class SpurResult:
         return 10.0 * math.log10(power / 1e-3)
 
 
+@dataclass(eq=False)
+class SpurSweep:
+    """Spur amplitudes along a noise-frequency sweep at one corner.
+
+    What :func:`compute_spurs` returns for an array of noise frequencies:
+    the (points x entries) arrays eqs. (2) and (3) produce, plus the entry
+    constants and the carrier scalars.  ``len``, indexing and iteration
+    build one :class:`SpurResult` per point on demand, so callers that
+    want per-point objects get the same ones a scalar call returns; the
+    campaign runner reads the arrays instead.
+    """
+
+    noise_frequency: np.ndarray           #: (points,)
+    carrier_frequency: float
+    carrier_amplitude: float
+    noise_amplitude: float
+    entry_names: list[str]                #: (entries,)
+    entry_k_hz_per_volt: np.ndarray       #: (entries,)
+    entry_g_am_per_volt: np.ndarray       #: (entries,)
+    entry_mechanism: list[str]            #: (entries,)
+    h_sub: np.ndarray                     #: (points, entries), complex
+    per_entry_fm_voltage: np.ndarray      #: (points, entries)
+    per_entry_am_voltage: np.ndarray      #: (points, entries)
+    fm_voltage: np.ndarray                #: (points,)
+    am_voltage: np.ndarray                #: (points,)
+    lower_sideband_voltage: np.ndarray    #: (points,)
+    upper_sideband_voltage: np.ndarray    #: (points,)
+
+    def __len__(self) -> int:
+        return self.noise_frequency.size
+
+    def __getitem__(self, point: int) -> SpurResult:
+        if not -len(self) <= point < len(self):
+            raise IndexError(f"sweep point {point} out of range "
+                             f"({len(self)} points)")
+        return self._result(point % len(self))
+
+    def __iter__(self):
+        return (self._result(point) for point in range(len(self)))
+
+    def _result(self, point: int) -> SpurResult:
+        names = self.entry_names
+        h_sub = self.h_sub[point].tolist()
+        entries = [NoiseEntry(name=name, h_sub=h, k_hz_per_volt=k,
+                              g_am_per_volt=g, mechanism=mechanism)
+                   for name, h, k, g, mechanism in zip(
+                       names, h_sub, self.entry_k_hz_per_volt.tolist(),
+                       self.entry_g_am_per_volt.tolist(),
+                       self.entry_mechanism)]
+        return SpurResult(
+            noise_frequency=float(self.noise_frequency[point]),
+            carrier_frequency=self.carrier_frequency,
+            carrier_amplitude=self.carrier_amplitude,
+            noise_amplitude=self.noise_amplitude,
+            entries=entries,
+            fm_voltage=float(self.fm_voltage[point]),
+            am_voltage=float(self.am_voltage[point]),
+            lower_sideband_voltage=float(self.lower_sideband_voltage[point]),
+            upper_sideband_voltage=float(self.upper_sideband_voltage[point]),
+            per_entry_fm_voltage=dict(zip(
+                names, self.per_entry_fm_voltage[point].tolist())),
+            per_entry_am_voltage=dict(zip(
+                names, self.per_entry_am_voltage[point].tolist())))
+
+
 def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
                   carrier_amplitude: float, noise_amplitude: float,
                   noise_frequency: float | np.ndarray
-                  ) -> SpurResult | list[SpurResult]:
+                  ) -> SpurResult | SpurSweep:
     """Evaluate the paper's spur equations for one analysis point, or along
     a sweep.
 
     For a sweep, ``noise_frequency`` is a 1-D array and each entry's
     ``h_sub`` the array of its values there (what
     :func:`~repro.vco.sensitivity.entries_at_frequency` returns for the same
-    array).  Eqs. (2) and (3) are then
-    evaluated once on (entries x frequencies) arrays, and one
-    :class:`SpurResult` per point comes back, in sweep order.  A single
-    point is the same evaluation with one column.
+    array).  Eqs. (2) and (3) are then evaluated once on (entries x
+    frequencies) arrays and come back as one :class:`SpurSweep`.  A single
+    point is the same evaluation with one column, returned as its
+    :class:`SpurResult`.
     """
     frequencies = np.asarray(noise_frequency, dtype=float)
     if np.any(frequencies <= 0):
@@ -149,51 +227,44 @@ def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
     h_sub = np.empty((len(entries), points.size), dtype=complex)
     for row, entry in enumerate(entries):
         h_sub[row] = entry.h_sub
-    k = np.array([entry.k_hz_per_volt for entry in entries])[:, None]
-    g_am = np.array([entry.g_am_per_volt for entry in entries])[:, None]
+    k = np.array([entry.k_hz_per_volt for entry in entries], dtype=float)
+    g_am = np.array([entry.g_am_per_volt for entry in entries], dtype=float)
 
     scale = carrier_amplitude / 2.0 * noise_amplitude
-    fm_terms = h_sub * k / points
-    am_terms = h_sub * g_am
-    fm_sum = fm_terms.sum(axis=0)
-    am_sum = am_terms.sum(axis=0)
-    per_entry_fm = (scale * np.abs(fm_terms)).T.tolist()
-    per_entry_am = (scale * np.abs(am_terms)).T.tolist()
-    fm_voltage = (scale * np.abs(fm_sum)).tolist()
-    am_voltage = (scale * np.abs(am_sum)).tolist()
+    fm_terms = h_sub * k[:, None] / points
+    am_terms = h_sub * g_am[:, None]
+    # Entry by entry, in order: the same additions whatever the number of
+    # points, so a sweep's point equals the scalar call bit for bit.
+    fm_sum = fm_terms[0].copy()
+    am_sum = am_terms[0].copy()
+    for fm_row, am_row in zip(fm_terms[1:], am_terms[1:]):
+        fm_sum += fm_row
+        am_sum += am_row
     # Narrow-band FM produces anti-phase sidebands while AM produces in-phase
     # sidebands, so the two mechanisms add on one side of the carrier and
     # subtract on the other — the paper's "small difference between left and
     # right spur ... caused by negligible AM".
-    upper = (scale * np.abs(fm_sum + am_sum)).tolist()
-    lower = (scale * np.abs(fm_sum - am_sum)).tolist()
-
-    names = [entry.name for entry in entries]
-    if frequencies.ndim == 0:
-        point_entries = [list(entries)]
-    else:
-        values = h_sub.T.tolist()
-        point_entries = [
-            [NoiseEntry(name=entry.name, h_sub=h,
-                        k_hz_per_volt=entry.k_hz_per_volt,
-                        g_am_per_volt=entry.g_am_per_volt,
-                        mechanism=entry.mechanism)
-             for entry, h in zip(entries, values[point])]
-            for point in range(points.size)]
-    results = [SpurResult(
-        noise_frequency=float(points[point]),
+    sweep = SpurSweep(
+        noise_frequency=points,
         carrier_frequency=carrier_frequency,
         carrier_amplitude=carrier_amplitude,
         noise_amplitude=noise_amplitude,
-        entries=point_entries[point],
-        fm_voltage=fm_voltage[point],
-        am_voltage=am_voltage[point],
-        lower_sideband_voltage=lower[point],
-        upper_sideband_voltage=upper[point],
-        per_entry_fm_voltage=dict(zip(names, per_entry_fm[point])),
-        per_entry_am_voltage=dict(zip(names, per_entry_am[point])))
-        for point in range(points.size)]
-    return results[0] if frequencies.ndim == 0 else results
+        entry_names=[entry.name for entry in entries],
+        entry_k_hz_per_volt=k,
+        entry_g_am_per_volt=g_am,
+        entry_mechanism=[entry.mechanism for entry in entries],
+        h_sub=h_sub.T,
+        per_entry_fm_voltage=(scale * np.abs(fm_terms)).T,
+        per_entry_am_voltage=(scale * np.abs(am_terms)).T,
+        fm_voltage=scale * np.abs(fm_sum),
+        am_voltage=scale * np.abs(am_sum),
+        lower_sideband_voltage=scale * np.abs(fm_sum - am_sum),
+        upper_sideband_voltage=scale * np.abs(fm_sum + am_sum))
+    if frequencies.ndim:
+        return sweep
+    result = sweep[0]
+    result.entries = list(entries)
+    return result
 
 
 def synthesize_output_waveform(result: SpurResult, duration: float,

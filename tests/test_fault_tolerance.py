@@ -60,6 +60,7 @@ from repro.studies import (
     TaskFailure,
 )
 from repro.studies.cli import main
+from repro.studies.columns import CornerBlock, empty_columns
 from repro.studies.runner import ExtractionTask
 from repro.substrate.extraction import SubstrateExtractionOptions
 from repro.technology import make_technology
@@ -328,7 +329,7 @@ def test_cli_exits_3_on_partial_result(tmp_path, monkeypatch, capsys):
         def run(self, campaign, resume_from=None, checkpoint=None,
                 observer=None):
             return SweepResult(campaign_name="partial", backend_name="stub",
-                               axes={}, records=[], variants=[],
+                               axes={}, columns=empty_columns(), variants=[],
                                wall_seconds=0.0, cache_hits=0,
                                cache_misses=0, failures=[failure])
 
@@ -401,8 +402,9 @@ def test_killed_campaign_resumes_from_journal_bit_identically(
     # The journal holds exactly the corner that completed before the kill.
     recovered = CampaignJournal.recover(journal_dir,
                                         fingerprint=ft_campaign.fingerprint())
-    assert len(recovered) == 2                   # 1 corner x 2 frequencies
-    assert {r.vtune for r in recovered} == {0.0}
+    assert [len(block.columns["point_index"]) for block in recovered] \
+        == [2]                                   # 1 corner x 2 frequencies
+    assert set(recovered[0].columns["vtune"].tolist()) == {0.0}
 
     # Resume recomputes only the lost corner...
     backend = _CountingSerialBackend()
@@ -465,14 +467,44 @@ def test_resume_from_either_source_saves_the_uninterrupted_result(
     assert all(_variant_keys(healthy_meta))
 
 
-@dataclass(frozen=True)
-class _JournalRec:
-    """Stand-in PointRecord: the journal only needs pickling + point_index."""
+def test_journal_resume_keeps_the_replayed_corners_degradations(
+        technology, ft_campaign, reference, tmp_path, monkeypatch):
+    # Every corner's DC solve reports one gmin-stepping rung.  Corner 1
+    # aborts the first run after corner 0 was journaled; the resume replays
+    # corner 0 from the journal and must still count its rung.
+    from repro.core import vco_experiment
 
-    point_index: int
-    vtune: float = 0.0
-    variant_index: int = 0
-    injected_power_dbm: float = -5.0
+    _healthy, cache_dir = reference
+    real_dc = vco_experiment.dc_operating_point
+
+    def one_rung(*args, **kwargs):
+        solver_module.stats.dc_gmin_steps += 1
+        return real_dc(*args, **kwargs)
+
+    monkeypatch.setattr(vco_experiment, "dc_operating_point", one_rung)
+    uninterrupted = SweepRunner(
+        technology, cache=DiskExtractionCache(cache_dir)).run(ft_campaign)
+    assert uninterrupted.solver_degradations == {"dc_gmin_steps": 2}
+
+    checkpoint = CheckpointPolicy(path=tmp_path / "run.journal",
+                                  every_corners=1)
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=1, attempts=1),))
+    with pytest.raises(CampaignError):
+        SweepRunner(technology, cache=DiskExtractionCache(cache_dir),
+                    fault_plan=plan).run(ft_campaign, checkpoint=checkpoint)
+    backend = _CountingSerialBackend()
+    resumed = SweepRunner(technology, backend=backend,
+                          cache=DiskExtractionCache(cache_dir)).run(
+        ft_campaign, checkpoint=checkpoint)
+    assert backend.executed == 1
+    assert resumed.solver_degradations == {"dc_gmin_steps": 2}
+
+
+def _journal_block(first_point: int) -> CornerBlock:
+    """A one-point block: the journal only needs pickling + point_index."""
+    return CornerBlock({"point_index": np.array([first_point])},
+                       solver_counts=(("solves", first_point),))
 
 
 def test_journal_of_other_campaign_is_rejected(ft_campaign, tmp_path):
@@ -491,11 +523,13 @@ def test_journal_append_recover_roundtrip_and_discard(tmp_path):
     assert CampaignJournal.recover(tmp_path / "missing",
                                    fingerprint=None) == []
 
-    journal.append([_JournalRec(1), _JournalRec(0)])
-    journal.append([_JournalRec(2), _JournalRec(1)])  # re-runs dedupe by point
+    journal.append([_journal_block(1), _journal_block(0)])
+    journal.append([_journal_block(2), _journal_block(1)])  # re-runs dedupe
     recovered = CampaignJournal.recover(tmp_path / "j",
                                         fingerprint="f" * 64)
-    assert [r.point_index for r in recovered] == [0, 1, 2]
+    assert [block.first_point for block in recovered] == [0, 1, 2]
+    assert [block.solver_counts for block in recovered] == \
+        [(("solves", 0),), (("solves", 1),), (("solves", 2),)]
     journal.discard()
     assert not (tmp_path / "j").exists()
     assert CampaignJournal.recover(tmp_path / "j", fingerprint="f" * 64) == []

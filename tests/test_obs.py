@@ -305,18 +305,23 @@ class _FakeTask:
 
 @dataclass
 class _FakeOutcome:
-    records: tuple = ()
+    points: int = 0
     seconds: float = 0.5
     degradations: tuple = ()
 
 
 @dataclass
 class _FakeResult:
-    records: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     wall_seconds: float = 1.0
     cache_hits: int = 0
     cache_misses: int = 0
+
+    def __len__(self) -> int:
+        return 0
+
+    def corners(self) -> frozenset:
+        return frozenset()
 
 
 def test_runlog_records_retry_and_validates(tmp_path):

@@ -405,6 +405,114 @@ def test_scheduler_task_timeout_kills_a_stopped_worker(tmp_path):
     assert scheduler.pool_rebuilds >= 1
 
 
+# -- batch refill and salvage (a fake pool whose futures finish at once) -----
+
+
+class _InstantExecutor:
+    """Runs each submission at once; ``script`` scripts its failures.
+
+    ``script[(item value, attempt)]`` is ``"broken"`` (the future carries a
+    ``BrokenProcessPool``), ``"error"`` (a ``ValueError``) or
+    ``"submit-broken"`` (``submit`` itself raises ``BrokenProcessPool``).
+    """
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def submit(self, fn, payload):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = self.pool
+        attempt = pool.attempts[payload.value] = \
+            pool.attempts.get(payload.value, 0) + 1
+        action = pool.script.get((payload.value, attempt))
+        pool.events.append(f"submit {payload.value}")
+        if action == "submit-broken":
+            raise BrokenProcessPool("pool broke at submit")
+        future = Future()
+        if action == "broken":
+            future.set_exception(BrokenProcessPool("worker died"))
+        elif action == "error":
+            future.set_exception(ValueError("transient"))
+        else:
+            future.set_result(fn(payload))
+        return future
+
+
+class _InstantPool:
+    def __init__(self, script):
+        self.script = script
+        self.attempts: dict[int, int] = {}
+        self.events: list[str] = []
+        self.recycles = 0
+
+    @property
+    def width(self) -> int:
+        return 4
+
+    def executor(self, n_workers):
+        return _InstantExecutor(self)
+
+    def recycle(self):
+        self.recycles += 1
+
+
+def _instant_scheduler(monkeypatch, script, n_items, max_workers, retries=0):
+    """A scheduler on an :class:`_InstantPool` whose ``wait`` hands back
+    each batch in submission order, so a failure's place in its batch is
+    fixed by the item it scripts."""
+    import repro.parallel.scheduler as scheduler_module
+
+    def ordered_wait(pending, timeout=None, return_when=None):
+        return list(pending), set()
+
+    monkeypatch.setattr(scheduler_module, "wait", ordered_wait)
+    scheduler = WorkScheduler(max_workers=max_workers, retries=retries,
+                              backoff_base=0.0)
+    pool = _InstantPool(script)
+    scheduler._pool = pool
+    items = [WorkItem(id=f"i{value}", fn=_double, payload=_Job(value))
+             for value in range(n_items)]
+    return scheduler, pool, items
+
+
+def test_scheduler_refills_freed_slots_before_result_callbacks(monkeypatch):
+    scheduler, pool, items = _instant_scheduler(monkeypatch, {}, n_items=4,
+                                                max_workers=2)
+    outcomes = scheduler.run(items, on_result=lambda item_id, value:
+                             pool.events.append(f"result {item_id[1:]}"))
+    assert outcomes == {f"i{value}": 2 * value for value in range(4)}
+    # The first batch (0, 1) frees two slots; 2 and 3 are in flight before
+    # the batch's callbacks (journal, run log) run, and never more than
+    # two futures at once.
+    assert pool.events == ["submit 0", "submit 1", "submit 2", "submit 3",
+                           "result 0", "result 1", "result 2", "result 3"]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+@pytest.mark.parametrize("failure", ["broken", "retry-submit-broken"])
+def test_scheduler_settles_every_future_of_a_breaking_batch(monkeypatch, bad,
+                                                            failure):
+    # One batch of three finished futures; item ``bad`` (first, middle or
+    # last in the batch) either carries a BrokenProcessPool or fails and
+    # breaks the pool when its retry is submitted.  Every other future of
+    # the batch must be settled exactly once, and ``bad`` must complete in
+    # the next pool round.
+    script = ({(bad, 1): "broken"} if failure == "broken"
+              else {(bad, 1): "error", (bad, 2): "submit-broken"})
+    scheduler, pool, items = _instant_scheduler(monkeypatch, script,
+                                                n_items=3, max_workers=3,
+                                                retries=2)
+    settled: list[str] = []
+    outcomes = scheduler.run(items, on_result=lambda item_id, value:
+                             settled.append(item_id))
+    assert outcomes == {f"i{value}": 2 * value for value in range(3)}
+    assert sorted(settled) == ["i0", "i1", "i2"]
+    assert scheduler.attempts[f"i{bad}"] == (2 if failure == "broken" else 3)
+    assert scheduler.pool_rebuilds == 1 and pool.recycles == 1
+
+
 @dataclass(frozen=True)
 class _FlowJob:
     """Scheduler payload carrying a shipped flow (the plan matches ``index``)."""

@@ -304,7 +304,7 @@ def test_load_detects_torn_npz_sidecar_pair(tmp_path, reference_result):
     # Overwrite the arrays with a different-size result, as if a second save
     # was killed after replacing the sidecar but before replacing the NPZ
     # (or vice versa).
-    partial = dataclasses.replace(result, records=result.records[:1])
+    partial = result.subset(slice(0, 1))
     partial.save(tmp_path / "other.npz")
     (tmp_path / "other.npz").replace(npz_path)
     with pytest.raises(AnalysisError, match="torn by an interrupted save"):
@@ -373,8 +373,8 @@ def test_verify_lists_orphans_and_repair_deletes_only_old_ones(tmp_path,
 
 def test_merge_combines_partial_results(reference_result):
     full, _ = reference_result
-    first = dataclasses.replace(full, records=full.records[:2])
-    second = dataclasses.replace(full, records=full.records[2:])
+    first = full.subset(slice(0, 2))
+    second = full.subset(slice(2, None))
     merged = first.merge(second)
     assert [r.point_index for r in merged.records] == \
         [r.point_index for r in full.records]
@@ -417,9 +417,8 @@ def test_resume_after_kill_completes_only_missing_corners(
     full, cache_dir = reference_result
 
     # Simulate a campaign killed after its first corner (V_tune = 0.0): the
-    # persisted result holds that corner's records only.
-    partial = dataclasses.replace(
-        full, records=[r for r in full.records if r.vtune == 0.0])
+    # persisted result holds that corner's points only.
+    partial = full.subset(full.column("vtune") == 0.0)
     partial.save(tmp_path / "partial.npz")
     stored = SweepResult.load(tmp_path / "partial.npz")
     assert len(stored) == 2
