@@ -23,10 +23,9 @@ def _ground_transfer(technology, spec, nx):
         flow=FlowOptions(substrate=SubstrateExtractionOptions(
             nx=nx, ny=nx, lateral_margin=60e-6)))
     analysis = VcoImpactAnalysis(technology, spec=spec, options=options)
-    results, _vco, _catalog, _tf = analysis.analyze(0.0, np.array([1e6]))
-    entry = next(e for e in results[0].entries
-                 if e.name == "ground interconnect")
-    return abs(entry.h_sub), analysis
+    sweep, _vco, _catalog, _tf = analysis.analyze(0.0, np.array([1e6]))
+    entry = sweep.entry_names.index("ground interconnect")
+    return abs(sweep.h_sub[0, entry].item()), analysis
 
 
 def test_ablation_mesh_resolution(benchmark, technology):
@@ -63,10 +62,10 @@ def test_ablation_ground_width_sweep(benchmark, technology):
             flow=FlowOptions(substrate=SubstrateExtractionOptions(
                 nx=40, ny=40, lateral_margin=60e-6)))
         analysis = VcoImpactAnalysis(technology, spec=spec, options=options)
-        results, _vco, _catalog, _tf = analysis.analyze(0.0, np.array([1e6]))
+        sweep, _vco, _catalog, _tf = analysis.analyze(0.0, np.array([1e6]))
         resistance = analysis.flow.interconnect.resistance_between(
             NET_GROUND_RING, NET_GROUND_PAD)
-        return results[0].total_spur_power_dbm(), resistance
+        return sweep.total_spur_power_dbm()[0].item(), resistance
 
     first_level, first_resistance = benchmark.pedantic(
         lambda: analyse_scale(scales[0]), rounds=1, iterations=1)

@@ -7,7 +7,6 @@ from .results import (
     DesignStudyResult,
     MechanismReport,
     NmosExperimentResult,
-    SpurSweepPoint,
     VcoSpurSweepResult,
 )
 from .vco_experiment import (
@@ -26,7 +25,6 @@ __all__ = [
     "MechanismReport",
     "NmosExperimentOptions",
     "NmosExperimentResult",
-    "SpurSweepPoint",
     "VcoExperimentOptions",
     "VcoImpactAnalysis",
     "VcoSpurSweepResult",

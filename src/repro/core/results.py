@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.compare import CurveComparison
-from ..vco.spurs import SpurResult
 
 
 @dataclass
@@ -46,19 +45,6 @@ class NmosExperimentResult:
 
 
 @dataclass
-class SpurSweepPoint:
-    """One (V_tune, f_noise) point of the VCO spur analysis."""
-
-    vtune: float
-    noise_frequency: float
-    spur: SpurResult
-
-    @property
-    def total_power_dbm(self) -> float:
-        return self.spur.total_spur_power_dbm()
-
-
-@dataclass
 class VcoSpurSweepResult:
     """Figure 8: total spur power versus noise frequency, per tuning voltage."""
 
@@ -72,7 +58,6 @@ class VcoSpurSweepResult:
     comparisons: dict[float, CurveComparison]
     carrier_frequencies: dict[float, float]
     carrier_amplitudes: dict[float, float]
-    points: list[SpurSweepPoint] = field(default_factory=list)
 
     def slope_db_per_decade(self, vtune: float) -> float:
         from ..analysis.compare import slope_per_decade

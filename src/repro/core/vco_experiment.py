@@ -62,7 +62,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.compare import classify_mechanism, slope_per_decade
+from ..analysis.compare import (
+    classify_mechanism,
+    compare_curves,
+    reference_slope_line,
+    slope_per_decade,
+)
 from ..analysis.spectrum import Spectrum, compute_spectrum
 from ..analysis.waveforms import SinusoidalNoise
 from ..data import measurements
@@ -98,12 +103,7 @@ from ..vco.sensitivity import (
     entries_at_frequency,
     junction_capacitance_sensitivity,
 )
-from ..vco.spurs import (
-    SpurResult,
-    SpurSweep,
-    compute_spurs,
-    synthesize_output_waveform,
-)
+from ..vco.spurs import SpurSweep, compute_spurs, synthesize_output_waveform
 from .flow import FlowOptions, FlowResult, run_extraction_flow
 from .results import (
     ContributionResult,
@@ -401,9 +401,8 @@ class VcoImpactAnalysis:
                            TransferFunction]:
         """Full spur analysis at one tuning voltage.
 
-        Returns the :class:`SpurSweep` over the noise frequencies (one
-        :class:`SpurResult` per point when indexed or iterated) plus the VCO
-        model, the entry catalogue and the raw transfer function used.
+        Returns the :class:`SpurSweep` over the noise frequencies plus the
+        VCO model, the entry catalogue and the raw transfer function used.
         """
         if noise_frequencies is None:
             noise_frequencies = np.asarray(self.options.noise_frequencies)
@@ -488,8 +487,33 @@ class VcoImpactAnalysis:
         cache = _resolve_cache(cache, cache_dir)
         cache.seed(self.flow, options=self.options.flow)
         runner = SweepRunner(self.technology, backend=backend, cache=cache)
-        return runner.run(campaign).to_vco_sweep_result(
+        sweep = runner.run(campaign)
+
+        frequencies = np.asarray(sweep.axes["noise_frequency"], dtype=float)
+        vtunes = tuple(sweep.axes["vtune"])
+        # Each corner's points, in point (= frequency axis) order.
+        rows = {vtune: sweep.column("vtune") == vtune for vtune in vtunes}
+        power = {vtune: sweep.column("spur_power_dbm")[row]
+                 for vtune, row in rows.items()}
+        reference = {vtune: reference_slope_line(
+            frequencies, float(level[0]),
             measurements.FIG8_SLOPE_DB_PER_DECADE)
+            for vtune, level in power.items()}
+        return VcoSpurSweepResult(
+            noise_frequencies=frequencies,
+            vtune_values=vtunes,
+            spur_power_dbm=power,
+            reference_dbm=reference,
+            comparisons={vtune: compare_curves(frequencies, reference[vtune],
+                                               frequencies, power[vtune],
+                                               log_axis=True)
+                         for vtune in vtunes},
+            carrier_frequencies={
+                vtune: float(sweep.column("carrier_frequency")[row][0])
+                for vtune, row in rows.items()},
+            carrier_amplitudes={
+                vtune: float(sweep.column("carrier_amplitude")[row][0])
+                for vtune, row in rows.items()})
 
     # -- Figure 9 -------------------------------------------------------------------------
 
@@ -500,30 +524,24 @@ class VcoImpactAnalysis:
         if noise_frequencies is None:
             noise_frequencies = np.asarray(self.options.noise_frequencies)
         noise_frequencies = np.asarray(noise_frequencies, dtype=float)
-        results, _vco, _catalog, _tf = self.analyze(vtune, noise_frequencies)
+        sweep, _vco, _catalog, _tf = self.analyze(vtune, noise_frequencies)
 
-        # Group the individual entries into the paper's categories.
-        def category_of(name: str) -> str:
-            if name.startswith(ENTRY_NMOS):
-                return ENTRY_NMOS
-            return name
+        # Sum the entries' powers per paper category (the NMOS back-gates
+        # form one), entry by entry in Python floats.
+        fm = sweep.per_entry_fm_voltage.T.tolist()
+        am = sweep.per_entry_am_voltage.T.tolist()
+        powers: dict[str, list[float]] = {}
+        for name, entry_fm, entry_am in zip(sweep.entry_names, fm, am):
+            category = ENTRY_NMOS if name.startswith(ENTRY_NMOS) else name
+            power = powers.setdefault(category, [0.0] * len(sweep))
+            for point, (v_fm, v_am) in enumerate(zip(entry_fm, entry_am)):
+                power[point] += v_fm ** 2 + v_am ** 2
+        categories = {
+            category: np.array([10.0 * math.log10(max(p / 50.0 / 1e-3, 1e-30))
+                                for p in power])
+            for category, power in powers.items()}
 
-        categories: dict[str, np.ndarray] = {}
-        for index, result in enumerate(results):
-            per_entry_power: dict[str, float] = {}
-            for entry in result.entries:
-                category = category_of(entry.name)
-                v_fm = result.per_entry_fm_voltage[entry.name]
-                v_am = result.per_entry_am_voltage[entry.name]
-                per_entry_power[category] = per_entry_power.get(category, 0.0) \
-                    + (v_fm ** 2 + v_am ** 2)
-            for category, power in per_entry_power.items():
-                if category not in categories:
-                    categories[category] = np.full(len(results), -300.0)
-                categories[category][index] = 10.0 * math.log10(
-                    max(power / 50.0 / 1e-3, 1e-30))
-
-        total = np.array([r.total_spur_power_dbm() for r in results])
+        total = sweep.total_spur_power_dbm()
         slopes = {name: slope_per_decade(noise_frequencies, level)
                   for name, level in categories.items()}
         mechanisms = {name: classify_mechanism(slope)
@@ -540,13 +558,12 @@ class VcoImpactAnalysis:
     def output_spectrum(self, vtune: float = 0.0, noise_frequency: float = 10e6,
                         periods_of_noise: int = 8,
                         samples_per_carrier_period: int = 8
-                        ) -> tuple[Spectrum, SpurResult]:
-        """Spectrum-analyzer view of the VCO output with a tone in the substrate."""
-        results, vco, _catalog, _tf = self.analyze(
+                        ) -> tuple[Spectrum, SpurSweep]:
+        """Spectrum-analyzer view of the VCO output with a tone in the
+        substrate, plus the one-point spur sweep it was synthesised from."""
+        spur, _vco, _catalog, _tf = self.analyze(
             vtune, np.asarray([noise_frequency]))
-        spur = results[0]
-        carrier_frequency = spur.carrier_frequency
-        sample_rate = carrier_frequency * samples_per_carrier_period
+        sample_rate = spur.carrier_frequency * samples_per_carrier_period
         duration = periods_of_noise / noise_frequency
         times, waveform = synthesize_output_waveform(spur, duration, sample_rate)
         spectrum = compute_spectrum(times, waveform)
@@ -619,8 +636,9 @@ def ground_resistance_study(technology: ProcessTechnology,
     runner = SweepRunner(technology, backend=backend, cache=cache)
     sweep = runner.run(campaign)
 
-    nominal_dbm = np.array([r.spur_power_dbm for r in sweep.select(variant=0)])
-    improved_dbm = np.array([r.spur_power_dbm for r in sweep.select(variant=1)])
+    variant = sweep.column("variant")
+    nominal_dbm = sweep.column("spur_power_dbm")[variant == 0]
+    improved_dbm = sweep.column("spur_power_dbm")[variant == 1]
     r_nominal = sweep.variants[0].flow.interconnect.resistance_between(
         NET_GROUND_RING, NET_GROUND_PAD)
     r_improved = sweep.variants[1].flow.interconnect.resistance_between(

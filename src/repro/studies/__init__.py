@@ -46,7 +46,7 @@ Quickstart (see ``examples/spur_campaign.py`` for the narrated version)::
                           "noise_frequency": (1e6, 5e6, 10e6)}))
     runner = SweepRunner(make_technology(), backend=ProcessPoolBackend(2))
     result = runner.run(campaign)
-    print(result.summary(), result.worst_spur().row())
+    print(result.summary(), result.worst_spur())
 """
 
 from ..errors import CampaignError, CornerFailure, TaskTimeoutError

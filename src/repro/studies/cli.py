@@ -384,6 +384,16 @@ def _apply_obs_overrides(observability: ObservabilitySettings,
 # -- reporting ----------------------------------------------------------------
 
 
+def _worst_spur(result: SweepResult) -> str:
+    """The worst point's spur level and coordinates, read from the columns."""
+    power = result.column("spur_power_dbm")
+    row = int(np.argmax(power))
+    return (f"{power[row]:.1f} dBm at "
+            f"f_noise={result.column('noise_frequency')[row] / 1e6:.3f} MHz, "
+            f"V_tune={result.column('vtune')[row]:g} V, "
+            f"variant {result.column('variant')[row]}")
+
+
 def _print_run_report(result: SweepResult, cache: ExtractionCache,
                       saved: tuple[Path, Path] | None) -> None:
     summary = result.summary()
@@ -400,10 +410,7 @@ def _print_run_report(result: SweepResult, cache: ExtractionCache,
           f"misses {stats.misses}{extra}")
     print(f"  wall clock           : {result.wall_seconds:.2f} s")
     if len(result):
-        worst = result.worst_spur()
-        print(f"  worst spur           : {worst.spur_power_dbm:.1f} dBm at "
-              f"f_noise={worst.noise_frequency / 1e6:.3f} MHz, "
-              f"V_tune={worst.vtune:g} V")
+        print(f"  worst spur           : {_worst_spur(result)}")
     if result.solver_degradations:
         counts = ", ".join(f"{name}={count}" for name, count
                            in sorted(result.solver_degradations.items()))
@@ -539,10 +546,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         ellipsis = ", ..." if len(values) > 6 else ""
         print(f"  {name:20s} [{preview}{ellipsis}] ({len(values)} values)")
     if len(result):
-        worst = result.worst_spur()
-        print(f"worst spur : {worst.spur_power_dbm:.1f} dBm at "
-              f"f_noise={worst.noise_frequency / 1e6:.3f} MHz, "
-              f"V_tune={worst.vtune:g} V, variant {worst.variant_index}")
+        print(f"worst spur : {_worst_spur(result)}")
     if result.solver_degradations:
         counts = ", ".join(f"{name}={count}" for name, count
                            in sorted(result.solver_degradations.items()))

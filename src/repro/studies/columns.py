@@ -7,8 +7,8 @@ saved ``.npz`` holds (one row per grid point, ``entry_*`` arrays of shape
 * ``point_index``, ``variant_index`` (int64), ``injected_power_dbm``,
   ``vtune``, ``noise_frequency`` (float64) — the point's coordinates,
 * ``entry_names`` — the entry axis of the ``entry_*`` arrays,
-* the :data:`SPUR_FLOAT_FIELDS` of the point's
-  :class:`~repro.vco.spurs.SpurResult`,
+* the :data:`SPUR_FLOAT_FIELDS` of the point's row of its corner's
+  :class:`~repro.vco.spurs.SpurSweep`,
 * ``knob__<name>`` — layout/mesh knob values (NaN where a point lacks one),
 * ``entry_h_sub`` (complex128), ``entry_k_hz_per_volt``,
   ``entry_g_am_per_volt``, ``entry_fm_voltage``, ``entry_am_voltage``,
@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..vco.spurs import SpurSweep, total_spur_power_dbm
+from ..vco.spurs import SpurSweep
 
 #: Prefix of layout/mesh knob columns.
 KNOB_PREFIX = "knob__"
 
-#: Scalar float columns per point (``SpurResult`` attribute == column name).
+#: Scalar float columns per point (``SpurSweep`` attribute == column name).
 SPUR_FLOAT_FIELDS = (
     "carrier_frequency",
     "carrier_amplitude",
@@ -147,16 +147,6 @@ def corner_keys(columns: dict[str, np.ndarray]
     return list(zip(columns["variant_index"].tolist(),
                     columns["injected_power_dbm"].tolist(),
                     columns["vtune"].tolist()))
-
-
-def spur_power_column(columns: dict[str, np.ndarray]) -> np.ndarray:
-    """Total spur power (dBm) per point, equal bit for bit to
-    :meth:`SpurResult.total_spur_power_dbm
-    <repro.vco.spurs.SpurResult.total_spur_power_dbm>`."""
-    return np.array([total_spur_power_dbm(lower, upper) for lower, upper
-                     in zip(columns["lower_sideband_voltage"].tolist(),
-                            columns["upper_sideband_voltage"].tolist())],
-                    dtype=np.float64)
 
 
 def concat_columns(parts: list[dict[str, np.ndarray]]

@@ -6,8 +6,8 @@ A persisted :class:`~repro.studies.results.SweepResult` is two files:
   outcomes, and the full per-entry decomposition; schema in
   :mod:`repro.studies.columns`) stored as raw float64 / complex128 arrays,
   written and read as they are, so a save/load round trip is
-  **bit-identical**: every decoded :class:`~repro.vco.spurs.SpurResult`
-  reproduces the original spur powers exactly, not to within a tolerance;
+  **bit-identical**: every column, and every spur power computed from one,
+  reproduces the original exactly, not to within a tolerance;
 * ``<stem>.meta.json`` — a human-readable sidecar recording the campaign
   spec (axes, base layout spec, options, content fingerprint), the git SHA
   and timestamp of the run, the backend, wall-clock timings and the cache

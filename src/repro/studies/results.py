@@ -3,19 +3,16 @@
 A campaign's grid points live in :class:`SweepResult` as the column arrays
 of :mod:`repro.studies.columns` (coordinates plus the spur analysis
 outcome with its full per-entry decomposition).  :class:`PointRecord` is
-one point decoded into objects (its
-:class:`~repro.vco.spurs.SpurResult` included), built on demand.  The
-result answers the design-study questions the paper's figures ask from the
-columns:
+one point's coordinates and spur power as Python scalars, built on demand.
+The result answers the design-study questions the paper's figures ask from
+the columns:
 
+* :meth:`SweepResult.column` — one tidy column over all points (the figure
+  studies mask ``spur_power_dbm`` by V_tune or variant),
 * :meth:`SweepResult.spur_vs_frequency` — one spur-power-versus-noise-
-  frequency curve per corner (Figure 8 / Figure 10 raw material),
+  frequency curve per corner,
 * :meth:`SweepResult.worst_spur` / :meth:`SweepResult.worst_per` — worst
-  corner summaries,
-* :meth:`SweepResult.to_vco_sweep_result` — conversion into the classic
-  :class:`~repro.core.results.VcoSpurSweepResult` (with reference lines and
-  :mod:`repro.analysis.compare` error metrics) so the Figure-8 benchmark and
-  examples keep their interface.
+  corner summaries.
 """
 
 from __future__ import annotations
@@ -26,26 +23,18 @@ from functools import cached_property
 
 import numpy as np
 
-from ..analysis.compare import compare_curves, reference_slope_line
 from ..core.flow import FlowResult
-from ..data import measurements
 from ..errors import AnalysisError, CornerFailure
 from ..layout.testchips import VcoLayoutSpec
-from ..vco.spurs import NoiseEntry, SpurResult
-from .columns import (
-    KNOB_PREFIX,
-    concat_columns,
-    corner_keys,
-    n_points,
-    spur_power_column,
-    take_rows,
-)
+from ..vco.spurs import entry_dbm, sideband_dbm, spur_power_dbm
+from .columns import KNOB_PREFIX, concat_columns, corner_keys, n_points, take_rows
 from .params import AXIS_INJECTED_POWER, AXIS_NOISE_FREQUENCY, AXIS_VTUNE
 
 
 @dataclass(frozen=True)
 class PointRecord:
-    """One (variant, amplitude, V_tune, noise frequency) grid point."""
+    """One (variant, amplitude, V_tune, noise frequency) grid point, as the
+    Python scalars of its result columns."""
 
     point_index: int
     variant_index: int
@@ -53,28 +42,9 @@ class PointRecord:
     injected_power_dbm: float
     vtune: float
     noise_frequency: float
-    spur: SpurResult
-
-    @property
-    def spur_power_dbm(self) -> float:
-        return self.spur.total_spur_power_dbm()
-
-    @property
-    def carrier_frequency(self) -> float:
-        return self.spur.carrier_frequency
-
-    @property
-    def carrier_amplitude(self) -> float:
-        return self.spur.carrier_amplitude
-
-    def row(self) -> dict[str, float]:
-        """Flat tidy row (axis coordinates plus outcome columns)."""
-        row: dict[str, float] = {"variant": float(self.variant_index)}
-        row.update(self.knobs)
-        row.update(self.spur.record())
-        row[AXIS_INJECTED_POWER] = self.injected_power_dbm
-        row[AXIS_VTUNE] = self.vtune
-        return row
+    spur_power_dbm: float             #: total spur power, both sidebands
+    carrier_frequency: float
+    carrier_amplitude: float
 
 
 @dataclass(frozen=True)
@@ -100,7 +70,7 @@ class SweepResult:
 
     ``columns`` holds every point in the NPZ column schema of
     :mod:`repro.studies.columns`; the queries read them directly.
-    ``records`` decodes them into :class:`PointRecord` objects on first use.
+    ``records`` reads them into :class:`PointRecord` rows on first use.
     """
 
     campaign_name: str
@@ -134,11 +104,28 @@ class SweepResult:
     @cached_property
     def records(self) -> list[PointRecord]:
         """Every point as a :class:`PointRecord`, in point order."""
-        return decode_records(self.columns)
+        return self._records(slice(None))
 
     def point(self, row: int) -> PointRecord:
         """The point in row ``row`` as a :class:`PointRecord`."""
-        return decode_records(self.columns, [row])[0]
+        return self._records([row])[0]
+
+    def _records(self, rows) -> list[PointRecord]:
+        """The points ``rows`` (a slice or an index list) selects."""
+        knobs = {name[len(KNOB_PREFIX):]: column[rows].tolist()
+                 for name, column in self.columns.items()
+                 if name.startswith(KNOB_PREFIX)}
+        # One tolist() per column: Python scalars, in PointRecord field order.
+        values = [self.columns["point_index"][rows].tolist()] + [
+            self.column(name)[rows].tolist() for name in (
+                "variant", AXIS_INJECTED_POWER, AXIS_VTUNE,
+                AXIS_NOISE_FREQUENCY, "spur_power_dbm", "carrier_frequency",
+                "carrier_amplitude")]
+        return [PointRecord(point, variant,
+                            {name: column[row] for name, column in knobs.items()
+                             if not math.isnan(column[row])},
+                            *outcome)
+                for row, (point, variant, *outcome) in enumerate(zip(*values))]
 
     def corners(self) -> frozenset[tuple[int, float, float]]:
         """The (variant, power, vtune) corners that have points."""
@@ -252,7 +239,8 @@ class SweepResult:
             AXIS_INJECTED_POWER: stored["injected_power_dbm"],
             AXIS_VTUNE: stored["vtune"],
             AXIS_NOISE_FREQUENCY: stored["noise_frequency"],
-            "spur_power_dbm": spur_power_column(stored),
+            "spur_power_dbm": spur_power_dbm(stored["lower_sideband_voltage"],
+                                             stored["upper_sideband_voltage"]),
             "carrier_frequency": stored["carrier_frequency"],
             "carrier_amplitude": stored["carrier_amplitude"],
         }
@@ -272,10 +260,40 @@ class SweepResult:
                 f"{sorted(self._columns)}") from None
 
     def rows(self) -> list[dict[str, float]]:
-        """All points as flat dict rows (for tables / DataFrame adapters)."""
-        return [record.row() for record in self.records]
+        """All points as flat dict rows (for tables / DataFrame adapters):
+        each record's values plus its sideband and present entries' powers."""
+        columns = self.columns
+        outcome = {
+            "lower_sideband_dbm": sideband_dbm(
+                columns["lower_sideband_voltage"]),
+            "upper_sideband_dbm": sideband_dbm(
+                columns["upper_sideband_voltage"]),
+            "fm_voltage": columns["fm_voltage"],
+            "am_voltage": columns["am_voltage"],
+        }
+        outcome = {name: column.tolist() for name, column in outcome.items()}
+        entry_keys = [f"entry:{name}_dbm"
+                      for name in columns["entry_names"].tolist()]
+        entry_power = entry_dbm(columns["entry_fm_voltage"],
+                                columns["entry_am_voltage"]).tolist()
+        present = columns["entry_present"].tolist()
+        rows = []
+        for point, record in enumerate(self.records):
+            row = {"variant": float(record.variant_index), **record.knobs,
+                   AXIS_NOISE_FREQUENCY: record.noise_frequency,
+                   "carrier_frequency": record.carrier_frequency,
+                   "carrier_amplitude": record.carrier_amplitude,
+                   "spur_power_dbm": record.spur_power_dbm}
+            row.update((name, values[point])
+                       for name, values in outcome.items())
+            row.update((key, power) for key, power, here in zip(
+                entry_keys, entry_power[point], present[point]) if here)
+            row[AXIS_INJECTED_POWER] = record.injected_power_dbm
+            row[AXIS_VTUNE] = record.vtune
+            rows.append(row)
+        return rows
 
-    # -- selection -----------------------------------------------------------
+    # -- summary queries -----------------------------------------------------
 
     def _mask(self, **filters: float) -> np.ndarray:
         mask = np.ones(len(self), dtype=bool)
@@ -283,13 +301,6 @@ class SweepResult:
             column = self.column(name)
             mask &= np.isclose(column, value, rtol=1e-12, atol=0.0)
         return mask
-
-    def select(self, **filters: float) -> list[PointRecord]:
-        """Records matching the given axis values (e.g. ``vtune=0.0``)."""
-        return decode_records(self.columns,
-                              np.flatnonzero(self._mask(**filters)))
-
-    # -- summary queries -----------------------------------------------------
 
     def spur_vs_frequency(self, **filters: float) -> tuple[np.ndarray, np.ndarray]:
         """Spur-power-versus-noise-frequency curve of one corner.
@@ -329,63 +340,6 @@ class SweepResult:
                 worst[value] = row
         return {value: self.point(row) for value, row in worst.items()}
 
-    # -- bridge into the classic figure results ------------------------------
-
-    def to_vco_sweep_result(
-            self,
-            reference_slope_db_per_decade: float =
-            measurements.FIG8_SLOPE_DB_PER_DECADE):
-        """Convert a (V_tune x noise frequency) campaign into the Figure-8
-        :class:`~repro.core.results.VcoSpurSweepResult`.
-
-        Requires a single layout variant and injected power; the reference
-        curve per V_tune is the ideal slope line anchored at the first
-        simulated point, exactly as the classic ``spur_sweep`` built it.
-        """
-        from ..core.results import SpurSweepPoint, VcoSpurSweepResult
-
-        if len(self.variants) != 1:
-            raise AnalysisError(
-                "to_vco_sweep_result needs a single-layout campaign "
-                f"(got {len(self.variants)} variants)")
-        if len(self.axes[AXIS_INJECTED_POWER]) != 1:
-            raise AnalysisError(
-                "to_vco_sweep_result needs a single injected power")
-
-        frequencies = np.asarray(self.axes[AXIS_NOISE_FREQUENCY], dtype=float)
-        vtune_values = tuple(self.axes[AXIS_VTUNE])
-        spur_power: dict[float, np.ndarray] = {}
-        reference: dict[float, np.ndarray] = {}
-        comparisons = {}
-        carrier_frequencies = {}
-        carrier_amplitudes = {}
-        points: list[SpurSweepPoint] = []
-        for vtune in vtune_values:
-            selected = self.select(vtune=vtune)
-            power = np.array([r.spur_power_dbm for r in selected])
-            spur_power[vtune] = power
-            ref = reference_slope_line(frequencies, float(power[0]),
-                                       reference_slope_db_per_decade)
-            reference[vtune] = ref
-            comparisons[vtune] = compare_curves(frequencies, ref,
-                                                frequencies, power,
-                                                log_axis=True)
-            carrier_frequencies[vtune] = selected[0].carrier_frequency
-            carrier_amplitudes[vtune] = selected[0].carrier_amplitude
-            points.extend(SpurSweepPoint(vtune=vtune,
-                                         noise_frequency=r.noise_frequency,
-                                         spur=r.spur)
-                          for r in selected)
-        return VcoSpurSweepResult(
-            noise_frequencies=frequencies,
-            vtune_values=vtune_values,
-            spur_power_dbm=spur_power,
-            reference_dbm=reference,
-            comparisons=comparisons,
-            carrier_frequencies=carrier_frequencies,
-            carrier_amplitudes=carrier_amplitudes,
-            points=points)
-
     def summary(self) -> dict[str, float | int | str]:
         """Headline numbers for logging / benchmark records."""
         summary: dict[str, float | int | str] = {
@@ -401,69 +355,10 @@ class SweepResult:
             summary["fingerprint"] = self.campaign_spec["fingerprint"]
         if len(self):   # a fully-failed skip-policy run has no points
             summary["worst_spur_dbm"] = round(
-                self.worst_spur().spur_power_dbm, 2)
+                float(self.column("spur_power_dbm").max()), 2)
         if self.failures:
             summary["failed_corners"] = len(self.failures)
         if self.solver_degradations:
             summary["solver_degradations"] = sum(
                 self.solver_degradations.values())
         return summary
-
-
-def decode_records(columns: dict[str, np.ndarray],
-                   rows=None) -> list[PointRecord]:
-    """The points of ``columns`` (all, or the row indices ``rows``) as
-    :class:`PointRecord` objects, bit-identical to the stored values."""
-    if rows is not None:
-        columns = take_rows(columns, np.asarray(rows, dtype=np.intp))
-    entry_names = columns["entry_names"].tolist()
-    knob_names = [name[len(KNOB_PREFIX):] for name in columns
-                  if name.startswith(KNOB_PREFIX)]
-    # One tolist() per column: Python scalars without per-element indexing.
-    values = {name: array.tolist() for name, array in columns.items()
-              if name != "entry_names"}
-    knob_values = [values[KNOB_PREFIX + name] for name in knob_names]
-    records = []
-    for row, point_index in enumerate(values["point_index"]):
-        knobs = {name: column[row] for name, column
-                 in zip(knob_names, knob_values) if not math.isnan(column[row])}
-        entries = []
-        per_entry_fm = {}
-        per_entry_am = {}
-        for name, present, h_sub, k, g, mechanism, fm, am in zip(
-                entry_names, values["entry_present"][row],
-                values["entry_h_sub"][row],
-                values["entry_k_hz_per_volt"][row],
-                values["entry_g_am_per_volt"][row],
-                values["entry_mechanism"][row],
-                values["entry_fm_voltage"][row],
-                values["entry_am_voltage"][row]):
-            if not present:
-                continue
-            entries.append(NoiseEntry(name=name, h_sub=h_sub,
-                                      k_hz_per_volt=k, g_am_per_volt=g,
-                                      mechanism=mechanism))
-            per_entry_fm[name] = fm
-            per_entry_am[name] = am
-        noise_frequency = values["noise_frequency"][row]
-        spur = SpurResult(
-            noise_frequency=noise_frequency,
-            carrier_frequency=values["carrier_frequency"][row],
-            carrier_amplitude=values["carrier_amplitude"][row],
-            noise_amplitude=values["noise_amplitude"][row],
-            entries=entries,
-            fm_voltage=values["fm_voltage"][row],
-            am_voltage=values["am_voltage"][row],
-            lower_sideband_voltage=values["lower_sideband_voltage"][row],
-            upper_sideband_voltage=values["upper_sideband_voltage"][row],
-            per_entry_fm_voltage=per_entry_fm,
-            per_entry_am_voltage=per_entry_am)
-        records.append(PointRecord(
-            point_index=point_index,
-            variant_index=values["variant_index"][row],
-            knobs=knobs,
-            injected_power_dbm=values["injected_power_dbm"][row],
-            vtune=values["vtune"][row],
-            noise_frequency=noise_frequency,
-            spur=spur))
-    return records

@@ -15,7 +15,6 @@ from .sensitivity import (
 )
 from .spurs import (
     NoiseEntry,
-    SpurResult,
     SpurSweep,
     compute_spurs,
     synthesize_output_waveform,
@@ -30,7 +29,6 @@ __all__ = [
     "EntryModel",
     "LcTankVco",
     "NoiseEntry",
-    "SpurResult",
     "SpurSweep",
     "VcoDesign",
     "VcoEntryCatalog",

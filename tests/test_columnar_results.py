@@ -2,26 +2,32 @@
 
 Oracles for the columnar result path:
 
-* every point of a :class:`~repro.vco.spurs.SpurSweep` equals the scalar
-  ``compute_spurs`` evaluation at its frequency;
-* a campaign's decoded records equal the sweeps it computed, and its saved
-  NPZ arrays and sidecar checksum equal those of a per-record reference
-  encoder kept here (multi-variant, a knob axis, one skipped corner);
+* every row of a :class:`~repro.vco.spurs.SpurSweep` equals the one-point
+  ``compute_spurs`` sweep at its frequency, bit for bit;
+* a campaign's records, rows and saved NPZ arrays (and sidecar checksum)
+  equal those of a reference encoder kept here, which reads the sweeps the
+  campaign computed one point and one entry at a time (multi-variant, a
+  knob axis, one skipped corner);
 * corners with different entry sets concatenate to the reference
   encoder's entry union, in any order;
-* running and saving a campaign builds no per-point object.
+* the campaign and the figure paths build no per-point object, and one
+  noise entry per entry per corner.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.core import vco_experiment
 from repro.core.flow import FlowOptions
-from repro.core.vco_experiment import VcoExperimentOptions
+from repro.core.vco_experiment import (
+    VcoExperimentOptions,
+    ground_resistance_study,
+)
 from repro.studies import (
     Campaign,
     FaultPlan,
@@ -30,12 +36,13 @@ from repro.studies import (
     SweepResult,
     SweepRunner,
 )
+from repro.studies.cli import main as campaign_cli
 from repro.studies.columns import concat_columns, corner_columns
 from repro.studies.persist import _columns_checksum
 from repro.studies.results import PointRecord
 from repro.substrate.extraction import SubstrateExtractionOptions
 from repro.vco.sensitivity import entries_at_frequency
-from repro.vco.spurs import NoiseEntry, SpurResult, SpurSweep, compute_spurs
+from repro.vco.spurs import NoiseEntry, SpurSweep, compute_spurs
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
     nx=12, ny=12, n_z_per_layer=2, lateral_margin=60e-6))
@@ -54,6 +61,8 @@ def _campaign() -> Campaign:
 
 def _bits(value):
     """``value`` with every float spelled exactly (bit-for-bit compare)."""
+    if isinstance(value, np.ndarray):
+        return _bits(value.tolist())
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, complex):
@@ -62,12 +71,32 @@ def _bits(value):
         return {key: _bits(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_bits(item) for item in value]
-    if isinstance(value, (SpurResult, PointRecord)) or hasattr(
-            value, "__dataclass_fields__"):
+    if hasattr(value, "__dataclass_fields__"):
         return {name: (type(getattr(value, name)).__name__,
                        _bits(getattr(value, name)))
                 for name in value.__dataclass_fields__}
     return value
+
+
+#: The (points, ...) arrays of a SpurSweep; its other fields are per corner.
+_POINT_ARRAYS = ("noise_frequency", "h_sub", "per_entry_fm_voltage",
+                 "per_entry_am_voltage", "fm_voltage", "am_voltage",
+                 "lower_sideband_voltage", "upper_sideband_voltage")
+
+
+def _sweep_row(sweep: SpurSweep, point: int) -> dict:
+    """Row ``point`` of ``sweep``: its arrays, corner fields and powers."""
+    row = {name: _bits(getattr(sweep, name)[point])
+           for name in _POINT_ARRAYS}
+    row.update((name, _bits(getattr(sweep, name)))
+               for name in sweep.__dataclass_fields__
+               if name not in _POINT_ARRAYS)
+    row["total_dbm"] = _bits(sweep.total_spur_power_dbm()[point])
+    for side in ("upper", "lower"):
+        row[side] = _bits(sweep.sideband_power_dbm(side)[point])
+    for name in sweep.entry_names:
+        row[name] = _bits(sweep.entry_power_dbm(name)[point])
+    return row
 
 
 # -- the sweep object ----------------------------------------------------------
@@ -79,18 +108,14 @@ def test_sweep_points_equal_the_scalar_evaluation(vco_analysis, vtune):
     sweep, vco, catalog, transfer = vco_analysis.analyze(vtune, frequencies)
     assert isinstance(sweep, SpurSweep)
     assert len(sweep) == frequencies.size
-    assert len(list(sweep)) == frequencies.size
     for point, frequency in enumerate(frequencies):
         entries = entries_at_frequency(catalog, transfer, float(frequency))
         single = compute_spurs(entries, vco.oscillation_frequency(vtune),
                                vco.amplitude(vtune),
                                vco_analysis._noise.amplitude,
                                float(frequency))
-        assert isinstance(single, SpurResult)
-        assert sweep[point].record() == single.record()
-        assert sweep[point - frequencies.size].record() == single.record()
-    with pytest.raises(IndexError):
-        sweep[frequencies.size]
+        assert isinstance(single, SpurSweep) and len(single) == 1
+        assert _sweep_row(sweep, point) == _sweep_row(single, 0)
 
 
 # -- the campaign path ---------------------------------------------------------
@@ -120,58 +145,107 @@ def skipped_run(technology, tmp_path_factory):
     return result, sweeps
 
 
-def _reference_records(campaign: Campaign, sweeps: list[SpurSweep],
-                       skipped: int) -> list[PointRecord]:
-    """Point records built per point, as the runner built them before."""
+@dataclass(frozen=True)
+class _Point:
+    """One grid point: its coordinates and its row of a computed sweep."""
+
+    point_index: int
+    variant_index: int
+    knobs: dict
+    injected_power_dbm: float
+    vtune: float
+    noise_frequency: float
+    sweep: SpurSweep
+    offset: int
+
+
+def _reference_points(campaign: Campaign, sweeps: list[SpurSweep],
+                      skipped: int) -> list[_Point]:
+    """The campaign's points in point order, each on its corner's sweep."""
     powers, vtunes, frequencies = campaign.sim_grid()
     corners = [(variant, power, vtune) for variant in campaign.variants()
                for power in powers for vtune in vtunes]
-    records = []
+    points = []
     computed = iter(sweeps)
     for position, (variant, power, vtune) in enumerate(corners):
         if position == skipped:
             continue
         sweep = next(computed)
-        for offset, frequency in enumerate(frequencies):
-            records.append(PointRecord(
-                point_index=position * len(frequencies) + offset,
-                variant_index=variant.index, knobs=dict(variant.knobs),
-                injected_power_dbm=power, vtune=vtune,
-                noise_frequency=float(frequency), spur=sweep[offset]))
-    return records
+        points.extend(
+            _Point(point_index=position * len(frequencies) + offset,
+                   variant_index=variant.index, knobs=dict(variant.knobs),
+                   injected_power_dbm=power, vtune=vtune,
+                   noise_frequency=float(frequency), sweep=sweep,
+                   offset=offset)
+            for offset, frequency in enumerate(frequencies))
+    return points
 
 
-def _reference_encode(records: list[PointRecord]) -> dict[str, np.ndarray]:
-    """The NPZ columns of ``records``, encoded one record at a time."""
-    n = len(records)
-    knob_names = sorted({name for record in records for name in record.knobs})
+def _reference_record(point: _Point) -> PointRecord:
+    return PointRecord(
+        point_index=point.point_index, variant_index=point.variant_index,
+        knobs=point.knobs, injected_power_dbm=point.injected_power_dbm,
+        vtune=point.vtune, noise_frequency=point.noise_frequency,
+        spur_power_dbm=float(point.sweep.total_spur_power_dbm()[point.offset]),
+        carrier_frequency=point.sweep.carrier_frequency,
+        carrier_amplitude=point.sweep.carrier_amplitude)
+
+
+def _reference_row(point: _Point) -> dict[str, float]:
+    """The tidy row of ``point``: coordinates, knobs, outcome, entries."""
+    sweep, offset = point.sweep, point.offset
+    row = {"variant": float(point.variant_index), **point.knobs,
+           "noise_frequency": point.noise_frequency,
+           "carrier_frequency": sweep.carrier_frequency,
+           "carrier_amplitude": sweep.carrier_amplitude,
+           "spur_power_dbm": float(sweep.total_spur_power_dbm()[offset]),
+           "lower_sideband_dbm": float(sweep.sideband_power_dbm("lower")[offset]),
+           "upper_sideband_dbm": float(sweep.sideband_power_dbm("upper")[offset]),
+           "fm_voltage": float(sweep.fm_voltage[offset]),
+           "am_voltage": float(sweep.am_voltage[offset])}
+    for name in sweep.entry_names:
+        row[f"entry:{name}_dbm"] = float(sweep.entry_power_dbm(name)[offset])
+    row["injected_power_dbm"] = point.injected_power_dbm
+    row["vtune"] = point.vtune
+    return row
+
+
+def _reference_encode(points: list[_Point]) -> dict[str, np.ndarray]:
+    """The NPZ columns of ``points``, encoded one point and one entry at a
+    time from their sweeps."""
+    n = len(points)
+    knob_names = sorted({name for point in points for name in point.knobs})
     entry_names: list[str] = []
-    for record in records:
-        for entry in record.spur.entries:
-            if entry.name not in entry_names:
-                entry_names.append(entry.name)
+    for point in points:
+        for name in point.sweep.entry_names:
+            if name not in entry_names:
+                entry_names.append(name)
     e = len(entry_names)
     entry_index = {name: i for i, name in enumerate(entry_names)}
     columns: dict[str, np.ndarray] = {
-        "point_index": np.array([r.point_index for r in records],
+        "point_index": np.array([p.point_index for p in points],
                                 dtype=np.int64),
-        "variant_index": np.array([r.variant_index for r in records],
+        "variant_index": np.array([p.variant_index for p in points],
                                   dtype=np.int64),
-        "injected_power_dbm": np.array([r.injected_power_dbm for r in records],
+        "injected_power_dbm": np.array([p.injected_power_dbm for p in points],
                                        dtype=np.float64),
-        "vtune": np.array([r.vtune for r in records], dtype=np.float64),
-        "noise_frequency": np.array([r.noise_frequency for r in records],
+        "vtune": np.array([p.vtune for p in points], dtype=np.float64),
+        "noise_frequency": np.array([p.noise_frequency for p in points],
                                     dtype=np.float64),
         "entry_names": np.array(entry_names, dtype=str),
     }
     for field_name in ("carrier_frequency", "carrier_amplitude",
-                       "noise_amplitude", "fm_voltage", "am_voltage",
-                       "lower_sideband_voltage", "upper_sideband_voltage"):
+                       "noise_amplitude"):
         columns[field_name] = np.array(
-            [getattr(r.spur, field_name) for r in records], dtype=np.float64)
+            [getattr(p.sweep, field_name) for p in points], dtype=np.float64)
+    for field_name in ("fm_voltage", "am_voltage", "lower_sideband_voltage",
+                       "upper_sideband_voltage"):
+        columns[field_name] = np.array(
+            [getattr(p.sweep, field_name)[p.offset].item() for p in points],
+            dtype=np.float64)
     for name in knob_names:
         columns["knob__" + name] = np.array(
-            [r.knobs.get(name, np.nan) for r in records], dtype=np.float64)
+            [p.knobs.get(name, np.nan) for p in points], dtype=np.float64)
     h_sub = np.zeros((n, e), dtype=np.complex128)
     k_hz = np.zeros((n, e), dtype=np.float64)
     g_am = np.zeros((n, e), dtype=np.float64)
@@ -179,18 +253,17 @@ def _reference_encode(records: list[PointRecord]) -> dict[str, np.ndarray]:
     am_v = np.zeros((n, e), dtype=np.float64)
     present = np.zeros((n, e), dtype=bool)
     mechanism_rows = [[""] * e for _ in range(n)]
-    for row, record in enumerate(records):
-        for entry in record.spur.entries:
-            col = entry_index[entry.name]
+    for row, point in enumerate(points):
+        sweep, offset = point.sweep, point.offset
+        for entry, name in enumerate(sweep.entry_names):
+            col = entry_index[name]
             present[row, col] = True
-            h_sub[row, col] = entry.h_sub
-            k_hz[row, col] = entry.k_hz_per_volt
-            g_am[row, col] = entry.g_am_per_volt
-            mechanism_rows[row][col] = entry.mechanism
-            fm_v[row, col] = record.spur.per_entry_fm_voltage.get(entry.name,
-                                                                  0.0)
-            am_v[row, col] = record.spur.per_entry_am_voltage.get(entry.name,
-                                                                  0.0)
+            h_sub[row, col] = sweep.h_sub[offset, entry].item()
+            k_hz[row, col] = sweep.entry_k_hz_per_volt[entry].item()
+            g_am[row, col] = sweep.entry_g_am_per_volt[entry].item()
+            mechanism_rows[row][col] = sweep.entry_mechanism[entry]
+            fm_v[row, col] = sweep.per_entry_fm_voltage[offset, entry].item()
+            am_v[row, col] = sweep.per_entry_am_voltage[offset, entry].item()
     mechanism = (np.array(mechanism_rows, dtype=str) if n and e
                  else np.full((n, e), "", dtype="U1"))
     columns.update(entry_h_sub=h_sub, entry_k_hz_per_volt=k_hz,
@@ -204,26 +277,33 @@ def test_decoded_records_equal_the_computed_sweeps_bit_for_bit(
         skipped_run, tmp_path):
     result, sweeps = skipped_run
     assert len(result.failures) == 1 and len(sweeps) == 3
-    reference = _reference_records(_campaign(), sweeps, skipped=1)
+    points = _reference_points(_campaign(), sweeps, skipped=1)
+    reference = [_reference_record(point) for point in points]
     assert len(result) == len(reference) == 9
     assert _bits(result.records) == _bits(reference)
+    reference_rows = [_reference_row(point) for point in points]
+    assert _bits(result.rows()) == _bits(reference_rows)
+    assert [list(row) for row in result.rows()] == \
+        [list(row) for row in reference_rows]            # key order too
     loaded = SweepResult.load(result.save(tmp_path / "r.npz")[0])
     assert _bits(loaded.records) == _bits(reference)
-    # Single-point decodes and the column queries agree with the records.
+    assert _bits(loaded.rows()) == _bits(result.rows())
+    # Single-point reads and the column queries agree with the records.
     worst = max(reference, key=lambda record: record.spur_power_dbm)
     assert _bits(result.worst_spur()) == _bits(worst)
     assert _bits(loaded.worst_spur()) == _bits(worst)
     assert result.column("spur_power_dbm").tolist() == \
         [record.spur_power_dbm for record in reference]
-    assert _bits(result.select(vtune=0.75)) == \
-        _bits([record for record in reference if record.vtune == 0.75])
+    worst_at = max((record for record in reference if record.vtune == 0.75),
+                   key=lambda record: record.spur_power_dbm)
+    assert _bits(result.worst_per("vtune")[0.75]) == _bits(worst_at)
 
 
 def test_saved_arrays_equal_the_per_record_reference_encoder(skipped_run,
                                                              tmp_path):
     result, sweeps = skipped_run
     expected = _reference_encode(
-        _reference_records(_campaign(), sweeps, skipped=1))
+        _reference_points(_campaign(), sweeps, skipped=1))
     npz_path, meta_path = result.save(tmp_path / "columnar.npz")
     with np.load(npz_path, allow_pickle=False) as archive:
         assert archive.files == list(expected)
@@ -236,26 +316,48 @@ def test_saved_arrays_equal_the_per_record_reference_encoder(skipped_run,
     assert meta["n_records"] == 9
 
 
-def test_run_and_save_build_no_point_objects(technology, monkeypatch,
-                                             tmp_path):
+def test_run_and_save_build_no_point_objects(technology, vco_analysis,
+                                             monkeypatch, tmp_path, capsys):
     built: list[str] = []
-    for cls in (SpurResult, PointRecord):
+    for cls in (PointRecord, NoiseEntry):
         original = cls.__init__
 
         def counting(self, *args, _original=original, **kwargs):
             built.append(type(self).__name__)
             _original(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counting)
+
+    def entries_built(corners: int, entries: int) -> None:
+        """No point record, and one noise entry per entry per corner."""
+        assert built == ["NoiseEntry"] * (corners * entries)
+        built.clear()
+
     result = SweepRunner(technology).run(_campaign())
-    result.save(tmp_path / "r.npz")
-    assert built == []
+    npz_path, _meta = result.save(tmp_path / "r.npz")
+    n_entries = len(result.columns["entry_names"])
+    entries_built(corners=4, entries=n_entries)
     assert len(result) == 12
-    assert len(result.records) == 12          # decoded on request only
-    assert built.count("PointRecord") == 12
+
+    options = vco_analysis.options
+    n_entries = len(vco_analysis.analyze(0.0)[0].entry_names)
+    built.clear()
+    vco_analysis.spur_sweep()
+    entries_built(corners=len(options.vtune_values), entries=n_entries)
+    vco_analysis.contributions()
+    entries_built(corners=1, entries=n_entries)
+    ground_resistance_study(technology, options=_campaign().options)
+    entries_built(corners=2, entries=n_entries)
+
+    assert campaign_cli(["show", str(npz_path)]) == 0
+    assert "worst spur" in capsys.readouterr().out
+    assert built == []
+
+    assert len(result.records) == 12          # read on request only
+    assert built == ["PointRecord"] * 12
 
 
 def _synthetic_corner(names: list[str], first_point: int, vtune: float):
-    """One corner of entries ``names`` as columns and as reference records."""
+    """One corner of entries ``names`` as columns and as reference points."""
     frequencies = np.array([1e6, 2e6])
     entries = [NoiseEntry(name=name,
                           h_sub=np.array([0.01 + 0.002j * k, 0.004 - 0.001j])
@@ -270,18 +372,16 @@ def _synthetic_corner(names: list[str], first_point: int, vtune: float):
     columns = corner_columns(sweep, first_point_index=first_point,
                              variant_index=0, knobs=knobs,
                              injected_power_dbm=-5.0, vtune=vtune)
-    records = [PointRecord(point_index=first_point + offset, variant_index=0,
-                           knobs=dict(knobs), injected_power_dbm=-5.0,
-                           vtune=vtune, noise_frequency=float(frequency),
-                           spur=sweep[offset])
-               for offset, frequency in enumerate(frequencies)]
-    return columns, records
-
-
+    points = [_Point(point_index=first_point + offset, variant_index=0,
+                     knobs=dict(knobs), injected_power_dbm=-5.0, vtune=vtune,
+                     noise_frequency=float(frequency), sweep=sweep,
+                     offset=offset)
+              for offset, frequency in enumerate(frequencies)]
+    return columns, points
 def test_corners_with_different_entries_concatenate_like_the_reference():
-    first, first_records = _synthetic_corner(["g", "n1", "ind"], 0, 0.0)
-    second, second_records = _synthetic_corner(["g", "var", "n1"], 2, 0.5)
-    expected = _reference_encode(first_records + second_records)
+    first, first_points = _synthetic_corner(["g", "n1", "ind"], 0, 0.0)
+    second, second_points = _synthetic_corner(["g", "var", "n1"], 2, 0.5)
+    expected = _reference_encode(first_points + second_points)
     partial = {"campaign_name": "c", "backend_name": "b", "axes": {},
                "variants": [], "wall_seconds": 0.0, "cache_hits": 0,
                "cache_misses": 0}

@@ -607,8 +607,8 @@ def test_campaign_records_solver_degradations(technology, ft_campaign,
     assert result.complete
     assert result.solver_degradations == {"fallbacks": 1}
     for got, want in zip(result.records, healthy.records):
-        assert got.spur.total_spur_power_dbm() == pytest.approx(
-            want.spur.total_spur_power_dbm(), abs=1e-6)
+        assert got.spur_power_dbm == pytest.approx(want.spur_power_dbm,
+                                                   abs=1e-6)
 
     saved, _ = result.save(tmp_path / "degraded.npz")
     loaded = SweepResult.load(saved)

@@ -178,9 +178,9 @@ def test_vco_spur_analysis_backends_match_direct(technology, vco_analysis):
                                  flow_result=vco_analysis.flow)
     before = solver_stats.snapshot()
     results, _, _, _ = analysis.analyze(0.0)
-    for got, want in zip(results, reference):
-        assert got.total_spur_power_dbm() == pytest.approx(
-            want.total_spur_power_dbm(), abs=1e-6)
+    assert len(results) == len(reference)
+    assert results.total_spur_power_dbm() == pytest.approx(
+        reference.total_spur_power_dbm(), abs=1e-6)
     # Every system of the spur analysis is MNA, solved by direct LU: no
     # solver degradation is reported.
     assert solver_stats.since(before).fallbacks == 0

@@ -245,34 +245,32 @@ def _loop_spurs(entries, carrier_amplitude, noise_amplitude, frequency):
 @pytest.mark.parametrize("vtune", [0.0, 1.5])
 def test_array_spurs_equal_per_point_evaluation(fig10_analyses, vtune):
     analysis = fig10_analyses[1]
-    results, vco, catalog, transfer = analysis.analyze(vtune, FREQUENCIES)
-    assert len(results) == FREQUENCIES.size
-    for frequency, result in zip(FREQUENCIES, results):
+    sweep, vco, catalog, transfer = analysis.analyze(vtune, FREQUENCIES)
+    assert len(sweep) == FREQUENCIES.size
+    for point, frequency in enumerate(FREQUENCIES):
         entries = entries_at_frequency(catalog, transfer, float(frequency))
         single = compute_spurs(entries, vco.oscillation_frequency(vtune),
                                vco.amplitude(vtune), analysis._noise.amplitude,
                                float(frequency))
-        assert result.noise_frequency == single.noise_frequency
-        assert [e.name for e in result.entries] == \
-            [e.name for e in single.entries]
-        np.testing.assert_allclose([e.h_sub for e in result.entries],
-                                   [e.h_sub for e in single.entries],
+        assert sweep.noise_frequency[point] == single.noise_frequency[0]
+        assert sweep.entry_names == single.entry_names == \
+            [e.name for e in entries]
+        np.testing.assert_allclose(sweep.h_sub[point], single.h_sub[0],
                                    rtol=1e-14, atol=0)
-        reference = _loop_spurs(single.entries, single.carrier_amplitude,
+        reference = _loop_spurs(entries, single.carrier_amplitude,
                                 single.noise_amplitude, float(frequency))
         for name, expected in zip(("fm_voltage", "am_voltage",
                                    "lower_sideband_voltage",
                                    "upper_sideband_voltage"), reference):
-            assert getattr(result, name) == pytest.approx(
-                getattr(single, name), rel=1e-13, abs=0)
-            assert getattr(single, name) == pytest.approx(
+            assert getattr(sweep, name)[point] == pytest.approx(
+                getattr(single, name)[0], rel=1e-13, abs=0)
+            assert getattr(single, name)[0] == pytest.approx(
                 expected, rel=1e-13, abs=0)
-        for name, value in single.per_entry_fm_voltage.items():
-            assert result.per_entry_fm_voltage[name] == pytest.approx(
-                value, rel=1e-13, abs=0)
-            assert result.per_entry_am_voltage[name] == pytest.approx(
-                single.per_entry_am_voltage[name], rel=1e-13, abs=0)
-        assert result.total_spur_power_dbm() == pytest.approx(
-            single.total_spur_power_dbm(), abs=1e-12)
-        # The array evaluation hands out plain complex values per point.
-        assert all(type(e.h_sub) is complex for e in result.entries)
+        np.testing.assert_allclose(sweep.per_entry_fm_voltage[point],
+                                   single.per_entry_fm_voltage[0],
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sweep.per_entry_am_voltage[point],
+                                   single.per_entry_am_voltage[0],
+                                   rtol=1e-13, atol=0)
+        assert sweep.total_spur_power_dbm()[point] == pytest.approx(
+            single.total_spur_power_dbm()[0], abs=1e-12)

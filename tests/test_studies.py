@@ -297,17 +297,30 @@ def test_sweep_result_queries(technology, campaign):
         sweep.spur_vs_frequency()              # two curves left
 
 
-def test_to_vco_sweep_result_round_trip(technology, campaign):
+def test_spur_sweep_reads_the_campaign_columns(technology, sweep_options,
+                                               campaign):
+    """Fig. 8 is the campaign's spur-power column masked by V_tune, in point
+    (= frequency axis) order, with each corner's carrier."""
     sweep = SweepRunner(technology).run(campaign)
-    classic = sweep.to_vco_sweep_result()
-    assert classic.vtune_values == (0.0, 0.75)
-    np.testing.assert_allclose(classic.noise_frequencies, (1e6, 4e6, 12e6))
-    for vtune in classic.vtune_values:
+    analysis = VcoImpactAnalysis(technology, options=sweep_options)
+    figure = analysis.spur_sweep()
+    assert figure.vtune_values == (0.0, 0.75)
+    np.testing.assert_allclose(figure.noise_frequencies, (1e6, 4e6, 12e6))
+    for vtune in figure.vtune_values:
         frequencies, power = sweep.spur_vs_frequency(vtune=vtune)
-        np.testing.assert_array_equal(classic.spur_power_dbm[vtune], power)
+        np.testing.assert_array_equal(figure.spur_power_dbm[vtune], power)
         # Reference line is anchored at the first simulated point.
-        assert classic.reference_dbm[vtune][0] == pytest.approx(power[0])
-    assert len(classic.points) == 6
+        assert figure.reference_dbm[vtune][0] == pytest.approx(power[0])
+        worst = sweep.worst_spur(vtune=vtune)
+        assert figure.carrier_frequencies[vtune] == worst.carrier_frequency
+        assert figure.carrier_amplitudes[vtune] == worst.carrier_amplitude
+    # A descending frequency axis stays in point order, not re-sorted.
+    descending = analysis.spur_sweep(noise_frequencies=(12e6, 4e6, 1e6))
+    np.testing.assert_array_equal(descending.noise_frequencies,
+                                  (12e6, 4e6, 1e6))
+    for vtune in figure.vtune_values:
+        np.testing.assert_array_equal(descending.spur_power_dbm[vtune],
+                                      figure.spur_power_dbm[vtune][::-1])
 
 
 def test_ground_resistance_study_shares_cache(technology, sweep_options):

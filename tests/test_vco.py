@@ -1,6 +1,8 @@
 """LC-tank VCO model, sensitivities and spur equations."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,16 +141,46 @@ def test_compute_spurs_validation():
         compute_spurs(_entries(), 3e9, -1.0, 0.1, 1e6)
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("noise_frequency", math.nan),
+    ("noise_frequency", math.inf),
+    ("noise_frequency", np.array([1e6, math.nan])),
+    ("carrier_frequency", math.nan),
+    ("carrier_amplitude", math.nan),
+    ("carrier_amplitude", math.inf),
+    ("noise_amplitude", math.nan),
+])
+def test_compute_spurs_rejects_non_finite_inputs(argument, value):
+    arguments = {"carrier_frequency": 3e9, "carrier_amplitude": 1.0,
+                 "noise_amplitude": 0.1, "noise_frequency": 1e6}
+    arguments[argument] = value
+    entries = _entries()
+    if argument == "noise_frequency" and np.ndim(value):
+        entries = [replace(entry, h_sub=np.full(2, entry.h_sub))
+                   for entry in entries]
+    with pytest.raises(AnalysisError, match="finite and positive"):
+        compute_spurs(entries, **arguments)
+
+
 @pytest.mark.parametrize("noise_frequency",
                          [np.array(2e6), 2_000_000, np.float64(2e6)])
 def test_scalar_spur_stores_a_float_noise_frequency(noise_frequency):
-    """A 0-d array or an int comes back as a float, so the tidy row
-    serialises."""
+    """A 0-d array or an int comes back as a one-point float64 sweep, so
+    its values serialise."""
     result = compute_spurs(_entries(), 3e9, 1.0, 0.1, noise_frequency)
-    assert type(result.noise_frequency) is float
-    assert result.noise_frequency == 2e6
-    row = json.loads(json.dumps(result.record()))
-    assert row["noise_frequency"] == 2e6
+    assert len(result) == 1
+    assert result.noise_frequency.dtype == np.float64
+    assert json.loads(json.dumps(result.noise_frequency.tolist())) == [2e6]
+
+
+def test_sideband_power_accepts_only_upper_or_lower():
+    result = compute_spurs(_entries(g_am=0.02), 3e9, 1.0, 0.178, 1e6)
+    upper = result.sideband_power_dbm("upper")
+    lower = result.sideband_power_dbm("lower")
+    assert upper.shape == lower.shape == (1,) and upper[0] != lower[0]
+    for side in ("uper", "Upper", ""):
+        with pytest.raises(AnalysisError, match="'upper' or 'lower'"):
+            result.sideband_power_dbm(side)
 
 
 def test_fm_spur_follows_equation_2():
@@ -171,8 +203,8 @@ def test_fm_spur_inversely_proportional_to_frequency():
     low = compute_spurs(entries, 3e9, 1.0, 0.1, 1e6)
     high = compute_spurs(entries, 3e9, 1.0, 0.1, 10e6)
     assert low.fm_voltage / high.fm_voltage == pytest.approx(10.0, rel=1e-9)
-    assert low.total_spur_power_dbm() - high.total_spur_power_dbm() == pytest.approx(
-        20.0, abs=1e-6)
+    assert low.total_spur_power_dbm()[0] - high.total_spur_power_dbm()[0] == \
+        pytest.approx(20.0, abs=1e-6)
 
 
 def test_am_spur_independent_of_frequency():
@@ -194,11 +226,14 @@ def test_am_causes_sideband_asymmetry():
 
 def test_per_entry_bookkeeping():
     result = compute_spurs(_entries(), 3e9, 1.0, 0.1, 1e6)
-    assert set(result.per_entry_fm_voltage) == {"ground", "backgate"}
+    assert result.entry_names == ["ground", "backgate"]
+    assert result.per_entry_fm_voltage.shape == (1, 2)
     # The ground entry dominates by the K ratio (20x = 26 dB).
     gap = result.entry_power_dbm("ground") - result.entry_power_dbm("backgate")
-    assert gap == pytest.approx(26.0, abs=0.2)
-    assert result.total_spur_voltage > 0
+    assert gap[0] == pytest.approx(26.0, abs=0.2)
+    assert result.total_spur_power_dbm()[0] > -300.0
+    with pytest.raises(AnalysisError, match="no noise entry 'inductor'"):
+        result.entry_power_dbm("inductor")
 
 
 @given(f_noise=st.floats(min_value=1e5, max_value=15e6),
@@ -210,8 +245,8 @@ def test_spur_power_scales_with_h_and_k(f_noise, h, k):
     result = compute_spurs(entries, 3e9, 1.0, 0.1, f_noise)
     doubled = compute_spurs([NoiseEntry("g", complex(2 * h, 0), k)],
                             3e9, 1.0, 0.1, f_noise)
-    assert doubled.total_spur_power_dbm() - result.total_spur_power_dbm() == \
-        pytest.approx(6.02, abs=0.1)
+    assert doubled.total_spur_power_dbm()[0] - result.total_spur_power_dbm()[0] \
+        == pytest.approx(6.02, abs=0.1)
 
 
 # -- waveform synthesis (Figure 7) ------------------------------------------------------------
@@ -228,7 +263,7 @@ def test_synthesized_waveform_shows_spurs_at_fc_plus_minus_fnoise():
     carrier_freq, carrier_power = spectrum.carrier()
     assert carrier_freq == pytest.approx(3e9, rel=1e-3)
     lower, upper = spectrum.spur_powers(carrier_freq, noise_frequency)
-    predicted = result.sideband_power_dbm("upper")
+    [predicted] = result.sideband_power_dbm("upper")
     # The FFT view of the synthesised waveform matches equation (2).
     assert upper == pytest.approx(predicted, abs=1.5)
     assert lower == pytest.approx(predicted, abs=1.5)
@@ -240,3 +275,8 @@ def test_synthesize_waveform_validation():
     result = compute_spurs(_entries(), 3e9, 1.0, 0.1, 1e6)
     with pytest.raises(AnalysisError):
         synthesize_output_waveform(result, duration=-1.0, sample_rate=1e9)
+    entries = [replace(entry, h_sub=np.full(2, entry.h_sub))
+               for entry in _entries()]
+    sweep = compute_spurs(entries, 3e9, 1.0, 0.1, np.array([1e6, 2e6]))
+    with pytest.raises(AnalysisError, match="one-point sweep"):
+        synthesize_output_waveform(sweep, duration=1e-6, sample_rate=1e9)
