@@ -407,6 +407,10 @@ class VcoImpactAnalysis:
         if noise_frequencies is None:
             noise_frequencies = np.asarray(self.options.noise_frequencies)
         noise_frequencies = np.asarray(noise_frequencies, dtype=float)
+        bad = noise_frequencies[~np.isfinite(noise_frequencies)]
+        if bad.size:
+            raise AnalysisError(
+                f"noise frequency {float(bad[0])!r} is not finite")
 
         # Simulation setup: testbench assembly plus the DC operating point
         # (the Newton solve) — the part of a corner that is not the AC sweep.

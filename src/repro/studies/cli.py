@@ -494,7 +494,7 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
         saved = result.save(execution.result) if execution.result else None
         if saved is not None and checkpoint is not None:
             # Every journaled corner now lives in the saved result; keeping
-            # the journal would only re-feed stale segments to the next run.
+            # the journal would only re-feed stale corners to the next run.
             CampaignJournal(checkpoint.path,
                             campaign_name=config.campaign.name,
                             fingerprint=None).discard()
@@ -563,7 +563,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
         _print_timings(result)
     if args.rows:
         print(f"\nfirst {args.rows} tidy rows:")
-        for row in result.rows()[:args.rows]:
+        head = result.subset(np.arange(min(args.rows, len(result))))
+        for row in head.rows():
             cells = ", ".join(f"{key}={value:g}" for key, value in row.items()
                               if not key.startswith("entry:"))
             print(f"  {cells}")

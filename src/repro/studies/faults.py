@@ -26,9 +26,10 @@ filesystem sequences in :func:`fault_region` tags and call
 ``"fsync"``, ``"rename"``).  The ``"claimer"`` region is the extraction
 claim: its holder writes its pid and host into the locked claim file (one
 ``write``, no fsync or rename).  The ``"publisher"`` region (a cache entry)
-and the ``"journal"`` region (a journal segment) go through
-:func:`~repro.studies.store.atomic_write` and reach all three operations;
-:data:`CRASH_MATRIX` lists the reachable pairs.  Arming a spec
+goes through :func:`~repro.studies.store.atomic_write` and reaches all
+three operations; the ``"journal"`` region (one frame appended to the
+journal log) reaches ``write`` and ``fsync``.  :data:`CRASH_MATRIX` lists
+the reachable pairs.  Arming a spec
 — via :func:`arm_crash_points` or the ``REPRO_CRASH_POINTS`` environment
 variable, format ``tag:op:k[,tag:op:k...]`` — makes the process die with
 ``os._exit`` at the *k*-th matching operation, exactly the way ``kill -9``
@@ -217,8 +218,8 @@ CRASH_OPS = ("write", "fsync", "rename")
 #: The (region, op) pairs the store and journal reach: the chaos matrix.
 #: Other tags are accepted when arming.
 CRASH_MATRIX = (("claimer", "write"),
-                *((region, op) for region in ("publisher", "journal")
-                  for op in CRASH_OPS))
+                *(("publisher", op) for op in CRASH_OPS),
+                ("journal", "write"), ("journal", "fsync"))
 
 # Armed spec: {(tag, op): k} meaning "die at the k-th (tag, op) hit", or
 # None when nothing is armed (the common case — crashpoint() returns after

@@ -34,10 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import shutil
+import struct
 import subprocess
 import time
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -47,6 +50,8 @@ import numpy as np
 from ..errors import AnalysisError, CornerFailure
 from ..layout.testchips import VcoLayoutSpec
 from .columns import ordered
+from .faults import crashpoint, fault_region
+from .store import _fsync_enabled, atomic_write
 
 if TYPE_CHECKING:
     from .columns import CornerBlock
@@ -55,10 +60,9 @@ if TYPE_CHECKING:
 #: Version of the persisted result format (NPZ columns + sidecar schema).
 RESULT_FORMAT_VERSION = 1
 
-#: Version of the crash-recovery journal layout (manifest + segment pickles).
-#: Format 2 segments hold :class:`~repro.studies.columns.CornerBlock`\ s
-#: (columns plus solver counts); format 1 held point records.
-JOURNAL_FORMAT_VERSION = 2
+#: Version of the crash-recovery journal layout: format 3 appends CRC-framed
+#: ``CornerBlock`` pickles to one log; format 2 wrote a segment file per flush.
+JOURNAL_FORMAT_VERSION = 3
 
 
 def result_paths(path: str | Path) -> tuple[Path, Path]:
@@ -98,18 +102,13 @@ def save_result(result: "SweepResult", path: str | Path) -> tuple[Path, Path]:
     the arrays (deterministic — identical data saves byte-identically), and
     ``load`` refuses a sidecar whose checksum does not match the NPZ.
     """
-    from .store import atomic_write
-
     npz_path, meta_path = result_paths(path)
     columns = ordered(result.columns)
     meta = _encode_meta(result)
     meta["arrays_sha256"] = _columns_checksum(columns)
 
-    def write_meta(handle):
-        json.dump(meta, handle, indent=2)
-        handle.write("\n")
-
-    atomic_write(meta_path, write_meta, binary=False)
+    atomic_write(meta_path, lambda handle: handle.write(
+        json.dumps(meta, indent=2) + "\n"), binary=False)
     atomic_write(npz_path, lambda handle: np.savez(handle, **columns))
     return npz_path, meta_path
 
@@ -234,18 +233,18 @@ def load_result(path: str | Path) -> "SweepResult":
 
 def journal_path_for(result_path: str | Path) -> Path:
     """Default journal directory of a result path (``<stem>.journal/``)."""
-    npz_path, _meta_path = result_paths(result_path)
-    return npz_path.with_name(npz_path.name[: -len(".npz")] + ".journal")
+    return result_paths(result_path)[0].with_suffix(".journal")
 
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
     """When the runner flushes completed corners to the crash journal.
 
-    A flush happens whenever ``every_corners`` corners have completed since
-    the last one *or* ``every_seconds`` have elapsed — whichever comes first
-    — plus once unconditionally when the campaign ends (even by an abort), so
-    a kill at any instant loses at most one interval of work.
+    A flush (one ``fdatasync``-ed journal frame) happens whenever
+    ``every_corners`` corners have completed since the last one *or*
+    ``every_seconds`` have elapsed — whichever comes first — plus once when
+    the campaign ends (even by an abort), so a kill or power cut at any
+    instant loses at most one interval of work.
     """
 
     path: str | Path                #: journal directory
@@ -262,91 +261,97 @@ class CheckpointPolicy:
 class CampaignJournal:
     """Append-only crash-recovery journal of completed sweep corners.
 
-    The journal is a directory holding a ``manifest.json`` (campaign name and
-    fingerprint, validated on recovery) plus numbered segment pickles, each a
-    tuple of :class:`~repro.studies.columns.CornerBlock` (one corner's point
-    columns and solver counts).  Every file lands
-    atomically (temporary file + ``os.replace``), so a process killed at any
-    point — including ``kill -9`` mid-write — leaves only whole segments: the
-    next run recovers every corner that was flushed and recomputes at most
-    the unflushed tail.
+    A directory holding a ``manifest.json`` (campaign name and fingerprint,
+    validated on recovery) and one ``corners.log`` of frames, each a ``<II``
+    header (payload length, CRC-32) and a pickled tuple of
+    :class:`~repro.studies.columns.CornerBlock` (point columns and solver
+    counts).  Each :meth:`append` writes one frame and, unless
+    ``REPRO_FSYNC=0``, ``fdatasync``-s it.  A kill mid-write leaves a torn
+    last frame, which recovery stops at and :meth:`open` cuts off: the next
+    run recovers every flushed corner and recomputes the rest.
 
-    Blocks recovered from pickles are bit-identical to the originals, so a
+    Recovered blocks are bit-identical to the originals, so a
     killed-and-resumed campaign saves the same NPZ arrays, byte for byte, as
     an uninterrupted one, and records the same solver degradations.
     """
 
     _MANIFEST = "manifest.json"
-    _SEGMENT_PREFIX = "seg-"
+    _LOG = "corners.log"
+    _FRAME = struct.Struct("<II")       # payload length, zlib.crc32(payload)
 
     def __init__(self, directory: str | Path, *, campaign_name: str,
                  fingerprint: str | None):
         self.directory = Path(directory)
         self.campaign_name = campaign_name
         self.fingerprint = fingerprint
-        self._next_segment = 0
-        self._opened = False
+        self._descriptor: int | None = None
 
     # -- writing -------------------------------------------------------------
 
     def open(self) -> None:
-        """Create the journal directory and manifest (idempotent)."""
-        from .store import atomic_write
-
+        """Open the log for appending, cut off its torn tail and write the
+        manifest (idempotent)."""
+        if self._descriptor is not None:
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "kind": "repro-campaign-journal",
-            "format": JOURNAL_FORMAT_VERSION,
-            "campaign_name": self.campaign_name,
-            "fingerprint": self.fingerprint,
-        }
-
-        def write_manifest(handle):
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
-
-        atomic_write(self.directory / self._MANIFEST, write_manifest,
+        log = self.directory / self._LOG
+        self._descriptor = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                                   0o644)
+        os.ftruncate(self._descriptor, self._frames(log)[1])
+        # Written after the log exists: the manifest's directory fsync also
+        # persists the log's directory entry, once per open.
+        manifest = {"kind": "repro-campaign-journal",
+                    "format": JOURNAL_FORMAT_VERSION,
+                    "campaign_name": self.campaign_name,
+                    "fingerprint": self.fingerprint}
+        atomic_write(self.directory / self._MANIFEST, lambda handle:
+                     handle.write(json.dumps(manifest, indent=2) + "\n"),
                      binary=False)
-        existing = self._segment_numbers(self.directory)
-        self._next_segment = (max(existing) + 1) if existing else 0
-        self._opened = True
 
     def append(self, blocks: "Sequence[CornerBlock]") -> None:
-        """Atomically persist one batch of completed-corner blocks.
-
-        The write is durable (fsync + rename + dir-fsync) and runs inside
-        the ``"journal"`` chaos region, so the crash-point harness can kill
-        the process at any filesystem step — recovery must then replay to a
-        byte-identical result either way.
-        """
-        from .faults import fault_region
-        from .store import atomic_write
-
-        if not blocks:
-            return
-        if not self._opened:
-            self.open()
-        name = f"{self._SEGMENT_PREFIX}{self._next_segment:06d}.pkl"
+        """Durably append one batch of completed-corner blocks as one frame,
+        inside the ``"journal"`` chaos region (crash points before the write
+        and the ``fdatasync``)."""
+        self.open()
+        payload = pickle.dumps(tuple(blocks), protocol=4)
+        frame = memoryview(self._FRAME.pack(len(payload), zlib.crc32(payload))
+                           + payload)
         with fault_region("journal"):
-            atomic_write(self.directory / name,
-                         lambda handle: pickle.dump(tuple(blocks), handle,
-                                                    protocol=4))
-        self._next_segment += 1
+            crashpoint("write")
+            while frame:
+                frame = frame[os.write(self._descriptor, frame):]
+            if _fsync_enabled():
+                crashpoint("fsync")
+                os.fdatasync(self._descriptor)
+
+    def close(self) -> None:
+        """Release the log's descriptor (idempotent)."""
+        if self._descriptor is not None:
+            os.close(self._descriptor)
+            self._descriptor = None
 
     def discard(self) -> None:
         """Delete the journal (after its corners landed in a saved result)."""
+        self.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # -- recovery ------------------------------------------------------------
 
     @classmethod
-    def _segment_numbers(cls, directory: Path) -> list[int]:
-        numbers = []
-        for entry in directory.glob(cls._SEGMENT_PREFIX + "*.pkl"):
-            digits = entry.name[len(cls._SEGMENT_PREFIX):-len(".pkl")]
-            if digits.isdigit():
-                numbers.append(int(digits))
-        return sorted(numbers)
+    def _frames(cls, log: Path) -> tuple[list[memoryview], int]:
+        """The payloads of the log's leading whole frames and the bytes they
+        span: reading stops at the first short or bad-CRC frame."""
+        data = memoryview(log.read_bytes() if log.exists() else b"")
+        payloads, end = [], 0
+        while end + cls._FRAME.size <= len(data):
+            length, crc = cls._FRAME.unpack_from(data, end)
+            start = end + cls._FRAME.size
+            payload = data[start:start + length]
+            if len(payload) < length or zlib.crc32(payload) != crc:
+                break
+            payloads.append(payload)
+            end = start + length
+        return payloads, end
 
     @classmethod
     def recover(cls, directory: str | Path, *,
@@ -354,9 +359,9 @@ class CampaignJournal:
         """Load every journaled corner block, validating the campaign
         fingerprint.
 
-        Returns the blocks in point order, ``[]`` when no journal exists.  A journal written by a
-        *different* campaign (fingerprint mismatch) raises instead of being
-        silently mixed into the wrong result.
+        Returns the blocks in point order, ``[]`` when no journal exists.  A
+        journal of a *different* campaign (fingerprint mismatch) or format
+        raises instead of being silently mixed into the wrong result.
         """
         directory = Path(directory)
         manifest_path = directory / cls._MANIFEST
@@ -369,26 +374,20 @@ class CampaignJournal:
                 f"unreadable campaign journal manifest {manifest_path}: "
                 f"{exc}") from exc
         if manifest.get("kind") != "repro-campaign-journal":
-            raise AnalysisError(
-                f"{directory} is not a campaign journal")
+            raise AnalysisError(f"{directory} is not a campaign journal")
         if manifest.get("format") != JOURNAL_FORMAT_VERSION:
             raise AnalysisError(
                 f"campaign journal {directory} uses format "
                 f"{manifest.get('format')!r}; this version reads "
                 f"{JOURNAL_FORMAT_VERSION}")
         stored = manifest.get("fingerprint")
-        if fingerprint is not None and stored is not None \
-                and stored != fingerprint:
+        if None not in (fingerprint, stored) and stored != fingerprint:
             raise AnalysisError(
                 f"campaign journal {directory} belongs to campaign "
                 f"{manifest.get('campaign_name')!r} (fingerprint mismatch); "
                 "delete it or point the checkpoint elsewhere")
         blocks: dict[int, "CornerBlock"] = {}
-        for number in cls._segment_numbers(directory):
-            path = directory / f"{cls._SEGMENT_PREFIX}{number:06d}.pkl"
-            with path.open("rb") as handle:
-                batch = pickle.load(handle)
-            for block in batch:                      # re-runs dedupe cleanly
+        for payload in cls._frames(directory / cls._LOG)[0]:
+            for block in pickle.loads(payload):      # re-runs dedupe cleanly
                 blocks.setdefault(block.first_point, block)
         return [blocks[first] for first in sorted(blocks)]
-

@@ -269,8 +269,8 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
 class _Checkpointer:
     """Streams completed corners into the crash journal (``on_result`` hook).
 
-    Buffers each settled task's corner block and flushes them as one atomic
-    journal segment every ``policy.every_corners`` corners or
+    Buffers each settled task's corner block and flushes them as one durable
+    journal frame every ``policy.every_corners`` corners or
     ``policy.every_seconds`` seconds, whichever comes first.  The runner
     flushes once more in a ``finally`` when the campaign ends, so even an
     aborting run journals every corner that completed before the abort.
@@ -524,7 +524,7 @@ class SweepRunner:
         re-extracted), and the fresh result is merged with it through
         :meth:`SweepResult.merge <repro.studies.results.SweepResult.merge>`.
 
-        With ``checkpoint``, completed corners also stream into an atomic
+        With ``checkpoint``, completed corners also stream into a durable
         crash-recovery journal at ``checkpoint.path``, so a ``kill -9``
         loses at most one checkpoint interval.  The journal survives this
         call — discard it (:meth:`CampaignJournal.discard
@@ -582,14 +582,6 @@ class SweepRunner:
                             len(frequencies))
         done = prior.corners() if prior is not None else frozenset()
 
-        checkpointer: _Checkpointer | None = None
-        if checkpoint is not None:
-            journal = CampaignJournal(checkpoint.path,
-                                      campaign_name=campaign.name,
-                                      fingerprint=campaign.fingerprint())
-            journal.open()
-            checkpointer = _Checkpointer(journal, checkpoint)
-
         pending = {variant.index for variant in variants
                    if any((variant.index, power, vtune) not in done
                           for power in powers for vtune in vtunes)}
@@ -636,6 +628,14 @@ class SweepRunner:
                 if item_id.startswith("c"):
                     observer.corner_started(tasks[int(item_id[1:])], attempt)
 
+        checkpointer: _Checkpointer | None = None
+        if checkpoint is not None:
+            journal = CampaignJournal(checkpoint.path,
+                                      campaign_name=campaign.name,
+                                      fingerprint=campaign.fingerprint())
+            journal.open()
+            checkpointer = _Checkpointer(journal, checkpoint)
+
         shipper = ObjectShipper()
         try:
             outcome_map = self.backend.run(
@@ -649,7 +649,10 @@ class SweepRunner:
             # Journal every corner that completed, even when aborting: the
             # next run recovers them instead of recomputing.
             if checkpointer is not None:
-                checkpointer.flush()
+                try:
+                    checkpointer.flush()
+                finally:
+                    checkpointer.journal.close()
         corner_ids = [f"c{position}" for position in range(len(tasks))]
 
         # Solver work of this run: every fresh extraction's own counters plus

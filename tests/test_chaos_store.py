@@ -7,7 +7,7 @@ way hostile reality would:
   ``os._exit`` between two filesystem syscalls — at every reachable
   (region, op) pair of :data:`~repro.studies.faults.CRASH_MATRIX` — and the
   cache must come back readable-or-quarantined with a byte-identical
-  resume;
+  resume, as must a journal log torn mid-frame;
 * four independent ``SweepRunner`` processes share one cache directory and
   must extract each variant exactly once (one marker file per physical
   extraction proves it);
@@ -26,6 +26,7 @@ import fcntl
 import os
 import pickle
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -41,6 +42,7 @@ from repro.errors import AnalysisError
 from repro.studies import (
     CacheCorruptionWarning,
     Campaign,
+    CampaignJournal,
     CheckpointPolicy,
     DiskExtractionCache,
     ParamSpace,
@@ -68,14 +70,15 @@ TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
 KEY = "ab" + "0" * 62  # a well-formed (64-hex-ish) content key
 
 
-def make_chaos_campaign() -> Campaign:
-    """One corner, two frequencies — the smallest real campaign (also built
-    by the subprocess children, which import this module by name)."""
+def make_chaos_campaign(vtunes: tuple[float, ...] = (0.0,)) -> Campaign:
+    """One corner per V_tune, two frequencies — the smallest real campaign
+    (also built by the subprocess children, which import this module by
+    name)."""
     return Campaign(
         name="chaos_store",
-        space=ParamSpace({"vtune": (0.0,),
+        space=ParamSpace({"vtune": vtunes,
                           "noise_frequency": (1e6, 4e6)}),
-        options=VcoExperimentOptions(vtune_values=(0.0,),
+        options=VcoExperimentOptions(vtune_values=vtunes,
                                      noise_frequencies=(1e6, 4e6),
                                      flow=TINY_MESH))
 
@@ -112,8 +115,8 @@ _TESTS_DIR = str(Path(__file__).resolve().parent)
 
 
 def test_parse_crash_points_grammar():
-    assert parse_crash_points("claimer:write:1, journal:rename:2") == {
-        ("claimer", "write"): 1, ("journal", "rename"): 2}
+    assert parse_crash_points("claimer:write:1, journal:fsync:2") == {
+        ("claimer", "write"): 1, ("journal", "fsync"): 2}
     assert parse_crash_points("") == {}
     with pytest.raises(AnalysisError, match="expected tag:op:k"):
         parse_crash_points("claimer:write")
@@ -527,3 +530,33 @@ def test_crash_matrix_cache_never_torn_and_resume_bit_identical(
     # Invariant 3: no duplicate publish ever landed — the entry is unique.
     entries = list((cache_dir / "objects").glob(f"*/*.flow.pkl"))
     assert len(entries) == 1
+
+
+def test_torn_journal_tail_is_cut_and_resume_bit_identical(technology,
+                                                           tmp_path):
+    # The torn-tail row of the crash matrix: a kill in the middle of the
+    # journal's write leaves a partial last frame, which no crash point
+    # (they all fire between syscalls) can produce.  Two corners, so the
+    # resume replays one and recomputes the torn one.
+    campaign = make_chaos_campaign(vtunes=(0.0, 0.75))
+    cache_dir = tmp_path / "cache"
+    journal_dir = tmp_path / "run.journal"
+    checkpoint = CheckpointPolicy(path=journal_dir, every_corners=1)
+    healthy = SweepRunner(technology, cache=DiskExtractionCache(cache_dir)
+                          ).run(campaign, checkpoint=checkpoint)
+    healthy_npz, _ = healthy.save(tmp_path / "healthy.npz")
+
+    log = journal_dir / "corners.log"
+    first, _crc = struct.unpack_from("<II", log.read_bytes())
+    torn = 8 + first + (log.stat().st_size - 8 - first) // 2
+    os.truncate(log, torn)                        # mid-way through frame 1
+    assert len(CampaignJournal.recover(
+        journal_dir, fingerprint=campaign.fingerprint())) == 1
+
+    resumed = SweepRunner(technology, cache=DiskExtractionCache(cache_dir)
+                          ).run(campaign, checkpoint=checkpoint)
+    resumed_npz, _ = resumed.save(tmp_path / "resumed.npz")
+    assert resumed_npz.read_bytes() == healthy_npz.read_bytes()
+    # The torn frame was cut before the recomputed corner was appended.
+    assert len(CampaignJournal.recover(
+        journal_dir, fingerprint=campaign.fingerprint())) == 2

@@ -23,7 +23,7 @@ import pytest
 from repro.core import vco_experiment
 from repro.core.flow import run_extraction_flow
 from repro.core.vco_experiment import VcoImpactAnalysis
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import AnalysisError, ConvergenceError, SimulationError
 from repro.layout.testchips import VcoLayoutSpec, make_vco_testchip
 from repro.netlist.elements import VoltageSource
 from repro.simulator import dc_operating_point, transfer_function
@@ -241,3 +241,12 @@ def test_compiled_testbench_dies_with_its_flow(vco_flow, vco_analysis):
     del flow
     gc.collect()
     assert key not in vco_experiment._COMPILED_TESTBENCHES
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_noise_frequency_is_named_before_setup(vco_analysis, bad):
+    vtune = 0.3125                      # a corner no other test solves
+    with pytest.raises(AnalysisError,
+                       match=f"noise frequency {float(bad)!r} is not finite"):
+        vco_analysis.analyze(vtune, np.array([1e6, bad]))
+    assert vtune not in vco_analysis._operating_points

@@ -21,7 +21,9 @@ failures:
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import struct
 import subprocess
 import sys
 import time
@@ -511,6 +513,7 @@ def test_journal_of_other_campaign_is_rejected(ft_campaign, tmp_path):
     journal = CampaignJournal(tmp_path / "j", campaign_name="someone_else",
                               fingerprint="deadbeef")
     journal.open()
+    journal.close()
     with pytest.raises(AnalysisError, match="fingerprint mismatch"):
         CampaignJournal.recover(tmp_path / "j",
                                 fingerprint=ft_campaign.fingerprint())
@@ -533,6 +536,59 @@ def test_journal_append_recover_roundtrip_and_discard(tmp_path):
     journal.discard()
     assert not (tmp_path / "j").exists()
     assert CampaignJournal.recover(tmp_path / "j", fingerprint="f" * 64) == []
+
+
+def _journal_with(directory, *first_points) -> Path:
+    """Append one frame per ``first_points`` to the journal at ``directory``
+    and return its log."""
+    journal = CampaignJournal(directory, campaign_name="c",
+                              fingerprint="f" * 64)
+    journal.open()
+    for first in first_points:
+        journal.append([_journal_block(first)])
+    journal.close()
+    return Path(directory) / "corners.log"
+
+
+def _recovered(directory) -> list[int]:
+    return [block.first_point for block in
+            CampaignJournal.recover(directory, fingerprint="f" * 64)]
+
+
+def test_journal_torn_tail_is_cut_before_the_next_append(tmp_path):
+    directory = tmp_path / "j"
+    log = _journal_with(directory, 0)
+    frame = log.stat().st_size
+    _journal_with(directory, 1)
+    os.truncate(log, frame + frame // 2)          # killed mid-write
+    assert _recovered(directory) == [0]
+
+    _journal_with(directory, 2)                   # open() cuts the torn frame
+    assert _recovered(directory) == [0, 2]
+    assert log.stat().st_size == 2 * frame
+
+
+def test_journal_bad_crc_frame_stops_recovery_there(tmp_path):
+    directory = tmp_path / "j"
+    log = _journal_with(directory, 0, 1, 2)
+    data = bytearray(log.read_bytes())
+    length, _crc = struct.unpack_from("<II", data)
+    data[2 * 8 + length] ^= 0xFF          # first payload byte of frame 1
+    log.write_bytes(bytes(data))
+    assert _recovered(directory) == [0]
+
+
+def test_format_2_segment_journal_is_rejected_by_name(tmp_path):
+    directory = tmp_path / "j"
+    directory.mkdir()
+    (directory / "manifest.json").write_text(json.dumps({
+        "kind": "repro-campaign-journal", "format": 2,
+        "campaign_name": "c", "fingerprint": "f" * 64}))
+    (directory / "seg-000000.pkl").write_bytes(
+        pickle.dumps((_journal_block(0),), protocol=4))
+    with pytest.raises(AnalysisError,
+                       match="uses format 2; this version reads 3"):
+        CampaignJournal.recover(directory, fingerprint="f" * 64)
 
 
 # -- acceptance (d): the numerical degradation ladder -------------------------

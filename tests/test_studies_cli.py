@@ -299,6 +299,30 @@ def test_cli_show_and_cache_commands(config_path, tmp_path, capsys):
     assert rc == 2                           # needs a criterion or --all
 
 
+def test_cli_show_rows_builds_and_prints_only_the_first_n(
+        config_path, tmp_path, capsys, monkeypatch):
+    result_npz = tmp_path / "result.npz"
+    assert main(["run", str(config_path), "--result", str(result_npz),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    expected = SweepResult.load(result_npz).rows()
+    assert len(expected) == 6
+    capsys.readouterr()
+
+    built = []
+    real_rows = SweepResult.rows
+    monkeypatch.setattr(SweepResult, "rows", lambda self: (
+        built.append(len(self)) or real_rows(self)))
+    for n in (2, 6, 50):
+        assert main(["show", str(result_npz), "--rows", str(n)]) == 0
+        out = capsys.readouterr().out
+        printed = out.split(f"first {n} tidy rows:\n", 1)[1].splitlines()
+        assert printed == [
+            "  " + ", ".join(f"{key}={value:g}" for key, value in row.items()
+                             if not key.startswith("entry:"))
+            for row in expected[:n]]
+    assert built == [2, 6, 6]
+
+
 @pytest.mark.parametrize("criterion", [
     ["--max-age-days", "-1"],      # cutoff in the future: would drop all
     ["--max-entries", "-1"],       # silently pruned nothing
