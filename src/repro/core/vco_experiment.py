@@ -35,10 +35,8 @@ circuit around the shared impact-netlist elements plus its
 a shallow copy of it with fresh source elements
 (:meth:`VcoImpactAnalysis.build_testbench`).  The compiled testbenches are
 kept per flow object, which they hold weakly, so the independent corner
-tasks of a campaign share them (serially, every corner of a variant gets
-the same flow object; in a pool worker, the shipped-object cache hands
-back the same one, on the shared-memory and the inline path alike) and
-none outlives its flow.
+tasks of a campaign share them (every corner of a variant gets the same
+flow object) and none outlives its flow.
 
 V_tune only biases the varactors, which carry no DC current, so the bias
 point of the core hardly moves with it.  Beside each compiled testbench

@@ -3,8 +3,8 @@
 Three pieces, one import point:
 
 * :mod:`repro.obs.trace` — hierarchical span tracer (:func:`trace_span`),
-  ~ns no-op while disabled, spans cross process boundaries via a
-  picklable :class:`TraceContext`.
+  ~ns no-op while disabled; every span of a campaign's corners is recorded
+  in the campaign process.
 * :mod:`repro.obs.runlog` — fingerprint-stamped JSONL run logs plus the
   Chrome trace-event (Perfetto) exporter in :mod:`repro.obs.export`.
 * :mod:`repro.obs.campaign` — runner observers: structured run-log
@@ -40,10 +40,7 @@ from .runlog import (
 )
 from .trace import (
     SpanRecord,
-    TraceContext,
     Tracer,
-    collect_spans,
-    current_context,
     span_aggregates,
     trace_span,
     tracer,
@@ -68,10 +65,7 @@ __all__ = [
     "runlog_path_for",
     "validate_run_log",
     "SpanRecord",
-    "TraceContext",
     "Tracer",
-    "collect_spans",
-    "current_context",
     "span_aggregates",
     "trace_span",
     "tracer",

@@ -12,17 +12,13 @@ no-op context manager without allocating anything — the cost is one
 attribute check per call, so hot paths (every ``LinearSolver.solve``) can
 stay instrumented unconditionally.
 
-Spans cross process boundaries by value: the parent process captures a
-picklable :class:`TraceContext` (trace id + parent span id) into each
-``SweepTask``; the worker wraps execution in :func:`collect_spans`, which
-records spans parented under the context and hands them back as a tuple
-that travels home inside the ``TaskOutcome``.  The parent then calls
-:func:`~Tracer.adopt` so worker corners re-parent under the campaign root
-span.  Span ids embed the producing pid, so ids never collide when spans
-from several workers merge into one timeline.
+Spans stay in the process that records them.  A campaign runs every
+corner in the process that called it, so each ``campaign.corner`` span
+nests directly under the ``campaign.run`` root span; an extraction that
+runs in a pool worker leaves no span.  Span ids embed the producing pid.
 
-Wall-clock alignment uses ``time.time()`` for span start (comparable
-across processes) and ``time.perf_counter()`` for duration (monotonic).
+Span starts use ``time.time()`` (wall-clock aligned) and durations
+``time.perf_counter()`` (monotonic).
 """
 
 from __future__ import annotations
@@ -31,28 +27,24 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
     "SpanRecord",
-    "TraceContext",
     "Tracer",
     "tracer",
     "trace_span",
-    "collect_spans",
-    "current_context",
 ]
 
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span.  Frozen and picklable (travels in TaskOutcome)."""
+    """One finished span (frozen; the run log stores it as a dict)."""
 
     span_id: str
     parent_id: str | None
     name: str
-    start: float          # epoch seconds (time.time) — cross-process comparable
+    start: float          # epoch seconds (time.time)
     duration: float       # seconds (perf_counter delta) — monotonic
     pid: int
     thread: str
@@ -77,19 +69,6 @@ class SpanRecord:
                    duration=float(data["duration"]), pid=int(data["pid"]),
                    thread=str(data.get("thread", "main")),
                    attrs=tuple(sorted(dict(data.get("attrs", {})).items())))
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Picklable handle that re-parents spans recorded in another process.
-
-    ``fingerprint()`` of campaign objects must not depend on whether tracing
-    happened to be enabled, and the context is per-run anyway, so the field
-    is excluded from content-addressed hashing wherever it is embedded.
-    """
-
-    trace_id: str
-    parent_id: str | None = None
 
 
 class _NullSpan:
@@ -119,7 +98,7 @@ class _LiveSpan:
     def __enter__(self):
         tracer = self._tracer
         stack = tracer._stack()
-        self.parent_id = stack[-1].span_id if stack else tracer._base_parent()
+        self.parent_id = stack[-1].span_id if stack else None
         self.span_id = tracer._new_id()
         self._t0_wall = time.time()
         self._t0_perf = time.perf_counter()
@@ -153,7 +132,6 @@ class Tracer:
 
     def __init__(self):
         self.enabled = False
-        self.trace_id: str | None = None
         self._lock = threading.Lock()
         self._spans: list[SpanRecord] = []
         self._local = threading.local()
@@ -161,10 +139,7 @@ class Tracer:
 
     # -- lifecycle -------------------------------------------------------
 
-    def enable(self, trace_id: str | None = None) -> None:
-        if trace_id is None:
-            trace_id = f"trace-{os.getpid():x}-{int(time.time() * 1e3):x}"
-        self.trace_id = trace_id
+    def enable(self) -> None:
         self.enabled = True
 
     def disable(self) -> None:
@@ -184,7 +159,7 @@ class Tracer:
             return len(self._spans)
 
     def spans_since(self, mark: int) -> tuple[SpanRecord, ...]:
-        """Spans recorded (or adopted) after a :meth:`mark` bookmark."""
+        """Spans recorded after a :meth:`mark` bookmark."""
         with self._lock:
             return tuple(self._spans[mark:])
 
@@ -197,37 +172,12 @@ class Tracer:
             stack = self._local.stack = []
             return stack
 
-    def _base_parent(self) -> str | None:
-        return getattr(self._local, "base_parent", None)
-
-    def _set_base_parent(self, parent_id: str | None):
-        previous = getattr(self._local, "base_parent", None)
-        self._local.base_parent = parent_id
-        return previous
-
     def _new_id(self) -> str:
         return f"{os.getpid():x}-{next(self._counter):x}"
 
     def _record(self, span: SpanRecord) -> None:
         with self._lock:
             self._spans.append(span)
-
-    # -- cross-process support -------------------------------------------
-
-    def current_context(self) -> TraceContext | None:
-        """Context parenting remote spans under the innermost open span."""
-        if not self.enabled or self.trace_id is None:
-            return None
-        stack = self._stack()
-        parent = stack[-1].span_id if stack else self._base_parent()
-        return TraceContext(trace_id=self.trace_id, parent_id=parent)
-
-    def adopt(self, spans) -> None:
-        """Merge spans recorded elsewhere (worker process or collect block)."""
-        if not spans:
-            return
-        with self._lock:
-            self._spans.extend(spans)
 
 
 tracer = Tracer()
@@ -238,42 +188,6 @@ def trace_span(name: str, **attrs):
     if not tracer.enabled:
         return _NULL_SPAN
     return _LiveSpan(tracer, name, attrs)
-
-
-def current_context() -> TraceContext | None:
-    return tracer.current_context()
-
-
-@contextmanager
-def collect_spans(context: TraceContext | None):
-    """Record spans under ``context`` and yield the list that receives them.
-
-    In a worker process (tracer disabled) this temporarily enables tracing
-    for the duration of the block; in-process (serial backend) it carves the
-    block's spans out of the live tracer so the caller can hand them through
-    the same ``TaskOutcome.spans`` channel without double counting — the
-    parent re-adopts them when the outcome is merged.
-    """
-    sink: list[SpanRecord] = []
-    if context is None:
-        yield sink
-        return
-    was_enabled = tracer.enabled
-    if not was_enabled:
-        tracer.enable(context.trace_id)
-        tracer.reset()
-    with tracer._lock:
-        mark = len(tracer._spans)
-    previous_base = tracer._set_base_parent(context.parent_id)
-    try:
-        yield sink
-    finally:
-        tracer._set_base_parent(previous_base)
-        with tracer._lock:
-            sink.extend(tracer._spans[mark:])
-            del tracer._spans[mark:]
-        if not was_enabled:
-            tracer.disable()
 
 
 def span_aggregates(spans) -> dict[str, dict[str, float]]:

@@ -1,13 +1,13 @@
 """Unified work scheduling.
 
 One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
-(:mod:`~repro.parallel.plan`), one dependency/priority-aware scheduler
-(:mod:`~repro.parallel.scheduler`) and ship-once objects
-(:mod:`~repro.parallel.shm`).  Every campaign of the studies layer runs as
-one :class:`WorkScheduler` plan (``SerialBackend`` and ``ProcessPoolBackend``
-are its configuration names); each variant's extracted flow is pickled
-into one shared-memory segment by :class:`ObjectShipper`, and its corner
-tasks carry only a reference to it.
+(:mod:`~repro.parallel.plan`) and one dependency-aware scheduler
+(:mod:`~repro.parallel.scheduler`).  Every campaign of the studies layer runs
+on one :class:`WorkScheduler` (``SerialBackend`` and ``ProcessPoolBackend``
+are its configuration names): the pending extractions first, on the pool
+when there are several and it has more than one worker, then every corner
+inline in the campaign process.  Nothing but an extraction task and its
+extracted flow crosses a process boundary.
 """
 
 from .plan import (
@@ -26,11 +26,9 @@ from .pool import (
     shared_pool,
 )
 from .scheduler import WorkScheduler
-from .shm import ObjectShipper, load_object, ship_object
 
 __all__ = [
     "MAX_WORKERS_ENV",
-    "ObjectShipper",
     "ON_ERROR_ABORT",
     "ON_ERROR_POLICIES",
     "ON_ERROR_RETRY_THEN_SKIP",
@@ -40,8 +38,6 @@ __all__ = [
     "WorkItem",
     "WorkScheduler",
     "default_max_workers",
-    "load_object",
     "shared_pool",
-    "ship_object",
     "validate_plan",
 ]

@@ -1,9 +1,9 @@
 """Work items, failure policies and retry bookkeeping of the scheduler.
 
-A campaign flattens into a DAG of :class:`WorkItem`\\ s — extraction tasks
-and per-corner simulation tasks.  This is the *one* definition of what a
-retry, a failure policy and an exhausted task mean; :mod:`repro.studies`
-re-exports the public names.
+A campaign runs as two plans of :class:`WorkItem`\\ s: its extraction tasks
+(a DAG, followers depending on their leader) and its per-corner simulation
+tasks.  This is the *one* definition of what a retry, a failure policy and
+an exhausted task mean; :mod:`repro.studies` re-exports the public names.
 """
 
 from __future__ import annotations
@@ -117,21 +117,18 @@ def _give_up(task, attempts: int, exc: BaseException) -> None:
 class WorkItem:
     """One schedulable unit of a campaign DAG.
 
-    ``fn(payload)`` runs in a worker process (both must be picklable).
+    ``fn(payload)`` may run in a worker process (both must be picklable).
     ``deps`` names items that must succeed first; ``bind(payload,
     dep_results)`` runs in the *parent* just before dispatch to fold the
-    dependencies' results into the payload (e.g. inject a freshly extracted
-    flow into a corner task) — it is the only non-picklable hook.
-    ``priority`` orders dispatch among ready items (lower first, submission
-    order breaking ties), which is what lets extractions drain ahead of the
-    corners queuing behind them.
+    dependencies' results into the payload (e.g. hand a leader's substrate
+    extraction to a follower extraction) — it is the only non-picklable
+    hook.  Ready items dispatch in submission order.
     """
 
     id: str
     fn: Callable[[Any], Any]
     payload: Any
     deps: tuple[str, ...] = ()
-    priority: int = 0
     bind: Callable[[Any, dict[str, Any]], Any] | None = field(
         default=None, compare=False)
 
@@ -144,7 +141,7 @@ def validate_plan(items: Sequence[WorkItem]) -> list[str]:
 
     Returns one valid topological order of the item ids (Kahn's algorithm);
     raises :class:`~repro.errors.AnalysisError` on a malformed plan.  The
-    scheduler dispatches by readiness + priority, not by this order — the
+    scheduler dispatches by readiness, not by this order — the
     return value exists for callers that want a deterministic serial order.
     """
     by_id: dict[str, WorkItem] = {}

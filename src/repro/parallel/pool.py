@@ -2,11 +2,11 @@
 
 :class:`SharedProcessPool` is a single lazily-created, recyclable
 executor, and the only process pool of the reproduction: the
-:class:`~repro.parallel.scheduler.WorkScheduler` runs campaign DAGs on it
-(extraction -> corner dependencies) whenever it has more than one worker; at
-one worker it never starts the pool.  One pool's processes stay warm across
-campaigns and benchmark repetitions instead of paying fork+import per
-``run()``.
+:class:`~repro.parallel.scheduler.WorkScheduler` runs a campaign's pending
+extractions on it whenever there are two or more of them and it has more
+than one worker.  Corners never run on it: at ~1 ms each they run in the
+campaign process.  One pool's processes stay warm across campaigns and
+benchmark repetitions instead of paying fork+import per ``run()``.
 
 ``REPRO_MAX_WORKERS`` (environment) overrides the historical
 ``min(4, os.cpu_count())`` default everywhere a worker count is defaulted:
@@ -80,17 +80,6 @@ class SharedProcessPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         if self._executor is None:
-            # Start the shared-memory resource tracker in THIS process before
-            # any worker forks.  A worker forked without a live tracker would
-            # lazily spawn its own on its first segment attach; that tracker
-            # dies with the worker (e.g. a recycle's SIGKILL) and unlinks
-            # every segment registered with it — yanking shipped flows out
-            # from under the parent and the surviving workers.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-            except ImportError:                        # pragma: no cover
-                pass
             self._executor = ProcessPoolExecutor(max_workers=n_workers)
             self._width = n_workers
         return self._executor

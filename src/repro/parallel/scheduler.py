@@ -1,21 +1,23 @@
 """The work scheduler: one DAG, one pool, one failure policy.
 
-:class:`WorkScheduler` is the one execution path of every campaign: the
-sweep runner hands it the extraction->corner plan of
-:class:`~repro.parallel.plan.WorkItem`\\ s and it runs them on the
-:class:`~repro.parallel.pool.SharedProcessPool` (or inline, at one worker).
+:class:`WorkScheduler` is the one execution path of every campaign.  The
+sweep runner hands it two plans of :class:`~repro.parallel.plan.WorkItem`\\ s
+per campaign: the pending extractions, which run on the
+:class:`~repro.parallel.pool.SharedProcessPool` when there are several and
+the scheduler has more than one worker, and then the corners, which always
+run inline in the calling process (``run(..., inline=True)``).
 ``ProcessPoolBackend`` in :mod:`repro.studies` is this class under its
 configuration name, and ``SerialBackend`` is this class pinned to one worker:
 
-* **priority/dependency-aware dispatch** — items become *ready* when their
-  dependencies succeed and are dispatched lowest ``priority`` first
-  (submission order breaking ties).  Dispatch is windowed: at most
-  ``n_workers`` futures are in flight, so ``task_timeout`` deadlines measure
-  actual worker occupancy, not queue time, and a freshly-extracted variant's
-  corners start flowing while other extractions still run.
+* **dependency-aware dispatch** — items become *ready* when their
+  dependencies succeed and are dispatched in submission order.  Dispatch is
+  windowed: at most ``n_workers`` futures are in flight, so
+  ``task_timeout`` deadlines measure actual worker occupancy, not queue
+  time.
 * **cache-aware affinity** — the runner deduplicates extraction items by
-  cache key, so every corner of a variant depends on *one* extraction item
-  instead of racing the :class:`~repro.studies.store.DiskExtractionCache`.
+  cache key, and a follower extraction depends on its leader's item, so
+  every distinct substrate is reduced once instead of racing the
+  :class:`~repro.studies.store.DiskExtractionCache`.
 * **failure propagation** — an item whose dependency exhausts its attempts
   never runs; it inherits the dependency's :class:`TaskFailure` verbatim
   (the root cause), spending zero attempts.
@@ -23,12 +25,13 @@ configuration name, and ``SerialBackend`` is this class pinned to one worker:
   results survive a crash), jittered exponential rebuild backoff, and the
   ``abort`` / ``skip`` / ``retry_then_skip`` policies;
   ``KeyboardInterrupt`` / ``SystemExit`` always propagate.  The wall-clock
-  ``task_timeout`` is the one hung-worker bound: a task past it has its
-  worker SIGKILLed (a stopped or wedged process included), the pool
+  ``task_timeout`` is the one hung-worker bound: a pooled task past it has
+  its worker SIGKILLed (a stopped or wedged process included), the pool
   recycled and the task retried.
 
-With a single effective worker the plan executes in-process (topological,
-priority-ordered) with the same retry semantics — no pool, no pickling.
+With a single effective worker, or ``inline=True``, the plan executes
+in-process in submission order with the same retry semantics — no pool, no
+pickling, and no timeout.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class _TimedOut(Exception):
 
 
 class WorkScheduler:
-    """Dependency/priority-aware task execution on one persistent pool.
+    """Dependency-aware task execution on one persistent pool.
 
     ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
     per-item attempt counts of the most recent run live in ``attempts`` and
@@ -117,8 +120,11 @@ class WorkScheduler:
             on_error: str = ON_ERROR_ABORT,
             on_result: Callable[[str, Any], None] | None = None,
             on_start: Callable[[str, int], None] | None = None,
-            ) -> dict[str, Any]:
+            inline: bool = False) -> dict[str, Any]:
         """Execute the plan; outcomes keyed by item id.
+
+        ``inline`` runs every item in this process whatever the worker
+        count; the runner runs its corners that way.
 
         ``on_result(item_id, result)`` fires in the parent as each item
         *succeeds* (including results salvaged from a breaking pool);
@@ -145,10 +151,10 @@ class WorkScheduler:
 
         outcomes: dict[str, Any] = {}
         failed: set[str] = set()
-        ready: list[tuple[int, int, str]] = []
+        ready: list[tuple[int, str]] = []
         for item in items:
             if missing[item.id] == 0:
-                heapq.heappush(ready, (item.priority, seq[item.id], item.id))
+                heapq.heappush(ready, (seq[item.id], item.id))
 
         def bound_payload(item: WorkItem) -> Any:
             if item.bind is None:
@@ -162,9 +168,7 @@ class WorkScheduler:
             for child in dependents[item_id]:
                 missing[child] -= 1
                 if missing[child] == 0 and child not in failed:
-                    child_item = by_id[child]
-                    heapq.heappush(ready,
-                                   (child_item.priority, seq[child], child))
+                    heapq.heappush(ready, (seq[child], child))
 
         def notify(item_id: str) -> None:
             if on_result is not None:
@@ -184,7 +188,7 @@ class WorkScheduler:
             for child in dependents[item_id]:
                 settle_failure(child, failure)
 
-        n_workers = min(self.max_workers, len(items))
+        n_workers = 1 if inline else min(self.max_workers, len(items))
         if n_workers == 1:
             self._run_inline(by_id, seq, ready, failed, budget, policy,
                              bound_payload, settle_success, settle_failure,
@@ -228,7 +232,7 @@ class WorkScheduler:
         raises via ``_give_up`` with the original exception chained.
         """
         while ready:
-            _, _, item_id = heapq.heappop(ready)
+            _, item_id = heapq.heappop(ready)
             if item_id in failed:
                 continue
             item = by_id[item_id]
@@ -333,7 +337,7 @@ class WorkScheduler:
             # timeout deadlines measure worker occupancy, not queue time.
             while len(pending) < n_workers and (resubmit or ready):
                 item_id = resubmit.pop(0) if resubmit \
-                    else heapq.heappop(ready)[2]
+                    else heapq.heappop(ready)[1]
                 if item_id in failed:
                     continue
                 submit(item_id)

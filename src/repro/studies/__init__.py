@@ -15,21 +15,21 @@ package turns such studies into declarative campaigns executed by one engine:
 * :mod:`repro.studies.runner` — the :class:`SweepRunner` orchestrating
   extraction reuse, task fan-out, corner-level resume, crash-safe
   checkpointing (:class:`CheckpointPolicy`) and structured
-  :class:`~repro.errors.CornerFailure` reporting.  Every campaign runs as
-  one extraction->corner plan on a
-  :class:`~repro.parallel.scheduler.WorkScheduler`, which owns task-level
-  retries, wall-clock timeouts, pool-rebuild backoff and the
-  abort/skip/retry_then_skip failure policies.  :class:`SerialBackend`
-  (the scheduler pinned to one worker, running the plan inline) and
-  :class:`ProcessPoolBackend` (the scheduler itself) are its
-  configuration names,
+  :class:`~repro.errors.CornerFailure` reporting.  Every campaign runs on
+  one :class:`~repro.parallel.scheduler.WorkScheduler` — its pending
+  extractions first, then its corners inline in the calling process — which
+  owns task-level retries, wall-clock timeouts of pooled extractions,
+  pool-rebuild backoff and the abort/skip/retry_then_skip failure
+  policies.  :class:`SerialBackend` (the scheduler pinned to one worker,
+  running everything inline) and :class:`ProcessPoolBackend` (the scheduler
+  itself) are its configuration names,
 * :mod:`repro.studies.faults` — the deterministic :class:`FaultPlan`
   injection harness the fault-tolerance tests drive all of the above with,
 * :mod:`repro.studies.results` — the tidy :class:`SweepResult` store with
   worst-corner and spur-vs-frequency queries plus ``save``/``load``/
   ``merge`` persistence (NPZ + JSON metadata sidecar),
 * :mod:`repro.studies.columns` — the NPZ column schema a result holds its
-  points in, and the per-corner blocks workers build from each
+  points in, and the per-corner blocks built from each
   :class:`~repro.vco.spurs.SpurSweep`,
 * :mod:`repro.studies.cli` — the ``repro-campaign`` command line
   (``run`` / ``resume`` / ``show`` / ``cache stats|prune``) over

@@ -63,17 +63,8 @@ def _canonical(obj, out: list[bytes]) -> None:
     elif isinstance(obj, np.generic):
         _canonical(obj.item(), out)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # A dataclass may exclude result-neutral fields (pure parallelism /
-        # memory / transport knobs) from its content identity via
-        # __fingerprint_exclude__: how a SweepTask's flow is shipped
-        # (flow_ref) must never invalidate cached extractions or refuse
-        # campaign resumes.  Every new scheduler knob joins the excluding
-        # class's tuple, not this function.
-        excluded = getattr(type(obj), "__fingerprint_exclude__", ())
         out.append(f"dc:{type(obj).__qualname__}(".encode())
         for field in dataclasses.fields(obj):
-            if field.name in excluded:
-                continue
             out.append(f"{field.name}=".encode())
             _canonical(getattr(obj, field.name), out)
         out.append(b");")

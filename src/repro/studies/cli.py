@@ -57,7 +57,8 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     cache_dir = ".repro-cache"
     result = "fig8_result.npz"
     on_error = "abort"          # "abort" | "skip" | "retry_then_skip"
-    task_timeout = 600.0        # per-task wall-clock bound (process-pool)
+    # task_timeout = 600.0      # wall-clock bound of each pooled extraction
+                                # (process-pool only; an error with serial)
     checkpoint_corners = 1      # journal completed corners every N corners
     checkpoint_seconds = 30.0   # ... or every T seconds (0 corners disables)
 
@@ -135,6 +136,8 @@ class ExecutionSettings:
     When it is unset, the width falls back to
     :func:`~repro.parallel.pool.default_max_workers` — the
     ``REPRO_MAX_WORKERS`` environment override, else ``min(4, cpus)``.
+    ``task_timeout`` bounds each extraction the pool runs (corners run
+    inline); set with ``backend = "serial"`` it is an error.
     """
 
     backend: str = "serial"
@@ -151,6 +154,11 @@ class ExecutionSettings:
         if self.max_workers is not None and self.max_workers < 1:
             raise AnalysisError(
                 f"[execution] max_workers must be >= 1, got {self.max_workers}")
+        if self.task_timeout is not None and self.backend == "serial":
+            raise AnalysisError(
+                "[execution] task_timeout bounds each pooled extraction and "
+                "needs backend = \"process-pool\"; the serial backend runs "
+                "every task inline, with nothing to time out")
 
     def make_backend(self) -> WorkScheduler:
         if self.backend == "serial":
@@ -703,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "failed corners and keep a partial result")
         p.add_argument("--task-timeout", dest="task_timeout", type=float,
                        default=None,
-                       help="per-task wall-clock bound in seconds "
-                            "(process-pool backend)")
+                       help="wall-clock bound in seconds of each pooled "
+                            "extraction (process-pool backend only)")
         p.add_argument("--summary-json", dest="summary_json", default=None,
                        help="also write a machine-readable run summary here")
         p.add_argument("--trace", action="store_true", default=None,

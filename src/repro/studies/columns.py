@@ -1,4 +1,4 @@
-"""The columnar form of campaign points: one schema from worker to NPZ.
+"""The columnar form of campaign points: one schema from corner to NPZ.
 
 A campaign's points live in a dict of named arrays, the same columns the
 saved ``.npz`` holds (one row per grid point, ``entry_*`` arrays of shape
@@ -15,8 +15,8 @@ saved ``.npz`` holds (one row per grid point, ``entry_*`` arrays of shape
   ``entry_present`` (bool) and ``entry_mechanism`` (str).
 
 A corner's :class:`~repro.vco.spurs.SpurSweep` becomes one
-:class:`CornerBlock` of these columns in the worker
-(:func:`corner_columns`); blocks travel home, into the crash journal and,
+:class:`CornerBlock` of these columns as the corner finishes
+(:func:`corner_columns`); blocks go into the crash journal and,
 concatenated (:func:`concat_columns`), into the saved NPZ without any
 per-point object in between.
 """

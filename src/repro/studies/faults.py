@@ -1,12 +1,15 @@
 """Deterministic fault injection for campaign robustness tests.
 
-A :class:`FaultPlan` wraps the runner's per-task callable and makes chosen
-tasks misbehave in controlled, reproducible ways: raise an exception, hang
-past the scheduler's ``task_timeout``, kill their worker process outright
-(``os._exit``, simulating an OOM-kill or segfault), or corrupt a cached
-object on disk before running.  The fault-tolerance test suite drives every
-recovery path of the sweep engine with these instead of relying on flaky
-real-world failures.
+A :class:`FaultPlan` wraps a task callable and makes chosen tasks
+misbehave in controlled, reproducible ways: raise an exception, hang past
+the scheduler's ``task_timeout``, kill their process outright (``os._exit``,
+simulating an OOM-kill or segfault), or corrupt a cached object on disk
+before running.  ``SweepRunner(fault_plan=...)`` wraps the corner tasks,
+which run in the campaign process, so there an ``"exit"`` fault is a
+``kill -9`` of the campaign itself; hangs, stops and worker deaths are
+driven through pooled items (extractions, or the scheduler's own tests).
+The fault-tolerance test suite drives every recovery path of the sweep
+engine with these instead of relying on flaky real-world failures.
 
 Determinism across *processes* is the hard part: a multi-worker scheduler
 retries a faulted task in a fresh worker, so an in-memory attempt counter
@@ -16,8 +19,8 @@ atomically claims the next attempt number, whichever process it runs in, so
 "fail the first two attempts of task 3" means exactly that, every run.
 
 Everything here is picklable (plain dataclasses plus a module-level wrapper
-class), which is what lets a plan ride into the worker processes of a
-:class:`~repro.parallel.scheduler.WorkScheduler` with more than one worker.
+class), which is what lets a plan wrapped around pooled items ride into the
+worker processes of a :class:`~repro.parallel.scheduler.WorkScheduler`.
 
 Below the task-level faults sits a second, filesystem-level harness:
 **crash points**.  The store and the journal bracket their critical

@@ -12,17 +12,17 @@ into a :class:`~repro.studies.results.SweepResult`:
 2. build one :class:`SweepTask` per (variant, injected power, V_tune) —
    each task analyses all noise frequencies of the campaign in one AC sweep,
    which is the natural unit of work (one DC solve + one transfer function),
-3. execute the extractions and the tasks as *one* dependency-aware plan on
-   the :class:`~repro.parallel.scheduler.WorkScheduler` — inline at one
-   worker, on the shared process pool otherwise — and reassemble the
-   per-corner column blocks *in task order*, so the result is numerically
-   identical whatever the worker count.
+3. run the pending extractions on the
+   :class:`~repro.parallel.scheduler.WorkScheduler` — on the shared process
+   pool when there are several and it has more than one worker, inline
+   otherwise — and then every task inline in this process, in task order,
+   so the result is numerically identical whatever the worker count.
 
-``_execute_task`` and ``_execute_extraction`` are module-level functions
-with picklable payloads, which is what lets the scheduler ship them to
-worker processes.  With real workers involved each variant's extracted flow
-ships through shared memory once instead of per corner, so workers never
-re-extract.
+A corner costs about a millisecond once its variant's flow exists, less
+than shipping the flow to another process, so only extractions leave the
+process.  ``_execute_extraction`` is a module-level function with a
+picklable payload for that reason; its flow comes home as the task's
+result.
 """
 
 from __future__ import annotations
@@ -38,17 +38,9 @@ from ..core.flow import FlowOptions, FlowResult, run_extraction_flow
 from ..errors import AnalysisError, CornerFailure
 from ..layout.cell import Cell
 from ..substrate.extraction import SubstrateExtraction, substrate_inputs
-from ..obs import (
-    TraceContext,
-    collect_spans,
-    get_logger,
-    span_aggregates,
-    trace_span,
-    tracer,
-)
+from ..obs import get_logger, span_aggregates, trace_span, tracer
 from ..parallel.plan import ON_ERROR_ABORT, TaskFailure, WorkItem, _check_policy
 from ..parallel.scheduler import WorkScheduler
-from ..parallel.shm import ObjectShipper, load_object
 from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
 from ..technology.process import ProcessTechnology
@@ -89,17 +81,6 @@ class SweepTask:
     noise_frequencies: tuple[float, ...]
     flow: FlowResult | None                #: pre-extracted models of the variant
     first_point_index: int                 #: global index of the first point
-    #: per-run trace handle re-parenting worker spans under the campaign
-    #: root; ``None`` whenever tracing is disabled.
-    trace: "TraceContext | None" = None
-    #: shared-memory reference resolving to ``flow`` (a multi-worker plan
-    #: ships each variant's extracted flow *once* instead of per corner); exactly
-    #: one of ``flow`` / ``flow_ref`` is set on a dispatched task.
-    flow_ref: object | None = None
-
-    # Excluded from content hashing: the same corner must fingerprint
-    # identically with and without tracing, and however its flow travelled.
-    __fingerprint_exclude__ = ("trace", "flow_ref")
 
     def corner_label(self) -> str:
         """Human-readable corner identity (used in failure messages)."""
@@ -116,18 +97,13 @@ class TaskOutcome:
     """The corner block one task produced, tagged with the task index.
 
     ``block`` holds the corner's points as result columns and the non-zero
-    solver counters the task spent, measured as the delta of the executing
-    process's global solver stats around the task, so the parent sums them
-    whichever process ran it.  ``seconds`` is the task's wall clock;
-    ``spans`` carries the spans the task recorded under its
-    :class:`~repro.obs.TraceContext` home to the parent process (empty
-    whenever tracing is disabled).
+    solver counters the task spent, measured as the delta of the global
+    solver stats around the task.  ``seconds`` is the task's wall clock.
     """
 
     index: int
     block: CornerBlock
     seconds: float = 0.0
-    spans: tuple = ()
 
     @property
     def points(self) -> int:
@@ -146,7 +122,7 @@ def _degradations(solver_counts) -> tuple[tuple[str, int], ...]:
 
 @dataclass(frozen=True)
 class ExtractionTask:
-    """One cache-missing variant to extract (worker-shippable payload).
+    """One cache-missing variant to extract (a picklable pool payload).
 
     When the runner's cache is disk-backed, ``cache_dir``/``key`` ride along
     so the executing process (worker or not) extracts under the store's
@@ -223,33 +199,21 @@ class _ExtractionPlan:
 
 
 def _execute_task(task: SweepTask) -> TaskOutcome:
-    """Run one task (worker-side entry point; must stay picklable)."""
+    """Run one corner task in this process."""
     # Local import: repro.core.vco_experiment uses the studies package for its
     # own sweeps, so the dependency must not be circular at import time.
     from ..core.vco_experiment import VcoImpactAnalysis
 
-    if task.flow is None and task.flow_ref is not None:
-        # A worker receives the variant's flow through shared memory (or by
-        # value when that is unavailable); the worker-side cache makes this
-        # one unpickle per variant and hands every corner the same flow
-        # object, so the variant's testbench is compiled once per worker
-        # too (repro.core.vco_experiment).
-        task = replace(task, flow=load_object(task.flow_ref), flow_ref=None)
-
     before = solver_stats.snapshot()
     t0 = time.perf_counter()
-    # collect_spans parents this task's spans under the campaign root span
-    # (shipped in ``task.trace``) and hands them back through the outcome —
-    # in a worker process *and*, identically, inline in the parent.
-    with collect_spans(task.trace) as span_sink:
-        with trace_span("campaign.corner", index=task.index,
-                        variant=task.variant_index,
-                        power_dbm=task.injected_power_dbm, vtune=task.vtune):
-            analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
-                                         options=task.options,
-                                         flow_result=task.flow)
-            sweep, _vco, _catalog, _tf = analysis.analyze(
-                task.vtune, np.asarray(task.noise_frequencies, dtype=float))
+    with trace_span("campaign.corner", index=task.index,
+                    variant=task.variant_index,
+                    power_dbm=task.injected_power_dbm, vtune=task.vtune):
+        analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
+                                     options=task.options,
+                                     flow_result=task.flow)
+        sweep, _vco, _catalog, _tf = analysis.analyze(
+            task.vtune, np.asarray(task.noise_frequencies, dtype=float))
     seconds = time.perf_counter() - t0
     # Process-local delta of the global counters: the solves this corner
     # spent, including any robustness ladder it needed.
@@ -263,7 +227,7 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
         injected_power_dbm=task.injected_power_dbm, vtune=task.vtune)
     return TaskOutcome(index=task.index,
                        block=CornerBlock(columns, solver_counts),
-                       seconds=seconds, spans=tuple(span_sink))
+                       seconds=seconds)
 
 
 class _Checkpointer:
@@ -283,7 +247,7 @@ class _Checkpointer:
         self._corners_since_flush = 0
         self._last_flush = time.monotonic()
 
-    def __call__(self, index: int, outcome: TaskOutcome) -> None:
+    def __call__(self, outcome: TaskOutcome) -> None:
         self._buffer.append(outcome.block)
         self._corners_since_flush += 1
         if (self._corners_since_flush >= self.policy.every_corners
@@ -306,7 +270,7 @@ ProcessPoolBackend = WorkScheduler
 class SerialBackend(WorkScheduler):
     """The ``serial`` spelling: a :class:`WorkScheduler` pinned to one worker.
 
-    The campaign plan runs inline in the calling process, in priority order,
+    The extractions and the corners both run inline in the calling process,
     with no pool, no pickling and the scheduler's retry semantics
     (wall-clock task timeouts need a worker process to abandon, so there
     are none here).
@@ -345,7 +309,7 @@ class SweepRunner:
         self.fault_plan = fault_plan
 
     def _task_fn(self):
-        """The (picklable) per-task callable, fault-wrapped when injecting."""
+        """The per-task callable, fault-wrapped when injecting."""
         if self.fault_plan is None:
             return _execute_task
         return self.fault_plan.wrap(_execute_task)
@@ -358,13 +322,13 @@ class SweepRunner:
         """Key every variant; cache-resolve the ``pending`` ones and plan
         their (deduplicated) misses.
 
-        Cache lookups stay parent-side, so workers never race the extraction
-        store, and only pending variants count cache traffic.  A miss whose
-        :func:`~repro.substrate.extraction.substrate_inputs` fingerprint
-        equals that of a hit or of an earlier miss becomes a follower of it
-        and reuses its substrate extraction.  So the Kron reduction runs once
-        per distinct (device geometry, mesh, technology, solver), while every
-        variant keeps its own cache entry.
+        Cache lookups stay in this process, so pool workers never race the
+        extraction store, and only pending variants count cache traffic.  A
+        miss whose :func:`~repro.substrate.extraction.substrate_inputs`
+        fingerprint equals that of a hit or of an earlier miss becomes a
+        follower of it and reuses its substrate extraction.  So the Kron
+        reduction runs once per distinct (device geometry, mesh, technology,
+        solver), while every variant keeps its own cache entry.
         """
         plan = _ExtractionPlan()
         cells: dict[str, tuple[LayoutVariant, Cell]] = {}
@@ -420,8 +384,8 @@ class SweepRunner:
         their tasks are omitted but the deterministic global point indexing
         still advances past them, so merged points line up exactly with a
         never-interrupted run.  A task of a variant still to be extracted
-        is built with ``flow=None``; the scheduler binds the flow in just
-        before dispatch.
+        is built with ``flow=None``; :meth:`_run` binds the flow in once
+        the extraction has landed.
         """
         powers, vtunes, frequencies = campaign.sim_grid()
         tasks: list[SweepTask] = []
@@ -532,12 +496,11 @@ class SweepRunner:
         result has been saved.
 
         ``observer`` (a :class:`repro.obs.CampaignObserver`, e.g. the run-log
-        recorder or the progress reporter) receives parent-process callbacks
-        as corners start, retry, finish and fail.  When the process-global
+        recorder or the progress reporter) receives callbacks as corners
+        start, retry, finish and fail.  When the process-global
         :data:`repro.obs.tracer` is enabled, the whole run executes under a
-        ``campaign.run`` root span and every task ships a
-        :class:`~repro.obs.TraceContext` so worker-recorded spans re-parent
-        under that root when their outcomes come home.
+        ``campaign.run`` root span, and every ``campaign.corner`` span nests
+        directly under it.
         """
         root_span = None
         trace_mark = 0
@@ -588,11 +551,6 @@ class SweepRunner:
         plan = self._plan_extractions(campaign, variants, pending)
         tasks = self._build_tasks(campaign, variants, plan.records(variants),
                                   skip=done)
-        if tracer.enabled:
-            # Same context for every task: all corners of this run hang
-            # directly off the campaign root span.
-            context = tracer.current_context()
-            tasks = [replace(task, trace=context) for task in tasks]
 
         if observer is not None:
             observer.campaign_started(
@@ -606,27 +564,20 @@ class SweepRunner:
             "backend=%s", campaign.name, len(tasks), len(done),
             self.backend.describe())
 
-        # Item ``x<j>`` extracts the j-th pending key (see _work_items).
-        extraction_keys = list(plan.pending)
+        def extracted(key: str, flow: FlowResult) -> None:
+            self.cache.store(key, flow)
+            plan.resolved[key] = flow
 
-        def on_result(item_id: str, value) -> None:
-            if item_id.startswith("x"):
-                key = extraction_keys[int(item_id[1:])]
-                self.cache.store(key, value)
-                plan.resolved[key] = value
-                return
+        def corner_finished(item_id: str, outcome: TaskOutcome) -> None:
             if checkpointer is not None:
-                checkpointer(int(item_id[1:]), value)
-            if value.spans:
-                tracer.adopt(value.spans)
+                checkpointer(outcome)
             if observer is not None:
-                observer.corner_finished(tasks[int(item_id[1:])], value)
+                observer.corner_finished(tasks[int(item_id[1:])], outcome)
 
         on_start = None
         if observer is not None:
             def on_start(item_id: str, attempt: int) -> None:
-                if item_id.startswith("c"):
-                    observer.corner_started(tasks[int(item_id[1:])], attempt)
+                observer.corner_started(tasks[int(item_id[1:])], attempt)
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
@@ -636,16 +587,17 @@ class SweepRunner:
             journal.open()
             checkpointer = _Checkpointer(journal, checkpoint)
 
-        shipper = ObjectShipper()
         try:
-            outcome_map = self.backend.run(
-                self._work_items(tasks, plan, shipper),
-                on_error=self.on_error, on_result=on_result,
-                on_start=on_start)
+            extractions = self.backend.run(
+                self._extraction_items(plan), on_error=self.on_error,
+                on_result=extracted)
+            pool_rebuilds = self.backend.pool_rebuilds
+            outcome_map, corner_items = self._corner_items(tasks, plan,
+                                                           extractions)
+            outcome_map.update(self.backend.run(
+                corner_items, on_error=self.on_error,
+                on_result=corner_finished, on_start=on_start, inline=True))
         finally:
-            # Workers that still hold a mapped segment keep it alive; the
-            # parent-side dispose only unlinks the names.
-            shipper.close()
             # Journal every corner that completed, even when aborting: the
             # next run recovers them instead of recomputing.
             if checkpointer is not None:
@@ -655,8 +607,8 @@ class SweepRunner:
                     checkpointer.journal.close()
         corner_ids = [f"c{position}" for position in range(len(tasks))]
 
-        # Solver work of this run: every fresh extraction's own counters plus
-        # every successful corner's, wherever each of them ran.
+        # Solver work of this run: every fresh extraction's own counters
+        # (wherever it ran) plus every successful corner's.
         spent = SolverStats()
         for key in plan.pending:
             flow = plan.resolved.get(key)
@@ -666,7 +618,7 @@ class SweepRunner:
         successes: list[TaskOutcome] = []
         # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
         # failed extraction inherits the extraction's TaskFailure verbatim,
-        # whose index is the *extraction's* plan position.
+        # whose index is the *extraction's* position in its plan.
         for task, item_id in zip(tasks, corner_ids):
             outcome = outcome_map[item_id]
             if isinstance(outcome, TaskFailure):
@@ -692,6 +644,7 @@ class SweepRunner:
             successes=successes,
             attempts=[self.backend.attempts.get(item_id, 0)
                       for item_id in corner_ids],
+            pool_rebuilds=pool_rebuilds,
             substrate_reuses=sum(1 for key in plan.leaders
                                  if key in plan.resolved),
             trace_mark=trace_mark)
@@ -714,76 +667,61 @@ class SweepRunner:
             telemetry=telemetry)
         return result if prior is None else result.merge(prior)
 
-    def _work_items(self, tasks: list[SweepTask], plan: _ExtractionPlan,
-                    shipper: ObjectShipper) -> list[WorkItem]:
-        """The campaign as one dependency-aware plan of work items.
+    @staticmethod
+    def _extraction_items(plan: _ExtractionPlan) -> list[WorkItem]:
+        """One work item per pending cache key, identified by the key.
 
-        Extraction items (``x<j>``, one per distinct cache key, priority 0)
-        and corner items (``c<i>``, priority 1) go down the scheduler
-        together; corners of a cache-missing variant depend on its extraction
-        item and receive the flow through the item's ``bind`` hook just
-        before dispatch.  A follower's extraction item depends on its
-        leader's item the same way and receives the leader's substrate
-        extraction (a follower of a cache hit gets it at plan time).  With
-        real worker processes involved, each variant's flow ships through
-        shared memory **once** (``shipper``) and every corner carries only a
-        tiny reference; the inline single-worker plan passes flows by
-        reference instead.  Priorities make the inline order extractions
-        first, then corners in task order.
+        A follower's item depends on its leader's item and receives the
+        leader's substrate extraction through its ``bind`` hook (a follower
+        of a cache hit gets it here).
         """
-        xid_by_key = {key: f"x{position}"
-                      for position, key in enumerate(plan.pending)}
-        n_items = len(plan.pending) + len(tasks)
-        ship = min(self.backend.max_workers, n_items) > 1
-        task_fn = self._task_fn()
-
         items: list[WorkItem] = []
-        for key, xid in xid_by_key.items():
-            task = plan.pending[key]
+        for key, task in plan.pending.items():
             leader = plan.leaders.get(key)
-            leader_xid = xid_by_key.get(leader)
-            if leader_xid is None:
-                if leader is not None:
-                    task = replace(task,
-                                   substrate=plan.resolved[leader].substrate)
-                items.append(WorkItem(id=xid, fn=_execute_extraction,
-                                      payload=task, priority=0))
+            if leader in plan.pending:
+                def bind_substrate(payload, dep_results, leader=leader):
+                    return replace(payload,
+                                   substrate=dep_results[leader].substrate)
+                items.append(WorkItem(id=key, fn=_execute_extraction,
+                                      payload=task, deps=(leader,),
+                                      bind=bind_substrate))
                 continue
+            if leader is not None:
+                task = replace(task, substrate=plan.resolved[leader].substrate)
+            items.append(WorkItem(id=key, fn=_execute_extraction,
+                                  payload=task))
+        return items
 
-            def bind_substrate(payload, dep_results, leader_xid=leader_xid):
-                return replace(payload,
-                               substrate=dep_results[leader_xid].substrate)
-            items.append(WorkItem(id=xid, fn=_execute_extraction,
-                                  payload=task, deps=(leader_xid,),
-                                  priority=0, bind=bind_substrate))
+    def _corner_items(self, tasks: list[SweepTask], plan: _ExtractionPlan,
+                      extractions: dict[str, object],
+                      ) -> tuple[dict[str, object], list[WorkItem]]:
+        """The corner items ``c<i>`` to run, and the corners that cannot.
+
+        A corner of a variant whose extraction failed never runs: its slot
+        holds the extraction's :class:`TaskFailure`.  Every other corner
+        gets its variant's flow.
+        """
+        task_fn = self._task_fn()
+        doomed: dict[str, object] = {}
+        items: list[WorkItem] = []
         for position, task in enumerate(tasks):
             key = plan.keys[task.variant_index]
-            deps: tuple[str, ...] = ()
-            bind = None
-            payload = task
-            if key in xid_by_key:
-                xid = xid_by_key[key]
-                deps = (xid,)
-                if ship:
-                    def bind(payload, dep_results, key=key, xid=xid):
-                        return replace(payload, flow_ref=shipper.ref_for(
-                            key, dep_results[xid]))
-                else:
-                    def bind(payload, dep_results, xid=xid):
-                        return replace(payload, flow=dep_results[xid])
-            elif ship:
-                payload = replace(task, flow=None,
-                                  flow_ref=shipper.ref_for(key, task.flow))
+            flow = plan.resolved.get(key)
+            if flow is None:
+                doomed[f"c{position}"] = extractions[key]
+                continue
+            if task.flow is None:
+                task = replace(task, flow=flow)
             items.append(WorkItem(id=f"c{position}", fn=task_fn,
-                                  payload=payload, deps=deps, priority=1,
-                                  bind=bind))
-        return items
+                                  payload=task))
+        return doomed, items
 
     def _build_telemetry(self, *, spent: SolverStats,
                          cache_hits: int, cache_misses: int,
                          degradations: dict[str, int],
                          successes: list[TaskOutcome],
                          attempts: list[int],
+                         pool_rebuilds: int,
                          substrate_reuses: int,
                          trace_mark: int) -> dict:
         """Per-run metrics: ``{"counters", "gauges", "histograms"}``.
@@ -792,8 +730,8 @@ class SweepRunner:
         accumulation.  ``spent`` is the run's solver work summed from the
         fresh extractions and the successful corners, so the solver
         counters read the same at any worker count.  ``attempts`` are the
-        per-corner attempt counts; the scheduler's pool rebuilds are read
-        straight off it.
+        per-corner attempt counts and ``pool_rebuilds`` the scheduler's pool
+        rebuilds during the extractions (corners never use the pool).
         ``extraction.substrate_reuses`` counts the follower extractions that
         reused a leader's substrate instead of running a Kron reduction.
         Zero counters are left out (``campaign.task_attempts`` is present
@@ -807,7 +745,7 @@ class SweepRunner:
             "cache.hits": cache_hits,
             "cache.misses": cache_misses,
             "campaign.retries": sum(n - 1 for n in attempts if n > 1),
-            "campaign.pool_rebuilds": self.backend.pool_rebuilds,
+            "campaign.pool_rebuilds": pool_rebuilds,
             "extraction.substrate_reuses": substrate_reuses})
         for kind, count in degradations.items():
             counters[f"solver.degradations{{kind={kind}}}"] = count

@@ -152,6 +152,17 @@ def _fsync_dir(path: Path) -> None:
         os.close(descriptor)
 
 
+def _umask_file_mode() -> int:
+    """``0o666`` under this process's umask: the mode ``open()`` creates.
+
+    The umask can only be read by setting it, so it is set to a
+    restrictive ``0o077`` for the instant of the probe.
+    """
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write(path: Path, write: Callable, binary: bool = True,
                  durable: bool = True) -> None:
     """Write a file atomically: temp file in the same directory + replace.
@@ -162,9 +173,10 @@ def atomic_write(path: Path, write: Callable, binary: bool = True,
     temporary file is fsync-ed before the rename and the parent directory
     fsync-ed after it, so the entry also survives power loss; see
     :func:`_fsync_enabled`.  Shared by the cache store and the result
-    persistence, so the cleanup subtleties live in one place.  The
-    ``write``/``fsync``/``rename`` steps are chaos-instrumented
-    (:func:`~repro.studies.faults.crashpoint`).
+    persistence, so the cleanup subtleties live in one place.  The file
+    gets the mode a plain ``open()`` would give it (``mkstemp`` alone
+    leaves ``0o600``).  The ``write``/``fsync``/``rename`` steps are
+    chaos-instrumented (:func:`~repro.studies.faults.crashpoint`).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
@@ -172,6 +184,7 @@ def atomic_write(path: Path, write: Callable, binary: bool = True,
     fsync = durable and _fsync_enabled()
     try:
         with os.fdopen(descriptor, "wb" if binary else "w") as handle:
+            os.fchmod(descriptor, _umask_file_mode())
             crashpoint("write")
             write(handle)
             if fsync:

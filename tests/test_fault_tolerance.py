@@ -4,8 +4,9 @@ Drives every recovery path of the sweep engine with the deterministic
 :class:`~repro.studies.faults.FaultPlan` harness instead of flaky real-world
 failures:
 
-* a hung task trips ``task_timeout``, its worker is killed, the task retried
-  and the campaign completes with results identical to a healthy run;
+* a hung task trips ``task_timeout``, its worker is killed and the task
+  retried, and a campaign whose pooled extraction hung completes with
+  results identical to a healthy run;
 * ``on_error="skip"`` / ``"retry_then_skip"`` yield partial results whose
   failed corners are structured records that ``show`` lists and ``resume``
   re-runs;
@@ -30,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -217,27 +219,64 @@ def test_worker_killing_fault_breaks_pool_and_is_retried(tmp_path, run_tasks):
     assert backend.pool_rebuilds >= 1
 
 
-# -- acceptance (a): a hung campaign corner completes identically -------------
+# -- acceptance (a): a hung pooled extraction completes identically ----------
 
 
-def test_campaign_survives_hung_corner(technology, ft_campaign, reference):
-    healthy, cache_dir = reference
-    plan = FaultPlan(state_dir=str(cache_dir / "hang-state"),
+@dataclass(frozen=True)
+class _FaultyExtraction:
+    """Picklable extraction wrapper firing ``plan``'s faults first.
+
+    Extraction tasks carry no ``index``; the plan matches the variant index.
+    """
+
+    plan: FaultPlan
+    fn: Any
+
+    def __call__(self, task: ExtractionTask):
+        self.plan.inject(_EchoTask(task.variant_index))
+        return self.fn(task)
+
+
+class _FaultyExtractionPool(ProcessPoolBackend):
+    """A process pool that injects ``plan`` into every extraction it runs."""
+
+    def __init__(self, plan: FaultPlan, **kwargs):
+        super().__init__(**kwargs)
+        self.plan = plan
+
+    def run(self, items, **kwargs):
+        items = [replace(item, fn=_FaultyExtraction(self.plan, item.fn))
+                 if isinstance(item.payload, ExtractionTask) else item
+                 for item in items]
+        return super().run(items, **kwargs)
+
+
+def test_campaign_survives_hung_extraction(technology, tmp_path):
+    # Variant 0's extraction hangs in its worker on the first attempt;
+    # task_timeout kills the worker, the pool is rebuilt and the retried
+    # extraction feeds corners equal to a healthy serial run's.
+    campaign = make_two_variant_campaign()
+    healthy = SweepRunner(
+        technology, cache=DiskExtractionCache(tmp_path / "healthy"),
+    ).run(campaign)
+    plan = FaultPlan(state_dir=str(tmp_path / "hang-state"),
                      specs=(FaultSpec("hang", task_index=0, attempts=1,
                                       hang_seconds=120.0),))
-    backend = ProcessPoolBackend(max_workers=2, retries=1, task_timeout=8.0,
-                                 backoff_base=0.01)
-    runner = SweepRunner(technology, backend=backend,
-                         cache=DiskExtractionCache(cache_dir),
-                         fault_plan=plan)
-    result = runner.run(ft_campaign)
+    backend = _FaultyExtractionPool(plan, max_workers=2, retries=1,
+                                    task_timeout=8.0, backoff_base=0.01)
+    start = time.monotonic()
+    result = SweepRunner(technology, backend=backend,
+                         cache=DiskExtractionCache(tmp_path / "cache"),
+                         ).run(campaign)
+    assert time.monotonic() - start < 60.0     # detected, not waited out
     assert not result.failures
-    assert backend.attempts["c0"] == 2
-    counters = result.telemetry["metrics"]["counters"]
-    assert counters["campaign.retries"] >= 1
-    assert counters["campaign.pool_rebuilds"] >= 1
-    np.testing.assert_array_equal(result.column("spur_power_dbm"),
-                                  healthy.column("spur_power_dbm"))
+    assert plan.attempts_seen(0) == 2          # hung once, then retried
+    assert result.cache_misses == 2
+    assert result.telemetry["metrics"]["counters"][
+        "campaign.pool_rebuilds"] >= 1
+    assert set(result.columns) == set(healthy.columns)
+    for name, column in healthy.columns.items():
+        np.testing.assert_array_equal(result.columns[name], column, name)
 
 
 # -- acceptance (b): skip policy -> partial result -> show -> resume ----------

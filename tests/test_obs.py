@@ -2,9 +2,8 @@
 
 Covers the acceptance properties of the subsystem:
 
-* hierarchical span nesting, the disabled-tracer no-op fast path, and span
-  re-parenting across :class:`ProcessPoolBackend` worker processes
-  (including the timeout/retry path's ``on_start`` notifications),
+* hierarchical span nesting, the disabled-tracer no-op fast path, and the
+  pool's timeout/retry path's ``on_start`` notifications,
 * a campaign's ``telemetry["metrics"]`` keeps the schema perfbench, CI
   and ``show --timings`` read (counter keys, no gauges, the corner-time
   histogram), agrees with the stat records it is built from
@@ -31,8 +30,6 @@ from repro.core.vco_experiment import VcoExperimentOptions
 from repro.obs import (
     RunLogRecorder,
     SpanRecord,
-    TraceContext,
-    collect_spans,
     read_run_log,
     runlog_path_for,
     runlog_to_chrome_trace,
@@ -55,7 +52,6 @@ from repro.studies import (
     SerialBackend,
     SweepRunner,
 )
-from repro.studies.runner import SweepTask
 from repro.substrate.extraction import SubstrateExtractionOptions
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
@@ -172,37 +168,6 @@ def test_dc_and_factorize_spans_name_strategy_and_kernel(traced):
             assert span.parent_id == dc.span_id
 
 
-def test_collect_spans_carves_out_of_live_tracer(traced):
-    context = TraceContext(trace_id=tracer.trace_id, parent_id="root-0")
-    with trace_span("before"):
-        pass
-    with collect_spans(context) as sink:
-        with trace_span("carved"):
-            pass
-    # The block's spans moved to the sink (no double counting) and were
-    # re-parented under the context.
-    assert [s.name for s in tracer.spans()] == ["before"]
-    assert [s.name for s in sink] == ["carved"]
-    assert sink[0].parent_id == "root-0"
-    tracer.adopt(sink)
-    assert [s.name for s in tracer.spans()] == ["before", "carved"]
-
-
-def test_collect_spans_enables_in_fresh_worker():
-    # A worker process starts with the tracer disabled; the context both
-    # enables collection and parents the spans.
-    assert not tracer.enabled
-    context = TraceContext(trace_id="trace-test", parent_id="root-7")
-    with collect_spans(context) as sink:
-        assert tracer.enabled
-        with trace_span("worker.span"):
-            pass
-    assert not tracer.enabled
-    assert [s.name for s in sink] == ["worker.span"]
-    assert sink[0].parent_id == "root-7"
-    tracer.reset()
-
-
 def test_span_record_dict_roundtrip():
     span = SpanRecord(span_id="1-2", parent_id="1-1", name="x.y",
                       start=123.5, duration=0.25, pid=42, thread="main",
@@ -232,7 +197,8 @@ def test_telemetry_counters_follow_the_stat_records(technology):
     metrics = runner._build_telemetry(
         spent=spent, cache_hits=3, cache_misses=0,
         degradations={"fallbacks": 5, "dc_gmin_steps": 0}, successes=[],
-        attempts=[1, 2, 0], substrate_reuses=0, trace_mark=0)["metrics"]
+        attempts=[1, 2, 0], pool_rebuilds=0, substrate_reuses=0,
+        trace_mark=0)["metrics"]
     assert metrics == {
         "counters": {"cache.hits": 3,
                      "campaign.retries": 1,
@@ -453,48 +419,6 @@ def test_serial_campaign_telemetry_runlog_and_trace(
     assert payload["otherData"]["fingerprint"] == obs_campaign.fingerprint()
 
 
-def test_pool_worker_spans_reparent_under_campaign_root(
-        technology, obs_campaign, traced):
-    import os
-
-    corners = _expected_corner_count(obs_campaign)
-    runner = SweepRunner(technology,
-                         backend=ProcessPoolBackend(max_workers=2),
-                         cache=ExtractionCache())
-    result = runner.run(obs_campaign)
-    assert result.telemetry["spans"]["campaign.corner"]["count"] == corners
-
-    spans = tracer.spans()
-    root, = [s for s in spans if s.name == "campaign.run"]
-    corner_spans = [s for s in spans if s.name == "campaign.corner"]
-    assert len(corner_spans) == corners
-    # Worker spans came home and re-parented under the campaign root...
-    assert all(s.parent_id == root.span_id for s in corner_spans)
-    # ...and really were recorded in other processes.
-    assert root.pid == os.getpid()
-    assert {s.pid for s in corner_spans}.isdisjoint({root.pid})
-    # Nested worker spans hang off their corner, not the root.
-    corner_ids = {s.span_id for s in corner_spans}
-    setup_spans = [s for s in spans if s.name == "sim.setup"]
-    assert len(setup_spans) == corners
-    assert all(s.parent_id in corner_ids for s in setup_spans)
-
-
-def test_sweep_task_fingerprint_ignores_trace_context(technology, obs_campaign):
-    from dataclasses import replace as dc_replace
-
-    from repro.studies.cache import fingerprint as content_fingerprint
-
-    variant = obs_campaign.variants()[0]
-    task = SweepTask(index=0, variant_index=0, knobs={},
-                     technology=technology, spec=variant.spec,
-                     options=obs_campaign.options, injected_power_dbm=-10.0,
-                     vtune=0.0, noise_frequencies=(1e6,), flow=None,
-                     first_point_index=0)
-    traced_task = dc_replace(task, trace=TraceContext("trace-x", "parent-y"))
-    assert content_fingerprint(task) == content_fingerprint(traced_task)
-
-
 # -- retry path: on_start notifications ----------------------------------------------
 
 
@@ -522,8 +446,8 @@ def test_pool_on_start_reports_every_attempt(tmp_path, run_tasks):
                         on_start=lambda item_id, attempt:
                         starts.append((int(item_id), attempt)))
     assert results == [0, 10]
-    # The hung corner was started twice (attempt 1 timed out, attempt 2
-    # succeeded); the healthy corner exactly once.
+    # The hung task was started twice (attempt 1 timed out, attempt 2
+    # succeeded); the healthy task exactly once.
     assert (0, 1) in starts and (0, 2) in starts
     assert starts.count((1, 1)) == 1
 

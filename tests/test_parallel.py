@@ -1,30 +1,26 @@
-"""The unified work scheduler and its ship-once flow transport.
+"""The unified work scheduler.
 
 Covers the `repro.parallel` package end to end:
 
 * plan validation (duplicate ids, unknown deps, cycles) and the scheduler's
-  dependency/priority dispatch, dependency-failure propagation and retries —
-  inline and on real worker processes;
-* ship-once objects in shared memory and their inline fallback: both
-  paths hand every load the same cached object;
+  dependency dispatch, dependency-failure propagation and retries — inline
+  and on real worker processes;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key (the retired
-  ``workers`` alias is an unknown key);
-* the fingerprint seam: parallelism knobs (worker counts, flow transport)
-  must never invalidate the extraction cache, and the default solver
-  options keep their pinned identity;
-* pool hygiene: a timeout recycle kills workers holding shipped flows and
-  leaks no shared-memory segment;
-* numerical equivalence: a whole campaign on the graph scheduler == serial,
-  with the same solver counters at any worker count.
+  ``workers`` alias is an unknown key), and ``task_timeout``, which only
+  the process pool accepts;
+* the fingerprint seam: the default solver options keep their pinned
+  identity;
+* pool hygiene: a timeout recycle kills a stopped worker;
+* numerical equivalence: a whole campaign on a 2-worker pool == serial,
+  with its extractions in worker processes, every corner in the calling
+  process and the same solver counters at any worker count.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -40,12 +36,10 @@ from repro.parallel import (
     WorkItem,
     WorkScheduler,
     default_max_workers,
-    load_object,
-    ship_object,
     validate_plan,
 )
+from repro.obs import tracer
 from repro.parallel.plan import TaskFailure
-from repro.parallel.shm import InlineObjectRef, ObjectRef, ObjectShipper
 from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
@@ -59,6 +53,7 @@ from repro.studies import (
     SweepRunner,
 )
 from repro.studies.cache import fingerprint
+from repro.studies.runner import ExtractionTask
 from repro.substrate.extraction import SubstrateExtractionOptions
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
@@ -129,7 +124,6 @@ def test_scheduler_binds_dependency_results_inline():
     items = [
         WorkItem(id="x", fn=_double, payload=_Job(21)),
         WorkItem(id="c", fn=_add_jobs, payload=_Job(0), deps=("x",),
-                 priority=1,
                  bind=lambda payload, deps: replace(payload,
                                                     value=deps["x"] + 1)),
     ]
@@ -138,16 +132,6 @@ def test_scheduler_binds_dependency_results_inline():
     assert outcomes == {"x": 42, "c": 43}
     assert started == ["x", "c"]
     assert scheduler.attempts == {"x": 1, "c": 1}
-
-
-def test_scheduler_priority_orders_ready_items():
-    order: list[str] = []
-    scheduler = WorkScheduler(max_workers=1)
-    items = [WorkItem(id="late", fn=_double, payload=_Job(1), priority=5),
-             WorkItem(id="early", fn=_double, payload=_Job(2), priority=0),
-             WorkItem(id="mid", fn=_double, payload=_Job(3), priority=2)]
-    scheduler.run(items, on_start=lambda i, a: order.append(i))
-    assert order == ["early", "mid", "late"]
 
 
 def test_scheduler_dooms_dependents_with_root_failure():
@@ -188,85 +172,6 @@ def test_scheduler_propagates_failures_across_processes():
     assert isinstance(failure, TaskFailure) and failure.attempts == 2
     assert outcomes["c"] is failure
     assert scheduler.attempts["c"] == 0
-
-
-# -- ship-once objects ---------------------------------------------------------
-
-
-def test_ship_object_roundtrip_and_shipper_memoization():
-    payload = {"flow": np.linspace(0.0, 1.0, 7), "label": "variant-0"}
-    ref, segment = ship_object(payload)
-    try:
-        loaded = load_object(ref)
-        assert loaded["label"] == "variant-0"
-        np.testing.assert_array_equal(loaded["flow"], payload["flow"])
-    finally:
-        if segment is not None:
-            segment.close()
-            segment.unlink()
-    shipper = ObjectShipper()
-    try:
-        first = shipper.ref_for("key", payload)
-        assert shipper.ref_for("key", payload) is first
-    finally:
-        shipper.close()
-
-
-def test_inline_object_ref_roundtrip(monkeypatch):
-    import repro.parallel.shm as shm
-
-    monkeypatch.setattr(shm, "_shared_memory", None)
-    ref, segment = ship_object([1, 2, 3])
-    assert isinstance(ref, InlineObjectRef) and segment is None
-    assert load_object(ref) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("shared", [True, False])
-def test_load_object_returns_the_cached_object(monkeypatch, shared):
-    # Every corner of a variant must get the *same* flow object (the
-    # compiled-testbench cache is keyed on it), through shared memory and
-    # through the by-value fallback alike.  An equal payload shipped again
-    # resolves to the same cached object too: inline refs are keyed by a
-    # digest of their bytes, not by the identity of the ref.
-    import repro.parallel.shm as shm
-
-    if not shared:
-        monkeypatch.setattr(shm, "_shared_memory", None)
-    shipper = ObjectShipper()
-    try:
-        ref = shipper.ref_for("flow", {"nodes": list(range(50))})
-        if shared and not isinstance(ref, ObjectRef):
-            pytest.skip("shared memory unavailable")
-        assert isinstance(ref, ObjectRef if shared else InlineObjectRef)
-        first = load_object(ref)
-        assert load_object(ref) is first
-        assert first == {"nodes": list(range(50))}
-        if not shared:
-            again = InlineObjectRef(payload=bytes(ref.payload))
-            assert load_object(again) is first
-            other = InlineObjectRef(payload=ship_object([7])[0].payload)
-            assert load_object(other) == [7]
-    finally:
-        shipper.close()
-
-
-def test_load_object_drops_its_segment_mapping():
-    # The loader copies the payload out and closes its mapping at once: once
-    # the owner unlinks the segment, no mapping of it is left in this
-    # process, and the cached object lives on.
-    maps = Path("/proc/self/maps")
-    if not maps.exists():
-        pytest.skip("no /proc/self/maps on this platform")
-    shipper = ObjectShipper()
-    ref = shipper.ref_for("flow", ("payload", 3))
-    if not isinstance(ref, ObjectRef):
-        shipper.close()
-        pytest.skip("shared memory unavailable")
-    loaded = load_object(ref)
-    shipper.close()
-    assert ref.name not in maps.read_text()
-    assert load_object(ref) is loaded
-    assert loaded == ("payload", 3)
 
 
 # -- worker-count configuration -----------------------------------------------
@@ -329,22 +234,27 @@ def test_execution_settings_worker_alias_validation(tmp_path):
             load_campaign_config(config)
 
 
-# -- fingerprint seam: parallelism never invalidates the cache ----------------
+def test_task_timeout_needs_the_process_pool(tmp_path, capsys):
+    # Corners run inline and nothing runs on a pool with the serial
+    # backend, so a task_timeout there would bound nothing: it is an error
+    # from the config file and from --task-timeout alike.
+    from repro.studies.cli import ExecutionSettings, load_campaign_config, main
+
+    with pytest.raises(AnalysisError, match="task_timeout"):
+        ExecutionSettings(task_timeout=5.0)
+    assert ExecutionSettings(backend="process-pool", task_timeout=5.0
+                             ).make_backend().task_timeout == 5.0
+    config = tmp_path / "campaign.toml"
+    config.write_text('name = "t"\n[axes]\nvtune = [0.0]\n'
+                      "[execution]\ntask_timeout = 5.0\n")
+    with pytest.raises(AnalysisError, match="task_timeout"):
+        load_campaign_config(config)
+    config.write_text('name = "t"\n[axes]\nvtune = [0.0]\n')
+    assert main(["run", str(config), "--task-timeout", "5"]) == 2
+    assert "task_timeout" in capsys.readouterr().err
 
 
-def test_sweep_task_fingerprint_ignores_flow_transport(technology):
-    from repro.studies.runner import SweepTask
-
-    campaign = _layout_campaign()
-    variant = campaign.variants()[0]
-    task = SweepTask(index=0, variant_index=0, knobs={},
-                     technology=technology, spec=variant.spec,
-                     options=campaign.options, injected_power_dbm=-10.0,
-                     vtune=0.0, noise_frequencies=(1e6,), flow=None,
-                     first_point_index=0)
-    assert "flow_ref" in SweepTask.__fingerprint_exclude__
-    shipped = replace(task, flow_ref=InlineObjectRef(payload=b"flow-bytes"))
-    assert fingerprint(task) == fingerprint(shipped)
+# -- fingerprint seam ----------------------------------------------------------
 
 
 def test_ac_mode_validation(tmp_path):
@@ -513,85 +423,6 @@ def test_scheduler_settles_every_future_of_a_breaking_batch(monkeypatch, bad,
     assert scheduler.pool_rebuilds == 1 and pool.recycles == 1
 
 
-@dataclass(frozen=True)
-class _FlowJob:
-    """Scheduler payload carrying a shipped flow (the plan matches ``index``)."""
-
-    index: int
-    flow_ref: Any
-    plan: FaultPlan
-
-    def corner_label(self) -> str:
-        return f"flow job {self.index}"
-
-
-def _hold_flow(job: _FlowJob) -> int:
-    """Map the shipped flow, then run the plan's faults while holding it."""
-    flow = load_object(job.flow_ref)
-    job.plan.inject(job)
-    return job.index + len(flow.substrate.ports)
-
-
-def test_timeout_recycle_with_shipped_flows_in_flight_leaks_no_shm(
-        vco_flow, tmp_path):
-    # A scheduler timeout trip SIGKILLs a worker that has mapped an
-    # ObjectShipper-shipped flow; the retry completes, and once the
-    # shipper closes no shared-memory segment is left behind.
-    shm_root = Path("/dev/shm")
-    if not shm_root.is_dir():
-        pytest.skip("no /dev/shm on this platform")
-    before = set(os.listdir(shm_root))
-
-    # Job 0 hangs in its worker, after mapping the flow, until the
-    # scheduler's timeout recycle kills it; its retry runs clean.
-    plan = FaultPlan(state_dir=str(tmp_path / "hang-state"),
-                     specs=(FaultSpec("hang", task_index=0, attempts=1,
-                                      hang_seconds=120.0),))
-    shipper = ObjectShipper()
-    try:
-        ref = shipper.ref_for("flow", vco_flow)
-        if not isinstance(ref, ObjectRef):
-            pytest.skip("shared memory unavailable")
-        scheduler = WorkScheduler(max_workers=2, retries=1, task_timeout=3.0,
-                                  backoff_base=0.01)
-        # Two items so the scheduler takes the pool path (one runs inline).
-        items = [WorkItem(id=item_id, fn=_hold_flow,
-                          payload=_FlowJob(index, ref, plan))
-                 for index, item_id in enumerate(("h", "q"))]
-        run: dict = {}
-
-        def drive() -> None:
-            try:
-                run["outcomes"] = scheduler.run(items)
-            except Exception as exc:              # re-raised below
-                run["error"] = exc
-
-        thread = threading.Thread(target=drive)
-        thread.start()
-        # The hang's attempt marker is written after the worker mapped the
-        # flow: from here on a worker holds the live segment.
-        marker = Path(plan.state_dir) / "spec00.attempt0001"
-        deadline = time.monotonic() + 60.0
-        while not marker.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert marker.exists()
-        assert ref.handle.name in os.listdir(shm_root)
-        thread.join(timeout=300.0)
-        assert not thread.is_alive()
-    finally:
-        shipper.close()
-    if "error" in run:
-        raise run["error"]
-
-    ports = len(vco_flow.substrate.ports)
-    assert run["outcomes"] == {"h": ports, "q": 1 + ports}
-    assert scheduler.pool_rebuilds == 1
-    assert scheduler.attempts == {"h": 2, "q": 1}
-    leaked = {name for name in set(os.listdir(shm_root)) - before
-              if name.startswith("psm_")}
-    assert not leaked
-
-
 # -- campaign-level equivalence on the graph scheduler ------------------------
 
 
@@ -606,30 +437,103 @@ def _layout_campaign() -> Campaign:
                                      flow=TINY_MESH))
 
 
+@dataclass(frozen=True)
+class _PidStamped:
+    """Picklable extraction wrapper: records the pid each extraction ran in."""
+
+    fn: Any
+    directory: str
+
+    def __call__(self, task: ExtractionTask):
+        Path(self.directory, f"{task.variant_index}-{os.getpid()}").touch()
+        return self.fn(task)
+
+
+class _PidStampingPool(ProcessPoolBackend):
+    """A process pool that stamps the pid of every extraction it runs."""
+
+    def __init__(self, directory: Path, **kwargs):
+        super().__init__(**kwargs)
+        self.directory = directory
+
+    def run(self, items, **kwargs):
+        items = [replace(item, fn=_PidStamped(item.fn, str(self.directory)))
+                 if isinstance(item.payload, ExtractionTask) else item
+                 for item in items]
+        return super().run(items, **kwargs)
+
+
+def _assert_columns_equal(result, expected) -> None:
+    assert set(result.columns) == set(expected.columns)
+    for name, column in expected.columns.items():
+        np.testing.assert_array_equal(result.columns[name], column, name)
+
+
 def test_graph_campaign_bit_identical_to_serial(technology, tmp_path):
     campaign = _layout_campaign()
     serial = SweepRunner(
         technology, cache=DiskExtractionCache(tmp_path / "serial"),
     ).run(campaign)
 
-    # Cold cache: extractions run as plan items, corners depend on them and
-    # receive the flow through shared memory.
+    # Cold cache: the follower's extraction depends on its leader's and
+    # both run on the pool; the corners then run here.
     pool_backend = ProcessPoolBackend(max_workers=2)
     cache = DiskExtractionCache(tmp_path / "graph")
     graph = SweepRunner(technology, backend=pool_backend,
                         cache=cache).run(campaign)
     assert not graph.failures
     assert graph.cache_misses == 2 and graph.cache_hits == 0
-    np.testing.assert_array_equal(graph.column("spur_power_dbm"),
-                                  serial.column("spur_power_dbm"))
+    _assert_columns_equal(graph, serial)
 
     # Re-run against the warm cache with a different worker count: every
-    # extraction must hit (parallelism knobs are fingerprint-excluded).
+    # extraction must hit (the worker count is not part of any key).
     warm = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=3),
                        cache=cache).run(campaign)
     assert warm.cache_misses == 0 and warm.cache_hits == 2
-    np.testing.assert_array_equal(warm.column("spur_power_dbm"),
-                                  serial.column("spur_power_dbm"))
+    _assert_columns_equal(warm, serial)
+
+    # Two distinct substrates, cold: two independent extractions, which
+    # run in pool workers, while every corner runs in this process, its
+    # span directly under the campaign root.
+    campaign = Campaign(
+        name="two_substrates",
+        space=ParamSpace({"mesh_nx": (12, 14), "vtune": (0.0, 0.75),
+                          "noise_frequency": (1e6, 4e6)}),
+        options=VcoExperimentOptions(noise_frequencies=(1e6, 4e6),
+                                     flow=TINY_MESH))
+    serial = SweepRunner(
+        technology, cache=DiskExtractionCache(tmp_path / "serial"),
+    ).run(campaign)
+
+    stamps = tmp_path / "pids"
+    stamps.mkdir()
+    tracer.reset()
+    tracer.enable()
+    try:
+        pooled = SweepRunner(
+            technology, backend=_PidStampingPool(stamps, max_workers=2),
+            cache=DiskExtractionCache(tmp_path / "pool")).run(campaign)
+        spans = tracer.spans()
+    finally:
+        tracer.disable()
+        tracer.reset()
+    assert not pooled.failures
+    assert pooled.cache_misses == 2
+    assert pooled.telemetry["metrics"]["counters"].get(
+        "extraction.substrate_reuses", 0) == 0
+    _assert_columns_equal(pooled, serial)
+
+    extraction_pids = {int(path.name.split("-")[1])
+                       for path in stamps.iterdir()}
+    assert sorted(path.name.split("-")[0] for path in stamps.iterdir()) \
+        == ["0", "1"]
+    assert os.getpid() not in extraction_pids
+
+    root, = [span for span in spans if span.name == "campaign.run"]
+    corners = [span for span in spans if span.name == "campaign.corner"]
+    assert len(corners) == 4
+    assert {span.pid for span in corners} == {root.pid} == {os.getpid()}
+    assert all(span.parent_id == root.span_id for span in corners)
 
 
 def test_solver_counters_do_not_depend_on_the_worker_count(technology,

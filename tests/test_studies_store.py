@@ -21,6 +21,7 @@ import dataclasses
 import os
 import pickle
 import shutil
+import stat
 import time
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from repro.core.vco_experiment import VcoExperimentOptions, ground_resistance_st
 from repro.errors import AnalysisError
 from repro.studies import (
     Campaign,
+    CampaignJournal,
     CacheCorruptionWarning,
     DiskExtractionCache,
     ParamSpace,
@@ -281,6 +283,29 @@ def test_save_load_round_trip_is_bit_identical(store_campaign, tmp_path,
     assert [v.cache_key for v in loaded.variants] == \
         [v.cache_key for v in result.variants]
     assert all(v.flow is None for v in loaded.variants)
+
+
+def test_written_files_take_the_umask_default_mode(tmp_path,
+                                                   reference_result):
+    # Every file the program writes atomically gets the mode a plain
+    # open() gives under the umask (0644 under 0022), never mkstemp's 0600.
+    result, _ = reference_result
+    previous = os.umask(0o022)
+    try:
+        npz_path, meta_path = result.save(tmp_path / "sweep.npz")
+        journal = CampaignJournal(tmp_path / "sweep.journal",
+                                  campaign_name="umask", fingerprint="f")
+        journal.open()
+        journal.close()
+        cache = DiskExtractionCache(tmp_path / "cache")
+        key = "cd" * 32
+        cache.store(key, "payload")
+    finally:
+        os.umask(previous)
+    for path in (npz_path, meta_path,
+                 tmp_path / "sweep.journal" / "manifest.json",
+                 cache.entry_path(key)):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
 
 
 def test_load_rejects_missing_and_mismatched_files(tmp_path, reference_result):
