@@ -1,13 +1,15 @@
 """Unified work scheduling.
 
-One process pool (:mod:`~repro.parallel.pool`), one task vocabulary
-(:mod:`~repro.parallel.plan`) and one dependency-aware scheduler
-(:mod:`~repro.parallel.scheduler`).  Every campaign of the studies layer runs
-on one :class:`WorkScheduler` (``SerialBackend`` and ``ProcessPoolBackend``
-are its configuration names): the pending extractions first, on the pool
-when there are several and it has more than one worker, then every corner
-inline in the campaign process.  Nothing but an extraction task and its
-extracted flow crosses a process boundary.
+One process pool (:mod:`~repro.parallel.pool`), one work item and failure
+policy vocabulary (:mod:`~repro.parallel.plan`) and one scheduler of flat
+item lists (:mod:`~repro.parallel.scheduler`).  Every campaign of the
+studies layer runs on one :class:`WorkScheduler` (``SerialBackend`` and
+``ProcessPoolBackend`` are its configuration names): the pending extractions
+first, as two batches (the leaders, then the followers that reuse a
+leader's substrate), each on the pool when it has several items and the
+scheduler more than one worker, then every corner inline in the campaign
+process.  Nothing but an extraction task and its extracted flow crosses a
+process boundary.
 """
 
 from .plan import (
@@ -17,7 +19,6 @@ from .plan import (
     ON_ERROR_SKIP,
     TaskFailure,
     WorkItem,
-    validate_plan,
 )
 from .pool import (
     MAX_WORKERS_ENV,
@@ -39,5 +40,4 @@ __all__ = [
     "WorkScheduler",
     "default_max_workers",
     "shared_pool",
-    "validate_plan",
 ]

@@ -1,16 +1,17 @@
 """Work items, failure policies and retry bookkeeping of the scheduler.
 
-A campaign runs as two plans of :class:`WorkItem`\\ s: its extraction tasks
-(a DAG, followers depending on their leader) and its per-corner simulation
-tasks.  This is the *one* definition of what a retry, a failure policy and
-an exhausted task mean; :mod:`repro.studies` re-exports the public names.
+A campaign runs flat lists of independent :class:`WorkItem`\\ s: its
+extraction tasks, as two batches (leaders, then the followers that reuse a
+leader's substrate), and its per-corner simulation tasks.  This is the
+*one* definition of what a retry, a failure policy and an exhausted task
+mean; :mod:`repro.studies` re-exports the public names.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..errors import AnalysisError, CampaignError, CornerFailure, TaskTimeoutError
 
@@ -61,10 +62,10 @@ class TaskFailure:
     Returned in the task's result slot when the failure policy is a skip
     variant; the runner converts these into
     :class:`~repro.errors.CornerFailure` records with corner coordinates.
-    A work item that never ran because a dependency failed inherits the
-    dependency's failure object verbatim — the root cause, not a synthetic
-    "dependency failed" wrapper — which is exactly how extraction failures
-    have always been reported against each affected corner.
+    Work the runner never starts because an extraction failed — a follower
+    extraction of a failed leader, a corner of a variant with no flow —
+    holds that extraction's failure object verbatim, the root cause rather
+    than a synthetic "dependency failed" wrapper.
     """
 
     index: int                  #: position in the submitted task list
@@ -115,60 +116,16 @@ def _give_up(task, attempts: int, exc: BaseException) -> None:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One schedulable unit of a campaign DAG.
+    """One schedulable unit of a campaign.
 
     ``fn(payload)`` may run in a worker process (both must be picklable).
-    ``deps`` names items that must succeed first; ``bind(payload,
-    dep_results)`` runs in the *parent* just before dispatch to fold the
-    dependencies' results into the payload (e.g. hand a leader's substrate
-    extraction to a follower extraction) — it is the only non-picklable
-    hook.  Ready items dispatch in submission order.
+    Items of one :meth:`~repro.parallel.scheduler.WorkScheduler.run` are
+    independent and dispatch in list order.
     """
 
     id: str
     fn: Callable[[Any], Any]
     payload: Any
-    deps: tuple[str, ...] = ()
-    bind: Callable[[Any, dict[str, Any]], Any] | None = field(
-        default=None, compare=False)
 
     def describe(self) -> str:
         return _task_label(self.payload)
-
-
-def validate_plan(items: Sequence[WorkItem]) -> list[str]:
-    """Check ids are unique, deps known and the graph acyclic.
-
-    Returns one valid topological order of the item ids (Kahn's algorithm);
-    raises :class:`~repro.errors.AnalysisError` on a malformed plan.  The
-    scheduler dispatches by readiness, not by this order — the
-    return value exists for callers that want a deterministic serial order.
-    """
-    by_id: dict[str, WorkItem] = {}
-    for item in items:
-        if item.id in by_id:
-            raise AnalysisError(f"duplicate work item id {item.id!r}")
-        by_id[item.id] = item
-    missing = {item.id: 0 for item in items}
-    dependents: dict[str, list[str]] = {item.id: [] for item in items}
-    for item in items:
-        for dep in item.deps:
-            if dep not in by_id:
-                raise AnalysisError(
-                    f"work item {item.id!r} depends on unknown item {dep!r}")
-            missing[item.id] += 1
-            dependents[dep].append(item.id)
-    order = [item_id for item_id, count in missing.items() if count == 0]
-    cursor = 0
-    while cursor < len(order):
-        for child in dependents[order[cursor]]:
-            missing[child] -= 1
-            if missing[child] == 0:
-                order.append(child)
-        cursor += 1
-    if len(order) != len(items):
-        cyclic = sorted(item_id for item_id, count in missing.items()
-                        if count > 0)
-        raise AnalysisError(
-            f"work plan has a dependency cycle involving: {', '.join(cyclic)}")
-    return order

@@ -1,26 +1,19 @@
-"""The work scheduler: one DAG, one pool, one failure policy.
+"""The work scheduler: one flat list of items, one pool, one failure policy.
 
-:class:`WorkScheduler` is the one execution path of every campaign.  The
-sweep runner hands it two plans of :class:`~repro.parallel.plan.WorkItem`\\ s
-per campaign: the pending extractions, which run on the
-:class:`~repro.parallel.pool.SharedProcessPool` when there are several and
-the scheduler has more than one worker, and then the corners, which always
-run inline in the calling process (``run(..., inline=True)``).
-``ProcessPoolBackend`` in :mod:`repro.studies` is this class under its
-configuration name, and ``SerialBackend`` is this class pinned to one worker:
+:class:`WorkScheduler` is the one execution path of every campaign.  It runs a
+list of independent :class:`~repro.parallel.plan.WorkItem`\\ s in list order.
+The sweep runner hands it, per campaign, its pending extractions as two
+batches (leaders first, then the followers that reuse a leader's substrate),
+which run on the :class:`~repro.parallel.pool.SharedProcessPool` when the
+campaign has two or more and the scheduler more than one worker, and then
+the corners, which always run inline in the calling process
+(``run(..., inline=True)``).  ``ProcessPoolBackend`` in :mod:`repro.studies`
+is this class under its configuration name, and ``SerialBackend`` is this
+class pinned to one worker:
 
-* **dependency-aware dispatch** — items become *ready* when their
-  dependencies succeed and are dispatched in submission order.  Dispatch is
-  windowed: at most ``n_workers`` futures are in flight, so
+* **windowed dispatch** — at most ``n_workers`` futures are in flight, so
   ``task_timeout`` deadlines measure actual worker occupancy, not queue
   time.
-* **cache-aware affinity** — the runner deduplicates extraction items by
-  cache key, and a follower extraction depends on its leader's item, so
-  every distinct substrate is reduced once instead of racing the
-  :class:`~repro.studies.store.DiskExtractionCache`.
-* **failure propagation** — an item whose dependency exhausts its attempts
-  never runs; it inherits the dependency's :class:`TaskFailure` verbatim
-  (the root cause), spending zero attempts.
 * **fault tolerance** — per-item retries, broken-pool salvage (completed
   results survive a crash), jittered exponential rebuild backoff, and the
   ``abort`` / ``skip`` / ``retry_then_skip`` policies;
@@ -29,16 +22,16 @@ configuration name, and ``SerialBackend`` is this class pinned to one worker:
   its worker SIGKILLed (a stopped or wedged process included), the pool
   recycled and the task retried.
 
-With a single effective worker, or ``inline=True``, the plan executes
-in-process in submission order with the same retry semantics — no pool, no
+With a single worker, or ``inline=True``, the items execute
+in-process in list order with the same retry semantics — no pool, no
 pickling, and no timeout.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
@@ -47,14 +40,12 @@ from ..errors import AnalysisError, CampaignError, TaskTimeoutError
 from ..obs import get_logger
 from .plan import (
     ON_ERROR_ABORT,
-    TaskFailure,
     WorkItem,
     _check_policy,
     _effective_retries,
     _failure_record,
     _give_up,
     _task_label,
-    validate_plan,
 )
 from .pool import default_max_workers, shared_pool
 
@@ -69,7 +60,7 @@ class _TimedOut(Exception):
 
 
 class WorkScheduler:
-    """Dependency-aware task execution on one persistent pool.
+    """Independent-item execution on one persistent pool.
 
     ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
     per-item attempt counts of the most recent run live in ``attempts`` and
@@ -87,13 +78,19 @@ class WorkScheduler:
             raise AnalysisError("WorkScheduler needs at least one worker")
         if retries < 0:
             raise AnalysisError("retries must be >= 0")
-        if task_timeout is not None and task_timeout <= 0:
-            raise AnalysisError("task_timeout must be positive (seconds)")
-        if backoff_base < 0:
-            raise AnalysisError("backoff_base must be >= 0")
+        # ``not > 0`` also rejects NaN, whose deadlines would never trip
+        # and would turn every wait into a busy spin; ``inf`` means never.
+        if task_timeout is not None and not task_timeout > 0:
+            raise AnalysisError(
+                f"task_timeout must be positive (seconds), got {task_timeout}")
+        if not backoff_base >= 0:           # NaN would crash time.sleep
+            raise AnalysisError(
+                f"backoff_base must be >= 0 (seconds), got {backoff_base}")
         self.max_workers = max_workers or default_max_workers()
         self.retries = retries
-        self.task_timeout = task_timeout
+        # ``inf`` sets no deadline: an infinite wait() timeout overflows.
+        self.task_timeout = None if task_timeout == float("inf") \
+            else task_timeout
         self.backoff_base = backoff_base
         self._rng = random.Random(backoff_seed)
         self._pool = shared_pool()
@@ -121,97 +118,60 @@ class WorkScheduler:
             on_result: Callable[[str, Any], None] | None = None,
             on_start: Callable[[str, int], None] | None = None,
             inline: bool = False) -> dict[str, Any]:
-        """Execute the plan; outcomes keyed by item id.
+        """Execute independent items in list order; outcomes keyed by id.
 
         ``inline`` runs every item in this process whatever the worker
-        count; the runner runs its corners that way.
+        count; the runner runs its corners that way, and the extraction of
+        a campaign that has only one.  Otherwise a scheduler with more than
+        one worker runs the items on the pool, even a single one.
 
         ``on_result(item_id, result)`` fires in the parent as each item
         *succeeds* (including results salvaged from a breaking pool);
         ``on_start(item_id, attempt)`` as each attempt is submitted
         (``attempt`` counts from 1).  Under the skip policies a failed
-        item's slot holds its :class:`TaskFailure`; items doomed by a failed
-        dependency hold the dependency's failure object.
+        item's slot holds its :class:`TaskFailure`.
         """
         policy = _check_policy(on_error)
-        items = list(items)
-        validate_plan(items)
-        self.attempts = {item.id: 0 for item in items}
+        by_id: dict[str, WorkItem] = {}
+        for item in items:
+            if item.id in by_id:
+                raise AnalysisError(f"duplicate work item id {item.id!r}")
+            by_id[item.id] = item
+        self.attempts = dict.fromkeys(by_id, 0)
         self.pool_rebuilds = 0
-        if not items:
+        if not by_id:
             return {}
         budget = _effective_retries(self.retries, policy)
-        by_id = {item.id: item for item in items}
-        seq = {item.id: position for position, item in enumerate(items)}
-        missing = {item.id: len(item.deps) for item in items}
-        dependents: dict[str, list[str]] = {item.id: [] for item in items}
-        for item in items:
-            for dep in item.deps:
-                dependents[dep].append(item.id)
-
+        seq = {item_id: position for position, item_id in enumerate(by_id)}
         outcomes: dict[str, Any] = {}
-        failed: set[str] = set()
-        ready: list[tuple[int, str]] = []
-        for item in items:
-            if missing[item.id] == 0:
-                heapq.heappush(ready, (seq[item.id], item.id))
-
-        def bound_payload(item: WorkItem) -> Any:
-            if item.bind is None:
-                return item.payload
-            return item.bind(item.payload,
-                             {dep: outcomes[dep] for dep in item.deps})
-
-        def release(item_id: str, value: Any) -> None:
-            """Record a success and ready its dependents (no callback)."""
-            outcomes[item_id] = value
-            for child in dependents[item_id]:
-                missing[child] -= 1
-                if missing[child] == 0 and child not in failed:
-                    heapq.heappush(ready, (seq[child], child))
 
         def notify(item_id: str) -> None:
             if on_result is not None:
                 on_result(item_id, outcomes[item_id])
 
-        def settle_success(item_id: str, value: Any) -> None:
-            release(item_id, value)
-            notify(item_id)
-
-        def settle_failure(item_id: str, failure: TaskFailure) -> None:
-            if item_id in failed:
-                return
-            failed.add(item_id)
-            outcomes[item_id] = failure
-            # Transitively doom the dependents with the *root* failure: a
-            # corner whose extraction failed reports the extraction's error.
-            for child in dependents[item_id]:
-                settle_failure(child, failure)
-
-        n_workers = 1 if inline else min(self.max_workers, len(items))
-        if n_workers == 1:
-            self._run_inline(by_id, seq, ready, failed, budget, policy,
-                             bound_payload, settle_success, settle_failure,
+        if inline or self.max_workers == 1:
+            self._run_inline(by_id, seq, budget, policy, outcomes, notify,
                              on_start)
             return outcomes
 
+        n_workers = min(self.max_workers, len(by_id))
+        ready = deque(by_id)
         resubmit: list[str] = []
         while ready or resubmit:
             unfinished, causes = self._pool_round(
-                by_id, seq, ready, resubmit, failed, n_workers, budget,
-                policy, bound_payload, release, notify, settle_failure,
-                on_start)
+                by_id, seq, ready, resubmit, n_workers, budget, policy,
+                outcomes, notify, on_start)
             exhausted = [item_id for item_id in unfinished
                          if self.attempts[item_id] > budget]
             if exhausted:
                 if policy == ON_ERROR_ABORT:
                     self._abort(by_id, exhausted, causes)
                 for item_id in exhausted:
-                    settle_failure(item_id, _failure_record(
+                    outcomes[item_id] = _failure_record(
                         seq[item_id], by_id[item_id].payload,
-                        self.attempts[item_id], causes.get(item_id)))
+                        self.attempts[item_id], causes.get(item_id))
                 unfinished = [item_id for item_id in unfinished
-                              if item_id not in set(exhausted)]
+                              if self.attempts[item_id] <= budget]
             resubmit = unfinished
             if resubmit or (ready and self._pool.width == 0):
                 self.pool_rebuilds += 1
@@ -221,28 +181,22 @@ class WorkScheduler:
                 self._backoff_sleep(self.pool_rebuilds)
         return outcomes
 
-    def _run_inline(self, by_id, seq, ready, failed, budget, policy,
-                    bound_payload, settle_success, settle_failure,
+    def _run_inline(self, by_id, seq, budget, policy, outcomes, notify,
                     on_start) -> None:
-        """Single-worker path: run the plan in this process, no pool.
+        """Single-worker path: run the items in this process, no pool.
 
         ``Exception`` consumes attempts, ``KeyboardInterrupt`` /
         ``SystemExit`` propagate immediately (a Ctrl-C must stop the
         campaign, not be recorded as a corner failure), the abort policy
         raises via ``_give_up`` with the original exception chained.
         """
-        while ready:
-            _, item_id = heapq.heappop(ready)
-            if item_id in failed:
-                continue
-            item = by_id[item_id]
-            payload = bound_payload(item)
+        for item_id, item in by_id.items():
             while True:
                 self.attempts[item_id] += 1
                 if on_start is not None:
                     on_start(item_id, self.attempts[item_id])
                 try:
-                    value = item.fn(payload)
+                    outcomes[item_id] = item.fn(item.payload)
                 except Exception as exc:
                     if self.attempts[item_id] <= budget:
                         logger.info(
@@ -256,11 +210,11 @@ class WorkScheduler:
                         "task exhausted: corner=%s attempts=%d error=%s "
                         "policy=%s", item.describe(), self.attempts[item_id],
                         type(exc).__name__, policy)
-                    settle_failure(item_id, _failure_record(
+                    outcomes[item_id] = _failure_record(
                         seq[item_id], item.payload, self.attempts[item_id],
-                        exc))
+                        exc)
                     break
-                settle_success(item_id, value)
+                notify(item_id)
                 break
 
     def _abort(self, by_id, exhausted: list[str],
@@ -289,9 +243,8 @@ class WorkScheduler:
             f"completing, including: {_task_label(by_id[first].payload)}",
             failures=failures) from causes.get(first)
 
-    def _pool_round(self, by_id, seq, ready, resubmit, failed,
-                    n_workers, budget, policy, bound_payload,
-                    release, notify, settle_failure, on_start,
+    def _pool_round(self, by_id, seq, ready, resubmit, n_workers, budget,
+                    policy, outcomes, notify, on_start,
                     ) -> tuple[list[str], dict[str, BaseException]]:
         """One pool lifetime; returns (unfinished item ids, their causes).
 
@@ -301,14 +254,14 @@ class WorkScheduler:
         pool itself persists across clean rounds and runs — only breakage
         recycles it.
 
-        Each batch of finished futures is released first (outcomes recorded,
-        dependents readied), the freed slots are refilled, and only then do
-        the batch's ``on_result`` callbacks run (``notify``): the workers
-        compute while the parent journals.  The callbacks run however the
-        batch ends — a broken pool, a retry that cannot submit, an abort.
+        Each batch of finished futures has its outcomes recorded first, the
+        freed slots are refilled, and only then do the batch's ``on_result``
+        callbacks run (``notify``): the workers compute while the parent
+        journals.  The callbacks run however the batch ends — a broken pool,
+        a retry that cannot submit, an abort.
         """
         def settle_success(item_id: str, value: Any) -> None:
-            release(item_id, value)
+            outcomes[item_id] = value
             notify(item_id)
 
         pool = self._pool.executor(n_workers)
@@ -322,7 +275,7 @@ class WorkScheduler:
             if on_start is not None:
                 on_start(item_id, self.attempts[item_id])
             try:
-                future = pool.submit(item.fn, bound_payload(item))
+                future = pool.submit(item.fn, item.payload)
             except BrokenProcessPool:
                 # The attempt is spent but no future exists; remember the
                 # item so the salvage path reschedules it.
@@ -336,11 +289,7 @@ class WorkScheduler:
             # Windowed dispatch: keep at most n_workers futures in flight so
             # timeout deadlines measure worker occupancy, not queue time.
             while len(pending) < n_workers and (resubmit or ready):
-                item_id = resubmit.pop(0) if resubmit \
-                    else heapq.heappop(ready)[1]
-                if item_id in failed:
-                    continue
-                submit(item_id)
+                submit(resubmit.pop(0) if resubmit else ready.popleft())
 
         try:
             fill()
@@ -366,7 +315,7 @@ class WorkScheduler:
                         deadlines.pop(future, None)
                         exc = future.exception()
                         if exc is None:
-                            release(item_id, future.result())
+                            outcomes[item_id] = future.result()
                             released.append(item_id)
                         elif isinstance(exc, (KeyboardInterrupt, SystemExit)):
                             # Never swallow or retry an interrupt, whatever
@@ -388,9 +337,9 @@ class WorkScheduler:
                             _give_up(by_id[item_id].payload,
                                      self.attempts[item_id], exc)
                         else:
-                            settle_failure(item_id, _failure_record(
+                            outcomes[item_id] = _failure_record(
                                 seq[item_id], by_id[item_id].payload,
-                                self.attempts[item_id], exc))
+                                self.attempts[item_id], exc)
                     fill()
                 finally:
                     for item_id in released:

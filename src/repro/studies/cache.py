@@ -27,7 +27,6 @@ import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -125,16 +124,16 @@ class CacheStats:
 class ExtractionCache:
     """In-memory content-addressed store of :class:`FlowResult` objects.
 
-    ``get_or_extract`` is the only path campaigns use: it hashes the request,
-    returns the cached flow on a hit and runs the extraction flow (recording a
-    miss) otherwise.  ``seed`` installs an already-extracted flow under its
-    content key, which makes engine runs over a layout that was extracted
-    elsewhere (e.g. by :class:`~repro.core.vco_experiment.VcoImpactAnalysis`)
-    start warm.
+    Campaigns key each variant (``key``), look it up (``lookup``, one
+    counted hit or miss) and ``store`` the flows they extract themselves;
+    ``get_or_extract`` does all three for a single request with
+    :func:`~repro.core.flow.run_extraction_flow`.  ``seed`` installs an
+    already-extracted flow under its content key, which makes engine runs
+    over a layout that was extracted elsewhere (e.g. by
+    :class:`~repro.core.vco_experiment.VcoImpactAnalysis`) start warm.
     """
 
-    def __init__(self, extractor: Callable[..., FlowResult] = run_extraction_flow):
-        self._extractor = extractor
+    def __init__(self):
         self._entries: dict[str, FlowResult] = {}
         self.stats = CacheStats()
 
@@ -192,8 +191,8 @@ class ExtractionCache:
         key = self.key(cell, technology, options, package)
         flow = self.lookup(key)
         if flow is None:
-            flow = self._extractor(cell, technology, package=package,
-                                   options=options)
+            flow = run_extraction_flow(cell, technology, package=package,
+                                       options=options)
             self.store(key, flow)
         return flow
 

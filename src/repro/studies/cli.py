@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -128,6 +129,29 @@ _OPTION_FIELDS = (
 )
 
 
+#: ``[execution]`` field -> (types, type wording, range test, range wording).
+#: NaN fails ``v > 0``, so NaN timings are rejected; ``inf`` passes and
+#: means "never".
+_EXECUTION_RULES = {
+    "backend": (str, "a string", lambda v: v in ("serial", "process-pool"),
+                "'serial' or 'process-pool'"),
+    "max_workers": (int, "an integer", lambda v: v >= 1, ">= 1"),
+    "retries": (int, "an integer", lambda v: v >= 0, ">= 0"),
+    "cache_dir": ((str, os.PathLike), "a path", lambda v: True, ""),
+    "result": ((str, os.PathLike), "a path", lambda v: True, ""),
+    "on_error": (str, "a string", lambda v: v in ON_ERROR_POLICIES,
+                 f"one of {', '.join(ON_ERROR_POLICIES)}"),
+    "task_timeout": ((int, float), "a number", lambda v: v > 0,
+                     "positive (seconds)"),
+    "checkpoint_corners": (int, "an integer", lambda v: v >= 0,
+                           ">= 0 (0 disables the journal)"),
+    "checkpoint_seconds": ((int, float), "a number", lambda v: v > 0,
+                           "positive (seconds)"),
+}
+#: ``[execution]`` fields that may be left unset (``None``).
+_EXECUTION_OPTIONAL = ("max_workers", "cache_dir", "result", "task_timeout")
+
+
 @dataclass
 class ExecutionSettings:
     """``[execution]`` table of a config, overridable by CLI flags.
@@ -151,9 +175,18 @@ class ExecutionSettings:
     checkpoint_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_workers is not None and self.max_workers < 1:
-            raise AnalysisError(
-                f"[execution] max_workers must be >= 1, got {self.max_workers}")
+        # A value of the wrong type (e.g. a quoted number in TOML) or out of
+        # range is a named config error, not a TypeError in the scheduler.
+        for name, (kinds, noun, valid, rule) in _EXECUTION_RULES.items():
+            value = getattr(self, name)
+            if value is None and name in _EXECUTION_OPTIONAL:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise AnalysisError(
+                    f"[execution] {name} must be {noun}, got {value!r}")
+            if not valid(value):
+                raise AnalysisError(
+                    f"[execution] {name} must be {rule}, got {value!r}")
         if self.task_timeout is not None and self.backend == "serial":
             raise AnalysisError(
                 "[execution] task_timeout bounds each pooled extraction and "
@@ -163,13 +196,9 @@ class ExecutionSettings:
     def make_backend(self) -> WorkScheduler:
         if self.backend == "serial":
             return SerialBackend(retries=self.retries)
-        if self.backend == "process-pool":
-            return ProcessPoolBackend(max_workers=self.max_workers,
-                                      retries=self.retries,
-                                      task_timeout=self.task_timeout)
-        raise AnalysisError(
-            f"unknown backend {self.backend!r} (choose 'serial' or "
-            "'process-pool')")
+        return ProcessPoolBackend(max_workers=self.max_workers,
+                                  retries=self.retries,
+                                  task_timeout=self.task_timeout)
 
     def make_cache(self) -> ExtractionCache:
         if self.cache_dir:

@@ -254,8 +254,12 @@ class CheckpointPolicy:
     def __post_init__(self):
         if self.every_corners < 1:
             raise AnalysisError("checkpoint every_corners must be >= 1")
-        if self.every_seconds <= 0:
-            raise AnalysisError("checkpoint every_seconds must be positive")
+        # ``not > 0`` also rejects NaN, which would silently turn off the
+        # time-based flush; ``inf`` means "by corner count only".
+        if not self.every_seconds > 0:
+            raise AnalysisError(
+                "checkpoint every_seconds must be positive, got "
+                f"{self.every_seconds}")
 
 
 class CampaignJournal:

@@ -13,10 +13,12 @@ into a :class:`~repro.studies.results.SweepResult`:
    each task analyses all noise frequencies of the campaign in one AC sweep,
    which is the natural unit of work (one DC solve + one transfer function),
 3. run the pending extractions on the
-   :class:`~repro.parallel.scheduler.WorkScheduler` — on the shared process
-   pool when there are several and it has more than one worker, inline
-   otherwise — and then every task inline in this process, in task order,
-   so the result is numerically identical whatever the worker count.
+   :class:`~repro.parallel.scheduler.WorkScheduler` as two flat batches —
+   the leaders, then the followers that reuse a fresh leader's substrate —
+   on the shared process pool when there are two or more extractions and
+   the scheduler has more than one worker, inline otherwise, and then every
+   task inline in this process, in task order, so the result is
+   numerically identical whatever the worker count.
 
 A corner costs about a millisecond once its variant's flow exists, less
 than shipping the flow to another process, so only extractions leave the
@@ -130,13 +132,15 @@ class ExtractionTask:
     then extract each distinct variant exactly once, with the others
     waiting for the claimer's lock and reusing its published entry.  The
     claim is taken where the task runs: in a pool worker, or inline on the
-    one-worker path, which starts no pool.  So no claim is ever held across
-    the fork of a pool worker.
+    one-worker path (or for the one extraction of a campaign), which
+    submits nothing to the pool.  So no claim is ever held across the fork
+    of a pool worker.
 
     ``substrate`` is set on a *follower*: a variant whose substrate inputs
     equal those of another variant of the run (its *leader*).  The flow then
     reuses the leader's substrate extraction instead of running its own
-    Kron reduction.
+    Kron reduction.  A follower of a cache hit gets it at plan time, a
+    follower of a fresh leader once the leaders' batch has run.
     """
 
     variant_index: int
@@ -588,10 +592,8 @@ class SweepRunner:
             checkpointer = _Checkpointer(journal, checkpoint)
 
         try:
-            extractions = self.backend.run(
-                self._extraction_items(plan), on_error=self.on_error,
-                on_result=extracted)
-            pool_rebuilds = self.backend.pool_rebuilds
+            extractions, pool_rebuilds = self._run_extractions(plan,
+                                                               extracted)
             outcome_map, corner_items = self._corner_items(tasks, plan,
                                                            extractions)
             outcome_map.update(self.backend.run(
@@ -618,7 +620,7 @@ class SweepRunner:
         successes: list[TaskOutcome] = []
         # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
         # failed extraction inherits the extraction's TaskFailure verbatim,
-        # whose index is the *extraction's* position in its plan.
+        # whose index is the *extraction's* position in its batch.
         for task, item_id in zip(tasks, corner_ids):
             outcome = outcome_map[item_id]
             if isinstance(outcome, TaskFailure):
@@ -667,30 +669,44 @@ class SweepRunner:
             telemetry=telemetry)
         return result if prior is None else result.merge(prior)
 
-    @staticmethod
-    def _extraction_items(plan: _ExtractionPlan) -> list[WorkItem]:
-        """One work item per pending cache key, identified by the key.
+    def _run_extractions(self, plan: _ExtractionPlan, on_result,
+                         ) -> tuple[dict[str, object], int]:
+        """Extract every pending key; returns (outcomes by key, rebuilds).
 
-        A follower's item depends on its leader's item and receives the
-        leader's substrate extraction through its ``bind`` hook (a follower
-        of a cache hit gets it here).
+        Two flat batches on the backend: first the leaders and every
+        follower of a cache hit (which gets the hit's substrate here), then
+        the followers of the leaders just extracted.  A follower whose
+        leader failed never runs: its slot holds the leader's
+        :class:`TaskFailure`.  ``rebuilds`` sums the pool rebuilds of both.
         """
-        items: list[WorkItem] = []
+        first: list[WorkItem] = []
         for key, task in plan.pending.items():
             leader = plan.leaders.get(key)
             if leader in plan.pending:
-                def bind_substrate(payload, dep_results, leader=leader):
-                    return replace(payload,
-                                   substrate=dep_results[leader].substrate)
-                items.append(WorkItem(id=key, fn=_execute_extraction,
-                                      payload=task, deps=(leader,),
-                                      bind=bind_substrate))
                 continue
             if leader is not None:
                 task = replace(task, substrate=plan.resolved[leader].substrate)
-            items.append(WorkItem(id=key, fn=_execute_extraction,
+            first.append(WorkItem(id=key, fn=_execute_extraction,
                                   payload=task))
-        return items
+        # One pending extraction runs inline; two or more use the pool.
+        inline = len(plan.pending) < 2
+        outcomes = self.backend.run(first, on_error=self.on_error,
+                                    on_result=on_result, inline=inline)
+        rebuilds = self.backend.pool_rebuilds
+        followers: list[WorkItem] = []
+        for key, leader in plan.leaders.items():
+            if leader not in plan.pending:
+                continue
+            flow = outcomes[leader]
+            if isinstance(flow, TaskFailure):
+                outcomes[key] = flow
+                continue
+            followers.append(WorkItem(
+                id=key, fn=_execute_extraction,
+                payload=replace(plan.pending[key], substrate=flow.substrate)))
+        outcomes.update(self.backend.run(followers, on_error=self.on_error,
+                                         on_result=on_result, inline=inline))
+        return outcomes, rebuilds + self.backend.pool_rebuilds
 
     def _corner_items(self, tasks: list[SweepTask], plan: _ExtractionPlan,
                       extractions: dict[str, object],

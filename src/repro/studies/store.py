@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from ..core.flow import FlowResult, run_extraction_flow
+from ..core.flow import FlowResult
 from ..errors import AnalysisError
 from ..obs import get_logger, trace_span
 from .cache import CacheStats, ExtractionCache
@@ -359,12 +359,8 @@ class DiskExtractionCache(ExtractionCache):
     :meth:`extract_with_claim`.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | os.PathLike[str],
-        extractor: Callable[..., FlowResult] = run_extraction_flow,
-    ):
-        super().__init__(extractor)
+    def __init__(self, cache_dir: str | os.PathLike[str]):
+        super().__init__()
         self.stats = DiskCacheStats()
         self.cache_dir = Path(cache_dir)
         self.objects_dir = self.cache_dir / "objects"

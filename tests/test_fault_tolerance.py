@@ -548,6 +548,19 @@ def _journal_block(first_point: int) -> CornerBlock:
                        solver_counts=(("solves", first_point),))
 
 
+def test_checkpoint_policy_rejects_bad_intervals(tmp_path):
+    # NaN would silently disable the time-based flush; inf means "by
+    # corner count only".
+    for seconds in (float("nan"), 0.0, -1.0):
+        with pytest.raises(AnalysisError,
+                           match="every_seconds must be positive"):
+            CheckpointPolicy(path=tmp_path / "j", every_seconds=seconds)
+    with pytest.raises(AnalysisError, match="every_corners"):
+        CheckpointPolicy(path=tmp_path / "j", every_corners=0)
+    assert CheckpointPolicy(path=tmp_path / "j",
+                            every_seconds=float("inf")).every_corners == 1
+
+
 def test_journal_of_other_campaign_is_rejected(ft_campaign, tmp_path):
     journal = CampaignJournal(tmp_path / "j", campaign_name="someone_else",
                               fingerprint="deadbeef")

@@ -2,9 +2,8 @@
 
 Covers the `repro.parallel` package end to end:
 
-* plan validation (duplicate ids, unknown deps, cycles) and the scheduler's
-  dependency dispatch, dependency-failure propagation and retries — inline
-  and on real worker processes;
+* the scheduler's flat dispatch: duplicate ids are rejected, and retries
+  and failure records work on real worker processes;
 * worker-count configuration: the ``REPRO_MAX_WORKERS`` environment
   override and the ``[execution] max_workers`` config key (the retired
   ``workers`` alias is an unknown key), and ``task_timeout``, which only
@@ -36,7 +35,6 @@ from repro.parallel import (
     WorkItem,
     WorkScheduler,
     default_max_workers,
-    validate_plan,
 )
 from repro.obs import tracer
 from repro.parallel.plan import TaskFailure
@@ -79,99 +77,26 @@ def _boom(job: _Job) -> int:
     raise ValueError(f"boom {job.value}")
 
 
-def _add_jobs(job: _Job) -> int:
-    return job.value
+# -- scheduler: flat dispatch and failure records -----------------------------
 
 
-# -- plan validation ----------------------------------------------------------
-
-
-def test_validate_plan_returns_topological_order():
-    items = [WorkItem(id="c", fn=_double, payload=_Job(3), deps=("a", "b")),
-             WorkItem(id="a", fn=_double, payload=_Job(1)),
-             WorkItem(id="b", fn=_double, payload=_Job(2), deps=("a",))]
-    order = validate_plan(items)
-    assert order.index("a") < order.index("b") < order.index("c")
-
-
-def test_validate_plan_rejects_duplicate_ids():
+def test_scheduler_rejects_duplicate_ids():
     items = [WorkItem(id="a", fn=_double, payload=_Job(1)),
              WorkItem(id="a", fn=_double, payload=_Job(2))]
-    with pytest.raises(AnalysisError, match="duplicate work item id"):
-        validate_plan(items)
-
-
-def test_validate_plan_rejects_unknown_dependency():
-    with pytest.raises(AnalysisError, match="unknown item"):
-        validate_plan([WorkItem(id="a", fn=_double, payload=_Job(1),
-                                deps=("ghost",))])
-
-
-def test_validate_plan_rejects_cycles():
-    items = [WorkItem(id="a", fn=_double, payload=_Job(1), deps=("b",)),
-             WorkItem(id="b", fn=_double, payload=_Job(2), deps=("a",))]
-    with pytest.raises(AnalysisError, match="dependency cycle"):
-        validate_plan(items)
-
-
-# -- scheduler: dispatch, binding, failure propagation ------------------------
-
-
-def test_scheduler_binds_dependency_results_inline():
-    # Single worker => the in-process path; bind folds the dep's result in.
-    started: list[str] = []
-    scheduler = WorkScheduler(max_workers=1)
-    items = [
-        WorkItem(id="x", fn=_double, payload=_Job(21)),
-        WorkItem(id="c", fn=_add_jobs, payload=_Job(0), deps=("x",),
-                 bind=lambda payload, deps: replace(payload,
-                                                    value=deps["x"] + 1)),
-    ]
-    outcomes = scheduler.run(items,
-                             on_start=lambda i, a: started.append(i))
-    assert outcomes == {"x": 42, "c": 43}
-    assert started == ["x", "c"]
-    assert scheduler.attempts == {"x": 1, "c": 1}
-
-
-def test_scheduler_dooms_dependents_with_root_failure():
-    scheduler = WorkScheduler(max_workers=1)
-    items = [WorkItem(id="x", fn=_boom, payload=_Job(7)),
-             WorkItem(id="c1", fn=_double, payload=_Job(1), deps=("x",)),
-             WorkItem(id="c2", fn=_double, payload=_Job(2), deps=("c1",))]
-    outcomes = scheduler.run(items, on_error="skip")
-    root = outcomes["x"]
-    assert isinstance(root, TaskFailure)
-    assert root.error_type == "ValueError" and "boom 7" in root.message
-    # Dependents inherit the ROOT failure object verbatim, attempts unspent.
-    assert outcomes["c1"] is root and outcomes["c2"] is root
-    assert scheduler.attempts == {"x": 1, "c1": 0, "c2": 0}
-
-
-def test_scheduler_runs_dag_on_worker_processes():
-    scheduler = WorkScheduler(max_workers=2)
-    items = [WorkItem(id=f"j{i}", fn=_double, payload=_Job(i))
-             for i in range(5)]
-    items.append(WorkItem(
-        id="sum", fn=_add_jobs, payload=_Job(0),
-        deps=tuple(f"j{i}" for i in range(5)),
-        bind=lambda payload, deps: replace(payload,
-                                           value=sum(deps.values()))))
-    outcomes = scheduler.run(items)
-    assert outcomes["sum"] == sum(2 * i for i in range(5))
+    with pytest.raises(AnalysisError, match="duplicate work item id 'a'"):
+        WorkScheduler(max_workers=1).run(items)
 
 
 def test_scheduler_propagates_failures_across_processes():
     scheduler = WorkScheduler(max_workers=2, retries=1)
     items = [WorkItem(id="x", fn=_boom, payload=_Job(3)),
-             WorkItem(id="ok", fn=_double, payload=_Job(4)),
-             WorkItem(id="c", fn=_double, payload=_Job(5), deps=("x",))]
+             WorkItem(id="ok", fn=_double, payload=_Job(4))]
     outcomes = scheduler.run(items, on_error="retry_then_skip")
     assert outcomes["ok"] == 8
     failure = outcomes["x"]
     assert isinstance(failure, TaskFailure) and failure.attempts == 2
-    assert outcomes["c"] is failure
-    assert scheduler.attempts["c"] == 0
+    assert failure.error_type == "ValueError" and "boom 3" in failure.message
+    assert scheduler.attempts == {"x": 2, "ok": 1}
 
 
 # -- worker-count configuration -----------------------------------------------
@@ -242,6 +167,18 @@ def test_task_timeout_needs_the_process_pool(tmp_path, capsys):
 
     with pytest.raises(AnalysisError, match="task_timeout"):
         ExecutionSettings(task_timeout=5.0)
+    # NaN would never trip and turn every wait into a busy spin; inf is
+    # "never".
+    for bad in (float("nan"), 0.0, -1.0):
+        with pytest.raises(AnalysisError,
+                           match="task_timeout must be positive"):
+            WorkScheduler(max_workers=2, task_timeout=bad)
+    scheduler = WorkScheduler(max_workers=2, task_timeout=float("inf"))
+    items = [WorkItem(id=f"i{value}", fn=_double, payload=_Job(value))
+             for value in range(3)]
+    assert scheduler.run(items) == {"i0": 0, "i1": 2, "i2": 4}
+    with pytest.raises(AnalysisError, match="backoff_base must be >= 0"):
+        WorkScheduler(max_workers=2, backoff_base=float("nan"))
     assert ExecutionSettings(backend="process-pool", task_timeout=5.0
                              ).make_backend().task_timeout == 5.0
     config = tmp_path / "campaign.toml"
@@ -423,7 +360,7 @@ def test_scheduler_settles_every_future_of_a_breaking_batch(monkeypatch, bad,
     assert scheduler.pool_rebuilds == 1 and pool.recycles == 1
 
 
-# -- campaign-level equivalence on the graph scheduler ------------------------
+# -- campaign-level equivalence on the pool -----------------------------------
 
 
 def _layout_campaign() -> Campaign:
@@ -475,8 +412,8 @@ def test_graph_campaign_bit_identical_to_serial(technology, tmp_path):
         technology, cache=DiskExtractionCache(tmp_path / "serial"),
     ).run(campaign)
 
-    # Cold cache: the follower's extraction depends on its leader's and
-    # both run on the pool; the corners then run here.
+    # Cold cache: the leader's extraction, then the follower's, each a
+    # batch of one on the pool; the corners then run here.
     pool_backend = ProcessPoolBackend(max_workers=2)
     cache = DiskExtractionCache(tmp_path / "graph")
     graph = SweepRunner(technology, backend=pool_backend,
@@ -579,7 +516,7 @@ def test_graph_campaign_reports_extraction_failure_per_corner(
         raise RuntimeError("substrate mesher exploded")
 
     monkeypatch.setattr(runner_module, "_execute_extraction", sabotage)
-    # Single worker => the inline graph path; the monkeypatched module
+    # Single worker => the inline path; the monkeypatched module
     # global is visible because nothing needs to cross a process boundary.
     runner = SweepRunner(technology, backend=ProcessPoolBackend(max_workers=1),
                          cache=DiskExtractionCache(tmp_path / "cache"),

@@ -533,3 +533,55 @@ def test_failed_leader_aborts_naming_the_leader(technology, sweep_options,
                          cache=ExtractionCache())
     with pytest.raises(CampaignError, match="extraction of variant 0"):
         runner.run(_widths_campaign(sweep_options))
+
+
+def _two_group_campaign(sweep_options) -> Campaign:
+    """Two substrates x two ground widths: variants 0 and 1 lead (mesh 16
+    and 14), 2 and 3 follow them (the widened ground of each mesh)."""
+    return Campaign(
+        name="two_groups",
+        space=ParamSpace({"ground_width_scale": (1.0, 2.0),
+                          "mesh_nx": (16, 14), "vtune": (0.0,),
+                          "noise_frequency": (1e6, 4e6)}),
+        options=sweep_options)
+
+
+def test_two_leader_groups_match_serial_and_fail_apart(technology,
+                                                       sweep_options,
+                                                       tmp_path):
+    campaign = _two_group_campaign(sweep_options)
+    serial = SweepRunner(technology, cache=ExtractionCache()).run(campaign)
+    pooled = SweepRunner(technology,
+                         backend=ProcessPoolBackend(max_workers=2),
+                         cache=DiskExtractionCache(tmp_path / "cold"),
+                         ).run(campaign)
+    for sweep in (serial, pooled):
+        assert not sweep.failures and sweep.cache_misses == 4
+        assert sweep.telemetry["metrics"]["counters"][
+            "extraction.substrate_reuses"] == 2
+        for name, column in serial.columns.items():
+            np.testing.assert_array_equal(sweep.columns[name], column, name)
+        for follower, leader in ((2, 0), (3, 1)):
+            flow = sweep.variants[follower].flow
+            assert flow.timings.kron_reduction == 0.0
+            np.testing.assert_array_equal(
+                flow.substrate.macromodel.admittance,
+                sweep.variants[leader].flow.substrate.macromodel.admittance)
+    for follower, leader in ((2, 0), (3, 1)):
+        assert serial.variants[follower].flow.substrate \
+            is serial.variants[leader].flow.substrate
+
+    # Only leader 0 fails: its group's corners carry its error, the other
+    # group completes bit-identical to the healthy run.
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=0, attempts=99),))
+    partial = SweepRunner(technology, backend=_FailLeaderGraph(plan),
+                          cache=ExtractionCache(), on_error="skip",
+                          ).run(campaign)
+    assert sorted(f.variant_index for f in partial.failures) == [0, 2]
+    for failure in partial.failures:
+        assert failure.error_type == "InjectedFault"
+        assert failure.corner_label.startswith("extraction of variant 0")
+    other_group = serial.subset(np.isin(serial.column("variant"), (1, 3)))
+    for name, column in other_group.columns.items():
+        np.testing.assert_array_equal(partial.columns[name], column, name)

@@ -197,6 +197,31 @@ def test_toml_solver_gmin_nan_is_rejected(tmp_path):
         load_campaign_config(path)
 
 
+@pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib needs Python 3.11+")
+@pytest.mark.parametrize("table, field", [
+    ('max_workers = "2"', "max_workers"),
+    ('retries = "1"', "retries"),
+    ('backend = "process-pool"\ntask_timeout = "5"', "task_timeout"),
+    ('backend = "process-pool"\ntask_timeout = nan', "task_timeout"),
+    ("checkpoint_seconds = nan", "checkpoint_seconds"),
+    ("checkpoint_corners = 1.5", "checkpoint_corners"),
+    ('backend = "threads"', "backend"),
+    ('on_error = "ignore"', "on_error"),
+], ids=["max_workers-quoted", "retries-quoted", "task_timeout-quoted",
+        "task_timeout-nan", "checkpoint_seconds-nan",
+        "checkpoint_corners-float", "backend-unknown", "on_error-unknown"])
+def test_cli_rejects_bad_execution_values(tmp_path, capsys, table, field):
+    # A quoted number or a NaN in [execution] is a named config error
+    # (exit 2), not a TypeError traceback or a silently broken bound.
+    path = tmp_path / "campaign.toml"
+    path.write_text('name = "bad"\n[axes]\nvtune = [0.0]\n'
+                    "noise_frequency = [1e6]\n[options.mesh]\nnx = 12\n"
+                    f"ny = 12\n[execution]\n{table}\n")
+    assert main(["run", str(path), "--result",
+                 str(tmp_path / "bad.npz")]) == 2
+    assert f"[execution] {field} must be" in capsys.readouterr().err
+
+
 def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path = tmp_path / "base.json"
     base_path.write_text(json.dumps(TINY_CONFIG))
