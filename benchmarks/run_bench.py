@@ -280,7 +280,7 @@ def _bench_solver() -> dict:
     import scipy.sparse as sp_mod
 
     from repro.layout.geometry import Rect
-    from repro.simulator.linalg import DirectLUSolver
+    from repro.simulator.linalg import LinearSolver
     from repro.substrate import MeshSpec, SubstrateMesh
 
     technology = make_technology()
@@ -302,7 +302,7 @@ def _bench_solver() -> dict:
             rhs[k * nx:(k + 1) * nx, k] = -1.0
 
         start = time.perf_counter()
-        DirectLUSolver().factorize(matrix).solve(rhs)
+        LinearSolver().factorize(matrix).solve(rhs)
         record["mesh"][f"nx{nx}"] = {
             "nodes": n,
             "direct_cold_seconds": time.perf_counter() - start,

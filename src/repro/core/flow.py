@@ -26,7 +26,7 @@ from ..interconnect.extraction import InterconnectExtraction, extract_interconne
 from ..layout.cell import Cell
 from ..obs import trace_span
 from ..package.model import PackageModel
-from ..simulator.linalg import SolverOptions, resolve_solver
+from ..simulator.linalg import LinearSolver, SolverOptions
 from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
 from ..substrate.extraction import (
@@ -134,7 +134,7 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
     """
     options = options or FlowOptions()
     timings = FlowTimings()
-    solver = resolve_solver(options.solver)
+    solver = LinearSolver(options.solver)
     before = solver_stats.snapshot()
 
     with trace_span("flow.run", cell=cell.name):
@@ -168,5 +168,5 @@ def run_extraction_flow(cell: Cell, technology: ProcessTechnology,
     return FlowResult(cell=cell, technology=technology, substrate=substrate,
                       interconnect=interconnect, devices=devices,
                       impact=impact, timings=timings,
-                      solver_stats=solver_stats.since(before,
-                                                      backend=solver.name))
+                      solver_stats=solver_stats.since(
+                          before, backend=options.solver.backend))

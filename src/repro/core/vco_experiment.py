@@ -88,7 +88,7 @@ from ..layout.testchips import (
 from ..netlist.circuit import Circuit
 from ..package.model import PackageModel
 from ..simulator.dc import DcOptions, DcSolution, dc_operating_point
-from ..simulator.linalg import resolve_solver
+from ..simulator.linalg import LinearSolver
 from ..simulator.mna import LinearStamps
 from ..simulator.solver import stats as solver_stats
 from ..simulator.transfer import TransferFunction, transfer_function
@@ -245,7 +245,7 @@ class VcoImpactAnalysis:
         self.flow = flow_result
         self._operating_points: dict[float, DcSolution] = {}
         # One solver instance for every analysis of this object.
-        self.solver = resolve_solver(self.options.flow.solver)
+        self.solver = LinearSolver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
             power_dbm=self.options.injected_power_dbm, frequency=1e6,
             impedance=self.options.source_impedance)

@@ -61,7 +61,8 @@ class TaskFailure:
 
     Returned in the task's result slot when the failure policy is a skip
     variant; the runner converts these into
-    :class:`~repro.errors.CornerFailure` records with corner coordinates.
+    :class:`~repro.errors.CornerFailure` records with corner coordinates
+    (:meth:`as_corner_failure`), as an abort does before it raises.
     Work the runner never starts because an extraction failed — a follower
     extraction of a failed leader, a corner of a variant with no flow —
     holds that extraction's failure object verbatim, the root cause rather
@@ -76,16 +77,18 @@ class TaskFailure:
     timed_out: bool = False     #: failure was a ``task_timeout`` trip
     traceback_summary: str = ""
 
-    def as_corner_failure(self, *, variant_index: int = -1,
-                          injected_power_dbm: float = float("nan"),
-                          vtune: float = float("nan")) -> CornerFailure:
+    def as_corner_failure(self, task) -> CornerFailure:
+        """This failure at the corner coordinates of ``task`` (a sweep
+        task's variant, power and V_tune; -1 / NaN where it has none)."""
         return CornerFailure(
             corner_label=self.label, error_type=self.error_type,
             message=self.message, attempts=self.attempts,
             timed_out=self.timed_out,
             traceback_summary=self.traceback_summary,
-            variant_index=variant_index,
-            injected_power_dbm=injected_power_dbm, vtune=vtune)
+            variant_index=getattr(task, "variant_index", -1),
+            injected_power_dbm=getattr(task, "injected_power_dbm",
+                                       float("nan")),
+            vtune=getattr(task, "vtune", float("nan")))
 
 
 def _failure_record(index: int, task, attempts: int,
@@ -108,7 +111,7 @@ def _failure_record(index: int, task, attempts: int,
 
 def _give_up(task, attempts: int, exc: BaseException) -> None:
     """Abort-policy terminal: raise a CampaignError naming the corner."""
-    failure = _failure_record(-1, task, attempts, exc)
+    failure = _failure_record(-1, task, attempts, exc).as_corner_failure(task)
     raise CampaignError(
         f"sweep task failed after {attempts} attempt(s): "
         f"{_task_label(task)}", failures=(failure,)) from exc

@@ -29,6 +29,7 @@ pickling, and no timeout.
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
 from collections import deque
@@ -55,6 +56,15 @@ logger = get_logger(__name__)
 BACKOFF_MAX = 8.0
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a non-integer (or bool) count with a named error: a float
+    width would size the pool and name the backend ``process-pool[2.5]``,
+    a string would fail later as a bare ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise AnalysisError(
+            f"WorkScheduler {name} must be an integer, got {value!r}")
+
+
 class _TimedOut(Exception):
     """Internal marker cause for a task abandoned by a timeout trip."""
 
@@ -74,8 +84,11 @@ class WorkScheduler:
                  task_timeout: float | None = None,
                  backoff_base: float = 0.25,
                  backoff_seed: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise AnalysisError("WorkScheduler needs at least one worker")
+        if max_workers is not None:
+            _require_integer("max_workers", max_workers)
+            if max_workers < 1:
+                raise AnalysisError("WorkScheduler needs at least one worker")
+        _require_integer("retries", retries)
         if retries < 0:
             raise AnalysisError("retries must be >= 0")
         # ``not > 0`` also rejects NaN, whose deadlines would never trip
@@ -235,7 +248,8 @@ class WorkScheduler:
         first = exhausted[0]
         failures = tuple(
             _failure_record(index, by_id[item_id].payload,
-                            self.attempts[item_id], causes.get(item_id))
+                            self.attempts[item_id], causes.get(item_id)
+                            ).as_corner_failure(by_id[item_id].payload)
             for index, item_id in enumerate(exhausted))
         raise CampaignError(
             f"worker pool broke {self.attempts[first]} time(s); "

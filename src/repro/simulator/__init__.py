@@ -1,11 +1,15 @@
-"""MNA circuit simulator: DC, AC, transfer-function and transient analyses."""
+"""MNA circuit simulator: DC, AC, transfer-function and transient analyses.
+
+Every analysis factors and solves through one :class:`LinearSolver`
+(configured by :class:`SolverOptions`, defaulting to a fresh one), and all
+solver work is counted in ``solver_stats``.
+"""
 
 from .mna import (
     LinearStamps,
     MatrixStamper,
     MnaStructure,
     SolutionView,
-    solve_sparse,
     stamp_linear_elements,
 )
 from .solver import (
@@ -13,16 +17,9 @@ from .solver import (
     SharedPatternPair,
     SolverStats,
     add_gmin_diagonal,
-    factorize,
     stats as solver_stats,
 )
-from .linalg import (
-    DirectLUSolver,
-    LinearSolver,
-    SolverOptions,
-    make_solver,
-    resolve_solver,
-)
+from .linalg import LinearSolver, SolverOptions
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .ac import AcSolution, ac_analysis
 from .transfer import (
@@ -37,7 +34,6 @@ __all__ = [
     "AcSolution",
     "DcOptions",
     "DcSolution",
-    "DirectLUSolver",
     "Factorization",
     "LinearSolver",
     "LinearStamps",
@@ -53,10 +49,6 @@ __all__ = [
     "ac_analysis",
     "add_gmin_diagonal",
     "dc_operating_point",
-    "factorize",
-    "make_solver",
-    "resolve_solver",
-    "solve_sparse",
     "solver_stats",
     "stamp_linear_elements",
     "substituted_sources",

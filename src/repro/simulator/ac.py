@@ -27,7 +27,7 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
+from .linalg import LinearSolver
 from .mna import LinearStamps, MatrixStamper, MnaStructure, SolutionView
 from .solver import add_gmin_diagonal, frequency_pair
 
@@ -145,17 +145,18 @@ def ac_analysis(circuit: Circuit, frequencies: np.ndarray | list[float],
                 operating_point: DcSolution | None = None,
                 dc_options: DcOptions | None = None,
                 gmin: float = 1e-12,
-                solver: SolverOptions | LinearSolver | None = None,
+                solver: LinearSolver | None = None,
                 linear: LinearStamps | None = None) -> AcSolution:
     """Run an AC sweep over ``frequencies`` (hertz).
 
     If the circuit contains nonlinear devices and no ``operating_point`` is
-    supplied, a DC operating point is solved first.  ``solver`` selects the
-    linear-solver backend.  ``linear`` is the circuit's compiled
-    :class:`~repro.simulator.mna.LinearStamps` (compiled here when absent;
-    stamps of a different circuit raise :class:`SimulationError`).
+    supplied, a DC operating point is solved first.  ``solver`` is the
+    linear solver (a fresh default one without it).  ``linear`` is the
+    circuit's compiled :class:`~repro.simulator.mna.LinearStamps` (compiled
+    here when absent; stamps of a different circuit raise
+    :class:`SimulationError`).
     """
-    solver = resolve_solver(solver)
+    solver = solver or LinearSolver()
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
         raise SimulationError("AC analysis needs at least one frequency point")

@@ -58,9 +58,9 @@ from ..netlist.circuit import Circuit
 from ..netlist.devices import NonlinearElement
 from ..netlist.elements import CurrentSource, VoltageSource
 from ..obs import trace_span
-from .linalg import LinearSolver, SolverOptions, resolve_solver
+from .linalg import LinearSolver
 from .mna import LinearStamps, MnaStructure, SolutionView
-from .solver import add_gmin_diagonal
+from .solver import add_gmin_diagonal, stats
 
 
 @dataclass
@@ -228,7 +228,7 @@ def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
 
 
 def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
-                       solver: SolverOptions | LinearSolver | None = None,
+                       solver: LinearSolver | None = None,
                        linear: LinearStamps | None = None,
                        initial: np.ndarray | None = None) -> DcSolution:
     """Solve the DC operating point of ``circuit``.
@@ -240,16 +240,16 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     (``options.source_steps`` ramp steps).  The winning strategy is recorded
     on the returned :class:`DcSolution` and the ladder rungs are counted
     into :data:`repro.simulator.solver.stats`.
-    ``solver`` selects the linear-solver backend (options or a shared
-    instance); the system size picks its LU kernel.  ``linear`` is the
-    circuit's compiled :class:`~repro.simulator.mna.LinearStamps`; without
-    it the circuit is validated, indexed and stamped here.  Stamps compiled
-    from a different circuit raise :class:`SimulationError`.  ``initial``
+    ``solver`` is the linear solver (a fresh default one without it); the
+    system size picks its LU kernel.  ``linear`` is the circuit's compiled
+    :class:`~repro.simulator.mna.LinearStamps`; without it the circuit is
+    validated, indexed and stamped here.  Stamps compiled from a different
+    circuit raise :class:`SimulationError`.  ``initial``
     is the MNA vector plain Newton starts from (zero without it); the
     ladder rungs always start from zero.
     """
     options = options or DcOptions()
-    solver = resolve_solver(solver)
+    solver = solver or LinearSolver()
     linear = LinearStamps.resolve(circuit, linear)
     size = linear.structure.size
     if initial is not None and np.shape(initial) != (size,):
@@ -304,7 +304,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
             for rung_gmin in ladder:
                 vector, iterations = newton(vector, 1.0, rung_gmin)
                 total_iterations += iterations
-                solver._bump("dc_gmin_steps")
+                stats.dc_gmin_steps += 1
             vector, iterations = newton(vector, 1.0, target_gmin)
             return solution(vector, total_iterations + iterations,
                             "gmin-stepping")
@@ -320,7 +320,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
             scale = step / options.source_steps
             vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
-            solver._bump("dc_source_steps")
+            stats.dc_source_steps += 1
         return solution(vector, total_iterations, "source-stepping")
     except ConvergenceError as exc:
         raise ConvergenceError(

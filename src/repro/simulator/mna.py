@@ -654,25 +654,6 @@ class LinearStamps:
         return cached
 
 
-def solve_sparse(matrix, rhs: np.ndarray,
-                 structure: MnaStructure | None = None,
-                 solver=None) -> np.ndarray:
-    """Solve a linear system, raising :class:`SimulationError` on failure.
-
-    Thin wrapper around :func:`repro.simulator.solver.solve_sparse`, kept here
-    because this module historically owned the one-shot solve.  Passing the
-    ``structure`` lets singular-matrix errors name the offending node; a
-    ``solver`` (:class:`~repro.simulator.linalg.SolverOptions` or a
-    :class:`~repro.simulator.linalg.LinearSolver`) routes the solve through
-    the pluggable backend layer instead of the default direct path.
-    """
-    if solver is not None:
-        from .linalg import resolve_solver
-
-        return resolve_solver(solver).solve(matrix, rhs, structure=structure)
-    return _solver.solve_sparse(matrix, rhs, structure=structure)
-
-
 @dataclass
 class SolutionView:
     """Maps a raw MNA solution vector back to named node voltages / currents."""

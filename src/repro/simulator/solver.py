@@ -22,13 +22,12 @@ and "here is the solution vector":
   one preallocated dense buffer for small systems, a shared CSC sparsity
   pattern whose ``.data`` arrays combine in place for large ones
   (:func:`frequency_pair` picks by size).
-* :func:`solve_sparse` — one-shot solve with proper singular-matrix
-  diagnostics: an exactly singular factorization (SuperLU's error, LAPACK's
-  ``info > 0``) becomes a :class:`~repro.errors.SimulationError` (naming the
-  offending node when the MNA structure is available) and a finite-check
-  backstop catches anything that slips through.  No warnings-filter
-  mutation anywhere in the layer — the filter list is interpreter-global
-  state.
+* singular-matrix diagnostics: an exactly singular factorization
+  (SuperLU's error, LAPACK's ``info > 0``) becomes a
+  :class:`~repro.errors.SimulationError` (naming the offending node when
+  the MNA structure is available) and a finite-check backstop catches
+  anything that slips through.  No warnings-filter mutation anywhere in
+  the layer — the filter list is interpreter-global state.
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
   ground" regularisation shared by the DC, AC and transient analyses.
 
@@ -227,17 +226,18 @@ class Factorization:
     right-hand side vector or a dense ``(n, k)`` multi-RHS block, real or
     complex (a complex RHS against a real factorization is solved as two
     real solves).  Counts one factorization in :data:`stats`, and one solve
-    per :meth:`solve` call.
+    per :meth:`solve` call, unless ``counted`` is false (the throwaway
+    factorization of :meth:`~repro.simulator.linalg.LinearSolver.solve`).
     """
 
-    _counted = True
-
-    def __init__(self, matrix, structure=None, spd: bool = False):
+    def __init__(self, matrix, structure=None, spd: bool = False,
+                 counted: bool = True):
         if matrix.shape[0] != matrix.shape[1]:
             raise SimulationError("MNA matrix must be square")
         size = matrix.shape[0]
         self.shape = matrix.shape
         self._structure = structure
+        self._counted = counted
         #: the kernel the matrix format routed to: "lapack" or "superlu"
         self.kernel = ("lapack" if isinstance(matrix, np.ndarray) and not spd
                        else "superlu")
@@ -369,38 +369,6 @@ def solve_stacked(matrices: np.ndarray, rhs: np.ndarray,
             "dense LU factorization failed: matrix is exactly singular"
             + hint)
     return solution
-
-
-class _OneShotFactorization(Factorization):
-    """The throwaway factorization behind :func:`solve_sparse` (uncounted)."""
-
-    _counted = False
-
-
-def factorize(matrix, structure=None) -> Factorization:
-    """Factorize ``matrix`` once for reuse over many right-hand sides."""
-    return Factorization(matrix, structure=structure)
-
-
-def solve_sparse(matrix, rhs: np.ndarray, structure=None) -> np.ndarray:
-    """One-shot solve raising :class:`SimulationError` on failure.
-
-    ``matrix`` is sparse or a dense array; its format picks the kernel as in
-    :class:`Factorization`.  An exactly singular matrix fails the
-    factorization with a :class:`SimulationError` naming the offending node
-    when ``structure`` (an :class:`~repro.simulator.mna.MnaStructure`) is
-    available; the finite-check stays as a backstop for near-singular
-    systems that solve without error.  Counts one ``solve`` (and no
-    ``factorization``) in the stats, matching the historical one-shot-solve
-    semantics.
-    """
-    if matrix.shape[0] != matrix.shape[1]:
-        raise SimulationError("MNA matrix must be square")
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=rhs.dtype)
-    solution = _OneShotFactorization(matrix, structure=structure).solve(rhs)
-    stats.solves += 1
-    return np.atleast_1d(solution)
 
 
 def add_gmin_diagonal(matrix, n_nodes: int, gmin: float):

@@ -49,7 +49,7 @@ from .ac import (
     swept_index,
 )
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
+from .linalg import LinearSolver
 from .mna import LinearStamps
 from .solver import add_gmin_diagonal, frequency_pair
 
@@ -127,7 +127,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                        operating_point: DcSolution | None = None,
                        dc_options: DcOptions | None = None,
                        gmin: float = 1e-12,
-                       solver: SolverOptions | LinearSolver | None = None,
+                       solver: LinearSolver | None = None,
                        linear: LinearStamps | None = None
                        ) -> dict[str, TransferFunction]:
     """Compute ``V(node)/source`` for every (source, node) combination.
@@ -141,12 +141,12 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     ``linear``), and all its frequency points are solved in one stacked
     LAPACK call; a large one is assembled per point on a shared sparsity
     pattern.  Either way one point counts one factorization and one solve
-    in :data:`~repro.simulator.solver.stats`.  ``solver``
-    selects the linear-solver backend.  ``linear`` is the circuit's compiled
-    :class:`~repro.simulator.mna.LinearStamps` (compiled here when absent;
-    stamps of a different circuit raise :class:`SimulationError`).  Returns
-    a mapping ``source name -> TransferFunction`` (V/V for voltage sources,
-    V/A for current sources).
+    in :data:`~repro.simulator.solver.stats`.  ``solver`` is the linear
+    solver (a fresh default one without it).  ``linear`` is the circuit's
+    compiled :class:`~repro.simulator.mna.LinearStamps` (compiled here when
+    absent; stamps of a different circuit raise :class:`SimulationError`).
+    Returns a mapping ``source name -> TransferFunction`` (V/V for voltage
+    sources, V/A for current sources).
     """
     if not observe_nodes:
         raise SimulationError("at least one observation node is required")
@@ -154,7 +154,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
         raise SimulationError("at least one source name is required")
     linear = LinearStamps.resolve(circuit, linear)
     structure = linear.structure
-    solver = resolve_solver(solver)
+    solver = solver or LinearSolver()
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
         raise SimulationError("transfer analysis needs at least one frequency")
@@ -259,7 +259,7 @@ def transfer_function(circuit: Circuit, source_name: str,
                       operating_point: DcSolution | None = None,
                       dc_options: DcOptions | None = None,
                       gmin: float = 1e-12,
-                      solver: SolverOptions | LinearSolver | None = None,
+                      solver: LinearSolver | None = None,
                       linear: LinearStamps | None = None
                       ) -> TransferFunction:
     """Compute ``V(node)/source`` for each node in ``observe_nodes``.

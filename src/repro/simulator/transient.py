@@ -35,7 +35,7 @@ from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .linalg import LinearSolver, SolverOptions, resolve_solver
+from .linalg import LinearSolver
 from .mna import LinearStamps, MatrixStamper, MnaStructure
 from .solver import add_gmin_diagonal
 
@@ -120,16 +120,16 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
                        operating_point: DcSolution | None = None,
                        options: TransientOptions | None = None,
                        dc_options: DcOptions | None = None,
-                       solver: SolverOptions | LinearSolver | None = None
+                       solver: LinearSolver | None = None
                        ) -> TransientSolution:
     """Integrate the circuit from 0 to ``t_stop`` with a fixed ``timestep``.
 
     The initial condition is the DC operating point (sources at their DC/
-    time-zero values).  ``solver`` selects the linear-solver backend; the
-    system size picks its LU kernel.
+    time-zero values).  ``solver`` is the linear solver (a fresh default one
+    without it); the system size picks its LU kernel.
     """
     options = options or TransientOptions()
-    solver = resolve_solver(solver)
+    solver = solver or LinearSolver()
     linear = LinearStamps.of(circuit)
     structure = linear.structure
     if t_stop <= 0 or timestep <= 0:

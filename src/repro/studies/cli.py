@@ -42,7 +42,7 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     nx = 40
     ny = 40
 
-    [solver]                    # linear-solver backend (SolverOptions)
+    [solver]                    # LinearSolver options (SolverOptions)
     backend = "direct"          # the one backend: LAPACK up to 90
                                 # unknowns, SuperLU above; the mesh Kron
                                 # reduction is spectral regardless
@@ -357,7 +357,7 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
 
     solver_table = dict(data.get("solver") or {})
     if solver_table:
-        from ..simulator.linalg import BACKEND_DIRECT, BACKENDS, SolverOptions
+        from ..simulator.linalg import BACKEND_DIRECT, SolverOptions
 
         _check_table(solver_table,
                      tuple(f.name for f in fields(SolverOptions)), "solver")
@@ -368,7 +368,7 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
         except SimulationError as exc:
             # An unknown backend keeps its named error; any other rejected
             # value (e.g. gmin = nan) is a config error.
-            if solver_table.get("backend", BACKEND_DIRECT) not in BACKENDS:
+            if solver_table.get("backend", BACKEND_DIRECT) != BACKEND_DIRECT:
                 raise
             raise AnalysisError(f"invalid [solver] value: {exc}") from exc
         options = replace(options, flow=replace(

@@ -624,10 +624,7 @@ class SweepRunner:
         for task, item_id in zip(tasks, corner_ids):
             outcome = outcome_map[item_id]
             if isinstance(outcome, TaskFailure):
-                failure = outcome.as_corner_failure(
-                    variant_index=task.variant_index,
-                    injected_power_dbm=task.injected_power_dbm,
-                    vtune=task.vtune)
+                failure = outcome.as_corner_failure(task)
                 failures.append(failure)
                 if observer is not None:
                     observer.corner_failed(failure)

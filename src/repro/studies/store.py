@@ -116,7 +116,7 @@ _EXTRACTION_SOURCES = (
     "layout",
     "netlist",
     "package",
-    "simulator/linalg",
+    "simulator/linalg.py",
     "simulator/solver.py",
     "substrate",
     "technology",
@@ -163,17 +163,16 @@ def _umask_file_mode() -> int:
     return 0o666 & ~umask
 
 
-def atomic_write(path: Path, write: Callable, binary: bool = True,
-                 durable: bool = True) -> None:
+def atomic_write(path: Path, write: Callable, binary: bool = True) -> None:
     """Write a file atomically: temp file in the same directory + replace.
 
     ``write`` receives the open temporary file handle.  A crash anywhere
     before the final ``os.replace`` leaves only a ``.tmp-*`` orphan, never a
-    truncated file at ``path``.  With ``durable`` (the default) the
-    temporary file is fsync-ed before the rename and the parent directory
-    fsync-ed after it, so the entry also survives power loss; see
-    :func:`_fsync_enabled`.  Shared by the cache store and the result
-    persistence, so the cleanup subtleties live in one place.  The file
+    truncated file at ``path``.  The temporary file is fsync-ed before the
+    rename and the parent directory fsync-ed after it, so the entry also
+    survives power loss (unless :func:`_fsync_enabled` says otherwise).
+    Shared by the cache store and the result persistence, so the cleanup
+    subtleties live in one place.  The file
     gets the mode a plain ``open()`` would give it (``mkstemp`` alone
     leaves ``0o600``).  The ``write``/``fsync``/``rename`` steps are
     chaos-instrumented (:func:`~repro.studies.faults.crashpoint`).
@@ -181,7 +180,7 @@ def atomic_write(path: Path, write: Callable, binary: bool = True,
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
                                             suffix=".tmp")
-    fsync = durable and _fsync_enabled()
+    fsync = _fsync_enabled()
     try:
         with os.fdopen(descriptor, "wb" if binary else "w") as handle:
             os.fchmod(descriptor, _umask_file_mode())

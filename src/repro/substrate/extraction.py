@@ -36,6 +36,7 @@ from .reduction import SubstrateMacromodel, kron_reduce
 
 if TYPE_CHECKING:
     from ..core.flow import FlowOptions
+    from ..simulator.linalg import LinearSolver
 
 
 class PortKind(enum.Enum):
@@ -261,14 +262,14 @@ def mesh_contacts(cell: Cell, technology: ProcessTechnology,
 
 def extract_substrate(cell: Cell, technology: ProcessTechnology,
                       options: SubstrateExtractionOptions | None = None,
-                      solver=None) -> SubstrateExtraction:
+                      solver: LinearSolver | None = None
+                      ) -> SubstrateExtraction:
     """Run the full substrate extraction for a layout cell.
 
     The Kron reduction, the dominant cost of the extraction, is handed the
     mesh itself, so it takes the spectral path without assembling the mesh
     matrix (see :func:`~repro.substrate.reduction.kron_reduce`).  ``solver``
-    (a :class:`~repro.simulator.linalg.SolverOptions` or
-    :class:`~repro.simulator.linalg.LinearSolver`) is the backend of its
+    (a :class:`~repro.simulator.linalg.LinearSolver`) factorizes on its
     direct sparse-LU path.
     """
     options = options or SubstrateExtractionOptions()

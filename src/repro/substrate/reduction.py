@@ -31,7 +31,7 @@ from . import spectral
 from ..errors import ExtractionError, SimulationError
 from ..netlist.circuit import Circuit
 from ..obs import get_logger, trace_span
-from ..simulator.linalg import LinearSolver, SolverOptions, resolve_solver
+from ..simulator.linalg import LinearSolver
 from ..simulator.solver import stats
 from .mesh import SubstrateMesh
 
@@ -197,7 +197,7 @@ def _contact_shares(port_nodes, port_names, port_contact_conductance,
 
 
 def _direct_kron(conductance: sp.spmatrix, nodes: np.ndarray,
-                 shares: np.ndarray, solver) -> np.ndarray:
+                 shares: np.ndarray, solver: LinearSolver) -> np.ndarray:
     """``Y_pp - Y_pi Y_ii^-1 Y_ip`` by one sparse SPD factorization.
 
     The Schur blocks of the augmented (mesh + port) system are assembled
@@ -211,7 +211,7 @@ def _direct_kron(conductance: sp.spmatrix, nodes: np.ndarray,
     y_ii = sp.csc_matrix(conductance) + sp.diags(diagonal, format="csc")
     y_ip = np.zeros((n_mesh, shares.shape[1]))
     y_ip[nodes] = -shares
-    solved = resolve_solver(solver).factorize(y_ii, spd=True).solve(y_ip)
+    solved = solver.factorize(y_ii, spd=True).solve(y_ip)
     return np.diag(shares.sum(axis=0)) + shares.T @ solved[nodes]
 
 
@@ -219,7 +219,7 @@ def kron_reduce(conductance: "sp.spmatrix | SubstrateMesh",
                 port_nodes: list[list[int]] | list[list[tuple[int, float]]],
                 port_names: list[str],
                 port_contact_conductance: list[float] | None = None,
-                solver: "SolverOptions | LinearSolver | None" = None
+                solver: LinearSolver | None = None
                 ) -> SubstrateMacromodel:
     """Reduce a substrate mesh to its port-level macromodel.
 
@@ -248,9 +248,8 @@ def kron_reduce(conductance: "sp.spmatrix | SubstrateMesh",
         as a very large conductance).  Ignored for ``(node, conductance)``
         pairs.
     solver:
-        Linear-solver backend of the direct path
-        (:class:`~repro.simulator.linalg.SolverOptions` or a ready
-        :class:`~repro.simulator.linalg.LinearSolver`).  The regularised
+        The :class:`~repro.simulator.linalg.LinearSolver` of the direct
+        path (a fresh default one without it).  The regularised
         internal matrix is symmetric positive definite and is factorized
         with ``spd=True`` (a symmetric minimum-degree ordering).
 
@@ -297,7 +296,8 @@ def kron_reduce(conductance: "sp.spmatrix | SubstrateMesh",
             matrix = (mesh.conductance_matrix() if mesh is not None
                       else conductance)
             try:
-                reduced = _direct_kron(matrix, nodes, shares, solver)
+                reduced = _direct_kron(matrix, nodes, shares,
+                                       solver or LinearSolver())
             except SimulationError as exc:
                 raise ExtractionError(
                     f"substrate reduction failed: {exc}") from exc

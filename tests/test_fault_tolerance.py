@@ -191,7 +191,7 @@ def test_permanently_hung_task_aborts_with_timeout_failure(tmp_path,
     with pytest.raises(CampaignError) as excinfo:
         run_tasks(backend, plan.wrap(_echo), [_EchoTask(0), _EchoTask(1)])
     [failure] = [f for f in excinfo.value.failures if f.timed_out]
-    assert "echo task 0" in failure.label
+    assert "echo task 0" in failure.corner_label
     assert isinstance(excinfo.value, AnalysisError)   # hierarchy holds
     assert isinstance(excinfo.value.__cause__, TimeoutError)
 
@@ -320,6 +320,28 @@ def test_skip_policy_partial_result_show_and_resume(
     assert resumed.complete and len(resumed.records) == 4
     np.testing.assert_array_equal(resumed.column("spur_power_dbm"),
                                   healthy.column("spur_power_dbm"))
+
+
+def test_abort_raises_corner_failures_with_coordinates(
+        technology, ft_campaign, reference, tmp_path):
+    """An aborting campaign's error carries the failed corner as a
+    :class:`CornerFailure` with its label and coordinates."""
+    _healthy, cache_dir = reference
+    plan = FaultPlan(state_dir=str(tmp_path / "state"),
+                     specs=(FaultSpec("raise", task_index=1, attempts=99,
+                                      message="injected corner failure"),))
+    runner = SweepRunner(technology, cache=DiskExtractionCache(cache_dir),
+                         fault_plan=plan)
+    with pytest.raises(CampaignError) as excinfo:
+        runner.run(ft_campaign)
+    [failure] = excinfo.value.failures
+    assert type(failure) is CornerFailure
+    assert failure.error_type == "InjectedFault" and failure.attempts == 1
+    assert failure.corner_label.startswith("variant 0")
+    assert "V_tune=0.75 V" in failure.corner_label
+    assert (failure.variant_index, failure.vtune) == (0, 0.75)
+    assert failure.injected_power_dbm \
+        == ft_campaign.options.injected_power_dbm
 
 
 def test_skip_policy_records_failed_extraction(technology, ft_campaign,

@@ -24,12 +24,7 @@ import scipy.sparse.linalg as spla
 from repro.errors import SimulationError
 from repro.layout.geometry import Rect
 from repro.simulator import linalg
-from repro.simulator.linalg import (
-    BACKENDS,
-    DirectLUSolver,
-    SolverOptions,
-    make_solver,
-)
+from repro.simulator.linalg import LinearSolver, SolverOptions
 from repro.simulator.solver import stats as solver_stats
 from repro.studies.cache import fingerprint
 from repro.substrate import MeshSpec, SubstrateMesh, kron_reduce, spectral
@@ -154,7 +149,7 @@ def test_multigrid_complex_rhs(technology, spent):
     complex_rhs = rhs[:, 0] + 1j * rhs[:, 1]
     lu = spla.splu(matrix)
     reference = lu.solve(rhs[:, 0]) + 1j * lu.solve(rhs[:, 1])
-    solution = DirectLUSolver().factorize(matrix, spd=True).solve(complex_rhs)
+    solution = LinearSolver().factorize(matrix, spd=True).solve(complex_rhs)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
     assert (spent().factorizations, spent().solves) == (1, 1)
@@ -177,7 +172,7 @@ def test_multigrid_kron_reduction_matches_direct(technology):
     before = solver_stats.snapshot()
     reduced, path = _traced_kron(mesh, port_nodes, names,
                                  port_contact_conductance=contacts,
-                                 solver=make_solver(SolverOptions()))
+                                 solver=LinearSolver(SolverOptions()))
     work = solver_stats.since(before)
     assert path == "spectral"
     assert _deviation(reduced, direct.admittance) <= MG_ATOL
@@ -191,7 +186,7 @@ def test_spd_without_grid_goes_to_direct(technology, spent):
     """SPD block without geometry: plain direct LU, not a degradation."""
     _, matrix, rhs = _mesh_system(technology)
     reference = spla.splu(matrix).solve(rhs[:, 0])
-    solver = DirectLUSolver()
+    solver = LinearSolver()
     solution = solver.factorize(matrix, spd=True).solve(rhs[:, 0])
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(solution - reference)) <= MG_ATOL * scale
@@ -224,7 +219,7 @@ def test_non_spd_with_grid_goes_to_direct(spent):
     matrix = sp.csc_matrix(rng.standard_normal((n, n)) + 10.0 * np.eye(n))
     rhs = rng.standard_normal(n)
     reference = spla.splu(matrix).solve(rhs)
-    solver = DirectLUSolver()
+    solver = LinearSolver()
     solution = solver.factorize(matrix).solve(rhs)
     np.testing.assert_array_equal(solution, reference)
     assert spent().fallbacks == 0
@@ -280,7 +275,7 @@ def test_stagnation_falls_back_without_wrong_answers(technology,
 
 
 def test_empty_and_shape_errors(technology):
-    solver = DirectLUSolver()
+    solver = LinearSolver()
     empty = sp.csc_matrix((0, 0))
     assert solver.factorize(empty).solve(np.zeros((0,))).shape == (0,)
     _, matrix, _ = _mesh_system(technology)
@@ -290,21 +285,23 @@ def test_empty_and_shape_errors(technology):
             factorization.solve(np.zeros(3))
 
 
-# -- registry --------------------------------------------------
+# -- the one backend -------------------------------------------
 
 
 def test_multigrid_registered_in_backends():
-    """Direct LU is the one registered backend; the multigrid names are
-    gone and its backend name fails with the named error."""
-    assert BACKENDS == ("direct",)
-    solver = make_solver(SolverOptions())
-    assert isinstance(solver, DirectLUSolver)
-    assert solver.name == "direct"
-    for retired in ("BACKEND_MULTIGRID", "MultigridSolver", "GridGeometry"):
+    """Direct LU is the one backend; the multigrid names and the backend
+    registry are gone and the multigrid backend name fails with the named
+    error."""
+    assert SolverOptions().backend == "direct"
+    solver = LinearSolver(SolverOptions(backend="direct"))
+    assert solver.options.backend == "direct"
+    for retired in ("BACKEND_MULTIGRID", "MultigridSolver", "GridGeometry",
+                    "BACKENDS", "DirectLUSolver", "make_solver",
+                    "resolve_solver"):
         assert not hasattr(linalg, retired)
     with pytest.raises(SimulationError,
                        match="unknown solver backend 'multigrid'"):
-        make_solver(SolverOptions(backend="multigrid"))
+        LinearSolver(SolverOptions(backend="multigrid"))
 
 
 # -- options and cache-key participation --------------------------------------------

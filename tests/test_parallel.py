@@ -147,6 +147,17 @@ def test_execution_settings_worker_alias_validation(tmp_path):
                              ).make_backend().max_workers == 5
     with pytest.raises(AnalysisError, match="must be >= 1"):
         ExecutionSettings(max_workers=0)
+    # The scheduler itself takes integer counts only: a float width once
+    # described itself as "process-pool[2.5]", a string died as TypeError.
+    for make in (lambda: WorkScheduler(max_workers=2.5),
+                 lambda: WorkScheduler(max_workers="2"),
+                 lambda: WorkScheduler(max_workers=True),
+                 lambda: WorkScheduler(max_workers=2, retries="1"),
+                 lambda: WorkScheduler(max_workers=2, retries=1.0),
+                 lambda: WorkScheduler(max_workers=2, retries=False),
+                 lambda: SerialBackend(retries="1")):
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            make()
     # Retired keys: the ``workers`` alias and the worker heartbeat bound.
     for key, value in (("workers", 2), ("heartbeat_seconds", 60.0)):
         with pytest.raises(TypeError, match=key):

@@ -12,11 +12,11 @@ from repro.simulator import (
     transfer_function,
     transfer_functions,
 )
+from repro.simulator.linalg import LinearSolver
 from repro.simulator.mna import (
     LinearStamps,
     MnaStructure,
     SolutionView,
-    solve_sparse,
     stamp_linear_elements,
 )
 
@@ -110,7 +110,7 @@ def test_solve_sparse_rejects_singular():
 
     matrix = sp.csr_matrix(np.zeros((2, 2)))
     with pytest.raises(SimulationError):
-        solve_sparse(matrix, np.ones(2))
+        LinearSolver().solve(matrix, np.ones(2))
 
 
 def test_solution_view_lookup():

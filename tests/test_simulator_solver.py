@@ -29,7 +29,8 @@ from repro.simulator import (
     transfer_functions,
     transient_analysis,
 )
-from repro.simulator.mna import MnaStructure, solve_sparse, stamp_linear_elements
+from repro.simulator.linalg import LinearSolver
+from repro.simulator.mna import MnaStructure, stamp_linear_elements
 from repro.simulator.solver import (
     DENSE_MAX_SIZE,
     Factorization,
@@ -288,7 +289,7 @@ def test_solve_sparse_promotes_rank_warning_to_error():
     # Structurally full but numerically singular: duplicate rows.
     matrix = sp.csc_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
     with pytest.raises(SimulationError, match="singular"):
-        solve_sparse(matrix, np.ones(2))
+        LinearSolver().solve(matrix, np.ones(2))
 
 
 def test_solve_sparse_names_floating_node():
@@ -304,13 +305,13 @@ def test_solve_sparse_names_floating_node():
     matrix[row, :] = 0.0
     matrix[:, row] = 0.0
     with pytest.raises(SimulationError, match="node 'a'"):
-        solve_sparse(matrix.tocsr(), stamper.rhs, structure=structure)
+        LinearSolver().solve(matrix.tocsr(), stamper.rhs, structure=structure)
 
 
 def test_solve_sparse_empty_and_nonsquare():
-    assert solve_sparse(sp.csr_matrix((0, 0)), np.zeros(0)).size == 0
+    assert LinearSolver().solve(sp.csr_matrix((0, 0)), np.zeros(0)).size == 0
     with pytest.raises(SimulationError):
-        solve_sparse(sp.csr_matrix((2, 3)), np.zeros(2))
+        LinearSolver().solve(sp.csr_matrix((2, 3)), np.zeros(2))
 
 
 def test_add_gmin_dense_returns_a_new_array():

@@ -70,12 +70,12 @@ def test_sources_are_restored_on_solver_error(monkeypatch):
     circuit = _summing_network()
     originals = {element.name: element.value for element in circuit.sources()}
 
-    from repro.simulator.linalg import DirectLUSolver
+    from repro.simulator.linalg import LinearSolver
 
-    def failing_factorize(self, matrix, structure=None):
+    def failing_factorize(self, matrix, structure=None, spd=False):
         raise SimulationError("injected factorization failure")
 
-    monkeypatch.setattr(DirectLUSolver, "factorize", failing_factorize)
+    monkeypatch.setattr(LinearSolver, "factorize", failing_factorize)
     with pytest.raises(SimulationError, match="injected"):
         transfer_functions(circuit, ["V1"], ["out"], [1e3])
     for element in circuit.sources():

@@ -175,7 +175,7 @@ def test_disk_cache_evicts_entries_of_older_solver_code(
     try:
         monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
         for relative in ("simulator/solver.py",
-                         "simulator/linalg/backends.py"):
+                         "simulator/linalg.py"):
             extraction_code_fingerprint.cache_clear()
             before = extraction_code_fingerprint()
             with (copy / relative).open("a") as handle:
