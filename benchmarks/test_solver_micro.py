@@ -6,8 +6,8 @@ independently of the full extraction flow:
 * MNA stamping of the grid (COO triplet accumulation and the CSR build),
 * the linear transient step loop (one cached LU factorization + per-step
   triangular solves),
-* a 64-point AC frequency sweep (shared G/C sparsity pattern, per-point
-  ``.data`` assembly).
+* a 64-point small-signal transfer sweep from the corner source to every
+  node (shared G/C sparsity pattern, per-point ``.data`` assembly).
 
 577 unknowns is far above the dense cutoff
 (:data:`repro.simulator.solver.DENSE_MAX_SIZE`), so every system here is
@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import (
-    ac_analysis,
     dc_operating_point,
+    transfer_functions,
     transient_analysis,
 )
 from repro.simulator.mna import MnaStructure, stamp_linear_elements
@@ -77,7 +77,7 @@ def run_solver_micro_stages() -> dict[str, float]:
     transient_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    ac_analysis(circuit, np.logspace(4, 9, 64))
+    transfer_functions(circuit, ["V1"], circuit.nodes(), np.logspace(4, 9, 64))
     ac_seconds = time.perf_counter() - start
 
     return {
@@ -119,12 +119,14 @@ def test_transient_micro_benchmark(benchmark):
 def test_ac_sweep_micro_benchmark(benchmark):
     circuit = _grid_circuit()
     frequencies = np.logspace(4, 9, 64)
+    nodes = circuit.nodes()
 
     def run():
-        return ac_analysis(circuit, frequencies)
+        return transfer_functions(circuit, ["V1"], nodes, frequencies)["V1"]
 
-    ac = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert ac.vectors.shape == (frequencies.size, ac.vectors.shape[1])
+    transfer = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert transfer.nodes() == nodes
+    assert transfer.transfers[nodes[0]].shape == frequencies.shape
 
 
 def test_solver_micro_report():

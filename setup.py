@@ -1,9 +1,8 @@
-"""Setuptools shim.
+"""Setuptools packaging metadata (the project has no ``pyproject.toml``).
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` also works on minimal offline environments where
-the ``wheel`` package (needed for PEP 660 editable wheels) is unavailable and
-pip falls back to the legacy ``setup.py develop`` code path.
+``pip install -e .`` installs the ``repro`` package from ``src/`` and the
+``repro-campaign`` command; the tests and examples need no install and run
+with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -32,7 +32,6 @@ from ..layout.testchips import (
     NET_OUT,
     NET_SUB,
     NmosStructureSpec,
-    backgate_node,
     make_nmos_measurement_structure,
 )
 from ..netlist.circuit import Circuit
@@ -117,10 +116,6 @@ def _build_testbench(flow: FlowResult, options: NmosExperimentOptions
 
 def _ground_wire_resistance(flow: FlowResult) -> float:
     return flow.interconnect.resistance_between(NET_GROUND_RING, NET_GROUND_PAD)
-
-
-def _backgate_nodes(flow: FlowResult) -> list[str]:
-    return [backgate_node(name) for name in sorted(flow.devices.mosfets)]
 
 
 def _substrate_division(flow: FlowResult, ground_wire_resistance: float) -> float:

@@ -1,4 +1,4 @@
-"""MNA circuit simulator: DC, AC, transfer-function and transient analyses.
+"""MNA circuit simulator: DC, small-signal transfer and transient analyses.
 
 Every analysis factors and solves through one :class:`LinearSolver`
 (configured by :class:`SolverOptions`, defaulting to a fresh one), and all
@@ -21,7 +21,6 @@ from .solver import (
 )
 from .linalg import LinearSolver, SolverOptions
 from .dc import DcOptions, DcSolution, dc_operating_point
-from .ac import AcSolution, ac_analysis
 from .transfer import (
     TransferFunction,
     substituted_sources,
@@ -31,7 +30,6 @@ from .transfer import (
 from .transient import TransientOptions, TransientSolution, transient_analysis
 
 __all__ = [
-    "AcSolution",
     "DcOptions",
     "DcSolution",
     "Factorization",
@@ -46,7 +44,6 @@ __all__ = [
     "TransferFunction",
     "TransientOptions",
     "TransientSolution",
-    "ac_analysis",
     "add_gmin_diagonal",
     "dc_operating_point",
     "solver_stats",

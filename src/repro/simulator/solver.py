@@ -17,11 +17,11 @@ and "here is the solution vector":
   systems (one per swept frequency of a reduced transfer analysis),
   factorized and solved together by one batched LAPACK call and counted
   as ``F`` factorizations and ``F`` solves.
-* :class:`DensePair` / :class:`SharedPatternPair` — ``G`` and ``C`` held so
-  an AC sweep can assemble ``G + s*C`` per frequency without reallocating:
-  one preallocated dense buffer for small systems, a shared CSC sparsity
-  pattern whose ``.data`` arrays combine in place for large ones
-  (:func:`frequency_pair` picks by size).
+* :class:`SharedPatternPair` — a large system's ``G`` and ``C`` on one
+  shared CSC sparsity pattern, so a transfer sweep assembles ``G + s*C``
+  per frequency by combining ``.data`` arrays in place, without
+  reallocating.  Small systems never need it: their sweeps solve all
+  frequencies as one :class:`StackedFactorization`.
 * singular-matrix diagnostics: an exactly singular factorization
   (SuperLU's error, LAPACK's ``info > 0``) becomes a
   :class:`~repro.errors.SimulationError` (naming the offending node when
@@ -29,7 +29,7 @@ and "here is the solution vector":
   anything that slips through.  No warnings-filter mutation anywhere in
   the layer — the filter list is interpreter-global state.
 * :func:`add_gmin_diagonal` — the vectorized "gmin from every node to
-  ground" regularisation shared by the DC, AC and transient analyses.
+  ground" regularisation shared by the DC, transfer and transient analyses.
 
 The dense cutoff is the measured crossover of one complex ``G + s*C``
 assembly + factor + solve on the resistor-grid circuit of
@@ -44,8 +44,8 @@ LAPACK     21 us   30 us   70 us  108 us  131 us  187 us  9421 us
 ========  ======  ======  ======  ======  ======  ======  =======
 
 The merged impact netlist of the VCO testchip has 43 unknowns whatever the
-substrate mesh (the Kron reduction keeps only its ports), so every DC,
-AC and transfer system of the Figure-8/10 sweeps takes the dense path; the
+substrate mesh (the Kron reduction keeps only its ports), so every DC
+and transfer system of the Figure-8/10 sweeps takes the dense path; the
 577-unknown micro-benchmark grid stays on SuperLU.
 
 The module-level :data:`stats` record is the one place solver work is
@@ -392,44 +392,14 @@ def add_gmin_diagonal(matrix, n_nodes: int, gmin: float):
                    else sp.diags(diagonal, format="csr"))
 
 
-class DensePair:
-    """``G`` and ``C`` as dense arrays, for systems on the LAPACK kernel.
-
-    :meth:`assemble` writes ``G + s*C`` into one preallocated complex
-    buffer — the small-system counterpart of :class:`SharedPatternPair`.
-    The buffer is overwritten by the next call; factorizations copy it.
-    """
-
-    def __init__(self, g_matrix, c_matrix):
-        if g_matrix.shape != c_matrix.shape:
-            raise SimulationError("G and C must have the same shape")
-        self.g = (g_matrix.toarray() if sp.issparse(g_matrix)
-                  else np.asarray(g_matrix, dtype=float))
-        self.c = (c_matrix.toarray() if sp.issparse(c_matrix)
-                  else np.asarray(c_matrix, dtype=float))
-        self._matrix = np.empty(self.g.shape, dtype=complex)
-
-    def assemble(self, s: complex) -> np.ndarray:
-        """Return ``G + s*C`` (in-place update of the shared buffer)."""
-        np.multiply(self.c, s, out=self._matrix)
-        self._matrix += self.g
-        return self._matrix
-
-
-def frequency_pair(g_matrix, c_matrix) -> "DensePair | SharedPatternPair":
-    """The ``G + s*C`` assembler for the kernel the system size routes to."""
-    if dense_kernel(g_matrix.shape[0]):
-        return DensePair(g_matrix, c_matrix)
-    return SharedPatternPair(g_matrix, c_matrix)
-
-
 class SharedPatternPair:
     """``G`` and ``C`` expanded onto one shared CSC sparsity pattern.
 
     :meth:`assemble` builds ``G + s*C`` for any complex frequency ``s`` by
     writing into the ``.data`` array of a single preallocated matrix — no
     sparse additions, conversions or structure allocations per frequency
-    point, which is what makes many-point AC sweeps of large systems cheap.
+    point, which is what makes many-point transfer sweeps of large systems
+    cheap.
     """
 
     def __init__(self, g_matrix: sp.spmatrix, c_matrix: sp.spmatrix):

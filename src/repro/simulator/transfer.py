@@ -1,10 +1,14 @@
-"""Transfer-function analysis.
+"""Transfer-function analysis: the simulator's one small-signal analysis.
 
 Computes the small-signal transfer ``H(f) = V(observe) / source`` from one
-or several independent sources to any set of observation nodes.  This is the
-workhorse of the impact methodology: the transfer from the substrate-injection
-source to every sensitive node (back-gate, on-chip ground, tank, output) is a
-transfer function of this kind — the paper's ``h_sub^i`` factors.
+or several independent sources to any set of observation nodes.  The
+circuit is linearised around its DC operating point and the complex MNA
+system ``(G + j*omega*C) x = b`` is solved at every requested frequency,
+with a unit AC drive on the analysed source as ``b``.  This is the
+workhorse of the impact methodology: the transfer from the
+substrate-injection source to every sensitive node (back-gate, on-chip
+ground, tank, output) is a transfer function of this kind — the paper's
+``h_sub^i`` factors.
 
 Three performance properties of the implementation matter for sweeps:
 
@@ -42,16 +46,82 @@ import numpy as np
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
-from .ac import (
-    _ac_rhs,
-    _small_signal_matrices,
-    _small_signal_stamps,
-    swept_index,
-)
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
-from .mna import LinearStamps
-from .solver import add_gmin_diagonal, frequency_pair
+from .mna import LinearStamps, MatrixStamper, MnaStructure
+from .solver import SharedPatternPair, add_gmin_diagonal
+
+
+def swept_index(frequencies: np.ndarray, frequency: float) -> int:
+    """Index of the swept point equal to ``frequency`` within relative 1e-9.
+
+    Raises :class:`SimulationError` naming ``frequency`` (and the nearest
+    swept point) when none matches.
+    """
+    offsets = np.abs(frequencies - frequency)
+    index = int(np.argmin(offsets))
+    if not offsets[index] <= 1e-9 * abs(frequency):
+        raise SimulationError(
+            f"frequency {frequency!r} Hz was not swept (nearest swept "
+            f"point {float(frequencies[index])!r} Hz)")
+    return index
+
+
+def _small_signal_stamps(circuit: Circuit, structure: MnaStructure,
+                         operating_point: DcSolution | None
+                         ) -> MatrixStamper | None:
+    """The small-signal stamps of the nonlinear elements, indexed by
+    ``structure`` (the full system, or the kept rows of a port reduction);
+    ``None`` for a linear circuit.
+
+    Each device stamps from its operating point as cached on the DC
+    solution, so no device model is evaluated twice.
+    """
+    nonlinear = circuit.nonlinear_elements()
+    if not nonlinear:
+        return None
+    if operating_point is None:
+        raise SimulationError(
+            "circuit contains nonlinear elements: an operating point is required")
+    stamper = MatrixStamper(structure)
+    voltages = operating_point.voltages()
+    for element in nonlinear:
+        element.stamp_small_signal(
+            stamper, voltages,
+            point=operating_point.operating_point_of(element.name))
+    return stamper
+
+
+def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
+                           operating_point: DcSolution | None):
+    """Build (G, C) with all nonlinear elements replaced by their linearisation.
+
+    The small-signal stamps go on top of the compiled linear ones.  Both
+    come in the format their solves route to: dense arrays at or below the
+    LAPACK cutoff, CSR above it.
+    """
+    stamper = _small_signal_stamps(circuit, linear.structure, operating_point)
+    if stamper is None:
+        return linear.conductance, linear.capacitance
+    return (linear.conductance + stamper.conductance_system(),
+            linear.capacitance + stamper.capacitance_system())
+
+
+def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
+    """Right-hand side holding the AC phasors of the independent sources."""
+    rhs = np.zeros(structure.size, dtype=complex)
+    for element in circuit.sources():
+        if isinstance(element, VoltageSource):
+            rhs[structure.branch_row(element.name)] = element.value.ac_phasor
+        elif isinstance(element, CurrentSource):
+            phasor = element.value.ac_phasor
+            row_p = structure.node_row(element.node_p)
+            row_n = structure.node_row(element.node_n)
+            if row_p is not None:
+                rhs[row_p] -= phasor
+            if row_n is not None:
+                rhs[row_n] += phasor
+    return rhs
 
 
 @dataclass
@@ -158,8 +228,11 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     frequencies = np.asarray(list(frequencies), dtype=float)
     if frequencies.size == 0:
         raise SimulationError("transfer analysis needs at least one frequency")
-    if np.any(frequencies < 0):
-        raise SimulationError("AC frequencies must be non-negative")
+    bad = ~(np.isfinite(frequencies) & (frequencies >= 0))
+    if bad.any():
+        raise SimulationError(
+            f"AC frequencies must be finite and non-negative, got "
+            f"{float(frequencies[bad][0])!r} Hz")
 
     available = {element.name for element in circuit.sources()}
     for name in source_names:
@@ -217,7 +290,7 @@ def _full_solve(circuit: Circuit, linear: LinearStamps,
     # the sources' AC values, so they are built once for all sources.
     g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
                                                 operating_point)
-    pattern = frequency_pair(
+    pattern = SharedPatternPair(
         add_gmin_diagonal(g_matrix, structure.n_nodes, gmin), c_matrix)
     vectors = np.zeros((frequencies.size,) + rhs_block.shape, dtype=complex)
     for index, frequency in enumerate(frequencies):

@@ -11,7 +11,7 @@ from repro.layout.primitives import draw_wire
 from repro.layout.testchips import NET_GROUND_PAD, NET_GROUND_RING
 from repro.netlist import Circuit, SourceValue
 from repro.package import BondwireModel, PackageModel, RfProbeModel
-from repro.simulator import ac_analysis, dc_operating_point
+from repro.simulator import dc_operating_point, transfer_function
 
 
 # -- WireRC ----------------------------------------------------------------------------
@@ -50,8 +50,7 @@ def test_wire_ladder_model_matches_lumped_at_low_frequency():
         circuit.add_voltage_source("V1", "in", "0", SourceValue(ac_magnitude=1.0))
         builder(circuit)
         circuit.add_resistor("RL", "out", "0", 1e6)
-        ac = ac_analysis(circuit, [10e6])
-        return ac.voltage("out")[0]
+        return transfer_function(circuit, "V1", ["out"], [10e6]).at("out", 10e6)
 
     lumped = transfer(lambda c: wire.add_pi_model(c, substrate_node="0"))
     ladder = transfer(lambda c: wire.add_ladder_model(c, "0", segments=5))
@@ -186,9 +185,8 @@ def test_bondwire_inductance_isolates_at_high_frequency():
     package = PackageModel.bondwired({"PAD": "EXT"})
     package.add_to_circuit(circuit)
     circuit.add_voltage_source("V1", "EXT", "0", SourceValue(ac_magnitude=1.0))
-    ac = ac_analysis(circuit, [1e6, 10e9])
-    low = abs(ac.voltage("PAD")[0])
-    high = abs(ac.voltage("PAD")[1])
+    tf = transfer_function(circuit, "V1", ["PAD"], [1e6, 10e9])
+    low, high = tf.magnitude("PAD")
     # At low frequency only the 0.12 ohm bondwire resistance divides against
     # the 1 ohm load; at 10 GHz the 2 nH bondwire (126 ohm) isolates the pad.
     assert low > 0.85

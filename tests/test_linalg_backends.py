@@ -1,8 +1,8 @@
 """The linear solver: the one class every analysis calls, its SPD path and
 its options.
 
-The equivalence suite runs the same analyses (DC, AC, transient, Kron
-reduction, full extraction flow, VCO spur analysis) through a
+The equivalence suite runs the same analyses (DC, small-signal transfer,
+transient, Kron reduction, full extraction flow, VCO spur analysis) through a
 ``LinearSolver`` built from explicit ``SolverOptions`` and asserts each
 matches the default direct-LU reference to <= 1e-10; a wrapping test
 asserts that every analysis really calls ``LinearSolver.factorize`` or
@@ -27,7 +27,7 @@ from repro.core.flow import FlowOptions, run_extraction_flow
 from repro.errors import ExtractionError, SimulationError
 from repro.layout.geometry import Rect
 from repro.netlist import Circuit, SourceValue
-from repro.simulator import ac_analysis, dc_operating_point, transient_analysis
+from repro.simulator import dc_operating_point, transient_analysis
 from repro.simulator.linalg import LinearSolver, SolverOptions
 from repro.simulator.solver import Factorization
 from repro.simulator.solver import stats as solver_stats
@@ -81,10 +81,15 @@ def test_dc_backends_match_direct(technology, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_ac_backends_match_direct(backend):
     frequencies = np.logspace(3, 9, 9)
-    reference = ac_analysis(_rc_circuit(), frequencies).vectors
+    nodes = _rc_circuit().nodes()
+    reference = transfer_functions(_rc_circuit(), ["V1"], nodes,
+                                   frequencies)["V1"]
     solver = LinearSolver(SolverOptions(backend=backend))
-    vectors = ac_analysis(_rc_circuit(), frequencies, solver=solver).vectors
-    assert np.allclose(vectors, reference, atol=EQUIV_ATOL)
+    transfer = transfer_functions(_rc_circuit(), ["V1"], nodes, frequencies,
+                                  solver=solver)["V1"]
+    for node in nodes:
+        assert np.allclose(transfer.transfers[node],
+                           reference.transfers[node], atol=EQUIV_ATOL)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -337,10 +342,12 @@ def _lapack_solve(matrix, rhs):
 
 
 def test_mna_analyses_keep_the_colamd_path(monkeypatch):
-    """DC, AC and transient systems never take the SPD path.  The system
-    size picks the kernel: the RC circuit (at or below the dense cutoff) is
-    bit-identical to LAPACK ``getrf``/``getrs``, and a resistor grid above
-    the cutoff to a plain COLAMD ``splu``; the counts match either way."""
+    """DC, transfer and transient systems never take the SPD path.  The
+    system size picks the kernel: the RC circuit (at or below the dense
+    cutoff) matches LAPACK ``getrf``/``getrs`` (bit-identically for DC; its
+    transfers solve the port reduction, so to rounding), and a resistor
+    grid above the cutoff is bit-identical to a plain COLAMD ``splu``; the
+    counts match either way."""
     import repro.simulator.solver as solver_module
     from repro.simulator.mna import MnaStructure, stamp_linear_elements
     from repro.simulator.solver import DENSE_MAX_SIZE, add_gmin_diagonal
@@ -373,13 +380,24 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
         np.testing.assert_array_equal(dc.vector, reference(g, rhs))
 
         before = solver_stats.snapshot()
-        ac = ac_analysis(circuit, frequencies, solver=LinearSolver())
+        nodes = circuit.nodes()
+        transfer = transfer_functions(circuit, ["V1"], nodes, frequencies,
+                                      solver=LinearSolver())["V1"]
         spent = solver_stats.since(before)
-        assert (spent.factorizations, spent.solves) == (0, 7)
-        for vector, frequency in zip(ac.vectors, frequencies):
-            np.testing.assert_array_equal(
-                vector, reference(g + 2j * np.pi * frequency * c,
-                                  rhs.astype(complex)))
+        assert (spent.factorizations, spent.solves) == (7, 7)
+        rows = [structure.node_row(node) for node in nodes]
+        for index, frequency in enumerate(frequencies):
+            expected = reference(g + 2j * np.pi * frequency * c,
+                                 rhs.astype(complex))[rows]
+            actual = np.array([transfer.transfers[node][index]
+                               for node in nodes])
+            if dense:
+                # The dense path solves the port reduction, not the full
+                # system, so it agrees with LAPACK to rounding only.
+                assert np.max(np.abs(actual - expected)) \
+                    <= 1e-12 * np.max(np.abs(expected))
+            else:
+                np.testing.assert_array_equal(actual, expected)
 
         before = solver_stats.snapshot()
         transient_analysis(circuit, t_stop=1e-7, timestep=1e-8,
@@ -392,7 +410,7 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
 
 
 def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
-    """DC, AC and transfer systems carry no SPD promise.  The multigrid
+    """DC and transfer systems carry no SPD promise.  The multigrid
     backend that once received them is gone: an explicitly passed solver
     solves them by direct LU, bit-identically to the default, without a
     fallback and with the kept ``mg_cycles`` attribute at zero."""
@@ -403,9 +421,6 @@ def test_multigrid_solves_mna_systems_by_direct_lu_without_fallbacks():
     np.testing.assert_array_equal(
         dc_operating_point(circuit, solver=solver).vector,
         dc_operating_point(circuit).vector)
-    np.testing.assert_array_equal(
-        ac_analysis(circuit, frequencies, solver=solver).vectors,
-        ac_analysis(circuit, frequencies).vectors)
     transfer = transfer_functions(circuit, ["V1"], ["out"], frequencies,
                                   solver=solver)
     np.testing.assert_array_equal(
@@ -452,9 +467,9 @@ def test_one_shot_solve_counts_one_solve():
 
 
 def test_every_analysis_calls_the_linear_solver(technology, monkeypatch):
-    """DC, AC, transfer, transient and the direct Kron path each call
-    ``LinearSolver.factorize`` or ``.solve`` (with the default solver).
-    These are the two methods the benchmark harness wraps for its
+    """DC, transfer (dense and sparse), transient and the direct Kron path
+    each call ``LinearSolver.factorize`` or ``.solve`` (with the default
+    solver).  These are the two methods the benchmark harness wraps for its
     ``linalg`` layer, so the layer cannot go silently empty."""
     from repro.simulator import linalg
 
@@ -481,11 +496,10 @@ def test_every_analysis_calls_the_linear_solver(technology, monkeypatch):
     frequencies = np.logspace(3, 8, 4)
     assert called(lambda: dc_operating_point(
         _mosfet_circuit(technology))) == {("solve", False)}
-    assert called(lambda: ac_analysis(_rc_circuit(), frequencies)) \
-        == {("solve", False)}
-    assert called(lambda: transfer_functions(
-        _rc_circuit(), ["V1"], ["out"], frequencies)) \
-        == {("factorize", False)}
+    for circuit in (_rc_circuit(), _grid_circuit(10)):
+        assert called(lambda: transfer_functions(
+            circuit, ["V1"], [circuit.nodes()[-1]], frequencies)) \
+            == {("factorize", False)}
     assert called(lambda: transient_analysis(
         _rc_circuit(), t_stop=1e-8, timestep=1e-9)) \
         == {("solve", False), ("factorize", False)}

@@ -29,10 +29,9 @@ from repro.netlist import Circuit
 from repro.obs import tracer
 from repro.simulator import dc as dc_module
 from repro.simulator import dc_operating_point, transfer_function
-from repro.simulator.ac import _ac_rhs
 from repro.simulator.mna import LinearStamps, MatrixStamper, StampPattern
 from repro.simulator.solver import stats
-from repro.simulator.transfer import substituted_sources
+from repro.simulator.transfer import _ac_rhs, substituted_sources
 from repro.vco.sensitivity import entries_at_frequency
 from repro.vco.spurs import compute_spurs
 

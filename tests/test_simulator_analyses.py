@@ -1,16 +1,15 @@
-"""DC, AC, transfer-function and transient analyses on known circuits."""
+"""DC, small-signal transfer and transient analyses on known circuits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from repro.errors import ConvergenceError, SimulationError
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import (
     DcOptions,
-    ac_analysis,
     dc_operating_point,
     transfer_function,
     transient_analysis,
@@ -160,7 +159,7 @@ def test_dc_initial_guess_starts_plain_newton_only(technology):
         dc_operating_point(_latch(technology), initial=cold.vector[:-1])
 
 
-# -- AC ---------------------------------------------------------------------------------
+# -- AC (small-signal transfer) --------------------------------------------------------
 
 
 def test_ac_rc_lowpass_pole():
@@ -170,65 +169,47 @@ def test_ac_rc_lowpass_pole():
     circuit.add_resistor("R1", "in", "out", 1e3)
     circuit.add_capacitor("C1", "out", "0", 1e-9)
     f_pole = 1.0 / (2 * math.pi * 1e3 * 1e-9)
-    ac = ac_analysis(circuit, [f_pole / 100, f_pole, f_pole * 100])
-    magnitude = np.abs(ac.voltage("out"))
+    tf = transfer_function(circuit, "V1", ["out"],
+                           [f_pole / 100, f_pole, f_pole * 100])
+    magnitude = tf.magnitude("out")
     assert magnitude[0] == pytest.approx(1.0, rel=1e-3)
     assert magnitude[1] == pytest.approx(1 / math.sqrt(2), rel=1e-3)
     assert magnitude[2] == pytest.approx(0.01, rel=0.05)
     # Phase at the pole is -45 degrees.
-    phase = np.degrees(np.angle(ac.voltage("out")))
-    assert phase[1] == pytest.approx(-45.0, abs=1.0)
+    assert tf.phase_deg("out")[1] == pytest.approx(-45.0, abs=1.0)
 
 
 def test_ac_lc_resonance():
+    drive = 1e-3
     circuit = Circuit("lc")
     circuit.add_current_source("I1", "0", "tank",
-                               SourceValue(ac_magnitude=1e-3))
+                               SourceValue(ac_magnitude=drive))
     circuit.add_inductor("L1", "tank", "0", 2e-9)
     circuit.add_capacitor("C1", "tank", "0", 1.4e-12)
     circuit.add_resistor("R1", "tank", "0", 300.0)
     f0 = 1.0 / (2 * math.pi * math.sqrt(2e-9 * 1.4e-12))
-    ac = ac_analysis(circuit, [f0 / 2, f0, f0 * 2])
-    magnitude = np.abs(ac.voltage("tank"))
+    tf = transfer_function(circuit, "I1", ["tank"], [f0 / 2, f0, f0 * 2])
+    # The transfer is per unit drive (V/A): the 1 mA tone's 0.3 V is 300 ohm.
+    magnitude = tf.magnitude("tank")
     # At resonance the tank impedance is the parallel loss resistance.
-    assert magnitude[1] == pytest.approx(0.3, rel=1e-2)
+    assert magnitude[1] == pytest.approx(0.3 / drive, rel=1e-2)
     assert magnitude[1] > magnitude[0]
     assert magnitude[1] > magnitude[2]
 
 
-def test_ac_magnitude_db_helper():
-    circuit = Circuit("d")
-    circuit.add_voltage_source("V1", "in", "0", SourceValue(ac_magnitude=1.0))
-    circuit.add_resistor("R1", "in", "out", 1e3)
-    circuit.add_resistor("R2", "out", "0", 1e3)
-    ac = ac_analysis(circuit, [1e3])
-    assert ac.magnitude_db("out")[0] == pytest.approx(-6.02, abs=0.05)
-
-
-def test_ac_at_frequency_reads_swept_points_only():
-    """``at_frequency`` matches a swept frequency within a relative 1e-9 and
-    refuses any other frequency instead of returning the nearest point."""
-    circuit = Circuit("rc")
-    circuit.add_voltage_source("V1", "in", "0", SourceValue(ac_magnitude=1.0))
-    circuit.add_resistor("R1", "in", "out", 1e3)
-    circuit.add_capacitor("C1", "out", "0", 1e-9)
-    ac = ac_analysis(circuit, [1e3, 1e6])
-    assert ac.at_frequency(1e6).voltage("out") == ac.voltage("out")[1]
-    assert ac.at_frequency(1e3 * (1 + 1e-12)).voltage("out") \
-        == ac.voltage("out")[0]
-    for frequency in (5e5, 1e6 * (1 + 1e-8), 0.0):
-        with pytest.raises(SimulationError, match=f"{frequency!r} Hz"):
-            ac.at_frequency(frequency)
-
-
-def test_ac_requires_frequencies():
+@pytest.mark.parametrize("frequencies", [
+    [], [-1.0], [math.nan], [math.inf], [1e3, math.nan]],
+    ids=["empty", "negative", "nan", "inf", "nan-after-valid"])
+def test_transfer_rejects_bad_frequencies(frequencies):
+    """Empty, negative and non-finite frequency lists fail with an error
+    naming the offending value, before any solve."""
     circuit = Circuit("x")
     circuit.add_resistor("R1", "a", "0", 1.0)
     circuit.add_voltage_source("V1", "a", "0", 1.0)
-    with pytest.raises(SimulationError):
-        ac_analysis(circuit, [])
-    with pytest.raises(SimulationError):
-        ac_analysis(circuit, [-1.0])
+    match = (repr(float(frequencies[-1])) if frequencies
+             else "at least one frequency")
+    with pytest.raises(SimulationError, match=re.escape(match)):
+        transfer_function(circuit, "V1", ["a"], frequencies)
 
 
 def test_ac_mosfet_amplifier_gain(technology):
@@ -244,8 +225,9 @@ def test_ac_mosfet_amplifier_gain(technology):
     solution = dc_operating_point(circuit)
     op = solution.operating_point_of("M1")
     expected = op.gm * (1e3 * (1 / op.gds)) / (1e3 + 1 / op.gds)
-    ac = ac_analysis(circuit, [1e5], operating_point=solution)
-    assert abs(ac.voltage("d")[0]) == pytest.approx(expected, rel=1e-2)
+    tf = transfer_function(circuit, "VG", ["d"], [1e5],
+                           operating_point=solution)
+    assert abs(tf.at("d", 1e5)) == pytest.approx(expected, rel=1e-2)
 
 
 # -- transfer function ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.netlist import Circuit, SourceValue
 from repro.simulator import (
-    ac_analysis,
     dc_operating_point,
     transfer_function,
     transfer_functions,
@@ -183,9 +182,6 @@ def test_linear_stamps_serve_source_copies_bit_identically():
         dc_operating_point(corner, linear=linear).vector,
         dc_operating_point(corner).vector)
     np.testing.assert_array_equal(
-        ac_analysis(corner, [1e3, 1e6], linear=linear).vectors,
-        ac_analysis(corner, [1e3, 1e6]).vectors)
-    np.testing.assert_array_equal(
         transfer_function(corner, "V1", ["out"], [1e5],
                           linear=linear).transfers["out"],
         transfer_function(corner, "V1", ["out"], [1e5]).transfers["out"])
@@ -205,7 +201,6 @@ def test_mismatched_linear_stamps_raise_a_named_error():
         moved.add(circuit[name])
     analyses = (
         lambda c: dc_operating_point(c, linear=linear),
-        lambda c: ac_analysis(c, [1e3], linear=linear),
         lambda c: transfer_functions(c, ["V1"], ["out"], [1e3],
                                      linear=linear),
     )

@@ -2,7 +2,7 @@
 
 The equivalence tests assert that every cached-factorization / shared-pattern
 path produces results identical (atol <= 1e-12) to a direct ``spsolve`` of the
-same systems, for DC, AC, linear transient, Newton transient and the Kron
+same systems, for DC, small-signal transfer, linear transient, Newton transient and the Kron
 reduction of a small substrate mesh.  A property test holds the dense LAPACK
 kernel and SuperLU to 1e-12 relative agreement on random circuits on both
 sides of the dense cutoff.
@@ -24,7 +24,6 @@ from repro.netlist import Circuit, SourceValue
 from repro.obs import tracer
 from repro.simulator import (
     DcOptions,
-    ac_analysis,
     dc_operating_point,
     transfer_functions,
     transient_analysis,
@@ -139,7 +138,8 @@ def test_dc_equivalent_to_direct_spsolve():
 def test_ac_equivalent_to_direct_spsolve():
     circuit = _rc_circuit()
     frequencies = np.logspace(3, 9, 13)
-    ac = ac_analysis(circuit, frequencies)
+    nodes = circuit.nodes()
+    tf = transfer_functions(circuit, ["V1"], nodes, frequencies)["V1"]
 
     structure = MnaStructure.from_circuit(circuit)
     stamper = stamp_linear_elements(circuit, structure)
@@ -150,7 +150,9 @@ def test_ac_equivalent_to_direct_spsolve():
     for index, frequency in enumerate(frequencies):
         matrix = (g + 2j * np.pi * frequency * c).tocsc()
         direct = spla.spsolve(matrix, rhs)
-        assert np.allclose(ac.vectors[index], direct, atol=ATOL)
+        for node in nodes:
+            assert np.allclose(tf.transfers[node][index],
+                               direct[structure.node_row(node)], atol=ATOL)
 
 
 def test_linear_transient_equivalent_to_direct_spsolve():
@@ -420,10 +422,9 @@ def test_dense_and_superlu_kernels_agree_on_random_circuits(circuit):
     for kernel in ("lapack", "superlu"):
         with _kernel(kernel):
             dc = dc_operating_point(circuit, options)
-            ac = ac_analysis(circuit, frequencies, operating_point=dc)
             transfer = transfer_functions(circuit, sources, nodes,
                                           frequencies, operating_point=dc)
-        results[kernel] = (dc.vector, ac.vectors,
+        results[kernel] = (dc.vector,
                            np.array([transfer[name].transfers[node]
                                      for name in sources for node in nodes]))
     for dense, sparse in zip(results["lapack"], results["superlu"]):
