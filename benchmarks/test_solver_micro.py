@@ -43,7 +43,7 @@ def _grid_circuit(size: int = GRID_SIZE) -> Circuit:
     circuit = Circuit("grid")
     circuit.add_voltage_source(
         "V1", "n_0_0", "0",
-        SourceValue(dc=1.0, ac_magnitude=1.0, waveform=lambda t: 1.0))
+        SourceValue(dc=1.0, waveform=lambda t: 1.0))
     for i in range(size):
         for j in range(size):
             node = f"n_{i}_{j}"

@@ -41,7 +41,7 @@ class SinusoidalNoise:
         return float(dbm_to_vpeak(self.power_dbm, self.impedance))
 
     def source_value(self) -> SourceValue:
-        """Netlist source description (DC = 0, AC = amplitude, sine waveform)."""
+        """Netlist source description (DC = 0, sine waveform)."""
         return SourceValue.sine(self.amplitude, self.frequency,
                                 phase_deg=self.phase_deg)
 
@@ -89,10 +89,7 @@ class DigitalSwitchingNoise:
             result = self.samples(t)
             return result if result.ndim else float(result)
 
-        # The fundamental of the pulse train dominates the narrow-band impact;
-        # expose it as the AC magnitude so AC-based analyses stay meaningful.
-        fundamental = self.fundamental_amplitude()
-        return SourceValue(dc=0.0, ac_magnitude=fundamental, waveform=waveform)
+        return SourceValue(dc=0.0, waveform=waveform)
 
     def fundamental_amplitude(self) -> float:
         """Amplitude of the first harmonic of the pulse train (volts)."""

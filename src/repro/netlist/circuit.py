@@ -206,12 +206,11 @@ class Circuit:
 
         Each source of the copy is a fresh element holding ``values[name]``
         (a plain number is a DC level) or, when unnamed, this circuit's
-        value.  Analyses that re-drive sources in place
-        (:func:`~repro.simulator.transfer.substituted_sources`) therefore
-        never touch this circuit, and adding or removing elements of the
-        copy leaves it alone too; the shared elements themselves must not
-        be modified.  A name that is not an independent source of this
-        circuit raises :class:`NetlistError`.
+        value, so re-driving a source of the copy never touches this
+        circuit, and adding or removing elements of the copy leaves it
+        alone too; the shared elements themselves must not be modified.
+        A name that is not an independent source of this circuit raises
+        :class:`NetlistError`.
         """
         pending = dict(values or {})
         elements: dict[str, Element] = {}

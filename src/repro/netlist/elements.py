@@ -3,9 +3,11 @@
 Each element carries its connectivity (node names), its value and knows how to
 stamp its *topology* into an MNA system through the
 :class:`~repro.netlist.stamping.Stamper` interface.  Source *values* depend on
-the analysis (DC level, AC phasor, transient waveform), so sources expose
-``dc``, ``ac`` and ``value_at(t)`` accessors that the analyses query while the
-topological stamp stays analysis-independent.
+the analysis (DC level, transient waveform), so a source's
+:class:`SourceValue` exposes ``dc``, ``value_at(t)`` and ``sample(times)``
+for the analyses to query while the topological stamp stays
+analysis-independent; small-signal transfers drive a source with a unit
+value and read none of it.
 """
 
 from __future__ import annotations
@@ -162,21 +164,14 @@ def vectorized_waveform(waveform: Waveform) -> Waveform:
 class SourceValue:
     """Analysis-dependent value of an independent source.
 
-    ``dc`` is used by the operating-point analysis, ``ac_magnitude`` /
-    ``ac_phase_deg`` define the small-signal phasor, and ``waveform`` (a
+    ``dc`` is used by the operating-point analysis and ``waveform`` (a
     callable of time, seconds) drives transient analysis.  When no waveform is
-    given the source holds its DC value during transient.
+    given the source holds its DC value during transient.  Small-signal
+    transfers are unit-drive, so no small-signal value is kept.
     """
 
     dc: float = 0.0
-    ac_magnitude: float = 0.0
-    ac_phase_deg: float = 0.0
     waveform: Waveform | None = None
-
-    @property
-    def ac_phasor(self) -> complex:
-        phase = math.radians(self.ac_phase_deg)
-        return self.ac_magnitude * complex(math.cos(phase), math.sin(phase))
 
     def value_at(self, time: float) -> float:
         if self.waveform is not None:
@@ -212,7 +207,7 @@ class SourceValue:
     @classmethod
     def sine(cls, amplitude: float, frequency: float, dc_offset: float = 0.0,
              phase_deg: float = 0.0) -> "SourceValue":
-        """A sinusoidal source usable in DC (offset), AC (phasor) and transient."""
+        """A sinusoidal source usable in DC (offset) and transient."""
         phase = math.radians(phase_deg)
 
         @vectorized_waveform
@@ -221,8 +216,7 @@ class SourceValue:
             # grids alike, so transient sampling stays vectorized.
             return dc_offset + amplitude * np.sin(2.0 * math.pi * frequency * t + phase)
 
-        return cls(dc=dc_offset, ac_magnitude=amplitude, ac_phase_deg=phase_deg,
-                   waveform=waveform)
+        return cls(dc=dc_offset, waveform=waveform)
 
 
 @dataclass
@@ -235,8 +229,8 @@ class VoltageSource(TwoTerminal):
         return (self.name,)
 
     def stamp(self, stamper: Stamper) -> None:
-        # The topological stamp uses the DC value; analyses overwrite the RHS
-        # entry for this branch with the value they need (AC phasor, v(t)).
+        # The topological stamp uses the DC value; analyses build the RHS
+        # entry for this branch with the value they need (unit drive, v(t)).
         stamper.branch_voltage_source(self.name, self.node_p, self.node_n,
                                       self.value.dc)
 

@@ -2,7 +2,9 @@
 
 Every analysis factors and solves through one :class:`LinearSolver`
 (configured by :class:`SolverOptions`, defaulting to a fresh one), and all
-solver work is counted in ``solver_stats``.
+solver work is counted in ``solver_stats``.  Each analysis builds its source
+right-hand side from the sources' MNA incidence (:func:`source_rows`) and
+only reads the circuit.
 """
 
 from .mna import (
@@ -10,6 +12,7 @@ from .mna import (
     MatrixStamper,
     MnaStructure,
     SolutionView,
+    source_rows,
     stamp_linear_elements,
 )
 from .solver import (
@@ -23,7 +26,6 @@ from .linalg import LinearSolver, SolverOptions
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .transfer import (
     TransferFunction,
-    substituted_sources,
     transfer_function,
     transfer_functions,
 )
@@ -47,8 +49,8 @@ __all__ = [
     "add_gmin_diagonal",
     "dc_operating_point",
     "solver_stats",
+    "source_rows",
     "stamp_linear_elements",
-    "substituted_sources",
     "transfer_function",
     "transfer_functions",
     "transient_analysis",

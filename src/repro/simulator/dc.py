@@ -56,10 +56,9 @@ import numpy as np
 from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.devices import NonlinearElement
-from ..netlist.elements import CurrentSource, VoltageSource
 from ..obs import trace_span
 from .linalg import LinearSolver
-from .mna import LinearStamps, MnaStructure, SolutionView
+from .mna import LinearStamps, MnaStructure, SolutionView, source_rows
 from .solver import add_gmin_diagonal, stats
 
 
@@ -145,16 +144,8 @@ def _source_rhs(circuit: Circuit, structure: MnaStructure,
     """The RHS holding the (possibly scaled) DC source values."""
     rhs = np.zeros(structure.size)
     for element in circuit.sources():
-        if isinstance(element, VoltageSource):
-            rhs[structure.branch_row(element.name)] = scale * element.value.dc
-        elif isinstance(element, CurrentSource):
-            value = scale * element.value.dc
-            row_p = structure.node_row(element.node_p)
-            row_n = structure.node_row(element.node_n)
-            if row_p is not None:
-                rhs[row_p] -= value
-            if row_n is not None:
-                rhs[row_n] += value
+        for row, sign in source_rows(structure, element):
+            rhs[row] += sign * scale * element.value.dc
     return rhs
 
 

@@ -27,7 +27,7 @@ does not depend on the analysis, the operating point or the source values
 :class:`LinearStamps` holds it compiled: the validated structure plus the
 assembled ``G`` and ``C`` of the linear elements.  Every analysis starts
 from one; DC Newton stamps only the nonlinear companion models on top of it
-per iteration, AC and transfer analyses only the small-signal models.  A
+per iteration, the transfer analysis only the small-signal models.  A
 caller that solves one netlist at many bias corners (the VCO V_tune sweep,
 the Fig-3 NMOS bias sweep) compiles it once and passes it as ``linear=``,
 so no corner re-validates, re-indexes or re-stamps the linear netlist.
@@ -103,6 +103,21 @@ class MnaStructure:
             return self.branch_index[branch]
         except KeyError:
             raise SimulationError(f"unknown branch {branch!r}") from None
+
+
+def source_rows(structure: MnaStructure,
+                source: VoltageSource | CurrentSource
+                ) -> list[tuple[int, float]]:
+    """The (row, sign) pairs a unit value on the independent ``source``
+    stamps into the right-hand side: a voltage source's branch row with
+    sign +1, a current source's ``node_p`` row with -1 and ``node_n`` row
+    with +1 (ground dropped).  Every analysis builds its source right-hand
+    side from these, scaled by the value it needs."""
+    if isinstance(source, VoltageSource):
+        return [(structure.branch_row(source.name), 1.0)]
+    rows = ((structure.node_row(source.node_p), -1.0),
+            (structure.node_row(source.node_n), 1.0))
+    return [(row, sign) for row, sign in rows if row is not None]
 
 
 def _dense_from_triplets(rows, cols, vals, size: int) -> np.ndarray:

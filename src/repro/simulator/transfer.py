@@ -4,7 +4,7 @@ Computes the small-signal transfer ``H(f) = V(observe) / source`` from one
 or several independent sources to any set of observation nodes.  The
 circuit is linearised around its DC operating point and the complex MNA
 system ``(G + j*omega*C) x = b`` is solved at every requested frequency,
-with a unit AC drive on the analysed source as ``b``.  This is the
+with a unit drive on the analysed source as ``b``.  This is the
 workhorse of the impact methodology: the transfer from the
 substrate-injection source to every sensitive node (back-gate, on-chip
 ground, tank, output) is a transfer function of this kind — the paper's
@@ -14,14 +14,9 @@ Three performance properties of the implementation matter for sweeps:
 
 * **Batched multi-RHS solves** — all requested sources are solved through
   *one* LU factorization per frequency point: the MNA matrices depend only on
-  the operating point (never on a source's AC drive), so the per-source work
+  the operating point (never on a source's drive), so the per-source work
   is one extra right-hand-side column in a single
   :meth:`~repro.simulator.solver.Factorization.solve` call.
-* **No circuit copies** — instead of cloning the circuit per source, the
-  independent-source values are swapped out in place (unit AC drive on the
-  analysed source, zero on every other) while the right-hand sides are
-  assembled, and swapped back in a ``finally`` block, so the caller's circuit
-  is restored even when the solve itself fails.
 * **Compiled linear stamps** — a caller that analyses one netlist at many
   bias corners passes its :class:`~repro.simulator.mna.LinearStamps` as
   ``linear=``; the analysis then stamps only the small-signal models of the
@@ -33,22 +28,24 @@ Three performance properties of the implementation matter for sweeps:
   ``linear``), so every further bias corner solves a system of its device
   terminals and observed nodes only (13 unknowns instead of 43 for the
   VCO testbench), all frequencies in one stacked LAPACK call.
+
+Transfers are unit-drive by construction (each source's right-hand side is
+its MNA incidence, :func:`~repro.simulator.mna.source_rows`), and the
+circuit is read-only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
-from ..netlist.elements import CurrentSource, SourceValue, VoltageSource
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
-from .mna import LinearStamps, MatrixStamper, MnaStructure
+from .mna import LinearStamps, MatrixStamper, MnaStructure, source_rows
 from .solver import SharedPatternPair, add_gmin_diagonal
 
 
@@ -107,23 +104,6 @@ def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
             linear.capacitance + stamper.capacitance_system())
 
 
-def _ac_rhs(circuit: Circuit, structure: MnaStructure) -> np.ndarray:
-    """Right-hand side holding the AC phasors of the independent sources."""
-    rhs = np.zeros(structure.size, dtype=complex)
-    for element in circuit.sources():
-        if isinstance(element, VoltageSource):
-            rhs[structure.branch_row(element.name)] = element.value.ac_phasor
-        elif isinstance(element, CurrentSource):
-            phasor = element.value.ac_phasor
-            row_p = structure.node_row(element.node_p)
-            row_n = structure.node_row(element.node_n)
-            if row_p is not None:
-                rhs[row_p] -= phasor
-            if row_n is not None:
-                rhs[row_n] += phasor
-    return rhs
-
-
 @dataclass
 class TransferFunction:
     """Transfer from one source to several observation nodes over frequency."""
@@ -155,40 +135,6 @@ class TransferFunction:
 
     def nodes(self) -> list[str]:
         return list(self.transfers)
-
-
-@contextmanager
-def substituted_sources(circuit: Circuit) -> Iterator:
-    """Swap the independent-source values for AC-zeroed stand-ins, in place.
-
-    Yields a ``drive(source_name)`` callback that re-swaps the values so that
-    exactly ``source_name`` carries a unit AC drive (1 V / 1 A at zero phase)
-    and every other independent source is AC-quiet; ``drive(None)`` silences
-    all of them.  DC levels and transient waveforms are preserved throughout,
-    so the operating point of the circuit is untouched.
-
-    The original :class:`~repro.netlist.elements.SourceValue` objects are
-    restored in a ``finally`` block — the circuit comes back unmodified even
-    when the body raises (e.g. a singular-matrix
-    :class:`~repro.errors.SimulationError` mid-solve).
-    """
-    sources = [element for element in circuit
-               if isinstance(element, (VoltageSource, CurrentSource))]
-    originals = [(element, element.value) for element in sources]
-
-    def drive(source_name: str | None) -> None:
-        for element, value in originals:
-            magnitude = 1.0 if element.name == source_name else 0.0
-            element.value = SourceValue(dc=value.dc, ac_magnitude=magnitude,
-                                        ac_phase_deg=0.0,
-                                        waveform=value.waveform)
-
-    try:
-        drive(None)
-        yield drive
-    finally:
-        for element, value in originals:
-            element.value = value
 
 
 def transfer_functions(circuit: Circuit, source_names: Sequence[str],
@@ -234,9 +180,9 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             f"AC frequencies must be finite and non-negative, got "
             f"{float(frequencies[bad][0])!r} Hz")
 
-    available = {element.name for element in circuit.sources()}
+    sources = {element.name: element for element in circuit.sources()}
     for name in source_names:
-        if name not in available:
+        if name not in sources:
             raise SimulationError(f"no independent source named {name!r}")
     if len(set(source_names)) != len(source_names):
         raise SimulationError("duplicate source names in transfer request")
@@ -246,23 +192,20 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                                              solver=solver, linear=linear)
     gmin = solver.options.effective_gmin(gmin)
 
-    with substituted_sources(circuit) as drive:
-        # One RHS column per source: swap a unit drive onto each source in
-        # turn and read the stamped phasors back off the circuit.
-        rhs_block = np.zeros((structure.size, len(source_names)),
-                             dtype=complex)
-        for column, name in enumerate(source_names):
-            drive(name)
-            rhs_block[:, column] = _ac_rhs(circuit, structure)
+    # One unit-drive RHS column per source.
+    rhs_block = np.zeros((structure.size, len(source_names)), dtype=complex)
+    for column, name in enumerate(source_names):
+        for row, sign in source_rows(structure, sources[name]):
+            rhs_block[row, column] += sign
 
-        if isinstance(linear.conductance, np.ndarray):
-            rows, vectors = _reduced_solve(circuit, linear, operating_point,
-                                           observe_nodes, frequencies, gmin,
-                                           rhs_block, solver)
-        else:
-            rows = structure.node_index
-            vectors = _full_solve(circuit, linear, operating_point,
-                                  frequencies, gmin, rhs_block, solver)
+    if isinstance(linear.conductance, np.ndarray):
+        rows, vectors = _reduced_solve(circuit, linear, operating_point,
+                                       observe_nodes, frequencies, gmin,
+                                       rhs_block, solver)
+    else:
+        rows = structure.node_index
+        vectors = _full_solve(circuit, linear, operating_point,
+                              frequencies, gmin, rhs_block, solver)
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):
@@ -287,7 +230,7 @@ def _full_solve(circuit: Circuit, linear: LinearStamps,
     system factorized once per point (the sparse path)."""
     structure = linear.structure
     # The small-signal matrices depend on the operating point only, never on
-    # the sources' AC values, so they are built once for all sources.
+    # the sources, so they are built once for all sources.
     g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
                                                 operating_point)
     pattern = SharedPatternPair(
@@ -337,14 +280,13 @@ def transfer_function(circuit: Circuit, source_name: str,
                       ) -> TransferFunction:
     """Compute ``V(node)/source`` for each node in ``observe_nodes``.
 
-    The drive is applied as a unit AC excitation on the named independent
-    source (voltage sources: 1 V, current sources: 1 A), so the returned
-    transfers are in V/V or V/A respectively.  A precomputed
-    ``operating_point`` of the original circuit is reused directly (only AC
-    magnitudes are substituted during the solve, which leaves the DC solution
-    untouched); ``gmin`` is forwarded to the underlying AC assembly and
-    ``linear`` (compiled stamps of the circuit) to the analyses.  This is
-    the single-source convenience wrapper around :func:`transfer_functions`.
+    The drive is a unit excitation on the named independent source (voltage
+    sources: 1 V, current sources: 1 A), so the returned transfers are in
+    V/V or V/A respectively.  A precomputed ``operating_point`` of the
+    circuit is reused directly; ``gmin`` is forwarded to the small-signal
+    assembly and ``linear`` (compiled stamps of the circuit) to the
+    analyses.  This is the single-source convenience wrapper around
+    :func:`transfer_functions`.
     """
     return transfer_functions(circuit, [source_name], observe_nodes,
                               frequencies, operating_point=operating_point,

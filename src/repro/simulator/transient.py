@@ -13,10 +13,12 @@ Fixed-step time-domain integration of the MNA system
 
 Performance notes: the linear path has a constant left-hand side, so it is
 LU-factorized exactly once (:class:`~repro.simulator.solver.Factorization`)
-and every time step is a cheap triangular solve; as in every analysis, the
-system size decides whether the matrices are assembled dense for LAPACK or
-sparse for SuperLU; the source right-hand side is sampled over the whole
-time grid up front
+and every time step is a cheap triangular solve; a nonlinear Newton step
+scatters the companion stamps through the pattern DC Newton compiles
+(:meth:`~repro.simulator.mna.LinearStamps.companion_pattern`); as in every
+analysis, the system size decides whether the matrices are assembled dense
+for LAPACK or sparse for SuperLU; the source right-hand side is sampled over
+the whole time grid up front
 (:func:`repro.netlist.elements.SourceValue.sample`) instead of per step.
 
 The analysis is used to propagate substrate-noise waveforms through the
@@ -33,10 +35,9 @@ import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
-from ..netlist.elements import CurrentSource, VoltageSource
-from .dc import DcOptions, DcSolution, dc_operating_point
+from .dc import DcOptions, DcSolution, _companion_system, dc_operating_point
 from .linalg import LinearSolver
-from .mna import LinearStamps, MatrixStamper, MnaStructure
+from .mna import LinearStamps, MatrixStamper, MnaStructure, source_rows
 from .solver import add_gmin_diagonal
 
 
@@ -86,34 +87,15 @@ def _source_rhs_rows(circuit: Circuit, structure: MnaStructure,
     block while the per-step work is a handful of scalar adds.
     """
     rows: dict[int, np.ndarray] = {}
-
-    def accumulate(row: int | None, samples: np.ndarray, sign: float) -> None:
-        if row is None:
-            return
-        existing = rows.get(row)
-        if existing is None:
-            rows[row] = sign * samples
-        else:
-            existing += sign * samples
-
     for element in circuit.sources():
         samples = element.value.sample(times)
-        if isinstance(element, VoltageSource):
-            accumulate(structure.branch_row(element.name), samples, 1.0)
-        elif isinstance(element, CurrentSource):
-            accumulate(structure.node_row(element.node_p), samples, -1.0)
-            accumulate(structure.node_row(element.node_n), samples, 1.0)
+        for row, sign in source_rows(structure, element):
+            existing = rows.get(row)
+            if existing is None:
+                rows[row] = sign * samples
+            else:
+                existing += sign * samples
     return rows
-
-
-def _nonlinear_contributions(circuit: Circuit, structure: MnaStructure,
-                             x: np.ndarray) -> MatrixStamper:
-    """Companion stamps of the nonlinear elements at solution guess ``x``."""
-    stamper = MatrixStamper(structure)
-    voltages = {name: float(x[row]) for name, row in structure.node_index.items()}
-    for element in circuit.nonlinear_elements():
-        element.stamp_companion(stamper, voltages)
-    return stamper
 
 
 def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
@@ -198,10 +180,13 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
                 base_rhs[row] += samples[step]
             converged = False
             for _ in range(options.newton_max_iterations):
-                companion = _nonlinear_contributions(circuit, structure, x)
-                matrix = lhs_matrix + companion.conductance_system()
-                rhs_total = base_rhs + companion.rhs
-                x_new = solver.solve(matrix, rhs_total, structure=structure)
+                voltages = {name: float(x[row])
+                            for name, row in structure.node_index.items()}
+                companion_g, companion_rhs = _companion_system(
+                    linear, nonlinear, voltages)
+                x_new = solver.solve(lhs_matrix + companion_g,
+                                     base_rhs + companion_rhs,
+                                     structure=structure)
                 delta = np.max(np.abs(x_new[:structure.n_nodes] - x[:structure.n_nodes])) \
                     if structure.n_nodes else 0.0
                 x = x_new

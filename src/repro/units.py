@@ -1,14 +1,13 @@
 """Unit helpers used across the library.
 
 The extraction and simulation code works in plain SI units (metres, ohms,
-farads, volts, hertz).  The paper's figures, however, are expressed in dB,
-dBm and engineering notation, so this module centralises the conversions to
-keep the rest of the code free of ``10 * log10`` boilerplate.
+farads, volts, hertz).  The paper's figures, however, are expressed in dBm
+and dB, so this module centralises the power conversions and the dB error
+metrics to keep the rest of the code free of ``10 * log10`` boilerplate.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -16,43 +15,6 @@ import numpy as np
 # Characteristic impedance used by the paper's measurement setup (spectrum
 # analyzer input, signal-generator output).
 DEFAULT_IMPEDANCE_OHM = 50.0
-
-# Common engineering prefixes, useful for parsing / formatting values.
-_SI_PREFIXES = {
-    -18: "a",
-    -15: "f",
-    -12: "p",
-    -9: "n",
-    -6: "u",
-    -3: "m",
-    0: "",
-    3: "k",
-    6: "M",
-    9: "G",
-    12: "T",
-}
-
-_PREFIX_EXPONENTS = {v: k for k, v in _SI_PREFIXES.items() if v}
-
-
-def db(ratio: float | np.ndarray) -> float | np.ndarray:
-    """Convert a power ratio to decibels (``10 log10``)."""
-    return 10.0 * np.log10(ratio)
-
-
-def db_voltage(ratio: float | np.ndarray) -> float | np.ndarray:
-    """Convert a voltage (amplitude) ratio to decibels (``20 log10``)."""
-    return 20.0 * np.log10(np.abs(ratio))
-
-
-def from_db(value_db: float | np.ndarray) -> float | np.ndarray:
-    """Convert decibels back to a power ratio."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def from_db_voltage(value_db: float | np.ndarray) -> float | np.ndarray:
-    """Convert decibels back to a voltage (amplitude) ratio."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 20.0)
 
 
 def dbm_to_watt(power_dbm: float | np.ndarray) -> float | np.ndarray:
@@ -81,54 +43,6 @@ def vpeak_to_dbm(v_peak: float | np.ndarray,
     """Power in dBm of a sinusoid with the given peak voltage into ``impedance_ohm``."""
     power = np.asarray(v_peak, dtype=float) ** 2 / (2.0 * impedance_ohm)
     return watt_to_dbm(power)
-
-
-def vrms_to_dbm(v_rms: float | np.ndarray,
-                impedance_ohm: float = DEFAULT_IMPEDANCE_OHM) -> float | np.ndarray:
-    """Power in dBm of a signal with the given RMS voltage into ``impedance_ohm``."""
-    power = np.asarray(v_rms, dtype=float) ** 2 / impedance_ohm
-    return watt_to_dbm(power)
-
-
-def parse_value(text: str) -> float:
-    """Parse an engineering-notation value such as ``"0.18u"`` or ``"3.5G"``.
-
-    Supported suffixes: a, f, p, n, u, m, k, M, G, T.  A bare number is
-    returned unchanged.  Raises :class:`ValueError` for malformed input.
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty value string")
-    suffix = text[-1]
-    if suffix in _PREFIX_EXPONENTS:
-        magnitude = float(text[:-1])
-        return magnitude * 10.0 ** _PREFIX_EXPONENTS[suffix]
-    return float(text)
-
-
-def format_value(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format ``value`` with an engineering prefix, e.g. ``format_value(1.8e-7, "m")``.
-
-    Values of exactly zero are formatted without a prefix.
-    """
-    if value == 0.0:
-        return f"0 {unit}".strip()
-    exponent = int(math.floor(math.log10(abs(value)) / 3.0) * 3)
-    exponent = max(min(exponent, 12), -18)
-    prefix = _SI_PREFIXES[exponent]
-    scaled = value / 10.0 ** exponent
-    return f"{scaled:.{digits}g} {prefix}{unit}".strip()
-
-
-def decade_points(f_start: float, f_stop: float, points_per_decade: int = 10) -> np.ndarray:
-    """Logarithmically spaced frequency points, inclusive of both endpoints."""
-    if f_start <= 0 or f_stop <= 0:
-        raise ValueError("frequencies must be positive")
-    if f_stop < f_start:
-        raise ValueError("f_stop must be >= f_start")
-    decades = math.log10(f_stop / f_start)
-    n_points = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.logspace(math.log10(f_start), math.log10(f_stop), n_points)
 
 
 def mean_abs_error_db(a_db: Sequence[float] | np.ndarray,

@@ -86,11 +86,13 @@ def test_spectrum_power_at_and_peak_near():
 def test_sinusoidal_noise_amplitude_matches_dbm():
     noise = SinusoidalNoise(power_dbm=-5.0, frequency=10e6)
     assert noise.amplitude == pytest.approx(0.1778, rel=1e-3)
-    value = noise.source_value()
-    assert value.ac_magnitude == pytest.approx(noise.amplitude)
     times = np.linspace(0, 1e-6, 2001)
     samples = noise.samples(times)
     assert np.max(samples) == pytest.approx(noise.amplitude, rel=1e-2)
+    value = noise.source_value()
+    assert value.dc == 0.0
+    np.testing.assert_allclose(value.sample(times), samples, rtol=0,
+                               atol=1e-15)
     with pytest.raises(AnalysisError):
         SinusoidalNoise(power_dbm=-5.0, frequency=-1.0)
 

@@ -47,7 +47,7 @@ def test_wire_ladder_model_matches_lumped_at_low_frequency():
 
     def transfer(builder) -> complex:
         circuit = Circuit("t")
-        circuit.add_voltage_source("V1", "in", "0", SourceValue(ac_magnitude=1.0))
+        circuit.add_voltage_source("V1", "in", "0", SourceValue())
         builder(circuit)
         circuit.add_resistor("RL", "out", "0", 1e6)
         return transfer_function(circuit, "V1", ["out"], [10e6]).at("out", 10e6)
@@ -184,7 +184,7 @@ def test_bondwire_inductance_isolates_at_high_frequency():
     circuit.add_resistor("Rload", "PAD", "0", 1.0)
     package = PackageModel.bondwired({"PAD": "EXT"})
     package.add_to_circuit(circuit)
-    circuit.add_voltage_source("V1", "EXT", "0", SourceValue(ac_magnitude=1.0))
+    circuit.add_voltage_source("V1", "EXT", "0", SourceValue())
     tf = transfer_function(circuit, "V1", ["PAD"], [1e6, 10e9])
     low, high = tf.magnitude("PAD")
     # At low frequency only the 0.12 ohm bondwire resistance divides against

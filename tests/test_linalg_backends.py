@@ -44,8 +44,7 @@ BACKENDS = ("direct",)
 def _rc_circuit():
     circuit = Circuit("rc")
     circuit.add_voltage_source("V1", "in", "0",
-                               SourceValue(dc=1.0, ac_magnitude=1.0,
-                                           waveform=lambda t: 1.0))
+                               SourceValue(dc=1.0, waveform=lambda t: 1.0))
     circuit.add_resistor("R1", "in", "mid", 1e3)
     circuit.add_resistor("R2", "mid", "0", 2e3)
     circuit.add_capacitor("C1", "mid", "0", 1e-9)
@@ -58,8 +57,7 @@ def _mosfet_circuit(technology):
     circuit = Circuit("cs")
     circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
     circuit.add_voltage_source("VG", "g", "0",
-                               SourceValue(dc=0.9, ac_magnitude=1.0,
-                                           waveform=lambda t: 0.9))
+                               SourceValue(dc=0.9, waveform=lambda t: 0.9))
     circuit.add_resistor("RL", "vdd", "d", 1e3)
     circuit.add_mosfet("M1", "d", "g", "0", "0",
                        technology.mos_parameters("nmos_rf"),
@@ -314,7 +312,7 @@ def _grid_circuit(size):
     """A size x size resistor grid with node capacitors, driven in a corner."""
     circuit = Circuit("grid")
     circuit.add_voltage_source("V1", "n_0_0", "0",
-                               SourceValue(dc=1.0, ac_magnitude=1.0))
+                               SourceValue(dc=1.0))
     for i in range(size):
         for j in range(size):
             node = f"n_{i}_{j}"

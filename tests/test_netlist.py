@@ -44,12 +44,8 @@ def test_capacitor_and_inductor_validation():
 def test_source_value_sine_and_phasor():
     value = SourceValue.sine(amplitude=2.0, frequency=1e6, dc_offset=0.5)
     assert value.dc == pytest.approx(0.5)
-    assert value.ac_magnitude == pytest.approx(2.0)
     assert value.value_at(0.0) == pytest.approx(0.5)
     assert value.value_at(0.25e-6) == pytest.approx(2.5)
-    phasor = SourceValue(ac_magnitude=1.0, ac_phase_deg=90.0).ac_phasor
-    assert phasor.real == pytest.approx(0.0, abs=1e-12)
-    assert phasor.imag == pytest.approx(1.0)
 
 
 def test_source_value_sample_grid():
@@ -165,7 +161,7 @@ def test_floating_nodes_detection():
 def test_with_sources_shares_elements_and_copies_sources():
     circuit = Circuit("t")
     circuit.add_voltage_source("V1", "a", "0", 1.0)
-    circuit.add_current_source("I1", "0", "b", SourceValue(ac_magnitude=2.0))
+    circuit.add_current_source("I1", "0", "b", SourceValue())
     circuit.add_resistor("R1", "a", "b", 1e3)
     circuit.add_resistor("R2", "b", "0", 1e3)
     copy = circuit.with_sources({"V1": 2.5})

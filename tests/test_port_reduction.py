@@ -29,9 +29,13 @@ from repro.netlist import Circuit
 from repro.obs import tracer
 from repro.simulator import dc as dc_module
 from repro.simulator import dc_operating_point, transfer_function
-from repro.simulator.mna import LinearStamps, MatrixStamper, StampPattern
+from repro.simulator.mna import (
+    LinearStamps,
+    MatrixStamper,
+    StampPattern,
+    source_rows,
+)
 from repro.simulator.solver import stats
-from repro.simulator.transfer import _ac_rhs, substituted_sources
 from repro.vco.sensitivity import entries_at_frequency
 from repro.vco.spurs import compute_spurs
 
@@ -57,9 +61,9 @@ def _unreduced_transfer(circuit, linear, operating_point, source, nodes,
     g = np.asarray(linear.conductance) + stamper.conductance_system()
     g[np.arange(structure.n_nodes), np.arange(structure.n_nodes)] += gmin
     c = np.asarray(linear.capacitance) + stamper.capacitance_system()
-    with substituted_sources(circuit) as drive:
-        drive(source)
-        rhs = _ac_rhs(circuit, structure)
+    rhs = np.zeros(structure.size, dtype=complex)
+    for row, sign in source_rows(structure, circuit[source]):
+        rhs[row] += sign
     rows = [structure.node_row(node) for node in nodes]
     return np.array([np.linalg.solve(g + 2j * np.pi * f * c, rhs)[rows]
                      for f in frequencies]).T

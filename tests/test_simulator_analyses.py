@@ -164,8 +164,7 @@ def test_dc_initial_guess_starts_plain_newton_only(technology):
 
 def test_ac_rc_lowpass_pole():
     circuit = Circuit("rc")
-    circuit.add_voltage_source("V1", "in", "0",
-                               SourceValue(ac_magnitude=1.0))
+    circuit.add_voltage_source("V1", "in", "0", SourceValue())
     circuit.add_resistor("R1", "in", "out", 1e3)
     circuit.add_capacitor("C1", "out", "0", 1e-9)
     f_pole = 1.0 / (2 * math.pi * 1e3 * 1e-9)
@@ -180,19 +179,17 @@ def test_ac_rc_lowpass_pole():
 
 
 def test_ac_lc_resonance():
-    drive = 1e-3
     circuit = Circuit("lc")
-    circuit.add_current_source("I1", "0", "tank",
-                               SourceValue(ac_magnitude=drive))
+    circuit.add_current_source("I1", "0", "tank", SourceValue())
     circuit.add_inductor("L1", "tank", "0", 2e-9)
     circuit.add_capacitor("C1", "tank", "0", 1.4e-12)
     circuit.add_resistor("R1", "tank", "0", 300.0)
     f0 = 1.0 / (2 * math.pi * math.sqrt(2e-9 * 1.4e-12))
     tf = transfer_function(circuit, "I1", ["tank"], [f0 / 2, f0, f0 * 2])
-    # The transfer is per unit drive (V/A): the 1 mA tone's 0.3 V is 300 ohm.
+    # The transfer is per unit drive (V/A).
     magnitude = tf.magnitude("tank")
     # At resonance the tank impedance is the parallel loss resistance.
-    assert magnitude[1] == pytest.approx(0.3 / drive, rel=1e-2)
+    assert magnitude[1] == pytest.approx(300.0, rel=1e-2)
     assert magnitude[1] > magnitude[0]
     assert magnitude[1] > magnitude[2]
 
@@ -217,7 +214,7 @@ def test_ac_mosfet_amplifier_gain(technology):
     circuit = Circuit("cs")
     circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
     circuit.add_voltage_source("VG", "g", "0",
-                               SourceValue(dc=0.9, ac_magnitude=1.0))
+                               SourceValue(dc=0.9))
     circuit.add_resistor("RL", "vdd", "d", 1e3)
     circuit.add_mosfet("M1", "d", "g", "0", "0",
                        technology.mos_parameters("nmos_rf"),
@@ -247,8 +244,8 @@ def test_transfer_function_divider():
 
 def test_transfer_function_only_drives_named_source():
     circuit = Circuit("two_sources")
-    circuit.add_voltage_source("V1", "a", "0", SourceValue(ac_magnitude=5.0))
-    circuit.add_voltage_source("V2", "b", "0", SourceValue(ac_magnitude=7.0))
+    circuit.add_voltage_source("V1", "a", "0", SourceValue())
+    circuit.add_voltage_source("V2", "b", "0", SourceValue())
     circuit.add_resistor("R1", "a", "out", 1e3)
     circuit.add_resistor("R2", "b", "out", 1e3)
     circuit.add_resistor("R3", "out", "0", 1e3)

@@ -151,7 +151,7 @@ def test_resistive_ladder_matrix_properties(values):
 def _rc_divider() -> Circuit:
     circuit = Circuit("rc")
     circuit.add_voltage_source("V1", "in", "0",
-                               SourceValue(dc=1.0, ac_magnitude=1.0))
+                               SourceValue(dc=1.0))
     circuit.add_resistor("R1", "in", "out", 1e3)
     circuit.add_resistor("R2", "out", "0", 1e3)
     circuit.add_capacitor("C1", "out", "0", 1e-9)
@@ -176,8 +176,7 @@ def test_linear_stamps_serve_source_copies_bit_identically():
     stamps exactly as it does from scratch."""
     circuit = _rc_divider()
     linear = LinearStamps.of(circuit)
-    corner = circuit.with_sources({"V1": SourceValue(dc=2.0,
-                                                     ac_magnitude=3.0)})
+    corner = circuit.with_sources({"V1": SourceValue(dc=2.0)})
     np.testing.assert_array_equal(
         dc_operating_point(corner, linear=linear).vector,
         dc_operating_point(corner).vector)

@@ -46,8 +46,7 @@ ATOL = 1e-12
 def _rc_circuit():
     circuit = Circuit("rc")
     circuit.add_voltage_source("V1", "in", "0",
-                               SourceValue(dc=1.0, ac_magnitude=1.0,
-                                           waveform=lambda t: 1.0))
+                               SourceValue(dc=1.0, waveform=lambda t: 1.0))
     circuit.add_resistor("R1", "in", "mid", 1e3)
     circuit.add_resistor("R2", "mid", "0", 2e3)
     circuit.add_capacitor("C1", "mid", "0", 1e-9)
@@ -60,7 +59,7 @@ def _mosfet_circuit(technology):
     circuit = Circuit("cs")
     circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
     circuit.add_voltage_source("VG", "g", "0",
-                               SourceValue(dc=0.9, ac_magnitude=1.0,
+                               SourceValue(dc=0.9,
                                            waveform=lambda t: 0.9 + 0.05 * min(t / 1e-7, 1.0)))
     circuit.add_resistor("RL", "vdd", "d", 1e3)
     circuit.add_mosfet("M1", "d", "g", "0", "0",
@@ -395,7 +394,7 @@ def _random_circuits(draw):
     for k in range(draw(st.integers(1, 3))):
         circuit.add_voltage_source(
             f"V{k}", f"s{k}", "0",
-            SourceValue(dc=draw(st.floats(0.0, 1.8)), ac_magnitude=1.0))
+            SourceValue(dc=draw(st.floats(0.0, 1.8))))
         circuit.add_resistor(f"Rs{k}", f"s{k}", draw(pick), draw(resistance))
     for k in range(draw(st.integers(0, 3))):
         circuit.add_voltage_source(f"VG{k}", f"g{k}", "0",

@@ -1,8 +1,10 @@
 """Tests of the batched transfer-function analysis.
 
 The multi-source path must solve every source through *one* factorization per
-frequency point (the ROADMAP's multi-RHS batching), and the in-place source
-substitution must restore the caller's circuit even when the solve fails.
+frequency point (the ROADMAP's multi-RHS batching), and the analysis must
+only read the caller's circuit: each source's unit drive is its MNA
+incidence, so no source value is ever swapped, not even while a solve runs
+or fails.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.elements import SourceValue
 from repro.simulator import (
-    substituted_sources,
+    LinearSolver,
+    LinearStamps,
     transfer_function,
     transfer_functions,
 )
@@ -23,12 +26,25 @@ from repro.simulator.solver import stats
 
 def _summing_network() -> Circuit:
     circuit = Circuit("two_sources")
-    circuit.add_voltage_source("V1", "a", "0", SourceValue(dc=1.0, ac_magnitude=5.0))
-    circuit.add_voltage_source("V2", "b", "0", SourceValue(ac_magnitude=7.0))
-    circuit.add_current_source("I1", "0", "out", SourceValue(ac_magnitude=2.0))
+    circuit.add_voltage_source("V1", "a", "0", SourceValue(dc=1.0))
+    circuit.add_voltage_source("V2", "b", "0", SourceValue())
+    circuit.add_current_source("I1", "0", "out", SourceValue())
     circuit.add_resistor("R1", "a", "out", 1e3)
     circuit.add_resistor("R2", "b", "out", 1e3)
     circuit.add_resistor("R3", "out", "0", 1e3)
+    return circuit
+
+
+def _resistor_ladder(sections: int = 100) -> Circuit:
+    """An RC ladder of more than 90 unknowns (the sparse path)."""
+    circuit = Circuit("ladder")
+    circuit.add_voltage_source("V1", "n0", "0", SourceValue(dc=1.0))
+    circuit.add_current_source("I1", "0", f"n{sections // 2}",
+                               SourceValue(dc=1e-3))
+    for k in range(sections):
+        circuit.add_resistor(f"R{k}", f"n{k}", f"n{k + 1}", 10.0)
+        circuit.add_capacitor(f"C{k}", f"n{k + 1}", "0", 1e-12)
+    circuit.add_resistor("RL", f"n{sections}", "0", 50.0)
     return circuit
 
 
@@ -58,6 +74,31 @@ def test_one_factorization_per_frequency_regardless_of_sources():
     assert stats.solves == len(frequencies)        # one multi-RHS block each
 
 
+@pytest.mark.parametrize("build, node, dense", [
+    (_summing_network, "out", True), (_resistor_ladder, "n1", False)],
+    ids=["dense-reduced", "sparse"])
+def test_sources_are_untouched_while_factorizing(monkeypatch, build, node,
+                                                 dense):
+    """Every factorization sees each source still holding its original
+    value object: the unit drives never pass through the circuit."""
+    circuit = build()
+    assert isinstance(LinearStamps.of(circuit).conductance,
+                      np.ndarray) is dense
+    originals = {element.name: element.value
+                 for element in circuit.sources()}
+    untouched = []
+    factorize = LinearSolver.factorize
+
+    def recording_factorize(self, matrix, structure=None, spd=False):
+        untouched.append(all(circuit[name].value is value
+                             for name, value in originals.items()))
+        return factorize(self, matrix, structure=structure, spd=spd)
+
+    monkeypatch.setattr(LinearSolver, "factorize", recording_factorize)
+    transfer_functions(circuit, list(originals), [node], [1e3, 1e6])
+    assert untouched and all(untouched)
+
+
 def test_sources_are_restored_after_analysis():
     circuit = _summing_network()
     originals = {element.name: element.value for element in circuit.sources()}
@@ -82,21 +123,6 @@ def test_sources_are_restored_on_solver_error(monkeypatch):
         assert element.value is originals[element.name]
     # DC levels survived the round trip (the operating point is untouched).
     assert circuit.sources()[0].value.dc == 1.0
-
-
-def test_substituted_sources_drives_one_source_at_a_time():
-    circuit = _summing_network()
-    with substituted_sources(circuit) as drive:
-        drive("V2")
-        values = {element.name: element.value
-                  for element in circuit.sources()}
-        assert values["V2"].ac_magnitude == 1.0
-        assert values["V1"].ac_magnitude == 0.0
-        assert values["I1"].ac_magnitude == 0.0
-        assert values["V1"].dc == 1.0              # DC level preserved
-        drive(None)
-        assert all(element.value.ac_magnitude == 0.0
-                   for element in circuit.sources())
 
 
 def test_transfer_input_validation():

@@ -8,22 +8,6 @@ from hypothesis import given, strategies as st
 from repro import units
 
 
-def test_db_power_ratio():
-    assert units.db(10.0) == pytest.approx(10.0)
-    assert units.db(1.0) == pytest.approx(0.0)
-    assert units.db(0.5) == pytest.approx(-3.0103, rel=1e-4)
-
-
-def test_db_voltage_ratio():
-    assert units.db_voltage(10.0) == pytest.approx(20.0)
-    assert units.db_voltage(0.1) == pytest.approx(-20.0)
-
-
-def test_from_db_roundtrip():
-    assert units.from_db(units.db(42.0)) == pytest.approx(42.0)
-    assert units.from_db_voltage(units.db_voltage(0.07)) == pytest.approx(0.07)
-
-
 def test_dbm_to_watt_known_values():
     assert units.dbm_to_watt(0.0) == pytest.approx(1e-3)
     assert units.dbm_to_watt(30.0) == pytest.approx(1.0)
@@ -44,56 +28,10 @@ def test_vpeak_to_dbm_roundtrip():
     assert units.vpeak_to_dbm(units.dbm_to_vpeak(-17.3)) == pytest.approx(-17.3)
 
 
-def test_vrms_to_dbm():
-    # 1 V rms into 50 ohm is 20 mW = 13 dBm.
-    assert units.vrms_to_dbm(1.0) == pytest.approx(13.0103, rel=1e-4)
-
-
 @given(st.floats(min_value=-80.0, max_value=40.0))
 def test_dbm_vpeak_roundtrip_property(power_dbm):
     v = units.dbm_to_vpeak(power_dbm)
     assert units.vpeak_to_dbm(v) == pytest.approx(power_dbm, abs=1e-9)
-
-
-@given(st.floats(min_value=1e-12, max_value=1e12))
-def test_db_voltage_monotonic_roundtrip(ratio):
-    assert units.from_db_voltage(units.db_voltage(ratio)) == pytest.approx(ratio, rel=1e-9)
-
-
-def test_parse_value_suffixes():
-    assert units.parse_value("0.18u") == pytest.approx(0.18e-6)
-    assert units.parse_value("3.5G") == pytest.approx(3.5e9)
-    assert units.parse_value("120f") == pytest.approx(120e-15)
-    assert units.parse_value("15") == pytest.approx(15.0)
-    assert units.parse_value("2m") == pytest.approx(2e-3)
-
-
-def test_parse_value_rejects_garbage():
-    with pytest.raises(ValueError):
-        units.parse_value("")
-    with pytest.raises(ValueError):
-        units.parse_value("abc")
-
-
-def test_format_value():
-    assert units.format_value(0.18e-6, "m") == "180 nm"
-    assert units.format_value(3.0e9, "Hz") == "3 GHz"
-    assert units.format_value(15.6, "ohm") == "15.6 ohm"
-    assert units.format_value(0.0, "F") == "0 F"
-
-
-def test_decade_points_endpoints():
-    points = units.decade_points(1e5, 1e7, points_per_decade=5)
-    assert points[0] == pytest.approx(1e5)
-    assert points[-1] == pytest.approx(1e7)
-    assert np.all(np.diff(points) > 0)
-
-
-def test_decade_points_invalid():
-    with pytest.raises(ValueError):
-        units.decade_points(-1.0, 10.0)
-    with pytest.raises(ValueError):
-        units.decade_points(100.0, 10.0)
 
 
 def test_error_metrics():
