@@ -67,7 +67,7 @@ def run_solver_micro_stages() -> dict[str, float]:
     structure = MnaStructure.from_circuit(circuit)
 
     start = time.perf_counter()
-    stamp_linear_elements(circuit, structure).conductance_matrix()
+    stamp_linear_elements(circuit, structure).conductance_system()
     stamp_seconds = time.perf_counter() - start
 
     operating_point = dc_operating_point(circuit)
@@ -94,7 +94,7 @@ def test_stamping_micro_benchmark(benchmark):
 
     def stamp():
         stamper = stamp_linear_elements(circuit, structure)
-        return stamper.conductance_matrix()
+        return stamper.conductance_system()
 
     matrix = benchmark(stamp)
     assert matrix.nnz > 0

@@ -90,13 +90,3 @@ class DigitalSwitchingNoise:
             return result if result.ndim else float(result)
 
         return SourceValue(dc=0.0, waveform=waveform)
-
-    def fundamental_amplitude(self) -> float:
-        """Amplitude of the first harmonic of the pulse train (volts)."""
-        period = 1.0 / self.clock_frequency
-        times = np.linspace(0.0, period, 4096, endpoint=False)
-        samples = self.samples(times)
-        spectrum = np.fft.rfft(samples) / len(samples)
-        if len(spectrum) < self.edges_per_period + 1:
-            return float(np.abs(spectrum[-1]) * 2.0)
-        return float(2.0 * np.abs(spectrum[self.edges_per_period]))

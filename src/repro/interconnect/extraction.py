@@ -77,27 +77,6 @@ class InterconnectExtraction:
             wire.add_pi_model(circuit, substrate_node)
         return circuit
 
-    def scaled(self, node_a: str, node_b: str, factor: float) -> "InterconnectExtraction":
-        """Copy of the extraction with the resistance between two nodes scaled.
-
-        Used by the Figure-10 style what-if analysis ("halve the ground
-        interconnect resistance") without redrawing the layout.
-        """
-        if factor <= 0:
-            raise ExtractionError("scale factor must be positive")
-        wanted = {node_a, node_b}
-        scaled_wires = []
-        for wire in self.wires:
-            if {wire.node_a, wire.node_b} == wanted:
-                wire = WireRC(name=wire.name, node_a=wire.node_a,
-                              node_b=wire.node_b,
-                              resistance=wire.resistance * factor,
-                              capacitance=wire.capacitance,
-                              layer=wire.layer, length=wire.length,
-                              width=wire.width)
-            scaled_wires.append(wire)
-        return InterconnectExtraction(cell_name=self.cell_name, wires=scaled_wires)
-
 
 def _node_at(cell: Cell, point: Point, layer: str) -> str | None:
     """Find the node name of the pin closest to ``point`` (same layer preferred)."""

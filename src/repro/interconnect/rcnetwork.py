@@ -1,15 +1,10 @@
-"""Distributed RC representation of an extracted wire.
+"""Lumped RC representation of an extracted wire.
 
 A routed wire with series resistance ``R`` and capacitance to the substrate
-``C`` can be represented at different levels of detail:
-
-* a single series resistor with the capacitance split over the two ends
-  (lumped pi model) — sufficient below tens of MHz, where the paper operates,
-* an ``n``-segment RC ladder — used by the tests to verify that the lumped
-  model is a good approximation in the frequency range of interest.
-
-The ladder generation is deliberately independent of the layout so it can be
-property-tested on its own.
+``C`` enters the impact netlist as a lumped pi model: one series resistor
+with the capacitance split over the two ends.  That is sufficient below tens
+of MHz, where the paper operates (DC to 15 MHz); distributed RC ladders
+matter only for GHz-range coupling.
 """
 
 from __future__ import annotations
@@ -37,11 +32,6 @@ class WireRC:
         if self.resistance < 0 or self.capacitance < 0:
             raise ExtractionError(f"wire {self.name}: negative R or C")
 
-    @property
-    def rc_time_constant(self) -> float:
-        """Elmore-style RC product of the wire (seconds)."""
-        return self.resistance * self.capacitance
-
     def add_pi_model(self, circuit: Circuit, substrate_node: str | None,
                      min_resistance: float = 1e-3) -> None:
         """Add the lumped pi model of this wire to ``circuit``.
@@ -64,33 +54,3 @@ class WireRC:
             else:
                 # Both ends are the same node: lump the full capacitance once.
                 circuit.elements[f"Cw_{self.name}_a"].capacitance = self.capacitance
-
-    def add_ladder_model(self, circuit: Circuit, substrate_node: str,
-                         segments: int = 5) -> list[str]:
-        """Add an ``segments``-section RC ladder between the two end nodes.
-
-        Returns the list of internal node names created.  Requires distinct
-        end nodes and at least one segment.
-        """
-        if segments < 1:
-            raise ExtractionError("ladder needs at least one segment")
-        if self.node_a == self.node_b:
-            raise ExtractionError("ladder model requires distinct end nodes")
-        r_seg = self.resistance / segments
-        c_seg = self.capacitance / segments
-        internal: list[str] = []
-        previous = self.node_a
-        # End capacitances: half a segment's worth at each extremity.
-        circuit.add_capacitor(f"Cl_{self.name}_end_a", self.node_a,
-                              substrate_node, c_seg / 2.0)
-        for index in range(1, segments + 1):
-            node = self.node_b if index == segments else f"{self.name}__seg{index}"
-            if index != segments:
-                internal.append(node)
-            circuit.add_resistor(f"Rl_{self.name}_{index}", previous, node,
-                                 max(r_seg, 1e-6))
-            cap_value = c_seg / 2.0 if index == segments else c_seg
-            circuit.add_capacitor(f"Cl_{self.name}_{index}", node,
-                                  substrate_node, cap_value)
-            previous = node
-        return internal

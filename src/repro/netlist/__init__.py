@@ -1,4 +1,4 @@
-"""Netlist model: circuits, linear elements, nonlinear devices, subcircuits."""
+"""Netlist model: flat circuits, linear elements and nonlinear devices."""
 
 from .stamping import GROUND, Stamper
 from .elements import (
@@ -16,7 +16,6 @@ from .elements import (
 )
 from .devices import MosfetElement, NonlinearElement, VaractorElement
 from .circuit import Circuit
-from .subckt import Subcircuit
 
 __all__ = [
     "Capacitor",
@@ -30,7 +29,6 @@ __all__ = [
     "Resistor",
     "SourceValue",
     "Stamper",
-    "Subcircuit",
     "TwoTerminal",
     "VaractorElement",
     "VoltageControlledCurrentSource",

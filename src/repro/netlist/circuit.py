@@ -1,17 +1,14 @@
 """The circuit container: a named collection of netlist elements.
 
-A :class:`Circuit` is a flat netlist.  Hierarchy is handled by
-:mod:`repro.netlist.subckt`, which flattens subcircuit instances into a flat
-circuit before simulation.  Node names are free-form strings; ``"0"`` is the
-global ground reference.
+A :class:`Circuit` is a flat netlist: the extraction flow combines its
+partial netlists with :meth:`Circuit.merge`, and there are no subcircuits.
+Node names are free-form strings; ``"0"`` is the global ground reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
-
-import numpy as np
 
 from ..devices.mosfet import MosfetGeometry, MosfetModel
 from ..devices.varactor import AccumulationModeVaractor
@@ -158,37 +155,6 @@ class Circuit:
         return [e for e in self.elements.values()
                 if isinstance(e, (VoltageSource, CurrentSource))]
 
-    def elements_at_node(self, node: str) -> list[Element]:
-        return [e for e in self.elements.values() if node in e.nodes()]
-
-    def floating_nodes(self) -> list[str]:
-        """Nodes with no resistive/inductive DC path to ground.
-
-        These nodes make the DC operating point singular.  Nothing in the
-        flow calls this; the DC analysis itself names a floating node whose
-        matrix row is empty when its solve fails.
-        """
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        index = {GROUND: 0}
-        edges = []
-        for element in self.elements.values():
-            nodes = element.nodes()
-            for node in nodes:
-                index.setdefault(node, len(index))
-            if isinstance(element, (Resistor, Inductor, VoltageSource)):
-                edges.append((element.node_p, element.node_n))
-            elif element.is_nonlinear and len(nodes) >= 3:
-                # A MOSFET provides a DC path among its channel terminals.
-                edges.extend((nodes[0], node) for node in nodes)
-        rows = [index[a] for a, _b in edges]
-        cols = [index[b] for _a, b in edges]
-        graph = coo_matrix((np.ones(len(edges)), (rows, cols)),
-                           shape=(len(index), len(index)))
-        _count, labels = connected_components(graph, directed=False)
-        return [n for n in self.nodes() if labels[index[n]] != labels[0]]
-
     def validate(self) -> None:
         """Raise :class:`NetlistError` for empty circuits or missing ground."""
         if not self.elements:
@@ -241,10 +207,3 @@ class Circuit:
                 clone = copy.copy(element)
                 clone.name = f"{prefix}:{element.name}"
             self.add(clone)
-
-    def summary(self) -> dict[str, int]:
-        """Counts per element class, useful for logging the assembled model."""
-        counts: dict[str, int] = {}
-        for element in self.elements.values():
-            counts[type(element).__name__] = counts.get(type(element).__name__, 0) + 1
-        return counts

@@ -5,9 +5,9 @@ stamp its *topology* into an MNA system through the
 :class:`~repro.netlist.stamping.Stamper` interface.  Source *values* depend on
 the analysis (DC level, transient waveform), so a source's
 :class:`SourceValue` exposes ``dc``, ``value_at(t)`` and ``sample(times)``
-for the analyses to query while the topological stamp stays
-analysis-independent; small-signal transfers drive a source with a unit
-value and read none of it.
+for the analyses to query, and a source's stamp carries none of it (a
+voltage source stamps its branch incidence, a current source nothing);
+small-signal transfers drive a source with a unit value and read none of it.
 """
 
 from __future__ import annotations
@@ -229,10 +229,9 @@ class VoltageSource(TwoTerminal):
         return (self.name,)
 
     def stamp(self, stamper: Stamper) -> None:
-        # The topological stamp uses the DC value; analyses build the RHS
-        # entry for this branch with the value they need (unit drive, v(t)).
-        stamper.branch_voltage_source(self.name, self.node_p, self.node_n,
-                                      self.value.dc)
+        # Only the branch incidence: analyses build the RHS entry for this
+        # branch with the value they need (DC level, unit drive, v(t)).
+        stamper.branch_voltage_source(self.name, self.node_p, self.node_n)
 
 
 @dataclass
@@ -242,4 +241,5 @@ class CurrentSource(TwoTerminal):
     value: SourceValue = field(default_factory=SourceValue)
 
     def stamp(self, stamper: Stamper) -> None:
-        stamper.current(self.node_p, self.node_n, self.value.dc)
+        # Nothing reaches G or C; analyses build the RHS from the value.
+        pass

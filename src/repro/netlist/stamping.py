@@ -27,14 +27,17 @@ class Stamper(abc.ABC):
     * ``capacitance(a, b, c)`` adds a capacitance similarly; in AC analysis it
       contributes ``j*omega*c``, in transient a companion conductance.
     * ``current(a, b, i)`` injects a current ``i`` flowing *from node a to
-      node b* through the source (i.e. it is extracted from ``a`` and pushed
-      into ``b``).
+      node b* (i.e. it is extracted from ``a`` and pushed into ``b``).  Only
+      the Newton companion models of nonlinear devices call it; an
+      independent source's value never goes through the stamper (the
+      analyses build its right-hand side from
+      :func:`repro.simulator.mna.source_rows`).
     * ``vccs(p, n, cp, cn, gm)`` adds a transconductance: a current
       ``gm * (v_cp - v_cn)`` flowing from node ``p`` to node ``n``.
     * ``branch_*`` methods register contributions that need an extra MNA
       unknown (branch current): ideal voltage sources, inductors, VCVS.
       ``branch`` is an element-unique string key; the simulator allocates the
-      row/column.
+      row/column.  A voltage source stamps only its incidence, not its value.
     """
 
     @abc.abstractmethod
@@ -47,7 +50,7 @@ class Stamper(abc.ABC):
 
     @abc.abstractmethod
     def current(self, node_from: str, node_to: str, value: float) -> None:
-        """Add an independent current source from ``node_from`` to ``node_to``."""
+        """Add a companion current ``value`` from ``node_from`` to ``node_to``."""
 
     @abc.abstractmethod
     def vccs(self, node_p: str, node_n: str, ctrl_p: str, ctrl_n: str,
@@ -55,9 +58,9 @@ class Stamper(abc.ABC):
         """Add a voltage-controlled current source (transconductance)."""
 
     @abc.abstractmethod
-    def branch_voltage_source(self, branch: str, node_p: str, node_n: str,
-                              value: float) -> None:
-        """Add an ideal voltage source ``v(node_p) - v(node_n) = value``."""
+    def branch_voltage_source(self, branch: str, node_p: str,
+                              node_n: str) -> None:
+        """Add the incidence of an ideal voltage source across two nodes."""
 
     @abc.abstractmethod
     def branch_inductor(self, branch: str, node_p: str, node_n: str,

@@ -14,7 +14,8 @@ Two classes cooperate:
   -> row) derived once from the circuit.
 * :class:`MatrixStamper` — an implementation of the
   :class:`~repro.netlist.stamping.Stamper` interface that accumulates stamps
-  into ``G``, ``C`` and the right-hand side ``b`` using those index maps.
+  into ``G`` and ``C`` (and companion currents into a right-hand side) using
+  those index maps.
 
 The analyses assemble ``G`` and ``C`` in the format their solves route to
 (:meth:`MatrixStamper.conductance_system`): a dense array for systems of at
@@ -23,7 +24,8 @@ factorizes without any sparse format conversion, and CSR for SuperLU above.
 
 The linear part of a circuit — every element but the nonlinear devices —
 does not depend on the analysis, the operating point or the source values
-(a source's value reaches only the right-hand side).
+(a source stamps no value: every analysis builds the source right-hand side
+from :func:`source_rows`, scaled by the value it needs).
 :class:`LinearStamps` holds it compiled: the validated structure plus the
 assembled ``G`` and ``C`` of the linear elements.  Every analysis starts
 from one; DC Newton stamps only the nonlinear companion models on top of it
@@ -120,35 +122,26 @@ def source_rows(structure: MnaStructure,
     return [(row, sign) for row, sign in rows if row is not None]
 
 
-def _dense_from_triplets(rows, cols, vals, size: int) -> np.ndarray:
-    """The dense ``size x size`` matrix of COO triplets; duplicate entries
-    are summed in triplet order."""
-    if not len(vals):
-        return np.zeros((size, size))
-    flat = np.bincount(np.asarray(rows, dtype=np.intp) * size
-                       + np.asarray(cols, dtype=np.intp),
-                       weights=vals, minlength=size * size)
-    return flat.reshape(size, size)
-
-
-def _csr_from_triplets(rows, cols, vals, size: int) -> sp.csr_matrix:
-    """The CSR matrix of COO triplets (duplicates summed in conversion)."""
+def _system_from_triplets(rows, cols, vals,
+                          size: int) -> np.ndarray | sp.csr_matrix:
+    """The ``size x size`` matrix of COO triplets, duplicate entries summed:
+    dense (summed in triplet order) at or below the LAPACK cutoff, CSR
+    (summed in conversion) above it."""
+    if _solver.dense_kernel(size):
+        if not len(vals):
+            return np.zeros((size, size))
+        flat = np.bincount(np.asarray(rows, dtype=np.intp) * size
+                           + np.asarray(cols, dtype=np.intp),
+                           weights=vals, minlength=size * size)
+        return flat.reshape(size, size)
     if not len(vals):
         return sp.csr_matrix((size, size), dtype=float)
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size),
                          dtype=float).tocsr()
 
 
-def _system_from_triplets(rows, cols, vals,
-                          size: int) -> np.ndarray | sp.csr_matrix:
-    """Dense at or below the LAPACK cutoff, CSR above it."""
-    if _solver.dense_kernel(size):
-        return _dense_from_triplets(rows, cols, vals, size)
-    return _csr_from_triplets(rows, cols, vals, size)
-
-
 class TripletAccumulator:
-    """COO triplet lists for one sparse matrix being stamped.
+    """COO triplet lists for one matrix being stamped.
 
     Appending a triplet is O(1); the matrix is built once at the end
     (duplicate entries are summed during conversion), which makes stamping
@@ -168,15 +161,6 @@ class TripletAccumulator:
         self.cols.append(col)
         self.vals.append(value)
 
-    def tocsr(self) -> sp.csr_matrix:
-        return _csr_from_triplets(self.rows, self.cols, self.vals,
-                                  self.shape[0])
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix; duplicate entries are summed in stamp order."""
-        return _dense_from_triplets(self.rows, self.cols, self.vals,
-                                    self.shape[0])
-
     def assemble(self) -> np.ndarray | sp.csr_matrix:
         """Dense at or below the LAPACK cutoff, CSR above it."""
         return _system_from_triplets(self.rows, self.cols, self.vals,
@@ -184,8 +168,13 @@ class TripletAccumulator:
 
 
 class MatrixStamper(Stamper):
-    """Accumulates element stamps into COO triplets for ``G``, ``C`` and a
-    dense ``b``; the sparse matrices are assembled on demand."""
+    """Accumulates element stamps into COO triplets for ``G`` and ``C`` and
+    into a dense ``rhs``; the matrices are assembled on demand.
+
+    ``rhs`` holds only the :meth:`current` stamps of the Newton companion
+    models; no independent source writes into it (the analyses build a
+    source's right-hand side from :func:`source_rows`).
+    """
 
     def __init__(self, structure: MnaStructure):
         self.structure = structure
@@ -195,12 +184,6 @@ class MatrixStamper(Stamper):
         self.rhs = np.zeros(size, dtype=float)
 
     # -- matrix access ---------------------------------------------------------
-
-    def conductance_matrix(self) -> sp.csr_matrix:
-        return self._g.tocsr()
-
-    def capacitance_matrix(self) -> sp.csr_matrix:
-        return self._c.tocsr()
 
     def conductance_system(self) -> np.ndarray | sp.csr_matrix:
         """``G`` in the format its solves route to (dense or CSR by size)."""
@@ -254,8 +237,8 @@ class MatrixStamper(Stamper):
         self._add(self._g, n, cp, -gm)
         self._add(self._g, n, cn, gm)
 
-    def branch_voltage_source(self, branch: str, node_p: str, node_n: str,
-                              value: float) -> None:
+    def branch_voltage_source(self, branch: str, node_p: str,
+                              node_n: str) -> None:
         k = self.structure.branch_row(branch)
         p = self.structure.node_row(node_p)
         n = self.structure.node_row(node_n)
@@ -263,7 +246,6 @@ class MatrixStamper(Stamper):
         self._add(self._g, n, k, -1.0)
         self._add(self._g, k, p, 1.0)
         self._add(self._g, k, n, -1.0)
-        self._add_rhs(k, value)
 
     def branch_inductor(self, branch: str, node_p: str, node_n: str,
                         inductance: float) -> None:
@@ -454,7 +436,9 @@ class StampPattern:
 def _stamps_alike(compiled: Element, element: Element) -> bool:
     """Whether ``element`` stamps what ``compiled`` stamped into ``G``/``C``:
     the same object, or an independent source of the same kind, name and
-    nodes (a source's value reaches only the right-hand side)."""
+    nodes.  A source's stamp carries no value (its value reaches only the
+    right-hand sides built from :func:`source_rows`), so two such sources
+    stamp the same by construction."""
     return compiled is element or (
         isinstance(element, (VoltageSource, CurrentSource))
         and type(element) is type(compiled)

@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -272,13 +273,14 @@ def _read_config_data(path: Path) -> dict:
 def _axis_values(name: str, value) -> tuple[float, ...]:
     """An axis entry: an explicit list, or a log/linear range spec.
 
-    Integer values stay integers — mesh axes (``mesh_nx``, ...) and integer
-    layout fields feed APIs that require ints, and floats otherwise work the
-    same.
+    Listed values are kept as parsed (:class:`ParamSpace` requires each to
+    be a finite number), so integers stay integers — mesh axes
+    (``mesh_nx``, ...) and integer layout fields feed APIs that require
+    ints, and floats otherwise work the same.  A range's ``num`` must be an
+    integer of at least 1.
     """
     if isinstance(value, (list, tuple)):
-        return tuple(v if isinstance(v, int) and not isinstance(v, bool)
-                     else float(v) for v in value)
+        return tuple(value)
     if isinstance(value, dict):
         unknown = set(value) - {"start", "stop", "num", "spacing"}
         if unknown:
@@ -286,11 +288,16 @@ def _axis_values(name: str, value) -> tuple[float, ...]:
                 f"axis {name!r}: unknown range keys {sorted(unknown)}")
         try:
             start, stop = float(value["start"]), float(value["stop"])
-            num = int(value.get("num", 10))
         except (KeyError, TypeError, ValueError) as exc:
             raise AnalysisError(
-                f"axis {name!r}: a range needs numeric 'start', 'stop' "
-                "and 'num'") from exc
+                f"axis {name!r}: a range needs numeric 'start' and "
+                "'stop'") from exc
+        num = value.get("num", 10)
+        if (isinstance(num, bool) or not isinstance(num, numbers.Integral)
+                or num < 1):
+            raise AnalysisError(
+                f"axis {name!r}: a range's 'num' must be an integer >= 1, "
+                f"got {num!r}")
         spacing = value.get("spacing", "linear")
         if spacing == "log":
             if start <= 0 or stop <= 0:

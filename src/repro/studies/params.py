@@ -7,11 +7,11 @@ This module describes such a study *declaratively*:
 
 * :class:`ParamSpace` — named axes and their values, expanded into a full
   cartesian grid.
-* :class:`Campaign` — a parameter space bound to a concrete test chip
-  (a base :class:`~repro.layout.testchips.VcoLayoutSpec`, experiment options
-  and a cell builder), resolved into layout *variants* (points that require
-  their own extraction) times simulation points (points that reuse the same
-  extracted model).
+* :class:`Campaign` — a parameter space bound to the VCO test chip
+  (a base :class:`~repro.layout.testchips.VcoLayoutSpec` and experiment
+  options), resolved into layout *variants* (points that require their own
+  extraction) times simulation points (points that reuse the same extracted
+  model).
 
 Axis names fall into three groups:
 
@@ -33,8 +33,10 @@ campaign is "options plus the axes you want to sweep".
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ..core.flow import FlowOptions
 from ..errors import AnalysisError
@@ -70,6 +72,7 @@ class ParamSpace:
 
     ``axes`` maps an axis name to the tuple of values it takes; insertion
     order is the nesting order of the grid (last axis varies fastest).
+    Every value must be a finite number (a bool is not one).
     """
 
     axes: Mapping[str, tuple[float, ...]]
@@ -86,6 +89,13 @@ class ParamSpace:
             values = tuple(values)
             if not values:
                 raise AnalysisError(f"sweep axis {name!r} has no values")
+            for value in values:
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Real)
+                        or not math.isfinite(value)):
+                    raise AnalysisError(
+                        f"sweep axis {name!r}: every value must be a finite "
+                        f"number, got {value!r}")
             normalized[name] = values
         object.__setattr__(self, "axes", normalized)
 
@@ -144,8 +154,6 @@ class Campaign:
     base_spec: VcoLayoutSpec = field(default_factory=VcoLayoutSpec)
     #: experiment options supplying defaults for axes that are not swept
     options: "VcoExperimentOptions | None" = None
-    #: builds the layout cell of a variant (module-level, hence picklable)
-    cell_builder: Callable[[VcoLayoutSpec], Cell] = make_vco_testchip
 
     def __post_init__(self) -> None:
         if self.options is None:
@@ -188,7 +196,7 @@ class Campaign:
         return variants
 
     def build_cell(self, variant: LayoutVariant) -> Cell:
-        return self.cell_builder(variant.spec)
+        return make_vco_testchip(variant.spec)
 
     def sim_grid(self) -> tuple[tuple[float, ...], tuple[float, ...],
                                 tuple[float, ...]]:
@@ -225,10 +233,7 @@ class Campaign:
 
         Two campaigns with the same axes, base spec and experiment options
         fingerprint identically whichever process built them; persisted
-        results record it so a ``resume`` can refuse to mix campaigns.  The
-        ``cell_builder`` callable is deliberately excluded (callables have no
-        stable content hash) — campaigns with custom builders should use
-        distinct names.
+        results record it so a ``resume`` can refuse to mix campaigns.
         """
         from .cache import fingerprint as content_fingerprint
 

@@ -75,12 +75,19 @@ def result_paths(path: str | Path) -> tuple[Path, Path]:
     return path, path.with_name(path.name[: -len(".npz")] + ".meta.json")
 
 
-def git_sha(cwd: str | Path | None = None) -> str | None:
-    """HEAD commit of the enclosing git checkout, or ``None`` outside one."""
+def git_sha() -> str | None:
+    """HEAD commit of the git checkout that holds the ``repro`` package, or
+    ``None`` when it is not in one.
+
+    Git runs in the package's own directory, not the caller's working
+    directory: a result saved from inside another checkout must not record
+    that checkout's HEAD.
+    """
+    package_dir = Path(__file__).resolve().parents[1]
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=10, check=False)
+            cwd=package_dir, capture_output=True, text=True, timeout=10, check=False)
     except (OSError, subprocess.SubprocessError):
         return None
     sha = proc.stdout.strip()

@@ -516,8 +516,7 @@ class SweepRunner:
             root_span = trace_span("campaign.run", campaign=campaign.name)
             root_span.__enter__()
         try:
-            result = self._run(campaign, resume_from, checkpoint, observer,
-                               trace_mark)
+            result = self._run(campaign, resume_from, checkpoint, observer)
         except BaseException:
             if root_span is not None:
                 root_span.__exit__(None, None, None)
@@ -526,10 +525,9 @@ class SweepRunner:
             raise
         if root_span is not None:
             root_span.__exit__(None, None, None)
-            if result.telemetry is not None:
-                # Re-aggregate now that the root span itself is recorded.
-                result.telemetry["spans"] = span_aggregates(
-                    tracer.spans_since(trace_mark))
+            # Aggregated once the root span itself is recorded.
+            result.telemetry["spans"] = span_aggregates(
+                tracer.spans_since(trace_mark))
         if observer is not None:
             observer.campaign_finished(result)
         return result
@@ -537,8 +535,7 @@ class SweepRunner:
     def _run(self, campaign: Campaign,
              resume_from: SweepResult | None,
              checkpoint: CheckpointPolicy | None,
-             observer: "CampaignObserver | None",
-             trace_mark: int) -> SweepResult:
+             observer: "CampaignObserver | None") -> SweepResult:
         start = time.perf_counter()
         hits_before = self.cache.hits
         misses_before = self.cache.misses
@@ -645,8 +642,7 @@ class SweepRunner:
                       for item_id in corner_ids],
             pool_rebuilds=pool_rebuilds,
             substrate_reuses=sum(1 for key in plan.leaders
-                                 if key in plan.resolved),
-            trace_mark=trace_mark)
+                                 if key in plan.resolved))
         # Tasks run in point order, so their blocks concatenate in order.
         # Fresh flows arrived through the plan after the tasks were built
         # (flows of variants that failed to extract stay None).
@@ -735,8 +731,7 @@ class SweepRunner:
                          successes: list[TaskOutcome],
                          attempts: list[int],
                          pool_rebuilds: int,
-                         substrate_reuses: int,
-                         trace_mark: int) -> dict:
+                         substrate_reuses: int) -> dict:
         """Per-run metrics: ``{"counters", "gauges", "histograms"}``.
 
         Every number is a delta of *this* run, not a process-lifetime
@@ -772,11 +767,7 @@ class SweepRunner:
             histograms["campaign.corner_seconds"] = {
                 "count": len(seconds), "sum": total, "min": min(seconds),
                 "max": max(seconds), "mean": total / len(seconds)}
-        telemetry: dict = {"metrics": {
+        return {"metrics": {
             "counters": dict(sorted(counters.items())),
             "gauges": {},
             "histograms": histograms}}
-        if tracer.enabled:
-            telemetry["spans"] = span_aggregates(
-                tracer.spans_since(trace_mark))
-        return telemetry

@@ -103,7 +103,6 @@ def test_digital_switching_noise_properties():
     samples = noise.samples(times)
     assert np.max(np.abs(samples)) <= noise.pulse_amplitude + 1e-12
     assert np.max(np.abs(samples)) > 0
-    assert noise.fundamental_amplitude() > 0
     value = noise.source_value()
     assert value.waveform is not None
     assert value.value_at(0.0) == pytest.approx(float(samples[0]), abs=1e-6)

@@ -20,8 +20,7 @@ from repro.simulator import dc_operating_point, transfer_function
 def test_wire_rc_validation():
     with pytest.raises(ExtractionError):
         WireRC("w", "a", "b", resistance=-1.0, capacitance=0.0)
-    wire = WireRC("w", "a", "b", resistance=10.0, capacitance=20e-15)
-    assert wire.rc_time_constant == pytest.approx(200e-15)
+    WireRC("w", "a", "b", resistance=10.0, capacitance=20e-15)
 
 
 def test_wire_pi_model_elements():
@@ -39,31 +38,6 @@ def test_wire_pi_model_same_node_skips_resistor():
     wire.add_pi_model(circuit, substrate_node="sub")
     assert "Rw_x" not in circuit
     assert circuit["Cw_x_a"].capacitance == pytest.approx(10e-15)
-
-
-def test_wire_ladder_model_matches_lumped_at_low_frequency():
-    """A 5-segment RC ladder and the lumped pi model agree well below 1/RC."""
-    wire = WireRC("w", "in", "out", resistance=20.0, capacitance=100e-15)
-
-    def transfer(builder) -> complex:
-        circuit = Circuit("t")
-        circuit.add_voltage_source("V1", "in", "0", SourceValue())
-        builder(circuit)
-        circuit.add_resistor("RL", "out", "0", 1e6)
-        return transfer_function(circuit, "V1", ["out"], [10e6]).at("out", 10e6)
-
-    lumped = transfer(lambda c: wire.add_pi_model(c, substrate_node="0"))
-    ladder = transfer(lambda c: wire.add_ladder_model(c, "0", segments=5))
-    assert abs(lumped) == pytest.approx(abs(ladder), rel=1e-3)
-
-
-def test_wire_ladder_validation():
-    wire = WireRC("w", "a", "a", resistance=1.0, capacitance=1e-15)
-    with pytest.raises(ExtractionError):
-        wire.add_ladder_model(Circuit("t"), "0", segments=3)
-    wire2 = WireRC("w", "a", "b", resistance=1.0, capacitance=1e-15)
-    with pytest.raises(ExtractionError):
-        wire2.add_ladder_model(Circuit("t"), "0", segments=0)
 
 
 # -- extraction ----------------------------------------------------------------------------
@@ -101,18 +75,6 @@ def test_resistance_between_unknown_nodes(technology):
     extraction = extract_interconnect(cell, technology)
     with pytest.raises(ExtractionError):
         extraction.resistance_between("A", "Z")
-
-
-def test_scaled_extraction(technology):
-    cell = Cell("wire_test")
-    draw_wire(cell, "M1", [(0.0, 0.0), (100e-6, 0.0)], 1e-6, net="N",
-              nodes=("A", "B"))
-    extraction = extract_interconnect(cell, technology)
-    halved = extraction.scaled("A", "B", 0.5)
-    assert halved.resistance_between("A", "B") == pytest.approx(
-        extraction.resistance_between("A", "B") / 2)
-    with pytest.raises(ExtractionError):
-        extraction.scaled("A", "B", 0.0)
 
 
 def test_nmos_structure_ground_wire_extraction(nmos_flow):

@@ -360,15 +360,15 @@ def test_mna_analyses_keep_the_colamd_path(monkeypatch):
         structure = MnaStructure.from_circuit(circuit)
         assert (structure.size <= DENSE_MAX_SIZE) == dense
         stamper = stamp_linear_elements(circuit, structure)
-        g = add_gmin_diagonal(stamper.conductance_matrix(),
+        g = add_gmin_diagonal(stamper.conductance_system(),
                               structure.n_nodes, 1e-12)
-        c = stamper.capacitance_matrix()
+        c = stamper.capacitance_system()
         rhs = np.zeros(structure.size)
         rhs[structure.branch_row("V1")] = 1.0
 
         def reference(matrix, rhs):
             if dense:
-                return _lapack_solve(matrix.toarray(), rhs)
+                return _lapack_solve(matrix, rhs)
             return spla.splu(matrix.tocsc()).solve(rhs)
 
         before = solver_stats.snapshot()

@@ -1,9 +1,8 @@
-"""Netlist elements, circuit container and subcircuits."""
+"""Netlist elements and the circuit container."""
 
 
 import pytest
 
-from repro.devices.varactor import AccumulationModeVaractor
 from repro.errors import NetlistError
 from repro.netlist import (
     GROUND,
@@ -13,7 +12,6 @@ from repro.netlist import (
     MosfetElement,
     Resistor,
     SourceValue,
-    Subcircuit,
     vectorized_waveform,
 )
 from repro.technology import make_technology
@@ -148,16 +146,6 @@ def test_circuit_validation():
     circuit.validate()
 
 
-def test_floating_nodes_detection():
-    circuit = Circuit("t")
-    circuit.add_voltage_source("V1", "in", "0", 1.0)
-    circuit.add_resistor("R1", "in", "mid", 1e3)
-    circuit.add_capacitor("C1", "mid", "float", 1e-12)
-    floating = circuit.floating_nodes()
-    assert "float" in floating
-    assert "mid" not in floating
-
-
 def test_with_sources_shares_elements_and_copies_sources():
     circuit = Circuit("t")
     circuit.add_voltage_source("V1", "a", "0", 1.0)
@@ -187,76 +175,3 @@ def test_circuit_merge_with_prefix():
     assert len(a) == 2
     # Node names are shared (that is how models connect).
     assert set(a.nodes()) == {"x", "y"}
-
-
-def test_circuit_summary_counts():
-    circuit = Circuit("t")
-    circuit.add_resistor("R1", "a", "0", 1.0)
-    circuit.add_resistor("R2", "a", "0", 1.0)
-    circuit.add_capacitor("C1", "a", "0", 1e-12)
-    summary = circuit.summary()
-    assert summary["Resistor"] == 2
-    assert summary["Capacitor"] == 1
-
-
-def test_elements_at_node():
-    circuit = Circuit("t")
-    circuit.add_resistor("R1", "a", "0", 1.0)
-    circuit.add_resistor("R2", "b", "0", 1.0)
-    assert {e.name for e in circuit.elements_at_node("a")} == {"R1"}
-
-
-# -- subcircuits ------------------------------------------------------------------------------
-
-
-def _divider_subckt() -> Subcircuit:
-    template = Circuit("divider")
-    template.add_resistor("Rtop", "in", "out", 1e3)
-    template.add_resistor("Rbot", "out", GROUND, 1e3)
-    return Subcircuit(name="divider", ports=("in", "out"), circuit=template)
-
-
-def test_subcircuit_port_validation():
-    template = Circuit("t")
-    template.add_resistor("R1", "a", "0", 1.0)
-    with pytest.raises(NetlistError):
-        Subcircuit(name="bad", ports=("missing",), circuit=template)
-    with pytest.raises(NetlistError):
-        Subcircuit(name="bad", ports=("a", "a"), circuit=template)
-
-
-def test_subcircuit_instantiation_flattens():
-    parent = Circuit("top")
-    parent.add_voltage_source("V1", "vin", "0", 1.0)
-    sub = _divider_subckt()
-    sub.instantiate(parent, "X1", {"in": "vin", "out": "vmid"})
-    sub.instantiate(parent, "X2", {"in": "vmid", "out": "vout"})
-    assert "X1.Rtop" in parent and "X2.Rbot" in parent
-    assert "vmid" in parent.nodes() and "vout" in parent.nodes()
-
-    from repro.simulator import dc_operating_point
-    solution = dc_operating_point(parent)
-    assert solution.voltage("vmid") == pytest.approx(0.4, rel=1e-6)
-    assert solution.voltage("vout") == pytest.approx(0.2, rel=1e-6)
-
-
-def test_subcircuit_connection_errors():
-    parent = Circuit("top")
-    sub = _divider_subckt()
-    with pytest.raises(NetlistError):
-        sub.instantiate(parent, "X1", {"in": "a"})                 # missing port
-    with pytest.raises(NetlistError):
-        sub.instantiate(parent, "X2", {"in": "a", "out": "b", "zz": "c"})
-
-
-def test_subcircuit_varactor_remap():
-    template = Circuit("var")
-    model = AccumulationModeVaractor(cmin=1e-12, cmax=2e-12)
-    template.add_varactor("CV", "p", "w", model)
-    template.add_resistor("R", "p", GROUND, 1.0)
-    sub = Subcircuit(name="var", ports=("p",), circuit=template)
-    parent = Circuit("top")
-    sub.instantiate(parent, "X1", {"p": "tank"})
-    varactor = parent["X1.CV"]
-    assert varactor.gate == "tank"
-    assert varactor.well == "X1.w"

@@ -197,8 +197,8 @@ def test_telemetry_counters_follow_the_stat_records(technology):
     metrics = runner._build_telemetry(
         spent=spent, cache_hits=3, cache_misses=0,
         degradations={"fallbacks": 5, "dc_gmin_steps": 0}, successes=[],
-        attempts=[1, 2, 0], pool_rebuilds=0, substrate_reuses=0,
-        trace_mark=0)["metrics"]
+        attempts=[1, 2, 0], pool_rebuilds=0,
+        substrate_reuses=0)["metrics"]
     assert metrics == {
         "counters": {"cache.hits": 3,
                      "campaign.retries": 1,

@@ -233,7 +233,7 @@ def test_stamp_pattern_rejects_a_changed_call_sequence():
                                           stamper.current("a", "0", 1.0)])
     with pytest.raises(SimulationError, match="node stamps only"):
         StampPattern.record(structure, lambda stamper:
-                            stamper.branch_voltage_source("V", "a", "0", 1.0))
+                            stamper.branch_voltage_source("V", "a", "0"))
 
 
 def _loop_spurs(entries, carrier_amplitude, noise_amplitude, frequency):

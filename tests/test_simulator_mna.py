@@ -16,6 +16,7 @@ from repro.simulator.mna import (
     LinearStamps,
     MnaStructure,
     SolutionView,
+    source_rows,
     stamp_linear_elements,
 )
 
@@ -42,7 +43,7 @@ def test_resistor_stamp_symmetry():
     circuit.add_resistor("R1", "a", "b", 2.0)
     circuit.add_resistor("R2", "b", "0", 2.0)
     stamper = stamp_linear_elements(circuit)
-    g = stamper.conductance_matrix().toarray()
+    g = stamper.conductance_system()
     assert np.allclose(g, g.T)
     assert g[0, 0] == pytest.approx(0.5)
     assert g[1, 1] == pytest.approx(1.0)
@@ -54,7 +55,7 @@ def test_capacitor_stamps_into_c_matrix():
     circuit.add_capacitor("C1", "a", "0", 1e-12)
     circuit.add_resistor("R1", "a", "0", 1.0)
     stamper = stamp_linear_elements(circuit)
-    c = stamper.capacitance_matrix().toarray()
+    c = stamper.capacitance_system()
     assert c[0, 0] == pytest.approx(1e-12)
 
 
@@ -64,7 +65,7 @@ def test_vccs_stamp_pattern():
     circuit.add_resistor("Rout", "p", "0", 1.0)
     circuit.add_vccs("G1", "p", "0", "cp", "0", gm=5e-3)
     stamper = stamp_linear_elements(circuit)
-    g = stamper.conductance_matrix().toarray()
+    g = stamper.conductance_system()
     structure = stamper.structure
     row_p = structure.node_row("p")
     col_cp = structure.node_row("cp")
@@ -72,16 +73,19 @@ def test_vccs_stamp_pattern():
 
 
 def test_voltage_source_branch_and_rhs():
+    # The source stamps its branch incidence only; its value reaches the
+    # right-hand side through source_rows, never through the stamper.
     circuit = Circuit("t")
     circuit.add_voltage_source("V1", "in", "0", 3.3)
     circuit.add_resistor("R1", "in", "0", 1.0)
     stamper = stamp_linear_elements(circuit)
     structure = stamper.structure
     k = structure.branch_row("V1")
-    g = stamper.conductance_matrix().toarray()
+    g = stamper.conductance_system()
     assert g[structure.node_row("in"), k] == pytest.approx(1.0)
     assert g[k, structure.node_row("in")] == pytest.approx(1.0)
-    assert stamper.rhs[k] == pytest.approx(3.3)
+    assert not stamper.rhs.any()
+    assert source_rows(structure, circuit["V1"]) == [(k, 1.0)]
 
 
 def test_inductor_branch_stamp():
@@ -91,7 +95,7 @@ def test_inductor_branch_stamp():
     stamper = stamp_linear_elements(circuit)
     structure = stamper.structure
     k = structure.branch_row("L1")
-    c = stamper.capacitance_matrix().toarray()
+    c = stamper.capacitance_system()
     assert c[k, k] == pytest.approx(-2e-9)
 
 
@@ -101,7 +105,36 @@ def test_current_source_rhs_sign():
     circuit.add_current_source("I1", "0", "a", 1e-3)   # pushes current into a
     stamper = stamp_linear_elements(circuit)
     row = stamper.structure.node_row("a")
-    assert stamper.rhs[row] == pytest.approx(1e-3)
+    assert not stamper.rhs.any()
+    assert source_rows(stamper.structure, circuit["I1"]) == [(row, 1.0)]
+
+
+def test_sources_stamp_no_value():
+    """Independent sources reach G only through a voltage source's branch
+    incidence and the right-hand side only through source_rows: stamping
+    leaves the stamper's rhs all zero, whatever the source values."""
+    circuit = Circuit("t")
+    circuit.add_voltage_source("V1", "in", "0", 3.3)
+    circuit.add_resistor("R1", "in", "a", 1.0)
+    circuit.add_resistor("R2", "a", "b", 1.0)
+    circuit.add_resistor("R3", "b", "0", 1.0)
+    circuit.add_current_source("I1", "a", "b", 2e-3)
+    stamper = stamp_linear_elements(circuit)
+    structure = stamper.structure
+    assert stamper.rhs.shape == (structure.size,)
+    assert not stamper.rhs.any()
+    assert source_rows(structure, circuit["V1"]) == [
+        (structure.branch_row("V1"), 1.0)]
+    assert source_rows(structure, circuit["I1"]) == [
+        (structure.node_row("a"), -1.0), (structure.node_row("b"), 1.0)]
+    # The value never reaches G or C either: a re-driven copy stamps the
+    # same matrices.
+    driven = stamp_linear_elements(circuit.with_sources({"V1": -1.0,
+                                                         "I1": 5.0}))
+    np.testing.assert_array_equal(driven.conductance_system(),
+                                  stamper.conductance_system())
+    np.testing.assert_array_equal(driven.capacitance_system(),
+                                  stamper.capacitance_system())
 
 
 def test_solve_sparse_rejects_singular():
@@ -138,7 +171,7 @@ def test_resistive_ladder_matrix_properties(values):
         circuit.add_resistor(f"R{index}", previous, node, resistance)
         previous = node
     stamper = stamp_linear_elements(circuit)
-    g = stamper.conductance_matrix().toarray()
+    g = stamper.conductance_system()
     assert np.allclose(g, g.T)
     off_diagonal = g - np.diag(np.diag(g))
     assert np.all(off_diagonal <= 1e-15)

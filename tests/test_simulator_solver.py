@@ -126,11 +126,11 @@ def test_dc_equivalent_to_direct_spsolve():
 
     structure = MnaStructure.from_circuit(circuit)
     stamper = stamp_linear_elements(circuit, structure)
-    matrix = add_gmin_diagonal(stamper.conductance_matrix(),
+    matrix = add_gmin_diagonal(stamper.conductance_system(),
                                structure.n_nodes, 1e-12)
     rhs = np.zeros(structure.size)
     rhs[structure.branch_row("V1")] = 1.0
-    direct = spla.spsolve(matrix.tocsc(), rhs)
+    direct = spla.spsolve(sp.csc_matrix(matrix), rhs)
     assert np.allclose(solution.vector, direct, atol=ATOL)
 
 
@@ -142,12 +142,12 @@ def test_ac_equivalent_to_direct_spsolve():
 
     structure = MnaStructure.from_circuit(circuit)
     stamper = stamp_linear_elements(circuit, structure)
-    g = add_gmin_diagonal(stamper.conductance_matrix(), structure.n_nodes, 1e-12)
-    c = stamper.capacitance_matrix()
+    g = add_gmin_diagonal(stamper.conductance_system(), structure.n_nodes, 1e-12)
+    c = stamper.capacitance_system()
     rhs = np.zeros(structure.size, dtype=complex)
     rhs[structure.branch_row("V1")] = 1.0
     for index, frequency in enumerate(frequencies):
-        matrix = (g + 2j * np.pi * frequency * c).tocsc()
+        matrix = sp.csc_matrix(g + 2j * np.pi * frequency * c)
         direct = spla.spsolve(matrix, rhs)
         for node in nodes:
             assert np.allclose(tf.transfers[node][index],
@@ -161,9 +161,9 @@ def test_linear_transient_equivalent_to_direct_spsolve():
 
     structure = MnaStructure.from_circuit(circuit)
     stamper = stamp_linear_elements(circuit, structure)
-    g = add_gmin_diagonal(stamper.conductance_matrix(), structure.n_nodes, 1e-12)
-    c = stamper.capacitance_matrix()
-    lhs = (g + c / timestep).tocsc()
+    g = add_gmin_diagonal(stamper.conductance_system(), structure.n_nodes, 1e-12)
+    c = stamper.capacitance_system()
+    lhs = sp.csc_matrix(g + c / timestep)
     rhs_template = np.zeros(structure.size)
     rhs_template[structure.branch_row("V1")] = 1.0
 
@@ -301,12 +301,13 @@ def test_solve_sparse_names_floating_node():
     structure = MnaStructure.from_circuit(circuit)
     stamper = stamp_linear_elements(circuit, structure)
     # A matrix with an all-zero row (simulating a floating node) must name it.
-    matrix = stamper.conductance_matrix().tolil()
+    matrix = sp.lil_matrix(stamper.conductance_system())
     row = structure.node_row("a")
     matrix[row, :] = 0.0
     matrix[:, row] = 0.0
     with pytest.raises(SimulationError, match="node 'a'"):
-        LinearSolver().solve(matrix.tocsr(), stamper.rhs, structure=structure)
+        LinearSolver().solve(matrix.tocsr(), np.zeros(structure.size),
+                             structure=structure)
 
 
 def test_solve_sparse_empty_and_nonsquare():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, SimulationError
-from repro.studies import SweepResult
+from repro.studies import SweepResult, SweepRunner
 from repro.studies.cli import load_campaign_config, main
 
 try:
@@ -220,6 +220,30 @@ def test_cli_rejects_bad_execution_values(tmp_path, capsys, table, field):
     assert main(["run", str(path), "--result",
                  str(tmp_path / "bad.npz")]) == 2
     assert f"[execution] {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, entry", [
+    ("noise_frequency", {"start": 1e6, "stop": 9e6, "num": -3}),
+    ("noise_frequency", {"start": 1e6, "stop": 9e6, "num": 2.7}),
+    ("vtune", ["a"]),
+    ("noise_frequency", {"start": float("nan"), "stop": 9e6, "num": 3}),
+    ("vtune", [float("nan")]),
+], ids=["num-negative", "num-fraction", "vtune-string", "start-nan",
+        "vtune-nan"])
+def test_cli_rejects_bad_axis_values_before_extracting(
+        tmp_path, capsys, monkeypatch, axis, entry):
+    # A bad axis is a named config error (exit 2) at load time: no numpy
+    # traceback, no silently truncated range, no extraction first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(SweepRunner, "run", refuse)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(dict(
+        TINY_CONFIG, axes=dict(TINY_CONFIG["axes"], **{axis: entry}))))
+    assert main(["run", str(path), "--result",
+                 str(tmp_path / "bad.npz")]) == 2
+    assert f"axis {axis!r}" in capsys.readouterr().err
 
 
 def test_solver_table_changes_campaign_fingerprint(tmp_path):

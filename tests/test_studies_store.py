@@ -18,10 +18,12 @@ Covers the acceptance invariants of the persistent campaign store:
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pickle
 import shutil
 import stat
+import subprocess
 import time
 from pathlib import Path
 
@@ -283,6 +285,29 @@ def test_save_load_round_trip_is_bit_identical(store_campaign, tmp_path,
     assert [v.cache_key for v in loaded.variants] == \
         [v.cache_key for v in result.variants]
     assert all(v.flow is None for v in loaded.variants)
+
+
+def test_sidecar_git_sha_ignores_the_working_directory(
+        tmp_path, monkeypatch, reference_result):
+    # Saving from inside another git checkout must not record that
+    # checkout's HEAD: the sha names the repro package's own checkout.
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    other = tmp_path / "other_repo"
+    other.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=other, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit",
+        "-q", "--allow-empty", "-m", "init")
+    other_head = git("rev-parse", "HEAD")
+    monkeypatch.chdir(other)
+    result, _ = reference_result
+    _npz_path, meta_path = result.save(other / "sweep.npz")
+    assert json.loads(meta_path.read_text())["git_sha"] != other_head
 
 
 def test_written_files_take_the_umask_default_mode(tmp_path,
