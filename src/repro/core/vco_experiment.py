@@ -244,6 +244,7 @@ class VcoImpactAnalysis:
                                               options=self.options.flow)
         self.flow = flow_result
         self._operating_points: dict[float, DcSolution] = {}
+        self._junction_cache: tuple[DcSolution | None, dict] = (None, {})
         # One solver instance for every analysis of this object.
         self.solver = LinearSolver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
@@ -313,6 +314,24 @@ class VcoImpactAnalysis:
         total += self.flow.interconnect.total_capacitance_of(NET_TANK_P)
         return total
 
+    def _junction_sensitivities(self, op: DcSolution) -> dict[str, float]:
+        """dC/dV of every NMOS's junction capacitance at ``op`` (F/V), the
+        cross-coupled pair first.
+
+        :meth:`vco_model` and :meth:`entry_catalog` both read them; the
+        last operating point's are kept, so a corner evaluates each once.
+        """
+        cached_op, sensitivities = self._junction_cache
+        if cached_op is not op:
+            sensitivities = {}
+            for name in CROSS_COUPLED_NMOS + (TAIL_NMOS,):
+                point = op.operating_point_of(name)
+                sensitivities[name] = junction_capacitance_sensitivity(
+                    self.flow.devices.mosfets[name].model,
+                    point.vgs, point.vds, point.vbs)
+            self._junction_cache = (op, sensitivities)
+        return sensitivities
+
     def vco_model(self, operating_point: DcSolution) -> LcTankVco:
         """Build the analytical VCO model at a solved operating point."""
         inductor_model = self.flow.devices.inductors["L_tank"]
@@ -320,13 +339,9 @@ class VcoImpactAnalysis:
         tail_op = operating_point.operating_point_of(TAIL_NMOS)
         tank_cm = 0.5 * (operating_point.voltage(NET_TANK_P)
                          + operating_point.voltage(NET_TANK_N))
-        ground_sensitivity = sum(
-            junction_capacitance_sensitivity(
-                self.flow.devices.mosfets[name].model,
-                operating_point.operating_point_of(name).vgs,
-                operating_point.operating_point_of(name).vds,
-                operating_point.operating_point_of(name).vbs)
-            for name in CROSS_COUPLED_NMOS)
+        sensitivities = self._junction_sensitivities(operating_point)
+        ground_sensitivity = sum(sensitivities[name]
+                                 for name in CROSS_COUPLED_NMOS)
         ground_referenced_cap = sum(
             operating_point.operating_point_of(name).cdb
             + operating_point.operating_point_of(name).csb
@@ -354,14 +369,8 @@ class VcoImpactAnalysis:
         # *beyond* the local ground bounce (which is already counted by the
         # ground-interconnect entry), so its reference is the ground ring.
         sources = {name: NET_GROUND_RING for name in nmos_names}
-        op = self._operating_points[vtune]
-        junction_sensitivities = {
-            name: junction_capacitance_sensitivity(
-                self.flow.devices.mosfets[name].model,
-                op.operating_point_of(name).vgs,
-                op.operating_point_of(name).vds,
-                op.operating_point_of(name).vbs)
-            for name in nmos_names}
+        junction_sensitivities = self._junction_sensitivities(
+            self._operating_points[vtune])
 
         pmos_ports = [p for p in self.flow.substrate.ports
                       if p.kind.value == "well" and p.device

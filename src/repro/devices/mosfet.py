@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import NetlistError
 from ..technology.process import MosParameters
@@ -67,9 +68,9 @@ class MosfetGeometry:
         return 2.0 * (self.width + self.source_extension)
 
 
-@dataclass(frozen=True)
-class MosfetOperatingPoint:
-    """Operating-point values of a MOSFET at a given bias."""
+class MosfetOperatingPoint(NamedTuple):
+    """Operating-point values of a MOSFET at a given bias (an immutable
+    record: the DC Newton loop builds one per device per iteration)."""
 
     ids: float          #: drain current (A), positive into the drain for NMOS
     gm: float           #: gate transconductance d(Ids)/d(Vgs) [S]

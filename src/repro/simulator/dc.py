@@ -37,8 +37,19 @@ Newton solve adds the gmin shunt to it once (dense for small systems, see
 companion stamps.  Those are scattered through an index pattern compiled
 once per ``LinearStamps`` from the elements' own ``stamp_companion``
 calls (:class:`~repro.simulator.mna.StampPattern`), so no iteration
-rebuilds a stamper or looks up a node.  The whole analysis runs under one
-``sim.dc`` span carrying ``iterations`` and ``strategy``.
+rebuilds a stamper or looks up a node.  The nonlinear elements themselves
+are read from the compiled stamps, not filtered out of the circuit.
+
+The first plain-Newton iteration depends on the start vector ``x0`` and
+the gmin only, apart from the source right-hand side: its Jacobian
+``G + gmin + companion_G(x0)`` and companion right-hand side are compiled
+on the ``LinearStamps`` as a :class:`~repro.simulator.mna.NewtonStart`
+(one entry, keyed on the bytes of ``x0`` and the gmin).  A caller that
+starts many corners from one reference point pays one back-substitution
+for that iteration; LAPACK sees the same matrix and right-hand side as a
+fresh solve, so the iterate is bit-identical, and it counts the same one
+solve.  The ladder rungs never read it.  The whole analysis runs under
+one ``sim.dc`` span carrying ``iterations`` and ``strategy``.
 
 A :class:`DcSolution` builds its node-voltage map once and evaluates each
 nonlinear device's operating point at most once, however often
@@ -58,7 +69,13 @@ from ..netlist.circuit import Circuit
 from ..netlist.devices import NonlinearElement
 from ..obs import trace_span
 from .linalg import LinearSolver
-from .mna import LinearStamps, MnaStructure, SolutionView, source_rows
+from .mna import (
+    LinearStamps,
+    MnaStructure,
+    NewtonStart,
+    SolutionView,
+    source_rows,
+)
 from .solver import add_gmin_diagonal, stats
 
 
@@ -139,57 +156,46 @@ class DcOptions:
                     f"{value!r}")
 
 
-def _source_rhs(circuit: Circuit, structure: MnaStructure,
+def _source_rhs(circuit: Circuit, linear: LinearStamps,
                 scale: float = 1.0) -> np.ndarray:
-    """The RHS holding the (possibly scaled) DC source values."""
+    """The RHS holding the (possibly scaled) DC values of the circuit's
+    sources, on the rows of the compiled ones."""
+    structure = linear.structure
     rhs = np.zeros(structure.size)
-    for element in circuit.sources():
-        for row, sign in source_rows(structure, element):
-            rhs[row] += sign * scale * element.value.dc
+    for compiled in linear.sources:
+        value = circuit[compiled.name].value.dc
+        for row, sign in source_rows(structure, compiled):
+            rhs[row] += sign * scale * value
     return rhs
-
-
-def _companion_system(linear: LinearStamps, nonlinear: list,
-                      voltages: dict[str, float]):
-    """The companion ``G`` and right-hand side of one Newton iteration.
-
-    The elements' companion stamps are scattered through the pattern
-    compiled from them once (:meth:`LinearStamps.companion_pattern`), which
-    gives what a fresh :class:`~repro.simulator.mna.MatrixStamper` would,
-    bit for bit.
-    """
-    pattern = linear.companion_pattern()
-
-    def stamp(stamper):
-        for element in nonlinear:
-            element.stamp_companion(stamper, voltages)
-
-    values = pattern.evaluate(stamp)
-    return pattern.conductance(values), pattern.rhs(values)
 
 
 def _newton_solve(circuit: Circuit, linear: LinearStamps,
                   jacobian, options: DcOptions,
                   initial: np.ndarray, source_scale: float,
-                  solver: LinearSolver) -> tuple[np.ndarray, int]:
+                  solver: LinearSolver,
+                  start: NewtonStart | None = None) -> tuple[np.ndarray, int]:
     """Newton iteration at a fixed source scaling; returns (solution, iterations).
 
     ``jacobian`` is the linear part of the Jacobian with the gmin shunt
-    already added; each iteration adds only the companion stamps.
+    already added; each iteration adds only the companion stamps.  A
+    ``start`` compiled for ``initial`` and this gmin takes the first
+    iteration as one back-substitution.
     """
     structure = linear.structure
     x = initial.copy()
-    nonlinear = circuit.nonlinear_elements()
     n_nodes = structure.n_nodes
-    source_rhs = _source_rhs(circuit, structure, scale=source_scale)
+    source_rhs = _source_rhs(circuit, linear, scale=source_scale)
 
     for iteration in range(1, options.max_iterations + 1):
-        voltages = {name: float(x[row])
-                    for name, row in structure.node_index.items()}
-        companion_g, companion_rhs = _companion_system(linear, nonlinear,
-                                                       voltages)
-        x_new = solver.solve(jacobian + companion_g,
-                             source_rhs + companion_rhs, structure=structure)
+        if iteration == 1 and start is not None:
+            x_new = start.step(source_rhs)
+        else:
+            voltages = {name: float(x[row])
+                        for name, row in structure.node_index.items()}
+            companion_g, companion_rhs = linear.companion_system(voltages)
+            x_new = solver.solve(jacobian + companion_g,
+                                 source_rhs + companion_rhs,
+                                 structure=structure)
         delta = x_new - x
         x = x + options.damping * delta
         max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
@@ -266,10 +272,10 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
     zero = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
 
-    def newton(guess, scale, gmin):
+    def newton(guess, scale, gmin, start=None):
         jacobian = add_gmin_diagonal(linear_g, structure.n_nodes, gmin)
         return _newton_solve(circuit, linear, jacobian, options, guess,
-                             source_scale=scale, solver=solver)
+                             source_scale=scale, solver=solver, start=start)
 
     def solution(vector, iterations, strategy):
         return DcSolution(circuit=circuit, structure=structure,
@@ -278,7 +284,9 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
 
     try:
         start = zero if guess is None else np.asarray(guess, dtype=float)
-        return solution(*newton(start, 1.0, target_gmin), "newton")
+        return solution(*newton(start, 1.0, target_gmin,
+                                linear.newton_start(start, target_gmin)),
+                        "newton")
     except ConvergenceError:
         pass
 

@@ -34,12 +34,24 @@ caller that solves one netlist at many bias corners (the VCO V_tune sweep,
 the Fig-3 NMOS bias sweep) compiles it once and passes it as ``linear=``,
 so no corner re-validates, re-indexes or re-stamps the linear netlist.
 
-Two more pieces of compiled state hang off a :class:`LinearStamps`:
+Four more pieces of compiled state hang off a :class:`LinearStamps`, each
+built on first use and kept as one entry (replaced when the structure,
+start vector or sweep it was built for changes):
 
-* :class:`StampPattern` — the nonlinear elements' DC Newton companion
-  stamps, recorded once and then re-evaluated per iteration as a vector of
-  values scattered through fixed slots (bit-identical to a fresh
-  :class:`MatrixStamper`, without its node lookups and triplet lists);
+* :class:`StampPattern` — a fixed sequence of the nonlinear elements' stamp
+  calls, recorded once and then re-evaluated as a vector of values
+  scattered through fixed slots (bit-identical to a fresh
+  :class:`MatrixStamper`, without its node lookups and triplet lists).
+  One pattern holds the DC Newton companion stamps
+  (:meth:`LinearStamps.companion_pattern`), one the small-signal stamps on
+  the rows a transfer analysis solves
+  (:meth:`LinearStamps.small_signal_pattern`);
+* :class:`NewtonStart` — the first plain-Newton iteration from a fixed
+  start vector: ``G + gmin + companion_G(x0)`` factorized and
+  ``companion_rhs(x0)``.  A caller that starts every bias corner from one
+  reference point (the VCO V_tune sweep) pays one back-substitution for
+  that iteration instead of the device evaluations, the stamp collection
+  and a fresh LU;
 * :class:`PortReduction` — ``G + gmin + s*C`` Schur-reduced onto the
   device terminals and observed nodes for a frequency sweep.  The
   small-signal models touch only device terminals, so every bias corner
@@ -52,6 +64,7 @@ Two more pieces of compiled state hang off a :class:`LinearStamps`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -433,6 +446,33 @@ class StampPattern:
                            minlength=self.size)
 
 
+@dataclass(frozen=True, eq=False)
+class NewtonStart:
+    """The first plain-Newton iteration from a fixed start vector ``x0``.
+
+    ``jacobian`` is the LU of ``J(x0) = G + gmin + companion_G(x0)`` and
+    ``companion_rhs`` the companion right-hand side at ``x0``; only the
+    source right-hand side differs between the corners that start from
+    ``x0``.  ``key`` is ``(x0.tobytes(), gmin)``.
+    """
+
+    key: tuple[bytes, float]
+    jacobian: _solver.Factorization
+    companion_rhs: np.ndarray
+
+    def step(self, source_rhs: np.ndarray) -> np.ndarray:
+        """The first Newton iterate ``J(x0)^-1 (source_rhs +
+        companion_rhs)``, counted as the one solve it stands for."""
+        solution = self.jacobian.solve(source_rhs + self.companion_rhs)
+        _solver.stats.solves += 1
+        return solution
+
+
+def _stamp_companions(nonlinear, voltages, stamper) -> None:
+    for element in nonlinear:
+        element.stamp_companion(stamper, voltages)
+
+
 def _stamps_alike(compiled: Element, element: Element) -> bool:
     """Whether ``element`` stamps what ``compiled`` stamped into ``G``/``C``:
     the same object, or an independent source of the same kind, name and
@@ -545,8 +585,9 @@ class LinearStamps:
     capacitance: np.ndarray | sp.csr_matrix
     #: the compiled circuit's elements, in circuit order
     elements: tuple[Element, ...]
-    #: compiled state derived on first use: the companion stamp pattern,
-    #: the structural facts of the port reduction and its one cached entry
+    #: compiled state derived on first use: the companion and small-signal
+    #: stamp patterns, the Newton start, the structural facts of the port
+    #: reduction and its one cached entry
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -576,31 +617,102 @@ class LinearStamps:
                 f"compiled from {len(linear.elements)} elements, the circuit "
                 f"has {len(circuit)}")
         for compiled, element in zip(linear.elements, circuit):
-            if not _stamps_alike(compiled, element):
+            if compiled is not element and not _stamps_alike(compiled,
+                                                              element):
                 raise SimulationError(
                     f"linear stamps do not match circuit {circuit.name!r}: "
                     f"element {element.name!r} is not the compiled "
                     f"{compiled.name!r}")
         return linear
 
-    def _nonlinear(self) -> list[Element]:
-        return [element for element in self.elements if element.is_nonlinear]
+    @cached_property
+    def nonlinear_elements(self) -> tuple[Element, ...]:
+        """The compiled circuit's nonlinear elements, in circuit order.
+
+        They are the very objects of every circuit these stamps serve
+        (only independent sources may differ), so the analyses read them
+        here instead of filtering the circuit per call.
+        """
+        return tuple(element for element in self.elements
+                     if element.is_nonlinear)
+
+    @cached_property
+    def sources(self) -> tuple[VoltageSource | CurrentSource, ...]:
+        """The compiled circuit's independent sources, in circuit order.
+
+        A circuit these stamps serve has sources of the same kind, name
+        and nodes (so the same :func:`source_rows`); only their values may
+        differ, and those are read from the circuit itself.
+        """
+        return tuple(element for element in self.elements
+                     if isinstance(element, (VoltageSource, CurrentSource)))
 
     def companion_pattern(self) -> StampPattern:
         """The DC Newton companion stamps of the nonlinear elements,
         compiled on first use (:class:`StampPattern`)."""
         pattern = self._cache.get("companion")
         if pattern is None:
-            nonlinear = self._nonlinear()
+            voltages = dict.fromkeys(self.structure.node_index, 0.0)
+            pattern = self._cache["companion"] = StampPattern.record(
+                self.structure, partial(_stamp_companions,
+                                        self.nonlinear_elements, voltages))
+        return pattern
+
+    def companion_system(self, voltages: dict[str, float]):
+        """The companion ``G`` and right-hand side of the nonlinear
+        elements linearised at ``voltages``.
+
+        Scattered through :meth:`companion_pattern`, which gives what a
+        fresh :class:`MatrixStamper` would, bit for bit.
+        """
+        pattern = self.companion_pattern()
+        values = pattern.evaluate(partial(_stamp_companions,
+                                          self.nonlinear_elements, voltages))
+        return pattern.conductance(values), pattern.rhs(values)
+
+    def newton_start(self, initial: np.ndarray, gmin: float) -> NewtonStart:
+        """The first plain-Newton iteration from ``initial`` at ``gmin``.
+
+        One start is cached, and replaced when the bytes of ``initial`` or
+        gmin change; like the stamps, it is compile-time state, so building
+        it counts no solver work (each :meth:`NewtonStart.step` counts the
+        solve it stands for).
+        """
+        key = (initial.tobytes(), gmin)
+        start = self._cache.get("newton_start")
+        if start is None or start.key != key:
+            structure = self.structure
+            voltages = {name: float(initial[row])
+                        for name, row in structure.node_index.items()}
+            companion_g, companion_rhs = self.companion_system(voltages)
+            jacobian = _solver.add_gmin_diagonal(
+                self.conductance, structure.n_nodes, gmin) + companion_g
+            start = self._cache["newton_start"] = NewtonStart(
+                key=key, companion_rhs=companion_rhs,
+                jacobian=_solver.Factorization(jacobian, structure=structure,
+                                               counted=False))
+        return start
+
+    def small_signal_pattern(self, structure: MnaStructure) -> StampPattern:
+        """The small-signal stamps of the nonlinear elements indexed by
+        ``structure`` (these stamps' own, or the kept rows of a
+        :class:`PortReduction`), compiled on first use.
+
+        One pattern is cached, and recorded again when ``structure``
+        changes.  The calls are recorded at zero volts; only their values
+        depend on the operating point.
+        """
+        cached = self._cache.get("small_signal")
+        if cached is None or cached[0] != structure:
             voltages = dict.fromkeys(self.structure.node_index, 0.0)
 
             def stamp(stamper):
-                for element in nonlinear:
-                    element.stamp_companion(stamper, voltages)
+                for element in self.nonlinear_elements:
+                    element.stamp_small_signal(stamper, voltages)
 
-            pattern = self._cache["companion"] = StampPattern.record(
-                self.structure, stamp)
-        return pattern
+            cached = self._cache["small_signal"] = (
+                structure, StampPattern.record(structure, stamp))
+        return cached[1]
 
     def kept_rows(self, observe_nodes) -> np.ndarray:
         """The rows a port reduction keeps, ascending.
@@ -614,7 +726,7 @@ class LinearStamps:
         if facts is None:
             structure = self.structure
             terminals = {structure.node_row(node)
-                         for element in self._nonlinear()
+                         for element in self.nonlinear_elements
                          for node in element.nodes()} - {None}
             pattern = (np.abs(self.conductance) + np.abs(self.capacitance)
                        ) != 0.0

@@ -21,7 +21,11 @@ Three performance properties of the implementation matter for sweeps:
   bias corners passes its :class:`~repro.simulator.mna.LinearStamps` as
   ``linear=``; the analysis then stamps only the small-signal models of the
   nonlinear devices on top, without re-validating, re-indexing or
-  re-stamping the linear netlist.
+  re-stamping the linear netlist.  Those stamps are scattered through a
+  :class:`~repro.simulator.mna.StampPattern` recorded once per solved row
+  structure (:meth:`~repro.simulator.mna.LinearStamps.small_signal_pattern`),
+  bit-identical to a fresh stamper, so a bias corner builds no stamper
+  and looks up no node.
 * **Port reduction** — on the dense path only the rows the small-signal
   models touch or the caller reads stay: the linear stamps are reduced
   onto them once per frequency sweep (a Schur complement cached on
@@ -45,7 +49,7 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
-from .mna import LinearStamps, MatrixStamper, MnaStructure, source_rows
+from .mna import LinearStamps, MnaStructure, StampPattern, source_rows
 from .solver import SharedPatternPair, add_gmin_diagonal
 
 
@@ -64,44 +68,32 @@ def swept_index(frequencies: np.ndarray, frequency: float) -> int:
     return index
 
 
-def _small_signal_stamps(circuit: Circuit, structure: MnaStructure,
+def _small_signal_values(linear: LinearStamps, structure: MnaStructure,
                          operating_point: DcSolution | None
-                         ) -> MatrixStamper | None:
-    """The small-signal stamps of the nonlinear elements, indexed by
-    ``structure`` (the full system, or the kept rows of a port reduction);
-    ``None`` for a linear circuit.
+                         ) -> tuple[StampPattern, np.ndarray] | None:
+    """The small-signal stamp pattern of the nonlinear elements on
+    ``structure`` (the full system, or the kept rows of a port reduction)
+    and its values at ``operating_point``; ``None`` for a linear circuit.
 
     Each device stamps from its operating point as cached on the DC
     solution, so no device model is evaluated twice.
     """
-    nonlinear = circuit.nonlinear_elements()
+    nonlinear = linear.nonlinear_elements
     if not nonlinear:
         return None
     if operating_point is None:
         raise SimulationError(
             "circuit contains nonlinear elements: an operating point is required")
-    stamper = MatrixStamper(structure)
     voltages = operating_point.voltages()
-    for element in nonlinear:
-        element.stamp_small_signal(
-            stamper, voltages,
-            point=operating_point.operating_point_of(element.name))
-    return stamper
 
+    def stamp(stamper):
+        for element in nonlinear:
+            element.stamp_small_signal(
+                stamper, voltages,
+                point=operating_point.operating_point_of(element.name))
 
-def _small_signal_matrices(circuit: Circuit, linear: LinearStamps,
-                           operating_point: DcSolution | None):
-    """Build (G, C) with all nonlinear elements replaced by their linearisation.
-
-    The small-signal stamps go on top of the compiled linear ones.  Both
-    come in the format their solves route to: dense arrays at or below the
-    LAPACK cutoff, CSR above it.
-    """
-    stamper = _small_signal_stamps(circuit, linear.structure, operating_point)
-    if stamper is None:
-        return linear.conductance, linear.capacitance
-    return (linear.conductance + stamper.conductance_system(),
-            linear.capacitance + stamper.capacitance_system())
+    pattern = linear.small_signal_pattern(structure)
+    return pattern, pattern.evaluate(stamp)
 
 
 @dataclass
@@ -180,14 +172,14 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             f"AC frequencies must be finite and non-negative, got "
             f"{float(frequencies[bad][0])!r} Hz")
 
-    sources = {element.name: element for element in circuit.sources()}
+    sources = {element.name: element for element in linear.sources}
     for name in source_names:
         if name not in sources:
             raise SimulationError(f"no independent source named {name!r}")
     if len(set(source_names)) != len(source_names):
         raise SimulationError("duplicate source names in transfer request")
 
-    if operating_point is None and circuit.nonlinear_elements():
+    if operating_point is None and linear.nonlinear_elements:
         operating_point = dc_operating_point(circuit, dc_options,
                                              solver=solver, linear=linear)
     gmin = solver.options.effective_gmin(gmin)
@@ -199,12 +191,12 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             rhs_block[row, column] += sign
 
     if isinstance(linear.conductance, np.ndarray):
-        rows, vectors = _reduced_solve(circuit, linear, operating_point,
+        rows, vectors = _reduced_solve(linear, operating_point,
                                        observe_nodes, frequencies, gmin,
                                        rhs_block, solver)
     else:
         rows = structure.node_index
-        vectors = _full_solve(circuit, linear, operating_point,
+        vectors = _full_solve(linear, operating_point,
                               frequencies, gmin, rhs_block, solver)
 
     results: dict[str, TransferFunction] = {}
@@ -222,7 +214,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     return results
 
 
-def _full_solve(circuit: Circuit, linear: LinearStamps,
+def _full_solve(linear: LinearStamps,
                 operating_point: DcSolution | None, frequencies: np.ndarray,
                 gmin: float, rhs_block: np.ndarray,
                 solver: LinearSolver) -> np.ndarray:
@@ -231,8 +223,12 @@ def _full_solve(circuit: Circuit, linear: LinearStamps,
     structure = linear.structure
     # The small-signal matrices depend on the operating point only, never on
     # the sources, so they are built once for all sources.
-    g_matrix, c_matrix = _small_signal_matrices(circuit, linear,
-                                                operating_point)
+    g_matrix, c_matrix = linear.conductance, linear.capacitance
+    stamps = _small_signal_values(linear, structure, operating_point)
+    if stamps is not None:
+        small_signal, values = stamps
+        g_matrix = g_matrix + small_signal.conductance(values)
+        c_matrix = c_matrix + small_signal.capacitance(values)
     pattern = SharedPatternPair(
         add_gmin_diagonal(g_matrix, structure.n_nodes, gmin), c_matrix)
     vectors = np.zeros((frequencies.size,) + rhs_block.shape, dtype=complex)
@@ -243,7 +239,7 @@ def _full_solve(circuit: Circuit, linear: LinearStamps,
     return vectors
 
 
-def _reduced_solve(circuit: Circuit, linear: LinearStamps,
+def _reduced_solve(linear: LinearStamps,
                    operating_point: DcSolution | None,
                    observe_nodes: list[str], frequencies: np.ndarray,
                    gmin: float, rhs_block: np.ndarray, solver: LinearSolver
@@ -260,11 +256,12 @@ def _reduced_solve(circuit: Circuit, linear: LinearStamps,
                                       rhs_block)
     structure = reduction.structure
     matrices = reduction.matrices.copy()
-    stamper = _small_signal_stamps(circuit, structure, operating_point)
-    if stamper is not None:
+    stamps = _small_signal_values(linear, structure, operating_point)
+    if stamps is not None:
+        pattern, values = stamps
         s = 2j * np.pi * frequencies
-        matrices += stamper.conductance_system()
-        matrices += s[:, None, None] * stamper.capacitance_system()
+        matrices += pattern.conductance(values)
+        matrices += s[:, None, None] * pattern.capacitance(values)
     factorization = solver.factorize(matrices, structure=structure)
     return structure.node_index, factorization.solve(reduction.rhs)
 

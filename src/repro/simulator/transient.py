@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
 from ..netlist.circuit import Circuit
-from .dc import DcOptions, DcSolution, _companion_system, dc_operating_point
+from .dc import DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
 from .mna import LinearStamps, MatrixStamper, MnaStructure, source_rows
 from .solver import add_gmin_diagonal
@@ -182,8 +182,8 @@ def transient_analysis(circuit: Circuit, t_stop: float, timestep: float,
             for _ in range(options.newton_max_iterations):
                 voltages = {name: float(x[row])
                             for name, row in structure.node_index.items()}
-                companion_g, companion_rhs = _companion_system(
-                    linear, nonlinear, voltages)
+                companion_g, companion_rhs = linear.companion_system(
+                    voltages)
                 x_new = solver.solve(lhs_matrix + companion_g,
                                      base_rhs + companion_rhs,
                                      structure=structure)

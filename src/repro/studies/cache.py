@@ -38,6 +38,129 @@ from ..package.model import PackageModel
 from ..technology.process import ProcessTechnology
 
 
+def _scalar(obj, out: list[bytes]) -> None:
+    out.append(f"{type(obj).__name__}:{obj!r};".encode())
+
+
+def _float(obj, out: list[bytes]) -> None:
+    out.append(f"f:{obj!r};".encode())
+
+
+def _complex(obj, out: list[bytes]) -> None:
+    out.append(f"c:{obj.real!r},{obj.imag!r};".encode())
+
+
+def _bytes(obj, out: list[bytes]) -> None:
+    out.append(b"b:" + obj + b";")
+
+
+def _enum(obj, out: list[bytes]) -> None:
+    out.append(f"e:{type(obj).__qualname__}.{obj.name};".encode())
+
+
+def _ndarray(obj, out: list[bytes]) -> None:
+    out.append(f"nd:{obj.dtype.str}:{obj.shape};".encode())
+    out.append(np.ascontiguousarray(obj).tobytes())
+
+
+def _numpy_scalar(obj, out: list[bytes]) -> None:
+    _canonical(obj.item(), out)
+
+
+def _dict(obj, out: list[bytes]) -> None:
+    out.append(b"{")
+    for key in sorted(obj, key=repr):
+        _canonical(key, out)
+        out.append(b"=>")
+        _canonical(obj[key], out)
+    out.append(b"};")
+
+
+def _sequence(obj, out: list[bytes]) -> None:
+    out.append(b"[" if isinstance(obj, list) else b"(")
+    for item in obj:
+        _canonical(item, out)
+    out.append(b"];" if isinstance(obj, list) else b");")
+
+
+def _set(obj, out: list[bytes]) -> None:
+    out.append(b"s{")
+    for item in sorted(obj, key=repr):
+        _canonical(item, out)
+    out.append(b"};")
+
+
+def _unsupported(obj, out: list[bytes]) -> None:
+    raise AnalysisError(
+        f"cannot fingerprint object of type {type(obj).__qualname__} "
+        "(add explicit support to repro.studies.cache)")
+
+
+#: Leaf types a dataclass encoder writes inline, with its field label.
+_INLINE_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def _dataclass_encoder(cls: type):
+    """The encoder of a dataclass: its qualified class name, then every
+    field as ``name=`` and the field's value.  Plain floats, strings,
+    ints, bools and ``None`` are written inline, so a record of them is one
+    chunk."""
+    head = f"dc:{cls.__qualname__}("
+    fields = tuple((f"{field.name}=", field.name)
+                   for field in dataclasses.fields(cls))
+
+    def encode(obj, out: list[bytes]) -> None:
+        text = head
+        for label, name in fields:
+            value = getattr(obj, name)
+            kind = type(value)
+            if kind is float:
+                text += f"{label}f:{value!r};"
+            elif kind in _INLINE_SCALARS:
+                text += f"{label}{kind.__name__}:{value!r};"
+            else:
+                out.append((text + label).encode())
+                _canonical(value, out)
+                text = ""
+        out.append((text + ");").encode())
+    return encode
+
+
+def _encoder(cls: type):
+    """The encoder of instances of ``cls``: the first of these kinds that
+    ``cls`` is (so ``bool``, ``int`` and ``str`` subclasses such as an
+    ``IntEnum`` encode as their base type, and ``np.float64`` as a float)."""
+    if cls is type(None) or issubclass(cls, (bool, int, str)):
+        return _scalar
+    if issubclass(cls, float):
+        return _float
+    if issubclass(cls, complex):
+        return _complex
+    if issubclass(cls, bytes):
+        return _bytes
+    if issubclass(cls, enum.Enum):
+        return _enum
+    if issubclass(cls, np.ndarray):
+        return _ndarray
+    if issubclass(cls, np.generic):
+        return _numpy_scalar
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_encoder(cls)
+    if issubclass(cls, dict):
+        return _dict
+    if issubclass(cls, (list, tuple)):
+        return _sequence
+    if issubclass(cls, (set, frozenset)):
+        return _set
+    return _unsupported
+
+
+#: type -> encoder, filled on the first instance of each type.  An
+#: encoder depends on the type alone, so dispatching on the exact type
+#: emits the bytes an isinstance chain would, without walking it per object.
+_ENCODERS: dict[type, object] = {}
+
+
 def _canonical(obj, out: list[bytes]) -> None:
     """Append a canonical byte representation of ``obj`` to ``out``.
 
@@ -46,48 +169,11 @@ def _canonical(obj, out: list[bytes]) -> None:
     round-trip), containers are delimited and dicts sorted by key, dataclasses
     contribute their qualified class name plus every field.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        out.append(f"{type(obj).__name__}:{obj!r};".encode())
-    elif isinstance(obj, float):
-        out.append(f"f:{obj!r};".encode())
-    elif isinstance(obj, complex):
-        out.append(f"c:{obj.real!r},{obj.imag!r};".encode())
-    elif isinstance(obj, bytes):
-        out.append(b"b:" + obj + b";")
-    elif isinstance(obj, enum.Enum):
-        out.append(f"e:{type(obj).__qualname__}.{obj.name};".encode())
-    elif isinstance(obj, np.ndarray):
-        out.append(f"nd:{obj.dtype.str}:{obj.shape};".encode())
-        out.append(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, np.generic):
-        _canonical(obj.item(), out)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out.append(f"dc:{type(obj).__qualname__}(".encode())
-        for field in dataclasses.fields(obj):
-            out.append(f"{field.name}=".encode())
-            _canonical(getattr(obj, field.name), out)
-        out.append(b");")
-    elif isinstance(obj, dict):
-        out.append(b"{")
-        for key in sorted(obj, key=repr):
-            _canonical(key, out)
-            out.append(b"=>")
-            _canonical(obj[key], out)
-        out.append(b"};")
-    elif isinstance(obj, (list, tuple)):
-        out.append(b"[" if isinstance(obj, list) else b"(")
-        for item in obj:
-            _canonical(item, out)
-        out.append(b"];" if isinstance(obj, list) else b");")
-    elif isinstance(obj, (set, frozenset)):
-        out.append(b"s{")
-        for item in sorted(obj, key=repr):
-            _canonical(item, out)
-        out.append(b"};")
-    else:
-        raise AnalysisError(
-            f"cannot fingerprint object of type {type(obj).__qualname__} "
-            "(add explicit support to repro.studies.cache)")
+    cls = type(obj)
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        encoder = _ENCODERS[cls] = _encoder(cls)
+    encoder(obj, out)
 
 
 def fingerprint(*objects) -> str:

@@ -112,7 +112,7 @@ from ..technology import make_technology
 from ..parallel.plan import ON_ERROR_ABORT, ON_ERROR_POLICIES
 from ..parallel.scheduler import WorkScheduler
 from .cache import ExtractionCache
-from .params import Campaign, ParamSpace
+from .params import Campaign, ParamSpace, finite_numbers
 from .persist import CampaignJournal, CheckpointPolicy, journal_path_for
 from .results import SweepResult
 from .runner import ProcessPoolBackend, SerialBackend, SweepRunner
@@ -274,10 +274,10 @@ def _axis_values(name: str, value) -> tuple[float, ...]:
     """An axis entry: an explicit list, or a log/linear range spec.
 
     Listed values are kept as parsed (:class:`ParamSpace` requires each to
-    be a finite number), so integers stay integers — mesh axes
-    (``mesh_nx``, ...) and integer layout fields feed APIs that require
-    ints, and floats otherwise work the same.  A range's ``num`` must be an
-    integer of at least 1.
+    be a finite number, and an integer on the mesh axes ``mesh_nx``, ...
+    and the integer layout fields, which feed APIs that require ints), so
+    integers stay integers and floats otherwise work the same.  A range's
+    ``num`` must be an integer of at least 1.
     """
     if isinstance(value, (list, tuple)):
         return tuple(value)
@@ -352,8 +352,8 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
     _check_table(options_table, _OPTION_FIELDS, "options")
     for name in ("vtune_values", "noise_frequencies"):
         if name in options_table:
-            options_table[name] = tuple(float(v)
-                                        for v in options_table[name])
+            options_table[name] = tuple(float(v) for v in finite_numbers(
+                f"[options] {name}", options_table[name]))
     options = VcoExperimentOptions(**options_table)
     if mesh_table:
         substrate = options.flow.substrate

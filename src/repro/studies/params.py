@@ -42,6 +42,7 @@ from ..core.flow import FlowOptions
 from ..errors import AnalysisError
 from ..layout.cell import Cell
 from ..layout.testchips import VcoLayoutSpec, make_vco_testchip
+from ..substrate.extraction import SubstrateExtractionOptions
 
 if TYPE_CHECKING:
     from ..core.vco_experiment import VcoExperimentOptions
@@ -66,19 +67,51 @@ def _layout_axis_names() -> tuple[str, ...]:
     return tuple(f.name for f in fields(VcoLayoutSpec))
 
 
+def _integer_axis_names() -> frozenset[str]:
+    """The axes whose field takes an integer: the mesh counts
+    (``mesh_nx``, ``mesh_ny``, ``mesh_n_z_per_layer``) and the integer
+    layout fields (``fingers``, ...)."""
+    def integer(field) -> bool:
+        return field.type in (int, "int")
+
+    substrate = {f.name: f for f in fields(SubstrateExtractionOptions)}
+    return frozenset(
+        {axis for axis, name in MESH_AXES.items() if integer(substrate[name])}
+        | {f.name for f in fields(VcoLayoutSpec) if integer(f)})
+
+
+def finite_numbers(label: str, values) -> tuple:
+    """``values`` as a tuple, each checked to be a finite number (a bool is
+    not one); :class:`AnalysisError` names ``label`` and the first bad
+    value."""
+    if not isinstance(values, (list, tuple)):
+        raise AnalysisError(
+            f"{label}: expected a list of numbers, got {values!r}")
+    for value in values:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise AnalysisError(
+                f"{label}: every value must be a finite number, got "
+                f"{value!r}")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class ParamSpace:
     """Named sweep axes expanded into a cartesian grid.
 
     ``axes`` maps an axis name to the tuple of values it takes; insertion
     order is the nesting order of the grid (last axis varies fastest).
-    Every value must be a finite number (a bool is not one).
+    Every value must be a finite number (a bool is not one), and an
+    integer on the axes whose field takes one (the mesh counts and the
+    integer layout fields).
     """
 
     axes: Mapping[str, tuple[float, ...]]
 
     def __post_init__(self) -> None:
         known = set(SIM_AXES) | set(MESH_AXES) | set(_layout_axis_names())
+        integer_axes = _integer_axis_names()
         normalized: dict[str, tuple[float, ...]] = {}
         for name, values in self.axes.items():
             if name not in known:
@@ -86,16 +119,15 @@ class ParamSpace:
                     f"unknown sweep axis {name!r}; simulation axes are "
                     f"{sorted(SIM_AXES)}, mesh axes {sorted(MESH_AXES)}, "
                     f"layout axes are the VcoLayoutSpec fields")
-            values = tuple(values)
+            values = finite_numbers(f"sweep axis {name!r}", tuple(values))
             if not values:
                 raise AnalysisError(f"sweep axis {name!r} has no values")
-            for value in values:
-                if (isinstance(value, bool)
-                        or not isinstance(value, numbers.Real)
-                        or not math.isfinite(value)):
-                    raise AnalysisError(
-                        f"sweep axis {name!r}: every value must be a finite "
-                        f"number, got {value!r}")
+            if name in integer_axes:
+                for value in values:
+                    if not isinstance(value, numbers.Integral):
+                        raise AnalysisError(
+                            f"sweep axis {name!r}: every value must be an "
+                            f"integer, got {value!r}")
             normalized[name] = values
         object.__setattr__(self, "axes", normalized)
 

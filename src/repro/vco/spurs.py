@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,8 @@ from ..errors import AnalysisError
 from ..units import vpeak_to_dbm
 
 
-@dataclass(frozen=True)
-class NoiseEntry:
-    """One substrate-noise entry into the VCO.
+class NoiseEntry(NamedTuple):
+    """One substrate-noise entry into the VCO (an immutable record).
 
     Parameters
     ----------

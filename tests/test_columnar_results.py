@@ -319,13 +319,19 @@ def test_saved_arrays_equal_the_per_record_reference_encoder(skipped_run,
 def test_run_and_save_build_no_point_objects(technology, vco_analysis,
                                              monkeypatch, tmp_path, capsys):
     built: list[str] = []
-    for cls in (PointRecord, NoiseEntry):
-        original = cls.__init__
+    original_init = PointRecord.__init__
 
-        def counting(self, *args, _original=original, **kwargs):
-            built.append(type(self).__name__)
-            _original(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original_init(self, *args, **kwargs)
+    monkeypatch.setattr(PointRecord, "__init__", counting_init)
+    # A NoiseEntry is a named tuple: it is built by __new__ alone.
+    original_new = NoiseEntry.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls.__name__)
+        return original_new(cls, *args, **kwargs)
+    monkeypatch.setattr(NoiseEntry, "__new__", counting_new)
 
     def entries_built(corners: int, entries: int) -> None:
         """No point record, and one noise entry per entry per corner."""

@@ -4,8 +4,11 @@ A dense transfer analysis solves the Schur complement of the linear stamps
 onto the device terminals and observed nodes, with the small-signal models
 added on top; the oracle here is the unreduced ``G + sC`` of the whole
 testbench, solved per frequency.  DC Newton scatters the companion stamps
-through a pattern compiled once; the oracle is a fresh ``MatrixStamper``
-per iteration.  The VCO corner evaluates the spur equations on
+through a pattern compiled once, and the transfer analysis the
+small-signal stamps; the oracle is a fresh ``MatrixStamper`` per iteration
+or corner.  A warm-started corner takes its first Newton iteration from a
+cached factorization; the oracle is the same solve with the cache cleared
+or bypassed.  The VCO corner evaluates the spur equations on
 (entries x frequencies) arrays; the oracle is the per-point evaluation.
 """
 
@@ -27,15 +30,21 @@ from repro.layout.testchips import (
 )
 from repro.netlist import Circuit
 from repro.obs import tracer
-from repro.simulator import dc as dc_module
-from repro.simulator import dc_operating_point, transfer_function
+from repro.simulator import (
+    DcOptions,
+    LinearSolver,
+    SolverOptions,
+    dc_operating_point,
+    transfer_function,
+)
+from repro.simulator import transfer as transfer_module
 from repro.simulator.mna import (
     LinearStamps,
     MatrixStamper,
     StampPattern,
     source_rows,
 )
-from repro.simulator.solver import stats
+from repro.simulator.solver import DENSE_MAX_SIZE, stats
 from repro.vco.sensitivity import entries_at_frequency
 from repro.vco.spurs import compute_spurs
 
@@ -190,9 +199,13 @@ def _matrix_stamper_companion(linear, nonlinear, voltages):
 def _compare_newton_paths(monkeypatch, circuit, linear):
     compiled = dc_operating_point(circuit, linear=linear)
     with monkeypatch.context() as patch:
-        patch.setattr(dc_module, "_companion_system",
-                      _matrix_stamper_companion)
+        patch.setattr(LinearStamps, "companion_system",
+                      lambda self, voltages: _matrix_stamper_companion(
+                          self, circuit.nonlinear_elements(), voltages))
+        # The Newton start holds the first iteration's companion stamps.
+        linear._cache.pop("newton_start", None)
         reference = dc_operating_point(circuit, linear=linear)
+        linear._cache.pop("newton_start", None)
     assert compiled.iterations == reference.iterations
     assert compiled.strategy == reference.strategy
     assert np.array_equal(compiled.vector, reference.vector)
@@ -234,6 +247,140 @@ def test_stamp_pattern_rejects_a_changed_call_sequence():
     with pytest.raises(SimulationError, match="node stamps only"):
         StampPattern.record(structure, lambda stamper:
                             stamper.branch_voltage_source("V", "a", "0"))
+
+
+def _matrix_stamper_small_signal(circuit, structure, operating_point):
+    """The reference small-signal assembly: a fresh stamper per corner."""
+    stamper = MatrixStamper(structure)
+    voltages = operating_point.voltages()
+    for element in circuit.nonlinear_elements():
+        element.stamp_small_signal(
+            stamper, voltages,
+            point=operating_point.operating_point_of(element.name))
+    return stamper.conductance_system(), stamper.capacitance_system()
+
+
+def _assert_same_bytes(got, want):
+    assert type(got) is type(want) and got.shape == want.shape
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == \
+                getattr(want, part).tobytes(), part
+
+
+def _compare_small_signal_paths(circuit, linear, structure, operating_point):
+    pattern, values = transfer_module._small_signal_values(
+        linear, structure, operating_point)
+    assert pattern is linear.small_signal_pattern(structure)
+    g, c = _matrix_stamper_small_signal(circuit, structure, operating_point)
+    _assert_same_bytes(pattern.conductance(values), g)
+    _assert_same_bytes(pattern.capacitance(values), c)
+
+
+@pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
+def test_compiled_small_signal_stamps_bit_identical_on_vco(fig10_analyses,
+                                                          vtune):
+    analysis = fig10_analyses[0]
+    circuit = analysis.build_testbench(vtune)
+    _template, linear = _compiled_testbench(analysis.flow, analysis.options)
+    op = dc_operating_point(circuit, linear=linear)
+    analysis._operating_points[vtune] = op
+    nodes = analysis.entry_catalog(analysis.vco_model(op),
+                                   vtune).observation_nodes()
+    rhs = np.zeros((linear.structure.size, 1), dtype=complex)
+    for row, sign in source_rows(linear.structure, circuit["VSUB_SRC"]):
+        rhs[row, 0] += sign
+    kept = linear.port_reduction(nodes, FREQUENCIES, 1e-12, rhs).structure
+    assert kept.size == 13
+    _compare_small_signal_paths(circuit, linear, kept, op)
+
+
+def _long_ladder_amplifier(technology, sections=100) -> Circuit:
+    """A degenerated common-source stage driving a 100-section RC ladder:
+    more unknowns than the dense cutoff, so its systems are sparse."""
+    circuit = Circuit("ladder_amplifier")
+    circuit.add_voltage_source("VDD", "vdd", "0", 1.8)
+    circuit.add_voltage_source("VG", "g", "0", 0.9)
+    circuit.add_resistor("RL", "vdd", "d", 1e3)
+    circuit.add_mosfet("M1", "d", "g", "s", "b",
+                       technology.mos_parameters("nmos_rf"),
+                       width=10e-6, length=0.18e-6)
+    circuit.add_resistor("RS", "s", "0", 100.0)
+    circuit.add_resistor("RB", "b", "0", 1e3)
+    previous = "d"
+    for section in range(sections):
+        node = f"l{section}"
+        circuit.add_resistor(f"R{section}", previous, node, 10.0)
+        circuit.add_capacitor(f"C{section}", node, "0", 1e-14)
+        previous = node
+    return circuit
+
+
+def test_compiled_small_signal_stamps_bit_identical_on_sparse_circuit(
+        technology):
+    circuit = _long_ladder_amplifier(technology)
+    linear = LinearStamps.of(circuit)
+    assert linear.structure.size > DENSE_MAX_SIZE
+    op = dc_operating_point(circuit, linear=linear)
+    _compare_small_signal_paths(circuit, linear, linear.structure, op)
+
+
+def _dc_with_counts(circuit, linear, **kwargs):
+    before = stats.snapshot()
+    solution = dc_operating_point(circuit, linear=linear, **kwargs)
+    return solution, stats.since(before)
+
+
+def test_cached_newton_start_changes_nothing_but_the_work(monkeypatch,
+                                                          fig10_analyses):
+    analysis = fig10_analyses[0]
+    _template, linear = _compiled_testbench(analysis.flow, analysis.options)
+    reference = analysis.reference_point()
+    for vtune in (0.0, 0.75, 1.5):
+        circuit = analysis.build_testbench(vtune)
+        linear._cache.pop("newton_start", None)
+        cleared, cleared_counts = _dc_with_counts(circuit, linear,
+                                                  initial=reference)
+        start = linear._cache["newton_start"]
+        assert start.key == (reference.tobytes(), 1e-12)
+        warm, warm_counts = _dc_with_counts(circuit, linear,
+                                            initial=reference)
+        assert linear._cache["newton_start"] is start
+        # The first iteration as a fresh companion assembly and LU.
+        with monkeypatch.context() as patch:
+            patch.setattr(LinearStamps, "newton_start",
+                          lambda self, initial, gmin: None)
+            fresh, fresh_counts = _dc_with_counts(circuit, linear,
+                                                  initial=reference)
+        for solution in (warm, fresh):
+            assert solution.vector.tobytes() == cleared.vector.tobytes()
+            assert solution.iterations == cleared.iterations
+            assert solution.strategy == cleared.strategy == "newton"
+        assert warm_counts == cleared_counts == fresh_counts
+        assert warm_counts.solves == warm.iterations
+
+
+def test_newton_start_is_rebuilt_for_another_start_or_gmin(technology):
+    circuit = _long_ladder_amplifier(technology, sections=3)
+    linear = LinearStamps.of(circuit)
+    zero = np.zeros(linear.structure.size)
+    dc_operating_point(circuit, linear=linear)
+    first = linear._cache["newton_start"]
+    assert first.key == (zero.tobytes(), 1e-12)
+    dc_operating_point(circuit, linear=linear, initial=zero + 0.1)
+    moved = linear._cache["newton_start"]
+    assert moved is not first
+    assert moved.key == ((zero + 0.1).tobytes(), 1e-12)
+    dc_operating_point(circuit, DcOptions(gmin=1e-9), linear=linear,
+                       initial=zero + 0.1)
+    assert linear._cache["newton_start"].key == ((zero + 0.1).tobytes(),
+                                                  1e-9)
+    dc_operating_point(circuit, linear=linear, initial=zero + 0.1,
+                       solver=LinearSolver(SolverOptions(gmin=1e-10)))
+    assert linear._cache["newton_start"].key == ((zero + 0.1).tobytes(),
+                                                  1e-10)
 
 
 def _loop_spurs(entries, carrier_amplitude, noise_amplitude, frequency):

@@ -20,13 +20,15 @@ behaviour does not depend on mesh resolution.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import enum
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro.core.flow as flow_module
+import repro.studies.cache as cache_module
 import repro.substrate.extraction as substrate_module
 from repro.core.flow import FlowOptions, run_extraction_flow
 from repro.core.vco_experiment import (
@@ -49,10 +51,12 @@ from repro.studies import (
     ProcessPoolBackend,
     SerialBackend,
     SweepRunner,
+    extraction_key,
     fingerprint,
 )
 from repro.studies.runner import ExtractionTask
 from repro.substrate.extraction import SubstrateExtractionOptions
+from repro.technology import make_technology
 
 
 TINY_MESH = FlowOptions(substrate=SubstrateExtractionOptions(
@@ -131,6 +135,48 @@ def test_fingerprint_is_content_addressed():
         fingerprint(make_vco_testchip(widened))
     with pytest.raises(AnalysisError):
         fingerprint(object())
+
+
+class _GoldenMode(enum.IntEnum):
+    FAST = 2
+
+
+@dataclass(frozen=True)
+class _GoldenLeaf:
+    x: float
+    tag: str = "t"
+
+
+#: The extraction key of the default VCO test chip, technology and flow
+#: options, and the canonical bytes of a tree of every kind of value.  Any
+#: change to them orphans every entry of every persistent extraction cache.
+GOLDEN_VCO_EXTRACTION_KEY = (
+    "46f6aa702a613b2937d3b71b8a63f97d2ef297e7b0fedf0be5e8c45cd117258c")
+GOLDEN_TREE_BYTES = (
+    b"{str:'a';=>(nd:<i4:(3,);"
+    b"\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+    b"dc:_GoldenLeaf(x=f:0.001;tag=str:'t';);"
+    b"{str:'n';=>[c:1.0,-2.0;b:raw;];};);"
+    b"str:'b';=>[f:%s;_GoldenMode:<_GoldenMode.FAST: 2>;bool:True;"
+    b"(int:1;NoneType:None;f:2.5;);];"
+    b"str:'g';=>int:7;str:'m';=>_GoldenMode:<_GoldenMode.FAST: 2>;"
+    b"int:3;=>s{str:'x';str:'y';};};")
+
+
+def test_fingerprint_bytes_are_pinned():
+    assert extraction_key(make_vco_testchip(), make_technology(),
+                          FlowOptions()) == GOLDEN_VCO_EXTRACTION_KEY
+    tree = {"b": [np.float64(0.25), _GoldenMode.FAST, True, (1, None, 2.5)],
+            "a": (np.arange(3, dtype=np.int32), _GoldenLeaf(1e-3),
+                  {"n": [complex(1, -2), b"raw"]}),
+            3: frozenset({"y", "x"}), "g": np.int64(7),
+            "m": _GoldenMode.FAST}
+    chunks: list[bytes] = []
+    cache_module._canonical(tree, chunks)
+    # An np.float64 is a float and encodes with numpy's own repr
+    # ("np.float64(0.25)" from numpy 2 on); an IntEnum is an int.
+    float64 = repr(np.float64(0.25)).encode()
+    assert b"".join(chunks) == GOLDEN_TREE_BYTES % float64
 
 
 def test_cache_counts_hits_misses_and_invalidates(technology):

@@ -228,8 +228,12 @@ def test_cli_rejects_bad_execution_values(tmp_path, capsys, table, field):
     ("vtune", ["a"]),
     ("noise_frequency", {"start": float("nan"), "stop": 9e6, "num": 3}),
     ("vtune", [float("nan")]),
+    ("mesh_nx", [12.5]),
+    ("mesh_n_z_per_layer", [2.0]),
+    ("fingers", [2.5]),
 ], ids=["num-negative", "num-fraction", "vtune-string", "start-nan",
-        "vtune-nan"])
+        "vtune-nan", "mesh_nx-fraction", "mesh_n_z_per_layer-float",
+        "fingers-fraction"])
 def test_cli_rejects_bad_axis_values_before_extracting(
         tmp_path, capsys, monkeypatch, axis, entry):
     # A bad axis is a named config error (exit 2) at load time: no numpy
@@ -244,6 +248,33 @@ def test_cli_rejects_bad_axis_values_before_extracting(
     assert main(["run", str(path), "--result",
                  str(tmp_path / "bad.npz")]) == 2
     assert f"axis {axis!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, values, bad", [
+    ("vtune_values", ["a"], "'a'"),
+    ("vtune_values", [0.0, float("nan")], "nan"),
+    ("noise_frequencies", [1e6, float("inf")], "inf"),
+    ("noise_frequencies", [True], "True"),
+    ("vtune_values", 0.5, "0.5"),
+], ids=["vtune-string", "vtune-nan", "frequency-inf", "frequency-bool",
+        "vtune-scalar"])
+def test_cli_rejects_bad_option_values_before_extracting(
+        tmp_path, capsys, monkeypatch, option, values, bad):
+    # [options] vtune_values / noise_frequencies are checked like sweep
+    # axes: a named config error (exit 2) at load time, not a ValueError
+    # traceback.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(SweepRunner, "run", refuse)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(dict(
+        TINY_CONFIG, options=dict(TINY_CONFIG["options"],
+                                  **{option: values}))))
+    assert main(["run", str(path), "--result",
+                 str(tmp_path / "bad.npz")]) == 2
+    err = capsys.readouterr().err
+    assert f"[options] {option}" in err and bad in err
 
 
 def test_solver_table_changes_campaign_fingerprint(tmp_path):

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +155,7 @@ def test_compute_spurs_rejects_non_finite_inputs(argument, value):
     arguments[argument] = value
     entries = _entries()
     if argument == "noise_frequency" and np.ndim(value):
-        entries = [replace(entry, h_sub=np.full(2, entry.h_sub))
+        entries = [entry._replace(h_sub=np.full(2, entry.h_sub))
                    for entry in entries]
     with pytest.raises(AnalysisError, match="finite and positive"):
         compute_spurs(entries, **arguments)
@@ -275,7 +274,7 @@ def test_synthesize_waveform_validation():
     result = compute_spurs(_entries(), 3e9, 1.0, 0.1, 1e6)
     with pytest.raises(AnalysisError):
         synthesize_output_waveform(result, duration=-1.0, sample_rate=1e9)
-    entries = [replace(entry, h_sub=np.full(2, entry.h_sub))
+    entries = [entry._replace(h_sub=np.full(2, entry.h_sub))
                for entry in _entries()]
     sweep = compute_spurs(entries, 3e9, 1.0, 0.1, np.array([1e6, 2e6]))
     with pytest.raises(AnalysisError, match="one-point sweep"):
