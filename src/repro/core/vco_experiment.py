@@ -69,7 +69,7 @@ from ..analysis.compare import (
 from ..analysis.spectrum import Spectrum, compute_spectrum
 from ..analysis.waveforms import SinusoidalNoise
 from ..data import measurements
-from ..errors import AnalysisError, ConvergenceError
+from ..errors import AnalysisError, ConvergenceError, check_fields
 from ..obs import get_logger, trace_span
 from ..layout.testchips import (
     NET_BIAS,
@@ -154,6 +154,12 @@ class VcoExperimentOptions:
     tail_bias_voltage: float = 0.75
     output_load: float = 50.0
     flow: FlowOptions = field(default_factory=_default_vco_flow_options)
+
+    def __post_init__(self) -> None:
+        check_fields(self, "[options]")
+        for name in ("vtune_values", "noise_frequencies"):
+            object.__setattr__(self, name, tuple(
+                float(v) for v in getattr(self, name)))
 
 
 def _compile_testbench(flow: FlowResult, options: VcoExperimentOptions
@@ -474,28 +480,25 @@ class VcoImpactAnalysis:
 
     def spur_sweep(self, vtune_values: tuple[float, ...] | None = None,
                    noise_frequencies: np.ndarray | None = None,
-                   backend=None, cache=None,
-                   cache_dir=None) -> VcoSpurSweepResult:
+                   backend=None, cache=None) -> VcoSpurSweepResult:
         """Total spur power versus noise frequency for several tuning voltages.
 
         Runs through the :mod:`repro.studies` sweep engine: ``backend`` is
         the :class:`~repro.parallel.scheduler.WorkScheduler` that executes
         the campaign (default :class:`~repro.studies.SerialBackend`, one
-        worker, inline) and ``cache`` an
-        extraction cache to share across studies (default: a fresh one,
-        seeded with this analysis's flow so nothing is re-extracted).
-        ``cache_dir`` instead builds a persistent
-        :class:`~repro.studies.store.DiskExtractionCache` under that
-        directory, so repeated sweeps warm-start across processes.  The
-        reference curve per V_tune is the ideal resistive-coupling + FM line
-        (-20 dB/decade) anchored at the first simulated point; the comparison
-        therefore measures how well the simulated sweep follows the mechanism
-        the paper identifies.
+        worker, inline) and ``cache`` an extraction cache to share across
+        studies (default: a fresh one).  It is seeded with this analysis's
+        flow so nothing is re-extracted; a
+        :class:`~repro.studies.store.DiskExtractionCache` keeps it across
+        processes.  The reference curve per V_tune is the ideal
+        resistive-coupling + FM line (-20 dB/decade) anchored at the first
+        simulated point; the comparison therefore measures how well the
+        simulated sweep follows the mechanism the paper identifies.
         """
-        from ..studies import SweepRunner
+        from ..studies import ExtractionCache, SweepRunner
 
         campaign = self.spur_campaign(vtune_values, noise_frequencies)
-        cache = _resolve_cache(cache, cache_dir)
+        cache = ExtractionCache() if cache is None else cache
         cache.seed(self.flow, options=self.options.flow)
         runner = SweepRunner(self.technology, backend=backend, cache=cache)
         sweep = runner.run(campaign)
@@ -581,24 +584,6 @@ class VcoImpactAnalysis:
         return spectrum, spur
 
 
-def _resolve_cache(cache, cache_dir):
-    """Resolve the ``cache=`` / ``cache_dir=`` pair of the study entry points.
-
-    ``cache`` is any extraction-cache instance to share across studies;
-    ``cache_dir`` builds a persistent on-disk cache under the directory.
-    Passing both is ambiguous and rejected.
-    """
-    from ..studies import DiskExtractionCache, ExtractionCache
-
-    if cache is not None and cache_dir is not None:
-        raise AnalysisError(
-            "pass either cache= (an existing cache instance) or cache_dir= "
-            "(a directory for a DiskExtractionCache), not both")
-    if cache_dir is not None:
-        return DiskExtractionCache(cache_dir)
-    return cache if cache is not None else ExtractionCache()
-
-
 def mechanism_report(contribution: ContributionResult) -> MechanismReport:
     """Section-5 classification of the dominant coupling / modulation mechanism."""
     dominant = contribution.dominant_entry()
@@ -614,18 +599,18 @@ def ground_resistance_study(technology: ProcessTechnology,
                             options: VcoExperimentOptions | None = None,
                             width_scale: float = 2.0,
                             vtune: float = 0.0,
-                            backend=None, cache=None,
-                            cache_dir=None) -> DesignStudyResult:
+                            backend=None, cache=None) -> DesignStudyResult:
     """Figure 10: widen the ground interconnect and re-run the full flow.
 
     Implemented as a two-variant layout campaign on the :mod:`repro.studies`
     engine (axis ``ground_width_scale``), so the nominal and widened layouts
     are extracted through the shared cache — a repeated study against a warm
-    ``cache`` (or a ``cache_dir`` populated by any earlier process) performs
-    zero extractions — and the per-variant analyses can be sharded with a
-    parallel ``backend``.  Widening the ground wires leaves the devices
-    untouched, so both variants share one substrate macromodel: a cold
-    study runs one Kron reduction, not two.
+    ``cache`` (a :class:`~repro.studies.store.DiskExtractionCache` populated
+    by any earlier process included) performs zero extractions — and the
+    per-variant analyses can be sharded with a parallel ``backend``.
+    Widening the ground wires leaves the devices untouched, so both
+    variants share one substrate macromodel: a cold study runs one Kron
+    reduction, not two.
     """
     from ..studies import Campaign, ParamSpace, SweepRunner
 
@@ -633,7 +618,6 @@ def ground_resistance_study(technology: ProcessTechnology,
     options = options or VcoExperimentOptions()
     if width_scale <= 0:
         raise AnalysisError("width scale must be positive")
-    cache = _resolve_cache(cache, cache_dir)
 
     scales = (spec.ground_width_scale, spec.ground_width_scale * width_scale)
     frequencies = tuple(float(f) for f in options.noise_frequencies)

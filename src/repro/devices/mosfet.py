@@ -87,11 +87,6 @@ class MosfetOperatingPoint(NamedTuple):
     csb: float          #: source-bulk junction capacitance [F]
 
     @property
-    def intrinsic_gain(self) -> float:
-        """gm / gds (zero if the device is off)."""
-        return self.gm / self.gds if self.gds > 0 else 0.0
-
-    @property
     def backgate_gain(self) -> float:
         """gmb / gds — the back-gate-to-drain voltage gain into an ideal load."""
         return self.gmb / self.gds if self.gds > 0 else 0.0
@@ -148,10 +143,6 @@ class MosfetModel:
         paper's RF NMOS.
         """
         return self.parameters.esat * self.geometry.length
-
-    def _effective_overdrive(self, vov: float) -> float:
-        """Velocity-saturation-limited overdrive voltage (also ``vdsat``)."""
-        return vov / (1.0 + vov / self._esat_l())
 
     def evaluate(self, vgs: float, vds: float, vbs: float) -> MosfetOperatingPoint:
         """Evaluate currents, conductances and capacitances at a bias point.

@@ -10,11 +10,16 @@ attempt count, traceback summary), and campaign-level aborts raise
 :class:`CampaignError` carrying those records as a payload — so the CLI and
 tests branch on failure *kind* (``except TaskTimeoutError`` / ``exc.failures``)
 instead of string-matching messages.
+
+Option records check their own values on construction (:func:`check_fields`),
+so a config table and a sweep axis of the same field meet the same rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 
 class ReproError(Exception):
@@ -91,3 +96,56 @@ class TaskTimeoutError(CampaignError, TimeoutError):
     Also a :class:`TimeoutError`, so generic timeout handling
     (``except TimeoutError``) catches it without importing this module.
     """
+
+
+def finite_numbers(label: str, values) -> tuple:
+    """``values`` as a tuple, each checked to be a finite number (a bool is
+    not one); :class:`AnalysisError` names ``label`` and the first bad
+    value."""
+    if not isinstance(values, (list, tuple)):
+        raise AnalysisError(
+            f"{label}: expected a list of numbers, got {values!r}")
+    for value in values:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise AnalysisError(
+                f"{label}: every value must be a finite number, got "
+                f"{value!r}")
+    return tuple(values)
+
+
+def check_fields(record, context: str, bounds=None) -> None:
+    """Check each field of the dataclass ``record`` against its annotation.
+
+    A ``float`` field must hold a finite number, an ``int`` field an
+    integer, a ``bool`` field a bool (``bool | None`` also ``None``) and a
+    ``tuple[float, ...]`` field a list or tuple of finite numbers; a bool is
+    never a number.  ``bounds`` maps a field name to ``(test, wording)``.
+    A bad value raises :class:`AnalysisError` naming ``context`` (the
+    record's config table, e.g. ``[options.mesh]``), the field and the
+    value.
+    """
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        label = f"{context} {spec.name}"
+        if spec.type == "tuple[float, ...]":
+            finite_numbers(label, value)
+            continue
+        number = (isinstance(value, numbers.Real)
+                  and not isinstance(value, bool))
+        if spec.type == "float":
+            valid, noun = number and math.isfinite(value), "a finite number"
+        elif spec.type == "int":
+            valid = number and isinstance(value, numbers.Integral)
+            noun = "an integer"
+        elif spec.type in ("bool", "bool | None"):
+            valid = isinstance(value, bool) or (
+                value is None and spec.type == "bool | None")
+            noun = "true or false"
+        else:
+            continue
+        if not valid:
+            raise AnalysisError(f"{label} must be {noun}, got {value!r}")
+        test, wording = (bounds or {}).get(spec.name, (None, ""))
+        if test is not None and not test(value):
+            raise AnalysisError(f"{label} must be {wording}, got {value!r}")

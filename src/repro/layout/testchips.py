@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import check_fields
 from .cell import Cell
 from .geometry import Rect
 from .primitives import (
@@ -98,6 +99,9 @@ class VcoLayoutSpec:
     ground_wire_width: float = 4e-6
     ground_width_scale: float = 1.0
     injection_distance: float = 120e-6
+
+    def __post_init__(self) -> None:
+        check_fields(self, "[layout]")
 
 
 def make_nmos_measurement_structure(

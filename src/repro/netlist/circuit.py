@@ -11,10 +11,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
 from ..devices.mosfet import MosfetGeometry, MosfetModel
-from ..devices.varactor import AccumulationModeVaractor
 from ..errors import NetlistError
 from ..technology.process import MosParameters
-from .devices import MosfetElement, VaractorElement
+from .devices import MosfetElement
 from .elements import (
     Capacitor,
     CurrentSource,
@@ -120,12 +119,6 @@ class Circuit:
                                            **geometry_kwargs))
         return self.add(MosfetElement(name=name, drain=drain, gate=gate,
                                       source=source, bulk=bulk, model=model))
-
-    def add_varactor(self, name: str, gate: str, well: str,
-                     model: AccumulationModeVaractor,
-                     substrate: str | None = None) -> VaractorElement:
-        return self.add(VaractorElement(name=name, gate=gate, well=well,
-                                        substrate=substrate, model=model))
 
     # -- queries ----------------------------------------------------------------
 

@@ -94,7 +94,7 @@ def runlog_to_chrome_trace(runlog_path: str | os.PathLike,
 
     Uses the ``span`` events the run logger dumps at campaign finish; the
     corner start/finish events are folded into the metadata so a log from a
-    run without ``--trace-out`` still exports a (corner-granularity) trace.
+    run without ``--trace`` still exports a (corner-granularity) trace.
     """
     runlog_path = Path(runlog_path)
     if out_path is None:

@@ -17,7 +17,6 @@ from .plan import (
     ON_ERROR_POLICIES,
     ON_ERROR_RETRY_THEN_SKIP,
     ON_ERROR_SKIP,
-    TaskFailure,
     WorkItem,
 )
 from .pool import (
@@ -35,7 +34,6 @@ __all__ = [
     "ON_ERROR_RETRY_THEN_SKIP",
     "ON_ERROR_SKIP",
     "SharedProcessPool",
-    "TaskFailure",
     "WorkItem",
     "WorkScheduler",
     "default_max_workers",

@@ -55,66 +55,42 @@ def _traceback_summary(exc: BaseException, limit: int = 4) -> str:
     return tail.strip()[-2000:]
 
 
-@dataclass(frozen=True)
-class TaskFailure:
-    """Structured outcome of a task that exhausted its attempts.
+def _failure_record(task, attempts: int,
+                    exc: BaseException | None) -> CornerFailure:
+    """The failure record of ``task`` after ``attempts`` attempts.
 
-    Returned in the task's result slot when the failure policy is a skip
-    variant; the runner converts these into
-    :class:`~repro.errors.CornerFailure` records with corner coordinates
-    (:meth:`as_corner_failure`), as an abort does before it raises.
-    Work the runner never starts because an extraction failed — a follower
-    extraction of a failed leader, a corner of a variant with no flow —
-    holds that extraction's failure object verbatim, the root cause rather
-    than a synthetic "dependency failed" wrapper.
+    Coordinates come from the task: a sweep corner's variant, power and
+    V_tune, an extraction's variant with NaN power and V_tune, -1 / NaN
+    where the payload has none.  Under the skip policies the record fills
+    the task's result slot; the abort policy raises it in a
+    :class:`~repro.errors.CampaignError`.
     """
-
-    index: int                  #: position in the submitted task list
-    label: str                  #: ``corner_label()`` / repr of the task
-    error_type: str             #: exception class name
-    message: str                #: exception message (truncated)
-    attempts: int               #: attempts spent
-    timed_out: bool = False     #: failure was a ``task_timeout`` trip
-    traceback_summary: str = ""
-
-    def as_corner_failure(self, task) -> CornerFailure:
-        """This failure at the corner coordinates of ``task`` (a sweep
-        task's variant, power and V_tune; -1 / NaN where it has none)."""
-        return CornerFailure(
-            corner_label=self.label, error_type=self.error_type,
-            message=self.message, attempts=self.attempts,
-            timed_out=self.timed_out,
-            traceback_summary=self.traceback_summary,
-            variant_index=getattr(task, "variant_index", -1),
-            injected_power_dbm=getattr(task, "injected_power_dbm",
-                                       float("nan")),
-            vtune=getattr(task, "vtune", float("nan")))
-
-
-def _failure_record(index: int, task, attempts: int,
-                    exc: BaseException | None) -> TaskFailure:
+    coordinates = dict(
+        variant_index=getattr(task, "variant_index", -1),
+        injected_power_dbm=getattr(task, "injected_power_dbm", float("nan")),
+        vtune=getattr(task, "vtune", float("nan")))
     if exc is None:
-        return TaskFailure(index=index, label=_task_label(task),
-                           error_type="Unknown",
-                           message="task never completed (worker pool broke "
-                                   "repeatedly)",
-                           attempts=attempts)
+        return CornerFailure(corner_label=_task_label(task),
+                             error_type="Unknown",
+                             message="task never completed (worker pool "
+                                     "broke repeatedly)",
+                             attempts=attempts, **coordinates)
     message = str(exc)
-    return TaskFailure(
-        index=index, label=_task_label(task),
+    return CornerFailure(
+        corner_label=_task_label(task),
         error_type=type(exc).__name__,
         message=message if len(message) <= 500 else message[:497] + "...",
         attempts=attempts,
         timed_out=isinstance(exc, (TaskTimeoutError, TimeoutError)),
-        traceback_summary=_traceback_summary(exc))
+        traceback_summary=_traceback_summary(exc), **coordinates)
 
 
 def _give_up(task, attempts: int, exc: BaseException) -> None:
     """Abort-policy terminal: raise a CampaignError naming the corner."""
-    failure = _failure_record(-1, task, attempts, exc).as_corner_failure(task)
     raise CampaignError(
         f"sweep task failed after {attempts} attempt(s): "
-        f"{_task_label(task)}", failures=(failure,)) from exc
+        f"{_task_label(task)}",
+        failures=(_failure_record(task, attempts, exc),)) from exc
 
 
 @dataclass(frozen=True)

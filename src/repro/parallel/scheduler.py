@@ -72,7 +72,7 @@ class _TimedOut(Exception):
 class WorkScheduler:
     """Independent-item execution on one persistent pool.
 
-    ``run(items, ...)`` returns ``{item id -> result | TaskFailure}``.  The
+    ``run(items, ...)`` returns ``{item id -> result | CornerFailure}``.  The
     per-item attempt counts of the most recent run live in ``attempts`` and
     the pool rebuilds (crash or timeout recoveries) in ``pool_rebuilds``;
     the sweep runner records them in its campaign metrics.  The default
@@ -142,7 +142,7 @@ class WorkScheduler:
         *succeeds* (including results salvaged from a breaking pool);
         ``on_start(item_id, attempt)`` as each attempt is submitted
         (``attempt`` counts from 1).  Under the skip policies a failed
-        item's slot holds its :class:`TaskFailure`.
+        item's slot holds its :class:`~repro.errors.CornerFailure`.
         """
         policy = _check_policy(on_error)
         by_id: dict[str, WorkItem] = {}
@@ -155,7 +155,6 @@ class WorkScheduler:
         if not by_id:
             return {}
         budget = _effective_retries(self.retries, policy)
-        seq = {item_id: position for position, item_id in enumerate(by_id)}
         outcomes: dict[str, Any] = {}
 
         def notify(item_id: str) -> None:
@@ -163,7 +162,7 @@ class WorkScheduler:
                 on_result(item_id, outcomes[item_id])
 
         if inline or self.max_workers == 1:
-            self._run_inline(by_id, seq, budget, policy, outcomes, notify,
+            self._run_inline(by_id, budget, policy, outcomes, notify,
                              on_start)
             return outcomes
 
@@ -172,7 +171,7 @@ class WorkScheduler:
         resubmit: list[str] = []
         while ready or resubmit:
             unfinished, causes = self._pool_round(
-                by_id, seq, ready, resubmit, n_workers, budget, policy,
+                by_id, ready, resubmit, n_workers, budget, policy,
                 outcomes, notify, on_start)
             exhausted = [item_id for item_id in unfinished
                          if self.attempts[item_id] > budget]
@@ -181,8 +180,8 @@ class WorkScheduler:
                     self._abort(by_id, exhausted, causes)
                 for item_id in exhausted:
                     outcomes[item_id] = _failure_record(
-                        seq[item_id], by_id[item_id].payload,
-                        self.attempts[item_id], causes.get(item_id))
+                        by_id[item_id].payload, self.attempts[item_id],
+                        causes.get(item_id))
                 unfinished = [item_id for item_id in unfinished
                               if self.attempts[item_id] <= budget]
             resubmit = unfinished
@@ -194,7 +193,7 @@ class WorkScheduler:
                 self._backoff_sleep(self.pool_rebuilds)
         return outcomes
 
-    def _run_inline(self, by_id, seq, budget, policy, outcomes, notify,
+    def _run_inline(self, by_id, budget, policy, outcomes, notify,
                     on_start) -> None:
         """Single-worker path: run the items in this process, no pool.
 
@@ -224,8 +223,7 @@ class WorkScheduler:
                         "policy=%s", item.describe(), self.attempts[item_id],
                         type(exc).__name__, policy)
                     outcomes[item_id] = _failure_record(
-                        seq[item_id], item.payload, self.attempts[item_id],
-                        exc)
+                        item.payload, self.attempts[item_id], exc)
                     break
                 notify(item_id)
                 break
@@ -247,17 +245,16 @@ class WorkScheduler:
                      causes[blamed])
         first = exhausted[0]
         failures = tuple(
-            _failure_record(index, by_id[item_id].payload,
-                            self.attempts[item_id], causes.get(item_id)
-                            ).as_corner_failure(by_id[item_id].payload)
-            for index, item_id in enumerate(exhausted))
+            _failure_record(by_id[item_id].payload, self.attempts[item_id],
+                            causes.get(item_id))
+            for item_id in exhausted)
         raise CampaignError(
             f"worker pool broke {self.attempts[first]} time(s); "
             f"{len(exhausted)} task(s) exhausted their retries without "
             f"completing, including: {_task_label(by_id[first].payload)}",
             failures=failures) from causes.get(first)
 
-    def _pool_round(self, by_id, seq, ready, resubmit, n_workers, budget,
+    def _pool_round(self, by_id, ready, resubmit, n_workers, budget,
                     policy, outcomes, notify, on_start,
                     ) -> tuple[list[str], dict[str, BaseException]]:
         """One pool lifetime; returns (unfinished item ids, their causes).
@@ -352,7 +349,7 @@ class WorkScheduler:
                                      self.attempts[item_id], exc)
                         else:
                             outcomes[item_id] = _failure_record(
-                                seq[item_id], by_id[item_id].payload,
+                                by_id[item_id].payload,
                                 self.attempts[item_id], exc)
                     fill()
                 finally:

@@ -55,7 +55,6 @@ from ..parallel.plan import (
     ON_ERROR_POLICIES,
     ON_ERROR_RETRY_THEN_SKIP,
     ON_ERROR_SKIP,
-    TaskFailure,
 )
 from .cache import CacheStats, ExtractionCache, extraction_key, fingerprint
 from .faults import (
@@ -123,7 +122,6 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepTask",
-    "TaskFailure",
     "TaskTimeoutError",
     "VariantRecord",
     "extraction_key",

@@ -11,7 +11,7 @@ campaign picks up exactly where it stopped.
 Subcommands::
 
     repro-campaign run     CONFIG [--result R.npz] [--cache-dir DIR]
-                                  [--trace-out T.trace.json] ...
+                                  [--trace] ...
     repro-campaign resume  CONFIG [--result R.npz] ...
     repro-campaign show    RESULT [--rows N] [--timings]
     repro-campaign cache   stats --cache-dir DIR
@@ -63,11 +63,16 @@ supported Python — TOML parsing needs the stdlib ``tomllib`` of 3.11+)::
     checkpoint_seconds = 30.0   # ... or every T seconds (0 corners disables)
 
     [observability]             # telemetry of the run (all optional)
-    trace = false               # record hierarchical spans during the run
-    trace_out = "c.trace.json"  # ... and export them as a Chrome/Perfetto
-                                # trace (implies trace = true)
+    trace = false               # record hierarchical spans into the run log
+                                # ("trace export" turns them into a
+                                # Chrome/Perfetto trace)
     run_log = true              # structured <result stem>.runlog.jsonl
     progress = true             # live progress line (default: only on a TTY)
+
+Every value is checked when the config loads: a value of the wrong type
+(a quoted number, a fractional mesh count, a string flag), a NaN or an
+out-of-range mesh setting is an error naming its table and field, before
+anything extracts.
 
 The ``[solver]`` table participates in the extraction-cache key (two
 campaigns differing only in solver backend or gmin never share cached
@@ -95,14 +100,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import AnalysisError, ReproError, SimulationError
+from ..errors import AnalysisError, ReproError, SimulationError, check_fields
 from ..layout.testchips import VcoLayoutSpec
 from ..obs import (
     CompositeObserver,
     ProgressReporter,
     RunLogRecorder,
     configure_logging,
-    export_chrome_trace,
     runlog_path_for,
     runlog_to_chrome_trace,
     tracer,
@@ -112,7 +116,7 @@ from ..technology import make_technology
 from ..parallel.plan import ON_ERROR_ABORT, ON_ERROR_POLICIES
 from ..parallel.scheduler import WorkScheduler
 from .cache import ExtractionCache
-from .params import Campaign, ParamSpace, finite_numbers
+from .params import Campaign, ParamSpace
 from .persist import CampaignJournal, CheckpointPolicy, journal_path_for
 from .results import SweepResult
 from .runner import ProcessPoolBackend, SerialBackend, SweepRunner
@@ -220,13 +224,11 @@ class ObservabilitySettings:
     """``[observability]`` table of a config, overridable by CLI flags."""
 
     trace: bool = False            #: record hierarchical spans for the run
-    trace_out: str | None = None   #: export a Chrome/Perfetto trace here
     run_log: bool = True           #: write ``<result stem>.runlog.jsonl``
     progress: bool | None = None   #: live progress line (None = TTY only)
 
-    @property
-    def tracing(self) -> bool:
-        return self.trace or bool(self.trace_out)
+    def __post_init__(self) -> None:
+        check_fields(self, "[observability]")
 
     def progress_enabled(self) -> bool:
         if self.progress is None:
@@ -350,10 +352,6 @@ def load_campaign_config(path: str | Path) -> CampaignConfig:
     options_table = dict(data.get("options") or {})
     mesh_table = dict(options_table.pop("mesh", {}) or {})
     _check_table(options_table, _OPTION_FIELDS, "options")
-    for name in ("vtune_values", "noise_frequencies"):
-        if name in options_table:
-            options_table[name] = tuple(float(v) for v in finite_numbers(
-                f"[options] {name}", options_table[name]))
     options = VcoExperimentOptions(**options_table)
     if mesh_table:
         substrate = options.flow.substrate
@@ -416,8 +414,6 @@ def _apply_overrides(execution: ExecutionSettings,
 def _apply_obs_overrides(observability: ObservabilitySettings,
                          args: argparse.Namespace) -> ObservabilitySettings:
     updates: dict = {}
-    if getattr(args, "trace_out", None) is not None:
-        updates["trace_out"] = args.trace_out
     if getattr(args, "trace", None):
         updates["trace"] = True
     if getattr(args, "progress", None) is not None:
@@ -515,7 +511,7 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
     checkpoint = execution.make_checkpoint()
 
     enabled_tracer = False
-    if observability.tracing and not tracer.enabled:
+    if observability.trace and not tracer.enabled:
         tracer.enable()
         tracer.reset()
         enabled_tracer = True
@@ -531,7 +527,6 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
         observers.append(ProgressReporter(cache=cache))
     observer = CompositeObserver(*observers) if observers else None
 
-    trace_path = None
     try:
         result = runner.run(config.campaign, resume_from=resume_from,
                             checkpoint=checkpoint, observer=observer)
@@ -542,20 +537,12 @@ def _launch(args: argparse.Namespace, resume: bool) -> int:
             CampaignJournal(checkpoint.path,
                             campaign_name=config.campaign.name,
                             fingerprint=None).discard()
-        if observability.trace_out:
-            trace_path = export_chrome_trace(
-                tracer.spans(), observability.trace_out,
-                metadata={"campaign": config.campaign.name,
-                          "fingerprint": config.campaign.fingerprint()})
     finally:
         if enabled_tracer:
             tracer.disable()
     _print_run_report(result, cache, saved)
     if runlog_path is not None:
         print(f"  run log              : {runlog_path}")
-    if trace_path is not None:
-        print(f"  trace written        : {trace_path} "
-              "(load in ui.perfetto.dev)")
     if args.summary_json:
         _write_summary_json(args.summary_json, result, cache, saved)
     # Exit code 3: the campaign *completed* but only partially (skipped
@@ -753,10 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a machine-readable run summary here")
         p.add_argument("--trace", action="store_true", default=None,
                        help="record hierarchical spans during the run "
-                            "(dumped into the run log)")
-        p.add_argument("--trace-out", dest="trace_out", default=None,
-                       help="export the recorded spans as a Chrome/Perfetto "
-                            ".trace.json (implies --trace)")
+                            "(dumped into the run log; 'trace export' "
+                            "writes them as a Chrome/Perfetto trace)")
         p.add_argument("--progress", dest="progress",
                        action=argparse.BooleanOptionalAction, default=None,
                        help="force the live progress line on/off "

@@ -33,13 +33,12 @@ campaign is "options plus the axes you want to sweep".
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from ..core.flow import FlowOptions
-from ..errors import AnalysisError
+from ..errors import AnalysisError, finite_numbers
 from ..layout.cell import Cell
 from ..layout.testchips import VcoLayoutSpec, make_vco_testchip
 from ..substrate.extraction import SubstrateExtractionOptions
@@ -78,22 +77,6 @@ def _integer_axis_names() -> frozenset[str]:
     return frozenset(
         {axis for axis, name in MESH_AXES.items() if integer(substrate[name])}
         | {f.name for f in fields(VcoLayoutSpec) if integer(f)})
-
-
-def finite_numbers(label: str, values) -> tuple:
-    """``values`` as a tuple, each checked to be a finite number (a bool is
-    not one); :class:`AnalysisError` names ``label`` and the first bad
-    value."""
-    if not isinstance(values, (list, tuple)):
-        raise AnalysisError(
-            f"{label}: expected a list of numbers, got {values!r}")
-    for value in values:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
-            raise AnalysisError(
-                f"{label}: every value must be a finite number, got "
-                f"{value!r}")
-    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -200,9 +183,6 @@ class Campaign:
 
     def mesh_axes(self) -> ParamSpace:
         return self.space.subspace(tuple(MESH_AXES))
-
-    def sim_axes(self) -> ParamSpace:
-        return self.space.subspace(SIM_AXES)
 
     # -- resolution ----------------------------------------------------------
 

@@ -9,16 +9,18 @@ into a :class:`~repro.studies.results.SweepResult`:
    the changed variants, and run one Kron reduction per distinct device
    geometry, mesh, technology and solver: variants that change only
    interconnect reuse the substrate macromodel of the first one),
-2. build one :class:`SweepTask` per (variant, injected power, V_tune) —
-   each task analyses all noise frequencies of the campaign in one AC sweep,
-   which is the natural unit of work (one DC solve + one transfer function),
-3. run the pending extractions on the
+2. run the pending extractions on the
    :class:`~repro.parallel.scheduler.WorkScheduler` as two flat batches —
    the leaders, then the followers that reuse a fresh leader's substrate —
    on the shared process pool when there are two or more extractions and
-   the scheduler has more than one worker, inline otherwise, and then every
-   task inline in this process, in task order, so the result is
-   numerically identical whatever the worker count.
+   the scheduler has more than one worker, inline otherwise,
+3. build one :class:`SweepTask` per pending (variant, injected power,
+   V_tune) corner with its variant's flow — each task analyses all noise
+   frequencies of the campaign in one AC sweep, which is the natural unit
+   of work (one DC solve + one transfer function) — and run every task
+   inline in this process, in task order, so the result is numerically
+   identical whatever the worker count.  A corner of a variant that failed
+   to extract is recorded as that extraction's failure.
 
 A corner costs about a millisecond once its variant's flow exists, less
 than shipping the flow to another process, so only extractions leave the
@@ -41,7 +43,7 @@ from ..errors import AnalysisError, CornerFailure
 from ..layout.cell import Cell
 from ..substrate.extraction import SubstrateExtraction, substrate_inputs
 from ..obs import get_logger, span_aggregates, trace_span, tracer
-from ..parallel.plan import ON_ERROR_ABORT, TaskFailure, WorkItem, _check_policy
+from ..parallel.plan import ON_ERROR_ABORT, WorkItem, _check_policy
 from ..parallel.scheduler import WorkScheduler
 from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
@@ -81,7 +83,7 @@ class SweepTask:
     injected_power_dbm: float
     vtune: float
     noise_frequencies: tuple[float, ...]
-    flow: FlowResult | None                #: pre-extracted models of the variant
+    flow: FlowResult                       #: extracted models of the variant
     first_point_index: int                 #: global index of the first point
 
     def corner_label(self) -> str:
@@ -379,30 +381,41 @@ class SweepRunner:
 
     def _build_tasks(self, campaign: Campaign,
                      variants: list[LayoutVariant],
-                     extracted: list[VariantRecord],
-                     skip: frozenset[tuple[int, float, float]] = frozenset(),
-                     ) -> list[SweepTask]:
-        """One task per pending (variant, power, vtune) corner.
+                     plan: _ExtractionPlan,
+                     extractions: dict[str, object],
+                     skip: frozenset[tuple[int, float, float]],
+                     ) -> list[SweepTask | CornerFailure]:
+        """Every pending (variant, power, vtune) corner, in point order.
 
         ``skip`` holds corners an earlier (persisted) run already completed;
-        their tasks are omitted but the deterministic global point indexing
-        still advances past them, so merged points line up exactly with a
-        never-interrupted run.  A task of a variant still to be extracted
-        is built with ``flow=None``; :meth:`_run` binds the flow in once
-        the extraction has landed.
+        they are omitted but the deterministic global point indexing still
+        advances past them, so merged points line up exactly with a
+        never-interrupted run.  A corner whose variant has a flow becomes a
+        :class:`SweepTask` carrying it.  A corner of a variant whose
+        extraction failed never runs: it is that extraction's
+        :class:`~repro.errors.CornerFailure` (from ``extractions``)
+        re-stamped with the corner's coordinates.
         """
         powers, vtunes, frequencies = campaign.sim_grid()
-        tasks: list[SweepTask] = []
+        corners: list[SweepTask | CornerFailure] = []
         point_index = 0
-        for variant, record in zip(variants, extracted):
+        for variant in variants:
+            key = plan.keys[variant.index]
+            flow = plan.resolved.get(key)
             for power in powers:
                 options = replace(campaign.options,
                                   injected_power_dbm=power,
                                   flow=variant.flow_options)
                 for vtune in vtunes:
-                    if (variant.index, power, vtune) not in skip:
-                        tasks.append(SweepTask(
-                            index=len(tasks),
+                    if (variant.index, power, vtune) in skip:
+                        pass
+                    elif flow is None:
+                        corners.append(replace(
+                            extractions[key], variant_index=variant.index,
+                            injected_power_dbm=power, vtune=vtune))
+                    else:
+                        corners.append(SweepTask(
+                            index=len(corners),
                             variant_index=variant.index,
                             knobs=dict(variant.knobs),
                             technology=self.technology,
@@ -411,10 +424,10 @@ class SweepRunner:
                             injected_power_dbm=power,
                             vtune=vtune,
                             noise_frequencies=frequencies,
-                            flow=record.flow,
+                            flow=flow,
                             first_point_index=point_index))
                     point_index += len(frequencies)
-        return tasks
+        return corners
 
     # -- prior work ----------------------------------------------------------
 
@@ -546,23 +559,22 @@ class SweepRunner:
                             len(frequencies))
         done = prior.corners() if prior is not None else frozenset()
 
-        pending = {variant.index for variant in variants
-                   if any((variant.index, power, vtune) not in done
-                          for power in powers for vtune in vtunes)}
-        plan = self._plan_extractions(campaign, variants, pending)
-        tasks = self._build_tasks(campaign, variants, plan.records(variants),
-                                  skip=done)
+        todo = [(variant.index, power, vtune) for variant in variants
+                for power in powers for vtune in vtunes
+                if (variant.index, power, vtune) not in done]
+        plan = self._plan_extractions(campaign, variants,
+                                      {corner[0] for corner in todo})
 
         if observer is not None:
             observer.campaign_started(
                 campaign_name=campaign.name,
                 fingerprint=campaign.fingerprint(),
                 total_corners=len(variants) * len(powers) * len(vtunes),
-                pending_corners=len(tasks),
+                pending_corners=len(todo),
                 prior_corners=len(done))
         logger.info(
             "campaign start: name=%s pending_corners=%d prior_corners=%d "
-            "backend=%s", campaign.name, len(tasks), len(done),
+            "backend=%s", campaign.name, len(todo), len(done),
             self.backend.describe())
 
         def extracted(key: str, flow: FlowResult) -> None:
@@ -573,12 +585,12 @@ class SweepRunner:
             if checkpointer is not None:
                 checkpointer(outcome)
             if observer is not None:
-                observer.corner_finished(tasks[int(item_id[1:])], outcome)
+                observer.corner_finished(corners[int(item_id[1:])], outcome)
 
         on_start = None
         if observer is not None:
             def on_start(item_id: str, attempt: int) -> None:
-                observer.corner_started(tasks[int(item_id[1:])], attempt)
+                observer.corner_started(corners[int(item_id[1:])], attempt)
 
         checkpointer: _Checkpointer | None = None
         if checkpoint is not None:
@@ -591,11 +603,14 @@ class SweepRunner:
         try:
             extractions, pool_rebuilds = self._run_extractions(plan,
                                                                extracted)
-            outcome_map, corner_items = self._corner_items(tasks, plan,
-                                                           extractions)
-            outcome_map.update(self.backend.run(
-                corner_items, on_error=self.on_error,
-                on_result=corner_finished, on_start=on_start, inline=True))
+            corners = self._build_tasks(campaign, variants, plan,
+                                        extractions, done)
+            task_fn = self._task_fn()
+            outcomes = self.backend.run(
+                [WorkItem(id=f"c{corner.index}", fn=task_fn, payload=corner)
+                 for corner in corners if isinstance(corner, SweepTask)],
+                on_error=self.on_error, on_result=corner_finished,
+                on_start=on_start, inline=True)
         finally:
             # Journal every corner that completed, even when aborting: the
             # next run recovers them instead of recomputing.
@@ -604,8 +619,6 @@ class SweepRunner:
                     checkpointer.flush()
                 finally:
                     checkpointer.journal.close()
-        corner_ids = [f"c{position}" for position in range(len(tasks))]
-
         # Solver work of this run: every fresh extraction's own counters
         # (wherever it ran) plus every successful corner's.
         spent = SolverStats()
@@ -615,16 +628,13 @@ class SweepRunner:
                 spent.merge(flow.solver_stats)
         failures: list[CornerFailure] = []
         successes: list[TaskOutcome] = []
-        # Position-keyed, not ``outcome.index``-keyed: a corner doomed by a
-        # failed extraction inherits the extraction's TaskFailure verbatim,
-        # whose index is the *extraction's* position in its batch.
-        for task, item_id in zip(tasks, corner_ids):
-            outcome = outcome_map[item_id]
-            if isinstance(outcome, TaskFailure):
-                failure = outcome.as_corner_failure(task)
-                failures.append(failure)
+        for position, corner in enumerate(corners):
+            outcome = (corner if isinstance(corner, CornerFailure)
+                       else outcomes[f"c{position}"])
+            if isinstance(outcome, CornerFailure):
+                failures.append(outcome)
                 if observer is not None:
-                    observer.corner_failed(failure)
+                    observer.corner_failed(outcome)
                 continue
             successes.append(outcome)
             for name, count in outcome.block.solver_counts:
@@ -638,14 +648,13 @@ class SweepRunner:
             cache_misses=self.cache.misses - misses_before,
             degradations=degradations,
             successes=successes,
-            attempts=[self.backend.attempts.get(item_id, 0)
-                      for item_id in corner_ids],
+            attempts=[self.backend.attempts.get(f"c{position}", 0)
+                      for position in range(len(corners))],
             pool_rebuilds=pool_rebuilds,
             substrate_reuses=sum(1 for key in plan.leaders
                                  if key in plan.resolved))
         # Tasks run in point order, so their blocks concatenate in order.
-        # Fresh flows arrived through the plan after the tasks were built
-        # (flows of variants that failed to extract stay None).
+        # Variants that failed to extract keep no flow in their records.
         result = SweepResult(
             campaign_name=campaign.name,
             backend_name=self.backend.describe(),
@@ -670,7 +679,8 @@ class SweepRunner:
         follower of a cache hit (which gets the hit's substrate here), then
         the followers of the leaders just extracted.  A follower whose
         leader failed never runs: its slot holds the leader's
-        :class:`TaskFailure`.  ``rebuilds`` sums the pool rebuilds of both.
+        :class:`~repro.errors.CornerFailure`.  ``rebuilds`` sums the pool
+        rebuilds of both.
         """
         first: list[WorkItem] = []
         for key, task in plan.pending.items():
@@ -691,7 +701,7 @@ class SweepRunner:
             if leader not in plan.pending:
                 continue
             flow = outcomes[leader]
-            if isinstance(flow, TaskFailure):
+            if isinstance(flow, CornerFailure):
                 outcomes[key] = flow
                 continue
             followers.append(WorkItem(
@@ -700,30 +710,6 @@ class SweepRunner:
         outcomes.update(self.backend.run(followers, on_error=self.on_error,
                                          on_result=on_result, inline=inline))
         return outcomes, rebuilds + self.backend.pool_rebuilds
-
-    def _corner_items(self, tasks: list[SweepTask], plan: _ExtractionPlan,
-                      extractions: dict[str, object],
-                      ) -> tuple[dict[str, object], list[WorkItem]]:
-        """The corner items ``c<i>`` to run, and the corners that cannot.
-
-        A corner of a variant whose extraction failed never runs: its slot
-        holds the extraction's :class:`TaskFailure`.  Every other corner
-        gets its variant's flow.
-        """
-        task_fn = self._task_fn()
-        doomed: dict[str, object] = {}
-        items: list[WorkItem] = []
-        for position, task in enumerate(tasks):
-            key = plan.keys[task.variant_index]
-            flow = plan.resolved.get(key)
-            if flow is None:
-                doomed[f"c{position}"] = extractions[key]
-                continue
-            if task.flow is None:
-                task = replace(task, flow=flow)
-            items.append(WorkItem(id=f"c{position}", fn=task_fn,
-                                  payload=task))
-        return doomed, items
 
     def _build_telemetry(self, *, spent: SolverStats,
                          cache_hits: int, cache_misses: int,

@@ -423,11 +423,11 @@ class DiskExtractionCache(ExtractionCache):
             pass
 
     @staticmethod
-    def _unpack(envelope, key: str | None = None) -> FlowResult:
+    def _unpack(envelope, key: str) -> FlowResult:
         """Validate a current-format envelope and return its flow; raise if bad."""
         if not isinstance(envelope, dict) or "format" not in envelope:
             raise ValueError("not a cache envelope")
-        if key is not None and envelope.get("key") != key:
+        if envelope.get("key") != key:
             raise ValueError(
                 f"envelope key {envelope.get('key')!r} does not match "
                 f"file name")
@@ -444,57 +444,69 @@ class DiskExtractionCache(ExtractionCache):
                 f"{digest[:12]}…)")
         return pickle.loads(payload)
 
-    @staticmethod
-    def _foreign_format(envelope) -> bool:
-        """Whether the envelope declares another on-disk format version."""
-        return (isinstance(envelope, dict)
-                and envelope.get("format") is not None
-                and envelope.get("format") != DISK_FORMAT_VERSION)
+    def _classify(self, path: Path, key: str,
+                  ) -> tuple[str, FlowResult | Exception | None]:
+        """Read the entry at ``path``: ``("ok", flow)``, ``("stale", None)``
+        or ``("corrupt", exc)``.
 
-    def _read(self, key: str) -> FlowResult | None:
-        """Uncounted disk read; quarantines (and survives) bad entries."""
-        path = self.entry_path(key)
-        if not path.exists():
-            return None
+        An entry is stale when it declares another on-disk format version
+        (its layout is unknown to us) or, validly checksummed, was written
+        by different extraction code.  It is corrupt when it cannot be read
+        at all, is torn, names another key or fails its payload checksum.
+        """
         try:
             with trace_span("cache.disk_read"), path.open("rb") as handle:
                 envelope = pickle.load(handle)
-            if self._foreign_format(envelope):
-                # Written by another version of the store: its layout is
-                # unknown to us, so evict silently and re-extract.
-                path.unlink(missing_ok=True)
-                self.stats.evictions += 1
-                return None
+            if (isinstance(envelope, dict)
+                    and envelope.get("format") is not None
+                    and envelope.get("format") != DISK_FORMAT_VERSION):
+                return "stale", None
             flow = self._unpack(envelope, key)
-            if envelope.get("code") != extraction_code_fingerprint():
-                # Validly checksummed, but written by different extraction
-                # code: evict silently and re-extract.
-                path.unlink(missing_ok=True)
-                self.stats.evictions += 1
-                return None
-            return flow
-        except Exception as exc:  # noqa: BLE001 - any bad entry => re-extract
-            # Warn (visible to interactive callers and pytest) *and* log with
-            # structured context (machine-readable alongside the run logs).
-            destination = self._quarantine(path)
-            where = (f"quarantined to {destination.name!r}" if destination
-                     else "already removed")
-            warnings.warn(
-                f"discarding corrupted extraction-cache entry {path.name!r} "
-                f"({type(exc).__name__}: {exc}; {where}); the extraction "
-                f"will re-run",
-                CacheCorruptionWarning,
-                stacklevel=3,
-            )
-            logger.warning(
-                "cache corruption: entry=%s error=%s message=%s action=%s",
-                path.name,
-                type(exc).__name__,
-                exc,
-                where,
-            )
-            self.stats.corrupted += 1
+        except Exception as exc:  # noqa: BLE001 - any bad entry is corrupt
+            return "corrupt", exc
+        if envelope.get("code") != extraction_code_fingerprint():
+            return "stale", None
+        return "ok", flow
+
+    def _evict(self, path: Path) -> None:
+        """Delete an entry file and count the eviction."""
+        path.unlink(missing_ok=True)
+        self.stats.evictions += 1
+
+    def _read(self, key: str) -> FlowResult | None:
+        """Uncounted disk read; evicts stale and quarantines (and survives)
+        corrupt entries, so the extraction re-runs."""
+        path = self.entry_path(key)
+        if not path.exists():
             return None
+        status, found = self._classify(path, key)
+        if status == "ok":
+            return found
+        if status == "stale":
+            self._evict(path)
+            return None
+        exc = found
+        # Warn (visible to interactive callers and pytest) *and* log with
+        # structured context (machine-readable alongside the run logs).
+        destination = self._quarantine(path)
+        where = (f"quarantined to {destination.name!r}" if destination
+                 else "already removed")
+        warnings.warn(
+            f"discarding corrupted extraction-cache entry {path.name!r} "
+            f"({type(exc).__name__}: {exc}; {where}); the extraction "
+            f"will re-run",
+            CacheCorruptionWarning,
+            stacklevel=3,
+        )
+        logger.warning(
+            "cache corruption: entry=%s error=%s message=%s action=%s",
+            path.name,
+            type(exc).__name__,
+            exc,
+            where,
+        )
+        self.stats.corrupted += 1
+        return None
 
     def _quarantine(self, path: Path) -> Path | None:
         """Move a corrupt entry aside for post-mortem; atomic, never raises."""
@@ -647,8 +659,7 @@ class DiskExtractionCache(ExtractionCache):
             key = path.name[: -len(ENTRY_SUFFIX)]
             self._entries.pop(key, None)
             freed += size
-            path.unlink(missing_ok=True)
-            self.stats.evictions += 1
+            self._evict(path)
         return len(doomed), freed
 
     # -- offline audit -------------------------------------------------------
@@ -692,34 +703,23 @@ class DiskExtractionCache(ExtractionCache):
                 path.unlink(missing_ok=True)
                 report["orphans_removed"] += 1
         for path in self._entry_files():
-            key = path.name[: -len(ENTRY_SUFFIX)]
             report["checked"] += 1
-            try:
-                with path.open("rb") as handle:
-                    envelope = pickle.load(handle)
-                if self._foreign_format(envelope):
-                    report["stale"].append(path.name)
-                    if repair:
-                        path.unlink(missing_ok=True)
-                        self.stats.evictions += 1
-                    continue
-                self._unpack(envelope, key)
-                if envelope.get("code") != extraction_code_fingerprint():
-                    report["stale"].append(path.name)
-                    if repair:
-                        path.unlink(missing_ok=True)
-                        self.stats.evictions += 1
-                    continue
-            except Exception as exc:  # noqa: BLE001 - classify, don't die
+            status, found = self._classify(path,
+                                           path.name[: -len(ENTRY_SUFFIX)])
+            if status == "ok":
+                report["ok"] += 1
+            elif status == "stale":
+                report["stale"].append(path.name)
+                if repair:
+                    self._evict(path)
+            else:
                 report["corrupt"].append(
                     {"entry": path.name,
-                     "error": f"{type(exc).__name__}: {exc}"})
+                     "error": f"{type(found).__name__}: {found}"})
                 if repair:
                     self.stats.corrupted += 1
                     if self._quarantine(path):
                         report["quarantine_entries"] += 1
-                continue
-            report["ok"] += 1
         return report
 
     def describe(self) -> dict[str, int | str]:

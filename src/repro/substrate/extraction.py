@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import ExtractionError
+from ..errors import ExtractionError, check_fields
 from ..obs import trace_span
 from ..layout.cell import Cell, DeviceAnnotation
 from ..layout.geometry import Rect, bounding_box
@@ -60,10 +60,6 @@ class SubstratePort:
     contact_resistance: float = 0.0       #: series contact resistance (TAP ports)
     coupling_capacitance: float = 0.0     #: total coupling cap (WELL / INDUCTOR)
     device: str | None = None             #: source device annotation name
-
-    @property
-    def is_resistive(self) -> bool:
-        return self.kind in (PortKind.TAP, PortKind.BACKGATE, PortKind.INJECTION)
 
 
 @dataclass
@@ -107,6 +103,15 @@ class SubstrateExtractionOptions:
     max_depth: float = 200e-6
     lateral_margin: float = 80e-6
     min_tap_conductance: float = 1e-3     #: floor on a tap's contact conductance [S]
+
+    def __post_init__(self) -> None:
+        check_fields(self, "[options.mesh]", {
+            "nx": (lambda v: v >= 2, ">= 2"),
+            "ny": (lambda v: v >= 2, ">= 2"),
+            "n_z_per_layer": (lambda v: v >= 1, ">= 1"),
+            "max_depth": (lambda v: v > 0, "positive"),
+            "lateral_margin": (lambda v: v >= 0, ">= 0"),
+            "min_tap_conductance": (lambda v: v > 0, "positive")})
 
 
 def _ring_strips(footprint: Rect, ring_width: float) -> list[Rect]:

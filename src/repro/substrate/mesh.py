@@ -128,12 +128,6 @@ class SubstrateMesh:
             raise ExtractionError(f"mesh index out of range: {(ix, iy, iz)}")
         return (iz * self.ny + iy) * self.nx + ix
 
-    def cell_centers_x(self) -> np.ndarray:
-        return 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
-
-    def cell_centers_y(self) -> np.ndarray:
-        return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
-
     def cell_centers_z(self) -> np.ndarray:
         return 0.5 * (self.z_edges[:-1] + self.z_edges[1:])
 

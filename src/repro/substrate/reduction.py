@@ -81,10 +81,6 @@ class SubstrateMacromodel:
             return np.inf
         return 1.0 / y
 
-    def transfer_resistance_matrix(self) -> np.ndarray:
-        """Pseudo-inverse of the admittance matrix (useful for diagnostics)."""
-        return np.linalg.pinv(self.admittance)
-
     def voltage_division(self, source_port: str, sense_port: str,
                          grounded_ports: dict[str, float]) -> float:
         """Voltage at ``sense_port`` per volt at ``source_port``.

@@ -82,10 +82,6 @@ class Layer:
     def is_metal(self) -> bool:
         return self.purpose is LayerPurpose.METAL
 
-    @property
-    def is_vertical_connection(self) -> bool:
-        return self.purpose in (LayerPurpose.VIA, LayerPurpose.CONTACT)
-
 
 @dataclass(frozen=True)
 class ViaDefinition:

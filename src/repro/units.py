@@ -2,13 +2,11 @@
 
 The extraction and simulation code works in plain SI units (metres, ohms,
 farads, volts, hertz).  The paper's figures, however, are expressed in dBm
-and dB, so this module centralises the power conversions and the dB error
-metrics to keep the rest of the code free of ``10 * log10`` boilerplate.
+and dB, so this module centralises the power conversions to keep the rest
+of the code free of ``10 * log10`` boilerplate.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -43,23 +41,3 @@ def vpeak_to_dbm(v_peak: float | np.ndarray,
     """Power in dBm of a sinusoid with the given peak voltage into ``impedance_ohm``."""
     power = np.asarray(v_peak, dtype=float) ** 2 / (2.0 * impedance_ohm)
     return watt_to_dbm(power)
-
-
-def mean_abs_error_db(a_db: Sequence[float] | np.ndarray,
-                      b_db: Sequence[float] | np.ndarray) -> float:
-    """Mean absolute difference between two curves already expressed in dB."""
-    a = np.asarray(a_db, dtype=float)
-    b = np.asarray(b_db, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("curves must have the same shape")
-    return float(np.mean(np.abs(a - b)))
-
-
-def max_abs_error_db(a_db: Sequence[float] | np.ndarray,
-                     b_db: Sequence[float] | np.ndarray) -> float:
-    """Maximum absolute difference between two curves already expressed in dB."""
-    a = np.asarray(a_db, dtype=float)
-    b = np.asarray(b_db, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("curves must have the same shape")
-    return float(np.max(np.abs(a - b)))

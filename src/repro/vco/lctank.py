@@ -182,10 +182,3 @@ class LcTankVco:
         amplitude = self.amplitude(vtune)
         da_dit = self.amplitude_sensitivity_to_tail(vtune)
         return da_dit * self.design.tail_transconductance / amplitude
-
-    def generic_am_gain(self, vtune: float, current_sensitivity: float) -> float:
-        """G_AM (1/V) for an entry that modulates the tail current by
-        ``current_sensitivity`` amperes per volt."""
-        amplitude = self.amplitude(vtune)
-        da_dit = self.amplitude_sensitivity_to_tail(vtune)
-        return da_dit * current_sensitivity / amplitude

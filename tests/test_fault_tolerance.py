@@ -61,7 +61,6 @@ from repro.studies import (
     SweepResult,
     SweepRunner,
     SweepTask,
-    TaskFailure,
 )
 from repro.studies.cli import main
 from repro.studies.columns import CornerBlock, empty_columns
@@ -205,7 +204,7 @@ def test_skip_policy_records_timeout_and_keeps_going(tmp_path, run_tasks):
                         on_error="skip")
     assert results[1:] == [10, 20]
     failure = results[0]
-    assert isinstance(failure, TaskFailure) and failure.timed_out
+    assert isinstance(failure, CornerFailure) and failure.timed_out
     assert failure.attempts == 1               # skip = single attempt
 
 

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions, VcoImpactAnalysis
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CornerFailure
 from repro.parallel import (
     MAX_WORKERS_ENV,
     WorkItem,
@@ -37,7 +37,6 @@ from repro.parallel import (
     default_max_workers,
 )
 from repro.obs import tracer
-from repro.parallel.plan import TaskFailure
 from repro.simulator.linalg import SolverOptions
 from repro.studies import (
     Campaign,
@@ -94,7 +93,7 @@ def test_scheduler_propagates_failures_across_processes():
     outcomes = scheduler.run(items, on_error="retry_then_skip")
     assert outcomes["ok"] == 8
     failure = outcomes["x"]
-    assert isinstance(failure, TaskFailure) and failure.attempts == 2
+    assert isinstance(failure, CornerFailure) and failure.attempts == 2
     assert failure.error_type == "ValueError" and "boom 3" in failure.message
     assert scheduler.attempts == {"x": 2, "ok": 1}
 

@@ -558,9 +558,17 @@ def test_failed_leader_fails_its_followers_corners(technology, sweep_options,
     assert not partial.records
     assert len(partial.failures) == 2          # one corner per variant
     assert {f.variant_index for f in partial.failures} == {0, 1}
+    # Each doomed corner carries its own coordinates (resume re-runs
+    # failures by them), not the failed extraction's NaN power and V_tune.
+    powers, vtunes, _ = campaign.sim_grid()
+    corners = {(variant.index, power, vtune)
+               for variant in campaign.variants()
+               for power in powers for vtune in vtunes}
     for failure in partial.failures:
         assert failure.error_type == "InjectedFault"
         assert failure.corner_label.startswith("extraction of variant 0")
+        assert (failure.variant_index, failure.injected_power_dbm,
+                failure.vtune) in corners
 
     resumed = SweepRunner(technology, cache=runner.cache).run(
         campaign, resume_from=partial)

@@ -277,6 +277,57 @@ def test_cli_rejects_bad_option_values_before_extracting(
     assert f"[options] {option}" in err and bad in err
 
 
+@pytest.mark.parametrize("table, values, message", [
+    ("layout", {"ground_width_scale": float("nan")},
+     "[layout] ground_width_scale must be a finite number, got nan"),
+    ("layout", {"fingers": 2.5}, "[layout] fingers must be an integer"),
+    ("options", {"injected_power_dbm": "x"},
+     "[options] injected_power_dbm must be a finite number, got 'x'"),
+    ("mesh", {"nx": 12.5}, "[options.mesh] nx must be an integer, got 12.5"),
+    ("mesh", {"ny": 1}, "[options.mesh] ny must be >= 2, got 1"),
+    ("mesh", {"n_z_per_layer": True},
+     "[options.mesh] n_z_per_layer must be an integer, got True"),
+    ("mesh", {"lateral_margin": -1},
+     "[options.mesh] lateral_margin must be >= 0, got -1"),
+    ("mesh", {"max_depth": 0}, "[options.mesh] max_depth must be positive"),
+    ("mesh", {"min_tap_conductance": float("inf")},
+     "[options.mesh] min_tap_conductance must be a finite number"),
+    ("observability", {"trace": "yes"},
+     "[observability] trace must be true or false, got 'yes'"),
+], ids=["width-nan", "fingers-fraction", "power-string", "nx-fraction",
+        "ny-one", "n_z-bool", "margin-negative", "depth-zero",
+        "conductance-inf", "trace-string"])
+def test_cli_rejects_bad_table_values_before_extracting(
+        tmp_path, capsys, monkeypatch, table, values, message):
+    # Each option record checks its own fields, so a bad table value is a
+    # named config error (exit 2) at load time, not a traceback, a failed
+    # extraction or a silently accepted run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(SweepRunner, "run", refuse)
+    config = json.loads(json.dumps(TINY_CONFIG))
+    target = (config["options"]["mesh"] if table == "mesh"
+              else config.setdefault(table, {}))
+    target.update(values)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--result",
+                 str(tmp_path / "bad.npz")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_mesh_axis_meets_the_mesh_table_rule(tmp_path):
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(dict(
+        TINY_CONFIG, axes=dict(TINY_CONFIG["axes"],
+                               mesh_lateral_margin=[60e-6, -1.0]))))
+    campaign = load_campaign_config(path).campaign
+    with pytest.raises(AnalysisError,
+                       match=r"\[options.mesh\] lateral_margin must be >= 0"):
+        campaign.variants()
+
+
 def test_solver_table_changes_campaign_fingerprint(tmp_path):
     base_path = tmp_path / "base.json"
     base_path.write_text(json.dumps(TINY_CONFIG))

@@ -506,19 +506,19 @@ def test_resume_rejects_foreign_campaign(technology, store_options,
         SweepRunner(technology).run(other, resume_from=full)
 
 
-def test_ground_resistance_study_accepts_cache_dir(technology, store_options,
-                                                   tmp_path):
-    study = ground_resistance_study(technology, options=store_options,
-                                    vtune=0.0,
-                                    cache_dir=tmp_path / "cache")
+def test_ground_resistance_study_warm_starts_from_a_disk_cache(
+        technology, store_options, tmp_path):
+    study = ground_resistance_study(
+        technology, options=store_options, vtune=0.0,
+        cache=DiskExtractionCache(tmp_path / "cache"))
+    # A fresh instance on the same directory, as a later process would
+    # open it: every variant is a disk hit, nothing re-extracts.
+    warm = DiskExtractionCache(tmp_path / "cache")
     again = ground_resistance_study(technology, options=store_options,
-                                    vtune=0.0,
-                                    cache_dir=tmp_path / "cache")
+                                    vtune=0.0, cache=warm)
+    assert warm.stats.misses == 0 and warm.stats.hits == 2
     np.testing.assert_array_equal(study.nominal_dbm, again.nominal_dbm)
-    with pytest.raises(AnalysisError, match="not both"):
-        ground_resistance_study(technology, options=store_options,
-                                cache=DiskExtractionCache(tmp_path / "c2"),
-                                cache_dir=tmp_path / "c2")
+    np.testing.assert_array_equal(study.improved_dbm, again.improved_dbm)
 
 
 # -- backend retry bookkeeping ------------------------------------------------

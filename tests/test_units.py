@@ -1,7 +1,6 @@
 """Unit conversions and dB helpers."""
 
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,12 +31,3 @@ def test_vpeak_to_dbm_roundtrip():
 def test_dbm_vpeak_roundtrip_property(power_dbm):
     v = units.dbm_to_vpeak(power_dbm)
     assert units.vpeak_to_dbm(v) == pytest.approx(power_dbm, abs=1e-9)
-
-
-def test_error_metrics():
-    a = np.array([0.0, 1.0, 2.0])
-    b = np.array([1.0, 1.0, 0.0])
-    assert units.mean_abs_error_db(a, b) == pytest.approx(1.0)
-    assert units.max_abs_error_db(a, b) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        units.mean_abs_error_db(a, b[:2])
