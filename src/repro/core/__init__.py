@@ -10,6 +10,7 @@ from .results import (
     VcoSpurSweepResult,
 )
 from .vco_experiment import (
+    CornerAnalysis,
     VcoExperimentOptions,
     VcoImpactAnalysis,
     ground_resistance_study,
@@ -18,6 +19,7 @@ from .vco_experiment import (
 
 __all__ = [
     "ContributionResult",
+    "CornerAnalysis",
     "DesignStudyResult",
     "FlowOptions",
     "FlowResult",

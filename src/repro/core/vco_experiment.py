@@ -31,12 +31,22 @@ Only the device operating points depend on V_tune; the substrate
 macromodel, the interconnect, the package and the rest of the testbench do
 not.  The testbench of an extracted flow is therefore compiled once — the
 circuit around the shared impact-netlist elements plus its
-:class:`~repro.simulator.mna.LinearStamps` — and every V_tune corner solves
-a shallow copy of it with fresh source elements
-(:meth:`VcoImpactAnalysis.build_testbench`).  The compiled testbenches are
-kept per flow object, which they hold weakly, so the independent corner
-tasks of a campaign share them (every corner of a variant gets the same
-flow object) and none outlives its flow.
+:class:`~repro.simulator.mna.LinearStamps` — and kept per flow object,
+which it holds weakly, so every corner of a variant shares it and none
+outlives its flow.
+
+:meth:`VcoImpactAnalysis.analyze_corners` analyses a whole stack of V_tune
+corners at once on that compiled testbench, with no circuit copy: one
+stacked DC Newton whose per-corner source right-hand sides come straight
+from the source incidence, one stacked device evaluation for the VCO model
+and the entry catalogue, one stacked transfer solve of every corner x
+noise frequency on the port-reduced rows, and one evaluation of the spur
+equations.  Every step keeps the corners apart (a per-corner convergence
+mask, elementwise device equations, one LAPACK factorization per system),
+so a corner's results are bit-identical alone or in any stack, and each
+corner is returned with its own share of the solver work
+(:class:`CornerAnalysis`).  :meth:`VcoImpactAnalysis.analyze` is a stack
+of one.
 
 V_tune only biases the varactors, which carry no DC current, so the bias
 point of the core hardly moves with it.  Beside each compiled testbench
@@ -57,6 +67,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +98,10 @@ from ..layout.testchips import (
 )
 from ..netlist.circuit import Circuit
 from ..package.model import PackageModel
-from ..simulator.dc import DcOptions, DcSolution, dc_operating_point
+from ..simulator.dc import DcCorners, DcOptions, DcSolution, dc_operating_point
 from ..simulator.linalg import LinearSolver
 from ..simulator.mna import LinearStamps
+from ..simulator.solver import SolverStats
 from ..simulator.solver import stats as solver_stats
 from ..simulator.transfer import TransferFunction, transfer_function
 from ..technology.process import ProcessTechnology
@@ -168,8 +180,10 @@ def _compile_testbench(flow: FlowResult, options: VcoExperimentOptions
     noise source, with its linear stamps.
 
     The circuit shares the impact-netlist elements of ``flow`` (it never
-    modifies them); its sources hold placeholder values that
-    :meth:`VcoImpactAnalysis.build_testbench` replaces per corner.
+    modifies them); its sources hold placeholder values: the corners'
+    values reach the DC solve as ``sources=``
+    (:meth:`VcoImpactAnalysis.analyze_corners`), and
+    :meth:`VcoImpactAnalysis.build_testbench` copies it with them.
     """
     circuit = flow.impact.circuit.with_sources()
     package = PackageModel.rf_probed({
@@ -234,6 +248,63 @@ def _compiled_testbench(flow: FlowResult, options: VcoExperimentOptions
     return compiled
 
 
+@dataclass(frozen=True, eq=False)
+class _CornerStack:
+    """The stacked results of one :meth:`VcoImpactAnalysis.analyze_corners`
+    call."""
+
+    vtunes: np.ndarray
+    operating_points: DcCorners
+    vco: LcTankVco
+    catalog: VcoEntryCatalog
+    transfer: TransferFunction
+    spurs: SpurSweep
+
+
+class CornerAnalysis:
+    """One V_tune corner of :meth:`VcoImpactAnalysis.analyze_corners`.
+
+    Each part is taken out of the stack on first access, so a caller that
+    reads only the spur sweep (the campaign runner) slices nothing else.
+    """
+
+    def __init__(self, stack: _CornerStack, index: int):
+        self._stack = stack
+        self.index = index
+        self.vtune = float(stack.vtunes[index])
+
+    @cached_property
+    def sweep(self) -> SpurSweep:
+        return self._stack.spurs.corner(self.index)
+
+    @cached_property
+    def vco(self) -> LcTankVco:
+        return LcTankVco(self._stack.vco.design.corner(self.index))
+
+    @cached_property
+    def catalog(self) -> VcoEntryCatalog:
+        return self._stack.catalog.corner(self.index)
+
+    @cached_property
+    def transfer(self) -> TransferFunction:
+        return self._stack.transfer.corner(self.index)
+
+    @cached_property
+    def operating_point(self) -> DcSolution:
+        """The DC operating point (its ``circuit`` is the compiled
+        testbench)."""
+        return self._stack.operating_points.corner(self.index)
+
+    @cached_property
+    def solver_counts(self) -> SolverStats:
+        """This corner's solver work: its Newton solves and ladder rungs,
+        and one factorization and one solve per noise frequency."""
+        points = len(self._stack.spurs)
+        counts = SolverStats(factorizations=points, solves=points)
+        counts.merge(self._stack.operating_points.work[self.index])
+        return counts
+
+
 class VcoImpactAnalysis:
     """Impact analysis of the VCO test chip (Figures 7, 8 and 9)."""
 
@@ -249,8 +320,6 @@ class VcoImpactAnalysis:
             flow_result = run_extraction_flow(cell, technology,
                                               options=self.options.flow)
         self.flow = flow_result
-        self._operating_points: dict[float, DcSolution] = {}
-        self._junction_cache: tuple[DcSolution | None, dict] = (None, {})
         # One solver instance for every analysis of this object.
         self.solver = LinearSolver(self.options.flow.solver)
         self._noise = SinusoidalNoise(
@@ -264,7 +333,9 @@ class VcoImpactAnalysis:
 
         A standalone circuit at ``vtune``: a shallow copy of the flow's
         compiled testbench that shares its elements and owns fresh source
-        elements with this analysis's bias, V_tune and noise values.
+        elements with this analysis's bias, V_tune and noise values.  The
+        corner analyses never build one; the reference operating point
+        does, once per key.
         """
         circuit, _linear = _compiled_testbench(self.flow, self.options)
         return circuit.with_sources({
@@ -273,6 +344,13 @@ class VcoImpactAnalysis:
             "VBIAS_SRC": self.options.tail_bias_voltage,
             "VSUB_SRC": self._noise.source_value(),
         })
+
+    def _corner_sources(self, vtunes) -> dict:
+        """The DC value of every testbench source, per V_tune corner."""
+        return {"VDD_SRC": self.options.supply_voltage,
+                "VTUNE_SRC": vtunes,
+                "VBIAS_SRC": self.options.tail_bias_voltage,
+                "VSUB_SRC": self._noise.source_value().dc}
 
     def reference_point(self) -> np.ndarray | None:
         """The DC solution of this analysis's testbench at V_tune = 0 V.
@@ -308,7 +386,7 @@ class VcoImpactAnalysis:
 
     # -- VCO analytical model from the extracted devices -----------------------------
 
-    def _tank_side_capacitance(self, op: DcSolution) -> float:
+    def _tank_side_capacitance(self, op: DcSolution | DcCorners):
         """Fixed (non-varactor) capacitance loading one tank node."""
         total = 0.0
         for name in CROSS_COUPLED_NMOS + ("MP_left", "MP_right"):
@@ -320,33 +398,30 @@ class VcoImpactAnalysis:
         total += self.flow.interconnect.total_capacitance_of(NET_TANK_P)
         return total
 
-    def _junction_sensitivities(self, op: DcSolution) -> dict[str, float]:
-        """dC/dV of every NMOS's junction capacitance at ``op`` (F/V), the
-        cross-coupled pair first.
-
-        :meth:`vco_model` and :meth:`entry_catalog` both read them; the
-        last operating point's are kept, so a corner evaluates each once.
-        """
-        cached_op, sensitivities = self._junction_cache
-        if cached_op is not op:
-            sensitivities = {}
-            for name in CROSS_COUPLED_NMOS + (TAIL_NMOS,):
-                point = op.operating_point_of(name)
-                sensitivities[name] = junction_capacitance_sensitivity(
-                    self.flow.devices.mosfets[name].model,
-                    point.vgs, point.vds, point.vbs)
-            self._junction_cache = (op, sensitivities)
+    def junction_sensitivities(self, operating_point: DcSolution | DcCorners
+                               ) -> dict:
+        """dC/dV of every NMOS's junction capacitance at the operating
+        point (F/V; per corner of a stack), the cross-coupled pair first.
+        :meth:`vco_model` and :meth:`entry_catalog` both take them."""
+        sensitivities = {}
+        for name in CROSS_COUPLED_NMOS + (TAIL_NMOS,):
+            point = operating_point.operating_point_of(name)
+            sensitivities[name] = junction_capacitance_sensitivity(
+                self.flow.devices.mosfets[name].model,
+                point.vgs, point.vds, point.vbs)
         return sensitivities
 
-    def vco_model(self, operating_point: DcSolution) -> LcTankVco:
-        """Build the analytical VCO model at a solved operating point."""
+    def vco_model(self, operating_point: DcSolution | DcCorners,
+                  junction_sensitivities: dict) -> LcTankVco:
+        """Build the analytical VCO model at a solved operating point (a
+        stacked model, every operating-point quantity per corner, at a
+        stack of them)."""
         inductor_model = self.flow.devices.inductors["L_tank"]
         varactor_model = self.flow.devices.varactors["C_var_left"].model
         tail_op = operating_point.operating_point_of(TAIL_NMOS)
         tank_cm = 0.5 * (operating_point.voltage(NET_TANK_P)
                          + operating_point.voltage(NET_TANK_N))
-        sensitivities = self._junction_sensitivities(operating_point)
-        ground_sensitivity = sum(sensitivities[name]
+        ground_sensitivity = sum(junction_sensitivities[name]
                                  for name in CROSS_COUPLED_NMOS)
         ground_referenced_cap = sum(
             operating_point.operating_point_of(name).cdb
@@ -357,7 +432,8 @@ class VcoImpactAnalysis:
             inductor=inductor_model,
             varactor=varactor_model,
             fixed_capacitance_per_side=self._tank_side_capacitance(operating_point),
-            tail_current=max(abs(operating_point.branch_current("VDD_SRC")), 1e-3)
+            tail_current=np.maximum(
+                np.abs(operating_point.branch_current("VDD_SRC")), 1e-3)
             if "VDD_SRC" in operating_point.circuit else 5e-3,
             supply_voltage=self.options.supply_voltage,
             tank_common_mode=tank_cm,
@@ -366,8 +442,10 @@ class VcoImpactAnalysis:
             ground_referenced_cap_sensitivity=ground_sensitivity)
         return LcTankVco(design)
 
-    def entry_catalog(self, vco: LcTankVco, vtune: float) -> VcoEntryCatalog:
-        """Noise-entry catalogue of the VCO test chip."""
+    def entry_catalog(self, vco: LcTankVco, vtune,
+                      junction_sensitivities: dict) -> VcoEntryCatalog:
+        """Noise-entry catalogue of the VCO test chip (stacked for a
+        stacked ``vco`` and an array of V_tune corners)."""
         port_nodes = self.flow.impact.port_nodes
         nmos_names = list(CROSS_COUPLED_NMOS) + [TAIL_NMOS]
         backgates = {name: backgate_node(name) for name in nmos_names}
@@ -375,8 +453,6 @@ class VcoImpactAnalysis:
         # *beyond* the local ground bounce (which is already counted by the
         # ground-interconnect entry), so its reference is the ground ring.
         sources = {name: NET_GROUND_RING for name in nmos_names}
-        junction_sensitivities = self._junction_sensitivities(
-            self._operating_points[vtune])
 
         pmos_ports = [p for p in self.flow.substrate.ports
                       if p.kind.value == "well" and p.device
@@ -412,11 +488,29 @@ class VcoImpactAnalysis:
                 noise_frequencies: np.ndarray | None = None
                 ) -> tuple[SpurSweep, LcTankVco, VcoEntryCatalog,
                            TransferFunction]:
-        """Full spur analysis at one tuning voltage.
+        """Full spur analysis at one tuning voltage: a stack of one of
+        :meth:`analyze_corners`.
 
         Returns the :class:`SpurSweep` over the noise frequencies plus the
         VCO model, the entry catalogue and the raw transfer function used.
         """
+        corner = self.analyze_corners([vtune], noise_frequencies)[0]
+        return corner.sweep, corner.vco, corner.catalog, corner.transfer
+
+    def analyze_corners(self, vtunes,
+                        noise_frequencies: np.ndarray | None = None
+                        ) -> list[CornerAnalysis]:
+        """Full spur analysis of a stack of tuning voltages at once.
+
+        One stacked DC solve, VCO model, entry catalogue, transfer solve
+        and spur evaluation for all ``vtunes`` (see the module docstring);
+        returns one :class:`CornerAnalysis` per V_tune, in order, each
+        bit-identical to the corner analysed alone.
+        """
+        vtunes = np.asarray(vtunes, dtype=float)
+        if vtunes.ndim != 1 or not vtunes.size:
+            raise AnalysisError("analyze_corners needs a 1-D sequence of at "
+                                f"least one V_tune, got shape {vtunes.shape}")
         if noise_frequencies is None:
             noise_frequencies = np.asarray(self.options.noise_frequencies)
         noise_frequencies = np.asarray(noise_frequencies, dtype=float)
@@ -425,33 +519,40 @@ class VcoImpactAnalysis:
             raise AnalysisError(
                 f"noise frequency {float(bad[0])!r} is not finite")
 
-        # Simulation setup: testbench assembly plus the DC operating point
-        # (the Newton solve) — the part of a corner that is not the AC sweep.
-        with trace_span("sim.setup", vtune=vtune):
-            circuit = self.build_testbench(vtune)
-            _template, linear = _compiled_testbench(self.flow, self.options)
-            operating_point = dc_operating_point(
-                circuit, solver=self.solver, linear=linear,
-                initial=self.reference_point())
-            self._operating_points[vtune] = operating_point
-
-            vco = self.vco_model(operating_point)
-            catalog = self.entry_catalog(vco, vtune)
+        # Simulation setup: the DC operating points (the Newton solve) and
+        # the models read from them — the part that is not the AC sweep.
+        # One corner is evaluated on Python floats, a stack on arrays: the
+        # device and VCO equations give the same bits on either
+        # (repro.devices.stack).
+        corners = vtunes if vtunes.size > 1 else float(vtunes[0])
+        template, linear = _compiled_testbench(self.flow, self.options)
+        with trace_span("sim.setup", corners=int(vtunes.size)):
+            operating_points = dc_operating_point(
+                template, solver=self.solver, linear=linear,
+                initial=self.reference_point(),
+                sources=self._corner_sources(corners))
+            sensitivities = self.junction_sensitivities(operating_points)
+            vco = self.vco_model(operating_points, sensitivities)
+            catalog = self.entry_catalog(vco, corners, sensitivities)
         with trace_span("sim.transfer_function",
-                        points=int(noise_frequencies.size)):
-            transfer = transfer_function(circuit, "VSUB_SRC",
+                        points=int(noise_frequencies.size),
+                        corners=int(vtunes.size)):
+            transfer = transfer_function(template, "VSUB_SRC",
                                          catalog.observation_nodes(),
                                          noise_frequencies,
-                                         operating_point=operating_point,
+                                         operating_point=operating_points,
                                          solver=self.solver, linear=linear)
-        # Every entry's h_sub and eqs. (2)/(3) over the whole sweep at once,
-        # as (entries x frequencies) arrays, kept as one SpurSweep.
+        # Every entry's h_sub and eqs. (2)/(3) over every corner and the
+        # whole sweep at once, as (corners x entries x frequencies) arrays.
         entries = entries_at_frequency(catalog, transfer, noise_frequencies,
                                        index=np.arange(noise_frequencies.size))
-        results = compute_spurs(entries, vco.oscillation_frequency(vtune),
-                                vco.amplitude(vtune), self._noise.amplitude,
-                                noise_frequencies)
-        return results, vco, catalog, transfer
+        spurs = compute_spurs(entries, vco.oscillation_frequency(corners),
+                              vco.amplitude(corners), self._noise.amplitude,
+                              noise_frequencies)
+        stack = _CornerStack(vtunes=vtunes, operating_points=operating_points,
+                             vco=vco, catalog=catalog, transfer=transfer,
+                             spurs=spurs)
+        return [CornerAnalysis(stack, index) for index in range(vtunes.size)]
 
     # -- Figure 8 -------------------------------------------------------------------------
 

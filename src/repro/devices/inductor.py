@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import NetlistError
+from .stack import anywhere
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class SpiralInductor:
         if self.substrate_capacitance < 0:
             raise NetlistError("substrate capacitance must be non-negative")
 
-    def quality_factor(self, frequency: float) -> float:
-        """Series quality factor ``Q = omega L / R`` at the given frequency."""
-        if frequency <= 0:
+    def quality_factor(self, frequency):
+        """Series quality factor ``Q = omega L / R`` at the given frequency
+        (or elementwise over an array of them)."""
+        if anywhere(frequency <= 0):
             raise NetlistError("frequency must be positive")
         if self.series_resistance == 0:
             return math.inf
@@ -66,14 +68,14 @@ class SpiralInductor:
         omega = 2.0 * math.pi * frequency
         return complex(self.series_resistance, omega * self.inductance)
 
-    def parallel_tank_loss(self, frequency: float) -> float:
+    def parallel_tank_loss(self, frequency):
         """Equivalent parallel loss resistance of the coil at ``frequency``.
 
         For a moderately high-Q series RL branch, the equivalent parallel
         resistance is ``R * (1 + Q^2)`` — the quantity that sets the LC-tank
-        amplitude of the VCO.
+        amplitude of the VCO.  Elementwise over an array of frequencies.
         """
         q = self.quality_factor(frequency)
-        if math.isinf(q):
+        if self.series_resistance == 0:
             return math.inf
         return self.series_resistance * (1.0 + q * q)

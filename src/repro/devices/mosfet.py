@@ -28,8 +28,24 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from ..errors import NetlistError
 from ..technology.process import MosParameters
+from .stack import (
+    anywhere,
+    as_corners,
+    choose,
+    larger,
+    libm,
+    pick,
+    smaller,
+    sqrt,
+)
+
+#: Operating regions, indexed by region code.
+_REGION_NAMES = ("cutoff", "triode", "saturation")
+_REGIONS = np.array(_REGION_NAMES)
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,8 @@ class MosfetGeometry:
 
 class MosfetOperatingPoint(NamedTuple):
     """Operating-point values of a MOSFET at a given bias (an immutable
-    record: the DC Newton loop builds one per device per iteration)."""
+    record: the DC Newton loop builds one per device per iteration).  Of a
+    stack of corners, every field is the array of its values there."""
 
     ids: float          #: drain current (A), positive into the drain for NMOS
     gm: float           #: gate transconductance d(Ids)/d(Vgs) [S]
@@ -111,16 +128,18 @@ class MosfetModel:
         """+1 for NMOS, -1 for PMOS (PMOS evaluated as its NMOS dual)."""
         return 1.0 if self.parameters.polarity == "nmos" else -1.0
 
-    def threshold_voltage(self, vbs: float) -> float:
-        """Body-effect threshold (in the NMOS-equivalent convention)."""
+    def threshold_voltage(self, vbs):
+        """Body-effect threshold (in the NMOS-equivalent convention), of a
+        scalar or per corner of a stack of ``vbs``."""
         p = self.parameters
         vth0 = abs(p.vth0)
         # Clamp the argument: for forward bias beyond phi the sqrt would fail.
-        arg = max(p.phi - vbs, 1e-3)
-        return vth0 + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi))
+        arg = larger(p.phi - vbs, 1e-3)
+        return vth0 + p.gamma * (sqrt(arg) - math.sqrt(p.phi))
 
-    def junction_capacitance(self, area: float, perimeter: float, vbj: float) -> float:
-        """Reverse-biased junction capacitance at junction voltage ``vbj``.
+    def junction_capacitance(self, area: float, perimeter: float, vbj):
+        """Reverse-biased junction capacitance at junction voltage ``vbj``
+        (a scalar, or per corner of a stack).
 
         ``vbj`` is the bulk-to-diffusion voltage (negative for reverse bias in
         the NMOS convention).  The standard SPICE expression with grading
@@ -128,8 +147,8 @@ class MosfetModel:
         built-in potential to avoid the singularity.
         """
         p = self.parameters
-        vbj = min(vbj, 0.5 * p.pb)
-        factor = (1.0 - vbj / p.pb) ** (-p.mj)
+        vbj = smaller(vbj, 0.5 * p.pb)
+        factor = libm(lambda base: math.pow(base, -p.mj), 1.0 - vbj / p.pb)
         return (p.cj * area + p.cjsw * perimeter) * factor
 
     # -- current equations ----------------------------------------------------
@@ -144,87 +163,94 @@ class MosfetModel:
         """
         return self.parameters.esat * self.geometry.length
 
-    def evaluate(self, vgs: float, vds: float, vbs: float) -> MosfetOperatingPoint:
-        """Evaluate currents, conductances and capacitances at a bias point.
+    def evaluate(self, vgs, vds, vbs) -> MosfetOperatingPoint:
+        """Evaluate currents, conductances and capacitances at a bias point,
+        or at a stack of them.
 
         Terminal voltages are the *physical* voltages of the instance (for a
         PMOS they are typically negative); the returned ``ids`` is the current
         flowing into the drain terminal (negative for a conducting PMOS).
+        Given arrays along a leading corner axis, every field of the result
+        is the array of its values there (``region`` an array of strings),
+        each bit-identical to the corner evaluated alone
+        (:mod:`repro.devices.stack`).
         """
+        vgs, vds, vbs = as_corners(vgs, vds, vbs)
         sign = self.sign
         # Map to NMOS-equivalent voltages.
         vgs_n, vds_n, vbs_n = sign * vgs, sign * vds, sign * vbs
 
+        # Where vds < 0, source and drain swap roles; vgs and vbs are then
+        # measured from the new source.
         swapped = vds_n < 0.0
-        if swapped:
-            # Source and drain swap roles; vgs measured from the new source.
-            vgs_n = vgs_n - vds_n
-            vbs_n = vbs_n - vds_n
-            vds_n = -vds_n
+        if anywhere(swapped):
+            vgs_n = pick(swapped, vgs_n - vds_n, vgs_n)
+            vbs_n = pick(swapped, vbs_n - vds_n, vbs_n)
+            vds_n = pick(swapped, -vds_n, vds_n)
 
         p = self.parameters
         g = self.geometry
         vth = self.threshold_voltage(vbs_n)
         vov = vgs_n - vth
         beta = p.kp * g.width / g.length
+        esat_l = self._esat_l()
 
-        if vov <= 0.0:
-            ids = 0.0
-            gm = 0.0
-            gds = self.GMIN
-            gmb = 0.0
-            region = "cutoff"
-        else:
-            esat_l = self._esat_l()
-            vsat_factor = 1.0 + vov / esat_l
-            vdsat = vov / vsat_factor
-            if vds_n < vdsat:
-                region = "triode"
-                # ``vov_tri`` is chosen so the triode and saturation currents
-                # meet continuously at vds = vdsat.
-                vov_tri = 0.5 * (vov + vdsat)
-                lam = 1.0 + p.lambda_ * vds_n
-                ids = beta * (vov_tri - 0.5 * vds_n) * vds_n * lam
-                gds = beta * (vov_tri - vds_n) * lam \
-                    + beta * (vov_tri - 0.5 * vds_n) * vds_n * p.lambda_
-                gds = max(gds, self.GMIN)
-                # d(vov_tri)/d(vgs) = 0.5 * (1 + d(vdsat)/d(vov)).
-                dvdsat = 1.0 / vsat_factor ** 2
-                gm = beta * vds_n * lam * 0.5 * (1.0 + dvdsat)
-            else:
-                region = "saturation"
-                lam = 1.0 + p.lambda_ * vds_n
-                ids = 0.5 * beta * vov ** 2 / vsat_factor * lam
-                # gm = d(ids)/d(vov) for the velocity-saturated square law.
-                gm = 0.5 * beta * vov * (2.0 + vov / esat_l) / vsat_factor ** 2 * lam
-                gds = max(0.5 * beta * vov ** 2 / vsat_factor * p.lambda_, self.GMIN)
-            # Back-gate transconductance: gmb = gm * d(vth)/d(vbs) chain rule.
-            arg = max(p.phi - vbs_n, 1e-3)
-            dvth_dvbs = -p.gamma / (2.0 * math.sqrt(arg))
-            gmb = gm * (-dvth_dvbs)
+        # Every region's equations run on every corner, and each corner
+        # picks its own region's values.  A cut-off corner divides by 1
+        # instead of a factor that may be zero there.
+        cutoff = vov <= 0.0
+        vsat_factor = pick(cutoff, 1.0, 1.0 + vov / esat_l)
+        vdsat = vov / vsat_factor
+        triode = vds_n < vdsat          # where not cut off
+        lam = 1.0 + p.lambda_ * vds_n
+        # Triode: ``vov_tri`` is chosen so the triode and saturation
+        # currents meet continuously at vds = vdsat.
+        vov_tri = 0.5 * (vov + vdsat)
+        triode_current = beta * (vov_tri - 0.5 * vds_n) * vds_n
+        ids_triode = triode_current * lam
+        gds_triode = beta * (vov_tri - vds_n) * lam \
+            + triode_current * p.lambda_
+        # d(vov_tri)/d(vgs) = 0.5 * (1 + d(vdsat)/d(vov)).
+        vsat_squared = vsat_factor * vsat_factor
+        dvdsat = 1.0 / vsat_squared
+        gm_triode = beta * vds_n * lam * 0.5 * (1.0 + dvdsat)
+        # Saturation: gm = d(ids)/d(vov) for the velocity-saturated square
+        # law.
+        saturation_current = 0.5 * beta * (vov * vov) / vsat_factor
+        ids_saturation = saturation_current * lam
+        gm_saturation = (0.5 * beta * vov * (2.0 + vov / esat_l)
+                         / vsat_squared * lam)
+        gds_saturation = saturation_current * p.lambda_
+
+        # Region code per corner: 0 cutoff, 1 triode, 2 saturation.
+        code = pick(cutoff, 0, pick(triode, 1, 2))
+        region = (_REGIONS[code] if isinstance(code, np.ndarray)
+                  else _REGION_NAMES[code])
+        ids = choose(code, (0.0, ids_triode, ids_saturation))
+        gm = choose(code, (0.0, gm_triode, gm_saturation))
+        gds = choose(code, (self.GMIN, larger(gds_triode, self.GMIN),
+                            larger(gds_saturation, self.GMIN)))
+        # Back-gate transconductance: gmb = gm * d(vth)/d(vbs) chain rule.
+        dvth_dvbs = -p.gamma / (2.0 * sqrt(larger(p.phi - vbs_n, 1e-3)))
+        gmb = pick(cutoff, 0.0, gm * (-dvth_dvbs))
 
         # Capacitances (computed in the un-swapped, physical orientation).
         cox_total = p.cox * g.width * g.length
         cgs_overlap = p.cgso * g.width
         cgd_overlap = p.cgdo * g.width
-        if region == "cutoff":
-            cgs = cgs_overlap
-            cgd = cgd_overlap
-        elif region == "triode":
-            cgs = cgs_overlap + 0.5 * cox_total
-            cgd = cgd_overlap + 0.5 * cox_total
-        else:
-            cgs = cgs_overlap + (2.0 / 3.0) * cox_total
-            cgd = cgd_overlap
+        cgs = choose(code, (cgs_overlap, cgs_overlap + 0.5 * cox_total,
+                            cgs_overlap + (2.0 / 3.0) * cox_total))
+        cgd = choose(code, (cgd_overlap, cgd_overlap + 0.5 * cox_total,
+                            cgd_overlap))
 
         vbd_n = vbs_n - vds_n
         cdb = self.junction_capacitance(g.drain_area, g.drain_perimeter, vbd_n)
         csb = self.junction_capacitance(g.source_area, g.source_perimeter, vbs_n)
 
-        if swapped:
-            ids = -ids
-            cgs, cgd = cgd, cgs
-            cdb, csb = csb, cdb
+        if anywhere(swapped):
+            ids = pick(swapped, -ids, ids)
+            cgs, cgd = pick(swapped, cgd, cgs), pick(swapped, cgs, cgd)
+            cdb, csb = pick(swapped, csb, cdb), pick(swapped, cdb, csb)
 
         return MosfetOperatingPoint(
             ids=sign * ids, gm=gm, gds=gds, gmb=gmb, vth=sign * vth,

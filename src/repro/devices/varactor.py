@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import NetlistError
+from .stack import libm
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,19 @@ class AccumulationModeVaractor:
         if self.slope <= 0:
             raise NetlistError("varactor slope must be positive")
 
-    def capacitance(self, v_gate_well: float) -> float:
-        """Small-signal capacitance at the given gate-to-well voltage."""
+    def capacitance(self, v_gate_well):
+        """Small-signal capacitance at the given gate-to-well voltage (or
+        per corner of a stack, :mod:`repro.devices.stack`)."""
         swing = self.cmax - self.cmin
-        return self.cmin + 0.5 * swing * (1.0 + math.tanh(self.slope * (v_gate_well - self.v_half)))
+        x = self.slope * (v_gate_well - self.v_half)
+        return self.cmin + 0.5 * swing * (1.0 + libm(math.tanh, x))
 
-    def dc_dv(self, v_gate_well: float) -> float:
-        """Capacitance sensitivity dC/dV at the given bias (F/V)."""
+    def dc_dv(self, v_gate_well):
+        """Capacitance sensitivity dC/dV at the given bias (or per corner
+        of a stack), in F/V."""
         swing = self.cmax - self.cmin
-        sech2 = 1.0 / math.cosh(self.slope * (v_gate_well - self.v_half)) ** 2
-        return 0.5 * swing * self.slope * sech2
+        cosh = libm(math.cosh, self.slope * (v_gate_well - self.v_half))
+        return 0.5 * swing * self.slope * (1.0 / (cosh * cosh))
 
     def charge(self, v_gate_well: float) -> float:
         """Integrated charge Q(V) = ∫ C dV, used by transient companion models."""

@@ -12,7 +12,10 @@ linear contribution; instead the simulator asks it for
 
 Each method issues the same stamp calls on the same nodes at every voltage;
 only the values change.  The simulator relies on this to compile the calls
-once (:class:`~repro.simulator.mna.StampPattern`).
+once (:class:`~repro.simulator.mna.StampPattern`).  A voltage map may hold
+a stack of corners (1-D arrays along a leading corner axis); every value
+the element derives and stamps is then the array of its values there, as
+the device models evaluate them (:mod:`repro.devices.stack`).
 """
 
 from __future__ import annotations
@@ -65,11 +68,12 @@ class NonlinearElement(Element):
         raise NotImplementedError
 
 
-def _voltage(voltages: Mapping[str, float], node: str) -> float:
-    """Node voltage lookup treating ground and missing nodes as 0 V."""
+def _voltage(voltages: Mapping[str, float], node: str):
+    """Node voltage (or stack of them) treating ground and missing nodes as
+    0 V."""
     if node == GROUND:
         return 0.0
-    return float(voltages.get(node, 0.0))
+    return voltages.get(node, 0.0)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .solver import (
     stats as solver_stats,
 )
 from .linalg import LinearSolver, SolverOptions
-from .dc import DcOptions, DcSolution, dc_operating_point
+from .dc import DcCorners, DcOptions, DcSolution, dc_operating_point
 from .transfer import (
     TransferFunction,
     transfer_function,
@@ -32,6 +32,7 @@ from .transfer import (
 from .transient import TransientOptions, TransientSolution, transient_analysis
 
 __all__ = [
+    "DcCorners",
     "DcOptions",
     "DcSolution",
     "Factorization",

@@ -40,20 +40,26 @@ calls (:class:`~repro.simulator.mna.StampPattern`), so no iteration
 rebuilds a stamper or looks up a node.  The nonlinear elements themselves
 are read from the compiled stamps, not filtered out of the circuit.
 
-The first plain-Newton iteration depends on the start vector ``x0`` and
-the gmin only, apart from the source right-hand side: its Jacobian
-``G + gmin + companion_G(x0)`` and companion right-hand side are compiled
-on the ``LinearStamps`` as a :class:`~repro.simulator.mna.NewtonStart`
-(one entry, keyed on the bytes of ``x0`` and the gmin).  A caller that
-starts many corners from one reference point pays one back-substitution
-for that iteration; LAPACK sees the same matrix and right-hand side as a
-fresh solve, so the iterate is bit-identical, and it counts the same one
-solve.  The ladder rungs never read it.  The whole analysis runs under
-one ``sim.dc`` span carrying ``iterations`` and ``strategy``.
+**A stack of corners is one solve.**  ``sources=`` maps source names to
+per-corner DC values; every corner's source right-hand side is built
+straight from :func:`~repro.simulator.mna.source_rows`, with no circuit
+copy, and plain Newton runs on all corners at once: one stacked device
+evaluation, companion scatter and batched LAPACK solve per iteration.  A
+per-corner convergence mask freezes each corner at the iteration it
+converged on, and every step of a corner reads only its own iterate, so its
+result is bit-identical alone or in any stack.  A corner that plain Newton
+misses leaves the stack and climbs the ladder on its own.  The result is a
+:class:`DcCorners`; every corner's solves and ladder rungs are attributed
+to it (``work``), as well as counted in
+:data:`~repro.simulator.solver.stats`.  A call without ``sources`` is a
+stack of one and returns its :class:`DcSolution`.  The whole analysis runs
+under one ``sim.dc`` span carrying ``corners``, ``iterations`` and
+``strategy``.
 
 A :class:`DcSolution` builds its node-voltage map once and evaluates each
 nonlinear device's operating point at most once, however often
-:meth:`DcSolution.operating_point_of` is asked.
+:meth:`DcSolution.operating_point_of` is asked; a :class:`DcCorners` does
+the same for the whole stack.
 """
 
 from __future__ import annotations
@@ -72,16 +78,21 @@ from .linalg import LinearSolver
 from .mna import (
     LinearStamps,
     MnaStructure,
-    NewtonStart,
     SolutionView,
     source_rows,
 )
-from .solver import add_gmin_diagonal, stats
+from .solver import SolverStats, add_gmin_diagonal, stats
 
 
 @dataclass
 class DcSolution:
-    """Result of a DC operating-point analysis."""
+    """Result of a DC operating-point analysis.
+
+    ``circuit`` is the circuit that was solved; for a corner of a
+    :class:`DcCorners` it is the stack's circuit, whose own source values
+    are not the corner's (its elements, read by
+    :meth:`operating_point_of`, are).
+    """
 
     circuit: Circuit
     structure: MnaStructure
@@ -156,55 +167,194 @@ class DcOptions:
                     f"{value!r}")
 
 
-def _source_rhs(circuit: Circuit, linear: LinearStamps,
+@dataclass(eq=False)
+class DcCorners:
+    """DC operating points of a stack of corners of one circuit.
+
+    ``vectors`` is ``(corners, n)``; ``corner_iterations``, ``strategies``
+    and ``work`` (each corner's solves and ladder rungs) hold one entry per
+    corner.  Node voltages, branch currents and device operating points
+    come as arrays along the corner axis, or as Python floats for a stack
+    of one (:mod:`repro.devices.stack`).
+    """
+
+    circuit: Circuit
+    structure: MnaStructure
+    vectors: np.ndarray
+    corner_iterations: tuple[int, ...]
+    strategies: tuple[str, ...]
+    work: tuple[SolverStats, ...]
+    #: element name -> stacked operating point, filled on first request
+    _device_points: dict = field(default_factory=dict, init=False,
+                                 repr=False)
+
+    @classmethod
+    def of(cls, solution: DcSolution) -> "DcCorners":
+        """The one-corner stack of ``solution``."""
+        return cls(circuit=solution.circuit, structure=solution.structure,
+                   vectors=solution.vector[None],
+                   corner_iterations=(solution.iterations,),
+                   strategies=(solution.strategy,), work=(SolverStats(),))
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def iterations(self) -> int:
+        """Newton iterations summed over the corners."""
+        return sum(self.corner_iterations)
+
+    def corner(self, index: int) -> DcSolution:
+        """The operating point of corner ``index``."""
+        return DcSolution(circuit=self.circuit, structure=self.structure,
+                          vector=self.vectors[index],
+                          iterations=self.corner_iterations[index],
+                          strategy=self.strategies[index])
+
+    @cached_property
+    def _voltage_map(self) -> dict:
+        return _corner_voltages(self.structure, self.vectors)
+
+    def voltages(self) -> dict:
+        """Node voltages per corner (Python floats for a stack of one)."""
+        return dict(self._voltage_map)
+
+    def _column(self, row: int):
+        if len(self) == 1:
+            return float(self.vectors[0, row])
+        return self.vectors[:, row].copy()
+
+    def voltage(self, node: str):
+        """A node's voltage per corner (a float for a stack of one)."""
+        row = self.structure.node_row(node)
+        return self._column(row) if row is not None else (
+            0.0 if len(self) == 1 else np.zeros(len(self)))
+
+    def branch_current(self, branch: str):
+        """A branch current per corner (a float for a stack of one)."""
+        return self._column(self.structure.branch_row(branch))
+
+    def operating_point_of(self, element_name: str):
+        """Stacked operating point of a nonlinear element, evaluated once."""
+        point = self._device_points.get(element_name)
+        if point is None:
+            element = self.circuit[element_name]
+            if not isinstance(element, NonlinearElement):
+                raise ConvergenceError(
+                    f"{element_name!r} is not a nonlinear element")
+            point = element.operating_point(self._voltage_map)
+            self._device_points[element_name] = point
+        return point
+
+
+def _corner_voltages(structure: MnaStructure, vectors: np.ndarray) -> dict:
+    """The node voltages of a ``(corners, n)`` stack: a 1-D array per node,
+    or Python floats for a stack of one.  The device equations give the
+    same bits on either (:mod:`repro.devices.stack`); floats skip numpy's
+    per-call cost where there is nothing to vectorise."""
+    if len(vectors) == 1:
+        return {name: float(vectors[0, row])
+                for name, row in structure.node_index.items()}
+    return {name: np.ascontiguousarray(vectors[:, row])
+            for name, row in structure.node_index.items()}
+
+
+def _source_values(circuit: Circuit, linear: LinearStamps,
+                   sources) -> list[np.ndarray]:
+    """Every compiled source's DC value per corner, in compiled order:
+    ``sources[name]`` where given (one value per corner, or one for all),
+    the circuit's own value otherwise.  Broadcast to one corner count."""
+    overrides = dict(sources or {})
+    names = {compiled.name for compiled in linear.sources}
+    unknown = sorted(set(overrides) - names)
+    if unknown:
+        raise SimulationError(
+            f"circuit {circuit.name!r} has no independent source named "
+            f"{unknown[0]!r}")
+    values = [np.atleast_1d(np.asarray(
+        overrides.get(compiled.name, circuit[compiled.name].value.dc),
+        dtype=float)) for compiled in linear.sources]
+    if any(value.ndim != 1 for value in values):
+        raise SimulationError("source values must be one number per corner")
+    return np.broadcast_arrays(*values) if values else [np.zeros(1)]
+
+
+def _source_rhs(linear: LinearStamps, values: list[np.ndarray],
                 scale: float = 1.0) -> np.ndarray:
-    """The RHS holding the (possibly scaled) DC values of the circuit's
-    sources, on the rows of the compiled ones."""
+    """The ``(corners, n)`` right-hand sides holding the (possibly scaled)
+    source ``values`` on the rows of the compiled sources."""
     structure = linear.structure
-    rhs = np.zeros(structure.size)
-    for compiled in linear.sources:
-        value = circuit[compiled.name].value.dc
+    rhs = np.zeros((len(values[0]), structure.size))
+    for compiled, value in zip(linear.sources, values):
         for row, sign in source_rows(structure, compiled):
-            rhs[row] += sign * scale * value
+            rhs[:, row] += sign * scale * value
     return rhs
 
 
-def _newton_solve(circuit: Circuit, linear: LinearStamps,
-                  jacobian, options: DcOptions,
-                  initial: np.ndarray, source_scale: float,
-                  solver: LinearSolver,
-                  start: NewtonStart | None = None) -> tuple[np.ndarray, int]:
-    """Newton iteration at a fixed source scaling; returns (solution, iterations).
+def _solve_stack(solver: LinearSolver, jacobian, companion_g,
+                 rhs: np.ndarray, structure: MnaStructure) -> np.ndarray:
+    """``(jacobian + companion_g[k]) x[k] = rhs[k]`` for every corner ``k``:
+    one batched LAPACK solve when dense, one sparse solve per corner
+    otherwise."""
+    corners = len(rhs)
+    if isinstance(jacobian, np.ndarray):
+        systems = np.broadcast_to(jacobian + companion_g,
+                                  (corners,) + jacobian.shape)
+        return solver.solve(systems, rhs, structure=structure)
+    if not isinstance(companion_g, list):
+        companion_g = [companion_g] * corners
+    return np.stack([solver.solve(jacobian + matrix, row, structure=structure)
+                     for matrix, row in zip(companion_g, rhs)])
+
+
+def _newton(linear: LinearStamps, jacobian, options: DcOptions,
+            initial: np.ndarray, source_rhs: np.ndarray,
+            solver: LinearSolver):
+    """Plain Newton on a stack of corners at a fixed source scaling.
 
     ``jacobian`` is the linear part of the Jacobian with the gmin shunt
-    already added; each iteration adds only the companion stamps.  A
-    ``start`` compiled for ``initial`` and this gmin takes the first
-    iteration as one back-substitution.
+    already added; each iteration adds only the companion stamps of the
+    corners still iterating.  A corner leaves the stack on the iteration it
+    converges on.  Returns the ``(corners, n)`` iterates, every corner's
+    iteration count (the solves it took), whether it converged and its last
+    max voltage update.
     """
     structure = linear.structure
-    x = initial.copy()
     n_nodes = structure.n_nodes
-    source_rhs = _source_rhs(circuit, linear, scale=source_scale)
-
+    x = initial.copy()
+    corners = len(x)
+    iterations = np.full(corners, options.max_iterations)
+    last_update = np.zeros(corners)
+    converged = np.zeros(corners, dtype=bool)
+    # The corners still iterating: their indices, iterates and sources.
+    index = np.arange(corners)
+    current, rhs = x, source_rhs
     for iteration in range(1, options.max_iterations + 1):
-        if iteration == 1 and start is not None:
-            x_new = start.step(source_rhs)
+        companion_g, companion_rhs = linear.companion_system(
+            _corner_voltages(structure, current))
+        x_new = _solve_stack(solver, jacobian, companion_g,
+                             rhs + companion_rhs, structure)
+        delta = x_new - current
+        current = current + options.damping * delta
+        if n_nodes:
+            max_delta = np.max(np.abs(delta[:, :n_nodes]), axis=1)
+            max_value = np.max(np.abs(current[:, :n_nodes]), axis=1)
         else:
-            voltages = {name: float(x[row])
-                        for name, row in structure.node_index.items()}
-            companion_g, companion_rhs = linear.companion_system(voltages)
-            x_new = solver.solve(jacobian + companion_g,
-                                 source_rhs + companion_rhs,
-                                 structure=structure)
-        delta = x_new - x
-        x = x + options.damping * delta
-        max_delta = float(np.max(np.abs(delta[:n_nodes]))) if n_nodes else 0.0
-        max_value = float(np.max(np.abs(x[:n_nodes]))) if n_nodes else 0.0
-        if max_delta <= options.abs_tolerance + options.rel_tolerance * max_value:
-            return x, iteration
-    raise ConvergenceError(
-        f"DC Newton did not converge in {options.max_iterations} iterations "
-        f"(last max voltage update {max_delta:.3e} V)")
+            max_delta = max_value = np.zeros(index.size)
+        done = max_delta <= (options.abs_tolerance
+                             + options.rel_tolerance * max_value)
+        last_update[index] = max_delta
+        if done.any():
+            finished = index[done]
+            x[finished] = current[done]
+            iterations[finished] = iteration
+            converged[finished] = True
+            keep = ~done
+            index, current, rhs = index[keep], current[keep], rhs[keep]
+            if not index.size:
+                break
+    x[index] = current
+    return x, iterations, converged, last_update
 
 
 def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
@@ -227,8 +377,10 @@ def _gmin_ladder(start: float, target: float, steps: int) -> list[float]:
 def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
                        solver: LinearSolver | None = None,
                        linear: LinearStamps | None = None,
-                       initial: np.ndarray | None = None) -> DcSolution:
-    """Solve the DC operating point of ``circuit``.
+                       initial: np.ndarray | None = None,
+                       sources=None) -> DcSolution | DcCorners:
+    """Solve the DC operating point of ``circuit``, or of a stack of its
+    source corners.
 
     Linear circuits converge in a single iteration.  For nonlinear circuits,
     plain Newton is attempted first; on failure the continuation ladder runs
@@ -244,6 +396,12 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
     circuit raise :class:`SimulationError`.  ``initial``
     is the MNA vector plain Newton starts from (zero without it); the
     ladder rungs always start from zero.
+
+    ``sources`` maps independent-source names to their DC value per corner
+    (1-D sequences of one length, or one number for every corner); the
+    other sources keep the circuit's values.  Every corner is then solved
+    in one stack (see the module docstring) and a :class:`DcCorners` is
+    returned.
     """
     options = options or DcOptions()
     solver = solver or LinearSolver()
@@ -253,42 +411,67 @@ def dc_operating_point(circuit: Circuit, options: DcOptions | None = None,
         raise SimulationError(
             f"initial guess has shape {np.shape(initial)}, the circuit "
             f"{circuit.name!r} has {size} unknowns")
-    with trace_span("sim.dc", size=size) as span:
-        solution = _operating_point(circuit, linear, options, solver,
-                                    initial)
+    values = _source_values(circuit, linear, sources)
+    with trace_span("sim.dc", size=size, corners=len(values[0])) as span:
+        solutions = _operating_points(circuit, linear, options, solver,
+                                      initial, values)
         if span is not None:
-            span.set(iterations=solution.iterations,
-                     strategy=solution.strategy)
-    return solution
+            span.set(iterations=solutions.iterations,
+                     strategy=",".join(sorted(set(solutions.strategies))))
+    return solutions if sources is not None else solutions.corner(0)
 
 
-def _operating_point(circuit: Circuit, linear: LinearStamps,
-                     options: DcOptions, solver: LinearSolver,
-                     guess: np.ndarray | None) -> DcSolution:
-    """Plain Newton from ``guess`` (or zero), then the gmin- and
-    source-stepping rungs from zero."""
+def _operating_points(circuit: Circuit, linear: LinearStamps,
+                      options: DcOptions, solver: LinearSolver,
+                      guess: np.ndarray | None,
+                      values: list[np.ndarray]) -> DcCorners:
+    """Plain Newton on the whole stack from ``guess`` (or zero), then the
+    ladder, from zero, for each corner it missed."""
     structure = linear.structure
-    linear_g = linear.conductance
-    zero = np.zeros(structure.size)
+    corners = len(values[0])
+    start = np.zeros((corners, structure.size))
+    if guess is not None:
+        start[:] = np.asarray(guess, dtype=float)
+    target_gmin = solver.options.effective_gmin(options.gmin)
+    jacobian = add_gmin_diagonal(linear.conductance, structure.n_nodes,
+                                 target_gmin)
+    vectors, iterations, converged, _ = _newton(
+        linear, jacobian, options, start, _source_rhs(linear, values),
+        solver)
+    strategies = ["newton"] * corners
+    work = [SolverStats(solves=int(count)) for count in iterations]
+    for corner in np.flatnonzero(~converged):
+        before = stats.snapshot()
+        vector, count, strategies[corner] = _ladder(
+            linear, options, solver, [value[corner:corner + 1]
+                                      for value in values])
+        vectors[corner], iterations[corner] = vector, count
+        work[corner].merge(stats.since(before))
+    return DcCorners(circuit=circuit, structure=structure, vectors=vectors,
+                     corner_iterations=tuple(int(n) for n in iterations),
+                     strategies=tuple(strategies), work=tuple(work))
+
+
+def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,
+            values: list[np.ndarray]) -> tuple[np.ndarray, int, str]:
+    """The gmin- and source-stepping rungs for one corner (its source
+    ``values``), each from zero: (vector, iterations, strategy)."""
+    structure = linear.structure
+    zero = np.zeros((1, structure.size))
     target_gmin = solver.options.effective_gmin(options.gmin)
 
-    def newton(guess, scale, gmin, start=None):
-        jacobian = add_gmin_diagonal(linear_g, structure.n_nodes, gmin)
-        return _newton_solve(circuit, linear, jacobian, options, guess,
-                             source_scale=scale, solver=solver, start=start)
-
-    def solution(vector, iterations, strategy):
-        return DcSolution(circuit=circuit, structure=structure,
-                          vector=vector, iterations=iterations,
-                          strategy=strategy)
-
-    try:
-        start = zero if guess is None else np.asarray(guess, dtype=float)
-        return solution(*newton(start, 1.0, target_gmin,
-                                linear.newton_start(start, target_gmin)),
-                        "newton")
-    except ConvergenceError:
-        pass
+    def newton(guess, scale, gmin):
+        jacobian = add_gmin_diagonal(linear.conductance, structure.n_nodes,
+                                     gmin)
+        x, iterations, converged, last_update = _newton(
+            linear, jacobian, options, guess,
+            _source_rhs(linear, values, scale), solver)
+        if not converged[0]:
+            raise ConvergenceError(
+                f"DC Newton did not converge in {options.max_iterations} "
+                f"iterations (last max voltage update "
+                f"{last_update[0]:.3e} V)")
+        return x, int(iterations[0])
 
     # Rung 1: gmin-stepping homotopy.  A large gmin makes the Jacobian
     # strongly diagonally dominant (every rung converges easily), and each
@@ -305,8 +488,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
                 total_iterations += iterations
                 stats.dc_gmin_steps += 1
             vector, iterations = newton(vector, 1.0, target_gmin)
-            return solution(vector, total_iterations + iterations,
-                            "gmin-stepping")
+            return vector[0], total_iterations + iterations, "gmin-stepping"
         except ConvergenceError:
             pass
 
@@ -320,7 +502,7 @@ def _operating_point(circuit: Circuit, linear: LinearStamps,
             vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
             stats.dc_source_steps += 1
-        return solution(vector, total_iterations, "source-stepping")
+        return vector[0], total_iterations, "source-stepping"
     except ConvergenceError as exc:
         raise ConvergenceError(
             "DC operating point did not converge: plain Newton, "

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SimulationError
-from .solver import Factorization, StackedFactorization, stats
+from ..obs import trace_span
+from .solver import Factorization, StackedFactorization, solve_stacked, stats
 
 #: Direct LU (LAPACK or SuperLU by system size) — the one backend.
 BACKEND_DIRECT = "direct"
@@ -100,8 +101,20 @@ class LinearSolver:
         offending node when ``structure`` (an
         :class:`~repro.simulator.mna.MnaStructure`) is given, and a
         non-finite solution is caught as a backstop.  Counts one ``solve``
-        and no ``factorization``, the historical one-shot semantics.
+        and no ``factorization``, the historical one-shot semantics.  A
+        dense ``(k, n, n)`` stack against ``(k, n)`` right-hand sides is
+        ``k`` such solves in one batched LAPACK ``gesv`` call (one
+        ``solver.factorize`` span), each system solved as it would be
+        alone; it counts ``k`` solves.
         """
+        if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+            stats.solves += matrix.shape[0]
+            if not matrix.shape[1]:
+                return np.zeros(rhs.shape, dtype=rhs.dtype)
+            with trace_span("solver.factorize", kernel="lapack",
+                            n=matrix.shape[1]):
+                return solve_stacked(matrix, rhs[..., None],
+                                     structure)[..., 0]
         if matrix.shape[0] == matrix.shape[1] == 0:
             return np.zeros(0, dtype=rhs.dtype)
         solution = Factorization(matrix, structure=structure, counted=False).solve(rhs)

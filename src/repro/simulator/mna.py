@@ -34,24 +34,20 @@ caller that solves one netlist at many bias corners (the VCO V_tune sweep,
 the Fig-3 NMOS bias sweep) compiles it once and passes it as ``linear=``,
 so no corner re-validates, re-indexes or re-stamps the linear netlist.
 
-Four more pieces of compiled state hang off a :class:`LinearStamps`, each
-built on first use and kept as one entry (replaced when the structure,
-start vector or sweep it was built for changes):
+More compiled state hangs off a :class:`LinearStamps`, each piece built
+on first use and kept as one entry (replaced when the structure or sweep
+it was built for changes):
 
 * :class:`StampPattern` — a fixed sequence of the nonlinear elements' stamp
   calls, recorded once and then re-evaluated as a vector of values
   scattered through fixed slots (bit-identical to a fresh
   :class:`MatrixStamper`, without its node lookups and triplet lists).
-  One pattern holds the DC Newton companion stamps
+  The values may carry a leading corner axis: one scatter then builds the
+  matrices of a whole stack of bias corners, each summed in the same
+  order as alone.  One pattern holds the DC Newton companion stamps
   (:meth:`LinearStamps.companion_pattern`), one the small-signal stamps on
   the rows a transfer analysis solves
   (:meth:`LinearStamps.small_signal_pattern`);
-* :class:`NewtonStart` — the first plain-Newton iteration from a fixed
-  start vector: ``G + gmin + companion_G(x0)`` factorized and
-  ``companion_rhs(x0)``.  A caller that starts every bias corner from one
-  reference point (the VCO V_tune sweep) pays one back-substitution for
-  that iteration instead of the device evaluations, the stamp collection
-  and a fresh LU;
 * :class:`PortReduction` — ``G + gmin + s*C`` Schur-reduced onto the
   device terminals and observed nodes for a frequency sweep.  The
   small-signal models touch only device terminals, so every bias corner
@@ -370,18 +366,51 @@ class _ValueCollector(Stamper):
 
 class _Slots:
     """The slots of one matrix (rows and columns) or of the RHS (rows only),
-    with the call each slot takes its value from and its sign."""
+    with the call each slot takes its value from and its sign.
 
-    __slots__ = ("rows", "cols", "calls", "signs")
+    ``ranks`` orders the dense scatter of a stack: rank ``r`` holds, for
+    every flat position (``row * size + col``, or ``row``) reached at least
+    ``r + 1`` times, its ``r``-th slot in recording order.  Adding the ranks
+    in turn onto zeros sums each position's values in recording order, as
+    :func:`numpy.bincount` does for one corner, with every corner of the
+    stack at once.
+    """
 
-    def __init__(self, rows, cols, calls, signs):
+    def __init__(self, rows, cols, calls, signs, size: int):
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.calls = np.asarray(calls, dtype=np.intp)
         self.signs = np.asarray(signs, dtype=float)
+        self.size = size
+
+    @cached_property
+    def ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        flat = (self.rows * self.size + self.cols if self.cols.size
+                else self.rows)
+        ranks: list[tuple[list[int], list[int]]] = []
+        seen: dict[int, int] = {}
+        for slot, position in enumerate(flat.tolist()):
+            rank = seen[position] = seen.get(position, -1) + 1
+            if rank == len(ranks):
+                ranks.append(([], []))
+            ranks[rank][0].append(position)
+            ranks[rank][1].append(slot)
+        return [(np.array(positions, dtype=np.intp),
+                 np.array(slots, dtype=np.intp))
+                for positions, slots in ranks]
 
     def values(self, call_values: np.ndarray) -> np.ndarray:
-        return call_values[self.calls] * self.signs
+        """The value of every slot, ``(..., slots)`` for ``(..., calls)``."""
+        return call_values[..., self.calls] * self.signs
+
+    def scatter(self, call_values: np.ndarray, length: int) -> np.ndarray:
+        """The slot values of ``(corners, calls)`` summed onto ``length``
+        flat positions per corner."""
+        values = self.values(call_values)
+        flat = np.zeros((len(values), length))
+        for positions, slots in self.ranks:
+            flat[:, positions] += values[:, slots]
+        return flat
 
 
 class StampPattern:
@@ -397,17 +426,22 @@ class StampPattern:
     calls on the same nodes every time (the element models do: only the
     values depend on the voltages), and only node stamps
     (conductance, capacitance, current, vccs).
+
+    A stack of corners is one evaluation too: stamped from a voltage map of
+    1-D arrays, the values come as ``(corners, calls)`` and every matrix as
+    ``(corners, n, n)`` (a list of CSR matrices above the dense cutoff),
+    each corner's entries summed in the order it would be alone.
     """
 
     def __init__(self, structure: MnaStructure, recorder: _SlotRecorder):
-        self.size = structure.size
+        self.size = size = structure.size
         self.n_calls = recorder.n_calls
         self._g = _Slots(recorder._g.rows, recorder._g.cols,
-                         recorder.g_calls, recorder._g.vals)
+                         recorder.g_calls, recorder._g.vals, size)
         self._c = _Slots(recorder._c.rows, recorder._c.cols,
-                         recorder.c_calls, recorder._c.vals)
+                         recorder.c_calls, recorder._c.vals, size)
         self._rhs = _Slots(recorder.rhs_slots, (), recorder.rhs_calls,
-                           recorder.rhs_signs)
+                           recorder.rhs_signs, size)
 
     @classmethod
     def record(cls, structure: MnaStructure, stamp) -> "StampPattern":
@@ -416,56 +450,52 @@ class StampPattern:
         return cls(structure, recorder)
 
     def evaluate(self, stamp) -> np.ndarray:
-        """The values of one run of ``stamp``, checked against the pattern."""
+        """The values of one run of ``stamp``, checked against the pattern:
+        ``(calls,)``, or ``(corners, calls)`` when any value is a stack."""
         collector = _ValueCollector()
         stamp(collector)
         if len(collector.values) != self.n_calls:
             raise SimulationError(
                 f"stamp pattern changed: recorded {self.n_calls} stamp "
                 f"calls, got {len(collector.values)}")
-        return np.asarray(collector.values, dtype=float)
+        if not any(isinstance(value, np.ndarray) for value in
+                   collector.values):
+            return np.asarray(collector.values, dtype=float)
+        return np.stack(np.broadcast_arrays(*collector.values), axis=-1
+                        ).astype(float, copy=False)
 
-    def conductance(self, values: np.ndarray) -> np.ndarray | sp.csr_matrix:
-        """``G`` of the stamps, dense or CSR by size."""
-        slots = self._g
-        return _system_from_triplets(slots.rows, slots.cols,
-                                     slots.values(values), self.size)
+    def _matrix(self, slots: _Slots, values: np.ndarray):
+        size = self.size
+        if values.ndim == 1:
+            return _system_from_triplets(slots.rows, slots.cols,
+                                         slots.values(values), size)
+        if _solver.dense_kernel(size):
+            return slots.scatter(values, size * size).reshape(
+                (len(values), size, size))
+        return [_system_from_triplets(slots.rows, slots.cols,
+                                      slots.values(corner), size)
+                for corner in values]
 
-    def capacitance(self, values: np.ndarray) -> np.ndarray | sp.csr_matrix:
-        """``C`` of the stamps, dense or CSR by size."""
-        slots = self._c
-        return _system_from_triplets(slots.rows, slots.cols,
-                                     slots.values(values), self.size)
+    def conductance(self, values: np.ndarray):
+        """``G`` of the stamps, dense or CSR by size (per corner of a
+        stack)."""
+        return self._matrix(self._g, values)
+
+    def capacitance(self, values: np.ndarray):
+        """``C`` of the stamps, dense or CSR by size (per corner of a
+        stack)."""
+        return self._matrix(self._c, values)
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
-        """The right-hand side of the stamps' current sources."""
+        """The right-hand side of the stamps' current sources, ``(n,)`` or
+        ``(corners, n)``."""
         slots = self._rhs
+        if values.ndim > 1:
+            return slots.scatter(values, self.size)
         if not slots.rows.size:
             return np.zeros(self.size)
         return np.bincount(slots.rows, weights=slots.values(values),
                            minlength=self.size)
-
-
-@dataclass(frozen=True, eq=False)
-class NewtonStart:
-    """The first plain-Newton iteration from a fixed start vector ``x0``.
-
-    ``jacobian`` is the LU of ``J(x0) = G + gmin + companion_G(x0)`` and
-    ``companion_rhs`` the companion right-hand side at ``x0``; only the
-    source right-hand side differs between the corners that start from
-    ``x0``.  ``key`` is ``(x0.tobytes(), gmin)``.
-    """
-
-    key: tuple[bytes, float]
-    jacobian: _solver.Factorization
-    companion_rhs: np.ndarray
-
-    def step(self, source_rhs: np.ndarray) -> np.ndarray:
-        """The first Newton iterate ``J(x0)^-1 (source_rhs +
-        companion_rhs)``, counted as the one solve it stands for."""
-        solution = self.jacobian.solve(source_rhs + self.companion_rhs)
-        _solver.stats.solves += 1
-        return solution
 
 
 def _stamp_companions(nonlinear, voltages, stamper) -> None:
@@ -586,8 +616,8 @@ class LinearStamps:
     #: the compiled circuit's elements, in circuit order
     elements: tuple[Element, ...]
     #: compiled state derived on first use: the companion and small-signal
-    #: stamp patterns, the Newton start, the structural facts of the port
-    #: reduction and its one cached entry
+    #: stamp patterns, the structural facts of the port reduction and its
+    #: one cached entry
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -660,38 +690,17 @@ class LinearStamps:
 
     def companion_system(self, voltages: dict[str, float]):
         """The companion ``G`` and right-hand side of the nonlinear
-        elements linearised at ``voltages``.
+        elements linearised at ``voltages`` (node -> volts, or a stack of
+        corners: node -> 1-D array, giving ``(corners, n, n)`` and
+        ``(corners, n)``).
 
         Scattered through :meth:`companion_pattern`, which gives what a
-        fresh :class:`MatrixStamper` would, bit for bit.
+        fresh :class:`MatrixStamper` would, bit for bit, per corner.
         """
         pattern = self.companion_pattern()
         values = pattern.evaluate(partial(_stamp_companions,
                                           self.nonlinear_elements, voltages))
         return pattern.conductance(values), pattern.rhs(values)
-
-    def newton_start(self, initial: np.ndarray, gmin: float) -> NewtonStart:
-        """The first plain-Newton iteration from ``initial`` at ``gmin``.
-
-        One start is cached, and replaced when the bytes of ``initial`` or
-        gmin change; like the stamps, it is compile-time state, so building
-        it counts no solver work (each :meth:`NewtonStart.step` counts the
-        solve it stands for).
-        """
-        key = (initial.tobytes(), gmin)
-        start = self._cache.get("newton_start")
-        if start is None or start.key != key:
-            structure = self.structure
-            voltages = {name: float(initial[row])
-                        for name, row in structure.node_index.items()}
-            companion_g, companion_rhs = self.companion_system(voltages)
-            jacobian = _solver.add_gmin_diagonal(
-                self.conductance, structure.n_nodes, gmin) + companion_g
-            start = self._cache["newton_start"] = NewtonStart(
-                key=key, companion_rhs=companion_rhs,
-                jacobian=_solver.Factorization(jacobian, structure=structure,
-                                               counted=False))
-        return start
 
     def small_signal_pattern(self, structure: MnaStructure) -> StampPattern:
         """The small-signal stamps of the nonlinear elements indexed by

@@ -32,6 +32,13 @@ Three performance properties of the implementation matter for sweeps:
   ``linear``), so every further bias corner solves a system of its device
   terminals and observed nodes only (13 unknowns instead of 43 for the
   VCO testbench), all frequencies in one stacked LAPACK call.
+* **Corner stacks** — given the :class:`~repro.simulator.dc.DcCorners` of
+  a stack of bias corners, the small-signal values of every corner are
+  scattered as one ``(corners, calls)`` block and all corners x
+  frequencies are solved in one stacked LAPACK call on the reduced rows
+  (the sparse path loops over the corners).  Each system is factorized
+  and solved on its own, so a corner's transfer is bit-identical alone or
+  in any stack; the transfers then carry a leading corner axis.
 
 Transfers are unit-drive by construction (each source's right-hand side is
 its MNA incidence, :func:`~repro.simulator.mna.source_rows`), and the
@@ -47,7 +54,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
-from .dc import DcOptions, DcSolution, dc_operating_point
+from .dc import DcCorners, DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
 from .mna import LinearStamps, MnaStructure, StampPattern, source_rows
 from .solver import SharedPatternPair, add_gmin_diagonal
@@ -69,28 +76,30 @@ def swept_index(frequencies: np.ndarray, frequency: float) -> int:
 
 
 def _small_signal_values(linear: LinearStamps, structure: MnaStructure,
-                         operating_point: DcSolution | None
+                         corners: DcCorners | None
                          ) -> tuple[StampPattern, np.ndarray] | None:
     """The small-signal stamp pattern of the nonlinear elements on
     ``structure`` (the full system, or the kept rows of a port reduction)
-    and its values at ``operating_point``; ``None`` for a linear circuit.
+    and its values at the operating points ``corners``: ``(corners,
+    calls)``, or ``(calls,)`` for a stack of one (evaluated on floats);
+    ``None`` for a linear circuit.
 
-    Each device stamps from its operating point as cached on the DC
-    solution, so no device model is evaluated twice.
+    Each device stamps from its stacked operating point as cached on the
+    DC corners, so no device model is evaluated twice.
     """
     nonlinear = linear.nonlinear_elements
     if not nonlinear:
         return None
-    if operating_point is None:
+    if corners is None:
         raise SimulationError(
             "circuit contains nonlinear elements: an operating point is required")
-    voltages = operating_point.voltages()
+    voltages = corners.voltages()
 
     def stamp(stamper):
         for element in nonlinear:
             element.stamp_small_signal(
                 stamper, voltages,
-                point=operating_point.operating_point_of(element.name))
+                point=corners.operating_point_of(element.name))
 
     pattern = linear.small_signal_pattern(structure)
     return pattern, pattern.evaluate(stamp)
@@ -102,7 +111,8 @@ class TransferFunction:
 
     source_name: str
     frequencies: np.ndarray
-    transfers: dict[str, np.ndarray]      #: node -> complex H(f), shape (F,)
+    #: node -> complex H(f), shape (F,), or (corners, F) for a corner stack
+    transfers: dict[str, np.ndarray]
 
     def magnitude(self, node: str) -> np.ndarray:
         return np.abs(self.transfers[node])
@@ -128,11 +138,17 @@ class TransferFunction:
     def nodes(self) -> list[str]:
         return list(self.transfers)
 
+    def corner(self, index: int) -> "TransferFunction":
+        """The transfer of corner ``index`` of a corner stack."""
+        return TransferFunction(
+            source_name=self.source_name, frequencies=self.frequencies,
+            transfers={node: h[index] for node, h in self.transfers.items()})
+
 
 def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                        observe_nodes: list[str],
                        frequencies: np.ndarray | list[float],
-                       operating_point: DcSolution | None = None,
+                       operating_point: DcSolution | DcCorners | None = None,
                        dc_options: DcOptions | None = None,
                        gmin: float = 1e-12,
                        solver: LinearSolver | None = None,
@@ -154,7 +170,10 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     compiled :class:`~repro.simulator.mna.LinearStamps` (compiled here when
     absent; stamps of a different circuit raise :class:`SimulationError`).
     Returns a mapping ``source name -> TransferFunction`` (V/V for voltage
-    sources, V/A for current sources).
+    sources, V/A for current sources).  An ``operating_point`` that is a
+    :class:`~repro.simulator.dc.DcCorners` analyses its whole stack at
+    once (each point of each corner one factorization and one solve), and
+    every transfer then has a leading corner axis.
     """
     if not observe_nodes:
         raise SimulationError("at least one observation node is required")
@@ -182,6 +201,9 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     if operating_point is None and linear.nonlinear_elements:
         operating_point = dc_operating_point(circuit, dc_options,
                                              solver=solver, linear=linear)
+    stacked = isinstance(operating_point, DcCorners)
+    corners = (operating_point if stacked or operating_point is None
+               else DcCorners.of(operating_point))
     gmin = solver.options.effective_gmin(gmin)
 
     # One unit-drive RHS column per source.
@@ -191,13 +213,15 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             rhs_block[row, column] += sign
 
     if isinstance(linear.conductance, np.ndarray):
-        rows, vectors = _reduced_solve(linear, operating_point,
+        rows, vectors = _reduced_solve(linear, corners,
                                        observe_nodes, frequencies, gmin,
                                        rhs_block, solver)
     else:
         rows = structure.node_index
-        vectors = _full_solve(linear, operating_point,
+        vectors = _full_solve(linear, corners,
                               frequencies, gmin, rhs_block, solver)
+    if not stacked:
+        vectors = vectors[0]
 
     results: dict[str, TransferFunction] = {}
     for column, name in enumerate(source_names):
@@ -205,71 +229,86 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
         for node in observe_nodes:
             # node_row: None for ground, an error for an unknown node
             transfers[node] = (
-                np.zeros(frequencies.size, dtype=complex)
+                np.zeros(vectors.shape[:-2], dtype=complex)
                 if structure.node_row(node) is None
-                else vectors[:, rows[node], column])
+                else vectors[..., rows[node], column])
         results[name] = TransferFunction(source_name=name,
                                          frequencies=frequencies.copy(),
                                          transfers=transfers)
     return results
 
 
-def _full_solve(linear: LinearStamps,
-                operating_point: DcSolution | None, frequencies: np.ndarray,
-                gmin: float, rhs_block: np.ndarray,
+def _full_solve(linear: LinearStamps, corners: DcCorners | None,
+                frequencies: np.ndarray, gmin: float, rhs_block: np.ndarray,
                 solver: LinearSolver) -> np.ndarray:
-    """Every unknown at every frequency: ``G + j*omega*C`` of the whole
-    system factorized once per point (the sparse path)."""
+    """Every unknown at every frequency of every corner: ``G + j*omega*C``
+    of the whole system factorized once per point (the sparse path).
+    Returns the ``(corners, F, n, sources)`` solutions."""
     structure = linear.structure
     # The small-signal matrices depend on the operating point only, never on
     # the sources, so they are built once for all sources.
-    g_matrix, c_matrix = linear.conductance, linear.capacitance
-    stamps = _small_signal_values(linear, structure, operating_point)
-    if stamps is not None:
-        small_signal, values = stamps
-        g_matrix = g_matrix + small_signal.conductance(values)
-        c_matrix = c_matrix + small_signal.capacitance(values)
-    pattern = SharedPatternPair(
-        add_gmin_diagonal(g_matrix, structure.n_nodes, gmin), c_matrix)
-    vectors = np.zeros((frequencies.size,) + rhs_block.shape, dtype=complex)
-    for index, frequency in enumerate(frequencies):
-        factorization = solver.factorize(
-            pattern.assemble(2j * np.pi * frequency), structure=structure)
-        vectors[index] = factorization.solve(rhs_block)
+    stamps = _small_signal_values(linear, structure, corners)
+    n_corners = 1 if stamps is None else len(corners)
+    vectors = np.zeros((n_corners, frequencies.size) + rhs_block.shape,
+                       dtype=complex)
+    for corner in range(n_corners):
+        g_matrix, c_matrix = linear.conductance, linear.capacitance
+        if stamps is not None:
+            small_signal, values = stamps
+            values = np.atleast_2d(values)[corner]
+            g_matrix = g_matrix + small_signal.conductance(values)
+            c_matrix = c_matrix + small_signal.capacitance(values)
+        pattern = SharedPatternPair(
+            add_gmin_diagonal(g_matrix, structure.n_nodes, gmin), c_matrix)
+        for index, frequency in enumerate(frequencies):
+            factorization = solver.factorize(
+                pattern.assemble(2j * np.pi * frequency), structure=structure)
+            vectors[corner, index] = factorization.solve(rhs_block)
     return vectors
 
 
-def _reduced_solve(linear: LinearStamps,
-                   operating_point: DcSolution | None,
+def _reduced_solve(linear: LinearStamps, corners: DcCorners | None,
                    observe_nodes: list[str], frequencies: np.ndarray,
                    gmin: float, rhs_block: np.ndarray, solver: LinearSolver
                    ) -> tuple[dict[str, int], np.ndarray]:
-    """The kept unknowns at every frequency, on the port reduction of the
-    linear stamps (the dense path).
+    """The kept unknowns at every frequency of every corner, on the port
+    reduction of the linear stamps (the dense path).
 
     The small-signal stamps land on device terminals only, which the
-    reduction keeps, so they add straight onto its ``(F, k, k)`` systems;
-    one stacked factorization solves all frequencies.  Returns the kept
-    nodes' rows and the ``(F, k, sources)`` solutions.
+    reduction keeps, so they add straight onto its ``(F, k, k)`` systems,
+    one copy per corner; one stacked factorization solves all corners x
+    frequencies.  Returns the kept nodes' rows and the
+    ``(corners, F, k, sources)`` solutions.
     """
     reduction = linear.port_reduction(observe_nodes, frequencies, gmin,
                                       rhs_block)
     structure = reduction.structure
-    matrices = reduction.matrices.copy()
-    stamps = _small_signal_values(linear, structure, operating_point)
+    matrices = reduction.matrices[None]
+    stamps = _small_signal_values(linear, structure, corners)
     if stamps is not None:
         pattern, values = stamps
+        shape = (len(corners), structure.size, structure.size)
         s = 2j * np.pi * frequencies
-        matrices += pattern.conductance(values)
-        matrices += s[:, None, None] * pattern.capacitance(values)
-    factorization = solver.factorize(matrices, structure=structure)
-    return structure.node_index, factorization.solve(reduction.rhs)
+        matrices = matrices + pattern.conductance(values).reshape(
+            shape)[:, None]
+        # Corner by corner: no (corners, F, k, k) temporary.
+        for corner, capacitance in zip(
+                matrices, pattern.capacitance(values).reshape(shape)):
+            corner += s[:, None, None] * capacitance
+    n_corners, n_points, size, _ = matrices.shape
+    factorization = solver.factorize(
+        matrices.reshape(n_corners * n_points, size, size),
+        structure=structure)
+    rhs = np.broadcast_to(reduction.rhs, (n_corners,) + reduction.rhs.shape)
+    solutions = factorization.solve(
+        rhs.reshape((n_corners * n_points,) + rhs.shape[2:]))
+    return structure.node_index, solutions.reshape(rhs.shape)
 
 
 def transfer_function(circuit: Circuit, source_name: str,
                       observe_nodes: list[str],
                       frequencies: np.ndarray | list[float],
-                      operating_point: DcSolution | None = None,
+                      operating_point: DcSolution | DcCorners | None = None,
                       dc_options: DcOptions | None = None,
                       gmin: float = 1e-12,
                       solver: LinearSolver | None = None,

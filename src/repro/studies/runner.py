@@ -8,25 +8,35 @@ into a :class:`~repro.studies.results.SweepResult`:
    sweeps hit the cache after the first run; layout sweeps re-extract only
    the changed variants, and run one Kron reduction per distinct device
    geometry, mesh, technology and solver: variants that change only
-   interconnect reuse the substrate macromodel of the first one),
+   interconnect reuse the substrate macromodel of the first one).  The
+   runner keeps each variant's cache key, so a later run looks its flow up
+   without rebuilding the layout cell or hashing it again; the lookup
+   itself runs every time, so an entry pruned in between is re-extracted,
 2. run the pending extractions on the
    :class:`~repro.parallel.scheduler.WorkScheduler` as two flat batches —
    the leaders, then the followers that reuse a fresh leader's substrate —
    on the shared process pool when there are two or more extractions and
    the scheduler has more than one worker, inline otherwise,
 3. build one :class:`SweepTask` per pending (variant, injected power,
-   V_tune) corner with its variant's flow — each task analyses all noise
-   frequencies of the campaign in one AC sweep, which is the natural unit
-   of work (one DC solve + one transfer function) — and run every task
-   inline in this process, in task order, so the result is numerically
-   identical whatever the worker count.  A corner of a variant that failed
-   to extract is recorded as that extraction's failure.
+   V_tune) corner with its variant's flow, and run every task inline in
+   this process, in task order.  The pending corners of one (variant,
+   injected power) share a :class:`CornerStack`: the first of its tasks to
+   run analyses them all at once — one stacked DC Newton, transfer solve
+   and spur evaluation over every V_tune x noise frequency
+   (:meth:`~repro.core.vco_experiment.VcoImpactAnalysis.analyze_corners`)
+   — and each task then takes its own corner's slice through the
+   per-corner path: its work item, fault injection, journal block,
+   observer callbacks and its own solver counts.  A corner's results are
+   bit-identical alone or in any stack, so the result is the same whatever
+   the worker count, and a resumed run that recomputes one corner of a
+   stack reproduces it exactly.  A corner of a variant that failed to
+   extract is recorded as that extraction's failure.
 
-A corner costs about a millisecond once its variant's flow exists, less
-than shipping the flow to another process, so only extractions leave the
-process.  ``_execute_extraction`` is a module-level function with a
-picklable payload for that reason; its flow comes home as the task's
-result.
+A stack of corners costs well under a millisecond per corner once its
+variant's flow exists, less than shipping the flow to another process, so
+only extractions leave the process.  ``_execute_extraction`` is a
+module-level function with a picklable payload for that reason; its flow
+comes home as the task's result.
 """
 
 from __future__ import annotations
@@ -46,7 +56,6 @@ from ..obs import get_logger, span_aggregates, trace_span, tracer
 from ..parallel.plan import ON_ERROR_ABORT, WorkItem, _check_policy
 from ..parallel.scheduler import WorkScheduler
 from ..simulator.solver import SolverStats
-from ..simulator.solver import stats as solver_stats
 from ..technology.process import ProcessTechnology
 from .cache import ExtractionCache, fingerprint
 from .columns import (
@@ -85,6 +94,8 @@ class SweepTask:
     noise_frequencies: tuple[float, ...]
     flow: FlowResult                       #: extracted models of the variant
     first_point_index: int                 #: global index of the first point
+    #: the pending corners of this task's (variant, injected power)
+    stack: "CornerStack" = field(repr=False, compare=False)
 
     def corner_label(self) -> str:
         """Human-readable corner identity (used in failure messages)."""
@@ -96,13 +107,58 @@ class SweepTask:
                 f"{len(self.noise_frequencies)} noise frequencies")
 
 
+class CornerStack:
+    """The pending V_tune corners of one (variant, injected power) corner
+    group, analysed as one stack on the first request for any of them.
+
+    A stack that raises is not retried as a stack: each of its corners is
+    then analysed alone on its own request, so a failure stays with the
+    corner that causes it.  Each corner's analysis is handed out once (a
+    retried task analyses its corner again, alone, to the same bits).
+    """
+
+    def __init__(self, vtunes: list[float]):
+        self.vtunes = list(vtunes)
+        self._corners: dict | None = None
+
+    def analysis_of(self, task: SweepTask):
+        """The :class:`~repro.core.vco_experiment.CornerAnalysis` of
+        ``task``'s corner."""
+        # Local import: repro.core.vco_experiment uses the studies package
+        # for its own sweeps, so the dependency must not be circular at
+        # import time.
+        from ..core.vco_experiment import VcoImpactAnalysis
+
+        analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
+                                     options=task.options,
+                                     flow_result=task.flow)
+        frequencies = np.asarray(task.noise_frequencies, dtype=float)
+        if self._corners is None:
+            self._corners = {}
+            try:
+                corners = analysis.analyze_corners(self.vtunes, frequencies)
+            except Exception as exc:
+                logger.warning(
+                    "corner stack failed: variant=%d corners=%d error=%s; "
+                    "its corners run one by one", task.variant_index,
+                    len(self.vtunes), exc)
+            else:
+                self._corners = dict(zip(self.vtunes, corners))
+        corner = self._corners.pop(task.vtune, None)
+        if corner is None:
+            corner = analysis.analyze_corners([task.vtune], frequencies)[0]
+        return corner
+
+
 @dataclass(frozen=True)
 class TaskOutcome:
     """The corner block one task produced, tagged with the task index.
 
     ``block`` holds the corner's points as result columns and the non-zero
-    solver counters the task spent, measured as the delta of the global
-    solver stats around the task.  ``seconds`` is the task's wall clock.
+    solver counters of the corner: its own share of its stack's work
+    (:attr:`~repro.core.vco_experiment.CornerAnalysis.solver_counts`).
+    ``seconds`` is the task's wall clock (the first task of a stack
+    carries the stack's analysis).
     """
 
     index: int
@@ -206,29 +262,20 @@ class _ExtractionPlan:
 
 def _execute_task(task: SweepTask) -> TaskOutcome:
     """Run one corner task in this process."""
-    # Local import: repro.core.vco_experiment uses the studies package for its
-    # own sweeps, so the dependency must not be circular at import time.
-    from ..core.vco_experiment import VcoImpactAnalysis
-
-    before = solver_stats.snapshot()
     t0 = time.perf_counter()
     with trace_span("campaign.corner", index=task.index,
                     variant=task.variant_index,
                     power_dbm=task.injected_power_dbm, vtune=task.vtune):
-        analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
-                                     options=task.options,
-                                     flow_result=task.flow)
-        sweep, _vco, _catalog, _tf = analysis.analyze(
-            task.vtune, np.asarray(task.noise_frequencies, dtype=float))
+        corner = task.stack.analysis_of(task)
     seconds = time.perf_counter() - t0
-    # Process-local delta of the global counters: the solves this corner
-    # spent, including any robustness ladder it needed.
-    spent = solver_stats.since(before)
+    # The solves this corner spent, including any robustness ladder it
+    # needed, counted apart from its stack-mates'.
+    spent = corner.solver_counts
     solver_counts = tuple((name, getattr(spent, name))
                           for name in SolverStats._COUNTERS
                           if getattr(spent, name) > 0)
     columns = corner_columns(
-        sweep, first_point_index=task.first_point_index,
+        corner.sweep, first_point_index=task.first_point_index,
         variant_index=task.variant_index, knobs=task.knobs,
         injected_power_dbm=task.injected_power_dbm, vtune=task.vtune)
     return TaskOutcome(index=task.index,
@@ -313,6 +360,8 @@ class SweepRunner:
         self.cache = ExtractionCache() if cache is None else cache
         self.on_error = _check_policy(on_error)
         self.fault_plan = fault_plan
+        #: (layout spec, flow options) -> cache key of the variant's cell
+        self._keys: dict[tuple, str] = {}
 
     def _task_fn(self):
         """The per-task callable, fault-wrapped when injecting."""
@@ -335,36 +384,51 @@ class SweepRunner:
         follower of it and reuses its substrate extraction.  So the Kron
         reduction runs once per distinct (device geometry, mesh, technology,
         solver), while every variant keeps its own cache entry.
+
+        A variant's key is computed once per runner (keyed on its layout
+        spec and flow options; the technology is the runner's), so a warm
+        run builds a layout cell only for a variant it must extract, or
+        whose substrate it must compare with one it extracts.  Every
+        pending variant is still looked up on every run.
         """
         plan = _ExtractionPlan()
-        cells: dict[str, tuple[LayoutVariant, Cell]] = {}
+        variants_by_key: dict[str, LayoutVariant] = {}
+        cells: dict[str, Cell] = {}
         for variant in variants:
-            cell = campaign.build_cell(variant)
-            key = self.cache.key(cell, self.technology, variant.flow_options)
+            memo = (variant.spec, variant.flow_options)
+            key = self._keys.get(memo)
+            if key is None:
+                cell = campaign.build_cell(variant)
+                key = self._keys[memo] = self.cache.key(
+                    cell, self.technology, variant.flow_options)
+                cells[key] = cell
             plan.keys.append(key)
-            if variant.index not in pending or key in cells:
+            if variant.index not in pending or key in variants_by_key:
                 continue                          # done, or duplicate content
-            cells[key] = (variant, cell)
+            variants_by_key[key] = variant
             flow = self.cache.lookup(key)
             if flow is not None:
                 plan.resolved[key] = flow
-            else:
-                # A disk-backed cache stamps its directory into the task so
-                # the extracting process claims the key first (exactly-once
-                # across concurrent runners sharing the directory).
-                cache_dir = getattr(self.cache, "cache_dir", None)
-                plan.pending[key] = ExtractionTask(
-                    variant_index=variant.index, cell=cell,
-                    technology=self.technology,
-                    flow_options=variant.flow_options,
-                    cache_dir=str(cache_dir) if cache_dir else None,
-                    key=key)
+                continue
+            # A disk-backed cache stamps its directory into the task so
+            # the extracting process claims the key first (exactly-once
+            # across concurrent runners sharing the directory).
+            cache_dir = getattr(self.cache, "cache_dir", None)
+            plan.pending[key] = ExtractionTask(
+                variant_index=variant.index, cell=self._cell(
+                    campaign, variant, key, cells),
+                technology=self.technology,
+                flow_options=variant.flow_options,
+                cache_dir=str(cache_dir) if cache_dir else None,
+                key=key)
         if not plan.pending:
             return plan
         # Hits first, so a miss follows a flow already in hand when it can.
         leader_by_inputs: dict[str, str] = {}
-        for key in sorted(cells, key=lambda k: k not in plan.resolved):
-            variant, cell = cells[key]
+        for key in sorted(variants_by_key,
+                          key=lambda k: k not in plan.resolved):
+            variant = variants_by_key[key]
+            cell = self._cell(campaign, variant, key, cells)
             inputs = fingerprint(*substrate_inputs(cell, self.technology,
                                                    variant.flow_options))
             leader = leader_by_inputs.setdefault(inputs, key)
@@ -373,9 +437,19 @@ class SweepRunner:
                 logger.info(
                     "substrate reuse: variant=%d leader_variant=%d "
                     "leader_source=%s", variant.index,
-                    cells[leader][0].index,
+                    variants_by_key[leader].index,
                     "cache" if leader in plan.resolved else "extraction")
         return plan
+
+    @staticmethod
+    def _cell(campaign: Campaign, variant: LayoutVariant, key: str,
+              cells: dict[str, Cell]) -> Cell:
+        """The layout cell of ``variant`` (cache key ``key``), built on the
+        first request of this plan."""
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = campaign.build_cell(variant)
+        return cell
 
     # -- task fan-out --------------------------------------------------------
 
@@ -391,7 +465,8 @@ class SweepRunner:
         they are omitted but the deterministic global point indexing still
         advances past them, so merged points line up exactly with a
         never-interrupted run.  A corner whose variant has a flow becomes a
-        :class:`SweepTask` carrying it.  A corner of a variant whose
+        :class:`SweepTask` carrying it and the :class:`CornerStack` of its
+        (variant, injected power).  A corner of a variant whose
         extraction failed never runs: it is that extraction's
         :class:`~repro.errors.CornerFailure` (from ``extractions``)
         re-stamped with the corner's coordinates.
@@ -406,6 +481,9 @@ class SweepRunner:
                 options = replace(campaign.options,
                                   injected_power_dbm=power,
                                   flow=variant.flow_options)
+                stack = CornerStack([
+                    vtune for vtune in vtunes
+                    if (variant.index, power, vtune) not in skip])
                 for vtune in vtunes:
                     if (variant.index, power, vtune) in skip:
                         pass
@@ -425,7 +503,8 @@ class SweepRunner:
                             vtune=vtune,
                             noise_frequencies=frequencies,
                             flow=flow,
-                            first_point_index=point_index))
+                            first_point_index=point_index,
+                            stack=stack))
                     point_index += len(frequencies)
         return corners
 

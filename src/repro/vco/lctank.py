@@ -16,14 +16,22 @@ The model is deliberately analytical — the paper itself derives the spur
 amplitudes from a narrow-band FM description rather than from a full
 oscillator transient — but every capacitance and conductance that feeds it is
 taken from the extracted devices at their operating point.
+
+Every quantity also evaluates a stack of corners: a design whose
+operating-point fields are arrays along a leading corner axis, at an array
+of tuning voltages, gives the array of each corner's value, elementwise
+(the varactor equations are the stacked ones of :mod:`repro.devices.stack`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from ..devices.inductor import SpiralInductor
+from ..devices.stack import anywhere, pick, smaller, sqrt
 from ..devices.varactor import AccumulationModeVaractor
 from ..errors import AnalysisError
 
@@ -33,6 +41,8 @@ class VcoDesign:
     """Electrical description of the LC-tank VCO used by the analytical model.
 
     All capacitances are *per tank side* (from one tank node to AC ground).
+    The fields after ``varactor`` come from the operating point; for a stack
+    of corners each may be an array along the corner axis.
     """
 
     tank_inductance: float                     #: differential tank inductance [H]
@@ -52,10 +62,17 @@ class VcoDesign:
     def __post_init__(self) -> None:
         if self.tank_inductance <= 0:
             raise AnalysisError("tank inductance must be positive")
-        if self.fixed_capacitance_per_side < 0:
+        if anywhere(self.fixed_capacitance_per_side < 0):
             raise AnalysisError("fixed tank capacitance must be non-negative")
-        if self.tail_current <= 0:
+        if anywhere(self.tail_current <= 0):
             raise AnalysisError("tail current must be positive")
+
+    def corner(self, index: int) -> "VcoDesign":
+        """The design of corner ``index`` of a stacked design, its array
+        fields taken there as Python floats."""
+        return replace(self, **{
+            field.name: float(getattr(self, field.name)[index])
+            for field in fields(self) if np.ndim(getattr(self, field.name))})
 
 
 class LcTankVco:
@@ -84,9 +101,9 @@ class LcTankVco:
     def oscillation_frequency(self, vtune: float) -> float:
         """Free-running oscillation frequency for a given tuning voltage."""
         c_diff = self.differential_tank_capacitance(vtune)
-        if c_diff <= 0:
+        if anywhere(c_diff <= 0):
             raise AnalysisError("differential tank capacitance must be positive")
-        return 1.0 / (2.0 * math.pi * math.sqrt(self.design.tank_inductance * c_diff))
+        return 1.0 / (2.0 * math.pi * sqrt(self.design.tank_inductance * c_diff))
 
     def tuning_gain(self, vtune: float, delta: float = 1e-3) -> float:
         """K_VCO = d f_c / d V_tune (Hz/V), central difference."""
@@ -118,15 +135,14 @@ class LcTankVco:
         r_p = self.tank_parallel_resistance(vtune)
         current_limited = (2.0 / math.pi) * self.design.tail_current * r_p
         voltage_limited = self.design.supply_voltage
-        return min(current_limited, voltage_limited)
+        return smaller(current_limited, voltage_limited)
 
     def amplitude_sensitivity_to_tail(self, vtune: float) -> float:
         """d A_c / d I_tail, zero when the oscillator is voltage limited."""
         r_p = self.tank_parallel_resistance(vtune)
         current_limited = (2.0 / math.pi) * self.design.tail_current * r_p
-        if current_limited >= self.design.supply_voltage:
-            return 0.0
-        return (2.0 / math.pi) * r_p
+        return pick(current_limited >= self.design.supply_voltage, 0.0,
+                    (2.0 / math.pi) * r_p)
 
     # -- sensitivities (K_i and G_AM,i) ------------------------------------------------
 

@@ -10,7 +10,10 @@ The spur equations need, for every substrate-noise entry ``i``:
 
 This module turns a solved :class:`~repro.simulator.transfer.TransferFunction`
 plus the VCO model into the list of :class:`~repro.vco.spurs.NoiseEntry`
-objects per analysed noise frequency.
+objects per analysed noise frequency.  A stack of corners goes through in
+one pass: a catalogue built from a stacked VCO model holds each entry's
+``K_i`` and ``G_AM,i`` as arrays along the corner axis, and a stacked
+transfer gives each entry's ``h_sub`` with that leading axis.
 
 Entry inventory (paper Section 5):
 
@@ -24,7 +27,7 @@ Entry inventory (paper Section 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,8 +49,8 @@ class EntryModel:
     """Static description of one noise entry (frequency-independent part)."""
 
     name: str
-    k_hz_per_volt: float
-    g_am_per_volt: float
+    k_hz_per_volt: float                  #: or (corners,) for a stack
+    g_am_per_volt: float                  #: or (corners,) for a stack
     mechanism: str
     #: node whose AC voltage is the entry's h_sub (resistive entries)
     observe_node: str | None = None
@@ -76,6 +79,16 @@ class VcoEntryCatalog:
 
     def names(self) -> list[str]:
         return [entry.name for entry in self.entries]
+
+    def corner(self, index: int) -> "VcoEntryCatalog":
+        """The catalogue of corner ``index`` of a stacked catalogue."""
+        def scalar(value):
+            return float(value[index]) if np.ndim(value) else value
+
+        return VcoEntryCatalog([
+            replace(entry, k_hz_per_volt=scalar(entry.k_hz_per_volt),
+                    g_am_per_volt=scalar(entry.g_am_per_volt))
+            for entry in self.entries])
 
 
 def build_entry_catalog(vco: LcTankVco, vtune: float, *,
@@ -173,7 +186,8 @@ def entries_at_frequency(catalog: VcoEntryCatalog, transfer: TransferFunction,
     a 1-D array of swept points (and optionally their positions), each
     entry's ``h_sub`` is the array of its values there: the whole
     (entries x frequencies) evaluation at once, as :func:`compute_spurs`
-    takes it for a sweep.
+    takes it for a sweep.  A stacked ``transfer`` (and catalogue) gives
+    every ``h_sub`` a leading corner axis.
     """
     frequencies = np.asarray(noise_frequency, dtype=float)
     if np.any(frequencies <= 0):
@@ -187,18 +201,18 @@ def entries_at_frequency(catalog: VcoEntryCatalog, transfer: TransferFunction,
     omega = 2.0 * np.pi * frequencies
     for model in catalog.entries:
         if model.observe_node is not None:
-            h = transfers[model.observe_node][index]
+            h = transfers[model.observe_node][..., index]
             if model.reference_node is not None:
-                h = h - transfers[model.reference_node][index]
+                h = h - transfers[model.reference_node][..., index]
         elif model.port_node is not None:
-            h = transfers[model.port_node][index] * (
+            h = transfers[model.port_node][..., index] * (
                 1j * omega * model.coupling_capacitance
                 * model.victim_impedance)
         else:
             raise AnalysisError(f"entry {model.name!r} has no observable node")
         entries.append(NoiseEntry(
             name=model.name,
-            h_sub=complex(h) if frequencies.ndim == 0 else h,
+            h_sub=complex(h) if np.ndim(h) == 0 else h,
             k_hz_per_volt=model.k_hz_per_volt,
             g_am_per_volt=model.g_am_per_volt,
             mechanism=model.mechanism))

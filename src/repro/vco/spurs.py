@@ -14,7 +14,8 @@ amplitudes (paper eqs. (2) and (3))
 
 This module evaluates those expressions per entry and combined along a
 sweep of noise frequencies, as (points x entries) arrays
-(:class:`SpurSweep`; one analysis point is a one-point sweep), converts
+(:class:`SpurSweep`; one analysis point is a one-point sweep), for one
+corner or a whole stack of them along a leading corner axis, converts
 spur voltages to power in dBm, and synthesises the time-domain
 output waveform of eq. (1) so a spectrum-analyzer view (the paper's Figure
 7) can be produced by FFT.
@@ -23,7 +24,7 @@ output waveform of eq. (1) so a spectrum-analyzer view (the paper's Figure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,11 +44,12 @@ class NoiseEntry(NamedTuple):
     h_sub:
         Complex transfer from the substrate-noise source to this entry at the
         analysed noise frequency (V/V); along a sweep, the array of its
-        values at the swept frequencies.
+        values at the swept frequencies (``(corners, points)`` for a stack).
     k_hz_per_volt:
-        Oscillator frequency sensitivity to a voltage on this entry (Hz/V).
+        Oscillator frequency sensitivity to a voltage on this entry (Hz/V;
+        one per corner for a stack).
     g_am_per_volt:
-        AM gain of this entry (1/V).
+        AM gain of this entry (1/V; one per corner for a stack).
     mechanism:
         "resistive" or "capacitive" — how the noise reaches the entry; used by
         the mechanism-classification analysis, not by the spur equations.
@@ -106,7 +108,10 @@ class SpurSweep:
 
     What :func:`compute_spurs` returns: the (points x entries) arrays eqs.
     (2) and (3) produce, plus the entry constants and the carrier scalars.
-    A single analysis point is a one-point sweep.
+    A single analysis point is a one-point sweep.  Of a stack of corners,
+    every field but the noise frequencies, the noise amplitude and the
+    entry names and mechanisms has a leading corner axis; :meth:`corner`
+    takes one corner's sweep out.
     """
 
     noise_frequency: np.ndarray           #: (points,)
@@ -127,6 +132,20 @@ class SpurSweep:
 
     def __len__(self) -> int:
         return self.noise_frequency.size
+
+    def corner(self, index: int) -> "SpurSweep":
+        """The sweep of corner ``index`` of a stacked sweep (a sweep of one
+        corner, with scalar carrier values, is its own corner 0)."""
+        if np.ndim(self.carrier_frequency) == 0 and index == 0:
+            return self
+        stacked = ("entry_k_hz_per_volt", "entry_g_am_per_volt", "h_sub",
+                   "per_entry_fm_voltage", "per_entry_am_voltage",
+                   "fm_voltage", "am_voltage", "lower_sideband_voltage",
+                   "upper_sideband_voltage")
+        return replace(
+            self, carrier_frequency=float(self.carrier_frequency[index]),
+            carrier_amplitude=float(self.carrier_amplitude[index]),
+            **{name: getattr(self, name)[index] for name in stacked})
 
     def total_spur_power_dbm(self, impedance: float = 50.0) -> np.ndarray:
         """Total spur power (both sidebands) per point, in dBm into
@@ -164,34 +183,43 @@ def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
     :func:`~repro.vco.sensitivity.entries_at_frequency` returns for the same
     array); a scalar frequency with scalar ``h_sub`` values is a one-point
     sweep.  Eqs. (2) and (3) are evaluated once on (entries x frequencies)
-    arrays.
+    arrays.  Carrier frequencies and amplitudes given per corner (1-D),
+    with each entry's ``h_sub`` as ``(corners, points)`` and its constants
+    per corner, evaluate the whole stack at once: every corner's values
+    are the ones it gets alone, bit for bit.
     """
     points = np.asarray(noise_frequency, dtype=float).reshape(-1)
     if not np.all((points > 0) & (points < math.inf)):
         raise AnalysisError("noise frequency must be finite and positive")
-    if not all(0 < value < math.inf for value in (
-            carrier_frequency, carrier_amplitude, noise_amplitude)):
+    carrier = np.array(np.broadcast_arrays(
+        carrier_frequency, carrier_amplitude, noise_amplitude), dtype=float)
+    if not np.all((0 < carrier) & (carrier < math.inf)):
         raise AnalysisError("carrier frequency and the carrier and noise "
                             "amplitudes must be finite and positive")
     if not entries:
         raise AnalysisError("at least one noise entry is required")
 
-    h_sub = np.empty((len(entries), points.size), dtype=complex)
+    corners = np.shape(carrier_frequency)
+    h_sub = np.empty(corners + (len(entries), points.size), dtype=complex)
     for row, entry in enumerate(entries):
-        h_sub[row] = entry.h_sub
-    k = np.array([entry.k_hz_per_volt for entry in entries], dtype=float)
-    g_am = np.array([entry.g_am_per_volt for entry in entries], dtype=float)
+        h_sub[..., row, :] = entry.h_sub
+    # (entries, *corners) -> (*corners, entries)
+    k = np.moveaxis(np.array(np.broadcast_arrays(
+        *(entry.k_hz_per_volt for entry in entries)), dtype=float), 0, -1)
+    g_am = np.moveaxis(np.array(np.broadcast_arrays(
+        *(entry.g_am_per_volt for entry in entries)), dtype=float), 0, -1)
 
-    scale = carrier_amplitude / 2.0 * noise_amplitude
-    fm_terms = h_sub * k[:, None] / points
-    am_terms = h_sub * g_am[:, None]
+    scale = np.asarray(carrier_amplitude / 2.0 * noise_amplitude)[..., None]
+    fm_terms = h_sub * k[..., None] / points
+    am_terms = h_sub * g_am[..., None]
     # Entry by entry, in order: the same additions whatever the number of
-    # points, so a sweep's point equals the one-point sweep bit for bit.
-    fm_sum = fm_terms[0].copy()
-    am_sum = am_terms[0].copy()
-    for fm_row, am_row in zip(fm_terms[1:], am_terms[1:]):
-        fm_sum += fm_row
-        am_sum += am_row
+    # points or corners, so a sweep's point equals the one-point sweep bit
+    # for bit.
+    fm_sum = fm_terms[..., 0, :].copy()
+    am_sum = am_terms[..., 0, :].copy()
+    for row in range(1, len(entries)):
+        fm_sum += fm_terms[..., row, :]
+        am_sum += am_terms[..., row, :]
     # Narrow-band FM produces anti-phase sidebands while AM produces in-phase
     # sidebands, so the two mechanisms add on one side of the carrier and
     # subtract on the other — the paper's "small difference between left and
@@ -205,9 +233,11 @@ def compute_spurs(entries: list[NoiseEntry], carrier_frequency: float,
         entry_k_hz_per_volt=k,
         entry_g_am_per_volt=g_am,
         entry_mechanism=[entry.mechanism for entry in entries],
-        h_sub=h_sub.T,
-        per_entry_fm_voltage=(scale * np.abs(fm_terms)).T,
-        per_entry_am_voltage=(scale * np.abs(am_terms)).T,
+        h_sub=np.swapaxes(h_sub, -1, -2),
+        per_entry_fm_voltage=np.swapaxes(
+            scale[..., None] * np.abs(fm_terms), -1, -2),
+        per_entry_am_voltage=np.swapaxes(
+            scale[..., None] * np.abs(am_terms), -1, -2),
         fm_voltage=scale * np.abs(fm_sum),
         am_voltage=scale * np.abs(am_sum),
         lower_sideband_voltage=scale * np.abs(fm_sum - am_sum),

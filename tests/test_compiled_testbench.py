@@ -67,8 +67,8 @@ def _spur_values(sweep) -> dict[str, list[float]]:
 def test_compiled_corner_matches_a_from_scratch_solve(variant_analyses,
                                                       variant, vtune):
     analysis = variant_analyses[variant]
-    _spurs, _vco, _catalog, transfer = analysis.analyze(vtune)
-    compiled = analysis._operating_points[vtune]
+    corner, = analysis.analyze_corners([vtune])
+    transfer, compiled = corner.transfer, corner.operating_point
 
     scratch = copy.deepcopy(analysis.build_testbench(vtune))
     reference = dc_operating_point(scratch, solver=analysis.solver,
@@ -93,14 +93,15 @@ def test_warm_started_corners_match_a_cold_start(variant_analyses, variant,
     analysis = variant_analyses[variant]
     vtunes = (0.0, 0.1875, 0.5625, 0.75, 1.5)
     warm = {}
-    for vtune in vtunes:
-        spurs, _vco, _catalog, transfer = analysis.analyze(vtune)
-        warm[vtune] = spurs, transfer, analysis._operating_points[vtune]
+    for corner in analysis.analyze_corners(vtunes):
+        warm[corner.vtune] = (corner.sweep, corner.transfer,
+                              corner.operating_point)
     monkeypatch.setattr(VcoImpactAnalysis, "reference_point",
                         lambda self: None)
     for vtune in vtunes:
-        cold_spurs, _vco, _catalog, cold_transfer = analysis.analyze(vtune)
-        cold = analysis._operating_points[vtune]
+        cold_corner, = analysis.analyze_corners([vtune])
+        cold_spurs, cold_transfer = cold_corner.sweep, cold_corner.transfer
+        cold = cold_corner.operating_point
         spurs, transfer, point = warm[vtune]
         assert point.strategy == cold.strategy == "newton"
         assert point.iterations <= 2 < cold.iterations
@@ -134,7 +135,8 @@ def test_a_reference_that_fails_leaves_the_zero_start(vco_flow, vco_analysis,
                         reference_fails)
     vtunes = (0.0, 1.5)
     with caplog.at_level(logging.WARNING, logger="repro.core.vco_experiment"):
-        results = {vtune: analysis.analyze(vtune)[0] for vtune in vtunes}
+        corners = {vtune: analysis.analyze_corners([vtune])[0]
+                   for vtune in vtunes}
         assert analysis.reference_point() is None
     warnings = [record for record in caplog.records
                 if "DC reference operating point" in record.getMessage()]
@@ -153,13 +155,13 @@ def test_a_reference_that_fails_leaves_the_zero_start(vco_flow, vco_analysis,
     monkeypatch.setattr(VcoImpactAnalysis, "reference_point",
                         lambda self: None)
     for vtune in vtunes:
-        got = analysis._operating_points[vtune]
+        got = corners[vtune].operating_point
         want = dc_operating_point(analysis.build_testbench(vtune),
                                   solver=analysis.solver, linear=linear)
         assert np.array_equal(got.vector, want.vector)
         assert (got.iterations, got.strategy) == (want.iterations,
                                                   want.strategy)
-        assert (_spur_values(results[vtune])
+        assert (_spur_values(corners[vtune].sweep)
                 == _spur_values(zero_start.analyze(vtune)[0]))
 
 
@@ -244,9 +246,14 @@ def test_compiled_testbench_dies_with_its_flow(vco_flow, vco_analysis):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_noise_frequency_is_named_before_setup(vco_analysis, bad):
-    vtune = 0.3125                      # a corner no other test solves
+def test_non_finite_noise_frequency_is_named_before_setup(vco_analysis, bad,
+                                                          monkeypatch):
+    solved = []
+    monkeypatch.setattr(vco_experiment, "dc_operating_point",
+                        lambda *args, **kwargs: solved.append(kwargs))
+    before = solver_stats.snapshot()
     with pytest.raises(AnalysisError,
                        match=f"noise frequency {float(bad)!r} is not finite"):
-        vco_analysis.analyze(vtune, np.array([1e6, bad]))
-    assert vtune not in vco_analysis._operating_points
+        vco_analysis.analyze(0.3125, np.array([1e6, bad]))
+    assert solved == []
+    assert solver_stats.since(before).as_dict() == SolverStats().as_dict()

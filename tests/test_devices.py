@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +146,55 @@ def test_mosfet_current_increases_with_vgs(nmos_model, vgs, vds):
     lower = nmos_model.evaluate(vgs, vds, 0.0)
     higher = nmos_model.evaluate(vgs + 0.1, vds, 0.0)
     assert higher.ids >= lower.ids
+
+
+_BIAS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _field_bits(point, index=None):
+    """Every field of an operating point (corner ``index`` of a stack) as
+    exact bits."""
+    bits = {}
+    for name, value in point._asdict().items():
+        if index is not None:
+            value = value[index]
+        bits[name] = (str(value) if name == "region"
+                      else np.float64(value).tobytes())
+    return bits
+
+
+@given(biases=st.lists(st.tuples(_BIAS, _BIAS, _BIAS), min_size=1,
+                       max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_stacked_evaluation_equals_each_corner_alone(nmos_model, pmos_model,
+                                                     biases):
+    """A stack of bias corners evaluates, bit for bit, to each corner
+    evaluated alone: every region, either polarity, both orientations."""
+    # Pinned corners: cutoff, triode, saturation and swapped drain/source.
+    biases = biases + [(0.0, 1.0, 0.0), (1.6, 0.05, 0.0), (0.8, 1.5, -0.3),
+                       (0.7, -0.3, -0.3)]
+    vgs, vds, vbs = (np.array(column) for column in zip(*biases))
+    for model, sign in ((nmos_model, 1.0), (pmos_model, -1.0)):
+        stacked = model.evaluate(sign * vgs, sign * vds, sign * vbs)
+        assert isinstance(stacked.region, np.ndarray)
+        for index in range(len(biases)):
+            alone = model.evaluate(float(sign * vgs[index]),
+                                   float(sign * vds[index]),
+                                   float(sign * vbs[index]))
+            assert isinstance(alone.gm, float)
+            assert _field_bits(stacked, index) == _field_bits(alone)
+        if sign > 0:
+            regions = set(stacked.region[-4:].tolist())
+            assert regions == {"cutoff", "triode", "saturation"}
+
+
+def test_stacked_varactor_equals_each_corner_alone():
+    varactor = AccumulationModeVaractor(cmin=0.6e-12, cmax=1.8e-12)
+    bias = np.linspace(-3.0, 3.0, 37)
+    for method in (varactor.capacitance, varactor.dc_dv):
+        stacked = method(bias)
+        assert [value.tobytes() for value in stacked] == [
+            np.float64(method(float(v))).tobytes() for v in bias]
 
 
 # -- varactor ------------------------------------------------------------------------------

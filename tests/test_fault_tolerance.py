@@ -531,17 +531,21 @@ def test_resume_from_either_source_saves_the_uninterrupted_result(
 
 def test_journal_resume_keeps_the_replayed_corners_degradations(
         technology, ft_campaign, reference, tmp_path, monkeypatch):
-    # Every corner's DC solve reports one gmin-stepping rung.  Corner 1
-    # aborts the first run after corner 0 was journaled; the resume replays
-    # corner 0 from the journal and must still count its rung.
+    # Every corner of every DC solve reports one gmin-stepping rung.
+    # Corner 1 aborts the first run after corner 0 was journaled; the
+    # resume replays corner 0 from the journal and must still count its
+    # rung.
     from repro.core import vco_experiment
 
     _healthy, cache_dir = reference
     real_dc = vco_experiment.dc_operating_point
 
     def one_rung(*args, **kwargs):
-        solver_module.stats.dc_gmin_steps += 1
-        return real_dc(*args, **kwargs)
+        solution = real_dc(*args, **kwargs)
+        if kwargs.get("sources") is not None:   # not the reference solve
+            for work in solution.work:
+                work.dc_gmin_steps += 1
+        return solution
 
     monkeypatch.setattr(vco_experiment, "dc_operating_point", one_rung)
     uninterrupted = SweepRunner(

@@ -159,7 +159,8 @@ def test_dc_and_factorize_spans_name_strategy_and_kernel(traced):
         assert (size <= DENSE_MAX_SIZE) == (kernel == "lapack")
         dc, = [span for span in tracer.spans() if span.name == "sim.dc"]
         assert dict(dc.attrs) == {"size": size, "strategy": strategy,
-                                  "iterations": solution.iterations}
+                                  "iterations": solution.iterations,
+                                  "corners": 1}
         factorizations = [span for span in tracer.spans()
                           if span.name == "solver.factorize"]
         assert len(factorizations) >= solution.iterations
@@ -377,9 +378,18 @@ def _expected_corner_count(campaign) -> int:
     return len(campaign.variants()) * len(powers) * len(vtunes)
 
 
+def _expected_stack_count(campaign) -> int:
+    """Corner stacks: the V_tune corners of one variant and power are
+    analysed together."""
+    powers, _, _ = campaign.sim_grid()
+    return len(campaign.variants()) * len(powers)
+
+
 def test_serial_campaign_telemetry_runlog_and_trace(
         technology, obs_campaign, traced, tmp_path):
     corners = _expected_corner_count(obs_campaign)
+    stacks = _expected_stack_count(obs_campaign)
+    assert stacks < corners
     cache = ExtractionCache()
     runner = SweepRunner(technology, backend=SerialBackend(), cache=cache)
     recorder = RunLogRecorder(tmp_path / "obs.runlog.jsonl")
@@ -400,8 +410,8 @@ def test_serial_campaign_telemetry_runlog_and_trace(
     assert spans["campaign.corner"]["count"] == corners
     assert spans["flow.run"]["count"] == 1
     assert spans["extract.kron"]["count"] == 1
-    assert spans["solver.solve"]["count"] >= corners
-    assert spans["sim.setup"]["count"] == corners
+    assert spans["solver.solve"]["count"] >= stacks
+    assert spans["sim.setup"]["count"] == stacks
 
     # Telemetry survives the sidecar round trip.
     saved_npz, _meta = result.save(tmp_path / "obs.npz")

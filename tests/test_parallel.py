@@ -508,8 +508,8 @@ def test_solver_counters_do_not_depend_on_the_worker_count(technology,
                                  flow_result=flow)
     iterations = 0
     for vtune in vtunes:
-        analysis.analyze(vtune, np.asarray(frequencies))
-        iterations += analysis._operating_points[vtune].iterations
+        corner, = analysis.analyze_corners([vtune], np.asarray(frequencies))
+        iterations += corner.operating_point.iterations
     assert iterations <= 2 * len(vtunes)
     transfer_solves = len(vtunes) * len(frequencies)
     assert serial["solver.factorizations"] == transfer_solves

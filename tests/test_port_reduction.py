@@ -6,13 +6,15 @@ added on top; the oracle here is the unreduced ``G + sC`` of the whole
 testbench, solved per frequency.  DC Newton scatters the companion stamps
 through a pattern compiled once, and the transfer analysis the
 small-signal stamps; the oracle is a fresh ``MatrixStamper`` per iteration
-or corner.  A warm-started corner takes its first Newton iteration from a
-cached factorization; the oracle is the same solve with the cache cleared
-or bypassed.  The VCO corner evaluates the spur equations on
-(entries x frequencies) arrays; the oracle is the per-point evaluation.
+or corner.  A stack of warm-started corners solves all of them at once;
+the oracle is each corner solved alone.  The VCO corner evaluates the spur
+equations on (entries x frequencies) arrays; the oracle is the per-point
+evaluation.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,21 +32,16 @@ from repro.layout.testchips import (
 )
 from repro.netlist import Circuit
 from repro.obs import tracer
-from repro.simulator import (
-    DcOptions,
-    LinearSolver,
-    SolverOptions,
-    dc_operating_point,
-    transfer_function,
-)
+from repro.simulator import dc_operating_point, transfer_function
 from repro.simulator import transfer as transfer_module
+from repro.simulator.dc import DcCorners
 from repro.simulator.mna import (
     LinearStamps,
     MatrixStamper,
     StampPattern,
     source_rows,
 )
-from repro.simulator.solver import DENSE_MAX_SIZE, stats
+from repro.simulator.solver import DENSE_MAX_SIZE, SolverStats, stats
 from repro.vco.sensitivity import entries_at_frequency
 from repro.vco.spurs import compute_spurs
 
@@ -78,6 +75,13 @@ def _unreduced_transfer(circuit, linear, operating_point, source, nodes,
                      for f in frequencies]).T
 
 
+def _observation_nodes(analysis, op, vtune) -> list[str]:
+    """The nodes the entry catalogue of ``analysis`` reads at ``op``."""
+    sensitivities = analysis.junction_sensitivities(op)
+    return analysis.entry_catalog(analysis.vco_model(op, sensitivities),
+                                  vtune, sensitivities).observation_nodes()
+
+
 @pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
 def test_reduced_transfer_matches_unreduced_testbench(fig10_analyses, vtune):
     for analysis in fig10_analyses:
@@ -86,9 +90,7 @@ def test_reduced_transfer_matches_unreduced_testbench(fig10_analyses, vtune):
                                                 analysis.options)
         assert linear.structure.size == 43
         op = dc_operating_point(circuit, linear=linear)
-        analysis._operating_points[vtune] = op
-        nodes = analysis.entry_catalog(analysis.vco_model(op),
-                                       vtune).observation_nodes()
+        nodes = _observation_nodes(analysis, op, vtune)
         reduced = transfer_function(circuit, "VSUB_SRC", nodes, FREQUENCIES,
                                     operating_point=op, linear=linear)
         assert linear.kept_rows(nodes).size == 13
@@ -189,11 +191,21 @@ def test_reduction_is_cached_uncounted_and_traced(technology):
 
 
 def _matrix_stamper_companion(linear, nonlinear, voltages):
-    """The reference companion assembly: a fresh stamper per iteration."""
-    companion = MatrixStamper(linear.structure)
-    for element in nonlinear:
-        element.stamp_companion(companion, voltages)
-    return companion.conductance_system(), companion.rhs
+    """The reference companion assembly: a fresh stamper per iteration and
+    corner of the stacked ``voltages``."""
+    corners = max(np.size(value) for value in voltages.values())
+    systems, rhs = [], []
+    for corner in range(corners):
+        companion = MatrixStamper(linear.structure)
+        corner_voltages = {name: float(np.atleast_1d(value)[corner])
+                           for name, value in voltages.items()}
+        for element in nonlinear:
+            element.stamp_companion(companion, corner_voltages)
+        systems.append(companion.conductance_system())
+        rhs.append(companion.rhs)
+    if isinstance(systems[0], np.ndarray):
+        systems = np.stack(systems)
+    return systems, np.stack(rhs)
 
 
 def _compare_newton_paths(monkeypatch, circuit, linear):
@@ -202,10 +214,7 @@ def _compare_newton_paths(monkeypatch, circuit, linear):
         patch.setattr(LinearStamps, "companion_system",
                       lambda self, voltages: _matrix_stamper_companion(
                           self, circuit.nonlinear_elements(), voltages))
-        # The Newton start holds the first iteration's companion stamps.
-        linear._cache.pop("newton_start", None)
         reference = dc_operating_point(circuit, linear=linear)
-        linear._cache.pop("newton_start", None)
     assert compiled.iterations == reference.iterations
     assert compiled.strategy == reference.strategy
     assert np.array_equal(compiled.vector, reference.vector)
@@ -271,12 +280,25 @@ def _assert_same_bytes(got, want):
 
 
 def _compare_small_signal_paths(circuit, linear, structure, operating_point):
-    pattern, values = transfer_module._small_signal_values(
-        linear, structure, operating_point)
-    assert pattern is linear.small_signal_pattern(structure)
+    """The pattern against a fresh stamper: for the operating point alone
+    (values of one corner) and as both corners of a stack of two."""
     g, c = _matrix_stamper_small_signal(circuit, structure, operating_point)
+    alone = DcCorners.of(operating_point)
+    pair = replace(alone, vectors=np.stack([operating_point.vector] * 2),
+                   corner_iterations=alone.corner_iterations * 2,
+                   strategies=alone.strategies * 2, work=alone.work * 2)
+    pattern, values = transfer_module._small_signal_values(
+        linear, structure, alone)
+    assert pattern is linear.small_signal_pattern(structure)
+    assert values.shape == (pattern.n_calls,)
     _assert_same_bytes(pattern.conductance(values), g)
     _assert_same_bytes(pattern.capacitance(values), c)
+    pattern, values = transfer_module._small_signal_values(
+        linear, structure, pair)
+    assert values.shape == (2, pattern.n_calls)
+    for corner in range(2):
+        _assert_same_bytes(pattern.conductance(values)[corner], g)
+        _assert_same_bytes(pattern.capacitance(values)[corner], c)
 
 
 @pytest.mark.parametrize("vtune", [0.0, 0.75, 1.5])
@@ -286,9 +308,7 @@ def test_compiled_small_signal_stamps_bit_identical_on_vco(fig10_analyses,
     circuit = analysis.build_testbench(vtune)
     _template, linear = _compiled_testbench(analysis.flow, analysis.options)
     op = dc_operating_point(circuit, linear=linear)
-    analysis._operating_points[vtune] = op
-    nodes = analysis.entry_catalog(analysis.vco_model(op),
-                                   vtune).observation_nodes()
+    nodes = _observation_nodes(analysis, op, vtune)
     rhs = np.zeros((linear.structure.size, 1), dtype=complex)
     for row, sign in source_rows(linear.structure, circuit["VSUB_SRC"]):
         rhs[row, 0] += sign
@@ -333,54 +353,30 @@ def _dc_with_counts(circuit, linear, **kwargs):
     return solution, stats.since(before)
 
 
-def test_cached_newton_start_changes_nothing_but_the_work(monkeypatch,
-                                                          fig10_analyses):
+def test_warm_started_stack_matches_each_corner_alone(fig10_analyses):
+    """One stacked DC solve of several V_tune corners from the reference
+    point gives each corner the vector, iterations and solves of its own
+    solve, on its own copy of the testbench."""
     analysis = fig10_analyses[0]
-    _template, linear = _compiled_testbench(analysis.flow, analysis.options)
+    template, linear = _compiled_testbench(analysis.flow, analysis.options)
     reference = analysis.reference_point()
-    for vtune in (0.0, 0.75, 1.5):
-        circuit = analysis.build_testbench(vtune)
-        linear._cache.pop("newton_start", None)
-        cleared, cleared_counts = _dc_with_counts(circuit, linear,
-                                                  initial=reference)
-        start = linear._cache["newton_start"]
-        assert start.key == (reference.tobytes(), 1e-12)
-        warm, warm_counts = _dc_with_counts(circuit, linear,
-                                            initial=reference)
-        assert linear._cache["newton_start"] is start
-        # The first iteration as a fresh companion assembly and LU.
-        with monkeypatch.context() as patch:
-            patch.setattr(LinearStamps, "newton_start",
-                          lambda self, initial, gmin: None)
-            fresh, fresh_counts = _dc_with_counts(circuit, linear,
-                                                  initial=reference)
-        for solution in (warm, fresh):
-            assert solution.vector.tobytes() == cleared.vector.tobytes()
-            assert solution.iterations == cleared.iterations
-            assert solution.strategy == cleared.strategy == "newton"
-        assert warm_counts == cleared_counts == fresh_counts
-        assert warm_counts.solves == warm.iterations
-
-
-def test_newton_start_is_rebuilt_for_another_start_or_gmin(technology):
-    circuit = _long_ladder_amplifier(technology, sections=3)
-    linear = LinearStamps.of(circuit)
-    zero = np.zeros(linear.structure.size)
-    dc_operating_point(circuit, linear=linear)
-    first = linear._cache["newton_start"]
-    assert first.key == (zero.tobytes(), 1e-12)
-    dc_operating_point(circuit, linear=linear, initial=zero + 0.1)
-    moved = linear._cache["newton_start"]
-    assert moved is not first
-    assert moved.key == ((zero + 0.1).tobytes(), 1e-12)
-    dc_operating_point(circuit, DcOptions(gmin=1e-9), linear=linear,
-                       initial=zero + 0.1)
-    assert linear._cache["newton_start"].key == ((zero + 0.1).tobytes(),
-                                                  1e-9)
-    dc_operating_point(circuit, linear=linear, initial=zero + 0.1,
-                       solver=LinearSolver(SolverOptions(gmin=1e-10)))
-    assert linear._cache["newton_start"].key == ((zero + 0.1).tobytes(),
-                                                  1e-10)
+    vtunes = np.array([0.0, 0.75, 1.5])
+    stacked, stacked_counts = _dc_with_counts(
+        template, linear, initial=reference,
+        sources=analysis._corner_sources(vtunes))
+    assert isinstance(stacked, DcCorners) and len(stacked) == vtunes.size
+    assert stacked_counts.solves == stacked.iterations
+    assert stacked_counts.factorizations == 0
+    for index, vtune in enumerate(vtunes):
+        alone, alone_counts = _dc_with_counts(
+            analysis.build_testbench(vtune), linear, initial=reference)
+        corner = stacked.corner(index)
+        assert corner.vector.tobytes() == alone.vector.tobytes()
+        assert corner.iterations == alone.iterations
+        assert corner.strategy == alone.strategy == "newton"
+        assert alone_counts.solves == alone.iterations
+        assert alone_counts.factorizations == 0
+        assert stacked.work[index] == SolverStats(solves=alone.iterations)
 
 
 def _loop_spurs(entries, carrier_amplitude, noise_amplitude, frequency):

@@ -33,6 +33,7 @@ import pytest
 from repro.core.flow import FlowOptions
 from repro.core.vco_experiment import VcoExperimentOptions, ground_resistance_study
 from repro.errors import AnalysisError
+from repro.layout.testchips import VcoLayoutSpec
 from repro.studies import (
     Campaign,
     CampaignJournal,
@@ -97,6 +98,72 @@ def test_disk_cache_warm_starts_fresh_instances(technology, store_campaign,
     assert warm.cache_misses == 0 and warm.cache_hits == 1
     np.testing.assert_array_equal(cold.column("spur_power_dbm"),
                                   warm.column("spur_power_dbm"))
+
+
+def _count_calls(monkeypatch, module, name, calls: list) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_warm_runner_keeps_its_variant_keys(technology, store_campaign,
+                                            tmp_path, monkeypatch):
+    """A runner keys each variant once: a warm second run builds no layout
+    cell and hashes none, yet still looks its flow up."""
+    import repro.studies.cache as cache_module
+    import repro.studies.params as params_module
+
+    runner = SweepRunner(technology,
+                         cache=DiskExtractionCache(tmp_path / "cache"))
+    first = runner.run(store_campaign)
+    calls: list[str] = []
+    _count_calls(monkeypatch, params_module, "make_vco_testchip", calls)
+    _count_calls(monkeypatch, cache_module, "extraction_key", calls)
+    second = runner.run(store_campaign)
+    assert calls == []
+    assert (second.cache_hits, second.cache_misses) == (1, 0)
+    assert [v.cache_key for v in second.variants] == \
+        [v.cache_key for v in first.variants]
+    for name, column in first.columns.items():
+        assert second.columns[name].tobytes() == column.tobytes(), name
+
+
+def test_entry_pruned_between_runs_is_extracted_again(
+        technology, store_campaign, tmp_path, monkeypatch):
+    import repro.studies.runner as runner_module
+
+    runner = SweepRunner(technology,
+                         cache=DiskExtractionCache(tmp_path / "cache"))
+    first = runner.run(store_campaign)
+    assert runner.cache.prune(max_entries=0)[0] == 1
+    extractions: list[str] = []
+    _count_calls(monkeypatch, runner_module, "run_extraction_flow",
+                 extractions)
+    second = runner.run(store_campaign)
+    assert extractions == ["run_extraction_flow"]
+    assert (second.cache_hits, second.cache_misses) == (0, 1)
+    assert second.variants[0].cache_key == first.variants[0].cache_key
+    assert first.variants[0].cache_key in runner.cache
+
+
+def test_another_spec_gets_its_own_variant_key(technology, store_campaign,
+                                               tmp_path):
+    runner = SweepRunner(technology,
+                         cache=DiskExtractionCache(tmp_path / "cache"))
+    nominal = runner.run(store_campaign)
+    widened_campaign = dataclasses.replace(
+        store_campaign, base_spec=VcoLayoutSpec(ground_width_scale=2.0))
+    widened = runner.run(widened_campaign)
+    assert widened.cache_misses == 1
+    key = widened.variants[0].cache_key
+    assert key != nominal.variants[0].cache_key
+    # The key a fresh runner computes for the widened layout.
+    fresh = SweepRunner(technology,
+                        cache=DiskExtractionCache(tmp_path / "cache"))
+    assert fresh.run(widened_campaign).variants[0].cache_key == key
 
 
 def test_disk_cache_tolerates_corrupted_entry(technology, store_campaign,
