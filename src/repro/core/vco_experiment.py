@@ -277,6 +277,13 @@ class CornerAnalysis:
     def sweep(self) -> SpurSweep:
         return self._stack.spurs.corner(self.index)
 
+    @property
+    def stack_sweep(self) -> SpurSweep:
+        """The spur sweep of this corner's whole stack, whose row
+        :attr:`index` is :attr:`sweep` (no corner axis for a stack of
+        one)."""
+        return self._stack.spurs
+
     @cached_property
     def vco(self) -> LcTankVco:
         return LcTankVco(self._stack.vco.design.corner(self.index))

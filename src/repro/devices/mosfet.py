@@ -163,6 +163,38 @@ class MosfetModel:
         """
         return self.parameters.esat * self.geometry.length
 
+    def _oriented(self, vgs, vds, vbs) -> tuple:
+        """NMOS-equivalent ``(vgs, vds, vbs, swapped)`` of the physical
+        terminal voltages: where ``vds < 0`` source and drain swap roles
+        (``swapped``), and vgs and vbs are measured from the new source."""
+        sign = self.sign
+        vgs_n, vds_n, vbs_n = sign * vgs, sign * vds, sign * vbs
+        swapped = vds_n < 0.0
+        if anywhere(swapped):
+            vgs_n = pick(swapped, vgs_n - vds_n, vgs_n)
+            vbs_n = pick(swapped, vbs_n - vds_n, vbs_n)
+            vds_n = pick(swapped, -vds_n, vds_n)
+        return vgs_n, vds_n, vbs_n, swapped
+
+    def _junctions(self, vds_n, vbs_n, swapped) -> tuple:
+        """``(cdb, csb)`` in the physical orientation, from the oriented
+        voltages of :meth:`_oriented`."""
+        g = self.geometry
+        cdb = self.junction_capacitance(g.drain_area, g.drain_perimeter,
+                                        vbs_n - vds_n)
+        csb = self.junction_capacitance(g.source_area, g.source_perimeter,
+                                        vbs_n)
+        if anywhere(swapped):
+            cdb, csb = pick(swapped, csb, cdb), pick(swapped, cdb, csb)
+        return cdb, csb
+
+    def junction_capacitances(self, vgs, vds, vbs) -> tuple:
+        """``(cdb, csb)`` at a bias point or per corner of a stack: the
+        values :meth:`evaluate` returns, bit for bit, without the rest of
+        the device equations."""
+        _, vds_n, vbs_n, swapped = self._oriented(*as_corners(vgs, vds, vbs))
+        return self._junctions(vds_n, vbs_n, swapped)
+
     def evaluate(self, vgs, vds, vbs) -> MosfetOperatingPoint:
         """Evaluate currents, conductances and capacitances at a bias point,
         or at a stack of them.
@@ -177,16 +209,7 @@ class MosfetModel:
         """
         vgs, vds, vbs = as_corners(vgs, vds, vbs)
         sign = self.sign
-        # Map to NMOS-equivalent voltages.
-        vgs_n, vds_n, vbs_n = sign * vgs, sign * vds, sign * vbs
-
-        # Where vds < 0, source and drain swap roles; vgs and vbs are then
-        # measured from the new source.
-        swapped = vds_n < 0.0
-        if anywhere(swapped):
-            vgs_n = pick(swapped, vgs_n - vds_n, vgs_n)
-            vbs_n = pick(swapped, vbs_n - vds_n, vbs_n)
-            vds_n = pick(swapped, -vds_n, vds_n)
+        vgs_n, vds_n, vbs_n, swapped = self._oriented(vgs, vds, vbs)
 
         p = self.parameters
         g = self.geometry
@@ -243,14 +266,11 @@ class MosfetModel:
         cgd = choose(code, (cgd_overlap, cgd_overlap + 0.5 * cox_total,
                             cgd_overlap))
 
-        vbd_n = vbs_n - vds_n
-        cdb = self.junction_capacitance(g.drain_area, g.drain_perimeter, vbd_n)
-        csb = self.junction_capacitance(g.source_area, g.source_perimeter, vbs_n)
+        cdb, csb = self._junctions(vds_n, vbs_n, swapped)
 
         if anywhere(swapped):
             ids = pick(swapped, -ids, ids)
             cgs, cgd = pick(swapped, cgd, cgs), pick(swapped, cgs, cgd)
-            cdb, csb = pick(swapped, csb, cdb), pick(swapped, cdb, csb)
 
         return MosfetOperatingPoint(
             ids=sign * ids, gm=gm, gds=gds, gmb=gmb, vth=sign * vth,

@@ -43,14 +43,18 @@ are read from the compiled stamps, not filtered out of the circuit.
 **A stack of corners is one solve.**  ``sources=`` maps source names to
 per-corner DC values; every corner's source right-hand side is built
 straight from :func:`~repro.simulator.mna.source_rows`, with no circuit
-copy, and plain Newton runs on all corners at once: one stacked device
-evaluation, companion scatter and batched LAPACK solve per iteration.  A
-per-corner convergence mask freezes each corner at the iteration it
-converged on, and every step of a corner reads only its own iterate, so its
-result is bit-identical alone or in any stack.  A corner that plain Newton
-misses leaves the stack and climbs the ladder on its own.  The result is a
-:class:`DcCorners`; every corner's solves and ladder rungs are attributed
-to it (``work``), as well as counted in
+copy, and plain Newton runs on all corners at once.  Every corner starts
+from the same iterate, so the first iteration is paid once per stack: one
+device evaluation on Python floats, one companion scatter and one LU of
+the Jacobian there, back-substituted against each corner's own right-hand
+side on its own.  Every later iteration is one stacked device evaluation,
+companion scatter and batched LAPACK solve.  The ladder rungs run the
+same Newton.  A per-corner convergence mask freezes each corner at the
+iteration it converged on, and every step of a corner reads only its own
+iterate, so its result is bit-identical alone or in any stack.  A corner
+that plain Newton misses leaves the stack and climbs the ladder on its
+own.  The result is a :class:`DcCorners`; every corner's solves and
+ladder rungs are attributed to it (``work``), as well as counted in
 :data:`~repro.simulator.solver.stats`.  A call without ``sources`` is a
 stack of one and returns its :class:`DcSolution`.  The whole analysis runs
 under one ``sim.dc`` span carrying ``corners``, ``iterations`` and
@@ -308,32 +312,43 @@ def _solve_stack(solver: LinearSolver, jacobian, companion_g,
 
 
 def _newton(linear: LinearStamps, jacobian, options: DcOptions,
-            initial: np.ndarray, source_rhs: np.ndarray,
+            start: np.ndarray, source_rhs: np.ndarray,
             solver: LinearSolver):
     """Plain Newton on a stack of corners at a fixed source scaling.
 
     ``jacobian`` is the linear part of the Jacobian with the gmin shunt
     already added; each iteration adds only the companion stamps of the
-    corners still iterating.  A corner leaves the stack on the iteration it
-    converges on.  Returns the ``(corners, n)`` iterates, every corner's
-    iteration count (the solves it took), whether it converged and its last
-    max voltage update.
+    corners still iterating.  Every corner starts from the one MNA vector
+    ``start``, so the first iteration is shared: the companion model is
+    evaluated once, on floats, and one LU of the Jacobian there serves
+    every corner's own source right-hand side, back-substituted on its own
+    (:meth:`~repro.simulator.linalg.LinearSolver.solve` of a ``(corners,
+    n)`` block).  Later iterations solve the corners' own Jacobians as one
+    stack.  A corner leaves the stack on the iteration it converges on.
+    Returns the ``(corners, n)`` iterates, every corner's iteration count
+    (the solves it took), whether it converged and its last max voltage
+    update.
     """
     structure = linear.structure
     n_nodes = structure.n_nodes
-    x = initial.copy()
-    corners = len(x)
+    corners = len(source_rhs)
+    x = np.empty((corners, structure.size))
     iterations = np.full(corners, options.max_iterations)
     last_update = np.zeros(corners)
     converged = np.zeros(corners, dtype=bool)
     # The corners still iterating: their indices, iterates and sources.
+    # Until the first step every corner shares the one start row.
     index = np.arange(corners)
-    current, rhs = x, source_rhs
+    current, rhs = start[None], source_rhs
     for iteration in range(1, options.max_iterations + 1):
         companion_g, companion_rhs = linear.companion_system(
             _corner_voltages(structure, current))
-        x_new = _solve_stack(solver, jacobian, companion_g,
-                             rhs + companion_rhs, structure)
+        if iteration == 1:
+            x_new = solver.solve(jacobian + companion_g, rhs + companion_rhs,
+                                 structure=structure)
+        else:
+            x_new = _solve_stack(solver, jacobian, companion_g,
+                                 rhs + companion_rhs, structure)
         delta = x_new - current
         current = current + options.damping * delta
         if n_nodes:
@@ -429,9 +444,8 @@ def _operating_points(circuit: Circuit, linear: LinearStamps,
     ladder, from zero, for each corner it missed."""
     structure = linear.structure
     corners = len(values[0])
-    start = np.zeros((corners, structure.size))
-    if guess is not None:
-        start[:] = np.asarray(guess, dtype=float)
+    start = (np.zeros(structure.size) if guess is None
+             else np.asarray(guess, dtype=float))
     target_gmin = solver.options.effective_gmin(options.gmin)
     jacobian = add_gmin_diagonal(linear.conductance, structure.n_nodes,
                                  target_gmin)
@@ -457,7 +471,7 @@ def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,
     """The gmin- and source-stepping rungs for one corner (its source
     ``values``), each from zero: (vector, iterations, strategy)."""
     structure = linear.structure
-    zero = np.zeros((1, structure.size))
+    zero = np.zeros(structure.size)
     target_gmin = solver.options.effective_gmin(options.gmin)
 
     def newton(guess, scale, gmin):
@@ -471,7 +485,7 @@ def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,
                 f"DC Newton did not converge in {options.max_iterations} "
                 f"iterations (last max voltage update "
                 f"{last_update[0]:.3e} V)")
-        return x, int(iterations[0])
+        return x[0], int(iterations[0])
 
     # Rung 1: gmin-stepping homotopy.  A large gmin makes the Jacobian
     # strongly diagonally dominant (every rung converges easily), and each
@@ -488,7 +502,7 @@ def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,
                 total_iterations += iterations
                 stats.dc_gmin_steps += 1
             vector, iterations = newton(vector, 1.0, target_gmin)
-            return vector[0], total_iterations + iterations, "gmin-stepping"
+            return vector, total_iterations + iterations, "gmin-stepping"
         except ConvergenceError:
             pass
 
@@ -502,7 +516,7 @@ def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,
             vector, iterations = newton(vector, scale, target_gmin)
             total_iterations += iterations
             stats.dc_source_steps += 1
-        return vector[0], total_iterations, "source-stepping"
+        return vector, total_iterations, "source-stepping"
     except ConvergenceError as exc:
         raise ConvergenceError(
             "DC operating point did not converge: plain Newton, "

@@ -101,12 +101,18 @@ class LinearSolver:
         offending node when ``structure`` (an
         :class:`~repro.simulator.mna.MnaStructure`) is given, and a
         non-finite solution is caught as a backstop.  Counts one ``solve``
-        and no ``factorization``, the historical one-shot semantics.  A
-        dense ``(k, n, n)`` stack against ``(k, n)`` right-hand sides is
-        ``k`` such solves in one batched LAPACK ``gesv`` call (one
-        ``solver.factorize`` span), each system solved as it would be
-        alone; it counts ``k`` solves.
+        and no ``factorization``, the historical one-shot semantics.
+
+        ``rhs`` is one vector, or ``k`` right-hand sides as the rows of a
+        ``(k, n)`` array.  Rows against one matrix share its LU (one
+        ``solver.factorize`` span); each row is back-substituted on its
+        own, so it is solved as it would be alone, and counts one solve.
+        A dense ``(k, n, n)`` stack against ``(k, n)`` right-hand sides is
+        ``k`` systems solved in one batched LAPACK ``gesv`` call (one
+        ``solver.factorize`` span), each as it would be alone; it counts
+        ``k`` solves.
         """
+        rhs = np.asarray(rhs)
         if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
             stats.solves += matrix.shape[0]
             if not matrix.shape[1]:
@@ -116,7 +122,13 @@ class LinearSolver:
                 return solve_stacked(matrix, rhs[..., None],
                                      structure)[..., 0]
         if matrix.shape[0] == matrix.shape[1] == 0:
-            return np.zeros(0, dtype=rhs.dtype)
-        solution = Factorization(matrix, structure=structure, counted=False).solve(rhs)
-        stats.solves += 1
+            return np.zeros(rhs.shape, dtype=rhs.dtype)
+        factorization = Factorization(matrix, structure=structure,
+                                      counted=False)
+        if rhs.ndim == 1:
+            solution = factorization.solve(rhs)
+        else:
+            solution = np.array([factorization.solve(row) for row in rhs]
+                                ).reshape(rhs.shape)
+        stats.solves += 1 if rhs.ndim == 1 else len(rhs)
         return solution

@@ -14,9 +14,10 @@ saved ``.npz`` holds (one row per grid point, ``entry_*`` arrays of shape
   ``entry_g_am_per_volt``, ``entry_fm_voltage``, ``entry_am_voltage``,
   ``entry_present`` (bool) and ``entry_mechanism`` (str).
 
-A corner's :class:`~repro.vco.spurs.SpurSweep` becomes one
-:class:`CornerBlock` of these columns as the corner finishes
-(:func:`corner_columns`); blocks go into the crash journal and,
+A stack of corners' :class:`~repro.vco.spurs.SpurSweep` becomes these
+columns in one pass (:func:`stack_columns`; a lone corner is a stack of
+one), and each corner takes its rows of them as its own
+:class:`CornerBlock` as it finishes; blocks go into the crash journal and,
 concatenated (:func:`concat_columns`), into the saved NPZ without any
 per-point object in between.
 """
@@ -86,47 +87,70 @@ def empty_columns() -> dict[str, np.ndarray]:
     return ordered(columns)
 
 
-def corner_columns(sweep: SpurSweep, *, first_point_index: int,
-                   variant_index: int, knobs: dict[str, float],
-                   injected_power_dbm: float, vtune: float,
-                   ) -> dict[str, np.ndarray]:
-    """The columns of one corner, straight from its sweep's arrays."""
+def stack_columns(sweep: SpurSweep, *, first_point_indices,
+                  variant_index: int, knobs: dict[str, float],
+                  injected_power_dbm: float, vtunes,
+                  ) -> dict[str, np.ndarray]:
+    """The columns of a stack of corners, straight from its sweep's arrays.
+
+    ``sweep`` is the stack's :class:`~repro.vco.spurs.SpurSweep`, with a
+    leading corner axis (a sweep with scalar carrier values is a stack of
+    one); ``vtunes`` and ``first_point_indices`` hold one value per corner.
+    The rows run corner by corner, so corner ``c`` of ``n`` points is rows
+    ``c * n`` to ``(c + 1) * n``, with the bits it has alone.
+    """
     n = len(sweep)
-    shape = (n, len(sweep.entry_names))
+    corners = len(vtunes)
+    stacked = np.ndim(sweep.carrier_frequency) > 0
+    shape = (corners * n, len(sweep.entry_names))
+
+    def per_point(array) -> np.ndarray:
+        """A ``(corners, points, ...)`` field as ``(corners * points, ...)``."""
+        array = np.asarray(array) if stacked else np.asarray(array)[None]
+        return np.ascontiguousarray(array.reshape((-1,) + array.shape[2:]))
+
+    def per_corner(values) -> np.ndarray:
+        """One value per corner, repeated over the corner's points."""
+        return np.repeat(np.asarray(values, dtype=np.float64).reshape(
+            corners), n)
+
+    def per_entry(values) -> np.ndarray:
+        """An ``(entries,)`` field per corner, repeated over its points."""
+        values = np.asarray(values, dtype=np.float64).reshape(corners, 1, -1)
+        return np.repeat(values, n, axis=1).reshape(shape)
+
+    first = np.asarray(first_point_indices, dtype=np.int64).reshape(corners)
     columns = {
-        "point_index": np.arange(first_point_index, first_point_index + n,
-                                 dtype=np.int64),
-        "variant_index": np.full(n, variant_index, dtype=np.int64),
-        "injected_power_dbm": np.full(n, injected_power_dbm,
+        "point_index": (first[:, None]
+                        + np.arange(n, dtype=np.int64)).reshape(-1),
+        "variant_index": np.full(shape[0], variant_index, dtype=np.int64),
+        "injected_power_dbm": np.full(shape[0], injected_power_dbm,
                                       dtype=np.float64),
-        "vtune": np.full(n, vtune, dtype=np.float64),
-        "noise_frequency": np.asarray(sweep.noise_frequency,
-                                      dtype=np.float64),
+        "vtune": per_corner(vtunes),
+        "noise_frequency": np.tile(np.asarray(sweep.noise_frequency,
+                                              dtype=np.float64), corners),
         "entry_names": np.array(sweep.entry_names, dtype=str),
-        "carrier_frequency": np.full(n, sweep.carrier_frequency,
-                                     dtype=np.float64),
-        "carrier_amplitude": np.full(n, sweep.carrier_amplitude,
-                                     dtype=np.float64),
-        "noise_amplitude": np.full(n, sweep.noise_amplitude,
+        "carrier_frequency": per_corner(sweep.carrier_frequency),
+        "carrier_amplitude": per_corner(sweep.carrier_amplitude),
+        "noise_amplitude": np.full(shape[0], sweep.noise_amplitude,
                                    dtype=np.float64),
-        "fm_voltage": sweep.fm_voltage,
-        "am_voltage": sweep.am_voltage,
-        "lower_sideband_voltage": sweep.lower_sideband_voltage,
-        "upper_sideband_voltage": sweep.upper_sideband_voltage,
-        "entry_h_sub": np.ascontiguousarray(sweep.h_sub,
-                                            dtype=np.complex128),
-        "entry_k_hz_per_volt": np.broadcast_to(
-            sweep.entry_k_hz_per_volt, shape).copy(),
-        "entry_g_am_per_volt": np.broadcast_to(
-            sweep.entry_g_am_per_volt, shape).copy(),
-        "entry_fm_voltage": np.ascontiguousarray(sweep.per_entry_fm_voltage),
-        "entry_am_voltage": np.ascontiguousarray(sweep.per_entry_am_voltage),
+        "fm_voltage": per_point(sweep.fm_voltage),
+        "am_voltage": per_point(sweep.am_voltage),
+        "lower_sideband_voltage": per_point(sweep.lower_sideband_voltage),
+        "upper_sideband_voltage": per_point(sweep.upper_sideband_voltage),
+        "entry_h_sub": per_point(sweep.h_sub).astype(np.complex128,
+                                                     copy=False),
+        "entry_k_hz_per_volt": per_entry(sweep.entry_k_hz_per_volt),
+        "entry_g_am_per_volt": per_entry(sweep.entry_g_am_per_volt),
+        "entry_fm_voltage": per_point(sweep.per_entry_fm_voltage),
+        "entry_am_voltage": per_point(sweep.per_entry_am_voltage),
         "entry_present": np.ones(shape, dtype=bool),
         "entry_mechanism": np.broadcast_to(
             np.array(sweep.entry_mechanism, dtype=str), shape).copy(),
     }
     for name, value in knobs.items():
-        columns[KNOB_PREFIX + name] = np.full(n, value, dtype=np.float64)
+        columns[KNOB_PREFIX + name] = np.full(shape[0], value,
+                                              dtype=np.float64)
     return ordered(columns)
 
 

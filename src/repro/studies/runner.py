@@ -24,13 +24,14 @@ into a :class:`~repro.studies.results.SweepResult`:
    run analyses them all at once — one stacked DC Newton, transfer solve
    and spur evaluation over every V_tune x noise frequency
    (:meth:`~repro.core.vco_experiment.VcoImpactAnalysis.analyze_corners`)
-   — and each task then takes its own corner's slice through the
-   per-corner path: its work item, fault injection, journal block,
-   observer callbacks and its own solver counts.  A corner's results are
-   bit-identical alone or in any stack, so the result is the same whatever
-   the worker count, and a resumed run that recomputes one corner of a
-   stack reproduces it exactly.  A corner of a variant that failed to
-   extract is recorded as that extraction's failure.
+   — and builds their result columns in one pass; each task then takes
+   its own corner's rows through the per-corner path: its work item,
+   fault injection, journal block, observer callbacks and its own solver
+   counts.  A corner's results are bit-identical alone or in any stack, so
+   the result is the same whatever the worker count, and a resumed run
+   that recomputes one corner of a stack reproduces it exactly.  A corner
+   of a variant that failed to extract is recorded as that extraction's
+   failure.
 
 A stack of corners costs well under a millisecond per corner once its
 variant's flow exists, less than shipping the flow to another process, so
@@ -61,9 +62,10 @@ from .cache import ExtractionCache, fingerprint
 from .columns import (
     CornerBlock,
     concat_columns,
-    corner_columns,
     corner_keys,
     n_points,
+    stack_columns,
+    take_rows,
 )
 from .params import Campaign, LayoutVariant
 from .persist import CampaignJournal, CheckpointPolicy
@@ -111,43 +113,81 @@ class CornerStack:
     """The pending V_tune corners of one (variant, injected power) corner
     group, analysed as one stack on the first request for any of them.
 
-    A stack that raises is not retried as a stack: each of its corners is
-    then analysed alone on its own request, so a failure stays with the
-    corner that causes it.  Each corner's analysis is handed out once (a
-    retried task analyses its corner again, alone, to the same bits).
+    ``first_points`` maps each pending V_tune to the global index of its
+    first point.  The stack's campaign columns are built in one pass from
+    its stacked spur sweep (:func:`~repro.studies.columns.stack_columns`);
+    each corner's request takes its own rows of them as its
+    :class:`~repro.studies.columns.CornerBlock`, and the stack drops its
+    columns once the last corner is handed out.  A stack that raises is not
+    retried as a stack: each of its corners is then analysed alone on its
+    own request, so a failure stays with the corner that causes it.  Each
+    corner's block is handed out once (a retried task analyses its corner
+    again, alone, to the same bits).
     """
 
-    def __init__(self, vtunes: list[float]):
-        self.vtunes = list(vtunes)
-        self._corners: dict | None = None
+    def __init__(self, first_points: dict[float, int]):
+        self.first_points = dict(first_points)
+        #: the stack's columns, ``None`` until the first request
+        self._columns: dict[str, np.ndarray] | None = None
+        #: V_tune -> (row of the stack, solver counts), until handed out
+        self._pending: dict[float, tuple[int, tuple]] = {}
 
-    def analysis_of(self, task: SweepTask):
-        """The :class:`~repro.core.vco_experiment.CornerAnalysis` of
-        ``task``'s corner."""
-        # Local import: repro.core.vco_experiment uses the studies package
-        # for its own sweeps, so the dependency must not be circular at
-        # import time.
-        from ..core.vco_experiment import VcoImpactAnalysis
-
-        analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
-                                     options=task.options,
-                                     flow_result=task.flow)
-        frequencies = np.asarray(task.noise_frequencies, dtype=float)
-        if self._corners is None:
-            self._corners = {}
+    def block_of(self, task: SweepTask) -> CornerBlock:
+        """The :class:`~repro.studies.columns.CornerBlock` of ``task``'s
+        corner."""
+        if self._columns is None:
+            self._columns = {}
             try:
-                corners = analysis.analyze_corners(self.vtunes, frequencies)
+                self._columns, counts = _analyse_stack(task,
+                                                       self.first_points)
             except Exception as exc:
                 logger.warning(
                     "corner stack failed: variant=%d corners=%d error=%s; "
                     "its corners run one by one", task.variant_index,
-                    len(self.vtunes), exc)
+                    len(self.first_points), exc)
             else:
-                self._corners = dict(zip(self.vtunes, corners))
-        corner = self._corners.pop(task.vtune, None)
-        if corner is None:
-            corner = analysis.analyze_corners([task.vtune], frequencies)[0]
-        return corner
+                self._pending = {vtune: (row, count) for row, (vtune, count)
+                                 in enumerate(zip(self.first_points, counts))}
+        found = self._pending.pop(task.vtune, None)
+        if found is None:
+            columns, (counts,) = _analyse_stack(
+                task, {task.vtune: task.first_point_index})
+            return CornerBlock(columns, counts)
+        row, counts = found
+        points = len(task.noise_frequencies)
+        block = CornerBlock(
+            take_rows(self._columns, slice(row * points, (row + 1) * points)),
+            counts)
+        if not self._pending:
+            self._columns = {}
+        return block
+
+
+def _analyse_stack(task: SweepTask, first_points: dict[float, int]
+                   ) -> tuple[dict[str, np.ndarray], list[tuple]]:
+    """The campaign columns of the corners ``first_points`` of ``task``'s
+    (variant, injected power), analysed as one stack, and each corner's
+    non-zero solver counts."""
+    # Local import: repro.core.vco_experiment uses the studies package for
+    # its own sweeps, so the dependency must not be circular at import time.
+    from ..core.vco_experiment import VcoImpactAnalysis
+
+    analysis = VcoImpactAnalysis(task.technology, spec=task.spec,
+                                 options=task.options, flow_result=task.flow)
+    vtunes = list(first_points)
+    corners = analysis.analyze_corners(
+        vtunes, np.asarray(task.noise_frequencies, dtype=float))
+    columns = stack_columns(
+        corners[0].stack_sweep, first_point_indices=list(first_points.values()),
+        variant_index=task.variant_index, knobs=task.knobs,
+        injected_power_dbm=task.injected_power_dbm, vtunes=vtunes)
+    # The solves each corner spent, including any robustness ladder it
+    # needed, counted apart from its stack-mates'.
+    counts = [tuple((name, getattr(spent, name))
+                    for name in SolverStats._COUNTERS
+                    if getattr(spent, name) > 0)
+              for spent in (corner.solver_counts for corner in corners)]
+    return columns, counts
 
 
 @dataclass(frozen=True)
@@ -266,21 +306,9 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     with trace_span("campaign.corner", index=task.index,
                     variant=task.variant_index,
                     power_dbm=task.injected_power_dbm, vtune=task.vtune):
-        corner = task.stack.analysis_of(task)
-    seconds = time.perf_counter() - t0
-    # The solves this corner spent, including any robustness ladder it
-    # needed, counted apart from its stack-mates'.
-    spent = corner.solver_counts
-    solver_counts = tuple((name, getattr(spent, name))
-                          for name in SolverStats._COUNTERS
-                          if getattr(spent, name) > 0)
-    columns = corner_columns(
-        corner.sweep, first_point_index=task.first_point_index,
-        variant_index=task.variant_index, knobs=task.knobs,
-        injected_power_dbm=task.injected_power_dbm, vtune=task.vtune)
-    return TaskOutcome(index=task.index,
-                       block=CornerBlock(columns, solver_counts),
-                       seconds=seconds)
+        block = task.stack.block_of(task)
+    return TaskOutcome(index=task.index, block=block,
+                       seconds=time.perf_counter() - t0)
 
 
 class _Checkpointer:
@@ -481,9 +509,10 @@ class SweepRunner:
                 options = replace(campaign.options,
                                   injected_power_dbm=power,
                                   flow=variant.flow_options)
-                stack = CornerStack([
-                    vtune for vtune in vtunes
-                    if (variant.index, power, vtune) not in skip])
+                stack = CornerStack({
+                    vtune: point_index + offset * len(frequencies)
+                    for offset, vtune in enumerate(vtunes)
+                    if (variant.index, power, vtune) not in skip})
                 for vtune in vtunes:
                     if (variant.index, power, vtune) in skip:
                         pass

@@ -34,6 +34,13 @@ grounds the floating mesh, so it adds one huge constant ``1 / G_u`` to every
 entry of ``Z``.  It is kept out of the table and applied exactly by a
 Sherman-Morrison update, which keeps the dense Cholesky of ``Z + D^-1``
 (the one ``O(k^3)`` step) well conditioned.
+
+The dense ``k x k`` matrix grows with the square of the contacted cells
+(k = 3,258 at 160x160 on the VCO testchip, 85 MB; 17,312 at 400x400,
+2.4 GB).  :func:`spectral_kron` estimates that memory before it allocates
+anything and raises :class:`~repro.errors.ExtractionError`, naming the mesh,
+``k`` and the estimate, past :data:`DENSE_BUDGET_BYTES`; it does not fall
+back to the direct path, which would need more.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import time
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ..errors import ExtractionError
 from .mesh import SubstrateMesh
 
 #: Relative spread of the lateral cell sizes up to which a mesh counts as
@@ -50,6 +58,9 @@ from .mesh import SubstrateMesh
 _UNIFORM_RTOL = 1e-10
 #: Rows of ``Z`` gathered per block (bounds the index temporaries).
 _GATHER_ROWS = 64
+#: Most bytes the dense path may allocate (:func:`dense_bytes`): a 1 GiB
+#: budget admits k up to ~11,000 contacted cells.
+DENSE_BUDGET_BYTES = 2 ** 30
 
 
 def _uniform_pitch(edges: np.ndarray) -> float | None:
@@ -154,6 +165,16 @@ def _surface_green_matrix(mesh: SubstrateMesh, cells: np.ndarray,
     return green, uniform
 
 
+def dense_bytes(mesh: SubstrateMesh, k: int) -> int:
+    """Estimated peak bytes of the dense path on ``k`` contacted cells:
+    the ``k x k`` float64 matrix (factorized in place), the cosine-sum
+    table and one row block of gather temporaries (five int32 index arrays
+    and two float64 blocks)."""
+    table = 4 * mesh.nx * mesh.ny * 8
+    gather = min(_GATHER_ROWS, k) * k * (5 * 4 + 2 * 8)
+    return 8 * k * k + table + gather
+
+
 def spectral_kron(mesh: SubstrateMesh, cells: np.ndarray, shares: np.ndarray,
                   shift: float) -> tuple[np.ndarray, float]:
     """Reduce ``mesh`` to its ports through the Woodbury identity.
@@ -163,13 +184,26 @@ def spectral_kron(mesh: SubstrateMesh, cells: np.ndarray, shares: np.ndarray,
     the ``(P, P)`` admittance and the seconds spent in the dense Cholesky
     factorization and solve; a non-positive-definite ``Z + D^-1`` raises
     :class:`numpy.linalg.LinAlgError` from :func:`scipy.linalg.cho_factor`.
+    A reduction whose :func:`dense_bytes` exceed :data:`DENSE_BUDGET_BYTES`
+    raises :class:`~repro.errors.ExtractionError` before allocating.
     """
+    estimate = dense_bytes(mesh, len(cells))
+    if estimate > DENSE_BUDGET_BYTES:
+        raise ExtractionError(
+            f"spectral Kron reduction of the {mesh.nx}x{mesh.ny}x{mesh.nz} "
+            f"substrate mesh needs a dense {len(cells)} x {len(cells)} "
+            f"surface Green's matrix: ~{estimate / 2 ** 30:.2f} GiB, over "
+            f"the {DENSE_BUDGET_BYTES / 2 ** 30:.2f} GiB budget of "
+            "repro.substrate.spectral.DENSE_BUDGET_BYTES; use a coarser "
+            "mesh")
     contact = shares.sum(axis=1)
     coupling = shares / contact[:, None]                      # E = D^-1 W
     system, uniform = _surface_green_matrix(mesh, cells, shift)
     system[np.diag_indices_from(system)] += 1.0 / contact
     start = time.perf_counter()
-    factor = cho_factor(system, lower=True, overwrite_a=True,
+    # ``system`` is exactly symmetric, so its transpose is the same matrix
+    # in the column-major order LAPACK factorizes in place, without a copy.
+    factor = cho_factor(system.T, lower=True, overwrite_a=True,
                         check_finite=False)
     solved = cho_solve(factor, np.column_stack((coupling, np.ones(len(cells)))),
                        check_finite=False)

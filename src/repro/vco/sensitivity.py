@@ -225,10 +225,10 @@ def junction_capacitance_sensitivity(model, vgs: float, vds: float, vbs: float,
 
     ``model`` is a :class:`~repro.devices.mosfet.MosfetModel`.  The derivative
     is taken with respect to the bulk voltage, which is what a substrate /
-    ground bounce modulates.
+    ground bounce modulates.  Only the two junction capacitances are
+    evaluated (:meth:`~repro.devices.mosfet.MosfetModel.junction_capacitances`),
+    to the bits a full evaluation gives them.
     """
-    op_plus = model.evaluate(vgs, vds, vbs + delta)
-    op_minus = model.evaluate(vgs, vds, vbs - delta)
-    c_plus = op_plus.cdb + op_plus.csb
-    c_minus = op_minus.cdb + op_minus.csb
-    return abs(c_plus - c_minus) / (2.0 * delta)
+    cdb_plus, csb_plus = model.junction_capacitances(vgs, vds, vbs + delta)
+    cdb_minus, csb_minus = model.junction_capacitances(vgs, vds, vbs - delta)
+    return abs((cdb_plus + csb_plus) - (cdb_minus + csb_minus)) / (2.0 * delta)

@@ -30,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import AnalysisError
-from ..units import vpeak_to_dbm
 
 
 class NoiseEntry(NamedTuple):
@@ -92,8 +91,11 @@ def spur_power_dbm(lower_sideband_voltage, upper_sideband_voltage,
 
 def sideband_dbm(voltage, impedance: float = 50.0) -> np.ndarray:
     """Power of one sideband (volts peak) in dBm."""
-    return _per_value(
-        lambda volts: float(vpeak_to_dbm(max(volts, 1e-15), impedance)), voltage)
+    def dbm(volts: float) -> float:
+        volts = max(volts, 1e-15)
+        return _dbm(volts * volts / (2.0 * impedance))
+
+    return _per_value(dbm, voltage)
 
 
 def entry_dbm(fm_voltage, am_voltage, impedance: float = 50.0) -> np.ndarray:

@@ -37,7 +37,7 @@ from repro.studies import (
     SweepRunner,
 )
 from repro.studies.cli import main as campaign_cli
-from repro.studies.columns import concat_columns, corner_columns
+from repro.studies.columns import concat_columns, stack_columns
 from repro.studies.persist import _columns_checksum
 from repro.studies.results import PointRecord
 from repro.substrate.extraction import SubstrateExtractionOptions
@@ -381,9 +381,9 @@ def _synthetic_corner(names: list[str], first_point: int, vtune: float):
                for k, name in enumerate(names)]
     sweep = compute_spurs(entries, 3e9, 1.0, 0.1, frequencies)
     knobs = {"ground_width_scale": 1.0}
-    columns = corner_columns(sweep, first_point_index=first_point,
-                             variant_index=0, knobs=knobs,
-                             injected_power_dbm=-5.0, vtune=vtune)
+    columns = stack_columns(sweep, first_point_indices=[first_point],
+                            variant_index=0, knobs=knobs,
+                            injected_power_dbm=-5.0, vtunes=[vtune])
     points = [_Point(point_index=first_point + offset, variant_index=0,
                      knobs=dict(knobs), injected_power_dbm=-5.0, vtune=vtune,
                      noise_frequency=float(frequency), sweep=sweep,

@@ -188,6 +188,44 @@ def test_stacked_evaluation_equals_each_corner_alone(nmos_model, pmos_model,
             assert regions == {"cutoff", "triode", "saturation"}
 
 
+def _old_junction_sensitivity(model, vgs, vds, vbs, delta=1e-3):
+    """The junction sensitivity as two full device evaluations computed it."""
+    plus = model.evaluate(vgs, vds, vbs + delta)
+    minus = model.evaluate(vgs, vds, vbs - delta)
+    return abs((plus.cdb + plus.csb) - (minus.cdb + minus.csb)) / (2.0 * delta)
+
+
+@given(biases=st.lists(st.tuples(_BIAS, _BIAS, _BIAS), min_size=1,
+                       max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_junction_sensitivity_equals_the_full_evaluation(nmos_model,
+                                                         pmos_model, biases):
+    """Evaluating only the junction capacitances gives the bits of the full
+    device evaluation: every region, swapped drain/source, either
+    polarity, on floats and on stacks."""
+    from repro.vco.sensitivity import junction_capacitance_sensitivity
+
+    biases = biases + [(0.0, 1.0, 0.0), (1.6, 0.05, 0.0), (0.8, 1.5, -0.3),
+                       (0.7, -0.3, -0.3)]
+    vgs, vds, vbs = (np.array(column) for column in zip(*biases))
+    for model, sign in ((nmos_model, 1.0), (pmos_model, -1.0)):
+        bias = (sign * vgs, sign * vds, sign * vbs)
+        full = model.evaluate(*bias)
+        assert [np.asarray(c).tobytes()
+                for c in model.junction_capacitances(*bias)] \
+            == [full.cdb.tobytes(), full.csb.tobytes()]
+        stacked = junction_capacitance_sensitivity(model, *bias)
+        assert stacked.tobytes() \
+            == _old_junction_sensitivity(model, *bias).tobytes()
+        for index in range(len(biases)):
+            alone = [float(value[index]) for value in bias]
+            value = junction_capacitance_sensitivity(model, *alone)
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() \
+                == np.float64(_old_junction_sensitivity(model, *alone)
+                              ).tobytes() == stacked[index].tobytes()
+
+
 def test_stacked_varactor_equals_each_corner_alone():
     varactor = AccumulationModeVaractor(cmin=0.6e-12, cmax=1.8e-12)
     bias = np.linspace(-3.0, 3.0, 37)

@@ -320,6 +320,51 @@ def test_cholesky_failure_falls_back_to_direct_lu(small_mesh, monkeypatch,
         kron_reduce(small_mesh.conductance_matrix(), *ports).admittance)
 
 
+def _vco_mesh(n: int):
+    """The VCO testchip's substrate options at an ``n x n`` mesh."""
+    from repro.core.vco_experiment import VcoExperimentOptions
+
+    return replace(VcoExperimentOptions().flow.substrate, nx=n, ny=n)
+
+
+def test_dense_kron_past_its_budget_fails_before_allocating(
+        vco_cell, technology, monkeypatch):
+    """A 400x400 VCO-testchip request (k = 17,312 contacted cells, ~2.3 GiB
+    dense) raises a named ExtractionError before the Green's matrix is
+    built, and does not fall back to the direct path."""
+    import tracemalloc
+    from types import SimpleNamespace
+
+    from repro.substrate import spectral
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated the dense path")
+
+    monkeypatch.setattr(spectral, "_surface_green_matrix", unreachable)
+    monkeypatch.setattr(SubstrateMesh, "conductance_matrix", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExtractionError) as raised:
+            extract_substrate(vco_cell, technology, _vco_mesh(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(raised.value)
+    assert "400x400x" in message and "17312 x 17312" in message
+    estimate = spectral.dense_bytes(SimpleNamespace(nx=400, ny=400), 17312)
+    assert estimate > spectral.DENSE_BUDGET_BYTES
+    assert f"~{estimate / 2 ** 30:.2f} GiB" in message
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, k", [(96, 1384), (160, 3258)])
+def test_dense_kron_within_its_budget_runs(vco_cell, technology, n, k):
+    extraction, [span] = _kron_spans(
+        lambda: extract_substrate(vco_cell, technology, _vco_mesh(n)))
+    assert (span["path"], span["k"]) == ("spectral", k)
+    assert np.all(np.isfinite(extraction.macromodel.admittance))
+
+
 def test_subsurface_contact_routes_to_direct_lu(small_mesh):
     surface = [small_mesh.node_index(ix, 0, 0) for ix in range(small_mesh.nx)]
     buried = [small_mesh.node_index(3, 3, 1)]
