@@ -305,9 +305,11 @@ class CornerAnalysis:
     @cached_property
     def solver_counts(self) -> SolverStats:
         """This corner's solver work: its Newton solves and ladder rungs,
-        and one factorization and one solve per noise frequency."""
-        points = len(self._stack.spurs)
-        counts = SolverStats(factorizations=points, solves=points)
+        and its transfer solves (one solve per noise frequency when it is
+        reached from the stack's base systems; one factorization, one
+        solve per frequency and one ``fallbacks`` when it fell back)."""
+        counts = SolverStats()
+        counts.merge(self._stack.transfer.work[self.index])
         counts.merge(self._stack.operating_points.work[self.index])
         return counts
 

@@ -95,7 +95,9 @@ class DcSolution:
     ``circuit`` is the circuit that was solved; for a corner of a
     :class:`DcCorners` it is the stack's circuit, whose own source values
     are not the corner's (its elements, read by
-    :meth:`operating_point_of`, are).
+    :meth:`operating_point_of`, are).  ``start`` is the MNA vector plain
+    Newton started from (``None`` for the zero start), as on
+    :class:`DcCorners`.
     """
 
     circuit: Circuit
@@ -105,6 +107,7 @@ class DcSolution:
     #: how the solve converged: "newton" (plain), "gmin-stepping" or
     #: "source-stepping" — anything but "newton" is a graceful degradation
     strategy: str = "newton"
+    start: np.ndarray | None = None
     #: element name -> operating point, filled on first request
     _device_points: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
@@ -177,9 +180,12 @@ class DcCorners:
 
     ``vectors`` is ``(corners, n)``; ``corner_iterations``, ``strategies``
     and ``work`` (each corner's solves and ladder rungs) hold one entry per
-    corner.  Node voltages, branch currents and device operating points
-    come as arrays along the corner axis, or as Python floats for a stack
-    of one (:mod:`repro.devices.stack`).
+    corner.  ``start`` is the MNA vector plain Newton started every corner
+    from, or ``None`` for the zero start; the transfer analysis linearises
+    the circuit there once as the base every corner is updated from
+    (:attr:`start_point`).  Node voltages, branch currents and device
+    operating points come as arrays along the corner axis, or as Python
+    floats for a stack of one (:mod:`repro.devices.stack`).
     """
 
     circuit: Circuit
@@ -188,6 +194,7 @@ class DcCorners:
     corner_iterations: tuple[int, ...]
     strategies: tuple[str, ...]
     work: tuple[SolverStats, ...]
+    start: np.ndarray | None = None
     #: element name -> stacked operating point, filled on first request
     _device_points: dict = field(default_factory=dict, init=False,
                                  repr=False)
@@ -198,7 +205,8 @@ class DcCorners:
         return cls(circuit=solution.circuit, structure=solution.structure,
                    vectors=solution.vector[None],
                    corner_iterations=(solution.iterations,),
-                   strategies=(solution.strategy,), work=(SolverStats(),))
+                   strategies=(solution.strategy,), work=(SolverStats(),),
+                   start=solution.start)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -213,7 +221,17 @@ class DcCorners:
         return DcSolution(circuit=self.circuit, structure=self.structure,
                           vector=self.vectors[index],
                           iterations=self.corner_iterations[index],
-                          strategy=self.strategies[index])
+                          strategy=self.strategies[index], start=self.start)
+
+    @cached_property
+    def start_point(self) -> "DcCorners | None":
+        """The one-corner stack at :attr:`start` (``None`` without one):
+        its device operating points are the stack's shared reference."""
+        if self.start is None:
+            return None
+        return DcCorners(circuit=self.circuit, structure=self.structure,
+                         vectors=self.start[None], corner_iterations=(0,),
+                         strategies=("newton",), work=(SolverStats(),))
 
     @cached_property
     def _voltage_map(self) -> dict:
@@ -463,7 +481,8 @@ def _operating_points(circuit: Circuit, linear: LinearStamps,
         work[corner].merge(stats.since(before))
     return DcCorners(circuit=circuit, structure=structure, vectors=vectors,
                      corner_iterations=tuple(int(n) for n in iterations),
-                     strategies=tuple(strategies), work=tuple(work))
+                     strategies=tuple(strategies), work=tuple(work),
+                     start=None if guess is None else start.copy())
 
 
 def _ladder(linear: LinearStamps, options: DcOptions, solver: LinearSolver,

@@ -33,7 +33,14 @@ import scipy.sparse as sp
 
 from ..errors import SimulationError
 from ..obs import trace_span
-from .solver import Factorization, StackedFactorization, solve_stacked, stats
+from .solver import (
+    CornerSweep,
+    CornerSweepFactorization,
+    Factorization,
+    StackedFactorization,
+    solve_stacked,
+    stats,
+)
 
 #: Direct LU (LAPACK or SuperLU by system size) — the one backend.
 BACKEND_DIRECT = "direct"
@@ -74,19 +81,25 @@ class LinearSolver:
         self.options = options or SolverOptions()
 
     def factorize(
-        self, matrix: sp.spmatrix | np.ndarray, structure=None, spd: bool = False
-    ) -> Factorization | StackedFactorization:
+        self, matrix: sp.spmatrix | np.ndarray | CornerSweep, structure=None, spd: bool = False
+    ) -> Factorization | StackedFactorization | CornerSweepFactorization:
         """Prepare ``matrix`` (sparse, or a dense array) for repeated
         solves; returns a handle with ``solve(rhs)`` accepting a vector or
         a dense ``(n, k)`` block.  A dense ``(F, n, n)`` stack is ``F``
         independent systems, solved together against an ``(F, n, k)``
-        block (:class:`~repro.simulator.solver.StackedFactorization`).
+        block (:class:`~repro.simulator.solver.StackedFactorization`).  A
+        :class:`~repro.simulator.solver.CornerSweep` is the systems of a
+        frequency sweep over a stack of corners: its base systems are
+        inverted here, and the handle's ``solve`` reaches every corner from
+        them (:class:`~repro.simulator.solver.CornerSweepFactorization`).
 
         ``spd=True`` is the caller's promise that the matrix is symmetric
         positive definite (the Kron reduction's internal mesh block): it
         is then factorized with a symmetric fill-reducing ordering
         (:func:`~repro.simulator.solver.splu_spd`).
         """
+        if isinstance(matrix, CornerSweep):
+            return CornerSweepFactorization(matrix, structure=structure)
         if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
             return StackedFactorization(matrix, structure=structure)
         return Factorization(matrix, structure=structure, spd=spd)

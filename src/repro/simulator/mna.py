@@ -486,6 +486,43 @@ class StampPattern:
         stack)."""
         return self._matrix(self._c, values)
 
+    @cached_property
+    def outer_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """Every call's matrix stamp as a rank-one ``u v^T`` of slot signs.
+
+        Returns the ``(calls, n)`` left and right factors, whether each
+        call stamps ``C`` (else ``G``), and whether it is rank one at all
+        (a two-terminal or controlled-source stamp is; a call without
+        matrix slots has zero factors).  A call that is not rank one has
+        zero factors too.
+        """
+        size = self.size
+        left = np.zeros((self.n_calls, size))
+        right = np.zeros((self.n_calls, size))
+        capacitive = np.zeros(self.n_calls, dtype=bool)
+        rank_one = np.ones(self.n_calls, dtype=bool)
+        for call in range(self.n_calls):
+            signs = np.zeros((size, size))
+            for index, slots in enumerate((self._g, self._c)):
+                chosen = slots.calls == call
+                if chosen.any():
+                    np.add.at(signs, (slots.rows[chosen], slots.cols[chosen]),
+                              slots.signs[chosen])
+                    capacitive[call] = bool(index)
+            rows = np.flatnonzero(signs.any(axis=1))
+            if not rows.size:
+                continue
+            u = signs[:, np.flatnonzero(signs[rows[0]])[0]]
+            v = signs[rows[0]] / u[rows[0]]
+            if np.array_equal(np.outer(u, v), signs):
+                left[call], right[call] = u, v
+            else:
+                rank_one[call] = False
+        for array in (left, right, capacitive, rank_one):
+            array.flags.writeable = False
+        return left, right, capacitive, rank_one
+
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """The right-hand side of the stamps' current sources, ``(n,)`` or
         ``(corners, n)``."""
@@ -548,6 +585,14 @@ class PortReduction:
     source_rhs: np.ndarray      #: (n, m) the full right-hand sides reduced
     matrices: np.ndarray        #: (F, k, k) complex
     rhs: np.ndarray             #: (F, k, m) complex
+    #: compiled state of the transfer analysis: the factorized base systems
+    #: of the last reference point solved on this reduction, keyed by it
+    bases: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """The ``(F,)`` complex frequencies ``j * omega``."""
+        return 2j * np.pi * self.frequencies
 
     def matches(self, kept: np.ndarray, frequencies: np.ndarray,
                 gmin: float, rhs: np.ndarray) -> bool:
@@ -617,7 +662,8 @@ class LinearStamps:
     elements: tuple[Element, ...]
     #: compiled state derived on first use: the companion and small-signal
     #: stamp patterns, the structural facts of the port reduction and its
-    #: one cached entry
+    #: one cached entry (which keeps the transfer base of its last
+    #: reference point)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

@@ -17,6 +17,11 @@ and "here is the solution vector":
   systems (one per swept frequency of a reduced transfer analysis),
   factorized and solved together by one batched LAPACK call and counted
   as ``F`` factorizations and ``F`` solves.
+* :class:`CornerSweepFactorization` — the reduced transfer systems of a
+  stack of bias corners, reached from one inverted base system per
+  frequency by a low-rank update and one refinement step, with a
+  residual check that sends a failing corner to the direct
+  :class:`StackedFactorization`.
 * :class:`SharedPatternPair` — a large system's ``G`` and ``C`` on one
   shared CSC sparsity pattern, so a transfer sweep assembles ``G + s*C``
   per frequency by combining ``.data`` arrays in place, without
@@ -59,7 +64,7 @@ performs exactly one factorization regardless of step count.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,7 +104,9 @@ class SolverStats:
 
     factorizations: int = 0     #: sparse LU, or the spectral Kron's Cholesky
     solves: int = 0             #: solve calls against a factorization
-    fallbacks: int = 0          #: spectral Kron reductions redone by sparse LU
+    #: spectral Kron reductions redone by sparse LU, and transfer corners
+    #: that took the direct solve instead of the update from their base
+    fallbacks: int = 0
     dc_gmin_steps: int = 0      #: gmin-continuation rungs taken by DC Newton
     dc_source_steps: int = 0    #: source-stepping rungs taken by DC Newton
     backend: str = ""           #: backend name ("" for the module-level global)
@@ -314,12 +321,16 @@ class StackedFactorization:
     """LU factorizations of a stack of equally sized dense matrices.
 
     The ``(F, n, n)`` stack is ``F`` independent systems — one per swept
-    frequency of a reduced transfer analysis.  :meth:`solve` factorizes and
-    solves all of them in one batched LAPACK ``gesv`` call; it is meant to
-    be called once, with every right-hand side as an ``(F, n, k)`` block.
-    Counts ``F`` factorizations in :data:`stats` and ``F`` solves per
-    :meth:`solve` call, as ``F`` separate :class:`Factorization` handles
-    would.  An exactly singular system raises the same
+    frequency of a reduced transfer analysis, or per (corner, frequency)
+    of the corners a :class:`CornerSweepFactorization` sends to the direct
+    solve.  :meth:`solve` factorizes and solves all of them in one batched
+    LAPACK ``gesv`` call; it is meant to be called once, with every
+    right-hand side as an ``(F, n, k)`` block.  So the LU time lands in
+    :meth:`solve`, whose ``solver.solve`` span carries ``factorizes``,
+    the systems it factorized, not in the constructor.  Counts ``F``
+    factorizations in :data:`stats` and ``F`` solves per :meth:`solve`
+    call, as ``F`` separate :class:`Factorization` handles would.  An
+    exactly singular system raises the same
     :class:`~repro.errors.SimulationError` as :class:`Factorization`.
     """
 
@@ -343,10 +354,363 @@ class StackedFactorization:
                 f"RHS stack of shape {rhs.shape} does not match the "
                 f"systems {self.shape}")
         with trace_span("solver.solve", kernel=self.kernel,
-                        n=self.shape[1], batch=self.shape[0]):
+                        n=self.shape[1], batch=self.shape[0],
+                        factorizes=self.shape[0]):
             solution = solve_stacked(self._matrices, rhs, self._structure)
         stats.solves += self.shape[0]
         return solution
+
+
+#: A stamp call whose value at a corner differs from its value at the base
+#: by more than this share of it joins the corner's update set; the
+#: refinement step takes up every other call.  Across the Fig-8 V_tune
+#: sweep the two varactor capacitances move by up to 63%, every other call
+#: by at most 1.04e-9.
+UPDATE_THRESHOLD = 1e-8
+#: The most stamp calls a corner is updated by; a corner with more moved
+#: calls takes the direct solve.
+MAX_UPDATE_RANK = 4
+#: The largest normwise backward error an updated corner may keep at any
+#: frequency; a corner above it takes the direct solve.  A LAPACK solve of
+#: the VCO transfer systems leaves ~3e-17.
+UPDATE_TOLERANCE = 1e-15
+
+
+@dataclass(eq=False)
+class SweepBase:
+    """A corner stack's shared reference point on the systems of a
+    :class:`CornerSweep`: its stamp-call values and, once the first
+    :class:`CornerSweepFactorization` over it has computed them, the
+    inverses of its base systems.  One base serves every later stack on the
+    same systems (the transfer analysis keeps it with the port reduction).
+    """
+
+    values: np.ndarray              #: (calls,) at the reference point
+    #: whether a factorization has inverted the base systems
+    factorized: bool = field(default=False, init=False)
+    #: (F, n, n) inverses of the base systems (None when singular)
+    inverse: np.ndarray | None = field(default=None, init=False)
+    #: (F,) infinity norms of the shared systems
+    shared_norm: np.ndarray | None = field(default=None, init=False)
+    #: update set -> its base-level columns ``Z = B^-1 U`` and ``V^T Z``
+    columns: dict = field(default_factory=dict, init=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CornerSweep:
+    """The dense systems of a frequency sweep at any corner of a stack.
+
+    At a corner whose stamp calls of ``pattern`` (a
+    :class:`~repro.simulator.mna.StampPattern`) take the values ``v``, the
+    system of frequency ``f`` is ``shared[f] + G(v) + s[f] * C(v)``.
+    ``base`` is the stack's shared reference point, or ``None`` without
+    one.  :meth:`LinearSolver.factorize
+    <repro.simulator.linalg.LinearSolver.factorize>` takes it whole and
+    returns a :class:`CornerSweepFactorization`.
+    """
+
+    shared: np.ndarray              #: (F, n, n) complex
+    s: np.ndarray                   #: (F,) complex, j * omega
+    pattern: object                 #: the StampPattern of the calls
+    base: SweepBase | None = None
+
+
+class CornerSweepFactorization:
+    """The systems of a :class:`CornerSweep`, solved for a stack of corners
+    from one base factorization per frequency.
+
+    The base systems ``B[f] = shared[f] + G0 + s[f] * C0`` (the stamp calls
+    at the base values) are inverted at construction, in one batched LAPACK
+    call that counts no work, unless an earlier factorization over the same
+    :class:`SweepBase` already did.  :meth:`solve` then reaches each corner
+    from them:
+
+    * **update** — the calls that moved from the base by more than
+      :data:`UPDATE_THRESHOLD` form the corner's update set.  Each is a
+      rank-one ``w u v^T`` of its slot signs
+      (:attr:`~repro.simulator.mna.StampPattern.outer_factors`), so
+      ``B + U W V^T`` is solved exactly by the Sherman-Morrison-Woodbury
+      identity: ``x = y - Z beta`` with ``y = B^-1 b``, ``Z = B^-1 U`` and
+      ``(I + W V^T Z) beta = W V^T y``, an ``r x r`` system per corner and
+      frequency;
+    * **refinement** — one step against the true residual
+      ``b - A x`` takes up the calls outside the update set, which
+      differ from the base in the last digits only;
+    * **check** — a corner whose normwise backward error
+      ``|b - A x| / (|A| |x| + |b|)`` (largest real or imaginary part,
+      ``|A|`` bounded by its parts) exceeds :data:`UPDATE_TOLERANCE` at
+      any frequency, or whose moved calls are not rank one or more than
+      :data:`MAX_UPDATE_RANK`, takes the direct stacked solve instead and
+      counts one ``fallbacks``.
+
+    Every product is one system's own: the base inverse is applied per
+    (corner, frequency) vector and the corner stamps per corner, over the
+    ``F`` frequency columns, and the ``r x r`` systems are eliminated
+    elementwise.  A corner's update set depends on its own values only, so
+    its solution is bit-identical alone or in any stack (a multi-column
+    ``getrs`` or ``(F, n, n) @ (F, n, k)`` product is not: its columns
+    differ from single-column solves in the last bits).
+
+    Without a base, or with a singular one, every corner takes the direct
+    stacked solve.
+    """
+
+    kernel = "lapack"
+
+    def __init__(self, sweep: CornerSweep, structure=None):
+        self.sweep = sweep
+        self.shape = sweep.shared.shape
+        self._structure = structure
+        base = sweep.base
+        if base is None or base.factorized:
+            return
+        pattern = sweep.pattern
+        systems = (sweep.shared + pattern.conductance(base.values)
+                   + sweep.s[:, None, None] * pattern.capacitance(base.values))
+        with trace_span("solver.factorize", kernel=self.kernel,
+                        n=self.shape[1], batch=self.shape[0], base=True):
+            try:
+                inverse = np.linalg.inv(systems)
+            except np.linalg.LinAlgError:
+                inverse = None
+        base.factorized = True
+        if inverse is not None and np.all(np.isfinite(inverse)):
+            base.inverse = inverse
+            base.shared_norm = np.abs(sweep.shared).sum(axis=-1).max(axis=-1)
+
+    def solve(self, rhs: np.ndarray, values: np.ndarray
+              ) -> tuple[np.ndarray, tuple[SolverStats, ...]]:
+        """Every corner's solutions against the ``(F, n, m)`` right-hand
+        sides, for the stamp calls ``values`` (``(corners, calls)``, or
+        ``(calls,)`` for a stack of one): ``(corners, F, n, m)``, and each
+        corner's solver work.
+
+        An updated corner counts ``F`` solves; a direct one ``F``
+        factorizations and ``F`` solves, plus one ``fallbacks`` when it had
+        a base to be updated from.  Recorded as a ``solver.update`` span
+        carrying the corners updated, the fallbacks and the first one's
+        reason (``"no base"`` without base values).
+        """
+        sweep = self.sweep
+        rhs = np.asarray(rhs, dtype=complex)
+        points, size = self.shape[:2]
+        if rhs.shape[:2] != (points, size):
+            raise SimulationError(
+                f"RHS stack of shape {rhs.shape} does not match the "
+                f"systems {self.shape}")
+        stacked = np.atleast_2d(values)
+        corners = len(stacked)
+        shape = (corners, size, size)
+        conductance = sweep.pattern.conductance(values).reshape(shape)
+        capacitance = sweep.pattern.capacitance(values).reshape(shape)
+        solutions = np.empty((corners,) + rhs.shape, dtype=complex)
+        reached = np.zeros(corners, dtype=bool)
+        reasons: dict[int, str] = {}
+        with trace_span("solver.update", kernel=self.kernel, n=size,
+                        corners=corners, points=points) as span:
+            base = sweep.base
+            if base is not None and base.inverse is None:
+                reasons = dict.fromkeys(range(corners), "singular base")
+            elif base is not None:
+                base_solution = base.inverse @ rhs
+                stamps = np.concatenate([conductance, capacitance], axis=1)
+                for group, calls, failure in self._update_sets(stacked):
+                    if failure:
+                        reasons.update(dict.fromkeys(group.tolist(), failure))
+                        continue
+                    x, error = self._update(group, calls, stacked, rhs,
+                                            base_solution, stamps[group])
+                    good = error <= UPDATE_TOLERANCE
+                    solutions[group[good]] = x[good]
+                    reached[group[good]] = True
+                    for corner, value in zip(group[~good], error[~good]):
+                        reasons[int(corner)] = (
+                            f"backward error {value:.2e} > "
+                            f"{UPDATE_TOLERANCE:.0e}")
+            direct = np.flatnonzero(~reached)
+            if direct.size:
+                solutions[direct] = self._direct(direct, rhs, conductance,
+                                                 capacitance)
+            stats.solves += points * int(reached.sum())
+            stats.fallbacks += len(reasons)
+            if span is not None:
+                first = min(reasons, default=None)
+                span.set(updated=int(reached.sum()), fallbacks=len(reasons),
+                         reason="no base" if base is None
+                         else "" if first is None
+                         else f"corner {first}: {reasons[first]}")
+        work = tuple(
+            SolverStats(solves=points) if reached[corner]
+            else SolverStats(factorizations=points, solves=points,
+                             fallbacks=int(corner in reasons))
+            for corner in range(corners))
+        return solutions, work
+
+    def _update_sets(self, values: np.ndarray):
+        """The corners grouped by update set: ``(corners, calls, failure)``
+        per set, ``failure`` naming why it cannot be updated ("" if it
+        can)."""
+        base = self.sweep.base.values
+        left, _right, _capacitive, rank_one = self.sweep.pattern.outer_factors
+        acting = left.any(axis=1) | ~rank_one
+        moved = (np.abs(values - base) > UPDATE_THRESHOLD * np.abs(base)
+                 ) & acting
+        sets: dict[bytes, list[int]] = {}
+        for corner, row in enumerate(moved):
+            sets.setdefault(row.tobytes(), []).append(corner)
+        for group in sets.values():
+            calls = np.flatnonzero(moved[group[0]])
+            failure = ""
+            if not rank_one[calls].all():
+                failure = (f"stamp call {int(calls[~rank_one[calls]][0])} "
+                           "is not rank one")
+            elif calls.size > MAX_UPDATE_RANK:
+                failure = (f"{calls.size} stamp calls moved, more than "
+                           f"{MAX_UPDATE_RANK}")
+            yield np.array(group), calls, failure
+
+    def _update(self, group, calls, values, rhs, base_solution, stamps):
+        """The corners ``group``, whose moved calls are ``calls`` and whose
+        ``G`` and ``C`` are stacked as the ``(k, 2n, n)`` ``stamps``,
+        solved by the update and one refinement step from the base
+        solutions ``y = B^-1 rhs``: their ``(k, F, n, m)`` solutions and
+        each corner's largest backward error.
+        """
+        sweep, inverse = self.sweep, self.sweep.base.inverse
+        z, projected_z = self._update_columns(calls)
+        _left, right, capacitive, _rank_one = sweep.pattern.outer_factors
+        v = right[calls]
+        step = values[group][:, calls] - sweep.base.values[calls]
+        on_c = capacitive[calls]
+        weights = (np.where(on_c, 0.0, step)[:, None, :]
+                   + sweep.s[None, :, None]
+                   * np.where(on_c, step, 0.0)[:, None, :])
+        # I + W V^T Z, per corner and frequency.
+        lu = _unpivoted_lu(np.eye(calls.size)
+                           + weights[..., :, None] * projected_z)
+
+        def coefficients(direction):
+            # beta of (B + U W V^T)^-1 b = B^-1 b - Z beta.
+            return _unpivoted_solve(lu, weights[..., None] * np.moveaxis(
+                _project(v, direction), 0, -2))
+
+        def combine(direction, columns, beta):
+            # direction - sum_i columns_i beta_i, for every corner.
+            result = np.broadcast_to(direction,
+                                     (group.size,) + direction.shape[-3:])
+            for index in range(calls.size):
+                result = result - (columns[..., index, None]
+                                   * beta[..., index, None, :])
+            return result
+
+        x = combine(base_solution, z, coefficients(base_solution))
+        residual = rhs - self._apply(x, stamps)
+        correction = inverse @ residual
+        x = x + combine(correction, z, coefficients(correction))
+        residual = rhs - self._apply(x, stamps)
+        size = self.shape[1]
+        row_sums = np.abs(stamps).sum(axis=-1)
+        norm = (sweep.base.shared_norm[None]
+                + row_sums[:, :size].max(axis=-1)[:, None]
+                + np.abs(sweep.s)[None]
+                * row_sums[:, size:].max(axis=-1)[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error = _largest(residual) / (norm * _largest(x)
+                                          + _largest(rhs)[None])
+        # max() keeps a NaN, which then fails the check.
+        return x, error.max(axis=1)
+
+    def _update_columns(self, calls):
+        """``Z = B^-1 U`` of the update set ``calls``, ``(F, n, r)``, and
+        ``V^T Z``, ``(F, r, r)``: base-level, kept per update set."""
+        key = calls.tobytes()
+        base = self.sweep.base
+        cached = base.columns.get(key)
+        if cached is None:
+            left, right, _capacitive, _rank_one = \
+                self.sweep.pattern.outer_factors
+            z = base.inverse @ left[calls].T
+            cached = base.columns[key] = (
+                z, np.moveaxis(_project(right[calls], z), 0, 1))
+        return cached
+
+    def _apply(self, x, stamps):
+        """``A x`` of the ``(k, F, n, m)`` vectors of ``k`` corners whose
+        ``G`` and ``C`` are stacked as the ``(k, 2n, n)`` ``stamps``: the
+        shared part per (corner, frequency) vector, the stamps per corner
+        on the real and imaginary parts of all its frequencies at once."""
+        corners, points, size, columns = x.shape
+        parts = np.ascontiguousarray(np.moveaxis(x, 1, 2)).reshape(
+            corners, size, points * columns).view(float)
+        product = (stamps @ parts).view(complex).reshape(
+            corners, 2 * size, points, columns)
+        stamped = product[:, :size] + self.sweep.s[:, None] * product[:, size:]
+        return self.sweep.shared @ x + np.moveaxis(stamped, 2, 1)
+
+    def _direct(self, corners, rhs, conductance, capacitance):
+        """The direct stacked solve of ``corners``: every system assembled
+        and factorized on its own (:class:`StackedFactorization`)."""
+        sweep = self.sweep
+        matrices = sweep.shared[None] + conductance[corners][:, None]
+        # Corner by corner: no (corners, F, n, n) temporary.
+        for matrix, stamps in zip(matrices, capacitance[corners]):
+            matrix += sweep.s[:, None, None] * stamps
+        count, points, size, _ = matrices.shape
+        factorization = StackedFactorization(
+            matrices.reshape(count * points, size, size),
+            structure=self._structure)
+        block = np.broadcast_to(rhs, (count,) + rhs.shape)
+        return factorization.solve(
+            block.reshape((count * points,) + rhs.shape[1:])
+        ).reshape(block.shape)
+
+
+def _largest(x: np.ndarray) -> np.ndarray:
+    """The largest real or imaginary part magnitude of each ``(n, m)``
+    block of the ``(..., n, m)`` complex stack ``x``."""
+    blocks = np.abs(np.ascontiguousarray(x).view(float)).reshape(
+        -1, 2 * x.shape[-2] * x.shape[-1])
+    # Reduced along the blocks, each entry in turn: cheaper than a
+    # reduction per short row.
+    return np.ascontiguousarray(blocks.T).max(axis=0).reshape(x.shape[:-2])
+
+
+def _project(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``vectors @ x`` over the rows of the ``(..., n, m)`` stack ``x``, ``(r, ..., m)``:
+    each of the ``(r, n)`` ``vectors`` summed elementwise over its non-zero
+    entries, so every row of the stack is reduced on its own."""
+    out = []
+    for vector in vectors:
+        total = np.zeros(x.shape[:-2] + x.shape[-1:], dtype=x.dtype)
+        for row in np.flatnonzero(vector):
+            total = total + vector[row] * x[..., row, :]
+        out.append(total)
+    return np.array(out).reshape((len(vectors),) + x.shape[:-2] + x.shape[-1:])
+
+
+def _unpivoted_lu(matrices: np.ndarray) -> np.ndarray:
+    """LU factors (unit lower part below the diagonal) of ``(..., r, r)``
+    matrices, eliminated without pivoting, elementwise over the leading
+    axes."""
+    lu = matrices.copy()
+    for j in range(lu.shape[-1] - 1):
+        lu[..., j + 1:, j] /= lu[..., j, j, None]
+        lu[..., j + 1:, j + 1:] -= (lu[..., j + 1:, j, None]
+                                    * lu[..., j, None, j + 1:])
+    return lu
+
+
+def _unpivoted_solve(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(..., r, m)`` right-hand sides with :func:`_unpivoted_lu`
+    factors, elementwise over the leading axes."""
+    x = rhs.copy()
+    size = lu.shape[-1]
+    for j in range(size - 1):
+        x[..., j + 1:, :] -= lu[..., j + 1:, j, None] * x[..., j, None, :]
+    for j in reversed(range(size)):
+        x[..., j, :] /= lu[..., j, j, None]
+        x[..., :j, :] -= lu[..., :j, j, None] * x[..., j, None, :]
+    return x
 
 
 def solve_stacked(matrices: np.ndarray, rhs: np.ndarray,

@@ -34,11 +34,21 @@ Three performance properties of the implementation matter for sweeps:
   VCO testbench), all frequencies in one stacked LAPACK call.
 * **Corner stacks** — given the :class:`~repro.simulator.dc.DcCorners` of
   a stack of bias corners, the small-signal values of every corner are
-  scattered as one ``(corners, calls)`` block and all corners x
-  frequencies are solved in one stacked LAPACK call on the reduced rows
-  (the sparse path loops over the corners).  Each system is factorized
-  and solved on its own, so a corner's transfer is bit-identical alone or
-  in any stack; the transfers then carry a leading corner axis.
+  scattered as one ``(corners, calls)`` block, and the transfers carry a
+  leading corner axis (the sparse path loops over the corners).
+* **One base per frequency** — the stamps at the stack's shared Newton
+  start (``DcCorners.start``, the reference point every V_tune corner
+  starts from) give one base system per frequency on the reduced rows,
+  inverted once and kept with the port reduction.  Each corner is reached
+  from it by a low-rank update of the stamps that moved (the two varactor
+  capacitances across V_tune: rank two, exact by Sherman-Morrison-
+  Woodbury) and one refinement step for the stamps that differ only in
+  the last digits; its true residual is then checked, and a corner that
+  fails, or a stack with no start, takes the direct stacked solve that
+  factorizes every system on its own
+  (:class:`~repro.simulator.solver.CornerSweepFactorization`).  Every
+  product is one system's own, so a corner's transfer is bit-identical
+  alone or in any stack.
 
 Transfers are unit-drive by construction (each source's right-hand side is
 its MNA incidence, :func:`~repro.simulator.mna.source_rows`), and the
@@ -56,8 +66,21 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from .dc import DcCorners, DcOptions, DcSolution, dc_operating_point
 from .linalg import LinearSolver
-from .mna import LinearStamps, MnaStructure, StampPattern, source_rows
-from .solver import SharedPatternPair, add_gmin_diagonal
+from .mna import (
+    LinearStamps,
+    MnaStructure,
+    PortReduction,
+    StampPattern,
+    source_rows,
+)
+from .solver import (
+    CornerSweep,
+    CornerSweepFactorization,
+    SharedPatternPair,
+    SolverStats,
+    SweepBase,
+    add_gmin_diagonal,
+)
 
 
 def swept_index(frequencies: np.ndarray, frequency: float) -> int:
@@ -113,6 +136,9 @@ class TransferFunction:
     frequencies: np.ndarray
     #: node -> complex H(f), shape (F,), or (corners, F) for a corner stack
     transfers: dict[str, np.ndarray]
+    #: per corner, the solver work of the analysis that computed it (one
+    #: record for all the sources it solved together)
+    work: tuple[SolverStats, ...] = ()
 
     def magnitude(self, node: str) -> np.ndarray:
         return np.abs(self.transfers[node])
@@ -142,7 +168,8 @@ class TransferFunction:
         """The transfer of corner ``index`` of a corner stack."""
         return TransferFunction(
             source_name=self.source_name, frequencies=self.frequencies,
-            transfers={node: h[index] for node, h in self.transfers.items()})
+            transfers={node: h[index] for node, h in self.transfers.items()},
+            work=self.work[index:index + 1])
 
 
 def transfer_functions(circuit: Circuit, source_names: Sequence[str],
@@ -163,17 +190,21 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
     its device terminals and observed nodes
     (:meth:`~repro.simulator.mna.LinearStamps.port_reduction`, cached on
     ``linear``), and all its frequency points are solved in one stacked
-    LAPACK call; a large one is assembled per point on a shared sparsity
-    pattern.  Either way one point counts one factorization and one solve
-    in :data:`~repro.simulator.solver.stats`.  ``solver`` is the linear
+    LAPACK call, or reached from the base systems at the Newton start of
+    ``operating_point`` (see the module docstring); a large one is
+    assembled per point on a shared sparsity pattern.  A point reached
+    from the base counts one solve in
+    :data:`~repro.simulator.solver.stats` (the base counts no work); a
+    point solved directly counts one factorization and one solve, and a
+    corner that fell back from the update one ``fallbacks``.  Each
+    transfer's ``work`` holds every corner's counts.  ``solver`` is the linear
     solver (a fresh default one without it).  ``linear`` is the circuit's
     compiled :class:`~repro.simulator.mna.LinearStamps` (compiled here when
     absent; stamps of a different circuit raise :class:`SimulationError`).
     Returns a mapping ``source name -> TransferFunction`` (V/V for voltage
     sources, V/A for current sources).  An ``operating_point`` that is a
     :class:`~repro.simulator.dc.DcCorners` analyses its whole stack at
-    once (each point of each corner one factorization and one solve), and
-    every transfer then has a leading corner axis.
+    once, and every transfer then has a leading corner axis.
     """
     if not observe_nodes:
         raise SimulationError("at least one observation node is required")
@@ -213,13 +244,15 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
             rhs_block[row, column] += sign
 
     if isinstance(linear.conductance, np.ndarray):
-        rows, vectors = _reduced_solve(linear, corners,
-                                       observe_nodes, frequencies, gmin,
-                                       rhs_block, solver)
+        rows, vectors, work = _reduced_solve(linear, corners,
+                                             observe_nodes, frequencies,
+                                             gmin, rhs_block, solver)
     else:
         rows = structure.node_index
         vectors = _full_solve(linear, corners,
                               frequencies, gmin, rhs_block, solver)
+        work = (SolverStats(factorizations=frequencies.size,
+                            solves=frequencies.size),) * len(vectors)
     if not stacked:
         vectors = vectors[0]
 
@@ -234,7 +267,7 @@ def transfer_functions(circuit: Circuit, source_names: Sequence[str],
                 else vectors[..., rows[node], column])
         results[name] = TransferFunction(source_name=name,
                                          frequencies=frequencies.copy(),
-                                         transfers=transfers)
+                                         transfers=transfers, work=work)
     return results
 
 
@@ -270,39 +303,62 @@ def _full_solve(linear: LinearStamps, corners: DcCorners | None,
 def _reduced_solve(linear: LinearStamps, corners: DcCorners | None,
                    observe_nodes: list[str], frequencies: np.ndarray,
                    gmin: float, rhs_block: np.ndarray, solver: LinearSolver
-                   ) -> tuple[dict[str, int], np.ndarray]:
+                   ) -> tuple[dict[str, int], np.ndarray,
+                              tuple[SolverStats, ...]]:
     """The kept unknowns at every frequency of every corner, on the port
     reduction of the linear stamps (the dense path).
 
     The small-signal stamps land on device terminals only, which the
-    reduction keeps, so they add straight onto its ``(F, k, k)`` systems,
-    one copy per corner; one stacked factorization solves all corners x
-    frequencies.  Returns the kept nodes' rows and the
-    ``(corners, F, k, sources)`` solutions.
+    reduction keeps, so they add straight onto its ``(F, k, k)`` systems.
+    The stack is solved as one
+    :class:`~repro.simulator.solver.CornerSweep`: from base systems at the
+    stamps of the stack's shared Newton start when it has one, by the
+    direct stacked solve otherwise.  Returns the kept nodes' rows, the
+    ``(corners, F, k, sources)`` solutions and each corner's solver work.
     """
     reduction = linear.port_reduction(observe_nodes, frequencies, gmin,
                                       rhs_block)
     structure = reduction.structure
-    matrices = reduction.matrices[None]
     stamps = _small_signal_values(linear, structure, corners)
-    if stamps is not None:
-        pattern, values = stamps
-        shape = (len(corners), structure.size, structure.size)
-        s = 2j * np.pi * frequencies
-        matrices = matrices + pattern.conductance(values).reshape(
-            shape)[:, None]
-        # Corner by corner: no (corners, F, k, k) temporary.
-        for corner, capacitance in zip(
-                matrices, pattern.capacitance(values).reshape(shape)):
-            corner += s[:, None, None] * capacitance
-    n_corners, n_points, size, _ = matrices.shape
-    factorization = solver.factorize(
-        matrices.reshape(n_corners * n_points, size, size),
-        structure=structure)
-    rhs = np.broadcast_to(reduction.rhs, (n_corners,) + reduction.rhs.shape)
-    solutions = factorization.solve(
-        rhs.reshape((n_corners * n_points,) + rhs.shape[2:]))
-    return structure.node_index, solutions.reshape(rhs.shape)
+    if stamps is None:
+        factorization = solver.factorize(reduction.matrices,
+                                         structure=structure)
+        points = frequencies.size
+        return (structure.node_index,
+                factorization.solve(reduction.rhs)[None],
+                (SolverStats(factorizations=points, solves=points),))
+    pattern, values = stamps
+    solutions, work = _sweep_factorization(linear, reduction, pattern,
+                                           corners, solver
+                                           ).solve(reduction.rhs, values)
+    return structure.node_index, solutions, work
+
+
+def _sweep_factorization(linear: LinearStamps, reduction: PortReduction,
+                         pattern: StampPattern, corners: DcCorners,
+                         solver: LinearSolver) -> CornerSweepFactorization:
+    """The :class:`~repro.simulator.solver.CornerSweepFactorization` of
+    ``reduction`` whose base is the small-signal stamps at the stack's
+    shared Newton start (no base without a start).
+
+    The base is compiled state like the reduction itself: it is kept with
+    the reduction (one entry, replaced when the start changes), so the
+    stacks started from one reference point evaluate its devices and
+    invert its systems once.
+    """
+    base = None
+    start = corners.start_point
+    if start is not None:
+        key = corners.start.tobytes()
+        base = reduction.bases.get(key)
+        if base is None:
+            reduction.bases.clear()
+            base = reduction.bases[key] = SweepBase(_small_signal_values(
+                linear, reduction.structure, start)[1])
+    return solver.factorize(CornerSweep(shared=reduction.matrices,
+                                        s=reduction.s, pattern=pattern,
+                                        base=base),
+                            structure=reduction.structure)
 
 
 def transfer_function(circuit: Circuit, source_name: str,

@@ -74,10 +74,13 @@ def test_a_corner_alone_equals_its_row_of_a_32_corner_stack(
 
 def test_each_corner_carries_its_own_solver_work(vco_analysis,
                                                  lattice_stack):
+    """Every corner is reached from the stack's base factorizations, which
+    count no work: one solve per noise frequency and no factorization."""
     points = len(vco_analysis.options.noise_frequencies)
     for corner in lattice_stack:
         counts = corner.solver_counts
-        assert counts.factorizations == points
+        assert counts.factorizations == 0
+        assert counts.fallbacks == 0
         assert counts.solves == points + corner.operating_point.iterations
         assert corner.operating_point.strategy == "newton"
 
@@ -157,7 +160,9 @@ def test_a_faulted_corner_of_a_four_corner_stack_fails_alone(
             column = column[keep]
         assert result.columns[name].tobytes() == column.tobytes(), name
     counters = result.telemetry["metrics"]["counters"]
-    assert counters["solver.factorizations"] == 3 * 2
+    # The three healthy corners are reached from their stack's base: no
+    # factorization (a zero counter is left out of the telemetry).
+    assert counters.get("solver.factorizations", 0) == 0
 
 
 def test_a_stack_that_raises_falls_back_to_its_corners_one_by_one(

@@ -502,7 +502,8 @@ def test_solver_counters_do_not_depend_on_the_worker_count(technology,
         counters.append(sweep.telemetry["metrics"]["counters"])
     serial, pooled = counters
     for name in ("solver.factorizations", "solver.solves"):
-        assert serial[name] == pooled[name] > 0, name
+        assert serial.get(name, 0) == pooled.get(name, 0), name
+    assert serial["solver.solves"] > 0
 
     analysis = VcoImpactAnalysis(technology, options=vco_analysis.options,
                                  flow_result=flow)
@@ -511,8 +512,10 @@ def test_solver_counters_do_not_depend_on_the_worker_count(technology,
         corner, = analysis.analyze_corners([vtune], np.asarray(frequencies))
         iterations += corner.operating_point.iterations
     assert iterations <= 2 * len(vtunes)
+    # Every corner is reached from its stack's base factorizations, which
+    # count no work: one solve per point and no factorization.
     transfer_solves = len(vtunes) * len(frequencies)
-    assert serial["solver.factorizations"] == transfer_solves
+    assert serial.get("solver.factorizations", 0) == 0
     assert serial["solver.solves"] == transfer_solves + iterations
 
 
