@@ -497,28 +497,25 @@ class StampPattern:
         matrix slots has zero factors).  A call that is not rank one has
         zero factors too.
         """
-        size = self.size
-        left = np.zeros((self.n_calls, size))
-        right = np.zeros((self.n_calls, size))
+        calls = np.arange(self.n_calls)
+        signs = np.zeros((self.n_calls, self.size, self.size))
+        for slots in (self._g, self._c):
+            np.add.at(signs, (slots.calls, slots.rows, slots.cols),
+                      slots.signs)
         capacitive = np.zeros(self.n_calls, dtype=bool)
-        rank_one = np.ones(self.n_calls, dtype=bool)
-        for call in range(self.n_calls):
-            signs = np.zeros((size, size))
-            for index, slots in enumerate((self._g, self._c)):
-                chosen = slots.calls == call
-                if chosen.any():
-                    np.add.at(signs, (slots.rows[chosen], slots.cols[chosen]),
-                              slots.signs[chosen])
-                    capacitive[call] = bool(index)
-            rows = np.flatnonzero(signs.any(axis=1))
-            if not rows.size:
-                continue
-            u = signs[:, np.flatnonzero(signs[rows[0]])[0]]
-            v = signs[rows[0]] / u[rows[0]]
-            if np.array_equal(np.outer(u, v), signs):
-                left[call], right[call] = u, v
-            else:
-                rank_one[call] = False
+        capacitive[self._c.calls] = True
+        # u is the first non-zero column, v the first non-zero row over its
+        # pivot; a call without slots gets u = v = 0.
+        nonzero = signs != 0.0
+        row = nonzero.any(axis=2).argmax(axis=1)
+        column = nonzero[calls, row].argmax(axis=1)
+        u = signs[calls, :, column]
+        pivot = u[calls, row]
+        v = signs[calls, row] / np.where(pivot != 0.0, pivot, 1.0)[:, None]
+        rank_one = np.all(u[:, :, None] * v[:, None, :] == signs,
+                          axis=(1, 2))
+        left = np.where(rank_one[:, None], u, 0.0)
+        right = np.where(rank_one[:, None], v, 0.0)
         for array in (left, right, capacitive, rank_one):
             array.flags.writeable = False
         return left, right, capacitive, rank_one
