@@ -487,15 +487,13 @@ class StampPattern:
         return self._matrix(self._c, values)
 
     @cached_property
-    def outer_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     np.ndarray]:
+    def outer_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every call's matrix stamp as a rank-one ``u v^T`` of slot signs.
 
-        Returns the ``(calls, n)`` left and right factors, whether each
-        call stamps ``C`` (else ``G``), and whether it is rank one at all
-        (a two-terminal or controlled-source stamp is; a call without
-        matrix slots has zero factors).  A call that is not rank one has
-        zero factors too.
+        Returns the ``(calls, n)`` left and right factors and whether each
+        call stamps ``C`` (else ``G``).  A two-terminal or controlled-source
+        stamp is rank one; a call without matrix slots, or one that is not
+        rank one, has zero factors.
         """
         calls = np.arange(self.n_calls)
         signs = np.zeros((self.n_calls, self.size, self.size))
@@ -516,9 +514,9 @@ class StampPattern:
                           axis=(1, 2))
         left = np.where(rank_one[:, None], u, 0.0)
         right = np.where(rank_one[:, None], v, 0.0)
-        for array in (left, right, capacitive, rank_one):
+        for array in (left, right, capacitive):
             array.flags.writeable = False
-        return left, right, capacitive, rank_one
+        return left, right, capacitive
 
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """The right-hand side of the stamps' current sources, ``(n,)`` or
@@ -562,7 +560,7 @@ def _sub_structure(structure: MnaStructure, rows: np.ndarray) -> MnaStructure:
                       if row in position})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PortReduction:
     """``G + gmin + s*C`` of linear stamps, reduced onto kept rows.
 
@@ -572,7 +570,8 @@ class PortReduction:
     stamp that lands only in kept rows and columns (the small-signal models
     of the nonlinear devices) adds straight onto ``matrices``, and the
     reduced system then gives the kept unknowns of the full one.  The
-    arrays are read-only.
+    arrays are read-only; ``base`` is the one field the transfer analysis
+    sets.
     """
 
     kept: np.ndarray            #: kept rows of the full system, ascending
@@ -582,9 +581,10 @@ class PortReduction:
     source_rhs: np.ndarray      #: (n, m) the full right-hand sides reduced
     matrices: np.ndarray        #: (F, k, k) complex
     rhs: np.ndarray             #: (F, k, m) complex
-    #: compiled state of the transfer analysis: the factorized base systems
-    #: of the last reference point solved on this reduction, keyed by it
-    bases: dict = field(default_factory=dict, repr=False)
+    #: compiled state of the transfer analysis: the bytes of the last
+    #: reference point solved on this reduction and its
+    #: :class:`~repro.simulator.solver.CornerSweepFactorization`
+    base: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def s(self) -> np.ndarray:

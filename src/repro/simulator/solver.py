@@ -64,7 +64,7 @@ performs exactly one factorization regardless of step count.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -367,33 +367,10 @@ class StackedFactorization:
 #: sweep the two varactor capacitances move by up to 63%, every other call
 #: by at most 1.04e-9.
 UPDATE_THRESHOLD = 1e-8
-#: The most stamp calls a corner is updated by; a corner with more moved
-#: calls takes the direct solve.
-MAX_UPDATE_RANK = 4
 #: The largest normwise backward error an updated corner may keep at any
 #: frequency; a corner above it takes the direct solve.  A LAPACK solve of
 #: the VCO transfer systems leaves ~3e-17.
 UPDATE_TOLERANCE = 1e-15
-
-
-@dataclass(eq=False)
-class SweepBase:
-    """A corner stack's shared reference point on the systems of a
-    :class:`CornerSweep`: its stamp-call values and, once the first
-    :class:`CornerSweepFactorization` over it has computed them, the
-    inverses of its base systems.  One base serves every later stack on the
-    same systems (the transfer analysis keeps it with the port reduction).
-    """
-
-    values: np.ndarray              #: (calls,) at the reference point
-    #: whether a factorization has inverted the base systems
-    factorized: bool = field(default=False, init=False)
-    #: (F, n, n) inverses of the base systems (None when singular)
-    inverse: np.ndarray | None = field(default=None, init=False)
-    #: (F,) infinity norms of the shared systems
-    shared_norm: np.ndarray | None = field(default=None, init=False)
-    #: update set -> its base-level columns ``Z = B^-1 U`` and ``V^T Z``
-    columns: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,8 +380,8 @@ class CornerSweep:
     At a corner whose stamp calls of ``pattern`` (a
     :class:`~repro.simulator.mna.StampPattern`) take the values ``v``, the
     system of frequency ``f`` is ``shared[f] + G(v) + s[f] * C(v)``.
-    ``base`` is the stack's shared reference point, or ``None`` without
-    one.  :meth:`LinearSolver.factorize
+    ``base`` is the ``(calls,)`` values at the stack's shared reference
+    point, or ``None`` without one.  :meth:`LinearSolver.factorize
     <repro.simulator.linalg.LinearSolver.factorize>` takes it whole and
     returns a :class:`CornerSweepFactorization`.
     """
@@ -412,7 +389,7 @@ class CornerSweep:
     shared: np.ndarray              #: (F, n, n) complex
     s: np.ndarray                   #: (F,) complex, j * omega
     pattern: object                 #: the StampPattern of the calls
-    base: SweepBase | None = None
+    base: np.ndarray | None = None
 
 
 class CornerSweepFactorization:
@@ -421,9 +398,9 @@ class CornerSweepFactorization:
 
     The base systems ``B[f] = shared[f] + G0 + s[f] * C0`` (the stamp calls
     at the base values) are inverted at construction, in one batched LAPACK
-    call that counts no work, unless an earlier factorization over the same
-    :class:`SweepBase` already did.  :meth:`solve` then reaches each corner
-    from them:
+    call that counts no work.  The handle is reusable: every stack started
+    from the same reference point can be solved on it.  :meth:`solve`
+    reaches each corner from the base systems:
 
     * **update** — the calls that moved from the base by more than
       :data:`UPDATE_THRESHOLD` form the corner's update set.  Each is a
@@ -439,9 +416,9 @@ class CornerSweepFactorization:
     * **check** — a corner whose normwise backward error
       ``|b - A x| / (|A| |x| + |b|)`` (largest real or imaginary part,
       ``|A|`` bounded by its parts) exceeds :data:`UPDATE_TOLERANCE` at
-      any frequency, or whose moved calls are not rank one or more than
-      :data:`MAX_UPDATE_RANK`, takes the direct stacked solve instead and
-      counts one ``fallbacks``.
+      any frequency takes the direct stacked solve instead and counts one
+      ``fallbacks``.  This is the one rule: a moved call that is not rank
+      one (zero factors) stays in the residual and fails it.
 
     Every product is one system's own: the base inverse is applied per
     (corner, frequency) vector and the corner stamps per corner, over the
@@ -461,22 +438,24 @@ class CornerSweepFactorization:
         self.sweep = sweep
         self.shape = sweep.shared.shape
         self._structure = structure
-        base = sweep.base
-        if base is None or base.factorized:
+        #: (F, n, n) inverses of the base systems; None without a base or
+        #: when one is singular
+        self.inverse = None
+        if sweep.base is None:
             return
         pattern = sweep.pattern
-        systems = (sweep.shared + pattern.conductance(base.values)
-                   + sweep.s[:, None, None] * pattern.capacitance(base.values))
+        systems = (sweep.shared + pattern.conductance(sweep.base)
+                   + sweep.s[:, None, None] * pattern.capacitance(sweep.base))
         with trace_span("solver.factorize", kernel=self.kernel,
                         n=self.shape[1], batch=self.shape[0], base=True):
             try:
                 inverse = np.linalg.inv(systems)
             except np.linalg.LinAlgError:
-                inverse = None
-        base.factorized = True
-        if inverse is not None and np.all(np.isfinite(inverse)):
-            base.inverse = inverse
-            base.shared_norm = np.abs(sweep.shared).sum(axis=-1).max(axis=-1)
+                return
+        if np.all(np.isfinite(inverse)):
+            self.inverse = inverse
+            #: (F,) infinity norms of the shared systems
+            self._shared_norm = np.abs(sweep.shared).sum(axis=-1).max(axis=-1)
 
     def solve(self, rhs: np.ndarray, values: np.ndarray
               ) -> tuple[np.ndarray, tuple[SolverStats, ...]]:
@@ -508,16 +487,12 @@ class CornerSweepFactorization:
         reasons: dict[int, str] = {}
         with trace_span("solver.update", kernel=self.kernel, n=size,
                         corners=corners, points=points) as span:
-            base = sweep.base
-            if base is not None and base.inverse is None:
+            if sweep.base is not None and self.inverse is None:
                 reasons = dict.fromkeys(range(corners), "singular base")
-            elif base is not None:
-                base_solution = base.inverse @ rhs
+            elif sweep.base is not None:
+                base_solution = self.inverse @ rhs
                 stamps = np.concatenate([conductance, capacitance], axis=1)
-                for group, calls, failure in self._update_sets(stacked):
-                    if failure:
-                        reasons.update(dict.fromkeys(group.tolist(), failure))
-                        continue
+                for group, calls in self._update_sets(stacked):
                     x, error = self._update(group, calls, stacked, rhs,
                                             base_solution, stamps[group])
                     good = error <= UPDATE_TOLERANCE
@@ -536,7 +511,7 @@ class CornerSweepFactorization:
             if span is not None:
                 first = min(reasons, default=None)
                 span.set(updated=int(reached.sum()), fallbacks=len(reasons),
-                         reason="no base" if base is None
+                         reason="no base" if sweep.base is None
                          else "" if first is None
                          else f"corner {first}: {reasons[first]}")
         work = tuple(
@@ -547,27 +522,17 @@ class CornerSweepFactorization:
         return solutions, work
 
     def _update_sets(self, values: np.ndarray):
-        """The corners grouped by update set: ``(corners, calls, failure)``
-        per set, ``failure`` naming why it cannot be updated ("" if it
-        can)."""
-        base = self.sweep.base.values
-        left, _right, _capacitive, rank_one = self.sweep.pattern.outer_factors
-        acting = left.any(axis=1) | ~rank_one
-        moved = (np.abs(values - base) > UPDATE_THRESHOLD * np.abs(base)
-                 ) & acting
+        """The corners grouped by update set: ``(corners, calls)`` per
+        set."""
+        base = self.sweep.base
+        left, _right, _capacitive = self.sweep.pattern.outer_factors
+        moved = ((np.abs(values - base) > UPDATE_THRESHOLD * np.abs(base))
+                 & left.any(axis=1))
         sets: dict[bytes, list[int]] = {}
         for corner, row in enumerate(moved):
             sets.setdefault(row.tobytes(), []).append(corner)
         for group in sets.values():
-            calls = np.flatnonzero(moved[group[0]])
-            failure = ""
-            if not rank_one[calls].all():
-                failure = (f"stamp call {int(calls[~rank_one[calls]][0])} "
-                           "is not rank one")
-            elif calls.size > MAX_UPDATE_RANK:
-                failure = (f"{calls.size} stamp calls moved, more than "
-                           f"{MAX_UPDATE_RANK}")
-            yield np.array(group), calls, failure
+            yield np.array(group), np.flatnonzero(moved[group[0]])
 
     def _update(self, group, calls, values, rhs, base_solution, stamps):
         """The corners ``group``, whose moved calls are ``calls`` and whose
@@ -576,11 +541,13 @@ class CornerSweepFactorization:
         solutions ``y = B^-1 rhs``: their ``(k, F, n, m)`` solutions and
         each corner's largest backward error.
         """
-        sweep, inverse = self.sweep, self.sweep.base.inverse
-        z, projected_z = self._update_columns(calls)
-        _left, right, capacitive, _rank_one = sweep.pattern.outer_factors
+        sweep, inverse = self.sweep, self.inverse
+        left, right, capacitive = sweep.pattern.outer_factors
         v = right[calls]
-        step = values[group][:, calls] - sweep.base.values[calls]
+        # Z = B^-1 U and V^T Z of the update set, (F, n, r) and (F, r, r).
+        z = inverse @ left[calls].T
+        projected_z = np.moveaxis(_project(v, z), 0, 1)
+        step = values[group][:, calls] - sweep.base[calls]
         on_c = capacitive[calls]
         weights = (np.where(on_c, 0.0, step)[:, None, :]
                    + sweep.s[None, :, None]
@@ -610,7 +577,7 @@ class CornerSweepFactorization:
         residual = rhs - self._apply(x, stamps)
         size = self.shape[1]
         row_sums = np.abs(stamps).sum(axis=-1)
-        norm = (sweep.base.shared_norm[None]
+        norm = (self._shared_norm[None]
                 + row_sums[:, :size].max(axis=-1)[:, None]
                 + np.abs(sweep.s)[None]
                 * row_sums[:, size:].max(axis=-1)[:, None])
@@ -619,20 +586,6 @@ class CornerSweepFactorization:
                                           + _largest(rhs)[None])
         # max() keeps a NaN, which then fails the check.
         return x, error.max(axis=1)
-
-    def _update_columns(self, calls):
-        """``Z = B^-1 U`` of the update set ``calls``, ``(F, n, r)``, and
-        ``V^T Z``, ``(F, r, r)``: base-level, kept per update set."""
-        key = calls.tobytes()
-        base = self.sweep.base
-        cached = base.columns.get(key)
-        if cached is None:
-            left, right, _capacitive, _rank_one = \
-                self.sweep.pattern.outer_factors
-            z = base.inverse @ left[calls].T
-            cached = base.columns[key] = (
-                z, np.moveaxis(_project(right[calls], z), 0, 1))
-        return cached
 
     def _apply(self, x, stamps):
         """``A x`` of the ``(k, F, n, m)`` vectors of ``k`` corners whose

@@ -78,7 +78,6 @@ from .solver import (
     CornerSweepFactorization,
     SharedPatternPair,
     SolverStats,
-    SweepBase,
     add_gmin_diagonal,
 )
 
@@ -341,24 +340,24 @@ def _sweep_factorization(linear: LinearStamps, reduction: PortReduction,
     ``reduction`` whose base is the small-signal stamps at the stack's
     shared Newton start (no base without a start).
 
-    The base is compiled state like the reduction itself: it is kept with
-    the reduction (one entry, replaced when the start changes), so the
-    stacks started from one reference point evaluate its devices and
+    The factorization is compiled state like the reduction itself: it is
+    kept with the reduction (one slot, replaced when the start changes), so
+    the stacks started from one reference point evaluate its devices and
     invert its systems once.
     """
-    base = None
-    start = corners.start_point
-    if start is not None:
-        key = corners.start.tobytes()
-        base = reduction.bases.get(key)
-        if base is None:
-            reduction.bases.clear()
-            base = reduction.bases[key] = SweepBase(_small_signal_values(
-                linear, reduction.structure, start)[1])
-    return solver.factorize(CornerSweep(shared=reduction.matrices,
-                                        s=reduction.s, pattern=pattern,
-                                        base=base),
-                            structure=reduction.structure)
+    structure = reduction.structure
+    if corners.start is None:
+        return solver.factorize(CornerSweep(shared=reduction.matrices,
+                                            s=reduction.s, pattern=pattern),
+                                structure=structure)
+    key = corners.start.tobytes()
+    if reduction.base is None or reduction.base[0] != key:
+        _pattern, base = _small_signal_values(linear, structure,
+                                              corners.start_point)
+        sweep = CornerSweep(shared=reduction.matrices, s=reduction.s,
+                            pattern=pattern, base=base)
+        reduction.base = key, solver.factorize(sweep, structure=structure)
+    return reduction.base[1]
 
 
 def transfer_function(circuit: Circuit, source_name: str,
