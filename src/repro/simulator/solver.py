@@ -491,7 +491,7 @@ class CornerSweepFactorization:
                 reasons = dict.fromkeys(range(corners), "singular base")
             elif sweep.base is not None:
                 base_solution = self.inverse @ rhs
-                stamps = np.concatenate([conductance, capacitance], axis=1)
+                stamps = np.concatenate([conductance, capacitance], axis=2)
                 for group, calls in self._update_sets(stacked):
                     x, error = self._update(group, calls, stacked, rhs,
                                             base_solution, stamps[group])
@@ -536,69 +536,68 @@ class CornerSweepFactorization:
 
     def _update(self, group, calls, values, rhs, base_solution, stamps):
         """The corners ``group``, whose moved calls are ``calls`` and whose
-        ``G`` and ``C`` are stacked as the ``(k, 2n, n)`` ``stamps``,
-        solved by the update and one refinement step from the base
-        solutions ``y = B^-1 rhs``: their ``(k, F, n, m)`` solutions and
-        each corner's largest backward error.
+        ``[G | C]`` are the ``(k, n, 2n)`` ``stamps``, solved by the update
+        and one refinement step from the base solutions ``y = B^-1 rhs``:
+        their ``(k, F, n, m)`` solutions and each corner's largest backward
+        error.
+
+        The ``r x r`` systems and their right-hand sides are held update
+        index first, ``(r, r, k, F)`` and ``(r, k, F, m)``, so every
+        elementwise step runs over all corners and frequencies at once.
         """
         sweep, inverse = self.sweep, self.inverse
         left, right, capacitive = sweep.pattern.outer_factors
         v = right[calls]
-        # Z = B^-1 U and V^T Z of the update set, (F, n, r) and (F, r, r).
-        z = inverse @ left[calls].T
-        projected_z = np.moveaxis(_project(v, z), 0, 1)
-        step = values[group][:, calls] - sweep.base[calls]
-        on_c = capacitive[calls]
-        weights = (np.where(on_c, 0.0, step)[:, None, :]
-                   + sweep.s[None, :, None]
-                   * np.where(on_c, step, 0.0)[:, None, :])
-        # I + W V^T Z, per corner and frequency.
-        lu = _unpivoted_lu(np.eye(calls.size)
-                           + weights[..., :, None] * projected_z)
+        z = inverse @ left[calls].T                         # (F, n, r)
+        # W, the moved values' steps (times s on C), and I + W V^T Z.
+        step = (values[group][:, calls] - sweep.base[calls]).T
+        weights = (step[:, :, None]
+                   * np.where(capacitive[calls, None], sweep.s, 1.0)[:, None])
+        system = (weights[:, None]
+                  * np.moveaxis(_project(v, z), -1, 1)[:, :, None])
+        system += np.eye(calls.size)[:, :, None, None]
+        lu = _unpivoted_lu(system)[..., None]
 
-        def coefficients(direction):
-            # beta of (B + U W V^T)^-1 b = B^-1 b - Z beta.
-            return _unpivoted_solve(lu, weights[..., None] * np.moveaxis(
-                _project(v, direction), 0, -2))
-
-        def combine(direction, columns, beta):
-            # direction - sum_i columns_i beta_i, for every corner.
-            result = np.broadcast_to(direction,
-                                     (group.size,) + direction.shape[-3:])
+        def reduced(direction, projected):
+            # direction - Z beta, (I + W V^T Z) beta = W V^T direction.
+            beta = _unpivoted_solve(lu, weights[..., None] * projected)
             for index in range(calls.size):
-                result = result - (columns[..., index, None]
-                                   * beta[..., index, None, :])
-            return result
+                direction = direction - (z[:, :, index, None]
+                                         * beta[index][..., None, :])
+            return direction
 
-        x = combine(base_solution, z, coefficients(base_solution))
-        residual = rhs - self._apply(x, stamps)
-        correction = inverse @ residual
-        x = x + combine(correction, z, coefficients(correction))
-        residual = rhs - self._apply(x, stamps)
+        x = reduced(base_solution, _project(v, base_solution)[:, None])
+        x = np.broadcast_to(x, (group.size,) + rhs.shape)
+        correction = inverse @ (rhs - self._product(x, stamps))
+        x = x + reduced(correction, _project(v, correction))
+        residual = rhs - self._product(x, stamps)
         size = self.shape[1]
-        row_sums = np.abs(stamps).sum(axis=-1)
+        magnitudes = np.abs(stamps)
         norm = (self._shared_norm[None]
-                + row_sums[:, :size].max(axis=-1)[:, None]
+                + magnitudes[..., :size].sum(axis=-1).max(axis=-1)[:, None]
                 + np.abs(sweep.s)[None]
-                * row_sums[:, size:].max(axis=-1)[:, None])
+                * magnitudes[..., size:].sum(axis=-1).max(axis=-1)[:, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             error = _largest(residual) / (norm * _largest(x)
                                           + _largest(rhs)[None])
         # max() keeps a NaN, which then fails the check.
         return x, error.max(axis=1)
 
-    def _apply(self, x, stamps):
+    def _product(self, x, stamps):
         """``A x`` of the ``(k, F, n, m)`` vectors of ``k`` corners whose
-        ``G`` and ``C`` are stacked as the ``(k, 2n, n)`` ``stamps``: the
-        shared part per (corner, frequency) vector, the stamps per corner
-        on the real and imaginary parts of all its frequencies at once."""
+        ``[G | C]`` are the ``(k, n, 2n)`` ``stamps``: ``shared @ x`` per
+        (corner, frequency) vector, and one product per corner of its
+        stamps with the real and imaginary parts of ``[x; s x]`` at all its
+        frequencies."""
+        sweep = self.sweep
         corners, points, size, columns = x.shape
-        parts = np.ascontiguousarray(np.moveaxis(x, 1, 2)).reshape(
-            corners, size, points * columns).view(float)
-        product = (stamps @ parts).view(complex).reshape(
-            corners, 2 * size, points, columns)
-        stamped = product[:, :size] + self.sweep.s[:, None] * product[:, size:]
-        return self.sweep.shared @ x + np.moveaxis(stamped, 2, 1)
+        both = np.empty((corners, 2 * size, points, columns), dtype=complex)
+        both[:, :size] = np.moveaxis(x, 1, 2)
+        np.multiply(sweep.s[:, None], both[:, :size], out=both[:, size:])
+        stamped = (stamps @ both.reshape(
+            corners, 2 * size, points * columns).view(float)).view(complex)
+        return sweep.shared @ x + np.moveaxis(stamped.reshape(
+            corners, size, points, columns), 1, 2)
 
     def _direct(self, corners, rhs, conductance, capacitance):
         """The direct stacked solve of ``corners``: every system assembled
@@ -642,27 +641,26 @@ def _project(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _unpivoted_lu(matrices: np.ndarray) -> np.ndarray:
-    """LU factors (unit lower part below the diagonal) of ``(..., r, r)``
-    matrices, eliminated without pivoting, elementwise over the leading
+    """LU factors (unit lower part below the diagonal) of ``(r, r, ...)``
+    matrices, eliminated without pivoting, elementwise over the trailing
     axes."""
     lu = matrices.copy()
-    for j in range(lu.shape[-1] - 1):
-        lu[..., j + 1:, j] /= lu[..., j, j, None]
-        lu[..., j + 1:, j + 1:] -= (lu[..., j + 1:, j, None]
-                                    * lu[..., j, None, j + 1:])
+    for j in range(lu.shape[0] - 1):
+        lu[j + 1:, j] /= lu[j, j]
+        lu[j + 1:, j + 1:] -= lu[j + 1:, j, None] * lu[j, None, j + 1:]
     return lu
 
 
 def _unpivoted_solve(lu: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(..., r, m)`` right-hand sides with :func:`_unpivoted_lu`
-    factors, elementwise over the leading axes."""
+    """Solve ``(r, ...)`` right-hand sides with :func:`_unpivoted_lu`
+    factors, elementwise over the trailing axes."""
     x = rhs.copy()
-    size = lu.shape[-1]
+    size = lu.shape[0]
     for j in range(size - 1):
-        x[..., j + 1:, :] -= lu[..., j + 1:, j, None] * x[..., j, None, :]
+        x[j + 1:] -= lu[j + 1:, j] * x[j]
     for j in reversed(range(size)):
-        x[..., j, :] /= lu[..., j, j, None]
-        x[..., :j, :] -= lu[..., :j, j, None] * x[..., j, None, :]
+        x[j] /= lu[j, j]
+        x[:j] -= lu[:j, j] * x[j]
     return x
 
 

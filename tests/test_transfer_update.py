@@ -263,6 +263,10 @@ def test_unpivoted_elimination_solves_small_systems():
     matrices = (np.eye(3) + 0.3 * (rng.standard_normal((5, 4, 3, 3))
                                    + 1j * rng.standard_normal((5, 4, 3, 3))))
     rhs = rng.standard_normal((5, 4, 3, 2)) + 0j
-    x = solver._unpivoted_solve(solver._unpivoted_lu(matrices), rhs)
-    np.testing.assert_allclose(x, np.linalg.solve(matrices, rhs),
+    # The elimination takes the matrix axes first.
+    lu = solver._unpivoted_lu(np.moveaxis(matrices, (-2, -1), (0, 1)))
+    x = solver._unpivoted_solve(lu[..., None],
+                                np.moveaxis(rhs, -2, 0))
+    np.testing.assert_allclose(np.moveaxis(x, 0, -2),
+                               np.linalg.solve(matrices, rhs),
                                rtol=1e-12, atol=1e-12)
