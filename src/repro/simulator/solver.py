@@ -553,23 +553,24 @@ class CornerSweepFactorization:
         step = (values[group][:, calls] - sweep.base[calls]).T
         weights = (step[:, :, None]
                    * np.where(capacitive[calls, None], sweep.s, 1.0)[:, None])
-        system = (weights[:, None]
-                  * np.moveaxis(_project(v, z), -1, 1)[:, :, None])
+        system = weights[:, None] * np.moveaxis(v @ z, 0, -1)[:, :, None]
         system += np.eye(calls.size)[:, :, None, None]
         lu = _unpivoted_lu(system)[..., None]
 
         def reduced(direction, projected):
-            # direction - Z beta, (I + W V^T Z) beta = W V^T direction.
-            beta = _unpivoted_solve(lu, weights[..., None] * projected)
+            # direction - Z beta, (I + W V^T Z) beta = W V^T direction; the
+            # projection V^T direction comes as (..., r, m).
+            beta = _unpivoted_solve(lu, weights[..., None]
+                                    * np.moveaxis(projected, -2, 0))
             for index in range(calls.size):
                 direction = direction - (z[:, :, index, None]
                                          * beta[index][..., None, :])
             return direction
 
-        x = reduced(base_solution, _project(v, base_solution)[:, None])
+        x = reduced(base_solution, (v @ base_solution)[None])
         x = np.broadcast_to(x, (group.size,) + rhs.shape)
         correction = inverse @ (rhs - self._product(x, stamps))
-        x = x + reduced(correction, _project(v, correction))
+        x = x + reduced(correction, v @ correction)
         residual = rhs - self._product(x, stamps)
         size = self.shape[1]
         magnitudes = np.abs(stamps)
@@ -625,19 +626,6 @@ def _largest(x: np.ndarray) -> np.ndarray:
     # Reduced along the blocks, each entry in turn: cheaper than a
     # reduction per short row.
     return np.ascontiguousarray(blocks.T).max(axis=0).reshape(x.shape[:-2])
-
-
-def _project(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``vectors @ x`` over the rows of the ``(..., n, m)`` stack ``x``, ``(r, ..., m)``:
-    each of the ``(r, n)`` ``vectors`` summed elementwise over its non-zero
-    entries, so every row of the stack is reduced on its own."""
-    out = []
-    for vector in vectors:
-        total = np.zeros(x.shape[:-2] + x.shape[-1:], dtype=x.dtype)
-        for row in np.flatnonzero(vector):
-            total = total + vector[row] * x[..., row, :]
-        out.append(total)
-    return np.array(out).reshape((len(vectors),) + x.shape[:-2] + x.shape[-1:])
 
 
 def _unpivoted_lu(matrices: np.ndarray) -> np.ndarray:
