@@ -487,6 +487,25 @@ class StampPattern:
         return self._matrix(self._c, values)
 
     @cached_property
+    def _stamp_slots(self) -> _Slots:
+        """The slots of ``[G | C]``: ``C``'s in the ``n`` columns after
+        ``G``'s."""
+        g, c = self._g, self._c
+        return _Slots(np.concatenate([g.rows, c.rows]),
+                      np.concatenate([g.cols, c.cols + self.size]),
+                      np.concatenate([g.calls, c.calls]),
+                      np.concatenate([g.signs, c.signs]), 2 * self.size)
+
+    def stamps(self, values: np.ndarray) -> np.ndarray:
+        """``[G | C]`` of the stamps per corner of ``(corners, calls)``
+        values (or ``(calls,)``, one corner), dense ``(corners, n, 2n)``;
+        each entry summed in recording order, as :meth:`conductance` and
+        :meth:`capacitance` sum it."""
+        size = self.size
+        return self._stamp_slots.scatter(
+            np.atleast_2d(values), 2 * size * size).reshape(-1, size, 2 * size)
+
+    @cached_property
     def outer_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every call's matrix stamp as a rank-one ``u v^T`` of slot signs.
 

@@ -479,9 +479,7 @@ class CornerSweepFactorization:
                 f"systems {self.shape}")
         stacked = np.atleast_2d(values)
         corners = len(stacked)
-        shape = (corners, size, size)
-        conductance = sweep.pattern.conductance(values).reshape(shape)
-        capacitance = sweep.pattern.capacitance(values).reshape(shape)
+        stamps = sweep.pattern.stamps(stacked)         # [G | C]
         solutions = np.empty((corners,) + rhs.shape, dtype=complex)
         reached = np.zeros(corners, dtype=bool)
         reasons: dict[int, str] = {}
@@ -491,10 +489,23 @@ class CornerSweepFactorization:
                 reasons = dict.fromkeys(range(corners), "singular base")
             elif sweep.base is not None:
                 base_solution = self.inverse @ rhs
-                stamps = np.concatenate([conductance, capacitance], axis=2)
+                # |A| per corner and frequency, bounded by its parts.
+                magnitudes = np.abs(stamps)
+                norm = (self._shared_norm
+                        + magnitudes[..., :size].sum(axis=-1).max(axis=-1
+                                                                  )[:, None]
+                        + np.abs(sweep.s)
+                        * magnitudes[..., size:].sum(axis=-1).max(axis=-1
+                                                                  )[:, None])
+                rhs_part = _largest(rhs)
                 for group, calls in self._update_sets(stacked):
-                    x, error = self._update(group, calls, stacked, rhs,
-                                            base_solution, stamps[group])
+                    x, residual = self._update(group, calls, stacked, rhs,
+                                               base_solution, stamps[group])
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        error = _largest(residual) / (
+                            norm[group] * _largest(x) + rhs_part)
+                    # max() keeps a NaN, which then fails the check.
+                    error = error.max(axis=1)
                     good = error <= UPDATE_TOLERANCE
                     solutions[group[good]] = x[good]
                     reached[group[good]] = True
@@ -504,8 +515,7 @@ class CornerSweepFactorization:
                             f"{UPDATE_TOLERANCE:.0e}")
             direct = np.flatnonzero(~reached)
             if direct.size:
-                solutions[direct] = self._direct(direct, rhs, conductance,
-                                                 capacitance)
+                solutions[direct] = self._direct(stamps[direct], rhs)
             stats.solves += points * int(reached.sum())
             stats.fallbacks += len(reasons)
             if span is not None:
@@ -538,8 +548,7 @@ class CornerSweepFactorization:
         """The corners ``group``, whose moved calls are ``calls`` and whose
         ``[G | C]`` are the ``(k, n, 2n)`` ``stamps``, solved by the update
         and one refinement step from the base solutions ``y = B^-1 rhs``:
-        their ``(k, F, n, m)`` solutions and each corner's largest backward
-        error.
+        their ``(k, F, n, m)`` solutions and true residuals.
 
         The ``r x r`` systems and their right-hand sides are held update
         index first, ``(r, r, k, F)`` and ``(r, k, F, m)``, so every
@@ -562,27 +571,13 @@ class CornerSweepFactorization:
             # projection V^T direction comes as (..., r, m).
             beta = _unpivoted_solve(lu, weights[..., None]
                                     * np.moveaxis(projected, -2, 0))
-            for index in range(calls.size):
-                direction = direction - (z[:, :, index, None]
-                                         * beta[index][..., None, :])
-            return direction
+            return direction - z @ np.moveaxis(beta, 0, -2)
 
         x = reduced(base_solution, (v @ base_solution)[None])
         x = np.broadcast_to(x, (group.size,) + rhs.shape)
         correction = inverse @ (rhs - self._product(x, stamps))
         x = x + reduced(correction, v @ correction)
-        residual = rhs - self._product(x, stamps)
-        size = self.shape[1]
-        magnitudes = np.abs(stamps)
-        norm = (self._shared_norm[None]
-                + magnitudes[..., :size].sum(axis=-1).max(axis=-1)[:, None]
-                + np.abs(sweep.s)[None]
-                * magnitudes[..., size:].sum(axis=-1).max(axis=-1)[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            error = _largest(residual) / (norm * _largest(x)
-                                          + _largest(rhs)[None])
-        # max() keeps a NaN, which then fails the check.
-        return x, error.max(axis=1)
+        return x, rhs - self._product(x, stamps)
 
     def _product(self, x, stamps):
         """``A x`` of the ``(k, F, n, m)`` vectors of ``k`` corners whose
@@ -600,15 +595,17 @@ class CornerSweepFactorization:
         return sweep.shared @ x + np.moveaxis(stamped.reshape(
             corners, size, points, columns), 1, 2)
 
-    def _direct(self, corners, rhs, conductance, capacitance):
-        """The direct stacked solve of ``corners``: every system assembled
-        and factorized on its own (:class:`StackedFactorization`)."""
+    def _direct(self, stamps, rhs):
+        """The direct stacked solve of the corners whose ``[G | C]`` are
+        the ``(k, n, 2n)`` ``stamps``: every system assembled and
+        factorized on its own (:class:`StackedFactorization`)."""
         sweep = self.sweep
-        matrices = sweep.shared[None] + conductance[corners][:, None]
+        size = self.shape[1]
+        matrices = sweep.shared[None] + stamps[:, None, :, :size]
         # Corner by corner: no (corners, F, n, n) temporary.
-        for matrix, stamps in zip(matrices, capacitance[corners]):
-            matrix += sweep.s[:, None, None] * stamps
-        count, points, size, _ = matrices.shape
+        for matrix, corner in zip(matrices, stamps):
+            matrix += sweep.s[:, None, None] * corner[:, size:]
+        count, points = matrices.shape[:2]
         factorization = StackedFactorization(
             matrices.reshape(count * points, size, size),
             structure=self._structure)
