@@ -89,9 +89,9 @@ class LinearSolver:
         independent systems, solved together against an ``(F, n, k)``
         block (:class:`~repro.simulator.solver.StackedFactorization`).  A
         :class:`~repro.simulator.solver.CornerSweep` is the systems of a
-        frequency sweep over a stack of corners: its base systems are
-        inverted here, and the handle's ``solve`` reaches every corner from
-        them (:class:`~repro.simulator.solver.CornerSweepFactorization`).
+        frequency sweep over a stack of corners: the handle's ``solve``
+        reaches every corner from the sweep's inverted base systems
+        (:class:`~repro.simulator.solver.CornerSweepFactorization`).
 
         ``spd=True`` is the caller's promise that the matrix is symmetric
         positive definite (the Kron reduction's internal mesh block): it

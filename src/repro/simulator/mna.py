@@ -601,8 +601,8 @@ class PortReduction:
     matrices: np.ndarray        #: (F, k, k) complex
     rhs: np.ndarray             #: (F, k, m) complex
     #: compiled state of the transfer analysis: the bytes of the last
-    #: reference point solved on this reduction and its
-    #: :class:`~repro.simulator.solver.CornerSweepFactorization`
+    #: reference point solved on this reduction and its inverted
+    #: :class:`~repro.simulator.solver.SweepBase`
     base: tuple | None = field(default=None, repr=False)
 
     @cached_property

@@ -374,14 +374,44 @@ UPDATE_TOLERANCE = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
+class SweepBase:
+    """A corner stack's shared reference point on the systems of a
+    :class:`CornerSweep`, inverted once (:meth:`invert`) and shared by
+    every stack started from that point."""
+
+    values: np.ndarray              #: (calls,) stamp values at the point
+    inverse: np.ndarray | None      #: (F, n, n), None when one is singular
+    shared_norm: np.ndarray         #: (F,) infinity norms of ``shared``
+
+    @classmethod
+    def invert(cls, shared: np.ndarray, s: np.ndarray, pattern,
+               values: np.ndarray) -> "SweepBase":
+        """Invert the base systems ``shared[f] + G(values) + s[f] *
+        C(values)`` in one batched LAPACK call that counts no work (a
+        ``solver.factorize`` span with ``base=True``)."""
+        systems = (shared + pattern.conductance(values)
+                   + s[:, None, None] * pattern.capacitance(values))
+        with trace_span("solver.factorize", kernel="lapack",
+                        n=shared.shape[1], batch=shared.shape[0], base=True):
+            try:
+                inverse = np.linalg.inv(systems)
+            except np.linalg.LinAlgError:
+                inverse = None
+        if inverse is not None and not np.all(np.isfinite(inverse)):
+            inverse = None
+        return cls(values=values, inverse=inverse,
+                   shared_norm=np.abs(shared).sum(axis=-1).max(axis=-1))
+
+
+@dataclass(frozen=True, eq=False)
 class CornerSweep:
     """The dense systems of a frequency sweep at any corner of a stack.
 
     At a corner whose stamp calls of ``pattern`` (a
     :class:`~repro.simulator.mna.StampPattern`) take the values ``v``, the
     system of frequency ``f`` is ``shared[f] + G(v) + s[f] * C(v)``.
-    ``base`` is the ``(calls,)`` values at the stack's shared reference
-    point, or ``None`` without one.  :meth:`LinearSolver.factorize
+    ``base`` is the stack's inverted reference point, or ``None`` without
+    one.  :meth:`LinearSolver.factorize
     <repro.simulator.linalg.LinearSolver.factorize>` takes it whole and
     returns a :class:`CornerSweepFactorization`.
     """
@@ -389,7 +419,7 @@ class CornerSweep:
     shared: np.ndarray              #: (F, n, n) complex
     s: np.ndarray                   #: (F,) complex, j * omega
     pattern: object                 #: the StampPattern of the calls
-    base: np.ndarray | None = None
+    base: SweepBase | None = None
 
 
 class CornerSweepFactorization:
@@ -397,10 +427,9 @@ class CornerSweepFactorization:
     from one base factorization per frequency.
 
     The base systems ``B[f] = shared[f] + G0 + s[f] * C0`` (the stamp calls
-    at the base values) are inverted at construction, in one batched LAPACK
-    call that counts no work.  The handle is reusable: every stack started
-    from the same reference point can be solved on it.  :meth:`solve`
-    reaches each corner from the base systems:
+    at the base values) are inverted by :meth:`SweepBase.invert`, once per
+    reference point.  :meth:`solve` reaches each corner of a stack from
+    them:
 
     * **update** — the calls that moved from the base by more than
       :data:`UPDATE_THRESHOLD` form the corner's update set.  Each is a
@@ -438,24 +467,6 @@ class CornerSweepFactorization:
         self.sweep = sweep
         self.shape = sweep.shared.shape
         self._structure = structure
-        #: (F, n, n) inverses of the base systems; None without a base or
-        #: when one is singular
-        self.inverse = None
-        if sweep.base is None:
-            return
-        pattern = sweep.pattern
-        systems = (sweep.shared + pattern.conductance(sweep.base)
-                   + sweep.s[:, None, None] * pattern.capacitance(sweep.base))
-        with trace_span("solver.factorize", kernel=self.kernel,
-                        n=self.shape[1], batch=self.shape[0], base=True):
-            try:
-                inverse = np.linalg.inv(systems)
-            except np.linalg.LinAlgError:
-                return
-        if np.all(np.isfinite(inverse)):
-            self.inverse = inverse
-            #: (F,) infinity norms of the shared systems
-            self._shared_norm = np.abs(sweep.shared).sum(axis=-1).max(axis=-1)
 
     def solve(self, rhs: np.ndarray, values: np.ndarray
               ) -> tuple[np.ndarray, tuple[SolverStats, ...]]:
@@ -485,13 +496,14 @@ class CornerSweepFactorization:
         reasons: dict[int, str] = {}
         with trace_span("solver.update", kernel=self.kernel, n=size,
                         corners=corners, points=points) as span:
-            if sweep.base is not None and self.inverse is None:
+            base = sweep.base
+            if base is not None and base.inverse is None:
                 reasons = dict.fromkeys(range(corners), "singular base")
-            elif sweep.base is not None:
-                base_solution = self.inverse @ rhs
+            elif base is not None:
+                base_solution = base.inverse @ rhs
                 # |A| per corner and frequency, bounded by its parts.
                 magnitudes = np.abs(stamps)
-                norm = (self._shared_norm
+                norm = (base.shared_norm
                         + magnitudes[..., :size].sum(axis=-1).max(axis=-1
                                                                   )[:, None]
                         + np.abs(sweep.s)
@@ -521,7 +533,7 @@ class CornerSweepFactorization:
             if span is not None:
                 first = min(reasons, default=None)
                 span.set(updated=int(reached.sum()), fallbacks=len(reasons),
-                         reason="no base" if sweep.base is None
+                         reason="no base" if base is None
                          else "" if first is None
                          else f"corner {first}: {reasons[first]}")
         work = tuple(
@@ -534,7 +546,7 @@ class CornerSweepFactorization:
     def _update_sets(self, values: np.ndarray):
         """The corners grouped by update set: ``(corners, calls)`` per
         set."""
-        base = self.sweep.base
+        base = self.sweep.base.values
         left, _right, _capacitive = self.sweep.pattern.outer_factors
         moved = ((np.abs(values - base) > UPDATE_THRESHOLD * np.abs(base))
                  & left.any(axis=1))
@@ -554,12 +566,12 @@ class CornerSweepFactorization:
         index first, ``(r, r, k, F)`` and ``(r, k, F, m)``, so every
         elementwise step runs over all corners and frequencies at once.
         """
-        sweep, inverse = self.sweep, self.inverse
+        sweep, inverse = self.sweep, self.sweep.base.inverse
         left, right, capacitive = sweep.pattern.outer_factors
         v = right[calls]
         z = inverse @ left[calls].T                         # (F, n, r)
         # W, the moved values' steps (times s on C), and I + W V^T Z.
-        step = (values[group][:, calls] - sweep.base[calls]).T
+        step = (values[group][:, calls] - sweep.base.values[calls]).T
         weights = (step[:, :, None]
                    * np.where(capacitive[calls, None], sweep.s, 1.0)[:, None])
         system = weights[:, None] * np.moveaxis(v @ z, 0, -1)[:, :, None]

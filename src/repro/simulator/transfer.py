@@ -78,6 +78,7 @@ from .solver import (
     CornerSweepFactorization,
     SharedPatternPair,
     SolverStats,
+    SweepBase,
     add_gmin_diagonal,
 )
 
@@ -340,24 +341,25 @@ def _sweep_factorization(linear: LinearStamps, reduction: PortReduction,
     ``reduction`` whose base is the small-signal stamps at the stack's
     shared Newton start (no base without a start).
 
-    The factorization is compiled state like the reduction itself: it is
-    kept with the reduction (one slot, replaced when the start changes), so
-    the stacks started from one reference point evaluate its devices and
-    invert its systems once.
+    The inverted base is compiled state like the reduction itself: it is
+    kept in the reduction's one ``base`` slot, keyed by the start and
+    replaced when it changes, so the stacks started from one reference
+    point evaluate its devices and invert its systems once.
     """
     structure = reduction.structure
-    if corners.start is None:
-        return solver.factorize(CornerSweep(shared=reduction.matrices,
-                                            s=reduction.s, pattern=pattern),
-                                structure=structure)
-    key = corners.start.tobytes()
-    if reduction.base is None or reduction.base[0] != key:
-        _pattern, base = _small_signal_values(linear, structure,
-                                              corners.start_point)
-        sweep = CornerSweep(shared=reduction.matrices, s=reduction.s,
-                            pattern=pattern, base=base)
-        reduction.base = key, solver.factorize(sweep, structure=structure)
-    return reduction.base[1]
+    base = None
+    if corners.start is not None:
+        key = corners.start.tobytes()
+        if reduction.base is None or reduction.base[0] != key:
+            _pattern, values = _small_signal_values(linear, structure,
+                                                    corners.start_point)
+            reduction.base = key, SweepBase.invert(
+                reduction.matrices, reduction.s, pattern, values)
+        base = reduction.base[1]
+    return solver.factorize(CornerSweep(shared=reduction.matrices,
+                                        s=reduction.s, pattern=pattern,
+                                        base=base),
+                            structure=structure)
 
 
 def transfer_function(circuit: Circuit, source_name: str,

@@ -23,7 +23,7 @@ from repro.core.vco_experiment import VcoImpactAnalysis
 from repro.obs import tracer
 from repro.simulator import dc_operating_point, solver, transfer_function
 from repro.simulator.dc import DcCorners
-from repro.simulator.solver import CornerSweep, stats
+from repro.simulator.solver import CornerSweep, SweepBase, stats
 from repro.simulator.transfer import _small_signal_values
 
 #: The perfbench V_tune lattice, 32 of its values including 0, 0.75 and
@@ -78,7 +78,9 @@ def _reduced_systems(analysis, vtunes):
     direct solutions."""
     reduction, pattern, values, base_values = _stack_stamps(analysis, vtunes)
     sweep = CornerSweep(shared=reduction.matrices, s=reduction.s,
-                        pattern=pattern, base=base_values)
+                        pattern=pattern, base=SweepBase.invert(
+                            reduction.matrices, reduction.s, pattern,
+                            base_values))
     updated, _work = analysis.solver.factorize(sweep).solve(reduction.rhs,
                                                             values)
     shape = (len(vtunes),) + reduction.matrices.shape[1:]
