@@ -367,13 +367,6 @@ class _ValueCollector(Stamper):
 class _Slots:
     """The slots of one matrix (rows and columns) or of the RHS (rows only),
     with the call each slot takes its value from and its sign.
-
-    ``ranks`` orders the dense scatter of a stack: rank ``r`` holds, for
-    every flat position (``row * size + col``, or ``row``) reached at least
-    ``r + 1`` times, its ``r``-th slot in recording order.  Adding the ranks
-    in turn onto zeros sums each position's values in recording order, as
-    :func:`numpy.bincount` does for one corner, with every corner of the
-    stack at once.
     """
 
     def __init__(self, rows, cols, calls, signs, size: int):
@@ -384,20 +377,10 @@ class _Slots:
         self.size = size
 
     @cached_property
-    def ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        flat = (self.rows * self.size + self.cols if self.cols.size
+    def positions(self) -> np.ndarray:
+        """Every slot's flat position: ``row * size + col``, or ``row``."""
+        return (self.rows * self.size + self.cols if self.cols.size
                 else self.rows)
-        ranks: list[tuple[list[int], list[int]]] = []
-        seen: dict[int, int] = {}
-        for slot, position in enumerate(flat.tolist()):
-            rank = seen[position] = seen.get(position, -1) + 1
-            if rank == len(ranks):
-                ranks.append(([], []))
-            ranks[rank][0].append(position)
-            ranks[rank][1].append(slot)
-        return [(np.array(positions, dtype=np.intp),
-                 np.array(slots, dtype=np.intp))
-                for positions, slots in ranks]
 
     def values(self, call_values: np.ndarray) -> np.ndarray:
         """The value of every slot, ``(..., slots)`` for ``(..., calls)``."""
@@ -405,12 +388,20 @@ class _Slots:
 
     def scatter(self, call_values: np.ndarray, length: int) -> np.ndarray:
         """The slot values of ``(corners, calls)`` summed onto ``length``
-        flat positions per corner."""
+        flat positions per corner.
+
+        One :func:`numpy.bincount` over the stack, each corner's positions
+        offset by ``length``: it adds its weights in input order, so every
+        position sums its values in recording order, corner by corner, as
+        a corner alone would.
+        """
         values = self.values(call_values)
-        flat = np.zeros((len(values), length))
-        for positions, slots in self.ranks:
-            flat[:, positions] += values[:, slots]
-        return flat
+        corners = len(values)
+        offsets = np.arange(corners)[:, None] * length
+        return np.bincount((offsets + self.positions).ravel(),
+                           weights=values.ravel(),
+                           minlength=corners * length
+                           ).reshape(corners, length)
 
 
 class StampPattern:

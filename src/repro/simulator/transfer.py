@@ -348,11 +348,12 @@ def _sweep_factorization(linear: LinearStamps, reduction: PortReduction,
     """
     structure = reduction.structure
     base = None
-    if corners.start is not None:
+    start = corners.start_point
+    if start is not None:
         key = corners.start.tobytes()
         if reduction.base is None or reduction.base[0] != key:
             _pattern, values = _small_signal_values(linear, structure,
-                                                    corners.start_point)
+                                                    start)
             reduction.base = key, SweepBase.invert(
                 reduction.matrices, reduction.s, pattern, values)
         base = reduction.base[1]

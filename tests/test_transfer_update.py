@@ -45,7 +45,8 @@ def perfbench_analysis(technology, vco_analysis):
 
 
 def _direct(monkeypatch):
-    """Make every stack take the direct stacked solve (no base)."""
+    """Make every stack take the direct stacked solve (no base), whether
+    or not a base is kept on the port reduction."""
     monkeypatch.setattr(DcCorners, "start_point", property(lambda self: None))
 
 
@@ -126,6 +127,8 @@ def test_the_update_matches_the_direct_solve_on_the_perfbench_lattice(
                              - want.sweep.total_spur_power_dbm())) <= 1e-9
         assert got.solver_counts.solves == (FREQUENCIES.size
                                             + want.operating_point.iterations)
+        # The reference is the direct stacked solve, base cached or not.
+        assert want.solver_counts.factorizations == FREQUENCIES.size
 
 
 def test_a_zero_volt_corner_has_no_update_and_keeps_its_bits_in_a_stack(
@@ -181,6 +184,9 @@ def test_stamps_moving_outside_the_update_set_fall_back_to_direct_bits(
 
     _direct(monkeypatch)
     direct = vco_analysis.analyze_corners(vtunes)
+    assert [corner.solver_counts.fallbacks for corner in direct] == [0] * 3
+    assert all(corner.solver_counts.factorizations == points
+               for corner in direct)
     for got, want in zip(fallen[1:], direct[1:]):
         for node, h in want.transfer.transfers.items():
             assert got.transfer.transfers[node].tobytes() == h.tobytes()
