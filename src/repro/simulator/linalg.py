@@ -1,7 +1,7 @@
 """The linear solver every analysis factors and solves through.
 
-Every analysis (DC, AC, transient, transfer functions, the direct path of
-the substrate Kron reduction) takes a ``solver=`` argument: a
+Every analysis (DC, transient, transfer functions, the direct path of the
+substrate Kron reduction) takes a ``solver=`` argument: a
 :class:`LinearSolver`, shared across analyses, or ``None`` for a fresh
 default one.  :class:`SolverOptions` is its declarative configuration: it
 travels from the campaign ``[solver]`` table through
@@ -37,7 +37,6 @@ from .solver import (
     CornerSweep,
     CornerSweepFactorization,
     Factorization,
-    StackedFactorization,
     solve_stacked,
     stats,
 )
@@ -82,15 +81,14 @@ class LinearSolver:
 
     def factorize(
         self, matrix: sp.spmatrix | np.ndarray | CornerSweep, structure=None, spd: bool = False
-    ) -> Factorization | StackedFactorization | CornerSweepFactorization:
+    ) -> Factorization | CornerSweepFactorization:
         """Prepare ``matrix`` (sparse, or a dense array) for repeated
         solves; returns a handle with ``solve(rhs)`` accepting a vector or
-        a dense ``(n, k)`` block.  A dense ``(F, n, n)`` stack is ``F``
-        independent systems, solved together against an ``(F, n, k)``
-        block (:class:`~repro.simulator.solver.StackedFactorization`).  A
+        a dense ``(n, k)`` block.  A
         :class:`~repro.simulator.solver.CornerSweep` is the systems of a
         frequency sweep over a stack of corners: the handle's ``solve``
-        reaches every corner from the sweep's inverted base systems
+        reaches every corner from the sweep's inverted base systems, or
+        solves it directly without one
         (:class:`~repro.simulator.solver.CornerSweepFactorization`).
 
         ``spd=True`` is the caller's promise that the matrix is symmetric
@@ -100,8 +98,6 @@ class LinearSolver:
         """
         if isinstance(matrix, CornerSweep):
             return CornerSweepFactorization(matrix, structure=structure)
-        if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
-            return StackedFactorization(matrix, structure=structure)
         return Factorization(matrix, structure=structure, spd=spd)
 
     def solve(
@@ -127,13 +123,14 @@ class LinearSolver:
         """
         rhs = np.asarray(rhs)
         if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+            solution = np.zeros(rhs.shape, dtype=rhs.dtype)
+            if matrix.shape[1]:
+                with trace_span("solver.factorize", kernel="lapack",
+                                n=matrix.shape[1]):
+                    solution = solve_stacked(matrix, rhs[..., None],
+                                             structure)[..., 0]
             stats.solves += matrix.shape[0]
-            if not matrix.shape[1]:
-                return np.zeros(rhs.shape, dtype=rhs.dtype)
-            with trace_span("solver.factorize", kernel="lapack",
-                            n=matrix.shape[1]):
-                return solve_stacked(matrix, rhs[..., None],
-                                     structure)[..., 0]
+            return solution
         if matrix.shape[0] == matrix.shape[1] == 0:
             return np.zeros(rhs.shape, dtype=rhs.dtype)
         factorization = Factorization(matrix, structure=structure,

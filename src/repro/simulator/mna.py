@@ -496,38 +496,6 @@ class StampPattern:
         return self._stamp_slots.scatter(
             np.atleast_2d(values), 2 * size * size).reshape(-1, size, 2 * size)
 
-    @cached_property
-    def outer_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every call's matrix stamp as a rank-one ``u v^T`` of slot signs.
-
-        Returns the ``(calls, n)`` left and right factors and whether each
-        call stamps ``C`` (else ``G``).  A two-terminal or controlled-source
-        stamp is rank one; a call without matrix slots, or one that is not
-        rank one, has zero factors.
-        """
-        calls = np.arange(self.n_calls)
-        signs = np.zeros((self.n_calls, self.size, self.size))
-        for slots in (self._g, self._c):
-            np.add.at(signs, (slots.calls, slots.rows, slots.cols),
-                      slots.signs)
-        capacitive = np.zeros(self.n_calls, dtype=bool)
-        capacitive[self._c.calls] = True
-        # u is the first non-zero column, v the first non-zero row over its
-        # pivot; a call without slots gets u = v = 0.
-        nonzero = signs != 0.0
-        row = nonzero.any(axis=2).argmax(axis=1)
-        column = nonzero[calls, row].argmax(axis=1)
-        u = signs[calls, :, column]
-        pivot = u[calls, row]
-        v = signs[calls, row] / np.where(pivot != 0.0, pivot, 1.0)[:, None]
-        rank_one = np.all(u[:, :, None] * v[:, None, :] == signs,
-                          axis=(1, 2))
-        left = np.where(rank_one[:, None], u, 0.0)
-        right = np.where(rank_one[:, None], v, 0.0)
-        for array in (left, right, capacitive):
-            array.flags.writeable = False
-        return left, right, capacitive
-
     def rhs(self, values: np.ndarray) -> np.ndarray:
         """The right-hand side of the stamps' current sources, ``(n,)`` or
         ``(corners, n)``."""

@@ -13,20 +13,18 @@ and "here is the solution vector":
   once for the whole time grid; the direct path of the substrate Kron
   reduction solves its internal block against all port columns in a single
   call, factorized with the symmetric ordering of :func:`splu_spd`.
-* :class:`StackedFactorization` — an ``(F, n, n)`` stack of small dense
-  systems (one per swept frequency of a reduced transfer analysis),
-  factorized and solved together by one batched LAPACK call and counted
-  as ``F`` factorizations and ``F`` solves.
-* :class:`CornerSweepFactorization` — the reduced transfer systems of a
-  stack of bias corners, reached from one inverted base system per
-  frequency by a low-rank update and one refinement step, with a
-  residual check that sends a failing corner to the direct
-  :class:`StackedFactorization`.
+* :class:`CornerSweepFactorization` — the small dense systems of a
+  frequency sweep over a stack of bias corners (one corner without a base
+  for a linear circuit).  Each corner is reached from one inverted base
+  system per frequency by a low-rank update and one refinement step, with
+  a residual check that sends a failing corner, like every corner without
+  a base, to the direct solve: one batched LAPACK call that factorizes
+  each system on its own.
 * :class:`SharedPatternPair` — a large system's ``G`` and ``C`` on one
   shared CSC sparsity pattern, so a transfer sweep assembles ``G + s*C``
   per frequency by combining ``.data`` arrays in place, without
-  reallocating.  Small systems never need it: their sweeps solve all
-  frequencies as one :class:`StackedFactorization`.
+  reallocating.  Small systems never need it: their sweeps are one
+  :class:`CornerSweep`.
 * singular-matrix diagnostics: an exactly singular factorization
   (SuperLU's error, LAPACK's ``info > 0``) becomes a
   :class:`~repro.errors.SimulationError` (naming the offending node when
@@ -102,7 +100,9 @@ class SolverStats:
     taken for.
     """
 
-    factorizations: int = 0     #: sparse LU, or the spectral Kron's Cholesky
+    #: LU factorizations (LAPACK or SuperLU), and the spectral Kron's
+    #: Cholesky
+    factorizations: int = 0
     solves: int = 0             #: solve calls against a factorization
     #: spectral Kron reductions redone by sparse LU, and transfer corners
     #: that took the direct solve instead of the update from their base
@@ -317,55 +317,11 @@ class Factorization:
         return _check_finite(solution, self._matrix, self._structure)
 
 
-class StackedFactorization:
-    """LU factorizations of a stack of equally sized dense matrices.
-
-    The ``(F, n, n)`` stack is ``F`` independent systems — one per swept
-    frequency of a reduced transfer analysis, or per (corner, frequency)
-    of the corners a :class:`CornerSweepFactorization` sends to the direct
-    solve.  :meth:`solve` factorizes and solves all of them in one batched
-    LAPACK ``gesv`` call; it is meant to be called once, with every
-    right-hand side as an ``(F, n, k)`` block.  So the LU time lands in
-    :meth:`solve`, whose ``solver.solve`` span carries ``factorizes``,
-    the systems it factorized, not in the constructor.  Counts ``F``
-    factorizations in :data:`stats` and ``F`` solves per :meth:`solve`
-    call, as ``F`` separate :class:`Factorization` handles would.  An
-    exactly singular system raises the same
-    :class:`~repro.errors.SimulationError` as :class:`Factorization`.
-    """
-
-    kernel = "lapack"
-
-    def __init__(self, matrices: np.ndarray, structure=None):
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise SimulationError(
-                "a stacked factorization needs an (F, n, n) array, got shape "
-                f"{matrices.shape}")
-        self.shape = matrices.shape
-        self._matrices = matrices
-        self._structure = structure
-        stats.factorizations += matrices.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every system against its ``(n, k)`` block of ``rhs``."""
-        rhs = np.asarray(rhs)
-        if rhs.shape[:2] != self.shape[:2]:
-            raise SimulationError(
-                f"RHS stack of shape {rhs.shape} does not match the "
-                f"systems {self.shape}")
-        with trace_span("solver.solve", kernel=self.kernel,
-                        n=self.shape[1], batch=self.shape[0],
-                        factorizes=self.shape[0]):
-            solution = solve_stacked(self._matrices, rhs, self._structure)
-        stats.solves += self.shape[0]
-        return solution
-
-
-#: A stamp call whose value at a corner differs from its value at the base
-#: by more than this share of it joins the corner's update set; the
-#: refinement step takes up every other call.  Across the Fig-8 V_tune
-#: sweep the two varactor capacitances move by up to 63%, every other call
-#: by at most 1.04e-9.
+#: A ``[G | C]`` entry whose value at a corner differs from its value at
+#: the base by more than this share of it puts its row and column among
+#: the corner's update rows; the refinement step takes up every other
+#: entry.  Across the Fig-8 V_tune sweep the seven varactor entries of
+#: ``C`` move by up to 63%, every other entry by at most 4.9e-10.
 UPDATE_THRESHOLD = 1e-8
 #: The largest normwise backward error an updated corner may keep at any
 #: frequency; a corner above it takes the direct solve.  A LAPACK solve of
@@ -379,27 +335,28 @@ class SweepBase:
     :class:`CornerSweep`, inverted once (:meth:`invert`) and shared by
     every stack started from that point."""
 
-    values: np.ndarray              #: (calls,) stamp values at the point
+    stamps: np.ndarray              #: (n, 2n) ``[G | C]`` at the point
     inverse: np.ndarray | None      #: (F, n, n), None when one is singular
     shared_norm: np.ndarray         #: (F,) infinity norms of ``shared``
 
     @classmethod
-    def invert(cls, shared: np.ndarray, s: np.ndarray, pattern,
-               values: np.ndarray) -> "SweepBase":
-        """Invert the base systems ``shared[f] + G(values) + s[f] *
-        C(values)`` in one batched LAPACK call that counts no work (a
-        ``solver.factorize`` span with ``base=True``)."""
-        systems = (shared + pattern.conductance(values)
-                   + s[:, None, None] * pattern.capacitance(values))
+    def invert(cls, shared: np.ndarray, s: np.ndarray,
+               stamps: np.ndarray) -> "SweepBase":
+        """Invert the base systems ``shared[f] + G + s[f] * C`` of the
+        ``(n, 2n)`` ``stamps`` ``[G | C]`` in one batched LAPACK call that
+        counts no work (a ``solver.factorize`` span with ``base=True``)."""
+        size = shared.shape[1]
+        systems = (shared + stamps[:, :size]
+                   + s[:, None, None] * stamps[:, size:])
         with trace_span("solver.factorize", kernel="lapack",
-                        n=shared.shape[1], batch=shared.shape[0], base=True):
+                        n=size, batch=shared.shape[0], base=True):
             try:
                 inverse = np.linalg.inv(systems)
             except np.linalg.LinAlgError:
                 inverse = None
         if inverse is not None and not np.all(np.isfinite(inverse)):
             inverse = None
-        return cls(values=values, inverse=inverse,
+        return cls(stamps=stamps, inverse=inverse,
                    shared_norm=np.abs(shared).sum(axis=-1).max(axis=-1))
 
 
@@ -407,18 +364,17 @@ class SweepBase:
 class CornerSweep:
     """The dense systems of a frequency sweep at any corner of a stack.
 
-    At a corner whose stamp calls of ``pattern`` (a
-    :class:`~repro.simulator.mna.StampPattern`) take the values ``v``, the
-    system of frequency ``f`` is ``shared[f] + G(v) + s[f] * C(v)``.
-    ``base`` is the stack's inverted reference point, or ``None`` without
-    one.  :meth:`LinearSolver.factorize
+    At a corner whose ``(n, 2n)`` stamps are ``[G | C]``, the system of
+    frequency ``f`` is ``shared[f] + G + s[f] * C``.  ``base`` is the
+    stack's inverted reference point, or ``None`` without one (a linear
+    circuit's sweep is one such corner, with zero stamps).
+    :meth:`LinearSolver.factorize
     <repro.simulator.linalg.LinearSolver.factorize>` takes it whole and
     returns a :class:`CornerSweepFactorization`.
     """
 
     shared: np.ndarray              #: (F, n, n) complex
     s: np.ndarray                   #: (F,) complex, j * omega
-    pattern: object                 #: the StampPattern of the calls
     base: SweepBase | None = None
 
 
@@ -426,39 +382,39 @@ class CornerSweepFactorization:
     """The systems of a :class:`CornerSweep`, solved for a stack of corners
     from one base factorization per frequency.
 
-    The base systems ``B[f] = shared[f] + G0 + s[f] * C0`` (the stamp calls
-    at the base values) are inverted by :meth:`SweepBase.invert`, once per
-    reference point.  :meth:`solve` reaches each corner of a stack from
-    them:
+    The base systems ``B[f] = shared[f] + G0 + s[f] * C0`` (the base
+    stamps ``[G0 | C0]``) are inverted by :meth:`SweepBase.invert`, once
+    per reference point.  :meth:`solve` reaches each corner of a stack
+    from them:
 
-    * **update** — the calls that moved from the base by more than
-      :data:`UPDATE_THRESHOLD` form the corner's update set.  Each is a
-      rank-one ``w u v^T`` of its slot signs
-      (:attr:`~repro.simulator.mna.StampPattern.outer_factors`), so
-      ``B + U W V^T`` is solved exactly by the Sherman-Morrison-Woodbury
-      identity: ``x = y - Z beta`` with ``y = B^-1 b``, ``Z = B^-1 U`` and
-      ``(I + W V^T Z) beta = W V^T y``, an ``r x r`` system per corner and
-      frequency;
+    * **update** — the rows and columns of the ``[G | C]`` entries that
+      moved from the base by more than :data:`UPDATE_THRESHOLD` of their
+      base value are the corner's update rows ``R``.  On them the corner
+      differs from the base by ``D = dG_RR + s dC_RR``, so its system is
+      solved exactly by the Sherman-Morrison-Woodbury identity:
+      ``x = y - Z (I + D Z_RR)^-1 D y_R`` with ``y = B^-1 b`` and
+      ``Z = B^-1[:, R]``, the base inverse's columns, an ``r x r`` system
+      per corner and frequency;
     * **refinement** — one step against the true residual
-      ``b - A x`` takes up the calls outside the update set, which
+      ``b - A x`` takes up the entries outside ``R``, which
       differ from the base in the last digits only;
     * **check** — a corner whose normwise backward error
       ``|b - A x| / (|A| |x| + |b|)`` (largest real or imaginary part,
       ``|A|`` bounded by its parts) exceeds :data:`UPDATE_TOLERANCE` at
-      any frequency takes the direct stacked solve instead and counts one
-      ``fallbacks``.  This is the one rule: a moved call that is not rank
-      one (zero factors) stays in the residual and fails it.
+      any frequency takes the direct solve instead and counts one
+      ``fallbacks``.  This is the one fallback rule.
 
     Every product is one system's own: the base inverse is applied per
     (corner, frequency) vector and the corner stamps per corner, over the
     ``F`` frequency columns, and the ``r x r`` systems are eliminated
-    elementwise.  A corner's update set depends on its own values only, so
+    elementwise.  A corner's update rows depend on its own stamps only, so
     its solution is bit-identical alone or in any stack (a multi-column
     ``getrs`` or ``(F, n, n) @ (F, n, k)`` product is not: its columns
     differ from single-column solves in the last bits).
 
     Without a base, or with a singular one, every corner takes the direct
-    stacked solve.
+    solve: its systems assembled and factorized each on its own, in one
+    batched LAPACK ``gesv`` call.
     """
 
     kernel = "lapack"
@@ -468,18 +424,18 @@ class CornerSweepFactorization:
         self.shape = sweep.shared.shape
         self._structure = structure
 
-    def solve(self, rhs: np.ndarray, values: np.ndarray
+    def solve(self, rhs: np.ndarray, stamps: np.ndarray
               ) -> tuple[np.ndarray, tuple[SolverStats, ...]]:
         """Every corner's solutions against the ``(F, n, m)`` right-hand
-        sides, for the stamp calls ``values`` (``(corners, calls)``, or
-        ``(calls,)`` for a stack of one): ``(corners, F, n, m)``, and each
-        corner's solver work.
+        sides, for the corners' ``(corners, n, 2n)`` ``stamps``
+        ``[G | C]``: ``(corners, F, n, m)``, and each corner's solver work.
 
         An updated corner counts ``F`` solves; a direct one ``F``
         factorizations and ``F`` solves, plus one ``fallbacks`` when it had
-        a base to be updated from.  Recorded as a ``solver.update`` span
-        carrying the corners updated, the fallbacks and the first one's
-        reason (``"no base"`` without base values).
+        a base to be updated from.  A direct solve that raises counts
+        nothing.  Recorded as a ``solver.update`` span carrying the
+        corners updated, the fallbacks and the first one's reason
+        (``"no base"`` without a base).
         """
         sweep = self.sweep
         rhs = np.asarray(rhs, dtype=complex)
@@ -488,9 +444,7 @@ class CornerSweepFactorization:
             raise SimulationError(
                 f"RHS stack of shape {rhs.shape} does not match the "
                 f"systems {self.shape}")
-        stacked = np.atleast_2d(values)
-        corners = len(stacked)
-        stamps = sweep.pattern.stamps(stacked)         # [G | C]
+        corners = len(stamps)
         solutions = np.empty((corners,) + rhs.shape, dtype=complex)
         reached = np.zeros(corners, dtype=bool)
         reasons: dict[int, str] = {}
@@ -500,7 +454,7 @@ class CornerSweepFactorization:
             if base is not None and base.inverse is None:
                 reasons = dict.fromkeys(range(corners), "singular base")
             elif base is not None:
-                base_solution = base.inverse @ rhs
+                base_solution = (base.inverse @ rhs)[None]
                 # |A| per corner and frequency, bounded by its parts.
                 magnitudes = np.abs(stamps)
                 norm = (base.shared_norm
@@ -510,9 +464,9 @@ class CornerSweepFactorization:
                         * magnitudes[..., size:].sum(axis=-1).max(axis=-1
                                                                   )[:, None])
                 rhs_part = _largest(rhs)
-                for group, calls in self._update_sets(stacked):
-                    x, residual = self._update(group, calls, stacked, rhs,
-                                               base_solution, stamps[group])
+                for group, rows in self._update_sets(stamps):
+                    x, residual = self._update(rows, rhs, base_solution,
+                                               stamps[group])
                     with np.errstate(divide="ignore", invalid="ignore"):
                         error = _largest(residual) / (
                             norm[group] * _largest(x) + rhs_part)
@@ -528,7 +482,8 @@ class CornerSweepFactorization:
             direct = np.flatnonzero(~reached)
             if direct.size:
                 solutions[direct] = self._direct(stamps[direct], rhs)
-            stats.solves += points * int(reached.sum())
+            stats.factorizations += points * direct.size
+            stats.solves += points * corners
             stats.fallbacks += len(reasons)
             if span is not None:
                 first = min(reasons, default=None)
@@ -543,88 +498,97 @@ class CornerSweepFactorization:
             for corner in range(corners))
         return solutions, work
 
-    def _update_sets(self, values: np.ndarray):
-        """The corners grouped by update set: ``(corners, calls)`` per
-        set."""
-        base = self.sweep.base.values
-        left, _right, _capacitive = self.sweep.pattern.outer_factors
-        moved = ((np.abs(values - base) > UPDATE_THRESHOLD * np.abs(base))
-                 & left.any(axis=1))
+    def _update_sets(self, stamps: np.ndarray):
+        """The corners grouped by update rows: ``(corners, rows)`` per
+        group."""
+        base = self.sweep.base.stamps
+        size = self.shape[1]
+        moved = np.abs(stamps - base) > UPDATE_THRESHOLD * np.abs(base)
+        # A moved entry of G or C in row i and column j updates i and j.
+        moved = moved[..., :size] | moved[..., size:]
+        moved |= moved.transpose(0, 2, 1)
+        rows = moved.any(axis=2)
         sets: dict[bytes, list[int]] = {}
-        for corner, row in enumerate(moved):
+        for corner, row in enumerate(rows):
             sets.setdefault(row.tobytes(), []).append(corner)
         for group in sets.values():
-            yield np.array(group), np.flatnonzero(moved[group[0]])
+            yield np.array(group), np.flatnonzero(rows[group[0]])
 
-    def _update(self, group, calls, values, rhs, base_solution, stamps):
-        """The corners ``group``, whose moved calls are ``calls`` and whose
-        ``[G | C]`` are the ``(k, n, 2n)`` ``stamps``, solved by the update
-        and one refinement step from the base solutions ``y = B^-1 rhs``:
-        their ``(k, F, n, m)`` solutions and true residuals.
+    def _update(self, rows, rhs, base_solution, stamps):
+        """The corners whose update rows are ``rows`` and whose ``[G | C]``
+        are the ``(k, n, 2n)`` ``stamps``, solved by the update and one
+        refinement step from the ``(1, F, n, m)`` base solutions ``y = B^-1
+        rhs``: their ``(k, F, n, m)`` solutions and true residuals.
 
-        The ``r x r`` systems and their right-hand sides are held update
-        index first, ``(r, r, k, F)`` and ``(r, k, F, m)``, so every
-        elementwise step runs over all corners and frequencies at once.
+        ``D`` is applied as the corners' stamps are (:meth:`_stamped`),
+        from ``[dG_RR | dC_RR]``.  The ``r x r`` systems and their
+        right-hand sides are eliminated update index first, ``(r, r, k,
+        F)`` and ``(r, k, F, m)``, so every elementwise step runs over all
+        corners and frequencies at once.
         """
-        sweep, inverse = self.sweep, self.sweep.base.inverse
-        left, right, capacitive = sweep.pattern.outer_factors
-        v = right[calls]
-        z = inverse @ left[calls].T                         # (F, n, r)
-        # W, the moved values' steps (times s on C), and I + W V^T Z.
-        step = (values[group][:, calls] - sweep.base.values[calls]).T
-        weights = (step[:, :, None]
-                   * np.where(capacitive[calls, None], sweep.s, 1.0)[:, None])
-        system = weights[:, None] * np.moveaxis(v @ z, 0, -1)[:, :, None]
-        system += np.eye(calls.size)[:, :, None, None]
+        base, size = self.sweep.base, self.shape[1]
+        z = base.inverse[:, :, rows]                        # (F, n, r)
+        # [dG_RR | dC_RR]: D v = dG_RR v + s dC_RR v.
+        block = np.ix_(rows, np.concatenate([rows, rows + size]))
+        step = stamps[:, block[0], block[1]] - base.stamps[block]
+        # The factors of I + D Z_RR.
+        system = np.moveaxis(self._stamped(step, z[None, :, rows]),
+                             (2, 3), (0, 1))
+        system += np.eye(rows.size)[:, :, None, None]
         lu = _unpivoted_lu(system)[..., None]
 
-        def reduced(direction, projected):
-            # direction - Z beta, (I + W V^T Z) beta = W V^T direction; the
-            # projection V^T direction comes as (..., r, m).
-            beta = _unpivoted_solve(lu, weights[..., None]
-                                    * np.moveaxis(projected, -2, 0))
+        def reduced(direction):
+            # direction - Z beta, (I + D Z_RR) beta = D direction_R.
+            projected = self._stamped(step, direction[:, :, rows])
+            beta = _unpivoted_solve(lu, np.moveaxis(projected, 2, 0))
             return direction - z @ np.moveaxis(beta, 0, -2)
 
-        x = reduced(base_solution, (v @ base_solution)[None])
-        x = np.broadcast_to(x, (group.size,) + rhs.shape)
-        correction = inverse @ (rhs - self._product(x, stamps))
-        x = x + reduced(correction, v @ correction)
+        x = np.broadcast_to(reduced(base_solution),
+                            (len(stamps),) + rhs.shape)
+        correction = base.inverse @ (rhs - self._product(x, stamps))
+        x = x + reduced(correction)
         return x, rhs - self._product(x, stamps)
 
     def _product(self, x, stamps):
         """``A x`` of the ``(k, F, n, m)`` vectors of ``k`` corners whose
         ``[G | C]`` are the ``(k, n, 2n)`` ``stamps``: ``shared @ x`` per
-        (corner, frequency) vector, and one product per corner of its
+        (corner, frequency) vector, plus :meth:`_stamped`."""
+        return self.sweep.shared @ x + self._stamped(stamps, x)
+
+    def _stamped(self, stamps, x):
+        """``(G + s C) x`` of ``k`` corners whose ``[G | C]`` are the
+        ``(k, p, 2q)`` ``stamps``, for their ``(k, F, q, m)`` vectors (or
+        ``(1, F, q, m)`` shared ones): one product per corner of its
         stamps with the real and imaginary parts of ``[x; s x]`` at all its
-        frequencies."""
-        sweep = self.sweep
+        frequencies, ``(k, F, p, m)``."""
         corners, points, size, columns = x.shape
         both = np.empty((corners, 2 * size, points, columns), dtype=complex)
         both[:, :size] = np.moveaxis(x, 1, 2)
-        np.multiply(sweep.s[:, None], both[:, :size], out=both[:, size:])
+        np.multiply(self.sweep.s[:, None], both[:, :size], out=both[:, size:])
         stamped = (stamps @ both.reshape(
             corners, 2 * size, points * columns).view(float)).view(complex)
-        return sweep.shared @ x + np.moveaxis(stamped.reshape(
-            corners, size, points, columns), 1, 2)
+        return np.moveaxis(stamped.reshape(
+            stamps.shape[:2] + (points, columns)), 1, 2)
 
     def _direct(self, stamps, rhs):
-        """The direct stacked solve of the corners whose ``[G | C]`` are
-        the ``(k, n, 2n)`` ``stamps``: every system assembled and
-        factorized on its own (:class:`StackedFactorization`)."""
+        """The direct solve of the corners whose ``[G | C]`` are the
+        ``(k, n, 2n)`` ``stamps``: every system assembled and factorized on
+        its own, all in one batched LAPACK ``gesv`` call (uncounted; a
+        ``solver.solve`` span carrying the systems it ``factorizes``)."""
         sweep = self.sweep
         size = self.shape[1]
         matrices = sweep.shared[None] + stamps[:, None, :, :size]
         # Corner by corner: no (corners, F, n, n) temporary.
         for matrix, corner in zip(matrices, stamps):
             matrix += sweep.s[:, None, None] * corner[:, size:]
-        count, points = matrices.shape[:2]
-        factorization = StackedFactorization(
-            matrices.reshape(count * points, size, size),
-            structure=self._structure)
-        block = np.broadcast_to(rhs, (count,) + rhs.shape)
-        return factorization.solve(
-            block.reshape((count * points,) + rhs.shape[1:])
-        ).reshape(block.shape)
+        count = len(matrices) * len(sweep.s)
+        block = np.broadcast_to(rhs, (len(matrices),) + rhs.shape)
+        with trace_span("solver.solve", kernel=self.kernel, n=size,
+                        batch=count, factorizes=count):
+            solution = solve_stacked(
+                matrices.reshape(count, size, size),
+                block.reshape((count,) + rhs.shape[1:]), self._structure)
+        return solution.reshape(block.shape)
 
 
 def _largest(x: np.ndarray) -> np.ndarray:

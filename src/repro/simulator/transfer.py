@@ -10,7 +10,7 @@ substrate-injection source to every sensitive node (back-gate, on-chip
 ground, tank, output) is a transfer function of this kind — the paper's
 ``h_sub^i`` factors.
 
-Three performance properties of the implementation matter for sweeps:
+Five performance properties of the implementation matter for sweeps:
 
 * **Batched multi-RHS solves** — all requested sources are solved through
   *one* LU factorization per frequency point: the MNA matrices depend only on
@@ -31,21 +31,24 @@ Three performance properties of the implementation matter for sweeps:
   onto them once per frequency sweep (a Schur complement cached on
   ``linear``), so every further bias corner solves a system of its device
   terminals and observed nodes only (13 unknowns instead of 43 for the
-  VCO testbench), all frequencies in one stacked LAPACK call.
+  VCO testbench), all frequencies and corners as one
+  :class:`~repro.simulator.solver.CornerSweep` (a linear circuit's sweep
+  as one corner with zero stamps).
 * **Corner stacks** — given the :class:`~repro.simulator.dc.DcCorners` of
-  a stack of bias corners, the small-signal values of every corner are
-  scattered as one ``(corners, calls)`` block, and the transfers carry a
-  leading corner axis (the sparse path loops over the corners).
+  a stack of bias corners, the small-signal stamps of every corner are
+  scattered as one ``(corners, k, 2k)`` block of ``[G | C]``
+  (:meth:`~repro.simulator.mna.StampPattern.stamps`), and the transfers
+  carry a leading corner axis (the sparse path loops over the corners).
 * **One base per frequency** — the stamps at the stack's shared Newton
   start (``DcCorners.start``, the reference point every V_tune corner
   starts from) give one base system per frequency on the reduced rows,
   inverted once and kept with the port reduction.  Each corner is reached
-  from it by a low-rank update of the stamps that moved (the two varactor
-  capacitances across V_tune: rank two, exact by Sherman-Morrison-
-  Woodbury) and one refinement step for the stamps that differ only in
-  the last digits; its true residual is then checked, and a corner that
-  fails, or a stack with no start, takes the direct stacked solve that
-  factorizes every system on its own
+  from it by a low-rank update on the rows whose ``[G | C]`` moved (the
+  varactor rows TANKP, TANKN and VTUNE across V_tune: exact by
+  Sherman-Morrison-Woodbury) and one refinement step for the entries that
+  differ only in the last digits; its true residual is then checked, and
+  a corner that fails, or a stack with no start, takes the direct solve
+  that factorizes every system on its own
   (:class:`~repro.simulator.solver.CornerSweepFactorization`).  Every
   product is one system's own, so a corner's transfer is bit-identical
   alone or in any stack.
@@ -75,7 +78,6 @@ from .mna import (
 )
 from .solver import (
     CornerSweep,
-    CornerSweepFactorization,
     SharedPatternPair,
     SolverStats,
     SweepBase,
@@ -313,54 +315,47 @@ def _reduced_solve(linear: LinearStamps, corners: DcCorners | None,
     The stack is solved as one
     :class:`~repro.simulator.solver.CornerSweep`: from base systems at the
     stamps of the stack's shared Newton start when it has one, by the
-    direct stacked solve otherwise.  Returns the kept nodes' rows, the
-    ``(corners, F, k, sources)`` solutions and each corner's solver work.
+    direct solve otherwise (a linear circuit is one corner with zero
+    stamps).  Returns the kept nodes' rows, the ``(corners, F, k,
+    sources)`` solutions and each corner's solver work.
     """
     reduction = linear.port_reduction(observe_nodes, frequencies, gmin,
                                       rhs_block)
     structure = reduction.structure
-    stamps = _small_signal_values(linear, structure, corners)
-    if stamps is None:
-        factorization = solver.factorize(reduction.matrices,
-                                         structure=structure)
-        points = frequencies.size
-        return (structure.node_index,
-                factorization.solve(reduction.rhs)[None],
-                (SolverStats(factorizations=points, solves=points),))
-    pattern, values = stamps
-    solutions, work = _sweep_factorization(linear, reduction, pattern,
-                                           corners, solver
-                                           ).solve(reduction.rhs, values)
+    small_signal = _small_signal_values(linear, structure, corners)
+    if small_signal is None:
+        size = reduction.matrices.shape[1]
+        stamps, base = np.zeros((1, size, 2 * size)), None
+    else:
+        pattern, values = small_signal
+        stamps = pattern.stamps(values)
+        base = _sweep_base(linear, reduction, corners)
+    sweep = CornerSweep(shared=reduction.matrices, s=reduction.s, base=base)
+    solutions, work = solver.factorize(sweep, structure=structure).solve(
+        reduction.rhs, stamps)
     return structure.node_index, solutions, work
 
 
-def _sweep_factorization(linear: LinearStamps, reduction: PortReduction,
-                         pattern: StampPattern, corners: DcCorners,
-                         solver: LinearSolver) -> CornerSweepFactorization:
-    """The :class:`~repro.simulator.solver.CornerSweepFactorization` of
-    ``reduction`` whose base is the small-signal stamps at the stack's
-    shared Newton start (no base without a start).
+def _sweep_base(linear: LinearStamps, reduction: PortReduction,
+                corners: DcCorners) -> SweepBase | None:
+    """The inverted base of ``reduction``: the small-signal stamps at the
+    stack's shared Newton start (``None`` without a start).
 
     The inverted base is compiled state like the reduction itself: it is
     kept in the reduction's one ``base`` slot, keyed by the start and
     replaced when it changes, so the stacks started from one reference
     point evaluate its devices and invert its systems once.
     """
-    structure = reduction.structure
-    base = None
     start = corners.start_point
-    if start is not None:
-        key = corners.start.tobytes()
-        if reduction.base is None or reduction.base[0] != key:
-            _pattern, values = _small_signal_values(linear, structure,
-                                                    start)
-            reduction.base = key, SweepBase.invert(
-                reduction.matrices, reduction.s, pattern, values)
-        base = reduction.base[1]
-    return solver.factorize(CornerSweep(shared=reduction.matrices,
-                                        s=reduction.s, pattern=pattern,
-                                        base=base),
-                            structure=structure)
+    if start is None:
+        return None
+    key = corners.start.tobytes()
+    if reduction.base is None or reduction.base[0] != key:
+        pattern, values = _small_signal_values(linear, reduction.structure,
+                                               start)
+        reduction.base = key, SweepBase.invert(
+            reduction.matrices, reduction.s, pattern.stamps(values)[0])
+    return reduction.base[1]
 
 
 def transfer_function(circuit: Circuit, source_name: str,

@@ -2,13 +2,15 @@
 frequency.
 
 A corner stack's transfer systems are the base systems at the stack's
-shared Newton start plus the stamps that moved: a rank-two varactor update
-(exact, by Sherman-Morrison-Woodbury) and stamps that differ in the last
-digits (taken up by one refinement step).  The oracle is the direct
-stacked solve, which factorizes every system on its own: the update must
-agree with it to the direct solve's own accuracy, fall back to it bit for
-bit when the residual check fails, and take its place only when a base
-exists.
+shared Newton start plus the ``[G | C]`` entries that moved: an update on
+their rows (the varactor rows across V_tune; exact, by Sherman-Morrison-
+Woodbury) and entries that differ in the last digits (taken up by one
+refinement step).  The oracle is the direct stacked solve, which
+factorizes every system on its own: the update must agree with it to the
+direct solve's own accuracy, fall back to it bit for bit when the
+residual check fails, and take its place only when a base exists.  A
+synthetic sweep moves ``G`` and ``C`` entries, an entry that is zero at
+the base and a block that is not rank one.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import pytest
 
 from repro.core import vco_experiment
 from repro.core.vco_experiment import VcoImpactAnalysis
+from repro.errors import SimulationError
 from repro.obs import tracer
 from repro.simulator import dc_operating_point, solver, transfer_function
 from repro.simulator.dc import DcCorners
+from repro.simulator.linalg import LinearSolver
+from repro.simulator.mna import MnaStructure
 from repro.simulator.solver import CornerSweep, SweepBase, stats
 from repro.simulator.transfer import _small_signal_values
 
@@ -51,9 +56,9 @@ def _direct(monkeypatch):
 
 
 def _stack_stamps(analysis, vtunes):
-    """The port reduction of a stack of ``vtunes`` and its small-signal
-    stamp pattern, the corners' call values and the base values at the
-    stack's shared Newton start."""
+    """The port reduction of a stack of ``vtunes``, the corners'
+    ``(corners, k, 2k)`` small-signal ``[G | C]`` and the ``(k, 2k)`` one
+    at the stack's shared Newton start."""
     template, linear = vco_experiment._compiled_testbench(analysis.flow,
                                                           analysis.options)
     nodes = analysis.analyze_corners([0.0])[0].transfer.nodes()
@@ -70,25 +75,23 @@ def _stack_stamps(analysis, vtunes):
                                            stack)
     _, base_values = _small_signal_values(linear, reduction.structure,
                                           stack.start_point)
-    return reduction, pattern, values, base_values
+    return reduction, pattern.stamps(values), pattern.stamps(base_values)[0]
 
 
 def _reduced_systems(analysis, vtunes):
     """The port-reduced transfer systems of ``vtunes``: the ``(c, F, k, k)``
     matrices, the ``(F, k, 1)`` right-hand sides, and the update and
     direct solutions."""
-    reduction, pattern, values, base_values = _stack_stamps(analysis, vtunes)
+    reduction, stamps, base = _stack_stamps(analysis, vtunes)
     sweep = CornerSweep(shared=reduction.matrices, s=reduction.s,
-                        pattern=pattern, base=SweepBase.invert(
-                            reduction.matrices, reduction.s, pattern,
-                            base_values))
+                        base=SweepBase.invert(reduction.matrices,
+                                              reduction.s, base))
     updated, _work = analysis.solver.factorize(sweep).solve(reduction.rhs,
-                                                            values)
-    shape = (len(vtunes),) + reduction.matrices.shape[1:]
-    matrices = (reduction.matrices[None]
-                + pattern.conductance(values).reshape(shape)[:, None]
+                                                            stamps)
+    size = reduction.matrices.shape[1]
+    matrices = (reduction.matrices[None] + stamps[:, None, :, :size]
                 + reduction.s[None, :, None, None]
-                * pattern.capacitance(values).reshape(shape)[:, None])
+                * stamps[:, None, :, size:])
     direct = np.linalg.solve(matrices, np.broadcast_to(
         reduction.rhs, matrices.shape[:2] + reduction.rhs.shape[1:]))
     return matrices, reduction.rhs, updated, direct
@@ -143,14 +146,18 @@ def test_a_zero_volt_corner_has_no_update_and_keeps_its_bits_in_a_stack(
                                           + alone.operating_point.iterations)
 
     # Its stamps differ from the base (the V_tune = 0 reference) in the
-    # last digits only: its update set is empty; at 0.75 V it is the two
-    # varactor capacitances.
-    _reduction, pattern, values, base = _stack_stamps(
-        vco_analysis, np.array([0.0, 0.75]))
-    moved = np.abs(values - base) > solver.UPDATE_THRESHOLD * np.abs(base)
+    # last digits only: it has no update rows; at 0.75 V they are the
+    # varactor rows, moved in C only.
+    reduction, stamps, base = _stack_stamps(vco_analysis,
+                                            np.array([0.0, 0.75]))
+    moved = np.abs(stamps - base) > solver.UPDATE_THRESHOLD * np.abs(base)
     assert not moved[0].any()
-    capacitive = pattern.outer_factors[2]
-    assert moved[1].sum() == 2 and capacitive[moved[1]].all()
+    size = base.shape[0]
+    assert not moved[1][:, :size].any()
+    rows, columns = np.nonzero(moved[1][:, size:])
+    names = {row: name for name, row in reduction.structure.node_index.items()}
+    assert {names[row] for row in np.concatenate([rows, columns])} \
+        == {"TANKP", "TANKN", "VTUNE"}
 
 
 def test_stamps_moving_outside_the_update_set_fall_back_to_direct_bits(
@@ -250,22 +257,6 @@ def test_per_corner_counts_sum_to_the_global_counters(vco_analysis,
         assert total == spent
 
 
-def test_stamp_calls_factor_into_their_slot_signs(vco_analysis):
-    _template, linear = vco_experiment._compiled_testbench(
-        vco_analysis.flow, vco_analysis.options)
-    corner, = vco_analysis.analyze_corners([0.75])
-    reduction = linear._cache["reduction"]
-    pattern = linear.small_signal_pattern(reduction.structure)
-    left, right, capacitive = pattern.outer_factors
-    for call in range(pattern.n_calls):
-        unit = np.zeros(pattern.n_calls)
-        unit[call] = 1.0
-        g, c = pattern.conductance(unit), pattern.capacitance(unit)
-        assert np.array_equal(c if capacitive[call] else g,
-                              np.outer(left[call], right[call]))
-        assert not (g if capacitive[call] else c).any()
-
-
 def test_unpivoted_elimination_solves_small_systems():
     rng = np.random.default_rng(3)
     matrices = (np.eye(3) + 0.3 * (rng.standard_normal((5, 4, 3, 3))
@@ -278,3 +269,79 @@ def test_unpivoted_elimination_solves_small_systems():
     np.testing.assert_allclose(np.moveaxis(x, 0, -2),
                                np.linalg.solve(matrices, rhs),
                                rtol=1e-12, atol=1e-12)
+
+
+def _synthetic_sweep():
+    """Well-conditioned ``(F, n, n)`` shared systems and a base ``[G | C]``
+    with an entry that is zero at the base, and the stamps of corners
+    that move ``G`` entries, ``C`` entries, that zero entry and a 2 x 2
+    ``G`` block that is not rank one; every corner also moves every entry
+    in the last digits."""
+    rng = np.random.default_rng(7)
+    points, size = 5, 6
+    shared = (size * np.eye(size)
+              + 0.5 * (rng.standard_normal((points, size, size))
+                       + 1j * rng.standard_normal((points, size, size))))
+    s = 1j * np.linspace(0.5, 2.0, points)
+    base = 0.3 * rng.standard_normal((size, 2 * size))
+    base[1, size + 4] = 0.0
+    block = np.array([[0.3, -0.2], [0.1, 0.4]])
+    assert np.linalg.matrix_rank(block) == 2
+    moves = np.zeros((6, size, 2 * size))
+    moves[1, 0, 0] = 0.5                    # a G entry
+    moves[1, 5, size + 2] = -0.2            # a C entry
+    moves[2, 1, size + 4] = 0.4             # zero at the base
+    moves[3, 2:4, 2:4] = block              # not rank one
+    moves[4] = moves[1] + moves[2] + moves[3]
+    moves[5, 0, 0] = -0.7                   # the update rows of corner 1
+    moves[5, 5, size + 2] = 0.3
+    stamps = (base * (1.0 + 1e-12 * rng.standard_normal(moves.shape))
+              + moves)
+    rhs = (rng.standard_normal((points, size, 2))
+           + 1j * rng.standard_normal((points, size, 2)))
+    return CornerSweep(shared=shared, s=s,
+                       base=SweepBase.invert(shared, s, base)), stamps, rhs
+
+
+def test_the_update_reaches_synthetic_corners_that_move_g_and_c():
+    sweep, stamps, rhs = _synthetic_sweep()
+    size = stamps.shape[1]
+    handle = LinearSolver().factorize(sweep)
+    before = stats.snapshot()
+    solutions, work = handle.solve(rhs, stamps)
+    spent = stats.since(before)
+    points = len(sweep.s)
+    assert (spent.factorizations, spent.fallbacks) == (0, 0)
+    assert spent.solves == points * len(stamps)
+    assert [counts.as_dict() for counts in work] \
+        == [solver.SolverStats(solves=points).as_dict()] * len(stamps)
+
+    matrices = (sweep.shared[None] + stamps[:, None, :, :size]
+                + sweep.s[None, :, None, None] * stamps[:, None, :, size:])
+    direct = np.linalg.solve(matrices, np.broadcast_to(
+        rhs, matrices.shape[:2] + rhs.shape[1:]))
+    worst = np.abs(solutions - direct).max(axis=(1, 2, 3)) \
+        / np.abs(direct).max(axis=(1, 2, 3))
+    assert worst.max() <= 1e-12
+    for corner, solution in enumerate(solutions):
+        alone, _work = handle.solve(rhs, stamps[corner:corner + 1])
+        assert alone[0].tobytes() == solution.tobytes()
+
+
+def test_a_failed_stacked_solve_counts_no_work():
+    singular = np.zeros((3, 2, 2))
+    singular[:, 0, 0] = 1.0
+    before = stats.snapshot()
+    with pytest.raises(SimulationError,
+                       match="exactly singular.*row 1"):
+        LinearSolver().solve(singular, np.ones((3, 2)))
+    assert stats.since(before) == solver.SolverStats()
+
+    structure = MnaStructure(node_index={"a": 0, "b": 1}, branch_index={})
+    sweep = CornerSweep(shared=np.repeat(singular[:1], 4, axis=0) + 0j,
+                        s=1j * np.arange(1.0, 5.0))
+    handle = LinearSolver().factorize(sweep, structure=structure)
+    with pytest.raises(SimulationError,
+                       match="exactly singular.*node 'b'"):
+        handle.solve(np.ones((4, 2, 1)), np.zeros((1, 2, 4)))
+    assert stats.since(before) == solver.SolverStats()
